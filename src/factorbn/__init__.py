@@ -17,7 +17,7 @@ from .benchcat import (
     star_family,
 )
 from .core import Evidence, Factor, Variable, insert_evidence, marginalize, multiply, product
-from .cliques import CliqueReport, MIN_FILL, moralize_and_triangulate, total_clique_size
+from .cliques import CliqueReport, moralize_and_triangulate
 from .fileio import (
     parse_base,
     parse_evidence,
@@ -72,7 +72,6 @@ from .mbh import (
     enumerate_rectangles,
     greedy_cover_base,
     solve_mbh,
-    target_sets,
 )
 from .network import Cpt, Network
 from .rectangles import (

@@ -138,15 +138,12 @@ def _cmd_infer(args) -> int:
 def _cmd_cliques(args) -> int:
     transformed, _ = _load_transformed(args)
     report = moralize_and_triangulate(transformed)
-    lines = []
     name = lambda v: transformed.variables[v].name  # noqa: E731
-    sizes = []
-    for clique in report.cliques:
-        states = 1
-        for v in clique:
-            states *= report.cardinalities[v]
-        sizes.append(states)
-        lines.append("clique: " + ",".join(name(v) for v in clique) + f" states={states}")
+    sizes = report.clique_sizes()
+    lines = [
+        "clique: " + ",".join(name(v) for v in clique) + f" states={states}"
+        for clique, states in zip(report.cliques, sizes)
+    ]
     lines.append(f"max_clique_states: {max(sizes)}")
     lines.append(f"total_clique_size: {report.total}")
     lines.append(
@@ -235,10 +232,7 @@ def run_cli(argv=None) -> int:
         return 0 if e.code == 0 else 1
     try:
         return args.func(args)
-    except (ValidationError, IllegalExpressionError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except ZeroNormalizerError as e:
+    except (ValidationError, IllegalExpressionError, ZeroNormalizerError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except BudgetExceededError as e:

@@ -85,20 +85,13 @@ class DeterministicFunction:
 
 def deterministic_to_potential(d: DeterministicFunction) -> Factor:
     """The indicator factor [y == f(x)] over the family, as exact integers."""
-    scope = tuple(sorted(d.parents + (d.child,)))
-    by_id = dict(zip(d.parents, d.parent_cards))
-    by_id[d.child] = d.child_card
-    cards = tuple(by_id[v] for v in scope)
-    values = np.zeros(cards, dtype=np.int64)
-    positions = [scope.index(v) for v in d.parents]
-    child_pos = scope.index(d.child)
-    cell = [0] * len(scope)
-    for cfg, y in zip(d.configurations(), d.outputs):
-        for p, x in zip(positions, cfg):
-            cell[p] = x
-        cell[child_pos] = y
-        values[tuple(cell)] = 1
-    return Factor(scope, cards, values)
+    outputs = np.asarray(d.outputs, dtype=np.int64).reshape(d.parent_cards)
+    # axes (x1, ..., xn, y), then permuted into ascending id order
+    table = (outputs[..., None] == np.arange(d.child_card)).astype(np.int64)
+    ids = d.parents + (d.child,)
+    perm = sorted(range(len(ids)), key=ids.__getitem__)
+    scope = tuple(ids[i] for i in perm)
+    return Factor(scope, tuple(table.shape[i] for i in perm), table.transpose(perm))
 
 
 # ---------------------------------------------------------------------------

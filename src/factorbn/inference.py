@@ -10,10 +10,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import Evidence, Factor, Variable, insert_evidence, marginalize, multiply
-from .cliques import min_fill_order
+from .core import Evidence, Factor, Variable
+from .cliques import min_fill_order, scope_graph
 from .errors import InternalConsistencyError, ValidationError, ZeroNormalizerError
-from .factorization import FactorizedForm, verify_factorization
+from .factorization import FactorizedForm, build_factorized_form, verify_factorization
 from .functions import (
     DeterministicFunction,
     as_conjunction,
@@ -21,23 +21,31 @@ from .functions import (
     is_add,
     is_max,
 )
-from .network import Cpt, Network
+from .network import Network, fresh_name
 
 NEGATIVE_TOLERANCE = 1e-9
+MAX_OPERANDS = 31  # einsum operands per call that every supported numpy accepts
+
+Table = tuple[tuple[int, ...], np.ndarray]  # (scope, values with one axis per scope id)
 
 
-def network_factors(net: Network, dtype=np.float64) -> list[Factor]:
-    """All factors of the network: CPTs, deterministic indicators, and
-    transformation potentials, cast to a common dtype."""
-    factors = [
-        Factor(c.factor.scope, c.factor.cards, c.factor.values.astype(dtype))
+def network_factors(net: Network, heads: set[int], dtype=np.float64) -> list[Table]:
+    """(scope, table) for the CPT and deterministic families whose child
+    is in ``heads`` and for every transformation potential, in a common
+    dtype.  Tables already in ``dtype`` are shared, not copied: they are
+    read-only.
+    """
+    tables = [
+        (c.factor.scope, np.asarray(c.factor.values, dtype=dtype))
         for c in net.cpts
+        if c.child in heads
     ]
     for d in net.deterministic:
-        ind = deterministic_to_potential(d)
-        factors.append(Factor(ind.scope, ind.cards, ind.values.astype(dtype)))
-    factors += [Factor(p.scope, p.cards, p.values.astype(dtype)) for p in net.potentials]
-    return factors
+        if d.child in heads:
+            ind = deterministic_to_potential(d)
+            tables.append((ind.scope, ind.values.astype(dtype)))
+    tables += [(p.scope, np.asarray(p.values, dtype=dtype)) for p in net.potentials]
+    return tables
 
 
 def _validate_evidence(net: Network, evidence: Evidence) -> None:
@@ -52,6 +60,62 @@ def _validate_evidence(net: Network, evidence: Evidence) -> None:
             )
 
 
+def _relevant_heads(net: Network, targets: Iterable[int]) -> set[int]:
+    """The targets, every variable in a transformation potential, and
+    all their ancestors.
+
+    Every other CPT or deterministic family is barren for a query on
+    the targets (Zhang & Poole 1996): its child has no observed or
+    queried descendant, so summing it out, leaves first, multiplies by
+    rows that sum to 1.
+    """
+    parents = {c.child: c.parents for c in net.cpts}
+    parents.update((d.child, d.parents) for d in net.deterministic)
+    seen = set(targets)
+    for p in net.potentials:
+        seen.update(p.scope)
+    stack = list(seen)
+    while stack:
+        for u in parents.get(stack.pop(), ()):
+            if u not in seen:
+                seen.add(u)
+                stack.append(u)
+    return seen
+
+
+def _slice(table: Table, picks: dict[int, int | np.ndarray]) -> Table:
+    """Index the observed axes away: an int pick drops the axis, an
+    index array keeps only the allowed states."""
+    scope, values = table
+    if picks.keys().isdisjoint(scope):
+        return table
+    for axis in reversed(range(len(scope))):
+        pick = picks.get(scope[axis])
+        if pick is not None:
+            values = np.take(values, pick, axis=axis)
+    return tuple(v for v in scope if not isinstance(picks.get(v), int)), values
+
+
+def _contract(tables: Sequence[Table], out: Sequence[int]) -> np.ndarray:
+    """Multiply the tables and sum every variable not in ``out``, as one
+    einsum with labels numbered locally; its axes follow ``out``.
+
+    Beyond MAX_OPERANDS tables, the first ones are multiplied together
+    first, summing nothing, so no einsum exceeds numpy's operand limit.
+    """
+    if len(tables) > MAX_OPERANDS:
+        head = tables[:MAX_OPERANDS]
+        scope = tuple(dict.fromkeys(u for s, _ in head for u in s))
+        return _contract([(scope, _contract(head, scope)), *tables[MAX_OPERANDS:]], out)
+    labels: dict[int, int] = {}
+    args: list = []
+    for scope, values in tables:
+        args.append(values)
+        args.append([labels.setdefault(v, len(labels)) for v in scope])
+    args.append([labels[v] for v in out])
+    return np.einsum(*args)
+
+
 def variable_elimination(
     net: Network,
     evidence: Evidence | None = None,
@@ -60,11 +124,18 @@ def variable_elimination(
 ) -> Factor:
     """The normalized posterior over the query variables given evidence.
 
-    Non-query variables are summed out in min-fill order (lowest id on
-    ties) unless an explicit elimination ``order`` is supplied; the
-    result is the same for any order, only the cost differs.  Raises
-    ZeroNormalizerError when the evidence has zero mass and
-    InternalConsistencyError if the unnormalized result dips below
+    Barren families are dropped first: a CPT or deterministic node whose
+    child is not an ancestor of a query variable, an observed one or a
+    variable of a transformation potential cannot change the answer.
+    An observed non-query variable is indexed out of every table that
+    holds it; an observed query variable is masked instead, so that its
+    axis stays.  The remaining variables are summed out in min-fill
+    order on the reduced graph (lowest id on ties) unless an explicit
+    elimination ``order`` over all non-query variables is supplied; the
+    result is the same for any order, only the cost differs.  Each step
+    multiplies the tables holding the variable and sums it out in one
+    einsum.  Raises ZeroNormalizerError when the evidence has zero mass
+    and InternalConsistencyError if the unnormalized result dips below
     -1e-9 anywhere (values above that are clamped to 0).
     """
     evidence = evidence or Evidence()
@@ -75,24 +146,8 @@ def variable_elimination(
             raise ValidationError(f"query names unknown variable id {q}")
     if not query:
         raise ValidationError("query must name at least one variable")
-
-    factors = [insert_evidence(f, evidence) for f in network_factors(net)]
-
     queryset = set(query)
-    if order is None:
-        adj: dict[int, set[int]] = {v.id: set() for v in net.variables}
-        for f in factors:
-            for a in f.scope:
-                for b in f.scope:
-                    if a != b:
-                        adj[a].add(b)
-        sub = {
-            v: {u for u in nb if u not in queryset}
-            for v, nb in adj.items()
-            if v not in queryset
-        }
-        order, _ = min_fill_order(sub)
-    else:
+    if order is not None:
         order = list(order)
         expected = set(range(len(net.variables))) - queryset
         if set(order) != expected or len(order) != len(expected):
@@ -100,26 +155,51 @@ def variable_elimination(
                 "elimination order must cover each non-query variable exactly once"
             )
 
-    pending = list(factors)
-    for v in order:
-        touching = [f for f in pending if v in f.scope]
-        if not touching:
-            continue
-        pending = [f for f in pending if v not in f.scope]
-        prod = touching[0]
-        for f in touching[1:]:
-            prod = multiply(prod, f)
-        pending.append(marginalize(prod, v))
+    picks: dict[int, int | np.ndarray] = {}
+    masks: list[Table] = []
+    for var, vec in evidence.findings.items():
+        if not any(vec):
+            raise ZeroNormalizerError("evidence has zero probability under the model")
+        if var in queryset:
+            masks.append(((var,), np.asarray(vec, dtype=np.float64)))
+        elif not all(vec):
+            allowed = np.flatnonzero(vec)
+            picks[var] = int(allowed[0]) if allowed.size == 1 else allowed
 
-    result = pending[0]
-    for f in pending[1:]:
-        result = multiply(result, f)
-    if set(result.scope) != set(query):
-        raise InternalConsistencyError(
-            f"elimination left scope {result.scope}, expected {tuple(query)}"
+    heads = _relevant_heads(net, queryset | set(evidence.findings))
+    tables = [_slice(t, picks) for t in network_factors(net, heads)] + masks
+
+    present = {v for scope, _ in tables for v in scope}
+    if order is None:
+        order, _ = min_fill_order(
+            scope_graph((scope for scope, _ in tables), present - queryset)
         )
+    else:
+        order = [v for v in order if v in present]
 
-    values = np.array(result.values, dtype=np.float64)
+    # Bucket elimination: each table waits in the bucket of its first
+    # variable in the order, so a bucket holds every table that touches
+    # its variable by the time that variable is summed out.
+    rank = {v: i for i, v in enumerate(order)}
+    buckets: list[list[Table]] = [[] for _ in order]
+    final: list[Table] = []
+
+    def place(table: Table) -> None:
+        ranks = [rank[u] for u in table[0] if u in rank]
+        (buckets[min(ranks)] if ranks else final).append(table)
+
+    for t in tables:
+        place(t)
+    for v, touching in zip(order, buckets):
+        out = list(dict.fromkeys(u for scope, _ in touching for u in scope if u != v))
+        place((tuple(out), _contract(touching, out)))
+
+    left = {v for scope, _ in final for v in scope}
+    if left != queryset:
+        raise InternalConsistencyError(
+            f"elimination left scope {tuple(sorted(left))}, expected {tuple(query)}"
+        )
+    values = _contract(final, query)
     low = values.min() if values.size else 0.0
     if low < -NEGATIVE_TOLERANCE:
         raise InternalConsistencyError(
@@ -129,7 +209,8 @@ def variable_elimination(
     total = values.sum()
     if total == 0.0:
         raise ZeroNormalizerError("evidence has zero probability under the model")
-    return Factor(result.scope, result.cards, values / total)
+    cards = net.cards
+    return Factor(tuple(query), tuple(cards[q] for q in query), values / total)
 
 
 def posterior_by_name(
@@ -144,6 +225,32 @@ def posterior_by_name(
 # Transform 1: hidden-variable factorization of a deterministic node.
 
 
+def _hidden_variable(
+    det: DeterministicFunction, form: FactorizedForm, b_id: int, name: str
+) -> tuple[Variable, list[Factor]]:
+    """The hidden variable B that replaces ``det`` and its potentials:
+    h(child, B), then g_i(parent_i, B) for each parent in order.
+
+    The form is re-verified against the node first.
+    """
+    verdict = verify_factorization(det, form)
+    if not verdict:
+        raise ValidationError(
+            f"factorized form fails reconstruction at {verdict.violation}"
+        )
+    child = det.child
+    b_var = Variable(b_id, name, tuple(f"b{i}" for i in range(form.n_hidden)))
+    potentials = [
+        Factor((min(child, b_id), max(child, b_id)), (form.child_card, form.n_hidden),
+               form.h.astype(np.float64))
+    ]
+    for pid, g in zip(det.parents, form.g):
+        potentials.append(
+            Factor((pid, b_id), (g.shape[0], form.n_hidden), g.astype(np.float64))
+        )
+    return b_var, potentials
+
+
 def apply_factorization_transform(
     net: Network, child: int, form: FactorizedForm
 ) -> Network:
@@ -155,31 +262,14 @@ def apply_factorization_transform(
     posteriors over the original variables are preserved exactly.
     """
     det = net.deterministic_for(child)
-    verdict = verify_factorization(det, form)
-    if not verdict:
-        raise ValidationError(
-            f"factorized form fails reconstruction at {verdict.violation}"
-        )
-    b_id = len(net.variables)
-    b_var = Variable(
-        b_id,
-        net.fresh_name(f"B_{net.variables[child].name}"),
-        tuple(f"b{i}" for i in range(form.n_hidden)),
+    b_var, potentials = _hidden_variable(
+        det, form, len(net.variables), net.fresh_name(f"B_{net.variables[child].name}")
     )
-    potentials = list(net.potentials)
-    potentials.append(
-        Factor((min(child, b_id), max(child, b_id)), (form.child_card, form.n_hidden),
-               form.h.astype(np.float64))
-    )
-    for pid, g in zip(det.parents, form.g):
-        potentials.append(
-            Factor((pid, b_id), (g.shape[0], form.n_hidden), g.astype(np.float64))
-        )
     return Network(
         net.variables + (b_var,),
         net.cpts,
         tuple(d for d in net.deterministic if d.child != child),
-        tuple(potentials),
+        net.potentials + tuple(potentials),
     )
 
 
@@ -309,15 +399,20 @@ def transform_network(net: Network, method: str, base_picker=None) -> Network:
             out = parent_divorcing_transform(out, det.child)
         return out
     if method == "factorize":
-        from .factorization import build_factorized_form
-
+        # Every node is rewritten into one list of variables and
+        # potentials, and the network is built and validated once.
         picker = base_picker or default_base
-        out = net
+        variables = list(net.variables)
+        potentials = list(net.potentials)
+        taken = {v.name for v in variables}
         for det in net.deterministic:
-            node = out.deterministic_for(det.child)
-            form = build_factorized_form(node, picker(node))
-            out = apply_factorization_transform(out, det.child, form)
-        return out
+            form = build_factorized_form(det, picker(det))
+            name = fresh_name(f"B_{net.variables[det.child].name}", taken)
+            taken.add(name)
+            b_var, pots = _hidden_variable(det, form, len(variables), name)
+            variables.append(b_var)
+            potentials += pots
+        return Network(tuple(variables), net.cpts, (), tuple(potentials))
     raise ValidationError(f"unknown transform {method!r}")
 
 

@@ -89,11 +89,6 @@ class MbhSolution:
     stats: SearchStats
 
 
-def target_sets(d: DeterministicFunction) -> dict[int, frozenset[Config]]:
-    """The level sets to be expressed, keyed by child state (image only)."""
-    return level_sets(d)
-
-
 def enumerate_rectangles(
     cards: Sequence[int], budget: SearchBudget | None = None
 ) -> list[Hyperrectangle]:

@@ -6,15 +6,24 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable
 
+import numpy as np
+
 from .core import Factor, Variable
 from .errors import ValidationError
 from .functions import DeterministicFunction
+
+ROW_SUM_TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True)
 class Cpt:
     """A conditional probability table, stored as a factor over the
-    family scope (parents and child, sorted by id)."""
+    family scope (parents and child, sorted by id).
+
+    Entries must be finite and non-negative reals, and the entries for
+    each parent configuration must sum to 1 within 1e-9.  Inference
+    relies on this when it drops families that cannot affect a query.
+    """
 
     child: int
     parents: tuple[int, ...]
@@ -31,6 +40,20 @@ class Cpt:
             raise ValidationError(
                 f"CPT factor scope {self.factor.scope} must be the family {expected}"
             )
+        values = self.factor.values
+        where = f"CPT table for variable {self.child}"
+        if values.dtype.kind not in "iuf":
+            raise ValidationError(f"{where} must hold real numbers")
+        sums = values.sum(axis=expected.index(self.child)).reshape(-1)
+        off = np.abs(sums - 1.0)
+        # a NaN fails both comparisons, so only a valid table returns here
+        if values.min() >= 0 and off.max() <= ROW_SUM_TOLERANCE:
+            return
+        if not np.isfinite(values).all():
+            raise ValidationError(f"{where} has a non-finite entry")
+        if values.min() < 0:
+            raise ValidationError(f"{where} has a negative entry")
+        raise ValidationError(f"{where} has a row summing to {sums[off.argmax()]:.12g}, not 1")
 
 
 @dataclass(frozen=True)
@@ -165,10 +188,14 @@ class Network:
         raise ValidationError(f"variable {child} is not a deterministic node")
 
     def fresh_name(self, stem: str) -> str:
-        taken = {v.name for v in self.variables}
-        if stem not in taken:
-            return stem
-        i = 2
-        while f"{stem}_{i}" in taken:
-            i += 1
-        return f"{stem}_{i}"
+        return fresh_name(stem, {v.name for v in self.variables})
+
+
+def fresh_name(stem: str, taken: set[str]) -> str:
+    """``stem``, or ``stem_2``, ``stem_3``, ... : the first not in ``taken``."""
+    if stem not in taken:
+        return stem
+    i = 2
+    while f"{stem}_{i}" in taken:
+        i += 1
+    return f"{stem}_{i}"

@@ -218,6 +218,24 @@ def test_infer_impossible_evidence_is_input_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "table, excerpt",
+    [
+        ([float("nan"), 0.6], "non-finite"),
+        ([-0.2, 1.2], "negative"),
+        ([0.5, 0.6], "summing to 1.1"),
+    ],
+)
+def test_infer_invalid_cpt_is_input_error(tmp_path, capsys, table, excerpt):
+    doc = json.loads(json.dumps(NET))
+    doc["cpts"][0]["table"] = table
+    net_path = put(tmp_path, "net.json", doc)
+    assert run_cli(["infer", "--net", net_path, "--query", "alarm"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert excerpt in captured.err and captured.err.count("\n") == 1
+
+
 def test_infer_unknown_query_name_is_input_error(tmp_path, capsys):
     net_path = put(tmp_path, "net.json", NET)
     assert run_cli(["infer", "--net", net_path, "--query", "zz"]) == 2

@@ -6,9 +6,13 @@ Core claims:
       32-state clique; the pairwise rewrite caps cliques at 4 states
       and strictly shrinks the total
     - reported cliques form an antichain (no clique inside another)
-    - min-fill breaks ties toward the lowest variable id
+    - min-fill breaks ties toward the lowest variable id, and the
+      incremental scoring picks exactly what a full rescan picks
     - repeated runs return identical reports
 """
+
+import random
+from itertools import combinations
 
 import numpy as np
 
@@ -19,9 +23,8 @@ from factorbn import (
     Network,
     Variable,
     moralize_and_triangulate,
-    total_clique_size,
 )
-from factorbn.cliques import interaction_graph, min_fill_order
+from factorbn.cliques import interaction_graph, min_fill_order, scope_graph
 from factorbn.inference import transform_network
 
 
@@ -51,7 +54,7 @@ def chain_network():
 def test_chain_total_is_eight():
     report = moralize_and_triangulate(chain_network())
     assert report.total == 8
-    assert total_clique_size(report) == 8
+    assert sum(report.clique_sizes()) == 8
     assert set(report.cliques) == {(0, 1), (1, 2)}
 
 
@@ -130,3 +133,55 @@ def test_report_deterministic():
     a = moralize_and_triangulate(star_network())
     b = moralize_and_triangulate(star_network())
     assert a == b
+
+
+def full_rescan_min_fill(adj):
+    """The reference min-fill: rescore every vertex on every step."""
+    work = {v: set(nb) for v, nb in adj.items()}
+    order, cliques = [], []
+    while work:
+        best_v, best_fill = None, None
+        for v in sorted(work):
+            nbrs = work[v]
+            fill = sum(1 for a, b in combinations(sorted(nbrs), 2) if b not in work[a])
+            if best_fill is None or fill < best_fill:
+                best_v, best_fill = v, fill
+        nbrs = work[best_v]
+        cliques.append({best_v} | nbrs)
+        for a, b in combinations(sorted(nbrs), 2):
+            work[a].add(b)
+            work[b].add(a)
+        for u in nbrs:
+            work[u].discard(best_v)
+        del work[best_v]
+        order.append(best_v)
+    return tuple(order), cliques
+
+
+def random_graph(rng):
+    n = rng.randint(0, 40)
+    ids = rng.sample(range(3 * n + 1), n)
+    density = rng.choice([0.05, 0.15, 0.3, 0.6])
+    adj = {v: set() for v in ids}
+    for a, b in combinations(ids, 2):
+        if rng.random() < density:
+            adj[a].add(b)
+            adj[b].add(a)
+    return adj
+
+
+def test_incremental_min_fill_matches_full_rescan():
+    for seed in range(400):
+        adj = random_graph(random.Random(seed))
+        assert min_fill_order(adj) == full_rescan_min_fill(adj), seed
+
+
+def test_min_fill_leaves_its_input_alone():
+    adj = {0: {1, 2}, 1: {0}, 2: {0}}
+    min_fill_order(adj)
+    assert adj == {0: {1, 2}, 1: {0}, 2: {0}}
+
+
+def test_scope_graph_keeps_only_the_given_vertices():
+    adj = scope_graph([(0, 1, 2), (2, 3), (4,)], [0, 2, 3, 4])
+    assert adj == {0: {2}, 2: {0, 3}, 3: {2}, 4: set()}

@@ -310,3 +310,157 @@ def test_divorce_rejects_unstructured_functions():
     net = Network(variables, cpts, (det,))
     with pytest.raises(ValidationError):
         parent_divorcing_transform(net, det.child)
+
+
+# -- pruning, evidence slicing and explicit orders against brute force -------
+
+
+def random_mixed_network(rng):
+    """Up to 7 variables of 2 or 3 states; each non-root is a CPT or,
+    one time in three, a random deterministic node."""
+    n = rng.randint(2, 7)
+    cards = [rng.choice([2, 3]) for _ in range(n)]
+    variables = tuple(
+        Variable(i, f"v{i}", tuple(f"s{j}" for j in range(cards[i]))) for i in range(n)
+    )
+    cpts, dets = [], []
+    for i in range(n):
+        parents = tuple(sorted(rng.sample(range(i), rng.randint(0, min(i, 3)))))
+        pcards = tuple(cards[p] for p in parents)
+        if parents and rng.random() < 1 / 3:
+            outputs = [rng.randrange(cards[i]) for _ in range(int(np.prod(pcards)))]
+            dets.append(DeterministicFunction(parents, i, pcards, cards[i], outputs))
+            continue
+        family = tuple(sorted(parents + (i,)))
+        shape = tuple(cards[v] for v in family)
+        table = np.array([rng.uniform(0.05, 1.0) for _ in range(int(np.prod(shape)))])
+        table = table.reshape(shape)
+        table /= table.sum(axis=family.index(i), keepdims=True)
+        cpts.append(Cpt(i, parents, Factor(family, shape, table)))
+    return Network(variables, tuple(cpts), tuple(dets))
+
+
+def random_evidence(net, rng):
+    """Random 0/1 vectors with at least one 1, often on several states."""
+    findings = {}
+    for v in net.variables:
+        if rng.random() < 0.4:
+            vec = [rng.randrange(2) for _ in range(v.card)]
+            vec[rng.randrange(v.card)] = 1
+            findings[v.id] = tuple(vec)
+    return Evidence(findings)
+
+
+@pytest.mark.parametrize("method", ["none", "factorize"])
+def test_random_networks_match_brute_force(method):
+    answered = zero_mass = 0
+    for seed in range(150):
+        rng = random.Random(seed)
+        net = random_mixed_network(rng)
+        ev = random_evidence(net, rng)
+        query = sorted(rng.sample(range(len(net.variables)), rng.randint(1, 2)))
+        t = transform_network(net, method)
+        try:
+            want = brute_posterior(net, ev, query)
+        except ZeroNormalizerError:
+            with pytest.raises(ZeroNormalizerError):
+                variable_elimination(t, ev, query)
+            zero_mass += 1
+            continue
+        got = variable_elimination(t, ev, query)
+        assert got.scope == tuple(query)
+        assert np.abs(got.values - want).max() < 1e-9, seed
+        answered += 1
+    assert answered > 100 and zero_mass > 0
+
+
+def test_random_networks_explicit_orders_match():
+    for seed in range(60):
+        rng = random.Random(1000 + seed)
+        net = transform_network(random_mixed_network(rng), "factorize")
+        ev = random_evidence(net, rng)
+        q = rng.randrange(len(net.variables))
+        order = [v.id for v in net.variables if v.id != q]
+        rng.shuffle(order)
+        try:
+            base = variable_elimination(net, ev, [q])
+        except ZeroNormalizerError:
+            continue
+        got = variable_elimination(net, ev, [q], order=order)
+        assert np.abs(got.values - base.values).max() < 1e-12
+
+
+def test_observed_query_variable_keeps_its_axis():
+    net = sprinkler_like()
+    ev = Evidence({1: (0, 1), 2: (0, 1)})
+    got = variable_elimination(net, ev, [1])
+    assert got.scope == (1,) and np.array_equal(got.values, [0.0, 1.0])
+    for q in ([0, 1], [1, 2]):
+        got = variable_elimination(net, ev, q)
+        assert got.scope == tuple(q)
+        assert np.allclose(got.values, brute_posterior(net, ev, q), atol=1e-12)
+
+
+@pytest.mark.parametrize("method", ["none", "factorize"])
+def test_multi_state_evidence_vector(method):
+    net = det_network()
+    t = transform_network(net, method)
+    ev = Evidence({2: (0, 1, 1, 0, 1)})
+    for q in ([0], [1], [0, 1], [3]):
+        got = variable_elimination(t, ev, q)
+        assert np.abs(got.values - brute_posterior(net, ev, q)).max() < 1e-12
+    # the same vector on a query variable masks it
+    got = variable_elimination(t, ev, [2])
+    assert np.abs(got.values - brute_posterior(net, ev, [2])).max() < 1e-12
+    assert got.values[0] == got.values[3] == 0.0
+
+
+@pytest.mark.parametrize("method", ["none", "factorize"])
+def test_all_zero_evidence_vector_raises(method):
+    t = transform_network(det_network(), method)
+    # on a query variable, on an observed one, and on a leaf that no
+    # query depends on
+    for var, query in ((0, [0]), (2, [0]), (3, [1])):
+        card = t.variables[var].card
+        with pytest.raises(ZeroNormalizerError):
+            variable_elimination(t, Evidence({var: (0,) * card}), query)
+
+
+def test_barren_nodes_do_not_change_the_answer():
+    # alarm is barren for a query on a, b or total without evidence
+    net = det_network()
+    for q in ([0], [1], [2], [0, 2]):
+        got = variable_elimination(net, None, q)
+        assert np.abs(got.values - brute_posterior(net, Evidence(), q)).max() < 1e-12
+
+
+def test_explicit_order_is_validated_over_all_variables():
+    net = det_network()
+    ev = Evidence({3: (0, 1)})
+    # alarm is observed and drops out of every table, and with no
+    # evidence it is barren; an order must still name it
+    for evidence in (ev, None):
+        with pytest.raises(ValidationError):
+            variable_elimination(net, evidence, [0], order=[1, 2])
+    for bad in ([1, 2, 3, 3], [0, 1, 2, 3], [1, 2, 3, 7]):
+        with pytest.raises(ValidationError):
+            variable_elimination(net, ev, [0], order=bad)
+    got = variable_elimination(net, ev, [0], order=[3, 2, 1])
+    assert np.abs(got.values - brute_posterior(net, ev, [0])).max() < 1e-12
+
+
+def test_many_tables_on_one_variable():
+    # 70 observed children of one root: 70 tables over the root alone
+    n = 71
+    cards = {i: 2 for i in range(n)}
+    variables = tuple(binary(i, f"x{i}") for i in range(n))
+    cpts = [cpt(0, (), cards, [0.4, 0.6])]
+    cpts += [cpt(i, (0,), cards, [[0.7, 0.3], [0.2, 0.8]]) for i in range(1, n)]
+    net = Network(variables, tuple(cpts))
+    ev = Evidence({i: (0, 1) if i % 3 else (1, 0) for i in range(1, n)})
+    got = variable_elimination(net, ev, [0])
+    k = sum(1 for i in range(1, n) if i % 3)
+    odds = (0.6 / 0.4) * (0.8 / 0.3) ** k * (0.2 / 0.7) ** (n - 1 - k)
+    assert np.allclose(got.values, [1 / (1 + odds), odds / (1 + odds)], rtol=1e-9)
+    with_order = variable_elimination(net, ev, [0], order=range(1, n))
+    assert np.allclose(with_order.values, got.values, rtol=1e-12)

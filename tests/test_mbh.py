@@ -33,8 +33,8 @@ from factorbn import (
     function_from_formula,
     greedy_cover_base,
     known_base_max,
+    level_sets,
     solve_mbh,
-    target_sets,
     verify_factorization,
 )
 
@@ -172,7 +172,7 @@ def exhaustive_min_base_size(d):
     every size, feasibility by fixpoint closure over set values."""
     rects = enumerate_rectangles(d.parent_cards)
     rect_sets = [frozenset(r.points()) for r in rects]
-    levels = [frozenset(v) for v in target_sets(d).values()]
+    levels = [frozenset(v) for v in level_sets(d).values()]
 
     def closure(seed):
         vals = set(seed)
@@ -206,7 +206,7 @@ def test_binary_add_minimum_is_three_with_oracle():
     assert bool(verify_factorization(d, build_factorized_form(d, sol.base)))
     assert exhaustive_min_base_size(d) == 3
     # three level sets force at least three rectangles
-    assert len(target_sets(d)) == 3
+    assert len(level_sets(d)) == 3
 
 
 def test_ternary_add_minimum_is_six():
