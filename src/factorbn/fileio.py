@@ -37,6 +37,17 @@ def _expect(obj: Any, key: str, where: str) -> Any:
     return obj[key]
 
 
+def _int(value: Any, field: str) -> int:
+    """An integer-valued field: a JSON integer, an integral number or a
+    decimal string; anything else is a ParseError naming the field."""
+    if isinstance(value, (int, str)) or isinstance(value, float) and value.is_integer():
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise ParseError(f"{field} must be an integer, got {value!r}")
+
+
 # ---------------------------------------------------------------------------
 # Networks.
 
@@ -47,7 +58,7 @@ def _parse_function_field(fn: Any, parents, child, cards, names, where: str):
         outputs = _expect(fn, "outputs", where)
         return DeterministicFunction(
             tuple(parents), child, tuple(cards[p] for p in parents), cards[child],
-            tuple(outputs),
+            tuple(_int(o, f"{where} output") for o in outputs),
         )
     if ftype == "formula":
         expr = _expect(fn, "expr", where)
@@ -66,7 +77,7 @@ def parse_network(text: str) -> Network:
     for rv in raw_vars:
         variables.append(
             Variable(
-                int(_expect(rv, "id", "variable")),
+                _int(_expect(rv, "id", "variable"), "variable id"),
                 str(_expect(rv, "name", "variable")),
                 tuple(str(s) for s in _expect(rv, "states", "variable")),
             )
@@ -79,8 +90,8 @@ def parse_network(text: str) -> Network:
 
     cpts = []
     for rc in doc.get("cpts", []):
-        child = int(_expect(rc, "child", "cpt"))
-        parents = tuple(int(p) for p in rc.get("parents", []))
+        child = _int(_expect(rc, "child", "cpt"), "cpt child")
+        parents = tuple(_int(p, "cpt parent") for p in rc.get("parents", []))
         table = _expect(rc, "table", "cpt")
         family = tuple(sorted(parents + (child,)))
         unknown = [v for v in family if v not in cards]
@@ -96,8 +107,11 @@ def parse_network(text: str) -> Network:
 
     dets = []
     for rd in doc.get("deterministic", []):
-        child = int(_expect(rd, "child", "deterministic node"))
-        parents = tuple(int(p) for p in _expect(rd, "parents", "deterministic node"))
+        child = _int(_expect(rd, "child", "deterministic node"), "deterministic child")
+        parents = tuple(
+            _int(p, "deterministic parent")
+            for p in _expect(rd, "parents", "deterministic node")
+        )
         unknown = [v for v in parents + (child,) if v not in cards]
         if unknown:
             raise ValidationError(f"unknown variable id {unknown[0]} in a deterministic node")
@@ -110,7 +124,7 @@ def parse_network(text: str) -> Network:
 
     potentials = []
     for rp in doc.get("potentials", []):
-        scope = tuple(int(v) for v in _expect(rp, "scope", "potential"))
+        scope = tuple(_int(v, "potential scope") for v in _expect(rp, "scope", "potential"))
         unknown = [v for v in scope if v not in cards]
         if unknown:
             raise ValidationError(f"unknown variable id {unknown[0]} in a potential")
@@ -167,7 +181,7 @@ def parse_evidence(text: str, net: Network) -> Evidence:
                 f"evidence vector for {name!r} has length {len(vec)}, "
                 f"expected {var.card}"
             )
-        findings[var.id] = tuple(int(x) for x in vec)
+        findings[var.id] = tuple(_int(x, f"evidence for {name!r}") for x in vec)
     return Evidence(findings)
 
 
@@ -186,7 +200,7 @@ def _card_of(decl: Any, where: str) -> int:
     if "states" in decl:
         return len(decl["states"])
     if "card" in decl:
-        return int(decl["card"])
+        return _int(decl["card"], f"{where} card")
     raise ParseError(f"{where} needs either 'states' or 'card'")
 
 
@@ -233,12 +247,12 @@ def write_function(d: DeterministicFunction, names: list[str] | None = None) -> 
 def parse_base(text: str) -> Base:
     doc = _loads(text)
     rects = tuple(
-        Hyperrectangle(tuple(tuple(int(x) for x in dim) for dim in r))
+        Hyperrectangle(tuple(tuple(_int(x, "rectangle state") for x in dim) for dim in r))
         for r in _expect(doc, "rectangles", "base file")
     )
     exprs: dict[int, Expression] = {}
     for state, s in _expect(doc, "expressions", "base file").items():
-        exprs[int(state)] = parse_expression(s)
+        exprs[_int(state, "expression key")] = parse_expression(s)
     return Base(rects, exprs)
 
 
@@ -261,8 +275,8 @@ def write_base(base: Base, extra: dict[str, Any] | None = None) -> str:
 def parse_form(text: str) -> FactorizedForm:
     doc = _loads(text)
     return FactorizedForm(
-        tuple(int(c) for c in _expect(doc, "parent_cards", "form file")),
-        int(_expect(doc, "child_card", "form file")),
+        tuple(_int(c, "parent card") for c in _expect(doc, "parent_cards", "form file")),
+        _int(_expect(doc, "child_card", "form file"), "child card"),
         np.asarray(_expect(doc, "h", "form file"), dtype=np.int64),
         tuple(np.asarray(g, dtype=np.int64) for g in _expect(doc, "g", "form file")),
     )

@@ -131,11 +131,22 @@ def _tokenize(text: str):
     return tokens
 
 
+# Binary operators, loosest first.
+_BINARY = (("<=>", "iff"), ("=>", "implies"), ("|", "or"), ("&", "and"))
+
+# A formula may nest at most this deep, counting operators on any path
+# from the root to a variable and, separately, open parentheses, so that
+# parsing and evaluating stay well inside Python's default recursion
+# limit (each open parenthesis costs the parser seven frames).
+MAX_FORMULA_DEPTH = 64
+
+
 class _FormulaParser:
     def __init__(self, text: str):
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.open_parens = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -149,58 +160,58 @@ class _FormulaParser:
         self.pos += 1
         return tok
 
+    @staticmethod
+    def check_depth(depth: int, tok) -> int:
+        if depth > MAX_FORMULA_DEPTH:
+            raise ParseError(
+                f"formula nests deeper than {MAX_FORMULA_DEPTH} levels", column=tok[1] + 1
+            )
+        return depth
+
     def parse(self):
-        node = self.iff()
+        node, _ = self.binary(0)
         tok = self.peek()
         if tok[0] != "end":
             raise ParseError(f"trailing {tok[0]!r} in formula", column=tok[1] + 1)
         return node
 
-    def iff(self):
-        node = self.implies()
-        while self.peek()[0] == "<=>":
-            self.take()
-            node = ("iff", node, self.implies())
-        return node
+    # Each method returns (node, depth), the depth counting operators.
 
-    def implies(self):
-        node = self.disjunct()
-        while self.peek()[0] == "=>":
-            self.take()
-            node = ("implies", node, self.disjunct())
-        return node
-
-    def disjunct(self):
-        node = self.conjunct()
-        while self.peek()[0] == "|":
-            self.take()
-            node = ("or", node, self.conjunct())
-        return node
-
-    def conjunct(self):
-        node = self.negation()
-        while self.peek()[0] == "&":
-            self.take()
-            node = ("and", node, self.negation())
-        return node
+    def binary(self, level: int):
+        """Operators of _BINARY[level] and tighter, left-associative."""
+        if level == len(_BINARY):
+            return self.negation()
+        symbol, name = _BINARY[level]
+        node, depth = self.binary(level + 1)
+        while self.peek()[0] == symbol:
+            tok = self.take()
+            right, rdepth = self.binary(level + 1)
+            node, depth = (name, node, right), self.check_depth(1 + max(depth, rdepth), tok)
+        return node, depth
 
     def negation(self):
+        nots = 0
+        while self.peek()[0] == "!":
+            self.check_depth(nots + 1, self.take())
+            nots += 1
         tok = self.peek()
-        if tok[0] == "!":
-            self.take()
-            return ("not", self.negation())
-        return self.atom()
+        node, depth = self.atom()
+        for _ in range(nots):
+            node = ("not", node)
+        return node, self.check_depth(depth + nots, tok)
 
     def atom(self):
         tok = self.peek()
         if tok[0] == "(":
             self.take()
-            node = self.iff()
+            self.open_parens = self.check_depth(self.open_parens + 1, tok)
+            node = self.binary(0)
             self.take(")")
+            self.open_parens -= 1
             return node
         if tok[0] == "name":
             self.take()
-            return ("var", tok[2])
+            return ("var", tok[2]), 0
         raise ParseError(f"unexpected {tok[0]!r} in formula", column=tok[1] + 1)
 
 

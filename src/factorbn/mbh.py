@@ -14,7 +14,9 @@ Feasibility of a subset is decided in three stages, each sound:
    leaves);
 2. span: every level indicator must lie in the rational span of the
    rectangle indicators (a necessary consequence of the signed-count
-   reconstruction), tested by exact rank comparison;
+   reconstruction), tested exactly by one fraction-free elimination over
+   integers: the subset's rows are reduced to an echelon basis and every
+   level row must reduce to zero against it;
 3. closure: an expression for every level set must actually exist in
    the two-operator algebra, found by uniform-cost search over
    reachable configuration sets with minimal leaf count first.
@@ -34,9 +36,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import combinations, product as iproduct
+from math import gcd
 from typing import Iterable, Sequence
 
 from .errors import BudgetExceededError, InternalConsistencyError, ValidationError
@@ -141,26 +143,34 @@ def _mask_row(mask: int, ncells: int) -> list[int]:
     return [(mask >> i) & 1 for i in range(ncells)]
 
 
-def _rank(rows: list[list[int]]) -> int:
-    """Exact rank over the rationals by Gaussian elimination."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    rank = 0
-    cols = len(m[0]) if m else 0
-    for c in range(cols):
-        pivot = next((i for i in range(rank, len(m)) if m[i][c]), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        inv = 1 / m[rank][c]
-        m[rank] = [x * inv for x in m[rank]]
-        for i in range(len(m)):
-            if i != rank and m[i][c]:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
-        rank += 1
-        if rank == len(m):
-            break
-    return rank
+def _reduce(row: list[int], basis: list[tuple[int, list[int]]]) -> list[int]:
+    """The remainder of an integer row against an echelon basis, fraction
+    free.  Each basis row is zero on the pivots of the rows before it, so
+    one pass in basis order clears every pivot column of the row; the
+    remainder is zero exactly when the row lies in the rational span."""
+    for p, b in basis:
+        x = row[p]
+        if x:
+            bp = b[p]
+            row = [bp * r - x * y for r, y in zip(row, b)]
+    return row
+
+
+def _echelon(rows: Iterable[list[int]]) -> list[tuple[int, list[int]]]:
+    """(pivot column, row) pairs spanning the rows, each row divided by
+    the gcd of its entries so that the integers stay small."""
+    basis: list[tuple[int, list[int]]] = []
+    for row in rows:
+        row = _reduce(row, basis)
+        if any(row):
+            g = gcd(*row)
+            basis.append((next(i for i, x in enumerate(row) if x), [x // g for x in row]))
+    return basis
+
+
+def _in_span(basis: list[tuple[int, list[int]]], targets: Iterable[list[int]]) -> bool:
+    """Whether every target row lies in the rational span of the basis."""
+    return not any(any(_reduce(t, basis)) for t in targets)
 
 
 # ---------------------------------------------------------------------------
@@ -181,41 +191,55 @@ def _closure_search(
     witnesses found; when the returned dict misses a wanted mask, that
     mask is provably not generable (the reachable space was exhausted).
     Raises when the settled-value cap or the deadline is hit.
+
+    Frontier entries carry how their set was made, ``("rect", i)`` or
+    ``("union" | "diff", a, b)`` over already-settled masks ``a`` and
+    ``b``; an expression tree is built only for the wanted masks.
     """
-    heap = [(1, i, m, Expression.rect(i)) for i, m in enumerate(masks)]
+    heap = [(1, i, m, ("rect", i)) for i, m in enumerate(masks)]
     heapify(heap)
     seq = len(masks)
-    settled: dict[int, tuple[int, Expression]] = {}
-    order: list[int] = []
+    settled: dict[int, tuple] = {}
+    order: list[tuple[int, int]] = []  # (mask, leaf count) in settling order
     found: dict[int, Expression] = {}
+    built: dict[int, Expression] = {}
+
+    def witness(mask: int) -> Expression:
+        if mask not in built:
+            how = settled[mask]
+            if how[0] == "rect":
+                built[mask] = Expression.rect(how[1])
+            else:
+                built[mask] = Expression(how[0], left=witness(how[1]), right=witness(how[2]))
+        return built[mask]
+
     pops = 0
     heap_cap = 64 * max_values
     while heap:
-        size, _, mask, expr = heappop(heap)
+        size, _, mask, how = heappop(heap)
         if mask in settled:
             continue
         pops += 1
         if deadline is not None and pops % 64 == 0 and time.monotonic() > deadline:
             raise BudgetExceededError("wall-clock budget exhausted", kind="wall")
-        settled[mask] = (size, expr)
-        order.append(mask)
+        settled[mask] = how
+        order.append((mask, size))
         if len(settled) > max_values:
             raise BudgetExceededError(
                 f"closure cap of {max_values} distinct sets exceeded",
                 count=len(settled), kind="closure",
             )
         if mask in wanted:
-            found[mask] = expr
+            found[mask] = witness(mask)
             if len(found) == len(wanted):
                 return found
-        for other in order:
-            osize, oexpr = settled[other]
+        for other, osize in order:
             if mask & other == 0:
-                cand, cexpr = mask | other, Expression.union(expr, oexpr)
+                cand, chow = mask | other, ("union", mask, other)
             elif other & ~mask == 0:
-                cand, cexpr = mask & ~other, Expression.diff(expr, oexpr)
+                cand, chow = mask & ~other, ("diff", mask, other)
             elif mask & ~other == 0:
-                cand, cexpr = other & ~mask, Expression.diff(oexpr, expr)
+                cand, chow = other & ~mask, ("diff", other, mask)
             else:
                 continue
             if cand not in settled:
@@ -224,7 +248,7 @@ def _closure_search(
                         "closure frontier exceeded its cap",
                         count=len(heap), kind="closure",
                     )
-                heappush(heap, (size + osize, seq, cand, cexpr))
+                heappush(heap, (size + osize, seq, cand, chow))
                 seq += 1
     return found
 
@@ -343,8 +367,8 @@ class _Search:
         Sets .unknown when the closure budget leaves the answer open."""
         self.counters.checked += 1
         sub_masks = [self.masks[i] for i in subset]
-        rows = [_mask_row(m, self.ncells) for m in sub_masks]
-        if _rank(rows + self.level_rows) != _rank(rows):
+        basis = _echelon(_mask_row(m, self.ncells) for m in sub_masks)
+        if not _in_span(basis, self.level_rows):
             return None
         try:
             found = _closure_search(

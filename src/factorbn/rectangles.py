@@ -196,6 +196,14 @@ class Base:
 # e.g. "(- (- R2 R4) R5)".  "-" is the proper difference, "+" the
 # disjunctive union.
 
+# Operators may nest at most this deep in a parsed expression, so that
+# every recursive walk of the tree stays well inside Python's default
+# recursion limit.  The solver's witnesses nest a few levels; the greedy
+# cover nests one union per part of a level set (511 for parity on ten
+# binary parents, the most binary parents the default rectangle cap of
+# the mbh command admits).
+MAX_EXPRESSION_DEPTH = 512
+
 
 def format_expression(expr: Expression) -> str:
     if expr.kind == "rect":
@@ -208,19 +216,23 @@ def parse_expression(text: str) -> Expression:
     tokens = text.replace("(", " ( ").replace(")", " ) ").split()
     pos = 0
 
-    def parse() -> Expression:
+    def parse(depth: int) -> Expression:
         nonlocal pos
         if pos >= len(tokens):
             raise ParseError("unexpected end of expression")
         tok = tokens[pos]
         pos += 1
         if tok == "(":
+            if depth == MAX_EXPRESSION_DEPTH:
+                raise ParseError(
+                    f"expression nests deeper than {MAX_EXPRESSION_DEPTH} operators"
+                )
             if pos >= len(tokens) or tokens[pos] not in ("-", "+"):
                 raise ParseError(f"expected an operator after '(' in {text!r}")
             op = tokens[pos]
             pos += 1
-            left = parse()
-            right = parse()
+            left = parse(depth + 1)
+            right = parse(depth + 1)
             if pos >= len(tokens) or tokens[pos] != ")":
                 raise ParseError(f"missing ')' in {text!r}")
             pos += 1
@@ -229,7 +241,7 @@ def parse_expression(text: str) -> Expression:
             return Expression.rect(int(tok[1:]) - 1)
         raise ParseError(f"unexpected token {tok!r} in expression {text!r}")
 
-    expr = parse()
+    expr = parse(0)
     if pos != len(tokens):
         raise ParseError(f"trailing tokens in expression {text!r}")
     return expr

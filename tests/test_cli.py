@@ -127,6 +127,20 @@ def test_factorize_with_wrong_base_is_input_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_factorize_deeply_nested_base_is_input_error(tmp_path, capsys):
+    fn = put(tmp_path, "fn.json", AND2)
+    expr = "R1"
+    for _ in range(3000):
+        expr = f"(+ {expr} R1)"
+    base = put(tmp_path, "base.json", {
+        "rectangles": [[[1], [1]]], "expressions": {"1": expr},
+    })
+    assert run_cli(["factorize", "--function", fn, "--base", base]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "nests deeper than" in captured.err and captured.err.count("\n") == 1
+
+
 def test_unreadable_file_is_input_error(tmp_path, capsys):
     assert run_cli(["factorize", "--function",
                     str(tmp_path / "absent.json"), "--trivial"]) == 2
@@ -169,6 +183,25 @@ def test_mbh_closure_cap_still_emits_a_base(tmp_path, capsys):
     doc = json.loads((tmp_path / "base.json").read_text())
     assert doc["proved_minimal"] is False
     parse_base((tmp_path / "base.json").read_text())  # still a valid base
+
+
+def test_mbh_non_integer_card_is_input_error(tmp_path, capsys):
+    doc = json.loads(json.dumps(AND2))
+    doc["parents"][1]["card"] = "two"
+    fn = put(tmp_path, "fn.json", doc)
+    assert run_cli(["mbh", "--function", fn]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "card must be an integer" in captured.err and captured.err.count("\n") == 1
+
+
+def test_mbh_deeply_negated_formula_is_input_error(tmp_path, capsys):
+    doc = json.loads(json.dumps(AND2))
+    doc["function"] = {"type": "formula", "expr": "!" * 5000 + "x1"}
+    fn = put(tmp_path, "fn.json", doc)
+    assert run_cli(["mbh", "--function", fn]) == 2
+    err = capsys.readouterr().err
+    assert "nests deeper than" in err and err.count("\n") == 1
 
 
 def test_mbh_output_is_byte_identical_across_runs(tmp_path, capsys):
@@ -234,6 +267,15 @@ def test_infer_invalid_cpt_is_input_error(tmp_path, capsys, table, excerpt):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert excerpt in captured.err and captured.err.count("\n") == 1
+
+
+def test_infer_non_integer_id_is_input_error(tmp_path, capsys):
+    doc = json.loads(json.dumps(NET))
+    doc["variables"][0]["id"] = "x"
+    net_path = put(tmp_path, "net.json", doc)
+    assert run_cli(["infer", "--net", net_path, "--query", "alarm"]) == 2
+    err = capsys.readouterr().err
+    assert "variable id must be an integer" in err and err.count("\n") == 1
 
 
 def test_infer_unknown_query_name_is_input_error(tmp_path, capsys):

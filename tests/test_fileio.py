@@ -229,6 +229,67 @@ def test_function_file_errors():
         parse_function('{"parents": [{"name": "x"}], "child": {"card": 2}, "function": {"type": "table", "outputs": [0, 1]}}')
 
 
+# -- integer fields -------------------------------------------------------------
+
+
+FUNCTION_DOC = {
+    "parents": [{"name": "x1", "card": 2}, {"name": "x2", "card": 2}],
+    "child": {"name": "y", "card": 2},
+    "function": {"type": "table", "outputs": [0, 0, 0, 1]},
+}
+
+
+def _network_doc():
+    doc = json.loads(NETWORK_DOC)
+    doc["potentials"] = [{"scope": [0], "table": [1.0, 1.0]}]
+    return doc
+
+
+INTEGER_FIELD_CASES = [
+    (parse_network, lambda d: d["variables"][0].update(id="x"), "variable id"),
+    (parse_network, lambda d: d["cpts"][0].update(child=[0]), "cpt child"),
+    (parse_network, lambda d: d["cpts"][1].update(parents=[0.5]), "cpt parent"),
+    (parse_network, lambda d: d["deterministic"][0].update(child=None),
+     "deterministic child"),
+    (parse_network, lambda d: d["deterministic"][0].update(parents=[0, "b"]),
+     "deterministic parent"),
+    (parse_network, lambda d: d["deterministic"][0]["function"].update(
+        outputs=[0, 0, 1, 0, 1, "yes"]), "output"),
+    (parse_network, lambda d: d["potentials"][0].update(scope=["a"]), "potential scope"),
+    (parse_function, lambda d: d["parents"][1].update(card="two"), "parent 1 card"),
+    (parse_function, lambda d: d["child"].update(card=2.5), "child card"),
+]
+
+
+@pytest.mark.parametrize(
+    "parse, build, field", INTEGER_FIELD_CASES, ids=[c[2] for c in INTEGER_FIELD_CASES]
+)
+def test_non_integer_fields_raise_parse_error(parse, build, field):
+    doc = _network_doc() if parse is parse_network else json.loads(json.dumps(FUNCTION_DOC))
+    build(doc)
+    with pytest.raises(ParseError, match=f"{field} must be an integer"):
+        parse(json.dumps(doc))
+
+
+def test_integer_fields_in_other_files_raise_parse_error():
+    net = parse_network(NETWORK_DOC)
+    with pytest.raises(ParseError, match="evidence for 'a' must be an integer"):
+        parse_evidence('{"a": [0, "one"]}', net)
+    with pytest.raises(ParseError, match="rectangle state must be an integer"):
+        parse_base('{"rectangles": [[[0], ["z"]]], "expressions": {"0": "R1"}}')
+    with pytest.raises(ParseError, match="expression key must be an integer"):
+        parse_base('{"rectangles": [[[0], [0]]], "expressions": {"zero": "R1"}}')
+    with pytest.raises(ParseError, match="parent card must be an integer"):
+        parse_form('{"parent_cards": [2, []], "child_card": 2, "h": [], "g": []}')
+
+
+def test_integral_numbers_and_decimal_strings_still_parse():
+    doc = _network_doc()
+    doc["variables"][2]["id"] = "2"
+    doc["cpts"][1]["parents"] = [0.0]
+    assert parse_network(json.dumps(doc)) == parse_network(json.dumps(_network_doc()))
+
+
 # -- bases --------------------------------------------------------------------
 
 

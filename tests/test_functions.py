@@ -23,7 +23,13 @@ from factorbn import (
     function_from_formula,
     parse_formula,
 )
-from factorbn.functions import as_conjunction, formula_variables, is_add, is_max
+from factorbn.functions import (
+    MAX_FORMULA_DEPTH,
+    as_conjunction,
+    formula_variables,
+    is_add,
+    is_max,
+)
 
 
 def mk(cards, fn, child_card):
@@ -110,6 +116,21 @@ def test_formula_variables_collected():
 def test_formula_syntax_errors(bad):
     with pytest.raises(ParseError):
         parse_formula(bad)
+
+
+def test_formula_nesting_is_capped():
+    cap = MAX_FORMULA_DEPTH
+    deep = {
+        "negations": lambda n: "!" * n + "a",
+        "parentheses": lambda n: "(" * n + "a" + ")" * n,
+        "chain": lambda n: " & ".join(["a"] * (n + 1)),
+    }
+    for make in deep.values():
+        assert eval_formula(parse_formula(make(cap)), {"a": 1}) in (0, 1)
+        with pytest.raises(ParseError, match="nests deeper than"):
+            parse_formula(make(cap + 1))
+    with pytest.raises(ParseError, match="nests deeper than"):
+        parse_formula("!" * 5000 + "a")
 
 
 def test_unbound_variable_rejected():

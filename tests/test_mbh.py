@@ -15,6 +15,7 @@ Core claims:
 """
 
 import random
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -37,6 +38,7 @@ from factorbn import (
     solve_mbh,
     verify_factorization,
 )
+from factorbn.mbh import _echelon, _in_span
 
 
 def mk(cards, fn, child_card):
@@ -79,6 +81,54 @@ def test_enumeration_budget_names_count():
         enumerate_rectangles((4, 4, 4, 4), SearchBudget(max_rectangles=10_000))
     assert exc.value.count == 50625
     assert "50625" in str(exc.value)
+
+
+# -- the span test against a rational-rank oracle ----------------------------
+
+
+def rational_rank(rows):
+    """Exact rank over the rationals by Gaussian elimination on Fractions
+    (the solver's span test before it became an integer elimination)."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    cols = len(m[0]) if m else 0
+    for c in range(cols):
+        pivot = next((i for i in range(rank, len(m)) if m[i][c]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        inv = 1 / m[rank][c]
+        m[rank] = [x * inv for x in m[rank]]
+        for i in range(len(m)):
+            if i != rank and m[i][c]:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
+        rank += 1
+        if rank == len(m):
+            break
+    return rank
+
+
+def test_span_test_agrees_with_rational_rank():
+    rng = random.Random(2002)
+    outcomes = {True: 0, False: 0}
+    for _ in range(300):
+        cols = rng.randint(1, 27)
+        rows = [
+            [int(rng.random() < rng.choice((0.2, 0.5, 0.8))) for _ in range(cols)]
+            for _ in range(rng.randint(1, 9))
+        ]
+        targets = []
+        for _ in range(rng.randint(1, 3)):
+            if rng.random() < 0.5:
+                coeffs = [rng.randint(-3, 3) for _ in rows]
+                targets.append([sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(cols)])
+            else:
+                targets.append([rng.randint(0, 1) for _ in range(cols)])
+        expected = rational_rank(rows + targets) == rational_rank(rows)
+        assert _in_span(_echelon(rows), targets) == expected
+        outcomes[expected] += 1
+    assert min(outcomes.values()) >= 100, outcomes
 
 
 # -- an independent closure oracle -------------------------------------------

@@ -15,13 +15,14 @@ from factorbn import (
     Expression,
     Hyperrectangle,
     IllegalExpressionError,
+    ParseError,
     ValidationError,
     evaluate_expression,
     format_expression,
     full_space,
     parse_expression,
 )
-from factorbn.rectangles import Base
+from factorbn.rectangles import MAX_EXPRESSION_DEPTH, Base
 
 R1 = Hyperrectangle(((0, 1, 2), (0, 1, 2)))
 R2 = Hyperrectangle(((0, 1), (0, 1)))
@@ -194,3 +195,19 @@ def test_parse_rejects_malformed(bad):
     with pytest.raises(Exception) as exc:
         parse_expression(bad)
     assert exc.type.__name__ in ("ParseError", "ValidationError")
+
+
+def nested_union(depth):
+    text = "R1"
+    for _ in range(depth):
+        text = f"(+ {text} R1)"
+    return text
+
+
+def test_parse_caps_nesting_depth():
+    assert len(parse_expression(nested_union(MAX_EXPRESSION_DEPTH)).leaves()) == (
+        MAX_EXPRESSION_DEPTH + 1
+    )
+    for depth in (MAX_EXPRESSION_DEPTH + 1, 3000):
+        with pytest.raises(ParseError, match="nests deeper than"):
+            parse_expression(nested_union(depth))
