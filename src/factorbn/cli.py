@@ -8,6 +8,7 @@ resource budget exhausted, 4 internal consistency failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -168,7 +169,11 @@ def _cmd_bench_cat(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it
+    unchanged, so every ``run_cli`` call can share it.  Each subcommand
+    names its handler, which ``run_cli`` looks up when it runs."""
     parser = argparse.ArgumentParser(
         prog="factorbn",
         description="Factorize deterministic tables and measure inference cost.",
@@ -184,7 +189,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="one hidden state per configuration instead of a base",
     )
     p.add_argument("--out", help="write the form here instead of stdout")
-    p.set_defaults(func=_cmd_factorize)
+    p.set_defaults(func=_cmd_factorize.__name__)
 
     p = sub.add_parser("mbh", help="search for a minimal hyperrectangle base")
     p.add_argument("--function", required=True, help="function file (JSON)")
@@ -195,7 +200,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="cap on distinct sets per closure search")
     p.add_argument("--time-limit", type=float, default=None, help="wall-clock seconds")
     p.add_argument("--out", help="write the base here instead of stdout")
-    p.set_defaults(func=_cmd_mbh)
+    p.set_defaults(func=_cmd_mbh.__name__)
 
     p = sub.add_parser("infer", help="posterior marginals by variable elimination")
     p.add_argument("--net", required=True, help="network file (JSON)")
@@ -203,13 +208,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--query", required=True, nargs="+", help="query variable names")
     p.add_argument("--transform", choices=TRANSFORMS, default="none")
     p.add_argument("--out", help="write the marginal here instead of stdout")
-    p.set_defaults(func=_cmd_infer)
+    p.set_defaults(func=_cmd_infer.__name__)
 
     p = sub.add_parser("cliques", help="triangulate and report clique sizes")
     p.add_argument("--net", required=True, help="network file (JSON)")
     p.add_argument("--transform", choices=TRANSFORMS, default="none")
     p.add_argument("--out", help="write the report here instead of stdout")
-    p.set_defaults(func=_cmd_cliques)
+    p.set_defaults(func=_cmd_cliques.__name__)
 
     p = sub.add_parser("bench", help="benchmarks")
     bench_sub = p.add_subparsers(dest="bench_command", required=True)
@@ -219,7 +224,7 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("--orderings", type=_orderings_value, default="all",
                    help="'all' or 'sample:M'")
     c.add_argument("--out", help="write the CSV here instead of stdout")
-    c.set_defaults(func=_cmd_bench_cat)
+    c.set_defaults(func=_cmd_bench_cat.__name__)
 
     return parser
 
@@ -231,7 +236,7 @@ def run_cli(argv=None) -> int:
     except SystemExit as e:
         return 0 if e.code == 0 else 1
     try:
-        return args.func(args)
+        return globals()[args.func](args)
     except (ValidationError, IllegalExpressionError, ZeroNormalizerError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -74,70 +74,89 @@ def interaction_graph(net: Network) -> dict[int, set[int]]:
     return scope_graph(factor_scopes(net), range(len(net.variables)))
 
 
-def _fill(
-    adj: dict[int, set[int]], v: int, clique: set[int] | frozenset[int] = frozenset()
-) -> int:
-    """Number of missing edges among the neighbours of v, given that
-    the neighbours in ``clique`` are pairwise adjacent.
+def _members(mask: int) -> list[int]:
+    """The positions of the set bits of ``mask``, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
-    Only pairs with an end outside the clique can be missing.  Over the
-    outside neighbours o, sum |nbrs - adj[o]| counts o itself, each
-    missing pair inside the outside set twice and each missing pair
-    between it and the clique once; sum |outside - adj[o]| counts o and
-    the inside pairs twice.
+
+def _fill(nb: list[int], u: int, clique: int = 0) -> int:
+    """Number of missing edges among the neighbours of bit u, given
+    that the neighbours in the bitmask ``clique`` are pairwise adjacent.
+
+    Only pairs with an end outside the clique can be missing.  Each is
+    counted once, at its lowest outside end o, against the clique and
+    the outside neighbours above o.
     """
-    nbrs = adj[v]
-    outside = nbrs - clique
-    if not outside:
-        return 0
-    near = list(map(adj.__getitem__, outside))
-    to_all = sum(map(len, map(nbrs.difference, near)))
-    to_outside = sum(map(len, map(outside.difference, near)))
-    return (2 * to_all - to_outside - len(outside)) // 2
+    inside = nb[u] & clique
+    rest = nb[u] & ~clique
+    missing = 0
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        missing += ((inside | rest) & ~nb[low.bit_length() - 1]).bit_count()
+    return missing
 
 
 def min_fill_order(adj: dict[int, set[int]]) -> tuple[tuple[int, ...], list[set[int]]]:
     """Eliminate the vertex adding the fewest fill edges, lowest id on
     ties.  Returns the order and the elimination clique of each step.
 
-    Fill scores are kept per vertex.  Eliminating v makes its
-    neighbours a clique; they are rescored, checking only the pairs
-    that reach outside that clique.  Every other vertex adjacent to
-    both ends of a new fill edge loses one missing pair.  A heap of
-    (score, id) entries, stale ones skipped on pop, yields the same
-    choice as a full rescan.
+    Vertices become bit positions in ascending id order and adjacency
+    one int bitmask per vertex.  Fill scores are kept per vertex.
+    Eliminating v makes its neighbours a clique; they are rescored,
+    checking only the pairs that reach outside that clique.  Every
+    other vertex adjacent to both ends of a new fill edge loses one
+    missing pair.  If v adds no fill edge, each neighbour just loses
+    its missing pairs with v.  A heap of (score, bit) entries, stale
+    ones skipped on pop, yields the same choice as a full rescan.
     """
-    work = {v: set(nb) for v, nb in adj.items()}
-    fill = {v: _fill(work, v) for v in work}
-    heap = [(f, v) for v, f in fill.items()]
+    ids = sorted(adj)
+    bit = {v: i for i, v in enumerate(ids)}
+    nb = [sum(1 << bit[u] for u in adj[v]) for v in ids]
+    fill = [_fill(nb, i) for i in range(len(ids))]
+    heap = list(zip(fill, range(len(ids))))
     heapq.heapify(heap)
     order: list[int] = []
     cliques: list[set[int]] = []
     while heap:
         f, v = heapq.heappop(heap)
-        if v not in work or fill[v] != f:
+        if fill[v] != f:
             continue
-        nbrs = work.pop(v)
-        del fill[v]
-        order.append(v)
-        cliques.append(nbrs | {v})
-        for a in nbrs:
-            work[a].discard(v)
-        changed = set(nbrs)
-        for a in nbrs:
-            for b in nbrs - work[a]:
-                if a < b:
-                    for w in work[a] & work[b]:
-                        if w not in nbrs:
-                            fill[w] -= 1
-                            changed.add(w)
-        for a in nbrs:
-            work[a] |= nbrs
-            work[a].discard(a)
-        for u in nbrs:
-            fill[u] = _fill(work, u, nbrs)
-        for u in changed:
-            heapq.heappush(heap, (fill[u], u))
+        fill[v] = -1  # eliminated: no entry matches
+        nbrs = nb[v]
+        members = _members(nbrs)
+        order.append(ids[v])
+        cliques.append({ids[v], *map(ids.__getitem__, members)})
+        for a in members:
+            nb[a] ^= 1 << v
+        if f == 0:
+            for a in members:
+                lost = (nb[a] & ~nbrs).bit_count()
+                if lost:
+                    fill[a] -= lost
+                    heapq.heappush(heap, (fill[a], a))
+            continue
+        changed = 0
+        above = nbrs
+        for a in members:
+            above ^= 1 << a
+            for b in _members(above & ~nb[a]):
+                common = nb[a] & nb[b] & ~nbrs
+                changed |= common
+                for w in _members(common):
+                    fill[w] -= 1
+        for a in members:
+            nb[a] = (nb[a] | nbrs) ^ (1 << a)
+        for a in members:
+            fill[a] = _fill(nb, a, nbrs)
+            heapq.heappush(heap, (fill[a], a))
+        for w in _members(changed):
+            heapq.heappush(heap, (fill[w], w))
     return tuple(order), cliques
 
 

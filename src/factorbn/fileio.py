@@ -8,6 +8,7 @@ newline, so equal objects serialize to identical bytes.
 from __future__ import annotations
 
 import json
+import math
 from typing import Any
 
 import numpy as np
@@ -18,6 +19,13 @@ from .factorization import FactorizedForm
 from .functions import DeterministicFunction, function_from_formula
 from .network import Cpt, Network
 from .rectangles import Base, Expression, Hyperrectangle, format_expression, parse_expression
+
+# A family table (a CPT, a deterministic node's indicator, a potential
+# or a function file's family) may have at most this many entries.
+# Cardinalities are checked against it as a file is parsed, before any
+# table is built, so that a huge declared "card" is an input error
+# rather than an allocation failure.
+MAX_TABLE_ENTRIES = 1 << 24
 
 
 def _loads(text: str) -> Any:
@@ -48,20 +56,49 @@ def _int(value: Any, field: str) -> int:
     raise ParseError(f"{field} must be an integer, got {value!r}")
 
 
+_JSON_TYPES = {list: "a list", str: "a string", dict: "an object"}
+
+
+def _typed(value: Any, kind: type, field: str) -> Any:
+    """``value`` if it is a ``kind`` (list, str or dict); anything else
+    is a ParseError naming the field."""
+    if not isinstance(value, kind):
+        raise ParseError(f"{field} must be {_JSON_TYPES[kind]}, got {type(value).__name__}")
+    return value
+
+
+def _table(value: Any, field: str) -> list:
+    """A flat list of numbers."""
+    if not all(type(x) in (int, float) for x in _typed(value, list, field)):
+        raise ParseError(f"{field} must be a flat list of numbers")
+    return value
+
+
+def _table_size(cards, where: str) -> int:
+    """Entries of a table over ``cards``, at most MAX_TABLE_ENTRIES."""
+    size = math.prod(cards)
+    if size > MAX_TABLE_ENTRIES:
+        raise ValidationError(
+            f"{where} would need {size} table entries, more than {MAX_TABLE_ENTRIES}"
+        )
+    return size
+
+
 # ---------------------------------------------------------------------------
 # Networks.
 
 
 def _parse_function_field(fn: Any, parents, child, cards, names, where: str):
     ftype = _expect(fn, "type", where)
+    _table_size([cards[p] for p in parents] + [cards[child]], where)
     if ftype == "table":
-        outputs = _expect(fn, "outputs", where)
+        outputs = _typed(_expect(fn, "outputs", where), list, f"{where} outputs")
         return DeterministicFunction(
             tuple(parents), child, tuple(cards[p] for p in parents), cards[child],
             tuple(_int(o, f"{where} output") for o in outputs),
         )
     if ftype == "formula":
-        expr = _expect(fn, "expr", where)
+        expr = _typed(_expect(fn, "expr", where), str, f"{where} formula")
         if cards[child] != 2:
             raise ValidationError(f"{where}: a formula-defined child must be binary")
         return function_from_formula(
@@ -72,14 +109,15 @@ def _parse_function_field(fn: Any, parents, child, cards, names, where: str):
 
 def parse_network(text: str) -> Network:
     doc = _loads(text)
-    raw_vars = _expect(doc, "variables", "network")
+    raw_vars = _typed(_expect(doc, "variables", "network"), list, "network variables")
     variables = []
     for rv in raw_vars:
+        states = _typed(_expect(rv, "states", "variable"), list, "variable states")
         variables.append(
             Variable(
                 _int(_expect(rv, "id", "variable"), "variable id"),
                 str(_expect(rv, "name", "variable")),
-                tuple(str(s) for s in _expect(rv, "states", "variable")),
+                tuple(str(s) for s in states),
             )
         )
     by_position = {v.id: v for v in variables}
@@ -89,16 +127,18 @@ def parse_network(text: str) -> Network:
         raise ValidationError("duplicate variable ids")
 
     cpts = []
-    for rc in doc.get("cpts", []):
+    for rc in _typed(doc.get("cpts", []), list, "network cpts"):
         child = _int(_expect(rc, "child", "cpt"), "cpt child")
-        parents = tuple(_int(p, "cpt parent") for p in rc.get("parents", []))
-        table = _expect(rc, "table", "cpt")
+        parents = tuple(
+            _int(p, "cpt parent") for p in _typed(rc.get("parents", []), list, "cpt parents")
+        )
+        table = _table(_expect(rc, "table", "cpt"), "cpt table")
         family = tuple(sorted(parents + (child,)))
         unknown = [v for v in family if v not in cards]
         if unknown:
             raise ValidationError(f"unknown variable id {unknown[0]} in a CPT")
         fam_cards = tuple(cards[v] for v in family)
-        expected = int(np.prod(fam_cards, dtype=np.int64))
+        expected = _table_size(fam_cards, f"CPT for variable {child}")
         if len(table) != expected:
             raise ValidationError(
                 f"CPT table for variable {child} has {len(table)} entries, expected {expected}"
@@ -106,11 +146,12 @@ def parse_network(text: str) -> Network:
         cpts.append(Cpt(child, parents, Factor.from_flat(family, fam_cards, table)))
 
     dets = []
-    for rd in doc.get("deterministic", []):
+    for rd in _typed(doc.get("deterministic", []), list, "network deterministic"):
         child = _int(_expect(rd, "child", "deterministic node"), "deterministic child")
+        raw_parents = _expect(rd, "parents", "deterministic node")
         parents = tuple(
             _int(p, "deterministic parent")
-            for p in _expect(rd, "parents", "deterministic node")
+            for p in _typed(raw_parents, list, "deterministic parents")
         )
         unknown = [v for v in parents + (child,) if v not in cards]
         if unknown:
@@ -123,13 +164,20 @@ def parse_network(text: str) -> Network:
         )
 
     potentials = []
-    for rp in doc.get("potentials", []):
-        scope = tuple(_int(v, "potential scope") for v in _expect(rp, "scope", "potential"))
+    for rp in _typed(doc.get("potentials", []), list, "network potentials"):
+        raw_scope = _typed(_expect(rp, "scope", "potential"), list, "potential scope")
+        scope = tuple(_int(v, "potential scope") for v in raw_scope)
         unknown = [v for v in scope if v not in cards]
         if unknown:
             raise ValidationError(f"unknown variable id {unknown[0]} in a potential")
         pot_cards = tuple(cards[v] for v in scope)
-        potentials.append(Factor.from_flat(scope, pot_cards, _expect(rp, "table", "potential")))
+        expected = _table_size(pot_cards, "potential")
+        table = _table(_expect(rp, "table", "potential"), "potential table")
+        if len(table) != expected:
+            raise ValidationError(
+                f"potential table has {len(table)} entries, expected {expected}"
+            )
+        potentials.append(Factor.from_flat(scope, pot_cards, table))
 
     return Network(tuple(variables), tuple(cpts), tuple(dets), tuple(potentials))
 
@@ -197,8 +245,9 @@ def write_evidence(evidence: Evidence, net: Network) -> str:
 
 
 def _card_of(decl: Any, where: str) -> int:
+    _typed(decl, dict, where)
     if "states" in decl:
-        return len(decl["states"])
+        return len(_typed(decl["states"], list, f"{where} states"))
     if "card" in decl:
         return _int(decl["card"], f"{where} card")
     raise ParseError(f"{where} needs either 'states' or 'card'")
@@ -206,7 +255,7 @@ def _card_of(decl: Any, where: str) -> int:
 
 def parse_function(text: str) -> DeterministicFunction:
     doc = _loads(text)
-    raw_parents = _expect(doc, "parents", "function file")
+    raw_parents = _typed(_expect(doc, "parents", "function file"), list, "function parents")
     child_decl = _expect(doc, "child", "function file")
     n = len(raw_parents)
     if n == 0:
@@ -247,12 +296,20 @@ def write_function(d: DeterministicFunction, names: list[str] | None = None) -> 
 def parse_base(text: str) -> Base:
     doc = _loads(text)
     rects = tuple(
-        Hyperrectangle(tuple(tuple(_int(x, "rectangle state") for x in dim) for dim in r))
-        for r in _expect(doc, "rectangles", "base file")
+        Hyperrectangle(
+            tuple(
+                tuple(_int(x, "rectangle state") for x in _typed(dim, list, "rectangle dimension"))
+                for dim in _typed(r, list, "base rectangle")
+            )
+        )
+        for r in _typed(_expect(doc, "rectangles", "base file"), list, "base rectangles")
     )
     exprs: dict[int, Expression] = {}
-    for state, s in _expect(doc, "expressions", "base file").items():
-        exprs[_int(state, "expression key")] = parse_expression(s)
+    raw_exprs = _typed(_expect(doc, "expressions", "base file"), dict, "base expressions")
+    for state, s in raw_exprs.items():
+        exprs[_int(state, "expression key")] = parse_expression(
+            _typed(s, str, f"expression for state {state}")
+        )
     return Base(rects, exprs)
 
 
@@ -274,11 +331,18 @@ def write_base(base: Base, extra: dict[str, Any] | None = None) -> str:
 
 def parse_form(text: str) -> FactorizedForm:
     doc = _loads(text)
+    raw_cards = _typed(_expect(doc, "parent_cards", "form file"), list, "form parent_cards")
+    parent_cards = tuple(_int(c, "parent card") for c in raw_cards)
+    child_card = _int(_expect(doc, "child_card", "form file"), "child card")
+    _table_size(parent_cards + (child_card,), "form file")
     return FactorizedForm(
-        tuple(_int(c, "parent card") for c in _expect(doc, "parent_cards", "form file")),
-        _int(_expect(doc, "child_card", "form file"), "child card"),
+        parent_cards,
+        child_card,
         np.asarray(_expect(doc, "h", "form file"), dtype=np.int64),
-        tuple(np.asarray(g, dtype=np.int64) for g in _expect(doc, "g", "form file")),
+        tuple(
+            np.asarray(g, dtype=np.int64)
+            for g in _typed(_expect(doc, "g", "form file"), list, "form g")
+        ),
     )
 
 

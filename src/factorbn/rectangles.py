@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product as iproduct
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import IllegalExpressionError, ParseError, ValidationError
 
@@ -68,13 +68,16 @@ def full_space(cards: Sequence[int]) -> Hyperrectangle:
     return Hyperrectangle(tuple(tuple(range(c)) for c in cards))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Expression:
     """A binary tree over rectangle leaves.
 
     ``kind`` is ``"rect"`` (leaf; ``index`` points into a rectangle
     list), ``"diff"`` (proper difference: left must contain right), or
     ``"union"`` (disjunctive union: operands must be disjoint).
+
+    Equality, hashing and repr walk the tree in a loop, not by
+    recursion, so they work at any depth.
     """
 
     kind: str
@@ -104,11 +107,34 @@ class Expression:
     def union(left: "Expression", right: "Expression") -> "Expression":
         return Expression("union", left=left, right=right)
 
+    def _preorder(self) -> Iterator["Expression"]:
+        """Every node, each before its operands, left operand first."""
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            if node.kind != "rect":
+                stack += (node.right, node.left)
+
+    def _key(self) -> tuple[tuple[str, int | None], ...]:
+        # every operator has two operands, so the preorder of
+        # (kind, index) pairs determines the tree
+        return tuple((node.kind, node.index) for node in self._preorder())
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Expression):
+            return NotImplemented
+        return self is other or self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return f"<Expression {format_expression(self)}>"
+
     def leaves(self) -> tuple[int, ...]:
         """Rectangle indices in leaf order, repeats kept."""
-        if self.kind == "rect":
-            return (self.index,)
-        return self.left.leaves() + self.right.leaves()
+        return tuple(node.index for node in self._preorder() if node.kind == "rect")
 
     def signed_counts(self) -> dict[int, int]:
         """Net coefficient of each rectangle index: +1 at the root, both
@@ -206,10 +232,18 @@ MAX_EXPRESSION_DEPTH = 512
 
 
 def format_expression(expr: Expression) -> str:
-    if expr.kind == "rect":
-        return f"R{expr.index + 1}"
-    op = "-" if expr.kind == "diff" else "+"
-    return f"({op} {format_expression(expr.left)} {format_expression(expr.right)})"
+    parts = []
+    stack: list[Expression | str] = [expr]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, str):
+            parts.append(node)
+        elif node.kind == "rect":
+            parts.append(f"R{node.index + 1}")
+        else:
+            parts.append("(- " if node.kind == "diff" else "(+ ")
+            stack += (")", node.right, " ", node.left)
+    return "".join(parts)
 
 
 def parse_expression(text: str) -> Expression:

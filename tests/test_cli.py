@@ -95,6 +95,29 @@ def test_bad_orderings_value_is_usage_error(capsys):
                     "--orderings", "some"]) == 1
 
 
+def test_successive_calls_parse_independently(tmp_path, capsys):
+    import factorbn.cli as cli
+
+    assert cli._build_parser() is cli._build_parser()
+    net_path = put(tmp_path, "net.json", NET)
+    fn_path = put(tmp_path, "fn.json", ADD33)
+    factorized = tmp_path / "factorized.txt"
+    assert run_cli(["cliques", "--net", net_path, "--transform", "factorize",
+                    "--out", str(factorized)]) == 0
+    assert capsys.readouterr().out == ""
+    # no flag of the first call leaks into the next: the default transform
+    # and stdout again
+    assert run_cli(["cliques", "--net", net_path]) == 0
+    plain = capsys.readouterr().out
+    assert plain and plain != factorized.read_text()
+    assert run_cli(["mbh", "--function", fn_path, "--max-rects", "3"]) == 3
+    capsys.readouterr()
+    assert run_cli(["mbh", "--function", fn_path]) == 0
+    assert "proved_minimal=True" in capsys.readouterr().err
+    assert run_cli(["cliques", "--net", net_path, "--transform", "none"]) == 0
+    assert capsys.readouterr().out == plain
+
+
 # -- factorize -----------------------------------------------------------------
 
 
@@ -281,6 +304,57 @@ def test_infer_non_integer_id_is_input_error(tmp_path, capsys):
 def test_infer_unknown_query_name_is_input_error(tmp_path, capsys):
     net_path = put(tmp_path, "net.json", NET)
     assert run_cli(["infer", "--net", net_path, "--query", "zz"]) == 2
+
+
+def with_entry(doc, path, value):
+    """A copy of ``doc`` with the entry at ``path`` replaced."""
+    doc = json.loads(json.dumps(doc))
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return doc
+
+
+FORMULA_NET = with_entry(
+    NET, ("deterministic", 0, "function"), {"type": "formula", "expr": "a & b"}
+)
+
+# (field, file, path to the entry, wrong value, expected message)
+WRONG_TYPE_CASES = [
+    ("parents", NET, ("cpts", 2, "parents"), 5, "cpt parents must be a list"),
+    ("variables", NET, ("variables",), 5, "network variables must be a list"),
+    ("states", NET, ("variables", 0, "states"), "ny", "variable states must be a list"),
+    ("table", NET, ("cpts", 0, "table"), 1, "cpt table must be a list"),
+    ("outputs", NET, ("deterministic", 0, "function", "outputs"), 5,
+     "outputs must be a list"),
+    ("formula", FORMULA_NET, ("deterministic", 0, "function", "expr"), 5,
+     "formula must be a string"),
+    ("base expression", BOOL_BASE, ("expressions", "1"), 2,
+     "expression for state 1 must be a string"),
+]
+
+
+@pytest.mark.parametrize(
+    "field, doc, path, value, message", WRONG_TYPE_CASES, ids=[c[0] for c in WRONG_TYPE_CASES]
+)
+def test_wrong_json_type_is_input_error(tmp_path, capsys, field, doc, path, value, message):
+    bad = put(tmp_path, "bad.json", with_entry(doc, path, value))
+    if doc is BOOL_BASE:
+        argv = ["factorize", "--function", put(tmp_path, "fn.json", AND2), "--base", bad]
+    else:
+        argv = ["infer", "--net", bad, "--query", "alarm"]
+    assert run_cli(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err and captured.err.count("\n") == 1
+
+
+def test_mbh_oversized_card_is_input_error(tmp_path, capsys):
+    fn_path = put(tmp_path, "fn.json", with_entry(AND2, ("child", "card"), 10**30))
+    assert run_cli(["mbh", "--function", fn_path]) == 2
+    err = capsys.readouterr().err
+    assert "more than" in err and err.count("\n") == 1
 
 
 # -- cliques -------------------------------------------------------------------

@@ -7,10 +7,12 @@ Core claims:
       and strictly shrinks the total
     - reported cliques form an antichain (no clique inside another)
     - min-fill breaks ties toward the lowest variable id, and the
-      incremental scoring picks exactly what a full rescan picks
+      bitset scoring picks exactly what a full rescan and the earlier
+      set-based incremental scoring pick, with any ids and clique sizes
     - repeated runs return identical reports
 """
 
+import heapq
 import random
 from itertools import combinations
 
@@ -174,6 +176,92 @@ def test_incremental_min_fill_matches_full_rescan():
     for seed in range(400):
         adj = random_graph(random.Random(seed))
         assert min_fill_order(adj) == full_rescan_min_fill(adj), seed
+
+
+def _set_fill(adj, v, clique=frozenset()):
+    """Number of missing edges among the neighbours of v, given that
+    the neighbours in ``clique`` are pairwise adjacent.
+
+    Only pairs with an end outside the clique can be missing.  Over the
+    outside neighbours o, sum |nbrs - adj[o]| counts o itself, each
+    missing pair inside the outside set twice and each missing pair
+    between it and the clique once; sum |outside - adj[o]| counts o and
+    the inside pairs twice.
+    """
+    nbrs = adj[v]
+    outside = nbrs - clique
+    if not outside:
+        return 0
+    near = list(map(adj.__getitem__, outside))
+    to_all = sum(map(len, map(nbrs.difference, near)))
+    to_outside = sum(map(len, map(outside.difference, near)))
+    return (2 * to_all - to_outside - len(outside)) // 2
+
+
+def set_based_min_fill(adj):
+    """The incremental min-fill on Python sets, as it was before it ran
+    on bitsets: a second oracle that is fast enough for large graphs."""
+    work = {v: set(nb) for v, nb in adj.items()}
+    fill = {v: _set_fill(work, v) for v in work}
+    heap = [(f, v) for v, f in fill.items()]
+    heapq.heapify(heap)
+    order = []
+    cliques = []
+    while heap:
+        f, v = heapq.heappop(heap)
+        if v not in work or fill[v] != f:
+            continue
+        nbrs = work.pop(v)
+        del fill[v]
+        order.append(v)
+        cliques.append(nbrs | {v})
+        for a in nbrs:
+            work[a].discard(v)
+        changed = set(nbrs)
+        for a in nbrs:
+            for b in nbrs - work[a]:
+                if a < b:
+                    for w in work[a] & work[b]:
+                        if w not in nbrs:
+                            fill[w] -= 1
+                            changed.add(w)
+        for a in nbrs:
+            work[a] |= nbrs
+            work[a].discard(a)
+        for u in nbrs:
+            fill[u] = _set_fill(work, u, nbrs)
+        for u in changed:
+            heapq.heappush(heap, (fill[u], u))
+    return tuple(order), cliques
+
+
+def clique_graph(rng):
+    """A union of random cliques, some of 30 or more vertices, plus
+    sparse noise, over non-contiguous ids up to 2**40."""
+    n = rng.randint(30, 100)
+    ids = rng.sample(range(1 << 40), n // 2) + rng.sample(range(4 * n), n - n // 2)
+    ids = list(dict.fromkeys(ids))
+    adj = {v: set() for v in ids}
+    for _ in range(rng.randint(1, 8)):
+        members = rng.sample(ids, rng.randint(2, min(len(ids), 45)))
+        for a in members:
+            adj[a].update(b for b in members if b != a)
+    for a, b in combinations(ids, 2):
+        if rng.random() < 0.02:
+            adj[a].add(b)
+            adj[b].add(a)
+    return adj
+
+
+def test_bitset_min_fill_matches_set_based_min_fill():
+    largest = 0
+    for seed in range(90):
+        rng = random.Random(seed)
+        adj = clique_graph(rng) if seed % 3 else random_graph(rng)
+        expected = set_based_min_fill(adj)
+        assert min_fill_order(adj) == expected, seed
+        largest = max(largest, max(map(len, expected[1]), default=0))
+    assert largest >= 30
 
 
 def test_min_fill_leaves_its_input_alone():

@@ -35,6 +35,8 @@ from factorbn import (
     write_function,
     write_network,
 )
+from factorbn.fileio import MAX_TABLE_ENTRIES
+from factorbn.mbh import greedy_cover_base
 from factorbn.rectangles import Expression
 
 
@@ -144,6 +146,10 @@ def test_missing_pieces_raise_parse_error(mutate, excerpt):
         (
             lambda d: d["cpts"][0].update(parents=[9]),
             "unknown variable id 9",
+        ),
+        (
+            lambda d: d.update(potentials=[{"scope": [1], "table": [1.0, 1.0]}]),
+            "potential table has 2 entries, expected 3",
         ),
     ],
 )
@@ -283,6 +289,32 @@ def test_integer_fields_in_other_files_raise_parse_error():
         parse_form('{"parent_cards": [2, []], "child_card": 2, "h": [], "g": []}')
 
 
+def test_table_entries_must_be_numbers():
+    doc = _network_doc()
+    doc["potentials"][0]["table"] = [1.0, "x"]
+    with pytest.raises(ParseError, match="potential table must be a flat list of numbers"):
+        parse_network(json.dumps(doc))
+    doc = _network_doc()
+    doc["cpts"][0]["table"] = [[0.4], 0.6]
+    with pytest.raises(ParseError, match="cpt table must be a flat list of numbers"):
+        parse_network(json.dumps(doc))
+
+
+def test_oversized_tables_are_rejected_before_they_are_built():
+    doc = json.loads(json.dumps(FUNCTION_DOC))
+    doc["child"]["card"] = 10**30
+    with pytest.raises(ValidationError, match="function file would need"):
+        parse_function(json.dumps(doc))
+    side = 1 << 12  # two parents and a binary child: 2**25 entries
+    doc = json.loads(json.dumps(FUNCTION_DOC))
+    doc["parents"] = [{"name": "x1", "card": side}, {"name": "x2", "card": side}]
+    with pytest.raises(ValidationError, match=f"more than {MAX_TABLE_ENTRIES}"):
+        parse_function(json.dumps(doc))
+    with pytest.raises(ValidationError, match="form file would need"):
+        parse_form(json.dumps({"parent_cards": [side, side], "child_card": 2,
+                               "h": [], "g": []}))
+
+
 def test_integral_numbers_and_decimal_strings_still_parse():
     doc = _network_doc()
     doc["variables"][2]["id"] = "2"
@@ -312,6 +344,18 @@ def test_base_round_trip():
     doc = json.loads(text)
     assert doc["expressions"]["0"] == "(- R3 (+ R2 R1))"
     assert doc["expressions"]["1"] == "(+ R2 R1)"
+
+
+def test_deep_greedy_base_round_trips():
+    # parity on ten binary parents: the greedy cover nests 511 unions
+    parity = DeterministicFunction.from_callable(
+        range(10), 10, (2,) * 10, 2, lambda *x: sum(x) % 2
+    )
+    base = greedy_cover_base(parity)
+    back = parse_base(write_base(base))
+    assert back == base
+    assert hash(back.expressions[1]) == hash(base.expressions[1])
+    assert repr(back.expressions[1]) == repr(base.expressions[1])
 
 
 def test_base_writer_accepts_extra_fields():

@@ -211,3 +211,28 @@ def test_parse_caps_nesting_depth():
     for depth in (MAX_EXPRESSION_DEPTH + 1, 3000):
         with pytest.raises(ParseError, match="nests deeper than"):
             parse_expression(nested_union(depth))
+
+
+def test_equality_hash_and_repr_follow_the_tree():
+    a = parse_expression("(- R3 (+ R2 R1))")
+    assert a == parse_expression("(- R3 (+ R2 R1))")
+    assert hash(a) == hash(parse_expression("(- R3 (+ R2 R1))"))
+    assert a != parse_expression("(- R3 (+ R1 R2))")
+    assert a != parse_expression("(+ R3 (+ R2 R1))")
+    assert a != "(- R3 (+ R2 R1))"
+    assert repr(a) == "<Expression (- R3 (+ R2 R1))>"
+
+
+def test_deep_trees_compare_hash_and_print():
+    def chain(depth, first):
+        expr = Expression.rect(first)
+        for _ in range(depth):
+            expr = Expression.union(expr, Expression.rect(0))
+        return expr
+
+    a, b, c = chain(5000, 0), chain(5000, 0), chain(5000, 1)
+    assert a == b and hash(a) == hash(b)
+    assert a != c
+    assert repr(a) == f"<Expression {format_expression(a)}>"
+    assert format_expression(a).count("(+ ") == 5000
+    assert a.leaves() == (0,) * 5001
