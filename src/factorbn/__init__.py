@@ -16,7 +16,7 @@ from .benchcat import (
     run_clique_benchmark,
     star_family,
 )
-from .core import Evidence, Factor, Variable, insert_evidence, marginalize, multiply, product
+from .core import Evidence, Factor, Variable
 from .cliques import CliqueReport, moralize_and_triangulate
 from .fileio import (
     parse_base,
@@ -58,8 +58,6 @@ from .functions import (
     parse_formula,
 )
 from .inference import (
-    apply_factorization_transform,
-    parent_divorcing_transform,
     posterior_by_name,
     transform_network,
     variable_elimination,

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 usage error, 2 invalid input (parse or
 validation failure, including evidence with zero probability), 3
-resource budget exhausted, 4 internal consistency failure.
+resource budget exhausted or out of memory, 4 internal consistency
+failure.
 """
 
 from __future__ import annotations
@@ -240,8 +241,8 @@ def run_cli(argv=None) -> int:
     except (ValidationError, IllegalExpressionError, ZeroNormalizerError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except BudgetExceededError as e:
-        print(f"error: {e}", file=sys.stderr)
+    except (BudgetExceededError, MemoryError) as e:
+        print(f"error: {str(e) or 'out of memory'}", file=sys.stderr)
         return 3
     except InternalConsistencyError as e:
         print(f"error: {e}", file=sys.stderr)

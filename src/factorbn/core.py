@@ -1,15 +1,17 @@
-"""Discrete variables, factors over them, and hard evidence.
+"""Discrete variables, factor tables over them, and hard evidence.
 
-A factor's scope is always kept sorted by variable id, and its value
-table is an ndarray whose axes follow the scope.  Flattened in C order
-this is the row-major layout with the first scope variable varying
-slowest, which is also the on-disk table layout.
+A Factor is the validated, read-only table that CPTs, potentials and
+returned marginals are stored in; inference multiplies and sums raw
+arrays itself.  A factor's scope is always kept sorted by variable id,
+and its value table is an ndarray whose axes follow the scope.
+Flattened in C order this is the row-major layout with the first scope
+variable varying slowest, which is also the on-disk table layout.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -81,16 +83,6 @@ class Factor:
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
 
-    @classmethod
-    def from_flat(cls, scope: Iterable[int], cards: Iterable[int], flat) -> "Factor":
-        """Build from a flat row-major list (first scope variable slowest)."""
-        cards = tuple(cards)
-        return cls(tuple(scope), cards, np.asarray(flat).reshape(cards))
-
-    @classmethod
-    def scalar(cls, value: float) -> "Factor":
-        return cls((), (), np.asarray(value))
-
     def flat(self) -> np.ndarray:
         """The table flattened in the on-disk row-major order."""
         return self.values.reshape(-1)
@@ -106,44 +98,6 @@ class Factor:
             and self.cards == other.cards
             and np.array_equal(self.values, other.values)
         )
-
-
-def _expand_to(f: Factor, scope: tuple[int, ...]) -> np.ndarray:
-    """View f.values with singleton axes inserted for variables not in f."""
-    missing = tuple(i for i, v in enumerate(scope) if v not in f.scope)
-    return np.expand_dims(f.values, missing) if missing else f.values
-
-
-def multiply(a: Factor, b: Factor) -> Factor:
-    """Pointwise product over the union of the two scopes."""
-    common = set(a.scope) & set(b.scope)
-    for v in common:
-        if a.cards[a.scope.index(v)] != b.cards[b.scope.index(v)]:
-            raise ValidationError(f"cardinality conflict for variable {v}")
-    scope = tuple(sorted(set(a.scope) | set(b.scope)))
-    by_id = {v: c for v, c in zip(a.scope, a.cards)}
-    by_id.update(zip(b.scope, b.cards))
-    cards = tuple(by_id[v] for v in scope)
-    values = _expand_to(a, scope) * _expand_to(b, scope)
-    return Factor(scope, cards, values)
-
-
-def product(factors: Iterable[Factor]) -> Factor:
-    """Multiply a sequence of factors; empty product is the scalar 1."""
-    result = None
-    for f in factors:
-        result = f if result is None else multiply(result, f)
-    return Factor.scalar(1.0) if result is None else result
-
-
-def marginalize(f: Factor, var: int) -> Factor:
-    """Sum out one variable of the scope."""
-    if var not in f.scope:
-        raise ValidationError(f"variable {var} not in scope {f.scope}")
-    axis = f.scope.index(var)
-    scope = f.scope[:axis] + f.scope[axis + 1 :]
-    cards = f.cards[:axis] + f.cards[axis + 1 :]
-    return Factor(scope, cards, f.values.sum(axis=axis))
 
 
 @dataclass(frozen=True)
@@ -165,32 +119,3 @@ class Evidence:
                 raise ValidationError(f"evidence vector for variable {var} must be 0/1")
             clean[int(var)] = vec
         object.__setattr__(self, "findings", clean)
-
-    def __contains__(self, var: int) -> bool:
-        return var in self.findings
-
-    def vector(self, var: int) -> tuple[int, ...]:
-        return self.findings[var]
-
-
-def insert_evidence(f: Factor, evidence: Evidence) -> Factor:
-    """Zero out rows of f that contradict the evidence.
-
-    Cells consistent with every finding keep their exact value; the
-    rest become exactly 0.
-    """
-    values = f.values
-    touched = False
-    for axis, (var, card) in enumerate(zip(f.scope, f.cards)):
-        if var not in evidence:
-            continue
-        vec = evidence.vector(var)
-        if len(vec) != card:
-            raise ValidationError(
-                f"evidence vector length {len(vec)} != cardinality {card} of variable {var}"
-            )
-        shape = [1] * values.ndim
-        shape[axis] = card
-        values = values * np.asarray(vec, dtype=values.dtype).reshape(shape)
-        touched = True
-    return Factor(f.scope, f.cards, values) if touched else f

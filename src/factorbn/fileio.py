@@ -143,7 +143,7 @@ def parse_network(text: str) -> Network:
             raise ValidationError(
                 f"CPT table for variable {child} has {len(table)} entries, expected {expected}"
             )
-        cpts.append(Cpt(child, parents, Factor.from_flat(family, fam_cards, table)))
+        cpts.append(Cpt(child, parents, Factor(family, fam_cards, table)))
 
     dets = []
     for rd in _typed(doc.get("deterministic", []), list, "network deterministic"):
@@ -177,7 +177,7 @@ def parse_network(text: str) -> Network:
             raise ValidationError(
                 f"potential table has {len(table)} entries, expected {expected}"
             )
-        potentials.append(Factor.from_flat(scope, pot_cards, table))
+        potentials.append(Factor(scope, pot_cards, table))
 
     return Network(tuple(variables), tuple(cpts), tuple(dets), tuple(potentials))
 
@@ -329,20 +329,33 @@ def write_base(base: Base, extra: dict[str, Any] | None = None) -> str:
 # Factorized forms: the explicit integer h and g tables.
 
 
+def _int_matrix(value: Any, field: str) -> np.ndarray:
+    """A list of equal-length rows of integer fields (see ``_int``), as
+    an int64 matrix; anything else is a ParseError naming the field."""
+    rows = [
+        [_int(x, f"{field} entry") for x in _typed(row, list, f"{field} row")]
+        for row in _typed(value, list, field)
+    ]
+    if len({len(row) for row in rows}) > 1:
+        raise ParseError(f"{field} has rows of different lengths")
+    try:
+        return np.array(rows, dtype=np.int64)
+    except OverflowError:
+        raise ParseError(f"{field} has an entry beyond 64 bits") from None
+
+
 def parse_form(text: str) -> FactorizedForm:
     doc = _loads(text)
     raw_cards = _typed(_expect(doc, "parent_cards", "form file"), list, "form parent_cards")
     parent_cards = tuple(_int(c, "parent card") for c in raw_cards)
     child_card = _int(_expect(doc, "child_card", "form file"), "child card")
     _table_size(parent_cards + (child_card,), "form file")
+    raw_g = _typed(_expect(doc, "g", "form file"), list, "form g")
     return FactorizedForm(
         parent_cards,
         child_card,
-        np.asarray(_expect(doc, "h", "form file"), dtype=np.int64),
-        tuple(
-            np.asarray(g, dtype=np.int64)
-            for g in _typed(_expect(doc, "g", "form file"), list, "form g")
-        ),
+        _int_matrix(_expect(doc, "h", "form file"), "form h"),
+        tuple(_int_matrix(g, f"form g[{i}]") for i, g in enumerate(raw_g)),
     )
 
 

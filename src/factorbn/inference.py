@@ -1,7 +1,8 @@
 """Exact inference by variable elimination, plus the two structural
 transformations that shrink deterministic families: replacing a
 deterministic node by its hidden-variable factorization, and parent
-divorcing through a balanced tree of intermediates.
+divorcing through a balanced tree of intermediates.  Both run in one
+pass of :func:`transform_network`.
 """
 
 from __future__ import annotations
@@ -13,7 +14,13 @@ import numpy as np
 from .core import Evidence, Factor, Variable
 from .cliques import min_fill_order, scope_graph
 from .errors import InternalConsistencyError, ValidationError, ZeroNormalizerError
-from .factorization import FactorizedForm, build_factorized_form, verify_factorization
+from .factorization import (
+    FactorizedForm,
+    build_factorized_form,
+    known_base_conjunction,
+    known_base_max,
+    verify_factorization,
+)
 from .functions import (
     DeterministicFunction,
     as_conjunction,
@@ -21,6 +28,7 @@ from .functions import (
     is_add,
     is_max,
 )
+from .mbh import greedy_cover_base
 from .network import Network, fresh_name
 
 NEGATIVE_TOLERANCE = 1e-9
@@ -136,7 +144,8 @@ def variable_elimination(
     multiplies the tables holding the variable and sums it out in one
     einsum.  Raises ZeroNormalizerError when the evidence has zero mass
     and InternalConsistencyError if the unnormalized result dips below
-    -1e-9 anywhere (values above that are clamped to 0).
+    -1e-9 anywhere (values above that are clamped to 0) or does not have
+    a finite sum, as when finite potentials overflow.
     """
     evidence = evidence or Evidence()
     _validate_evidence(net, evidence)
@@ -206,7 +215,10 @@ def variable_elimination(
             f"marginal entry {low} below tolerance {-NEGATIVE_TOLERANCE}"
         )
     values = np.clip(values, 0.0, None)
-    total = values.sum()
+    with np.errstate(over="ignore"):
+        total = values.sum()
+    if not np.isfinite(total):
+        raise InternalConsistencyError(f"unnormalized marginal sums to {total}")
     if total == 0.0:
         raise ZeroNormalizerError("evidence has zero probability under the model")
     cards = net.cards
@@ -222,14 +234,18 @@ def posterior_by_name(
 
 
 # ---------------------------------------------------------------------------
-# Transform 1: hidden-variable factorization of a deterministic node.
+# The rewrites.  Each step turns one deterministic node into variables
+# appended to ``variables`` (named by ``fresh_name`` against ``taken``)
+# and the potentials or nodes that replace it.
 
 
 def _hidden_variable(
-    det: DeterministicFunction, form: FactorizedForm, b_id: int, name: str
-) -> tuple[Variable, list[Factor]]:
-    """The hidden variable B that replaces ``det`` and its potentials:
-    h(child, B), then g_i(parent_i, B) for each parent in order.
+    det: DeterministicFunction, form: FactorizedForm, variables: list[Variable],
+    taken: set[str],
+) -> list[Factor]:
+    """Append the hidden variable B that replaces ``det`` and return its
+    potentials: h(child, B), then g_i(parent_i, B) for each parent in
+    order.
 
     The form is re-verified against the node first.
     """
@@ -238,8 +254,9 @@ def _hidden_variable(
         raise ValidationError(
             f"factorized form fails reconstruction at {verdict.violation}"
         )
-    child = det.child
-    b_var = Variable(b_id, name, tuple(f"b{i}" for i in range(form.n_hidden)))
+    child, b_id = det.child, len(variables)
+    name = fresh_name(f"B_{variables[child].name}", taken)
+    variables.append(Variable(b_id, name, tuple(f"b{i}" for i in range(form.n_hidden))))
     potentials = [
         Factor((min(child, b_id), max(child, b_id)), (form.child_card, form.n_hidden),
                form.h.astype(np.float64))
@@ -248,172 +265,103 @@ def _hidden_variable(
         potentials.append(
             Factor((pid, b_id), (g.shape[0], form.n_hidden), g.astype(np.float64))
         )
-    return b_var, potentials
+    return potentials
 
 
-def apply_factorization_transform(
-    net: Network, child: int, form: FactorizedForm
-) -> Network:
-    """Replace the deterministic node for ``child`` by its factorized
-    potentials: one hidden variable B, one pairwise potential h(child, B),
-    and one membership potential g_i(parent_i, B) per parent.
+def _pair_function(kind: str, du, dv, cu: int, cv: int, child_card: int | None = None):
+    """The two-parent combiner of one divorcing step, over parents with
+    ``cu`` and ``cv`` states.
 
-    The form is re-verified against the node before anything changes;
-    posteriors over the original variables are preserved exactly.
+    ``du`` and ``dv`` are the accepting states for a conjunction and
+    unused for ADD and MAX, where the state is the value.  Returns
+    (outputs, output cardinality); ``child_card``, given at the root,
+    replaces the cardinality of a partial sum or maximum.
     """
-    det = net.deterministic_for(child)
-    b_var, potentials = _hidden_variable(
-        det, form, len(net.variables), net.fresh_name(f"B_{net.variables[child].name}")
-    )
-    return Network(
-        net.variables + (b_var,),
-        net.cpts,
-        tuple(d for d in net.deterministic if d.child != child),
-        net.potentials + tuple(potentials),
-    )
-
-
-# ---------------------------------------------------------------------------
-# Transform 2: parent divorcing for decomposable functions.
-
-
-def _pair_function(kind: str, meta_u, meta_v, cards, child_card=None):
-    """Build the two-parent combiner table for one divorcing step.
-
-    meta entries are (variable id, detail): the accepting state for a
-    conjunction, None for add/max where the state is the value.
-    Returns (outputs, output cardinality).
-    """
-    (u, du), (v, dv) = meta_u, meta_v
-    cu, cv = cards[u], cards[v]
+    pairs = [(a, b) for a in range(cu) for b in range(cv)]
     if kind == "and":
-        outputs = [1 if (a == du and b == dv) else 0 for a in range(cu) for b in range(cv)]
-        return outputs, 2
+        return [int(a == du and b == dv) for a, b in pairs], 2
     if kind == "add":
-        out_card = child_card if child_card is not None else (cu - 1) + (cv - 1) + 1
-        outputs = [a + b for a in range(cu) for b in range(cv)]
-        return outputs, out_card
-    out_card = child_card if child_card is not None else max(cu, cv)
-    outputs = [max(a, b) for a in range(cu) for b in range(cv)]
-    return outputs, out_card
+        return [a + b for a, b in pairs], child_card or cu + cv - 1
+    return [max(a, b) for a, b in pairs], child_card or max(cu, cv)
 
 
-def parent_divorcing_transform(net: Network, child: int) -> Network:
-    """Split a decomposable deterministic node (conjunction of literals,
-    ADD, or MAX) into a balanced tree of two-parent intermediates.
+def _divorce(
+    det: DeterministicFunction, variables: list[Variable], taken: set[str]
+) -> list[DeterministicFunction]:
+    """The balanced tree of two-parent nodes that replaces a decomposable
+    node (conjunction of literals, ADD or MAX) with more than two
+    parents; empty for a node with at most two.
 
     Intermediate variables carry partial results (partial sums for ADD,
     running maxima for MAX, truth of a literal block for conjunctions).
-    Functions of at most two parents are returned unchanged.  The joint
-    over the original variables is preserved exactly.
+    The joint over the original variables is preserved exactly.
     """
-    det = net.deterministic_for(child)
     conj = as_conjunction(det)
-    if conj is not None:
-        kind = "and"
-        slots = [(p, s) for p, s in zip(det.parents, conj)]
-    elif is_add(det):
-        kind = "add"
-        slots = [(p, None) for p in det.parents]
-    elif is_max(det):
-        kind = "max"
-        slots = [(p, None) for p in det.parents]
-    else:
+    kind = "and" if conj is not None else "add" if is_add(det) else "max" if is_max(det) else None
+    if kind is None:
         raise ValidationError(
-            f"deterministic node for variable {child} is not a recognized "
+            f"deterministic node for variable {det.child} is not a recognized "
             "decomposable function (conjunction of literals, ADD, MAX)"
         )
+    slots = list(zip(det.parents, (None,) * len(det.parents) if conj is None else conj))
     if len(slots) <= 2:
-        return net
+        return []
+    stem = variables[det.child].name
+    nodes: list[DeterministicFunction] = []
 
-    variables = list(net.variables)
-    cards = {v.id: v.card for v in net.variables}
-    new_dets: list[DeterministicFunction] = []
-    stem = net.variables[child].name
-    taken = {v.name for v in variables}
+    def combine(u, v, root: bool = False) -> int:
+        """Append the node over slots u and v and return its child."""
+        (pu, du), (pv, dv) = u, v
+        cards = (variables[pu].card, variables[pv].card)
+        outputs, card = _pair_function(kind, du, dv, *cards, det.child_card if root else None)
+        if root:
+            child = det.child
+        else:
+            child = len(variables)
+            name = fresh_name(f"{stem}_pd{len(nodes)}", taken)
+            variables.append(Variable(child, name, tuple(f"s{t}" for t in range(card))))
+        nodes.append(DeterministicFunction((pu, pv), child, cards, card, tuple(outputs)))
+        return child
 
-    def fresh(i: int) -> str:
-        name = f"{stem}_pd{i}"
-        j = 2
-        while name in taken:
-            name = f"{stem}_pd{i}_{j}"
-            j += 1
-        taken.add(name)
-        return name
-
-    counter = 0
     while len(slots) > 2:
-        nxt = []
-        for i in range(0, len(slots) - 1, 2):
-            u, v = slots[i], slots[i + 1]
-            outputs, out_card = _pair_function(kind, u, v, cards)
-            z_id = len(variables)
-            variables.append(
-                Variable(z_id, fresh(counter), tuple(f"s{t}" for t in range(out_card)))
-            )
-            counter += 1
-            cards[z_id] = out_card
-            new_dets.append(
-                DeterministicFunction(
-                    (u[0], v[0]), z_id, (cards[u[0]], cards[v[0]]), out_card,
-                    tuple(outputs),
-                )
-            )
-            nxt.append((z_id, 1 if kind == "and" else None))
-        if len(slots) % 2 == 1:
-            nxt.append(slots[-1])
-        slots = nxt
-
-    outputs, _ = _pair_function(kind, slots[0], slots[1], cards, child_card=det.child_card)
-    new_dets.append(
-        DeterministicFunction(
-            (slots[0][0], slots[1][0]), child,
-            (cards[slots[0][0]], cards[slots[1][0]]), det.child_card, tuple(outputs),
-        )
-    )
-    return Network(
-        tuple(variables),
-        net.cpts,
-        tuple(d for d in net.deterministic if d.child != child) + tuple(new_dets),
-        net.potentials,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Whole-network transform driver shared by the CLI and the benchmark.
+        pairs = list(zip(slots[0::2], slots[1::2]))
+        done = [(combine(u, v), 1 if kind == "and" else None) for u, v in pairs]
+        slots = done + slots[2 * len(pairs):]
+    combine(*slots, root=True)
+    return nodes
 
 
 def transform_network(net: Network, method: str, base_picker=None) -> Network:
     """Apply one method to every deterministic node of the network.
 
-    ``none`` returns the network unchanged; ``divorce`` divorces every
-    decomposable deterministic node; ``factorize`` replaces each
-    deterministic node using a base from ``base_picker(det)`` (defaults
-    to :func:`default_base` below).
+    ``none`` returns the network unchanged.  ``factorize`` replaces each
+    deterministic node by a hidden variable and its potentials, using a
+    base from ``base_picker(det)`` (defaults to :func:`default_base`
+    below).  ``divorce`` splits each decomposable node with more than two
+    parents into a tree of two-parent nodes, and rejects a node that is
+    not decomposable.  The nodes a method leaves alone keep their place;
+    the new variables, nodes and potentials are appended in node order,
+    and the network is built and validated once.
     """
     if method == "none":
         return net
-    if method == "divorce":
-        out = net
-        for det in net.deterministic:
-            out = parent_divorcing_transform(out, det.child)
-        return out
-    if method == "factorize":
-        # Every node is rewritten into one list of variables and
-        # potentials, and the network is built and validated once.
-        picker = base_picker or default_base
-        variables = list(net.variables)
-        potentials = list(net.potentials)
-        taken = {v.name for v in variables}
-        for det in net.deterministic:
+    if method not in ("factorize", "divorce"):
+        raise ValidationError(f"unknown transform {method!r}")
+    picker = base_picker or default_base
+    variables = list(net.variables)
+    taken = {v.name for v in variables}
+    kept: list[DeterministicFunction] = []
+    added: list[DeterministicFunction] = []
+    potentials = list(net.potentials)
+    for det in net.deterministic:
+        if method == "factorize":
             form = build_factorized_form(det, picker(det))
-            name = fresh_name(f"B_{net.variables[det.child].name}", taken)
-            taken.add(name)
-            b_var, pots = _hidden_variable(det, form, len(variables), name)
-            variables.append(b_var)
-            potentials += pots
-        return Network(tuple(variables), net.cpts, (), tuple(potentials))
-    raise ValidationError(f"unknown transform {method!r}")
+            potentials += _hidden_variable(det, form, variables, taken)
+        elif nodes := _divorce(det, variables, taken):
+            added += nodes
+        else:
+            kept.append(det)
+    return Network(tuple(variables), net.cpts, tuple(kept + added), tuple(potentials))
 
 
 def default_base(det: DeterministicFunction):
@@ -425,9 +373,6 @@ def default_base(det: DeterministicFunction):
     ``solve_mbh`` themselves and pass the result through the
     ``base_picker`` hook of :func:`transform_network`.
     """
-    from .factorization import known_base_conjunction, known_base_max
-    from .mbh import greedy_cover_base
-
     conj = as_conjunction(det)
     if conj is not None:
         return known_base_conjunction(conj)

@@ -63,8 +63,8 @@ class Network:
     Every variable is either the head of exactly one CPT or exactly one
     deterministic node, except when ``potentials`` is non-empty: a
     transformed network may carry headless variables (the hidden ones)
-    as long as each appears in some potential.  The directed part must
-    be acyclic.
+    as long as each appears in some potential.  Potential entries must
+    be finite reals.  The directed part must be acyclic.
     """
 
     variables: tuple[Variable, ...]
@@ -135,6 +135,8 @@ class Network:
                 check_var(v, "a potential")
             if pot.cards != tuple(cards[v] for v in pot.scope):
                 raise ValidationError("potential cards disagree with the variables")
+            if pot.values.dtype.kind not in "iuf" or not np.isfinite(pot.values).all():
+                raise ValidationError(f"potential over {pot.scope} has a non-finite entry")
 
         if self.potentials:
             covered = heads | {v for pot in self.potentials for v in pot.scope}
@@ -181,21 +183,12 @@ class Network:
                 return v
         raise ValidationError(f"unknown variable name {name!r}")
 
-    def deterministic_for(self, child: int) -> DeterministicFunction:
-        for det in self.deterministic:
-            if det.child == child:
-                return det
-        raise ValidationError(f"variable {child} is not a deterministic node")
-
-    def fresh_name(self, stem: str) -> str:
-        return fresh_name(stem, {v.name for v in self.variables})
-
 
 def fresh_name(stem: str, taken: set[str]) -> str:
-    """``stem``, or ``stem_2``, ``stem_3``, ... : the first not in ``taken``."""
-    if stem not in taken:
-        return stem
-    i = 2
-    while f"{stem}_{i}" in taken:
-        i += 1
-    return f"{stem}_{i}"
+    """``stem``, or ``stem_2``, ``stem_3``, ... : the first not in
+    ``taken``, which is added to ``taken``."""
+    name, i = stem, 2
+    while name in taken:
+        name, i = f"{stem}_{i}", i + 1
+    taken.add(name)
+    return name

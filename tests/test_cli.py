@@ -292,6 +292,34 @@ def test_infer_invalid_cpt_is_input_error(tmp_path, capsys, table, excerpt):
     assert excerpt in captured.err and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "potentials, query, code, excerpt",
+    [
+        ([{"scope": [0, 1], "table": [float("nan"), 1, 1, 1]}], "a", 2, "non-finite entry"),
+        ([{"scope": [0, 1], "table": [float("inf"), 1, 1, 1]}], "a", 2, "non-finite entry"),
+        # finite, but their product overflows
+        ([{"scope": [0, 1], "table": [1e308, 1e308, 1, 1]},
+          {"scope": [0], "table": [1e308, 1]}], "a", 4, "sums to inf"),
+        # each entry of the marginal finite, their sum not
+        ([{"scope": [4], "table": [1e308, 1e308]}], "free", 4, "sums to inf"),
+    ],
+    ids=["nan", "infinity", "overflow", "overflowing-sum"],
+)
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_infer_non_finite_numbers_never_reach_stdout(
+    tmp_path, capsys, potentials, query, code, excerpt
+):
+    doc = json.loads(json.dumps(NET))
+    # a variable that only potentials hold, so nothing normalizes it
+    doc["variables"].append({"id": 4, "name": "free", "states": ["no", "yes"]})
+    doc["potentials"] = potentials + [{"scope": [4], "table": [1, 1]}]
+    net_path = put(tmp_path, "net.json", doc)
+    assert run_cli(["infer", "--net", net_path, "--query", query]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert excerpt in captured.err and captured.err.count("\n") == 1
+
+
 def test_infer_non_integer_id_is_input_error(tmp_path, capsys):
     doc = json.loads(json.dumps(NET))
     doc["variables"][0]["id"] = "x"
@@ -411,6 +439,29 @@ def test_bench_cat_is_byte_identical_across_runs(tmp_path, capsys):
 
 
 # -- the internal-failure exit -------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "error, line",
+    [
+        (MemoryError("Unable to allocate 128. GiB for an array"),
+         "error: Unable to allocate 128. GiB for an array\n"),
+        (MemoryError(), "error: out of memory\n"),
+    ],
+    ids=["numpy", "bare"],
+)
+def test_out_of_memory_exits_three(tmp_path, capsys, monkeypatch, error, line):
+    import factorbn.cli as cli
+
+    def no_memory(*args):
+        raise error
+
+    monkeypatch.setattr(cli, "posterior_by_name", no_memory)
+    net_path = put(tmp_path, "net.json", NET)
+    assert cli.run_cli(["infer", "--net", net_path, "--query", "a"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == line
 
 
 def test_internal_consistency_failure_exits_four(tmp_path, capsys, monkeypatch):

@@ -1,39 +1,17 @@
-"""Factor-table algebra: multiplication, marginalization, evidence.
+"""Variables, factor tables and evidence: validation and read-only tables.
 
 Core claims:
-    - multiply broadcasts over scope unions and agrees with hand tables
-    - marginalize preserves the total sum
-    - multiply is commutative and associative up to float noise
-    - evidence insertion zeroes exactly the flagged-out states, is
-      idempotent, and commutes with multiplication
+    - a variable needs a non-negative id and distinct state labels
+    - a factor reshapes a flat row-major table to its cards, rejects any
+      other shape, and keeps its table read-only
+    - evidence vectors must be 0/1; an all-zero vector is representable
+      (inference reports zero mass later)
 """
-
-import random
 
 import numpy as np
 import pytest
 
-from factorbn import (
-    Evidence,
-    Factor,
-    ValidationError,
-    Variable,
-    insert_evidence,
-    marginalize,
-    multiply,
-    product,
-)
-
-
-def random_factor(rng, max_vars=4, ids=None):
-    # cardinality is a fixed function of the id so scopes always agree
-    if ids is None:
-        n = rng.randint(1, max_vars)
-        ids = tuple(sorted(rng.sample(range(8), n)))
-    cards = tuple(2 + v % 3 for v in ids)
-    size = int(np.prod(cards))
-    vals = np.array([rng.uniform(0.0, 2.0) for _ in range(size)]).reshape(cards)
-    return Factor(ids, cards, vals)
+from factorbn import Evidence, Factor, ValidationError, Variable
 
 
 # -- Variable ----------------------------------------------------------------
@@ -53,169 +31,39 @@ def test_variable_rejects_empty_states_and_duplicates():
         Variable(-1, "v", ("a", "b"))
 
 
-# -- multiply ----------------------------------------------------------------
+# -- Factor ------------------------------------------------------------------
 
 
-def test_multiply_same_scope_pointwise():
-    a = Factor((0,), (2,), np.array([2.0, 3.0]))
-    b = Factor((0,), (2,), np.array([5.0, 7.0]))
-    c = multiply(a, b)
-    assert c.scope == (0,)
-    assert np.array_equal(c.values, [10.0, 21.0])
-
-
-def test_multiply_disjoint_scopes_outer_product():
-    a = Factor((0,), (2,), np.array([1.0, -1.0]))
-    b = Factor((1,), (2,), np.array([1.0, -1.0]))
-    c = multiply(a, b)
-    assert c.scope == (0, 1)
-    assert np.array_equal(c.values, [[1.0, -1.0], [-1.0, 1.0]])
-
-
-def test_multiply_overlapping_scopes():
-    a = Factor((0, 1), (2, 2), np.array([[1.0, 2.0], [3.0, 4.0]]))
-    b = Factor((1, 2), (2, 2), np.array([[10.0, 0.0], [0.0, 1.0]]))
-    c = multiply(a, b)
-    assert c.scope == (0, 1, 2)
-    assert c[(0, 0, 0)] == 10.0
-    assert c[(1, 1, 1)] == 4.0
-    assert c[(1, 0, 1)] == 0.0
-
-
-def test_multiply_cardinality_conflict_rejected():
-    a = Factor((0,), (2,), np.array([1.0, 1.0]))
-    b = Factor((0,), (3,), np.array([1.0, 1.0, 1.0]))
+def test_factor_reshapes_a_flat_table_and_rejects_other_shapes():
+    f = Factor((0, 2), (2, 3), [1, 2, 3, 4, 5, 6])
+    assert f.values.shape == (2, 3)
+    assert f[(1, 0)] == 4
+    assert f.flat().tolist() == [1, 2, 3, 4, 5, 6]
+    assert f == Factor((0, 2), (2, 3), np.arange(1, 7).reshape(2, 3))
+    assert Factor((), (), [0.5])[()] == 0.5
     with pytest.raises(ValidationError):
-        multiply(a, b)
-
-
-def test_multiply_with_scalar_factor():
-    a = Factor((0,), (2,), np.array([0.4, 0.6]))
-    s = marginalize(Factor((3,), (3,), np.array([0.2, 0.3, 0.5])), 3)
-    assert s.scope == ()
-    c = multiply(a, s)
-    assert c.scope == (0,)
-    assert np.allclose(c.values, [0.4, 0.6])
-
-
-def test_product_empty_is_unit():
-    one = product([])
-    assert one.scope == ()
-    assert float(one.values) == 1.0
-
-
-def test_multiply_commutative_associative():
-    rng = random.Random(1)
-    for _ in range(50):
-        a = random_factor(rng)
-        b = random_factor(rng)
-        c = random_factor(rng)
-        ab = multiply(a, b)
-        ba = multiply(b, a)
-        assert ab.scope == ba.scope
-        assert np.allclose(ab.values, ba.values, rtol=1e-12)
-        left = multiply(ab, c)
-        right = multiply(a, multiply(b, c))
-        assert left.scope == right.scope
-        assert np.allclose(left.values, right.values, rtol=1e-12)
-
-
-# -- marginalize -------------------------------------------------------------
-
-
-def test_marginalize_hand_example():
-    f = Factor((0,), (2,), np.array([1.0, -1.0]))
-    s = marginalize(f, 0)
-    assert s.scope == ()
-    assert float(s.values) == 0.0
-
-
-def test_marginalize_missing_variable_rejected():
-    f = Factor((0,), (2,), np.array([1.0, 1.0]))
+        Factor((0, 2), (2, 3), [1, 2, 3, 4, 5])
     with pytest.raises(ValidationError):
-        marginalize(f, 5)
-
-
-def test_marginalize_preserves_sum():
-    rng = random.Random(2)
-    for _ in range(50):
-        f = random_factor(rng)
-        v = rng.choice(f.scope)
-        g = marginalize(f, v)
-        assert v not in g.scope
-        assert np.isclose(g.values.sum(), f.values.sum(), rtol=1e-12)
-
-
-# -- evidence ----------------------------------------------------------------
-
-
-def test_evidence_zeroes_flagged_states():
-    f = Factor((0, 1), (2, 2), np.ones((2, 2)))
-    ev = Evidence({0: (0, 1)})
-    g = insert_evidence(f, ev)
-    assert np.array_equal(g.values, [[0.0, 0.0], [1.0, 1.0]])
-
-
-def test_evidence_all_zero_vector_is_allowed():
-    # zero-mass evidence is representable; inference reports it later
-    ev = Evidence({0: (0, 0)})
-    f = Factor((0,), (2,), np.array([0.3, 0.7]))
-    g = insert_evidence(f, ev)
-    assert np.array_equal(g.values, [0.0, 0.0])
-
-
-def test_evidence_rejects_non_binary_entries():
+        Factor((0, 2), (2, 3), np.ones((3, 2)))
     with pytest.raises(ValidationError):
-        Evidence({0: (0, 2)})
-
-
-def test_evidence_wrong_length_rejected_at_insert():
-    f = Factor((0,), (3,), np.ones(3))
-    with pytest.raises(ValidationError):
-        insert_evidence(f, Evidence({0: (1, 0)}))
-
-
-def test_insert_evidence_idempotent():
-    rng = random.Random(3)
-    for _ in range(30):
-        f = random_factor(rng)
-        findings = {}
-        for v, c in zip(f.scope, f.cards):
-            if rng.random() < 0.6:
-                findings[v] = tuple(rng.randint(0, 1) for _ in range(c))
-        ev = Evidence(findings)
-        once = insert_evidence(f, ev)
-        twice = insert_evidence(once, ev)
-        assert np.array_equal(once.values, twice.values)
-
-
-def test_insert_evidence_commutes_with_multiply():
-    rng = random.Random(4)
-    for _ in range(30):
-        ids = tuple(sorted(rng.sample(range(6), 3)))
-        cards = {v: rng.randint(2, 3) for v in ids}
-
-        def table(sub):
-            shape = tuple(cards[v] for v in sub)
-            vals = [rng.uniform(0.0, 2.0) for _ in range(int(np.prod(shape)))]
-            return Factor(sub, shape, np.array(vals).reshape(shape))
-
-        a = table(ids[:2])
-        b = table(ids[1:])
-        findings = {
-            v: tuple(rng.randint(0, 1) for _ in range(cards[v]))
-            for v in ids
-            if rng.random() < 0.7
-        }
-        ev = Evidence(findings)
-        before = multiply(insert_evidence(a, ev), insert_evidence(b, ev))
-        after = insert_evidence(multiply(a, b), ev)
-        # evidence on the shared variable applies twice on the left; 0/1
-        # vectors are absorbing, so the results still agree
-        assert np.allclose(before.values, after.values, rtol=1e-12)
+        Factor((2, 0), (2, 3), np.ones(6))
 
 
 def test_factor_values_read_only():
     f = Factor((0,), (2,), np.array([1.0, 2.0]))
     with pytest.raises(ValueError):
         f.values[0] = 9.0
+
+
+# -- evidence ----------------------------------------------------------------
+
+
+def test_evidence_all_zero_vector_is_allowed():
+    # zero-mass evidence is representable; inference reports it later
+    ev = Evidence({0: (0, 0)})
+    assert ev.findings == {0: (0, 0)}
+
+
+def test_evidence_rejects_non_binary_entries():
+    with pytest.raises(ValidationError):
+        Evidence({0: (0, 2)})

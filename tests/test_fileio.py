@@ -9,6 +9,7 @@ Core claims:
 """
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -150,6 +151,10 @@ def test_missing_pieces_raise_parse_error(mutate, excerpt):
         (
             lambda d: d.update(potentials=[{"scope": [1], "table": [1.0, 1.0]}]),
             "potential table has 2 entries, expected 3",
+        ),
+        (
+            lambda d: d.update(potentials=[{"scope": [1], "table": [1.0, -math.inf, 1.0]}]),
+            "potential over .1,. has a non-finite entry",
         ),
     ],
 )
@@ -320,6 +325,8 @@ def test_integral_numbers_and_decimal_strings_still_parse():
     doc["variables"][2]["id"] = "2"
     doc["cpts"][1]["parents"] = [0.0]
     assert parse_network(json.dumps(doc)) == parse_network(json.dumps(_network_doc()))
+    form = parse_form(json.dumps(dict(FORM, h=[[1.0, "0"], [0, 1]])))
+    assert form.h.tolist() == [[1, 0], [0, 1]]
 
 
 # -- bases --------------------------------------------------------------------
@@ -390,6 +397,29 @@ def test_form_round_trip():
     assert np.array_equal(back.h, form.h)
     assert all(np.array_equal(x, y) for x, y in zip(back.g, form.g))
     assert json.loads(text)["n_hidden"] == 2
+
+
+FORM = {"parent_cards": [2], "child_card": 2, "h": [[1, 0], [0, 1]], "g": [[[1, 0], [0, 1]]]}
+
+
+@pytest.mark.parametrize(
+    "key, value, excerpt",
+    [
+        ("h", [[1.5, 0], [0, 1]], "form h entry must be an integer, got 1.5"),
+        ("g", [[[0.5, 0], [0, 1]]], r"form g\[0\] entry must be an integer, got 0.5"),
+        ("h", [[float("nan"), 0], [0, 1]], "form h entry must be an integer, got nan"),
+        ("h", [["ab", 0], [0, 1]], "form h entry must be an integer, got 'ab'"),
+        ("h", [[1, 0], [0]], "form h has rows of different lengths"),
+        ("h", [1, 0], "form h row must be a list"),
+        ("g", [[[1, 0], [0, 1, 1]]], r"form g\[0\] has rows of different lengths"),
+        ("h", [[2**70, 0], [0, 1]], "form h has an entry beyond 64 bits"),
+    ],
+    ids=["fraction-h", "fraction-g", "nan", "string", "ragged-h", "flat-h", "ragged-g", "huge"],
+)
+def test_form_tables_must_hold_integers(key, value, excerpt):
+    doc = dict(FORM, **{key: value})
+    with pytest.raises(ParseError, match=excerpt):
+        parse_form(json.dumps(doc))
 
 
 def test_writers_are_canonical():

@@ -30,12 +30,7 @@ from factorbn import (
     known_base_conjunction,
     variable_elimination,
 )
-from factorbn.inference import (
-    apply_factorization_transform,
-    parent_divorcing_transform,
-    posterior_by_name,
-    transform_network,
-)
+from factorbn.inference import posterior_by_name, transform_network
 
 
 def binary(i, name):
@@ -206,8 +201,9 @@ def test_factorize_adds_hidden_variable_and_pairwise_potentials():
 
     net = det_network()
     det = net.deterministic[0]
-    form = build_factorized_form(det, solve_mbh(det).base)
-    t = apply_factorization_transform(net, det.child, form)
+    base = solve_mbh(det).base
+    form = build_factorized_form(det, base)
+    t = transform_network(net, "factorize", base_picker=lambda d: base)
     assert len(t.variables) == len(net.variables) + 1
     hidden = t.variables[-1]
     assert hidden.card == form.n_hidden == 6
@@ -256,7 +252,7 @@ def test_divorce_conjunction_of_four_literals():
     det = DeterministicFunction((0, 1, 2, 3), 4, (2,) * 4, 2, outputs)
     cpts = tuple(cpt(i, (), cards, [0.5, 0.5]) for i in range(4))
     net = Network(variables, cpts, (det,))
-    t = parent_divorcing_transform(net, det.child)
+    t = transform_network(net, "divorce")
     # two intermediates plus the re-rooted original child
     assert len(t.variables) == len(net.variables) + 2
     assert len(t.deterministic) == 3
@@ -281,7 +277,7 @@ def test_divorce_add_of_three_ternary_parents():
     )
     cpts = tuple(cpt(i, (), cards, [0.3, 0.4, 0.3]) for i in range(3))
     net = Network(variables, cpts, (det,))
-    t = parent_divorcing_transform(net, det.child)
+    t = transform_network(net, "divorce")
     intermediates = [v for v in t.variables if v.id >= 4]
     assert len(intermediates) == 1
     # a+b ranges over 0..4: five states
@@ -295,8 +291,7 @@ def test_divorce_add_of_three_ternary_parents():
 
 def test_divorce_leaves_two_parent_nodes_alone():
     net = det_network()
-    det = net.deterministic[0]
-    t = parent_divorcing_transform(net, det.child)
+    t = transform_network(net, "divorce")
     assert t == net
 
 
@@ -309,7 +304,7 @@ def test_divorce_rejects_unstructured_functions():
     cpts = tuple(cpt(i, (), cards, [0.5, 0.5]) for i in range(3))
     net = Network(variables, cpts, (det,))
     with pytest.raises(ValidationError):
-        parent_divorcing_transform(net, det.child)
+        transform_network(net, "divorce")
 
 
 # -- pruning, evidence slicing and explicit orders against brute force -------
@@ -424,6 +419,12 @@ def test_all_zero_evidence_vector_raises(method):
         card = t.variables[var].card
         with pytest.raises(ZeroNormalizerError):
             variable_elimination(t, Evidence({var: (0,) * card}), query)
+
+
+def test_wrong_length_evidence_vector_raises():
+    # a length-3 vector on the binary alarm
+    with pytest.raises(ValidationError):
+        variable_elimination(det_network(), Evidence({3: (0, 1, 1)}), [0])
 
 
 def test_barren_nodes_do_not_change_the_answer():
