@@ -6,15 +6,12 @@ from .benchcat import (
     BenchRow,
     BenchmarkReport,
     StudentModelSpec,
-    TaskFragment,
     TaskSpec,
     canonical_tasks,
     connect_tasks,
     generate_student_model,
-    generate_task_model,
     report_to_csv,
     run_clique_benchmark,
-    star_family,
 )
 from .core import Evidence, Factor, Variable
 from .cliques import CliqueReport, moralize_and_triangulate

@@ -47,8 +47,9 @@ def _expect(obj: Any, key: str, where: str) -> Any:
 
 def _int(value: Any, field: str) -> int:
     """An integer-valued field: a JSON integer, an integral number or a
-    decimal string; anything else is a ParseError naming the field."""
-    if isinstance(value, (int, str)) or isinstance(value, float) and value.is_integer():
+    decimal string; anything else, a boolean included, is a ParseError
+    naming the field."""
+    if type(value) in (int, str) or type(value) is float and value.is_integer():
         try:
             return int(value)
         except ValueError:
@@ -351,12 +352,16 @@ def parse_form(text: str) -> FactorizedForm:
     child_card = _int(_expect(doc, "child_card", "form file"), "child card")
     _table_size(parent_cards + (child_card,), "form file")
     raw_g = _typed(_expect(doc, "g", "form file"), list, "form g")
-    return FactorizedForm(
-        parent_cards,
-        child_card,
-        _int_matrix(_expect(doc, "h", "form file"), "form h"),
-        tuple(_int_matrix(g, f"form g[{i}]") for i, g in enumerate(raw_g)),
-    )
+    h = _int_matrix(_expect(doc, "h", "form file"), "form h")
+    g = tuple(_int_matrix(g, f"form g[{i}]") for i, g in enumerate(raw_g))
+    if "n_hidden" in doc:
+        n_hidden = _int(doc["n_hidden"], "form n_hidden")
+        widths = {t.shape[1] for t in (h, *g) if t.ndim == 2}
+        if widths - {n_hidden}:
+            raise ParseError(
+                f"form n_hidden is {n_hidden}, but h and g have {sorted(widths)} columns"
+            )
+    return FactorizedForm(parent_cards, child_card, h, g)
 
 
 def write_form(form: FactorizedForm) -> str:

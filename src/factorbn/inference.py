@@ -24,12 +24,11 @@ from .factorization import (
 from .functions import (
     DeterministicFunction,
     as_conjunction,
-    deterministic_to_potential,
     is_add,
     is_max,
 )
 from .mbh import greedy_cover_base
-from .network import Network, fresh_name
+from .network import Network, Star, fresh_name
 
 NEGATIVE_TOLERANCE = 1e-9
 MAX_OPERANDS = 31  # einsum operands per call that every supported numpy accepts
@@ -37,23 +36,17 @@ MAX_OPERANDS = 31  # einsum operands per call that every supported numpy accepts
 Table = tuple[tuple[int, ...], np.ndarray]  # (scope, values with one axis per scope id)
 
 
-def network_factors(net: Network, heads: set[int], dtype=np.float64) -> list[Table]:
-    """(scope, table) for the CPT and deterministic families whose child
-    is in ``heads`` and for every transformation potential, in a common
-    dtype.  Tables already in ``dtype`` are shared, not copied: they are
-    read-only.
+def network_factors(net: Network, heads: set[int]) -> list[Table]:
+    """(scope, float64 table) for the CPT and deterministic families and
+    the stars whose child is in ``heads``, and for every potential
+    outside a star.  The tables are the network's own, built once and
+    read-only (``Network.tables``).
     """
-    tables = [
-        (c.factor.scope, np.asarray(c.factor.values, dtype=dtype))
-        for c in net.cpts
-        if c.child in heads
+    return [
+        (scope, values)
+        for head, scope, values in net.tables
+        if head is None or head in heads
     ]
-    for d in net.deterministic:
-        if d.child in heads:
-            ind = deterministic_to_potential(d)
-            tables.append((ind.scope, ind.values.astype(dtype)))
-    tables += [(p.scope, np.asarray(p.values, dtype=dtype)) for p in net.potentials]
-    return tables
 
 
 def _validate_evidence(net: Network, evidence: Evidence) -> None:
@@ -69,19 +62,20 @@ def _validate_evidence(net: Network, evidence: Evidence) -> None:
 
 
 def _relevant_heads(net: Network, targets: Iterable[int]) -> set[int]:
-    """The targets, every variable in a transformation potential, and
-    all their ancestors.
+    """The targets, the child of every star whose hidden variable is a
+    target, every variable in a potential outside a star, and all their
+    ancestors.
 
-    Every other CPT or deterministic family is barren for a query on
-    the targets (Zhang & Poole 1996): its child has no observed or
-    queried descendant, so summing it out, leaves first, multiplies by
-    rows that sum to 1.
+    Every other CPT, deterministic or factorized family is barren for a
+    query on the targets (Zhang & Poole 1996): its child has no observed
+    or queried descendant, so summing it out, leaves first, multiplies
+    by rows that sum to 1.  A star sums to 1 over its child and hidden
+    variable because its form reconstructs the deterministic family.
     """
-    parents = {c.child: c.parents for c in net.cpts}
-    parents.update((d.child, d.parents) for d in net.deterministic)
+    parents = net.parent_map
     seen = set(targets)
-    for p in net.potentials:
-        seen.update(p.scope)
+    seen.update([s.child for s in net.stars if s.hidden in seen])
+    seen.update(v for head, scope, _ in net.tables if head is None for v in scope)
     stack = list(seen)
     while stack:
         for u in parents.get(stack.pop(), ()):
@@ -132,9 +126,11 @@ def variable_elimination(
 ) -> Factor:
     """The normalized posterior over the query variables given evidence.
 
-    Barren families are dropped first: a CPT or deterministic node whose
-    child is not an ancestor of a query variable, an observed one or a
-    variable of a transformation potential cannot change the answer.
+    Barren families are dropped first: a CPT, deterministic node or
+    star (a factorized node) whose child is not an ancestor of a query
+    variable, an observed one or a variable of a potential outside a
+    star cannot change the answer; a query or finding on a star's
+    hidden variable keeps the star.
     An observed non-query variable is indexed out of every table that
     holds it; an observed query variable is masked instead, so that its
     axis stays.  The remaining variables are summed out in min-fill
@@ -335,11 +331,12 @@ def transform_network(net: Network, method: str, base_picker=None) -> Network:
     """Apply one method to every deterministic node of the network.
 
     ``none`` returns the network unchanged.  ``factorize`` replaces each
-    deterministic node by a hidden variable and its potentials, using a
-    base from ``base_picker(det)`` (defaults to :func:`default_base`
-    below).  ``divorce`` splits each decomposable node with more than two
-    parents into a tree of two-parent nodes, and rejects a node that is
-    not decomposable.  The nodes a method leaves alone keep their place;
+    deterministic node by a hidden variable and its potentials, recorded
+    as a :class:`~factorbn.network.Star`, using a base from
+    ``base_picker(det)`` (defaults to :func:`default_base` below).
+    ``divorce`` splits each decomposable node with more than two parents
+    into a tree of two-parent nodes, and rejects a node that is not
+    decomposable.  The nodes a method leaves alone keep their place;
     the new variables, nodes and potentials are appended in node order,
     and the network is built and validated once.
     """
@@ -353,15 +350,22 @@ def transform_network(net: Network, method: str, base_picker=None) -> Network:
     kept: list[DeterministicFunction] = []
     added: list[DeterministicFunction] = []
     potentials = list(net.potentials)
+    stars = list(net.stars)
     for det in net.deterministic:
         if method == "factorize":
             form = build_factorized_form(det, picker(det))
+            first, b_id = len(potentials), len(variables)
             potentials += _hidden_variable(det, form, variables, taken)
+            stars.append(
+                Star(det.child, det.parents, b_id, tuple(range(first, len(potentials))))
+            )
         elif nodes := _divorce(det, variables, taken):
             added += nodes
         else:
             kept.append(det)
-    return Network(tuple(variables), net.cpts, tuple(kept + added), tuple(potentials))
+    return Network(
+        tuple(variables), net.cpts, tuple(kept + added), tuple(potentials), tuple(stars)
+    )
 
 
 def default_base(det: DeterministicFunction):

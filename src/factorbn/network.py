@@ -1,16 +1,18 @@
 """The network model: variables, CPTs, deterministic nodes, and the
-extra potentials a transformation may introduce."""
+extra potentials a transformation may introduce, grouped into stars
+where they replace a deterministic node."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
 
 from .core import Factor, Variable
 from .errors import ValidationError
-from .functions import DeterministicFunction
+from .functions import DeterministicFunction, deterministic_to_potential
 
 ROW_SUM_TOLERANCE = 1e-9
 
@@ -57,6 +59,31 @@ class Cpt:
 
 
 @dataclass(frozen=True)
+class Star:
+    """A factorized node: the deterministic family of ``child`` over
+    ``parents``, held as the potentials h(child, B), g_1(parent_1, B),
+    ..., g_n(parent_n, B) through the hidden variable B (``hidden``).
+
+    ``potentials`` gives their positions in ``Network.potentials``, h
+    first, then one g_i per parent in order.  Summed over B the product
+    is the family's 0/1 indicator, so, like a CPT, the star sums to 1
+    over the child and B for every parent configuration, and inference
+    drops it by the same barren rule.  ``transform_network`` verifies
+    every form before it records a star; ``Network`` checks only the
+    star's shape.
+    """
+
+    child: int
+    parents: tuple[int, ...]
+    hidden: int
+    potentials: tuple[int, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "parents", tuple(self.parents))
+        object.__setattr__(self, "potentials", tuple(self.potentials))
+
+
+@dataclass(frozen=True)
 class Network:
     """A directed model over discrete variables.
 
@@ -65,18 +92,31 @@ class Network:
     transformed network may carry headless variables (the hidden ones)
     as long as each appears in some potential.  Potential entries must
     be finite reals.  The directed part must be acyclic.
+
+    ``stars`` records which potentials replace a deterministic node
+    (see :class:`Star`).  A star's child counts as a head, and its
+    hidden variable may appear in nothing but the star's potentials.
+    Only :func:`~factorbn.inference.transform_network` records stars:
+    the file format has no field for them, so a parsed network has none
+    and inference keeps every one of its potentials.  Stars are left
+    out of equality, so a transformed network equals its parsed copy.
+
+    Query-independent data (``cards``, ``parent_map``, ``tables``) is
+    built on first use and kept for the network's lifetime.
     """
 
     variables: tuple[Variable, ...]
     cpts: tuple[Cpt, ...] = ()
     deterministic: tuple[DeterministicFunction, ...] = ()
     potentials: tuple[Factor, ...] = ()
+    stars: tuple[Star, ...] = field(default=(), compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "variables", tuple(self.variables))
         object.__setattr__(self, "cpts", tuple(self.cpts))
         object.__setattr__(self, "deterministic", tuple(self.deterministic))
         object.__setattr__(self, "potentials", tuple(self.potentials))
+        object.__setattr__(self, "stars", tuple(self.stars))
         self._validate()
 
     def _validate(self) -> None:
@@ -137,6 +177,34 @@ class Network:
                 raise ValidationError("potential cards disagree with the variables")
             if pot.values.dtype.kind not in "iuf" or not np.isfinite(pot.values).all():
                 raise ValidationError(f"potential over {pot.scope} has a non-finite entry")
+        owned: set[int] = set()
+        for star in self.stars:
+            where = f"the star of variable {star.child}"
+            for v in (star.child, star.hidden, *star.parents):
+                check_var(v, where)
+            if len(star.potentials) != len(star.parents) + 1:
+                raise ValidationError(f"{where} needs one potential per parent, plus h")
+            for pos, member in zip(star.potentials, (star.child, *star.parents)):
+                if not 0 <= pos < len(self.potentials):
+                    raise ValidationError(f"{where} names unknown potential {pos}")
+                if pos in owned:
+                    raise ValidationError(f"potential {pos} is claimed twice by stars")
+                owned.add(pos)
+                if self.potentials[pos].scope != tuple(sorted({member, star.hidden})):
+                    raise ValidationError(
+                        f"{where}: potential {pos} must be over ({member}, {star.hidden})"
+                    )
+            if star.child in heads:
+                raise ValidationError(f"variable {star.child} is the head of two nodes")
+            heads.add(star.child)
+            arcs += [(p, star.child) for p in star.parents]
+        hidden = {s.hidden for s in self.stars}
+        others = [c.factor.scope for c in self.cpts]
+        others += [d.parents + (d.child,) for d in self.deterministic]
+        others += [s.parents + (s.child,) for s in self.stars]
+        others += [p.scope for i, p in enumerate(self.potentials) if i not in owned]
+        if len(hidden) < len(self.stars) or any(hidden.intersection(s) for s in others):
+            raise ValidationError("a star's hidden variable appears outside its star")
 
         if self.potentials:
             covered = heads | {v for pot in self.potentials for v in pot.scope}
@@ -173,9 +241,39 @@ class Network:
         if seen != len(self.variables):
             raise ValidationError("cycle detected in the directed structure")
 
-    @property
+    @cached_property
     def cards(self) -> tuple[int, ...]:
         return tuple(v.card for v in self.variables)
+
+    @cached_property
+    def parent_map(self) -> dict[int, tuple[int, ...]]:
+        """The parents of each head: CPT, deterministic node or star."""
+        out = {c.child: c.parents for c in self.cpts}
+        out.update((d.child, d.parents) for d in self.deterministic)
+        out.update((s.child, s.parents) for s in self.stars)
+        return out
+
+    @cached_property
+    def tables(self) -> tuple[tuple[int | None, tuple[int, ...], np.ndarray], ...]:
+        """(head, scope, float64 table) for every CPT, every deterministic
+        node (its indicator) and every potential, in that order.
+
+        A star's potentials carry the star's child as head; the other
+        potentials carry None.  The tables are read-only and shared by
+        every query on the network.
+        """
+        out = [(c.child, c.factor.scope, c.factor.values) for c in self.cpts]
+        for d in self.deterministic:
+            ind = deterministic_to_potential(d)
+            out.append((d.child, ind.scope, ind.values))
+        star_of = {pos: s.child for s in self.stars for pos in s.potentials}
+        out += [(star_of.get(i), p.scope, p.values) for i, p in enumerate(self.potentials)]
+        tables = []
+        for head, scope, values in out:
+            values = np.asarray(values, dtype=np.float64)
+            values.flags.writeable = False
+            tables.append((head, scope, values))
+        return tuple(tables)
 
     def variable_by_name(self, name: str) -> Variable:
         for v in self.variables:

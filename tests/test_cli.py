@@ -329,6 +329,29 @@ def test_infer_non_integer_id_is_input_error(tmp_path, capsys):
     assert "variable id must be an integer" in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("case", ["id", "card", "evidence"])
+def test_json_booleans_are_input_errors(tmp_path, capsys, case):
+    # each parsed as 0, 1 or 1 before: variable 0, a one-state parent, a finding
+    if case == "id":
+        doc = with_entry(NET, ("variables", 0, "id"), False)
+        doc["cpts"][0]["child"] = False
+        argv = ["infer", "--net", put(tmp_path, "net.json", doc), "--query", "alarm"]
+        message = "variable id must be an integer, got False"
+    elif case == "card":
+        doc = with_entry(AND2, ("parents", 1, "card"), True)
+        doc["function"]["outputs"] = [0, 1]
+        argv = ["mbh", "--function", put(tmp_path, "fn.json", doc)]
+        message = "parent 1 card must be an integer, got True"
+    else:
+        argv = ["infer", "--net", put(tmp_path, "net.json", NET), "--query", "alarm",
+                "--evidence", put(tmp_path, "ev.json", {"a": [False, True]})]
+        message = "evidence for 'a' must be an integer, got False"
+    assert run_cli(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err and captured.err.count("\n") == 1
+
+
 def test_infer_unknown_query_name_is_input_error(tmp_path, capsys):
     net_path = put(tmp_path, "net.json", NET)
     assert run_cli(["infer", "--net", net_path, "--query", "zz"]) == 2

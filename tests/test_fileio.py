@@ -30,6 +30,7 @@ from factorbn import (
     parse_form,
     parse_function,
     parse_network,
+    trivial_factorization,
     write_base,
     write_evidence,
     write_form,
@@ -282,6 +283,37 @@ def test_non_integer_fields_raise_parse_error(parse, build, field):
         parse(json.dumps(doc))
 
 
+def _bool_id(doc):
+    doc["variables"][0]["id"] = False
+    doc["cpts"][0]["child"] = False
+
+
+def _bool_card(doc):
+    doc["parents"][1]["card"] = True
+    doc["function"]["outputs"] = [0, 1]
+
+
+# JSON booleans are Python ints; each of these parsed at face value
+# (variable 0, a one-state parent, the identity h) before they were refused
+BOOLEAN_CASES = [
+    (parse_network, _network_doc, _bool_id, "variable id"),
+    (parse_function, lambda: json.loads(json.dumps(FUNCTION_DOC)), _bool_card,
+     "parent 1 card"),
+    (parse_form, lambda: dict(FORM), lambda d: d.update(h=[[True, False], [False, True]]),
+     "form h entry"),
+]
+
+
+@pytest.mark.parametrize(
+    "parse, doc, build, field", BOOLEAN_CASES, ids=["id-false", "card-true", "form-h"]
+)
+def test_json_booleans_are_not_integers(parse, doc, build, field):
+    doc = doc()
+    build(doc)
+    with pytest.raises(ParseError, match=f"{field} must be an integer, got (True|False)"):
+        parse(json.dumps(doc))
+
+
 def test_integer_fields_in_other_files_raise_parse_error():
     net = parse_network(NETWORK_DOC)
     with pytest.raises(ParseError, match="evidence for 'a' must be an integer"):
@@ -420,6 +452,33 @@ def test_form_tables_must_hold_integers(key, value, excerpt):
     doc = dict(FORM, **{key: value})
     with pytest.raises(ParseError, match=excerpt):
         parse_form(json.dumps(doc))
+
+
+@pytest.mark.parametrize("n_hidden", [7, 1, "two"])
+def test_form_n_hidden_must_match_the_tables(n_hidden):
+    # FORM's h and g have 2 columns; a wrong count used to be ignored
+    with pytest.raises(ParseError, match="n_hidden"):
+        parse_form(json.dumps(dict(FORM, n_hidden=n_hidden)))
+    g_wide = dict(FORM, n_hidden=2, g=[[[1, 0, 0], [0, 1, 0]]])
+    with pytest.raises(ParseError, match=r"\[2, 3\] columns"):
+        parse_form(json.dumps(g_wide))
+    assert parse_form(json.dumps(dict(FORM, n_hidden=2))).n_hidden == 2
+
+
+def test_written_forms_parse_back_unchanged():
+    add = DeterministicFunction.from_callable(
+        (0, 1), 2, (3, 4), 6, lambda a, b: a + b
+    )
+    for form in (build_factorized_form(add, greedy_cover_base(add)),
+                 trivial_factorization(add)):
+        text = write_form(form)
+        back = parse_form(text)
+        assert json.loads(text)["n_hidden"] == back.n_hidden == form.n_hidden
+        assert back.parent_cards == form.parent_cards
+        assert back.child_card == form.child_card
+        assert np.array_equal(back.h, form.h)
+        assert all(np.array_equal(x, y) for x, y in zip(back.g, form.g))
+        assert write_form(back) == text
 
 
 def test_writers_are_canonical():

@@ -12,6 +12,7 @@ Core claims:
 """
 
 import random
+from dataclasses import replace
 from itertools import product as iproduct
 
 import numpy as np
@@ -465,3 +466,115 @@ def test_many_tables_on_one_variable():
     assert np.allclose(got.values, [1 / (1 + odds), odds / (1 + odds)], rtol=1e-9)
     with_order = variable_elimination(net, ev, [0], order=range(1, n))
     assert np.allclose(with_order.values, got.values, rtol=1e-12)
+
+
+# -- stars: factorized nodes pruned like the families they replace -----------
+
+
+@pytest.mark.parametrize("offset", [0, 1000])
+def test_stars_match_brute_force_on_the_transformed_network(offset):
+    """Queries and multi-state findings on hidden variables and star
+    children, against enumeration of the transformed network itself."""
+    answered = hidden_seen = 0
+    for seed in range(offset, offset + 150):
+        rng = random.Random(seed)
+        t = transform_network(random_mixed_network(rng), "factorize")
+        if not t.stars or np.prod(t.cards) > 2000:
+            continue
+        ev = random_evidence(t, rng)
+        star_vars = [v for s in t.stars for v in (s.child, s.hidden)]
+        query = sorted({rng.choice(star_vars), rng.randrange(len(t.variables))})
+        hidden_seen += any(s.hidden in ev.findings or s.hidden in query for s in t.stars)
+        try:
+            want = brute_posterior(t, ev, query)
+        except ZeroNormalizerError:
+            with pytest.raises(ZeroNormalizerError):
+                variable_elimination(t, ev, query)
+            continue
+        got = variable_elimination(t, ev, query)
+        assert got.scope == tuple(query)
+        assert np.abs(got.values - want).max() < 1e-9, seed
+        answered += 1
+    assert answered > 40 and hidden_seen > 20
+
+
+def two_task_network():
+    """Skills s0, s1, s2; task i is the AND of two skills (perf_i, a
+    deterministic node) and answer_i a noisy reading of it."""
+    cards = {i: 2 for i in range(7)}
+    names = ["s0", "s1", "s2", "perf1", "answer1", "perf2", "answer2"]
+    variables = tuple(binary(i, n) for i, n in enumerate(names))
+    both = DeterministicFunction.from_callable
+    dets = (both((0, 1), 3, (2, 2), 2, lambda a, b: a & b),
+            both((1, 2), 5, (2, 2), 2, lambda a, b: a & b))
+    cpts = (
+        cpt(0, (), cards, [0.3, 0.7]),
+        cpt(1, (), cards, [0.6, 0.4]),
+        cpt(2, (), cards, [0.5, 0.5]),
+        cpt(4, (3,), cards, [[0.9, 0.1], [0.2, 0.8]]),
+        cpt(6, (5,), cards, [[0.8, 0.2], [0.3, 0.7]]),
+    )
+    return Network(variables, cpts, dets)
+
+
+def test_unanswered_tasks_star_is_not_contracted(monkeypatch):
+    from factorbn import inference, parse_network, write_network
+
+    net = two_task_network()
+    t = transform_network(net, "factorize")
+    b1, b2 = (s.hidden for s in t.stars)
+    assert [s.child for s in t.stars] == [3, 5]
+    contracted: set[int] = set()
+    contract = inference._contract
+
+    def recording(tables, out):
+        contracted.update(v for scope, _ in tables for v in scope)
+        return contract(tables, out)
+
+    monkeypatch.setattr(inference, "_contract", recording)
+
+    def seen(network, findings, query):
+        contracted.clear()
+        got = variable_elimination(network, Evidence(findings), query)
+        if max([*findings, *query]) < len(net.variables):
+            want = variable_elimination(net, Evidence(findings), query)
+            assert np.abs(got.values - want.values).max() < 1e-12
+        return contracted & {b1, b2}
+
+    answer1 = {4: (0, 1)}
+    assert seen(t, answer1, [0]) == {b1}  # task 2 unanswered
+    assert seen(t, {4: (0, 1), 6: (1, 0)}, [0]) == {b1, b2}
+    assert seen(t, answer1, [5]) == {b1, b2}  # perf2 queried
+    assert seen(t, {**answer1, 5: (0, 1)}, [0]) == {b1, b2}  # perf2 observed
+    assert seen(t, answer1, [b2]) == {b1, b2}  # its hidden variable queried
+    assert seen(t, {**answer1, b2: (1, 1)}, [0]) == {b1, b2}
+    assert seen(t, {}, [1]) == set()
+    # a parsed copy has no stars, so every potential stays
+    parsed = parse_network(write_network(t))
+    assert parsed == t and not parsed.stars
+    assert seen(parsed, answer1, [0]) == {b1, b2}
+
+
+def test_malformed_stars_are_rejected():
+    t = transform_network(two_task_network(), "factorize")
+    first, second = t.stars
+
+    def build(stars, cpts=t.cpts, potentials=t.potentials):
+        return Network(t.variables, cpts, t.deterministic, potentials, stars)
+
+    assert build((first, second)) == t
+    bad = [
+        ((replace(first, potentials=(0, 1, 9)), second), {}, "unknown potential 9"),
+        ((first, replace(second, potentials=first.potentials)), {}, "claimed twice"),
+        ((replace(first, potentials=(0, 0, 2)), second), {}, "claimed twice"),
+        ((replace(first, potentials=(1, 0, 2)), second), {}, "must be over"),
+        ((first, second), {"cpts": t.cpts + (cpt(3, (), {3: 2}, [0.5, 0.5]),)},
+         "head of two nodes"),
+        ((first, second), {"potentials": t.potentials + (
+            Factor((second.hidden,), (t.cards[second.hidden],), [1.0, 1.0]),)},
+         "outside its star"),
+        ((first, replace(second, hidden=first.hidden)), {}, "must be over"),
+    ]
+    for stars, kwargs, message in bad:
+        with pytest.raises(ValidationError, match=message):
+            build(stars, **kwargs)
