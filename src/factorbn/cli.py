@@ -53,7 +53,10 @@ def _read(path: str) -> str:
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        Path(out).write_text(text)
+        try:
+            Path(out).write_text(text)
+        except OSError as e:
+            raise ValidationError(f"cannot write {out}: {e}") from e
     else:
         sys.stdout.write(text)
 
@@ -146,7 +149,7 @@ def _cmd_cliques(args) -> int:
         "clique: " + ",".join(name(v) for v in clique) + f" states={states}"
         for clique, states in zip(report.cliques, sizes)
     ]
-    lines.append(f"max_clique_states: {max(sizes)}")
+    lines.append(f"max_clique_states: {report.max_clique_size}")
     lines.append(f"total_clique_size: {report.total}")
     lines.append(
         "elimination_order: " + ",".join(name(v) for v in report.elimination_order)

@@ -5,17 +5,21 @@ triangulated interaction graph: the sum over maximal cliques of the
 product of member cardinalities.  Factors contribute their whole scope
 as a clique (for CPTs and deterministic nodes this is the family, i.e.
 moralization; transformation potentials contribute their own scopes).
-Variable elimination plans its order on the same graph, built by the
-same :func:`scope_graph`.
+Both this accounting and variable elimination order their eliminations
+with :func:`min_fill`, which works on one neighbour bitmask per vertex:
+elimination builds the masks straight from its reduced tables' scopes,
+and :func:`min_fill_order` feeds it the sets of :func:`scope_graph`.
 """
 
 from __future__ import annotations
 
-import heapq
+import sys
 from dataclasses import dataclass
 from typing import Iterable
 
 from .network import Network
+
+_GONE = sys.maxsize  # the score of an eliminated or absent vertex
 
 
 @dataclass(frozen=True)
@@ -42,7 +46,8 @@ class CliqueReport:
 
     @property
     def max_clique_size(self) -> int:
-        return max(self.clique_sizes())
+        """The largest clique size; 0 for a network without variables."""
+        return max(self.clique_sizes(), default=0)
 
 
 def factor_scopes(net: Network) -> list[tuple[int, ...]]:
@@ -84,80 +89,109 @@ def _members(mask: int) -> list[int]:
     return out
 
 
-def _fill(nb: list[int], u: int, clique: int = 0) -> int:
-    """Number of missing edges among the neighbours of bit u, given
-    that the neighbours in the bitmask ``clique`` are pairwise adjacent.
+def min_fill(nb: dict[int, int]) -> tuple[list[int], list[int]]:
+    """Eliminate the vertex adding the fewest fill edges, lowest id on
+    ties, until no vertex is left.
 
-    Only pairs with an end outside the clique can be missing.  Each is
-    counted once, at its lowest outside end o, against the clique and
-    the outside neighbours above o.
+    ``nb`` maps each vertex to the bitmask of its neighbours (bit u for
+    vertex u; no vertex is its own neighbour).  Vertices index a list,
+    so their ids should be small: variable elimination passes variable
+    ids, :func:`min_fill_order` compacts any ids first.  Returns the
+    order and the elimination clique of each step as a bitmask.
+
+    Fill scores sit in a list indexed by vertex (absent and eliminated
+    ids score ``_GONE``); each step takes the first minimum.  Eliminating
+    v makes its neighbours K a clique by adding f fill edges, and the
+    scores are updated rather than recomputed:
+
+    - a vertex outside K loses one for each fill edge with both ends
+      among its neighbours;
+    - a member a of K loses v, keeps its other neighbours O and gains
+      the members F_a it missed.  It drops the |O| missing pairs of v
+      with O, and the fill edges among its old neighbours in K: the f
+      fill edges less the Σ_{x in F_a} |F_x| - e(F_a) that touch a or
+      F_a, where e(F_a) counts those inside F_a.  It gains the missing
+      pairs between F_a and O.
+
+    So a member is rescored from its own fill edges, never by
+    rescanning its neighbourhood, and one without fill edges just drops
+    |O| + f.  The cost stays small on cliques of hundreds of members.
     """
-    inside = nb[u] & clique
-    rest = nb[u] & ~clique
-    missing = 0
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        missing += ((inside | rest) & ~nb[low.bit_length() - 1]).bit_count()
-    return missing
+    adj = [0] * (max(nb, default=-1) + 1)
+    fill = [_GONE] * len(adj)
+    for v, mask in nb.items():
+        adj[v] = mask
+    for v, mask in nb.items():
+        missing = 0  # each missing pair counted at its lower end
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            missing += (mask & ~adj[low.bit_length() - 1]).bit_count()
+        fill[v] = missing
+    order: list[int] = []
+    cliques: list[int] = []
+    for _ in nb:
+        f = min(fill)
+        v = fill.index(f)
+        fill[v] = _GONE
+        clique = adj[v]
+        gone = 1 << v
+        order.append(v)
+        cliques.append(clique | gone)
+        new: dict[int, int] = {}  # F_a of each member with a fill edge
+        rest = clique
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            a = low.bit_length() - 1
+            na = adj[a] = adj[a] ^ gone
+            if missed := clique & ~na ^ low:
+                new[a] = missed
+        rest = clique
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            a = low.bit_length() - 1
+            na = adj[a]
+            out = na & ~clique
+            missed = new.get(a)
+            if missed is None:
+                fill[a] -= out.bit_count() + f
+                continue
+            delta = -out.bit_count() - f
+            inside = 0  # twice the fill edges inside F_a
+            m = missed
+            while m:
+                low_x = m & -m
+                m ^= low_x
+                x = low_x.bit_length() - 1
+                fx = new[x]
+                delta += fx.bit_count() + (out & ~adj[x]).bit_count()
+                inside += (fx & missed).bit_count()
+                if x > a:  # the fill edge (a, x), once
+                    common = na & adj[x] & ~clique
+                    while common:
+                        low_w = common & -common
+                        common ^= low_w
+                        fill[low_w.bit_length() - 1] -= 1
+            fill[a] += delta - inside // 2
+            adj[a] = na | missed
+    return order, cliques
 
 
 def min_fill_order(adj: dict[int, set[int]]) -> tuple[tuple[int, ...], list[set[int]]]:
-    """Eliminate the vertex adding the fewest fill edges, lowest id on
-    ties.  Returns the order and the elimination clique of each step.
-
-    Vertices become bit positions in ascending id order and adjacency
-    one int bitmask per vertex.  Fill scores are kept per vertex.
-    Eliminating v makes its neighbours a clique; they are rescored,
-    checking only the pairs that reach outside that clique.  Every
-    other vertex adjacent to both ends of a new fill edge loses one
-    missing pair.  If v adds no fill edge, each neighbour just loses
-    its missing pairs with v.  A heap of (score, bit) entries, stale
-    ones skipped on pop, yields the same choice as a full rescan.
-    """
+    """:func:`min_fill` on a graph given as sets of neighbours, over any
+    ids: they become bit positions in ascending order, so ties still go
+    to the lowest id.  Returns the order and each step's clique."""
     ids = sorted(adj)
     bit = {v: i for i, v in enumerate(ids)}
-    nb = [sum(1 << bit[u] for u in adj[v]) for v in ids]
-    fill = [_fill(nb, i) for i in range(len(ids))]
-    heap = list(zip(fill, range(len(ids))))
-    heapq.heapify(heap)
-    order: list[int] = []
-    cliques: list[set[int]] = []
-    while heap:
-        f, v = heapq.heappop(heap)
-        if fill[v] != f:
-            continue
-        fill[v] = -1  # eliminated: no entry matches
-        nbrs = nb[v]
-        members = _members(nbrs)
-        order.append(ids[v])
-        cliques.append({ids[v], *map(ids.__getitem__, members)})
-        for a in members:
-            nb[a] ^= 1 << v
-        if f == 0:
-            for a in members:
-                lost = (nb[a] & ~nbrs).bit_count()
-                if lost:
-                    fill[a] -= lost
-                    heapq.heappush(heap, (fill[a], a))
-            continue
-        changed = 0
-        above = nbrs
-        for a in members:
-            above ^= 1 << a
-            for b in _members(above & ~nb[a]):
-                common = nb[a] & nb[b] & ~nbrs
-                changed |= common
-                for w in _members(common):
-                    fill[w] -= 1
-        for a in members:
-            nb[a] = (nb[a] | nbrs) ^ (1 << a)
-        for a in members:
-            fill[a] = _fill(nb, a, nbrs)
-            heapq.heappush(heap, (fill[a], a))
-        for w in _members(changed):
-            heapq.heappush(heap, (fill[w], w))
-    return tuple(order), cliques
+    order, cliques = min_fill(
+        {i: sum(1 << bit[u] for u in adj[v]) for i, v in enumerate(ids)}
+    )
+    return (
+        tuple(ids[i] for i in order),
+        [set(map(ids.__getitem__, _members(c))) for c in cliques],
+    )
 
 
 def moralize_and_triangulate(net: Network) -> CliqueReport:

@@ -12,7 +12,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .core import Evidence, Factor, Variable
-from .cliques import min_fill_order, scope_graph
+from .cliques import min_fill
 from .errors import InternalConsistencyError, ValidationError, ZeroNormalizerError
 from .factorization import (
     FactorizedForm,
@@ -174,12 +174,19 @@ def variable_elimination(
     heads = _relevant_heads(net, queryset | set(evidence.findings))
     tables = [_slice(t, picks) for t in network_factors(net, heads)] + masks
 
-    present = {v for scope, _ in tables for v in scope}
     if order is None:
-        order, _ = min_fill_order(
-            scope_graph((scope for scope, _ in tables), present - queryset)
-        )
+        # The reduced graph as one neighbour mask per variable id: each
+        # table's scope, query variables left out, becomes a clique.
+        free = ~sum(1 << q for q in query)
+        nb: dict[int, int] = {}
+        for scope, _ in tables:
+            mask = sum(1 << v for v in scope) & free
+            for v in scope:
+                if mask >> v & 1:
+                    nb[v] = nb.get(v, 0) | mask
+        order, _ = min_fill({v: mask ^ 1 << v for v, mask in nb.items()})
     else:
+        present = {v for scope, _ in tables for v in scope}
         order = [v for v in order if v in present]
 
     # Bucket elimination: each table waits in the bucket of its first

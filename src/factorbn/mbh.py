@@ -38,7 +38,7 @@ import time
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from itertools import combinations, product as iproduct
-from math import gcd
+from math import gcd, inf
 from typing import Iterable, Sequence
 
 from .errors import BudgetExceededError, InternalConsistencyError, ValidationError
@@ -68,8 +68,8 @@ class SearchBudget:
         for name in ("max_rectangles", "max_base", "max_closure"):
             if getattr(self, name) < 1:
                 raise ValidationError(f"{name} must be positive")
-        if self.wall_clock is not None and self.wall_clock <= 0:
-            raise ValidationError("wall_clock must be positive when set")
+        if self.wall_clock is not None and not 0 < self.wall_clock < inf:
+            raise ValidationError("wall_clock must be positive and finite when set")
 
 
 @dataclass(frozen=True)

@@ -175,6 +175,17 @@ def test_broken_json_is_input_error(tmp_path, capsys):
     assert run_cli(["factorize", "--function", str(p), "--trivial"]) == 2
 
 
+@pytest.mark.parametrize("where", ["missing directory", "directory"])
+def test_unwritable_out_is_input_error(tmp_path, capsys, where):
+    net_path = put(tmp_path, "net.json", NET)
+    out = tmp_path / "nope" / "x.txt" if where == "missing directory" else tmp_path
+    assert run_cli(["cliques", "--net", net_path, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith(f"error: cannot write {out}:")
+
+
 # -- mbh -----------------------------------------------------------------------
 
 
@@ -225,6 +236,17 @@ def test_mbh_deeply_negated_formula_is_input_error(tmp_path, capsys):
     assert run_cli(["mbh", "--function", fn]) == 2
     err = capsys.readouterr().err
     assert "nests deeper than" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("limit", ["nan", "inf", "0", "-1"])
+def test_mbh_time_limit_must_be_positive_and_finite(tmp_path, capsys, limit):
+    fn = put(tmp_path, "fn.json", ADD33)
+    assert run_cli(["mbh", "--function", fn, "--time-limit", limit]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: wall_clock must be positive and finite when set"
+    ]
 
 
 def test_mbh_output_is_byte_identical_across_runs(tmp_path, capsys):
@@ -435,6 +457,18 @@ def test_cliques_transform_changes_the_graph(tmp_path, capsys):
         line = [l for l in out.splitlines() if l.startswith("total_clique_size")][0]
         totals[transform] = int(line.split()[-1])
     assert totals["factorize"] != totals["none"]
+
+
+@pytest.mark.parametrize("transform", ["none", "factorize", "divorce"])
+def test_cliques_of_an_empty_network_are_zero(tmp_path, capsys, transform):
+    empty = {"variables": [], "cpts": [], "deterministic": [], "potentials": []}
+    net_path = put(tmp_path, "net.json", empty)
+    assert run_cli(["cliques", "--net", net_path, "--transform", transform]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == (
+        "max_clique_states: 0\ntotal_clique_size: 0\nelimination_order: \n"
+    )
+    assert captured.err == ""
 
 
 # -- bench cat -----------------------------------------------------------------

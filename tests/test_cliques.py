@@ -6,17 +6,23 @@ Core claims:
       32-state clique; the pairwise rewrite caps cliques at 4 states
       and strictly shrinks the total
     - reported cliques form an antichain (no clique inside another)
-    - min-fill breaks ties toward the lowest variable id, and the
-      bitset scoring picks exactly what a full rescan and the earlier
-      set-based incremental scoring pick, with any ids and clique sizes
+    - min-fill breaks ties toward the lowest variable id, and the mask
+      core (``min_fill``) and its set adapter (``min_fill_order``) pick
+      exactly what a full rescan and the earlier set-based incremental
+      scoring pick: on random graphs with any ids and clique sizes, and
+      on the reduced graphs variable elimination plans on for CAT
+      queries
+    - a network without variables has no cliques and sizes 0
     - repeated runs return identical reports
 """
 
+import functools
 import heapq
 import random
 from itertools import combinations
 
 import numpy as np
+import pytest
 
 from factorbn import (
     Cpt,
@@ -24,9 +30,17 @@ from factorbn import (
     Factor,
     Network,
     Variable,
+    inference,
     moralize_and_triangulate,
 )
-from factorbn.cliques import interaction_graph, min_fill_order, scope_graph
+from factorbn.benchcat import (
+    StudentModelSpec,
+    canonical_tasks,
+    connect_tasks,
+    generate_student_model,
+)
+from factorbn.cliques import interaction_graph, min_fill, min_fill_order, scope_graph
+from factorbn.core import Evidence
 from factorbn.inference import transform_network
 
 
@@ -172,10 +186,76 @@ def random_graph(rng):
     return adj
 
 
+def graph_of(masks):
+    """The sets of neighbours of a graph given as masks."""
+    return {v: {u for u in masks if mask >> u & 1} for v, mask in masks.items()}
+
+
+def core_min_fill(adj):
+    """``min_fill`` run on the masks of ``adj`` itself, ids as bit
+    positions, with its result in the oracles' form."""
+    masks = {v: sum(1 << u for u in nbrs) for v, nbrs in adj.items()}
+    order, cliques = min_fill(masks)
+    return tuple(order), [{v for v in adj if c >> v & 1} for c in cliques]
+
+
+def small_ids(adj, rng):
+    """``adj`` relabeled onto sparse ids below 4n, in the same order, so
+    that the mask core can take ids up to 2**40 as bit positions."""
+    ids = sorted(rng.sample(range(4 * len(adj) + 1), len(adj)))
+    new = dict(zip(sorted(adj), ids))
+    return {new[v]: {new[u] for u in nbrs} for v, nbrs in adj.items()}
+
+
 def test_incremental_min_fill_matches_full_rescan():
     for seed in range(400):
         adj = random_graph(random.Random(seed))
-        assert min_fill_order(adj) == full_rescan_min_fill(adj), seed
+        expected = full_rescan_min_fill(adj)
+        assert min_fill_order(adj) == expected, seed
+        assert core_min_fill(adj) == expected, seed
+
+
+@functools.cache
+def query_graphs():
+    """The masks ``variable_elimination`` plans on in CAT sessions on
+    40-node, 8-task student models (seeds 1 to 3), under ``none`` and
+    ``factorize``: the answers arrive one at a time, and after each
+    (and before the first) two skills are asked for."""
+    graphs = []
+
+    def recording(nb):
+        graphs.append(nb)
+        return min_fill(nb)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(inference, "min_fill", recording)
+        for seed in (1, 2, 3):
+            spec = StudentModelSpec(seed=seed, node_count=40)
+            net = connect_tasks(
+                generate_student_model(spec), canonical_tasks(spec, 8, seed)
+            )
+            rng = random.Random(seed)
+            answers = [v.id for v in net.variables if v.name.endswith("_answer")]
+            rng.shuffle(answers)
+            nets = [transform_network(net, m) for m in ("none", "factorize")]
+            found = {}
+            for step in range(len(answers) + 1):
+                if step:
+                    found[answers[step - 1]] = rng.choice([(0, 1), (1, 0)])
+                for skill in rng.sample(spec.skill_ids, 2):
+                    for t in nets:
+                        inference.variable_elimination(t, Evidence(dict(found)), [skill])
+    return graphs
+
+
+def test_query_graphs_match_full_rescan():
+    assert len(query_graphs()) == 3 * 9 * 2 * 2
+    assert max(map(len, query_graphs())) >= 40
+    for i, masks in enumerate(query_graphs()):
+        adj = graph_of(masks)
+        expected = full_rescan_min_fill(adj)
+        assert core_min_fill(adj) == expected, i
+        assert min_fill_order(adj) == expected, i
 
 
 def _set_fill(adj, v, clique=frozenset()):
@@ -260,14 +340,31 @@ def test_bitset_min_fill_matches_set_based_min_fill():
         adj = clique_graph(rng) if seed % 3 else random_graph(rng)
         expected = set_based_min_fill(adj)
         assert min_fill_order(adj) == expected, seed
+        small = small_ids(adj, rng)
+        assert core_min_fill(small) == set_based_min_fill(small), seed
         largest = max(largest, max(map(len, expected[1]), default=0))
     assert largest >= 30
+    for i, masks in enumerate(query_graphs()):
+        adj = graph_of(masks)
+        assert core_min_fill(adj) == set_based_min_fill(adj), i
 
 
 def test_min_fill_leaves_its_input_alone():
     adj = {0: {1, 2}, 1: {0}, 2: {0}}
     min_fill_order(adj)
     assert adj == {0: {1, 2}, 1: {0}, 2: {0}}
+    masks = {0: 0b110, 1: 0b1, 2: 0b1}
+    assert min_fill(masks) == ([1, 0, 2], [0b11, 0b101, 0b100])
+    assert masks == {0: 0b110, 1: 0b1, 2: 0b1}
+
+
+def test_empty_network_has_no_cliques():
+    report = moralize_and_triangulate(Network((), ()))
+    assert report.cliques == ()
+    assert report.elimination_order == ()
+    assert report.total == 0
+    assert report.max_clique_size == 0
+    assert min_fill({}) == ([], [])
 
 
 def test_scope_graph_keeps_only_the_given_vertices():

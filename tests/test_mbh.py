@@ -38,6 +38,7 @@ from factorbn import (
     solve_mbh,
     verify_factorization,
 )
+from factorbn.errors import ValidationError
 from factorbn.mbh import _echelon, _in_span
 
 
@@ -304,6 +305,18 @@ def test_constant_function_single_rectangle():
 
 
 # -- budgets and degradation -------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "cap, value",
+    [("max_rectangles", 0), ("max_base", -1), ("max_closure", 0),
+     ("wall_clock", 0.0), ("wall_clock", -1.0), ("wall_clock", float("nan")),
+     ("wall_clock", float("inf")), ("wall_clock", float("-inf"))],
+)
+def test_budget_rejects_caps_it_cannot_enforce(cap, value):
+    # a NaN deadline would never fire: every comparison with it is false
+    with pytest.raises(ValidationError, match=cap):
+        SearchBudget(**{cap: value})
 
 
 def test_rectangle_cap_propagates_with_best_effort_answer():
