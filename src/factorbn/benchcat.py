@@ -140,66 +140,27 @@ def canonical_tasks(spec: StudentModelSpec, count: int, seed: int) -> list[TaskS
     return tasks
 
 
-@dataclass(frozen=True)
-class TaskFragment:
-    """The two nodes a task contributes, ready to splice onto a model:
-    a latent performance node (a conjunction of skill literals) and the
-    noisy observed answer hanging off it.  Ids are assigned at
-    connection time."""
-
-    task: TaskSpec
-    perf_name: str
-    answer_name: str
-    outputs: tuple[int, ...]
-
-    @property
-    def parent_ids(self) -> tuple[int, ...]:
-        return self.task.parent_ids
-
-    def answer_table(self) -> np.ndarray:
-        t = self.task
-        return np.array([[1.0 - t.guess, t.guess], [t.slip, 1.0 - t.slip]])
-
-
-def generate_task_model(
-    task: TaskSpec, student: Network, label: str = "task"
-) -> TaskFragment:
-    """Turn a task into the network fragment that :func:`connect_tasks`
-    splices in, after validating it against the student model."""
-    n = len(student.variables)
-    for v in task.parent_ids:
-        if not 0 <= v < n:
-            raise ValidationError(f"task references unknown variable id {v}")
-        if student.variables[v].card != 2:
-            raise ValidationError(f"task parent {v} must be binary")
-    outputs = tuple(
-        1 if cfg == task.required_states else 0
-        for cfg in np.ndindex(*(2,) * len(task.parent_ids))
-    )
-    return TaskFragment(task, f"{label}_perf", f"{label}_answer", outputs)
-
-
 def connect_tasks(student: Network, tasks: list[TaskSpec]) -> Network:
-    """Attach each task's latent performance node and its noisy answer
-    node to the student model."""
+    """Attach to the student model, for task j (from 1), a latent
+    performance node ``task<j>_perf`` (the conjunction of the task's
+    parent literals) and the noisy observed answer ``task<j>_answer``
+    hanging off it.  The network's validation rejects a task parent
+    that is unknown or not binary."""
     variables = list(student.variables)
     dets = list(student.deterministic)
     cpts = list(student.cpts)
-    for j, task in enumerate(tasks):
-        frag = generate_task_model(task, student, label=f"task{j + 1}")
+    for j, task in enumerate(tasks, 1):
+        parents = task.parent_ids
+        outputs = tuple(
+            int(cfg == task.required_states) for cfg in np.ndindex((2,) * len(parents))
+        )
         y_id = len(variables)
-        variables.append(Variable(y_id, frag.perf_name, ("no", "yes")))
-        parents = frag.parent_ids
-        dets.append(
-            DeterministicFunction(
-                parents, y_id, (2,) * len(parents), 2, frag.outputs
-            )
-        )
+        variables.append(Variable(y_id, f"task{j}_perf", ("no", "yes")))
+        dets.append(DeterministicFunction(parents, y_id, (2,) * len(parents), 2, outputs))
         t_id = len(variables)
-        variables.append(Variable(t_id, frag.answer_name, ("wrong", "right")))
-        cpts.append(
-            Cpt(t_id, (y_id,), Factor((y_id, t_id), (2, 2), frag.answer_table()))
-        )
+        variables.append(Variable(t_id, f"task{j}_answer", ("wrong", "right")))
+        answer = [[1.0 - task.guess, task.guess], [task.slip, 1.0 - task.slip]]
+        cpts.append(Cpt(t_id, (y_id,), Factor((y_id, t_id), (2, 2), np.array(answer))))
     return Network(tuple(variables), tuple(cpts), tuple(dets), student.potentials)
 
 
@@ -235,13 +196,6 @@ class BenchmarkReport:
             self.row(numerator, r).avg_total_clique_size
             / self.row(denominator, r).avg_total_clique_size
         )
-
-    def ratio_table(
-        self, numerator: str = "none", denominator: str = "factorize"
-    ) -> dict[int, float]:
-        """Average-total ratio per r, over every r the report covers."""
-        rs = sorted({row.r for row in self.rows})
-        return {r: self.ratio(r, numerator, denominator) for r in rs}
 
 
 def run_clique_benchmark(

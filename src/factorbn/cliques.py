@@ -5,10 +5,11 @@ triangulated interaction graph: the sum over maximal cliques of the
 product of member cardinalities.  Factors contribute their whole scope
 as a clique (for CPTs and deterministic nodes this is the family, i.e.
 moralization; transformation potentials contribute their own scopes).
-Both this accounting and variable elimination order their eliminations
-with :func:`min_fill`, which works on one neighbour bitmask per vertex:
-elimination builds the masks straight from its reduced tables' scopes,
-and :func:`min_fill_order` feeds it the sets of :func:`scope_graph`.
+Both this accounting and variable elimination plan on the same graph:
+:func:`moral_graph` turns scopes into one neighbour bitmask per
+variable id, and :func:`min_fill` orders the eliminations on it.  The
+accounting passes every factor scope of the network; elimination passes
+its reduced tables' scopes and leaves the query variables out.
 """
 
 from __future__ import annotations
@@ -58,25 +59,19 @@ def factor_scopes(net: Network) -> list[tuple[int, ...]]:
     return scopes
 
 
-def scope_graph(
-    scopes: Iterable[Iterable[int]], vertices: Iterable[int]
-) -> dict[int, set[int]]:
-    """Adjacency over ``vertices``: the members of each scope that are
-    vertices become a clique; other scope members are ignored."""
-    adj: dict[int, set[int]] = {v: set() for v in vertices}
+def moral_graph(scopes: Iterable[Iterable[int]], skip: int = 0) -> dict[int, int]:
+    """The graph in which each scope becomes a clique, as the bitmask of
+    each vertex's neighbours (bit u for vertex u).  Variables whose bit
+    is set in ``skip`` are left out; a scope member with no other member
+    still becomes a vertex, with mask 0."""
+    free = ~skip
+    nb: dict[int, int] = {}
     for scope in scopes:
-        members = [v for v in scope if v in adj]
-        if len(members) > 1:
-            for v in members:
-                adj[v].update(members)
-    for v, nbrs in adj.items():
-        nbrs.discard(v)
-    return adj
-
-
-def interaction_graph(net: Network) -> dict[int, set[int]]:
-    """Adjacency over variable ids: each factor scope becomes a clique."""
-    return scope_graph(factor_scopes(net), range(len(net.variables)))
+        mask = sum(1 << v for v in scope) & free
+        for v in scope:
+            if mask >> v & 1:
+                nb[v] = nb.get(v, 0) | mask
+    return {v: mask ^ 1 << v for v, mask in nb.items()}
 
 
 def _members(mask: int) -> list[int]:
@@ -95,9 +90,9 @@ def min_fill(nb: dict[int, int]) -> tuple[list[int], list[int]]:
 
     ``nb`` maps each vertex to the bitmask of its neighbours (bit u for
     vertex u; no vertex is its own neighbour).  Vertices index a list,
-    so their ids should be small: variable elimination passes variable
-    ids, :func:`min_fill_order` compacts any ids first.  Returns the
-    order and the elimination clique of each step as a bitmask.
+    so their ids should be small, as the variable ids of a
+    :class:`Network` are.  Returns the order and the elimination clique
+    of each step as a bitmask.
 
     Fill scores sit in a list indexed by vertex (absent and eliminated
     ids score ``_GONE``); each step takes the first minimum.  Eliminating
@@ -179,33 +174,18 @@ def min_fill(nb: dict[int, int]) -> tuple[list[int], list[int]]:
     return order, cliques
 
 
-def min_fill_order(adj: dict[int, set[int]]) -> tuple[tuple[int, ...], list[set[int]]]:
-    """:func:`min_fill` on a graph given as sets of neighbours, over any
-    ids: they become bit positions in ascending order, so ties still go
-    to the lowest id.  Returns the order and each step's clique."""
-    ids = sorted(adj)
-    bit = {v: i for i, v in enumerate(ids)}
-    order, cliques = min_fill(
-        {i: sum(1 << bit[u] for u in adj[v]) for i, v in enumerate(ids)}
-    )
-    return (
-        tuple(ids[i] for i in order),
-        [set(map(ids.__getitem__, _members(c))) for c in cliques],
-    )
-
-
 def moralize_and_triangulate(net: Network) -> CliqueReport:
     """Triangulate the interaction graph and report the maximal cliques.
 
     Elimination cliques that are subsets of another are dropped, so the
     total counts each maximal clique once.
     """
-    order, raw = min_fill_order(interaction_graph(net))
+    order, raw = min_fill(moral_graph(factor_scopes(net)))
     maximal: list[set[int]] = []
-    for c in raw:
+    for c in map(set, map(_members, raw)):
         if any(c <= other for other in maximal):
             continue
         maximal = [m for m in maximal if not m <= c]
         maximal.append(c)
     cliques = tuple(sorted(tuple(sorted(c)) for c in maximal))
-    return CliqueReport(order, cliques, net.cards)
+    return CliqueReport(tuple(order), cliques, net.cards)

@@ -12,7 +12,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .core import Evidence, Factor, Variable
-from .cliques import min_fill
+from .cliques import min_fill, moral_graph
 from .errors import InternalConsistencyError, ValidationError, ZeroNormalizerError
 from .factorization import (
     FactorizedForm,
@@ -122,7 +122,6 @@ def variable_elimination(
     net: Network,
     evidence: Evidence | None = None,
     query: Iterable[int] = (),
-    order: Sequence[int] | None = None,
 ) -> Factor:
     """The normalized posterior over the query variables given evidence.
 
@@ -134,12 +133,13 @@ def variable_elimination(
     An observed non-query variable is indexed out of every table that
     holds it; an observed query variable is masked instead, so that its
     axis stays.  The remaining variables are summed out in min-fill
-    order on the reduced graph (lowest id on ties) unless an explicit
-    elimination ``order`` over all non-query variables is supplied; the
-    result is the same for any order, only the cost differs.  Each step
-    multiplies the tables holding the variable and sums it out in one
-    einsum.  Raises ZeroNormalizerError when the evidence has zero mass
-    and InternalConsistencyError if the unnormalized result dips below
+    order (lowest id on ties) on the reduced graph: the
+    :func:`~factorbn.cliques.moral_graph` of the sliced tables' scopes
+    with the query variables left out, built as clique accounting
+    builds the graph of the whole network.  Each step multiplies the
+    tables holding the variable and sums it out in one einsum.  Raises
+    ZeroNormalizerError when the evidence has zero mass and
+    InternalConsistencyError if the unnormalized result dips below
     -1e-9 anywhere (values above that are clamped to 0) or does not have
     a finite sum, as when finite potentials overflow.
     """
@@ -152,13 +152,6 @@ def variable_elimination(
     if not query:
         raise ValidationError("query must name at least one variable")
     queryset = set(query)
-    if order is not None:
-        order = list(order)
-        expected = set(range(len(net.variables))) - queryset
-        if set(order) != expected or len(order) != len(expected):
-            raise ValidationError(
-                "elimination order must cover each non-query variable exactly once"
-            )
 
     picks: dict[int, int | np.ndarray] = {}
     masks: list[Table] = []
@@ -174,20 +167,8 @@ def variable_elimination(
     heads = _relevant_heads(net, queryset | set(evidence.findings))
     tables = [_slice(t, picks) for t in network_factors(net, heads)] + masks
 
-    if order is None:
-        # The reduced graph as one neighbour mask per variable id: each
-        # table's scope, query variables left out, becomes a clique.
-        free = ~sum(1 << q for q in query)
-        nb: dict[int, int] = {}
-        for scope, _ in tables:
-            mask = sum(1 << v for v in scope) & free
-            for v in scope:
-                if mask >> v & 1:
-                    nb[v] = nb.get(v, 0) | mask
-        order, _ = min_fill({v: mask ^ 1 << v for v, mask in nb.items()})
-    else:
-        present = {v for scope, _ in tables for v in scope}
-        order = [v for v in order if v in present]
+    scopes = [scope for scope, _ in tables]
+    order, _ = min_fill(moral_graph(scopes, sum(1 << q for q in query)))
 
     # Bucket elimination: each table waits in the bucket of its first
     # variable in the order, so a bucket holds every table that touches

@@ -28,7 +28,6 @@ from factorbn.benchcat import (
     canonical_tasks,
     connect_tasks,
     generate_student_model,
-    generate_task_model,
     report_to_csv,
     run_clique_benchmark,
     star_family,
@@ -111,20 +110,25 @@ def test_task_validation():
 
 def test_fragment_outputs_are_a_conjunction_with_negated_misconception():
     student = generate_student_model(StudentModelSpec(seed=2))
-    frag = generate_task_model(TaskSpec((3, 5), misconception=17), student)
-    assert frag.parent_ids == (3, 5, 17)
+    net = connect_tasks(student, [TaskSpec((3, 5), misconception=17)])
+    n = len(student.variables)
+    assert [v.name for v in net.variables[n:]] == ["task1_perf", "task1_answer"]
+    (perf,) = net.deterministic
+    assert (perf.parents, perf.child) == ((3, 5, 17), n)
     # fires only on skills yes, yes and misconception no
     want = tuple(
         int(cfg == (1, 1, 0)) for cfg in np.ndindex(2, 2, 2)
     )
-    assert frag.outputs == want
-    assert np.allclose(frag.answer_table(), [[0.8, 0.2], [0.1, 0.9]])
+    assert perf.outputs == want
+    answer = net.cpts[-1]
+    assert (answer.child, answer.parents) == (n + 1, (n,))
+    assert np.array_equal(answer.factor.values, [[0.8, 0.2], [0.1, 0.9]])
 
 
 def test_fragment_validation():
     student = generate_student_model(StudentModelSpec(seed=2))
-    with pytest.raises(ValidationError):
-        generate_task_model(TaskSpec((3, 99)), student)
+    with pytest.raises(ValidationError, match="unknown variable id 99"):
+        connect_tasks(student, [TaskSpec((3, 99))])
 
 
 def test_canonical_tasks_are_frozen_for_seed_2():
@@ -212,11 +216,10 @@ def test_ordering_of_methods_at_every_r():
 
 def test_ratio_table_is_nondecreasing():
     report = canonical_run()
-    table = report.ratio_table()
-    assert table[0] == 1.0
-    values = [table[r] for r in range(5)]
+    values = [report.ratio(r) for r in range(5)]
+    assert values[0] == 1.0
     assert values == sorted(values)
-    assert table[4] == pytest.approx(2392 / 744)
+    assert values[4] == pytest.approx(2392 / 744)
 
 
 def test_min_max_bracket_the_average():

@@ -11,6 +11,10 @@ Core claims:
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -184,6 +188,30 @@ def test_unwritable_out_is_input_error(tmp_path, capsys, where):
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith(f"error: cannot write {out}:")
+
+
+def run_module(*argv):
+    """``python -m factorbn.cli`` in a fresh interpreter, on this
+    checkout's sources."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    return subprocess.run(
+        [sys.executable, "-m", "factorbn.cli", *argv],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+        timeout=60,
+    )
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    fn = put(tmp_path, "fn.json", AND2)
+    done = run_module("mbh", "--function", fn)
+    assert done.returncode == 0, done.stderr
+    assert done.stderr.startswith("rectangles=")
+    assert parse_base(done.stdout).size > 0
+    out = tmp_path / "nope" / "base.json"
+    done = run_module("mbh", "--function", fn, "--out", str(out))
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr.splitlines()[-1].startswith(f"error: cannot write {out}:")
 
 
 # -- mbh -----------------------------------------------------------------------

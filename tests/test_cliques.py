@@ -6,12 +6,13 @@ Core claims:
       32-state clique; the pairwise rewrite caps cliques at 4 states
       and strictly shrinks the total
     - reported cliques form an antichain (no clique inside another)
+    - ``moral_graph`` makes each scope a clique, leaves out the
+      variables it is told to skip, and covers potential scopes
     - min-fill breaks ties toward the lowest variable id, and the mask
-      core (``min_fill``) and its set adapter (``min_fill_order``) pick
-      exactly what a full rescan and the earlier set-based incremental
-      scoring pick: on random graphs with any ids and clique sizes, and
-      on the reduced graphs variable elimination plans on for CAT
-      queries
+      core (``min_fill``) picks exactly what a full rescan and the
+      earlier set-based incremental scoring pick: on random graphs with
+      any clique sizes, and on the reduced graphs variable elimination
+      plans on for CAT queries
     - a network without variables has no cliques and sizes 0
     - repeated runs return identical reports
 """
@@ -39,7 +40,7 @@ from factorbn.benchcat import (
     connect_tasks,
     generate_student_model,
 )
-from factorbn.cliques import interaction_graph, min_fill, min_fill_order, scope_graph
+from factorbn.cliques import factor_scopes, min_fill, moral_graph
 from factorbn.core import Evidence
 from factorbn.inference import transform_network
 
@@ -126,7 +127,7 @@ def test_cliques_form_an_antichain():
 def test_min_fill_breaks_ties_toward_low_ids():
     # a 4-cycle: every vertex has fill 1, so vertex 0 goes first
     adj = {0: {1, 3}, 1: {0, 2}, 2: {1, 3}, 3: {0, 2}}
-    order, cliques = min_fill_order({v: set(nb) for v, nb in adj.items()})
+    order, cliques = core_min_fill(adj)
     assert order[0] == 0
     assert order == (0, 1, 2, 3)
 
@@ -140,9 +141,7 @@ def test_interaction_graph_covers_potential_scopes():
     )
     pot = Factor((0, 2), (2, 2), np.ones((2, 2)))
     net = Network(variables, cpts, (), (pot,))
-    adj = interaction_graph(net)
-    assert 2 in adj[0] and 0 in adj[2]
-    assert 1 not in adj[0]
+    assert moral_graph(factor_scopes(net)) == {0: 0b100, 1: 0, 2: 0b1}
 
 
 def test_report_deterministic():
@@ -211,7 +210,6 @@ def test_incremental_min_fill_matches_full_rescan():
     for seed in range(400):
         adj = random_graph(random.Random(seed))
         expected = full_rescan_min_fill(adj)
-        assert min_fill_order(adj) == expected, seed
         assert core_min_fill(adj) == expected, seed
 
 
@@ -255,7 +253,6 @@ def test_query_graphs_match_full_rescan():
         adj = graph_of(masks)
         expected = full_rescan_min_fill(adj)
         assert core_min_fill(adj) == expected, i
-        assert min_fill_order(adj) == expected, i
 
 
 def _set_fill(adj, v, clique=frozenset()):
@@ -338,10 +335,9 @@ def test_bitset_min_fill_matches_set_based_min_fill():
     for seed in range(90):
         rng = random.Random(seed)
         adj = clique_graph(rng) if seed % 3 else random_graph(rng)
-        expected = set_based_min_fill(adj)
-        assert min_fill_order(adj) == expected, seed
         small = small_ids(adj, rng)
-        assert core_min_fill(small) == set_based_min_fill(small), seed
+        expected = set_based_min_fill(small)
+        assert core_min_fill(small) == expected, seed
         largest = max(largest, max(map(len, expected[1]), default=0))
     assert largest >= 30
     for i, masks in enumerate(query_graphs()):
@@ -350,9 +346,6 @@ def test_bitset_min_fill_matches_set_based_min_fill():
 
 
 def test_min_fill_leaves_its_input_alone():
-    adj = {0: {1, 2}, 1: {0}, 2: {0}}
-    min_fill_order(adj)
-    assert adj == {0: {1, 2}, 1: {0}, 2: {0}}
     masks = {0: 0b110, 1: 0b1, 2: 0b1}
     assert min_fill(masks) == ([1, 0, 2], [0b11, 0b101, 0b100])
     assert masks == {0: 0b110, 1: 0b1, 2: 0b1}
@@ -367,6 +360,10 @@ def test_empty_network_has_no_cliques():
     assert min_fill({}) == ([], [])
 
 
-def test_scope_graph_keeps_only_the_given_vertices():
-    adj = scope_graph([(0, 1, 2), (2, 3), (4,)], [0, 2, 3, 4])
-    assert adj == {0: {2}, 2: {0, 3}, 3: {2}, 4: set()}
+def test_moral_graph_skips_masked_variables():
+    scopes = [(0, 1, 2), (2, 3), (4,)]
+    assert graph_of(moral_graph(scopes)) == {
+        0: {1, 2}, 1: {0, 2}, 2: {0, 1, 3}, 3: {2}, 4: set()
+    }
+    # variable 1 is left out; the lone scope (4,) still gives a vertex
+    assert moral_graph(scopes, skip=1 << 1) == {0: 0b100, 2: 0b1001, 3: 0b100, 4: 0}

@@ -2,7 +2,6 @@
 
 Core claims:
     - posteriors match a brute-force joint enumeration on small nets
-    - the answer does not depend on the elimination order
     - zero-mass evidence raises the dedicated error
     - the hidden-variable rewrite and parent divorcing both preserve
       every posterior within 1e-9 (factorization is exact in practice)
@@ -118,19 +117,6 @@ def test_zero_mass_evidence_raises():
 def test_empty_query_rejected():
     with pytest.raises(ValidationError):
         variable_elimination(sprinkler_like(), query=[])
-
-
-def test_elimination_order_independence():
-    net = sprinkler_like()
-    ev = Evidence({2: (0, 1)})
-    base = variable_elimination(net, ev, [0])
-    for order in ([1, 2], [2, 1]):
-        p = variable_elimination(net, ev, [0], order=order)
-        assert np.allclose(p.values, base.values, atol=1e-14)
-    with pytest.raises(ValidationError):
-        variable_elimination(net, ev, [0], order=[1])
-    with pytest.raises(ValidationError):
-        variable_elimination(net, ev, [0], order=[0, 1, 2])
 
 
 def test_posterior_by_name():
@@ -308,7 +294,7 @@ def test_divorce_rejects_unstructured_functions():
         transform_network(net, "divorce")
 
 
-# -- pruning, evidence slicing and explicit orders against brute force -------
+# -- pruning and evidence slicing against brute force ------------------------
 
 
 def random_mixed_network(rng):
@@ -370,22 +356,6 @@ def test_random_networks_match_brute_force(method):
     assert answered > 100 and zero_mass > 0
 
 
-def test_random_networks_explicit_orders_match():
-    for seed in range(60):
-        rng = random.Random(1000 + seed)
-        net = transform_network(random_mixed_network(rng), "factorize")
-        ev = random_evidence(net, rng)
-        q = rng.randrange(len(net.variables))
-        order = [v.id for v in net.variables if v.id != q]
-        rng.shuffle(order)
-        try:
-            base = variable_elimination(net, ev, [q])
-        except ZeroNormalizerError:
-            continue
-        got = variable_elimination(net, ev, [q], order=order)
-        assert np.abs(got.values - base.values).max() < 1e-12
-
-
 def test_observed_query_variable_keeps_its_axis():
     net = sprinkler_like()
     ev = Evidence({1: (0, 1), 2: (0, 1)})
@@ -436,21 +406,6 @@ def test_barren_nodes_do_not_change_the_answer():
         assert np.abs(got.values - brute_posterior(net, Evidence(), q)).max() < 1e-12
 
 
-def test_explicit_order_is_validated_over_all_variables():
-    net = det_network()
-    ev = Evidence({3: (0, 1)})
-    # alarm is observed and drops out of every table, and with no
-    # evidence it is barren; an order must still name it
-    for evidence in (ev, None):
-        with pytest.raises(ValidationError):
-            variable_elimination(net, evidence, [0], order=[1, 2])
-    for bad in ([1, 2, 3, 3], [0, 1, 2, 3], [1, 2, 3, 7]):
-        with pytest.raises(ValidationError):
-            variable_elimination(net, ev, [0], order=bad)
-    got = variable_elimination(net, ev, [0], order=[3, 2, 1])
-    assert np.abs(got.values - brute_posterior(net, ev, [0])).max() < 1e-12
-
-
 def test_many_tables_on_one_variable():
     # 70 observed children of one root: 70 tables over the root alone
     n = 71
@@ -464,8 +419,6 @@ def test_many_tables_on_one_variable():
     k = sum(1 for i in range(1, n) if i % 3)
     odds = (0.6 / 0.4) * (0.8 / 0.3) ** k * (0.2 / 0.7) ** (n - 1 - k)
     assert np.allclose(got.values, [1 / (1 + odds), odds / (1 + odds)], rtol=1e-9)
-    with_order = variable_elimination(net, ev, [0], order=range(1, n))
-    assert np.allclose(with_order.values, got.values, rtol=1e-12)
 
 
 # -- stars: factorized nodes pruned like the families they replace -----------
