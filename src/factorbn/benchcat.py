@@ -23,30 +23,25 @@ from .cliques import moralize_and_triangulate
 from .core import Factor, Variable
 from .errors import ValidationError
 from .functions import DeterministicFunction
-from .inference import transform_network
+from .inference import METHODS, transform_network
 from .network import Cpt, Network
 
-METHODS = ("none", "divorce", "factorize")
+CPT_RANGE = (0.05, 0.95)  # each student CPT row draws P(yes) uniformly from here
+GUESS, SLIP = 0.2, 0.1  # P(right | no performance), P(wrong | performance)
 
 
 @dataclass(frozen=True)
 class StudentModelSpec:
     """Seeded shape of the student model: binary nodes in a tree-like
-    DAG with bounded in-degree, CPT rows drawn uniformly."""
+    DAG with in-degree at most 3, CPT rows drawn uniformly from
+    ``CPT_RANGE``."""
 
     seed: int
     node_count: int = 21
-    max_parents: int = 3
-    cpt_low: float = 0.05
-    cpt_high: float = 0.95
 
     def __post_init__(self):
         if self.node_count < 2:
             raise ValidationError("node_count must be at least 2")
-        if self.max_parents < 1:
-            raise ValidationError("max_parents must be positive")
-        if not 0.0 <= self.cpt_low <= self.cpt_high <= 1.0:
-            raise ValidationError("need 0 <= cpt_low <= cpt_high <= 1")
 
     @property
     def misconception_count(self) -> int:
@@ -63,13 +58,12 @@ class StudentModelSpec:
 
 @dataclass(frozen=True)
 class TaskSpec:
-    """One evidence task: the skills it requires, at most one
-    misconception that defeats it, and the noise on the observed answer."""
+    """One evidence task: the skills it requires and at most one
+    misconception that defeats it.  The observed answer is noisy by
+    ``GUESS`` and ``SLIP``."""
 
     required_skills: tuple[int, ...]
     misconception: int | None = None
-    guess: float = 0.2
-    slip: float = 0.1
 
     def __post_init__(self):
         object.__setattr__(self, "required_skills", tuple(self.required_skills))
@@ -79,9 +73,6 @@ class TaskSpec:
             raise ValidationError("duplicate required skills")
         if self.misconception in self.required_skills:
             raise ValidationError("the misconception cannot also be a required skill")
-        for p in (self.guess, self.slip):
-            if not 0.0 <= p <= 1.0:
-                raise ValidationError("guess and slip must lie in [0, 1]")
 
     @property
     def parent_ids(self) -> tuple[int, ...]:
@@ -114,13 +105,13 @@ def generate_student_model(spec: StudentModelSpec) -> Network:
         if i == 0:
             parents: tuple[int, ...] = ()
         else:
-            want = min(i, rng.choice(in_degree_choices), spec.max_parents)
+            want = min(i, rng.choice(in_degree_choices))
             parents = tuple(sorted(rng.sample(range(i), want)))
         family = parents + (i,)
         shape = tuple([2] * len(family))
         table = np.empty(shape, dtype=np.float64)
         for cfg in np.ndindex(shape[:-1]):
-            p = rng.uniform(spec.cpt_low, spec.cpt_high)
+            p = rng.uniform(*CPT_RANGE)
             table[cfg + (0,)] = 1.0 - p
             table[cfg + (1,)] = p
         cpts.append(Cpt(i, parents, Factor(family, shape, table)))
@@ -159,7 +150,7 @@ def connect_tasks(student: Network, tasks: list[TaskSpec]) -> Network:
         dets.append(DeterministicFunction(parents, y_id, (2,) * len(parents), 2, outputs))
         t_id = len(variables)
         variables.append(Variable(t_id, f"task{j}_answer", ("wrong", "right")))
-        answer = [[1.0 - task.guess, task.guess], [task.slip, 1.0 - task.slip]]
+        answer = [[1.0 - GUESS, GUESS], [SLIP, 1.0 - SLIP]]
         cpts.append(Cpt(t_id, (y_id,), Factor((y_id, t_id), (2, 2), np.array(answer))))
     return Network(tuple(variables), tuple(cpts), tuple(dets), student.potentials)
 
@@ -179,7 +170,6 @@ class BenchRow:
 
 @dataclass(frozen=True)
 class BenchmarkReport:
-    methods: tuple[str, ...]
     task_count: int
     orderings_used: int
     rows: tuple[BenchRow, ...]
@@ -191,17 +181,17 @@ class BenchmarkReport:
                 return row
         raise KeyError((method, r))
 
-    def ratio(self, r: int, numerator: str = "none", denominator: str = "factorize") -> float:
+    def ratio(self, r: int) -> float:
+        """Average total clique size under ``none`` over ``factorize``."""
         return (
-            self.row(numerator, r).avg_total_clique_size
-            / self.row(denominator, r).avg_total_clique_size
+            self.row("none", r).avg_total_clique_size
+            / self.row("factorize", r).avg_total_clique_size
         )
 
 
 def run_clique_benchmark(
     student: Network,
     tasks: list[TaskSpec],
-    methods: tuple[str, ...] = METHODS,
     orderings: str | int = "all",
     seed: int = 0,
 ) -> BenchmarkReport:
@@ -219,9 +209,6 @@ def run_clique_benchmark(
     k = len(tasks)
     if k == 0:
         raise ValidationError("the benchmark needs at least one task")
-    for m in methods:
-        if m not in METHODS:
-            raise ValidationError(f"unknown method {m!r}")
     if orderings == "all":
         if k > 8:
             raise ValidationError(
@@ -245,7 +232,7 @@ def run_clique_benchmark(
         return cache[key]
 
     rows = []
-    for method in methods:
+    for method in METHODS:
         for r in range(0, k + 1):
             totals = [total_for(frozenset(p[:r]), method) for p in perms]
             rows.append(
@@ -257,9 +244,7 @@ def run_clique_benchmark(
                     max(totals),
                 )
             )
-    return BenchmarkReport(
-        tuple(methods), k, len(perms), tuple(rows), time.monotonic() - t0
-    )
+    return BenchmarkReport(k, len(perms), tuple(rows), time.monotonic() - t0)
 
 
 def report_to_csv(report: BenchmarkReport) -> str:

@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 1 usage error, 2 invalid input (parse or
 validation failure, including evidence with zero probability), 3
-resource budget exhausted or out of memory, 4 internal consistency
-failure.
+resource budget exhausted or out of memory, 4 internal failure (a
+failed self-check, or any other unexpected error).
 """
 
 from __future__ import annotations
@@ -38,10 +38,8 @@ from .fileio import (
     write_base,
     write_form,
 )
-from .inference import posterior_by_name, transform_network
+from .inference import METHODS, posterior_by_name, transform_network
 from .mbh import SearchBudget, solve_mbh
-
-TRANSFORMS = ("none", "factorize", "divorce")
 
 
 def _read(path: str) -> str:
@@ -101,16 +99,16 @@ def _cmd_mbh(args) -> int:
         wall_clock=args.time_limit,
     )
     solution = solve_mbh(fn, budget)
+    _emit(
+        write_base(solution.base, extra={"proved_minimal": solution.proved_minimal}),
+        args.out,
+    )
     s = solution.stats
     print(
         f"rectangles={solution.base.size} proved_minimal={solution.proved_minimal} "
         f"nodes={s.nodes_expanded} pruned={s.pruned} checked={s.subsets_checked} "
         f"enumerated={s.rectangles_enumerated} seconds={s.elapsed_seconds:.3f}",
         file=sys.stderr,
-    )
-    _emit(
-        write_base(solution.base, extra={"proved_minimal": solution.proved_minimal}),
-        args.out,
     )
     if s.budget_exhausted:
         print("budget exhausted: result may not be minimal", file=sys.stderr)
@@ -210,13 +208,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--net", required=True, help="network file (JSON)")
     p.add_argument("--evidence", help="evidence file (JSON)")
     p.add_argument("--query", required=True, nargs="+", help="query variable names")
-    p.add_argument("--transform", choices=TRANSFORMS, default="none")
+    p.add_argument("--transform", choices=METHODS, default="none")
     p.add_argument("--out", help="write the marginal here instead of stdout")
     p.set_defaults(func=_cmd_infer.__name__)
 
     p = sub.add_parser("cliques", help="triangulate and report clique sizes")
     p.add_argument("--net", required=True, help="network file (JSON)")
-    p.add_argument("--transform", choices=TRANSFORMS, default="none")
+    p.add_argument("--transform", choices=METHODS, default="none")
     p.add_argument("--out", help="write the report here instead of stdout")
     p.set_defaults(func=_cmd_cliques.__name__)
 
@@ -249,6 +247,10 @@ def run_cli(argv=None) -> int:
         return 3
     except InternalConsistencyError as e:
         print(f"error: {e}", file=sys.stderr)
+        return 4
+    except Exception as e:  # a defect still ends in one line, not a traceback
+        detail = " ".join(str(e).split())
+        print(f"error: unexpected {type(e).__name__}: {detail}", file=sys.stderr)
         return 4
 
 

@@ -178,14 +178,14 @@ def moralize_and_triangulate(net: Network) -> CliqueReport:
     """Triangulate the interaction graph and report the maximal cliques.
 
     Elimination cliques that are subsets of another are dropped, so the
-    total counts each maximal clique once.
+    total counts each maximal clique once.  Only an earlier clique can
+    hold a later one: each clique contains its own eliminated vertex,
+    which no later clique does.
     """
     order, raw = min_fill(moral_graph(factor_scopes(net)))
     maximal: list[set[int]] = []
     for c in map(set, map(_members, raw)):
-        if any(c <= other for other in maximal):
-            continue
-        maximal = [m for m in maximal if not m <= c]
-        maximal.append(c)
+        if not any(c <= other for other in maximal):
+            maximal.append(c)
     cliques = tuple(sorted(tuple(sorted(c)) for c in maximal))
     return CliqueReport(tuple(order), cliques, net.cards)

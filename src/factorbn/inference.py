@@ -35,30 +35,7 @@ MAX_OPERANDS = 31  # einsum operands per call that every supported numpy accepts
 
 Table = tuple[tuple[int, ...], np.ndarray]  # (scope, values with one axis per scope id)
 
-
-def network_factors(net: Network, heads: set[int]) -> list[Table]:
-    """(scope, float64 table) for the CPT and deterministic families and
-    the stars whose child is in ``heads``, and for every potential
-    outside a star.  The tables are the network's own, built once and
-    read-only (``Network.tables``).
-    """
-    return [
-        (scope, values)
-        for head, scope, values in net.tables
-        if head is None or head in heads
-    ]
-
-
-def _validate_evidence(net: Network, evidence: Evidence) -> None:
-    cards = net.cards
-    for var, vec in evidence.findings.items():
-        if not 0 <= var < len(cards):
-            raise ValidationError(f"evidence names unknown variable id {var}")
-        if len(vec) != cards[var]:
-            raise ValidationError(
-                f"evidence vector for variable {var} has length {len(vec)}, "
-                f"expected {cards[var]}"
-            )
+METHODS = ("none", "divorce", "factorize")  # the rewrites of transform_network
 
 
 def _relevant_heads(net: Network, targets: Iterable[int]) -> set[int]:
@@ -144,7 +121,6 @@ def variable_elimination(
     a finite sum, as when finite potentials overflow.
     """
     evidence = evidence or Evidence()
-    _validate_evidence(net, evidence)
     query = sorted(set(query))
     for q in query:
         if not 0 <= q < len(net.variables):
@@ -153,9 +129,17 @@ def variable_elimination(
         raise ValidationError("query must name at least one variable")
     queryset = set(query)
 
+    cards = net.cards
     picks: dict[int, int | np.ndarray] = {}
     masks: list[Table] = []
     for var, vec in evidence.findings.items():
+        if not 0 <= var < len(cards):
+            raise ValidationError(f"evidence names unknown variable id {var}")
+        if len(vec) != cards[var]:
+            raise ValidationError(
+                f"evidence vector for variable {var} has length {len(vec)}, "
+                f"expected {cards[var]}"
+            )
         if not any(vec):
             raise ZeroNormalizerError("evidence has zero probability under the model")
         if var in queryset:
@@ -165,7 +149,11 @@ def variable_elimination(
             picks[var] = int(allowed[0]) if allowed.size == 1 else allowed
 
     heads = _relevant_heads(net, queryset | set(evidence.findings))
-    tables = [_slice(t, picks) for t in network_factors(net, heads)] + masks
+    tables = [
+        _slice((scope, values), picks)
+        for head, scope, values in net.tables
+        if head is None or head in heads
+    ] + masks
 
     scopes = [scope for scope, _ in tables]
     order, _ = min_fill(moral_graph(scopes, sum(1 << q for q in query)))
@@ -205,7 +193,6 @@ def variable_elimination(
         raise InternalConsistencyError(f"unnormalized marginal sums to {total}")
     if total == 0.0:
         raise ZeroNormalizerError("evidence has zero probability under the model")
-    cards = net.cards
     return Factor(tuple(query), tuple(cards[q] for q in query), values / total)
 
 
@@ -328,10 +315,10 @@ def transform_network(net: Network, method: str, base_picker=None) -> Network:
     the new variables, nodes and potentials are appended in node order,
     and the network is built and validated once.
     """
+    if method not in METHODS:
+        raise ValidationError(f"unknown transform {method!r}")
     if method == "none":
         return net
-    if method not in ("factorize", "divorce"):
-        raise ValidationError(f"unknown transform {method!r}")
     picker = base_picker or default_base
     variables = list(net.variables)
     taken = {v.name for v in variables}
@@ -342,11 +329,8 @@ def transform_network(net: Network, method: str, base_picker=None) -> Network:
     for det in net.deterministic:
         if method == "factorize":
             form = build_factorized_form(det, picker(det))
-            first, b_id = len(potentials), len(variables)
+            stars.append(Star(det.child, det.parents, len(variables)))
             potentials += _hidden_variable(det, form, variables, taken)
-            stars.append(
-                Star(det.child, det.parents, b_id, tuple(range(first, len(potentials))))
-            )
         elif nodes := _divorce(det, variables, taken):
             added += nodes
         else:

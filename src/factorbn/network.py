@@ -1,6 +1,6 @@
 """The network model: variables, CPTs, deterministic nodes, and the
-extra potentials a transformation may introduce, grouped into stars
-where they replace a deterministic node."""
+extra potentials a transformation may introduce, grouped into stars by
+their hidden variable where they replace a deterministic node."""
 
 from __future__ import annotations
 
@@ -61,26 +61,24 @@ class Cpt:
 @dataclass(frozen=True)
 class Star:
     """A factorized node: the deterministic family of ``child`` over
-    ``parents``, held as the potentials h(child, B), g_1(parent_1, B),
-    ..., g_n(parent_n, B) through the hidden variable B (``hidden``).
+    ``parents``, held as potentials through the hidden variable B
+    (``hidden``).
 
-    ``potentials`` gives their positions in ``Network.potentials``, h
-    first, then one g_i per parent in order.  Summed over B the product
-    is the family's 0/1 indicator, so, like a CPT, the star sums to 1
-    over the child and B for every parent configuration, and inference
-    drops it by the same barren rule.  ``transform_network`` verifies
-    every form before it records a star; ``Network`` checks only the
-    star's shape.
+    The star owns exactly the potentials of the network whose scope
+    holds B: h(child, B) and one g_i(parent_i, B) per parent.  Summed
+    over B their product is the family's 0/1 indicator, so, like a CPT,
+    the star sums to 1 over the child and B for every parent
+    configuration, and inference drops it by the same barren rule.
+    ``transform_network`` verifies every form before it records a star;
+    ``Network`` checks only the star's shape.
     """
 
     child: int
     parents: tuple[int, ...]
     hidden: int
-    potentials: tuple[int, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "parents", tuple(self.parents))
-        object.__setattr__(self, "potentials", tuple(self.potentials))
 
 
 @dataclass(frozen=True)
@@ -93,9 +91,11 @@ class Network:
     as long as each appears in some potential.  Potential entries must
     be finite reals.  The directed part must be acyclic.
 
-    ``stars`` records which potentials replace a deterministic node
+    ``stars`` records which deterministic nodes the potentials replace
     (see :class:`Star`).  A star's child counts as a head, and its
-    hidden variable may appear in nothing but the star's potentials.
+    hidden variable B appears in no family, only in the star's own
+    potentials: exactly one over (child, B) and one over each
+    (parent_i, B).
     Only :func:`~factorbn.inference.transform_network` records stars:
     the file format has no field for them, so a parsed network has none
     and inference keeps every one of its potentials.  Stars are left
@@ -135,12 +135,19 @@ class Network:
             if not 0 <= i < n:
                 raise ValidationError(f"unknown variable id {i} in {where}")
 
+        families = [(c.child, c.parents, "a CPT") for c in self.cpts]
+        families += [(d.child, d.parents, "a deterministic node") for d in self.deterministic]
+        families += [(s.child, s.parents, f"the star of variable {s.child}") for s in self.stars]
         heads: set[int] = set()
         arcs: list[tuple[int, int]] = []
+        for child, parents, where in families:
+            for v in (child, *parents):
+                check_var(v, where)
+            if child in heads:
+                raise ValidationError(f"variable {child} is the head of two nodes")
+            heads.add(child)
+            arcs += [(p, child) for p in parents]
         for cpt in self.cpts:
-            check_var(cpt.child, "a CPT")
-            for p in cpt.parents:
-                check_var(p, "a CPT")
             family = sorted(cpt.parents + (cpt.child,))
             expected_cards = tuple(cards[v] for v in family)
             if cpt.factor.cards != expected_cards:
@@ -148,14 +155,7 @@ class Network:
                     f"CPT table for variable {cpt.child} has cards {cpt.factor.cards}, "
                     f"expected {expected_cards}"
                 )
-            if cpt.child in heads:
-                raise ValidationError(f"variable {cpt.child} is the head of two nodes")
-            heads.add(cpt.child)
-            arcs += [(p, cpt.child) for p in cpt.parents]
         for det in self.deterministic:
-            check_var(det.child, "a deterministic node")
-            for p in det.parents:
-                check_var(p, "a deterministic node")
             if det.parent_cards != tuple(cards[p] for p in det.parents):
                 raise ValidationError(
                     f"deterministic node for variable {det.child} disagrees with "
@@ -166,10 +166,6 @@ class Network:
                     f"deterministic node for variable {det.child} disagrees with "
                     "the declared child cardinality"
                 )
-            if det.child in heads:
-                raise ValidationError(f"variable {det.child} is the head of two nodes")
-            heads.add(det.child)
-            arcs += [(p, det.child) for p in det.parents]
         for pot in self.potentials:
             for v in pot.scope:
                 check_var(v, "a potential")
@@ -177,34 +173,26 @@ class Network:
                 raise ValidationError("potential cards disagree with the variables")
             if pot.values.dtype.kind not in "iuf" or not np.isfinite(pot.values).all():
                 raise ValidationError(f"potential over {pot.scope} has a non-finite entry")
-        owned: set[int] = set()
+
+        over: dict[int, list[tuple[int, ...]]] = {}  # potential scopes per hidden variable
         for star in self.stars:
-            where = f"the star of variable {star.child}"
-            for v in (star.child, star.hidden, *star.parents):
-                check_var(v, where)
-            if len(star.potentials) != len(star.parents) + 1:
-                raise ValidationError(f"{where} needs one potential per parent, plus h")
-            for pos, member in zip(star.potentials, (star.child, *star.parents)):
-                if not 0 <= pos < len(self.potentials):
-                    raise ValidationError(f"{where} names unknown potential {pos}")
-                if pos in owned:
-                    raise ValidationError(f"potential {pos} is claimed twice by stars")
-                owned.add(pos)
-                if self.potentials[pos].scope != tuple(sorted({member, star.hidden})):
-                    raise ValidationError(
-                        f"{where}: potential {pos} must be over ({member}, {star.hidden})"
-                    )
-            if star.child in heads:
-                raise ValidationError(f"variable {star.child} is the head of two nodes")
-            heads.add(star.child)
-            arcs += [(p, star.child) for p in star.parents]
-        hidden = {s.hidden for s in self.stars}
-        others = [c.factor.scope for c in self.cpts]
-        others += [d.parents + (d.child,) for d in self.deterministic]
-        others += [s.parents + (s.child,) for s in self.stars]
-        others += [p.scope for i, p in enumerate(self.potentials) if i not in owned]
-        if len(hidden) < len(self.stars) or any(hidden.intersection(s) for s in others):
+            check_var(star.hidden, f"the star of variable {star.child}")
+            over[star.hidden] = []
+        members = {v for child, parents, _ in families for v in (child, *parents)}
+        if len(over) < len(self.stars) or not members.isdisjoint(over):
             raise ValidationError("a star's hidden variable appears outside its star")
+        for pot in self.potentials:
+            for v in pot.scope:
+                if v in over:
+                    over[v].append(pot.scope)
+        for star in self.stars:
+            b = star.hidden
+            shape = sorted(tuple(sorted((m, b))) for m in (star.child, *star.parents))
+            if sorted(over[b]) != shape:
+                raise ValidationError(
+                    f"the star of variable {star.child}: the potentials over variable "
+                    f"{b} must have the scopes {shape}"
+                )
 
         if self.potentials:
             covered = heads | {v for pot in self.potentials for v in pot.scope}
@@ -258,16 +246,18 @@ class Network:
         """(head, scope, float64 table) for every CPT, every deterministic
         node (its indicator) and every potential, in that order.
 
-        A star's potentials carry the star's child as head; the other
-        potentials carry None.  The tables are read-only and shared by
-        every query on the network.
+        A potential over a star's hidden variable carries the star's
+        child as head; the other potentials carry None.  The tables are
+        read-only and shared by every query on the network.
         """
         out = [(c.child, c.factor.scope, c.factor.values) for c in self.cpts]
         for d in self.deterministic:
             ind = deterministic_to_potential(d)
             out.append((d.child, ind.scope, ind.values))
-        star_of = {pos: s.child for s in self.stars for pos in s.potentials}
-        out += [(star_of.get(i), p.scope, p.values) for i, p in enumerate(self.potentials)]
+        star_of = {s.hidden: s.child for s in self.stars}
+        for p in self.potentials:
+            head = next((star_of[v] for v in p.scope if v in star_of), None)
+            out.append((head, p.scope, p.values))
         tables = []
         for head, scope, values in out:
             values = np.asarray(values, dtype=np.float64)

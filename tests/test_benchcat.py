@@ -85,10 +85,6 @@ def test_misconception_split():
 def test_spec_validation():
     with pytest.raises(ValidationError):
         StudentModelSpec(seed=0, node_count=1)
-    with pytest.raises(ValidationError):
-        StudentModelSpec(seed=0, max_parents=0)
-    with pytest.raises(ValidationError):
-        StudentModelSpec(seed=0, cpt_low=0.7, cpt_high=0.3)
 
 
 # -- tasks and their fragments -----------------------------------------------
@@ -101,11 +97,6 @@ def test_task_validation():
         TaskSpec((1, 1, 2))
     with pytest.raises(ValidationError):
         TaskSpec((1, 2), misconception=2)
-    with pytest.raises(ValidationError):
-        TaskSpec((1, 2), guess=1.2)
-    with pytest.raises(ValidationError):
-        TaskSpec((1, 2), slip=-0.1)
-    TaskSpec((1, 2), guess=1.0, slip=0.0)  # the closed endpoints are fine
 
 
 def test_fragment_outputs_are_a_conjunction_with_negated_misconception():

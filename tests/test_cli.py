@@ -190,6 +190,16 @@ def test_unwritable_out_is_input_error(tmp_path, capsys, where):
     assert captured.err.startswith(f"error: cannot write {out}:")
 
 
+def test_mbh_unwritable_out_prints_only_the_error(tmp_path, capsys):
+    fn = put(tmp_path, "fn.json", AND2)
+    out = tmp_path / "nope" / "base.json"
+    assert run_cli(["mbh", "--function", fn, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith(f"error: cannot write {out}:")
+
+
 def run_module(*argv):
     """``python -m factorbn.cli`` in a fresh interpreter, on this
     checkout's sources."""
@@ -559,3 +569,17 @@ def test_internal_consistency_failure_exits_four(tmp_path, capsys, monkeypatch):
     fn = put(tmp_path, "fn.json", AND2)
     assert cli.run_cli(["factorize", "--function", fn, "--trivial"]) == 4
     assert "self-check failed" in capsys.readouterr().err
+
+
+def test_unexpected_error_exits_four_with_one_line(tmp_path, capsys, monkeypatch):
+    import factorbn.cli as cli
+
+    def defect(args):
+        raise RuntimeError("a defect\nover two lines")
+
+    monkeypatch.setattr(cli, "_cmd_factorize", defect)
+    fn = put(tmp_path, "fn.json", AND2)
+    assert cli.run_cli(["factorize", "--function", fn, "--trivial"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: unexpected RuntimeError: a defect over two lines\n"

@@ -26,12 +26,13 @@ from factorbn.benchcat import (
     connect_tasks,
     generate_student_model,
 )
-from factorbn.cli import TRANSFORMS, run_cli
+from factorbn.cli import run_cli
+from factorbn.inference import METHODS
 
 GOLDENS = Path(__file__).with_name("cliques_goldens.json")
 
 MODELS = [(60, 12, 3), (120, 20, 5)]  # (student nodes, tasks, seed)
-CASES = [f"{n}/{t}/seed{s}/{m}" for n, t, s in MODELS for m in TRANSFORMS]
+CASES = [f"{n}/{t}/seed{s}/{m}" for n, t, s in MODELS for m in METHODS]
 
 
 def record(case: str, workdir: Path) -> str:

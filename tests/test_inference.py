@@ -509,25 +509,37 @@ def test_unanswered_tasks_star_is_not_contracted(monkeypatch):
 
 
 def test_malformed_stars_are_rejected():
+    """A star owns exactly the potentials over its hidden variable B: one
+    over (child, B) and one over each (parent_i, B); B sits in no
+    family and in no other star."""
     t = transform_network(two_task_network(), "factorize")
     first, second = t.stars
+    b1, b2 = first.hidden, second.hidden
+    assert [p.scope for p in t.potentials[:3]] == [(3, b1), (0, b1), (1, b1)]
+    cards = dict(enumerate(t.cards))
+    answer1 = t.cpts[3]
+    assert answer1.child == 4
 
-    def build(stars, cpts=t.cpts, potentials=t.potentials):
-        return Network(t.variables, cpts, t.deterministic, potentials, stars)
+    def pot(scope):
+        shape = tuple(cards[v] for v in scope)
+        return Factor(scope, shape, np.ones(shape))
 
-    assert build((first, second)) == t
+    def build(stars=(first, second), cpts=t.cpts, deterministic=(), potentials=t.potentials):
+        return Network(t.variables, cpts, deterministic, potentials, stars)
+
+    assert build() == t
+    b1_parent_cpt = cpt(4, (3, b1), cards, np.full((2, cards[b1], 2), 0.5))
+    b1_parent_det = DeterministicFunction((b1,), 4, (cards[b1],), 2, (0,) * cards[b1])
+    without_answer1 = tuple(c for c in t.cpts if c is not answer1)
     bad = [
-        ((replace(first, potentials=(0, 1, 9)), second), {}, "unknown potential 9"),
-        ((first, replace(second, potentials=first.potentials)), {}, "claimed twice"),
-        ((replace(first, potentials=(0, 0, 2)), second), {}, "claimed twice"),
-        ((replace(first, potentials=(1, 0, 2)), second), {}, "must be over"),
-        ((first, second), {"cpts": t.cpts + (cpt(3, (), {3: 2}, [0.5, 0.5]),)},
-         "head of two nodes"),
-        ((first, second), {"potentials": t.potentials + (
-            Factor((second.hidden,), (t.cards[second.hidden],), [1.0, 1.0]),)},
-         "outside its star"),
-        ((first, replace(second, hidden=first.hidden)), {}, "must be over"),
+        ({"cpts": t.cpts + (cpt(3, (), cards, [0.5, 0.5]),)}, "head of two nodes"),
+        ({"potentials": t.potentials + (pot((b2,)),)}, f"potentials over variable {b2}"),
+        ({"stars": (first, replace(second, hidden=b1))}, "outside its star"),
+        ({"potentials": t.potentials[:2] + t.potentials[3:]}, f"potentials over variable {b1}"),
+        ({"potentials": t.potentials + (pot((4, b1)),)}, f"potentials over variable {b1}"),
+        ({"cpts": without_answer1 + (b1_parent_cpt,)}, "outside its star"),
+        ({"cpts": without_answer1, "deterministic": (b1_parent_det,)}, "outside its star"),
     ]
-    for stars, kwargs, message in bad:
+    for kwargs, message in bad:
         with pytest.raises(ValidationError, match=message):
-            build(stars, **kwargs)
+            build(**kwargs)

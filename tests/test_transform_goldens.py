@@ -32,14 +32,13 @@ from factorbn.benchcat import (
     connect_tasks,
     generate_student_model,
 )
-from factorbn.cli import TRANSFORMS
-from factorbn.inference import transform_network
+from factorbn.inference import METHODS, transform_network
 
 GOLDENS = Path(__file__).with_name("transform_goldens.json")
 
 MODELS = [(40, 8, 1), (120, 20, 3)]  # (student nodes, tasks, seed)
-CASES = [f"{n}/{t}/seed{s}/{m}" for n, t, s in MODELS for m in TRANSFORMS] + [
-    f"mixed/{m}" for m in TRANSFORMS
+CASES = [f"{n}/{t}/seed{s}/{m}" for n, t, s in MODELS for m in METHODS] + [
+    f"mixed/{m}" for m in METHODS
 ]
 
 
