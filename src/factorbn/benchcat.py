@@ -170,7 +170,6 @@ class BenchRow:
 
 @dataclass(frozen=True)
 class BenchmarkReport:
-    task_count: int
     orderings_used: int
     rows: tuple[BenchRow, ...]
     runtime_seconds: float
@@ -244,7 +243,7 @@ def run_clique_benchmark(
                     max(totals),
                 )
             )
-    return BenchmarkReport(k, len(perms), tuple(rows), time.monotonic() - t0)
+    return BenchmarkReport(len(perms), tuple(rows), time.monotonic() - t0)
 
 
 def report_to_csv(report: BenchmarkReport) -> str:

@@ -51,14 +51,6 @@ class CliqueReport:
         return max(self.clique_sizes(), default=0)
 
 
-def factor_scopes(net: Network) -> list[tuple[int, ...]]:
-    """The scope of every factor in the network, families included."""
-    scopes = [tuple(sorted(c.parents + (c.child,))) for c in net.cpts]
-    scopes += [tuple(sorted(d.parents + (d.child,))) for d in net.deterministic]
-    scopes += [p.scope for p in net.potentials]
-    return scopes
-
-
 def moral_graph(scopes: Iterable[Iterable[int]], skip: int = 0) -> dict[int, int]:
     """The graph in which each scope becomes a clique, as the bitmask of
     each vertex's neighbours (bit u for vertex u).  Variables whose bit
@@ -182,7 +174,7 @@ def moralize_and_triangulate(net: Network) -> CliqueReport:
     hold a later one: each clique contains its own eliminated vertex,
     which no later clique does.
     """
-    order, raw = min_fill(moral_graph(factor_scopes(net)))
+    order, raw = min_fill(moral_graph(scope for _, scope, _ in net.tables))
     maximal: list[set[int]] = []
     for c in map(set, map(_members, raw)):
         if not any(c <= other for other in maximal):

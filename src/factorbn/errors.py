@@ -39,15 +39,13 @@ class BudgetExceededError(FactorbnError):
 
     Distinct from a negative answer: when this is raised the true
     answer is unknown.  ``count`` holds the offending quantity when the
-    cap is a count; ``best`` carries a fallback result when the raiser
-    had one in hand.
+    cap is a count.
     """
 
-    def __init__(self, message, count=None, kind=None, best=None):
+    def __init__(self, message, count=None, kind=None):
         super().__init__(message)
         self.count = count
         self.kind = kind
-        self.best = best
 
 
 class ZeroNormalizerError(FactorbnError):

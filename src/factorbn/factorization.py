@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import InternalConsistencyError, ValidationError
 from .functions import DeterministicFunction
 from .rectangles import Base, Config, Expression, Hyperrectangle, evaluate_expression, full_space
 
@@ -100,7 +100,7 @@ def membership_tables(
 
 
 def build_factorized_form(d: DeterministicFunction, base: Base) -> FactorizedForm:
-    """Turn a verified base into explicit (h, g) tables.
+    """Turn a base into explicit (h, g) tables, verified against ``d``.
 
     Every rectangle is checked against the parent cardinalities, every
     expression is evaluated (raising on an illegal difference or
@@ -131,9 +131,9 @@ def build_factorized_form(d: DeterministicFunction, base: Base) -> FactorizedFor
         for idx, coeff in expr.signed_counts().items():
             h[state, idx] += coeff
 
-    return FactorizedForm(
+    return _verified(d, FactorizedForm(
         d.parent_cards, d.child_card, h, membership_tables(base.rectangles, d.parent_cards)
-    )
+    ))
 
 
 def verify_factorization(d: DeterministicFunction, form: FactorizedForm) -> Verdict:
@@ -159,9 +159,21 @@ def verify_factorization(d: DeterministicFunction, form: FactorizedForm) -> Verd
     return Verdict(False, (int(first[0]), tuple(int(x) for x in first[1:])))
 
 
+def _verified(d: DeterministicFunction, form: FactorizedForm) -> FactorizedForm:
+    """The form, once it reconstructs ``d`` exactly; a form that does not
+    is a defect of its producer."""
+    verdict = verify_factorization(d, form)
+    if not verdict:
+        raise InternalConsistencyError(
+            f"factorized form fails reconstruction at {verdict.violation}"
+        )
+    return form
+
+
 def trivial_factorization(d: DeterministicFunction) -> FactorizedForm:
     """One hidden state per parent configuration: always exact, never
-    smaller than the table itself.  Useful as a correctness baseline."""
+    smaller than the table itself.  Useful as a correctness baseline;
+    verified against ``d`` like every form built here."""
     cfgs = list(d.configurations())
     k = len(cfgs)
     h = np.zeros((d.child_card, k), dtype=np.int64)
@@ -170,7 +182,7 @@ def trivial_factorization(d: DeterministicFunction) -> FactorizedForm:
         h[y, b] = 1
         for i, x in enumerate(cfg):
             g[i][x, b] = 1
-    return FactorizedForm(d.parent_cards, d.child_card, h, tuple(g))
+    return _verified(d, FactorizedForm(d.parent_cards, d.child_card, h, tuple(g)))
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ from .factorization import (
     build_factorized_form,
     known_base_conjunction,
     known_base_max,
-    verify_factorization,
 )
 from .functions import (
     DeterministicFunction,
@@ -216,21 +215,12 @@ def _hidden_variable(
 ) -> list[Factor]:
     """Append the hidden variable B that replaces ``det`` and return its
     potentials: h(child, B), then g_i(parent_i, B) for each parent in
-    order.
-
-    The form is re-verified against the node first.
-    """
-    verdict = verify_factorization(det, form)
-    if not verdict:
-        raise ValidationError(
-            f"factorized form fails reconstruction at {verdict.violation}"
-        )
+    order.  B is appended last, so every scope lists it last, in id order."""
     child, b_id = det.child, len(variables)
     name = fresh_name(f"B_{variables[child].name}", taken)
     variables.append(Variable(b_id, name, tuple(f"b{i}" for i in range(form.n_hidden))))
     potentials = [
-        Factor((min(child, b_id), max(child, b_id)), (form.child_card, form.n_hidden),
-               form.h.astype(np.float64))
+        Factor((child, b_id), (form.child_card, form.n_hidden), form.h.astype(np.float64))
     ]
     for pid, g in zip(det.parents, form.g):
         potentials.append(

@@ -30,6 +30,12 @@ span all rectangle images live on a single line: after normalization,
 every non-stripe-union rectangle in the subset must fall in one
 projective class.  Both filters preserve completeness at their size,
 and larger sizes fall back to depth-first search with coverage pruning.
+
+The search keeps one proven lower bound: it starts at L and rises by
+one for each size ruled out with no budget cap in the way.  The answer
+is the first base found, or else the greedy cover, and it is proved
+minimal exactly when its size equals the bound.  A budget cap, the
+candidate-enumeration cap included, ends the search with that answer.
 """
 
 from __future__ import annotations
@@ -41,8 +47,8 @@ from itertools import combinations, product as iproduct
 from math import gcd, inf
 from typing import Iterable, Sequence
 
-from .errors import BudgetExceededError, InternalConsistencyError, ValidationError
-from .factorization import build_factorized_form, level_sets, verify_factorization
+from .errors import BudgetExceededError, ValidationError
+from .factorization import level_sets
 from .functions import DeterministicFunction
 from .rectangles import Base, Config, Expression, Hyperrectangle
 
@@ -56,7 +62,8 @@ class SearchBudget:
     the number of distinct configuration sets settled per closure
     search, and ``wall_clock`` (seconds, None for unlimited) the whole
     solve.  Hitting a cap never turns into a silent negative answer:
-    it either raises or is reported on the returned solution.
+    the solver returns the base in hand, and the sizes the cap left
+    open stay out of its lower bound.
     """
 
     max_rectangles: int = 100_000
@@ -84,7 +91,7 @@ class SearchStats:
 
 @dataclass(frozen=True)
 class MbhSolution:
-    """A verified base, whether its size is proved minimal, and counters."""
+    """A base, whether its size is proved minimal, and counters."""
 
     base: Base
     proved_minimal: bool
@@ -281,8 +288,8 @@ def can_generate(
 
 # ---------------------------------------------------------------------------
 # Greedy cover: a feasible base of disjoint rectangles, one disjunctive
-# union per level set.  Fast, verified, used as the upper bound and as
-# the fallback answer when budgets stop the exact search.
+# union per level set.  Fast, used as the upper bound and as the answer
+# when the exact search finds no base.
 
 
 def greedy_cover_base(d: DeterministicFunction) -> Base:
@@ -320,15 +327,6 @@ def greedy_cover_base(d: DeterministicFunction) -> Base:
 # The solver.
 
 
-class _Counters:
-    __slots__ = ("nodes", "pruned", "checked")
-
-    def __init__(self):
-        self.nodes = 0
-        self.pruned = 0
-        self.checked = 0
-
-
 class _Search:
     def __init__(self, d: DeterministicFunction, budget: SearchBudget, deadline):
         self.budget = budget
@@ -348,7 +346,7 @@ class _Search:
         ]
         self.cands: list[Hyperrectangle] = []
         self.masks: list[int] = []
-        self.counters = _Counters()
+        self.nodes = self.pruned = self.checked = 0
         self.unknown = False  # a closure cap made some subset undecidable
 
     def load_candidates(self, cands: list[Hyperrectangle]) -> None:
@@ -356,7 +354,7 @@ class _Search:
         self.masks = [_mask_of(r.points(), self.strides) for r in cands]
 
     def tick(self) -> None:
-        self.counters.nodes += 1
+        self.nodes += 1
         if self.deadline is not None and time.monotonic() > self.deadline:
             raise BudgetExceededError("wall-clock budget exhausted", kind="wall")
 
@@ -365,7 +363,7 @@ class _Search:
     def check_subset(self, subset: Sequence[int]):
         """Full feasibility test; returns witnesses by level mask or None.
         Sets .unknown when the closure budget leaves the answer open."""
-        self.counters.checked += 1
+        self.checked += 1
         sub_masks = [self.masks[i] for i in subset]
         basis = _echelon(_mask_row(m, self.ncells) for m in sub_masks)
         if not _in_span(basis, self.level_rows):
@@ -385,6 +383,17 @@ class _Search:
         if len(found) != len(self.level_masks):
             return None
         return found
+
+    def try_subset(self, subset: Sequence[int]):
+        """check_subset on a subset that covers the space; a subset that
+        does not is counted as pruned and fails."""
+        acc = 0
+        for i in subset:
+            acc |= self.masks[i]
+        if acc != self.full:
+            self.pruned += 1
+            return None
+        return self.check_subset(subset)
 
     # --- the two low-size filters -------------------------------------------
 
@@ -433,13 +442,7 @@ class _Search:
         pool = self.stripe_union_pool()
         for subset in combinations(pool, k):
             self.tick()
-            acc = 0
-            for i in subset:
-                acc |= self.masks[i]
-            if acc != self.full:
-                self.counters.pruned += 1
-                continue
-            found = self.check_subset(subset)
+            found = self.try_subset(subset)
             if found:
                 return subset, found
         return None
@@ -460,13 +463,7 @@ class _Search:
                     continue  # pure-zero subsets are handled by the first pool
                 if best is not None and subset >= best[0]:
                     continue
-                acc = 0
-                for i in subset:
-                    acc |= self.masks[i]
-                if acc != self.full:
-                    self.counters.pruned += 1
-                    continue
-                found = self.check_subset(subset)
+                found = self.try_subset(subset)
                 if found and (best is None or subset < best[0]):
                     best = (subset, found)
                     break  # later combinations in this pool are lex-larger
@@ -484,7 +481,7 @@ class _Search:
             for i in range(start, n - slots + 1):
                 self.tick()
                 if acc | suffix[i] != self.full:
-                    self.counters.pruned += 1
+                    self.pruned += 1
                     break  # suffixes only shrink from here on
                 sel.append(i)
                 nacc = acc | self.masks[i]
@@ -494,7 +491,7 @@ class _Search:
                         if found:
                             return tuple(sel), found
                     else:
-                        self.counters.pruned += 1
+                        self.pruned += 1
                 else:
                     hit = dfs(i + 1, nacc)
                     if hit:
@@ -512,105 +509,54 @@ class _Search:
         return self.search_general(k)
 
 
-def _assemble(d, cands, subset, witnesses, level_masks) -> Base:
-    rects = tuple(cands[i] for i in subset)
-    exprs = {state: witnesses[mask] for state, mask in level_masks.items()}
-    base = Base(rects, exprs)
-    verdict = verify_factorization(d, build_factorized_form(d, base))
-    if not verdict:
-        raise InternalConsistencyError(
-            f"solver produced a base failing reconstruction at {verdict.violation}"
-        )
-    return base
-
-
 def solve_mbh(
     d: DeterministicFunction, budget: SearchBudget | None = None
 ) -> MbhSolution:
     """Find a smallest hyperrectangle base of the function.
 
-    Searches sizes upward from the level-set count.  When every size
-    below the returned one was exhausted cleanly, ``proved_minimal`` is
-    True.  When a budget cap gets in the way, the best verified base
-    found so far (at worst the greedy cover) is returned with
-    ``proved_minimal`` False and ``stats.budget_exhausted`` True; no
-    exception is raised as long as some verified base exists.
+    Searches sizes upward from the level-set count, which starts the
+    proven lower bound; each size ruled out with no cap in the way
+    raises the bound by one.  The answer is the first base the search
+    finds, or else the greedy cover, and ``proved_minimal`` says whether
+    its size equals the bound.  Every budget cap ends the search with
+    that answer, so no cap raises; ``stats.budget_exhausted`` is True
+    exactly when the size is not proved minimal.
     """
     budget = budget or SearchBudget()
     t0 = time.monotonic()
     deadline = t0 + budget.wall_clock if budget.wall_clock is not None else None
 
-    greedy = greedy_cover_base(d)
-    verdict = verify_factorization(d, build_factorized_form(d, greedy))
-    if not verdict:
-        raise InternalConsistencyError(
-            f"greedy cover failed reconstruction at {verdict.violation}"
-        )
-
+    base = greedy_cover_base(d)
     search = _Search(d, budget, deadline)
-    lower = len(search.levels)
-    ub = greedy.size
-
-    exhausted = False
-    enumerated = 0
-    result = None
-    unknown_below = False
-    proved = False
-
-    def make_stats() -> SearchStats:
-        c = search.counters
-        return SearchStats(
-            nodes_expanded=c.nodes,
-            pruned=c.pruned,
-            subsets_checked=c.checked,
-            rectangles_enumerated=enumerated,
-            elapsed_seconds=time.monotonic() - t0,
-            budget_exhausted=exhausted,
-        )
-
+    lower = bound = len(search.levels)
     try:
-        cands = enumerate_rectangles(d.parent_cards, budget)
-    except BudgetExceededError as exc:
-        # the candidate pool itself is out of reach, so the search cannot
-        # even start; surface that, carrying the greedy cover along
-        exhausted = True
-        exc.best = MbhSolution(greedy, greedy.size == lower, make_stats())
-        raise
-
-    enumerated = len(cands)
-    search.load_candidates(cands)
-    try:
-        for k in range(lower, ub + 1):
-            if k > budget.max_base:
-                exhausted = True
-                break
-            if unknown_below and k >= lower + 2:
+        search.load_candidates(enumerate_rectangles(d.parent_cards, budget))
+        for k in range(lower, min(base.size, budget.max_base) + 1):
+            if bound < k and k >= lower + 2:
                 # a proof is already off the table, and beyond the two
-                # filtered sizes the subset space explodes; settle for
-                # the best verified base instead of grinding through it
-                exhausted = True
+                # filtered sizes the subset space explodes
                 break
             search.unknown = False
             hit = search.search_size(k, lower)
             if hit:
                 subset, witnesses = hit
-                result = _assemble(d, cands, subset, witnesses, search.level_masks)
-                proved = not unknown_below
-                exhausted = exhausted or unknown_below
+                base = Base(
+                    tuple(search.cands[i] for i in subset),
+                    {s: witnesses[m] for s, m in search.level_masks.items()},
+                )
                 break
-            unknown_below = unknown_below or search.unknown
+            if bound == k and not search.unknown:
+                bound += 1
     except BudgetExceededError:
-        # a mid-search cap (wall clock, closure values): keep the best
-        # verified base instead of failing
-        exhausted = True
+        pass  # every cap ends the search here; the base in hand stands
 
-    if result is None:
-        # every size below the greedy cover is ruled out or capped out;
-        # the cover itself is always a valid answer, and it is minimal
-        # outright when it already sits on the lower bound
-        result = greedy
-        proved = ub == lower or (not exhausted and not unknown_below)
-        if not proved:
-            exhausted = True
-
-    return MbhSolution(result, proved, make_stats())
+    proved = base.size == bound
+    stats = SearchStats(
+        nodes_expanded=search.nodes,
+        pruned=search.pruned,
+        subsets_checked=search.checked,
+        rectangles_enumerated=len(search.cands),
+        elapsed_seconds=time.monotonic() - t0,
+        budget_exhausted=not proved,
+    )
+    return MbhSolution(base, proved, stats)

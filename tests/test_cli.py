@@ -19,7 +19,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from factorbn import Evidence, parse_base, parse_form, parse_network, variable_elimination
+from factorbn import (
+    Evidence,
+    parse_base,
+    parse_form,
+    parse_network,
+    transform_network,
+    variable_elimination,
+)
 from factorbn.cli import run_cli
 from factorbn.errors import InternalConsistencyError
 
@@ -241,9 +248,27 @@ def test_mbh_finds_and_proves_the_add_base(tmp_path, capsys):
 
 
 def test_mbh_rectangle_cap_exits_three(tmp_path, capsys):
+    # the candidate pool is out of reach: the greedy cover is still emitted
     fn = put(tmp_path, "fn.json", BIG)
     assert run_cli(["mbh", "--function", fn, "--max-rects", "10"]) == 3
-    assert "50625" in capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert json.loads(out)["proved_minimal"] is False
+    parse_base(out)
+    stats, exhausted = err.splitlines()
+    assert stats.startswith("rectangles=") and "enumerated=0" in stats
+    assert exhausted.startswith("budget exhausted")
+
+
+def test_mbh_base_on_the_bound_exits_zero_under_a_cap(tmp_path, capsys):
+    # y = x1: the greedy cover meets the two-level-set bound, so a cap
+    # below it leaves nothing unproved
+    fn = put(tmp_path, "fn.json", dict(AND2, function={"type": "table",
+                                                       "outputs": [0, 0, 1, 1]}))
+    assert run_cli(["mbh", "--function", fn, "--max-base", "1"]) == 0
+    out, err = capsys.readouterr()
+    assert json.loads(out)["proved_minimal"] is True
+    assert "proved_minimal=True" in err
+    assert "budget exhausted" not in err
 
 
 def test_mbh_closure_cap_still_emits_a_base(tmp_path, capsys):
@@ -324,6 +349,26 @@ def test_infer_transforms_agree(tmp_path, capsys, transform):
     net = parse_network(json.dumps(NET))
     want = variable_elimination(net, Evidence({3: (0, 1)}), [0, 1])
     assert np.abs(np.asarray(doc["values"]) - want.flat()).max() < 1e-9
+
+
+def test_infer_evidence_may_name_a_hidden_variable(tmp_path, capsys):
+    # under factorize the query may name B_both, and so may the evidence
+    net_path = put(tmp_path, "net.json", NET)
+    ev_path = put(tmp_path, "ev.json", {"B_both": [1, 0]})
+    assert run_cli(["infer", "--net", net_path, "--evidence", ev_path,
+                    "--query", "alarm", "--transform", "factorize"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    net = transform_network(parse_network(json.dumps(NET)), "factorize")
+    hidden = net.variable_by_name("B_both").id
+    want = variable_elimination(net, Evidence({hidden: (1, 0)}), [3])
+    assert np.array_equal(doc["values"], want.values)
+    # the untransformed network has no such variable
+    assert run_cli(["infer", "--net", net_path, "--evidence", ev_path,
+                    "--query", "alarm"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unknown variable name 'B_both'" in captured.err
+    assert captured.err.count("\n") == 1
 
 
 def test_infer_impossible_evidence_is_input_error(tmp_path, capsys):

@@ -40,7 +40,7 @@ from factorbn.benchcat import (
     connect_tasks,
     generate_student_model,
 )
-from factorbn.cliques import factor_scopes, min_fill, moral_graph
+from factorbn.cliques import min_fill, moral_graph
 from factorbn.core import Evidence
 from factorbn.inference import transform_network
 
@@ -141,7 +141,7 @@ def test_interaction_graph_covers_potential_scopes():
     )
     pot = Factor((0, 2), (2, 2), np.ones((2, 2)))
     net = Network(variables, cpts, (), (pot,))
-    assert moral_graph(factor_scopes(net)) == {0: 0b100, 1: 0, 2: 0b1}
+    assert moral_graph(scope for _, scope, _ in net.tables) == {0: 0b100, 1: 0, 2: 0b1}
 
 
 def test_report_deterministic():

@@ -10,7 +10,8 @@ Core claims:
     - the signed-count decomposition turns sums over expression
       denotations into signed sums over rectangles
     - the trivial base and the closed conjunction / MAX bases verify
-    - tampered h tables are caught with a concrete violating cell
+    - tampered h tables are caught with a concrete violating cell, and
+      a form that fails is refused where it is built
 """
 
 import random
@@ -21,6 +22,7 @@ import pytest
 
 from factorbn import (
     Base,
+    InternalConsistencyError,
     DeterministicFunction,
     Expression,
     Hyperrectangle,
@@ -305,6 +307,21 @@ def test_verify_catches_tampered_h():
     verdict = verify_factorization(d, bad)
     assert not verdict
     assert verdict.violation == (0, (1, 1))
+
+
+def test_build_verifies_the_form_it_makes(monkeypatch):
+    # a defect in the producer is caught where the form is made, naming
+    # the first cell that fails
+    from factorbn import factorization
+
+    d = mk((2, 2), lambda a, b: a & b, 2)
+    good = factorization.membership_tables
+    monkeypatch.setattr(
+        factorization, "membership_tables",
+        lambda rects, cards: good(rects[:1] * len(rects), cards),
+    )
+    with pytest.raises(InternalConsistencyError, match=r"at \(0, \(0, 0\)\)"):
+        build_factorized_form(d, known_base_conjunction((1, 1)))
 
 
 def test_level_sets_partition_the_space():

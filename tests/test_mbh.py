@@ -9,8 +9,9 @@ Core claims:
     - solve_mbh proves minimality on small worked functions (binary
       ADD = 3, checked against an exhaustive subset oracle; ternary
       ADD = 6; the 3-rectangle Boolean cover; AND = 2; MAX = scale)
-    - budget caps degrade to a verified-but-unproved answer instead of
-      failing, except when the candidate pool itself is out of reach
+    - every budget cap, the candidate-enumeration cap included, ends the
+      search with a verified base, unproved unless its size meets the
+      proven lower bound
     - results are deterministic across repeated runs
 """
 
@@ -320,38 +321,39 @@ def test_budget_rejects_caps_it_cannot_enforce(cap, value):
 
 
 def test_rectangle_cap_propagates_with_best_effort_answer():
+    # the candidate pool is out of reach, so the search never starts: the
+    # cap ends it like any other, with the greedy cover, unproved
     d = mk((4, 4, 4, 4), lambda *x: sum(x), 13)
-    with pytest.raises(BudgetExceededError) as exc:
-        solve_mbh(d, SearchBudget(max_rectangles=10))
-    assert exc.value.count == 50625
-    assert exc.value.best is not None
-    assert not exc.value.best.proved_minimal
-    assert bool(
-        verify_factorization(d, build_factorized_form(d, exc.value.best.base))
-    )
+    sol = solve_mbh(d, SearchBudget(max_rectangles=10))
+    assert sol.base == greedy_cover_base(d)
+    assert bool(verify_factorization(d, build_factorized_form(d, sol.base)))
+    assert not sol.proved_minimal
+    assert sol.stats.budget_exhausted
+    assert sol.stats.rectangles_enumerated == 0
+    assert sol.stats.nodes_expanded == 0
 
 
-def test_closure_cap_returns_unproved_base():
+@pytest.mark.parametrize(
+    "cap, value",
+    [("max_rectangles", 10), ("max_closure", 2), ("wall_clock", 1e-9), ("max_base", 4)],
+    ids=["max_rectangles", "max_closure", "wall_clock", "max_base"],
+)
+def test_cap_returns_unproved_base(cap, value):
     d = mk((3, 3), lambda a, b: a + b, 5)
-    sol = solve_mbh(d, SearchBudget(max_closure=2))
+    sol = solve_mbh(d, SearchBudget(**{cap: value}))
     assert bool(verify_factorization(d, build_factorized_form(d, sol.base)))
     assert not sol.proved_minimal
     assert sol.stats.budget_exhausted
 
 
-def test_wall_clock_cap_returns_unproved_base():
-    d = mk((3, 3), lambda a, b: a + b, 5)
-    sol = solve_mbh(d, SearchBudget(wall_clock=1e-9))
-    assert bool(verify_factorization(d, build_factorized_form(d, sol.base)))
-    assert not sol.proved_minimal
-    assert sol.stats.budget_exhausted
-
-
-def test_max_base_cap_returns_unproved_base():
-    d = mk((3, 3), lambda a, b: a + b, 5)
-    sol = solve_mbh(d, SearchBudget(max_base=4))
-    assert not sol.proved_minimal
-    assert sol.stats.budget_exhausted
+def test_base_on_the_bound_is_proved_under_a_cap():
+    # y = x1: the two level sets bound the base from below, and the greedy
+    # cover meets the bound, so a cap below it leaves nothing unproved
+    d = mk((2, 2), lambda a, b: a, 2)
+    sol = solve_mbh(d, SearchBudget(max_base=1))
+    assert sol.base.size == 2
+    assert sol.proved_minimal
+    assert not sol.stats.budget_exhausted
 
 
 def test_stats_are_populated():
