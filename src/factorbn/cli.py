@@ -102,7 +102,7 @@ def _cmd_mbh(args) -> int:
     print(
         f"rectangles={solution.base.size} proved_minimal={solution.proved_minimal} "
         f"nodes={s.nodes_expanded} pruned={s.pruned} checked={s.subsets_checked} "
-        f"enumerated={s.rectangles_enumerated} seconds={s.elapsed_seconds:.3f}",
+        f"enumerated={s.rectangles_enumerated} seconds={s.elapsed_seconds:.3f} cap={s.cap}",
         file=sys.stderr,
     )
     if s.budget_exhausted:

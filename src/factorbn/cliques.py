@@ -174,7 +174,7 @@ def moralize_and_triangulate(net: Network) -> CliqueReport:
     hold a later one: each clique contains its own eliminated vertex,
     which no later clique does.
     """
-    order, raw = min_fill(moral_graph(scope for _, scope, _ in net.tables))
+    order, raw = min_fill(moral_graph(net.scopes))
     maximal: list[set[int]] = []
     for c in map(set, map(_members, raw)):
         if not any(c <= other for other in maximal):

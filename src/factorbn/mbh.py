@@ -14,9 +14,12 @@ Feasibility of a subset is decided in three stages, each sound:
    leaves);
 2. span: every level indicator must lie in the rational span of the
    rectangle indicators (a necessary consequence of the signed-count
-   reconstruction), tested exactly by one fraction-free elimination over
+   reconstruction), tested exactly by fraction-free elimination over
    integers: the subset's rows are reduced to an echelon basis and every
-   level row must reduce to zero against it;
+   level row must reduce to zero against it.  Subsets are tested in
+   lexicographic order, so the basis of each prefix of the last subset
+   tested is kept, and a new subset reduces only the rows after the
+   prefix it shares with that one;
 3. closure: an expression for every level set must actually exist in
    the two-operator algebra, found by uniform-cost search over
    reachable configuration sets with minimal leaf count first.
@@ -42,13 +45,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from heapq import heapify, heappop, heappush
 from itertools import combinations, product as iproduct
 from math import gcd, inf
 from typing import Iterable, Sequence
 
 from .errors import BudgetExceededError, ValidationError
-from .factorization import level_sets
 from .functions import DeterministicFunction
 from .rectangles import Base, Config, Expression, Hyperrectangle
 
@@ -81,12 +84,18 @@ class SearchBudget:
 
 @dataclass(frozen=True)
 class SearchStats:
+    """Search counters.  ``cap`` names the cap that ended the search
+    short of a proof: ``rectangles``, ``closure``, ``wall`` or
+    ``max_base``; it is ``none`` exactly when the base is proved
+    minimal."""
+
     nodes_expanded: int
     pruned: int
     subsets_checked: int
     rectangles_enumerated: int
     elapsed_seconds: float
     budget_exhausted: bool
+    cap: str
 
 
 @dataclass(frozen=True)
@@ -98,14 +107,10 @@ class MbhSolution:
     stats: SearchStats
 
 
-def enumerate_rectangles(
-    cards: Sequence[int], budget: SearchBudget | None = None
-) -> list[Hyperrectangle]:
-    """Every axis-aligned rectangle of the space, in canonical order:
-    lexicographic on the tuple of per-dimension subsets, first dimension
-    varying slowest.  Raises when the count exceeds the budget.
-    """
-    budget = budget or SearchBudget()
+def _dim_subsets(cards: Sequence[int], budget: SearchBudget) -> list[list[tuple[int, ...]]]:
+    """The non-empty state subsets of each dimension, each list sorted
+    lexicographically; the canonical rectangles are their product, first
+    dimension varying slowest.  Raises when the count exceeds the cap."""
     total = 1
     for c in cards:
         total *= (1 << c) - 1
@@ -114,13 +119,23 @@ def enumerate_rectangles(
             f"{total} candidate rectangles exceed the cap of {budget.max_rectangles}",
             count=total, kind="rectangles",
         )
-    per_dim = [
+    return [
         sorted(
             tuple(i for i in range(c) if (m >> i) & 1) for m in range(1, 1 << c)
         )
         for c in cards
     ]
-    return [Hyperrectangle(dims) for dims in iproduct(*per_dim)]
+
+
+def enumerate_rectangles(
+    cards: Sequence[int], budget: SearchBudget | None = None
+) -> list[Hyperrectangle]:
+    """Every axis-aligned rectangle of the space, in canonical order:
+    lexicographic on the tuple of per-dimension subsets, first dimension
+    varying slowest.  Raises when the count exceeds the budget.
+    """
+    dim_subsets = _dim_subsets(cards, budget or SearchBudget())
+    return [Hyperrectangle(dims) for dims in iproduct(*dim_subsets)]
 
 
 # ---------------------------------------------------------------------------
@@ -135,15 +150,42 @@ def _strides(cards: Sequence[int]) -> tuple[int, ...]:
     return tuple(strides)
 
 
-def _flat(cfg: Sequence[int], strides: Sequence[int]) -> int:
-    return sum(x * s for x, s in zip(cfg, strides))
-
-
 def _mask_of(cfgs: Iterable[Config], strides: Sequence[int]) -> int:
     mask = 0
     for cfg in cfgs:
-        mask |= 1 << _flat(cfg, strides)
+        mask |= 1 << sum(x * s for x, s in zip(cfg, strides))
     return mask
+
+
+def _level_masks(d: DeterministicFunction) -> dict[int, int]:
+    """The mask of each level set, by child state, ascending; only states
+    in the image of f appear.  Table order is the flattening order."""
+    masks: dict[int, int] = {}
+    for j, y in enumerate(d.outputs):
+        masks[y] = masks.get(y, 0) | 1 << j
+    return dict(sorted(masks.items()))
+
+
+def _rectangle_masks(dim_subsets: Sequence[Sequence[tuple[int, ...]]],
+                     strides: Sequence[int]) -> list[int]:
+    """The mask of every rectangle of the product of ``dim_subsets``, in
+    its order: mask(D1 x ... x Dn) = OR over x in D1 of mask(D2 x ... x Dn)
+    shifted by x * stride1.  A suffix mask fits below stride1, so the OR
+    is the product with the sum of those shifts."""
+    masks = [1]
+    for dim, stride in zip(reversed(dim_subsets), reversed(strides)):
+        spreads = [sum(1 << x * stride for x in d) for d in dim]
+        masks = [spread * m for spread in spreads for m in masks]
+    return masks
+
+
+def _rectangle_at(dim_subsets: Sequence[Sequence[tuple[int, ...]]], index: int) -> Hyperrectangle:
+    """The rectangle at ``index`` in the order of ``_rectangle_masks``."""
+    dims = []
+    for dim in reversed(dim_subsets):
+        index, r = divmod(index, len(dim))
+        dims.append(dim[r])
+    return Hyperrectangle(tuple(reversed(dims)))
 
 
 def _mask_row(mask: int, ncells: int) -> list[int]:
@@ -163,21 +205,64 @@ def _reduce(row: list[int], basis: list[tuple[int, list[int]]]) -> list[int]:
     return row
 
 
+def _extend(basis: list[tuple[int, list[int]]], row: list[int]) -> None:
+    """Append the row's remainder to the basis, unless it is zero, with
+    its pivot column and divided by the gcd of its entries so that the
+    integers stay small."""
+    row = _reduce(row, basis)
+    if any(row):
+        g = gcd(*row)
+        basis.append((next(i for i, x in enumerate(row) if x), [x // g for x in row]))
+
+
 def _echelon(rows: Iterable[list[int]]) -> list[tuple[int, list[int]]]:
-    """(pivot column, row) pairs spanning the rows, each row divided by
-    the gcd of its entries so that the integers stay small."""
+    """(pivot column, row) pairs spanning the rows, in row order."""
     basis: list[tuple[int, list[int]]] = []
     for row in rows:
-        row = _reduce(row, basis)
-        if any(row):
-            g = gcd(*row)
-            basis.append((next(i for i, x in enumerate(row) if x), [x // g for x in row]))
+        _extend(basis, row)
     return basis
 
 
 def _in_span(basis: list[tuple[int, list[int]]], targets: Iterable[list[int]]) -> bool:
     """Whether every target row lies in the rational span of the basis."""
     return not any(any(_reduce(t, basis)) for t in targets)
+
+
+class _SpanTest:
+    """Whether the target rows lie in the span of a subset's rows, for
+    subsets of candidates met in lexicographic order.
+
+    The echelon basis of each prefix of the last subset tested is kept.
+    A new subset truncates the basis to the prefix it shares with that
+    subset and extends it by its remaining rows, in order, so each test
+    gives the same basis as ``_echelon`` of the subset's rows.  Each
+    candidate's 0/1 row is converted once, on first use.
+    """
+
+    def __init__(self, masks: Sequence[int], ncells: int, targets: list[list[int]]):
+        self.masks = masks
+        self.ncells = ncells
+        self.targets = targets
+        self.rows: dict[int, list[int]] = {}
+        self.path: list[int] = []  # the last subset tested
+        self.depth: list[int] = []  # basis length after each row of the path
+        self.basis: list[tuple[int, list[int]]] = []
+
+    def spans(self, subset: Sequence[int]) -> bool:
+        p, path = 0, self.path
+        n = min(len(path), len(subset))
+        while p < n and path[p] == subset[p]:
+            p += 1
+        del path[p:], self.depth[p:]
+        del self.basis[self.depth[-1] if p else 0:]
+        for i in subset[p:]:
+            row = self.rows.get(i)
+            if row is None:
+                row = self.rows[i] = _mask_row(self.masks[i], self.ncells)
+            _extend(self.basis, row)
+            path.append(i)
+            self.depth.append(len(self.basis))
+        return _in_span(self.basis, self.targets)
 
 
 # ---------------------------------------------------------------------------
@@ -201,11 +286,16 @@ def _closure_search(
 
     Frontier entries carry how their set was made, ``("rect", i)`` or
     ``("union" | "diff", a, b)`` over already-settled masks ``a`` and
-    ``b``; an expression tree is built only for the wanted masks.
+    ``b``; an expression tree is built only for the wanted masks.  Leaf
+    counts pop in ascending order and ties in push order, so a push for
+    a set already queued with no more leaves would pop after that entry
+    and be discarded; every settled set is such a set.  Those pushes are
+    skipped.
     """
     heap = [(1, i, m, ("rect", i)) for i, m in enumerate(masks)]
     heapify(heap)
     seq = len(masks)
+    queued = dict.fromkeys(masks, 1)  # the fewest leaves queued for each set
     settled: dict[int, tuple] = {}
     order: list[tuple[int, int]] = []  # (mask, leaf count) in settling order
     found: dict[int, Expression] = {}
@@ -241,22 +331,28 @@ def _closure_search(
             if len(found) == len(wanted):
                 return found
         for other, osize in order:
-            if mask & other == 0:
-                cand, chow = mask | other, ("union", mask, other)
-            elif other & ~mask == 0:
-                cand, chow = mask & ~other, ("diff", mask, other)
-            elif mask & ~other == 0:
-                cand, chow = other & ~mask, ("diff", other, mask)
-            else:
+            # a union of disjoint sets and a proper difference are both
+            # the symmetric difference of the operands
+            both = mask & other
+            if both and both != other and both != mask:
                 continue
-            if cand not in settled:
-                if len(heap) >= heap_cap:
-                    raise BudgetExceededError(
-                        "closure frontier exceeded its cap",
-                        count=len(heap), kind="closure",
-                    )
-                heappush(heap, (size + osize, seq, cand, chow))
-                seq += 1
+            cand, leaves = mask ^ other, size + osize
+            if queued.get(cand, inf) <= leaves:
+                continue  # settled, or queued to pop before this entry
+            if len(heap) >= heap_cap:
+                raise BudgetExceededError(
+                    "closure frontier exceeded its cap",
+                    count=len(heap), kind="closure",
+                )
+            if not both:
+                chow = ("union", mask, other)
+            elif both == other:
+                chow = ("diff", mask, other)
+            else:
+                chow = ("diff", other, mask)
+            queued[cand] = leaves
+            heappush(heap, (leaves, seq, cand, chow))
+            seq += 1
     return found
 
 
@@ -293,25 +389,35 @@ def can_generate(
 
 
 def greedy_cover_base(d: DeterministicFunction) -> Base:
+    """Cover each level set by disjoint rectangles: from its first
+    uncovered configuration, grow a rectangle one dimension after
+    another, adding each state whose slab of cells is still uncovered."""
     cards = d.parent_cards
+    strides = _strides(cards)
     rect_index: dict[tuple, int] = {}
     rects: list[Hyperrectangle] = []
     exprs: dict[int, Expression] = {}
-    for state, cells in level_sets(d).items():
-        remaining = set(cells)
+    for state, remaining in _level_masks(d).items():
         part_ids: list[int] = []
         while remaining:
-            seed = min(remaining)
-            dims = [[s] for s in seed]
-            for i in range(len(cards)):
-                for s in range(cards[i]):
-                    if s in dims[i]:
-                        continue
-                    trial = dims[:i] + [sorted(dims[i] + [s])] + dims[i + 1 :]
-                    if all(pt in remaining for pt in iproduct(*trial)):
-                        dims = trial
-            rect = Hyperrectangle(tuple(tuple(g) for g in dims))
-            remaining -= set(rect.points())
+            mask = remaining & -remaining
+            flat = mask.bit_length() - 1
+            dims = []
+            for c, stride in zip(cards, strides):
+                x0 = flat // stride % c
+                slab = mask  # the rectangle so far has x0 alone in this dimension
+                dim = []
+                for x in range(c):
+                    if x != x0:
+                        shift = (x - x0) * stride
+                        cells = slab << shift if shift > 0 else slab >> -shift
+                        if cells & remaining != cells:
+                            continue
+                        mask |= cells
+                    dim.append(x)
+                dims.append(tuple(dim))
+            remaining &= ~mask
+            rect = Hyperrectangle(tuple(dims))
             if rect.dims not in rect_index:
                 rect_index[rect.dims] = len(rects)
                 rects.append(rect)
@@ -332,26 +438,22 @@ class _Search:
         self.budget = budget
         self.deadline = deadline
         self.cards = d.parent_cards
-        self.strides = _strides(self.cards)
-        self.ncells = 1
-        for c in self.cards:
-            self.ncells *= c
+        self.ncells = len(d.outputs)
         self.full = (1 << self.ncells) - 1
-        self.levels = level_sets(d)
-        self.level_masks = {
-            s: _mask_of(cfgs, self.strides) for s, cfgs in self.levels.items()
-        }
-        self.level_rows = [
-            _mask_row(m, self.ncells) for m in self.level_masks.values()
-        ]
-        self.cands: list[Hyperrectangle] = []
+        self.level_masks = _level_masks(d)
+        self.dim_subsets: list[list[tuple[int, ...]]] = []
         self.masks: list[int] = []
         self.nodes = self.pruned = self.checked = 0
         self.unknown = False  # a closure cap made some subset undecidable
 
-    def load_candidates(self, cands: list[Hyperrectangle]) -> None:
-        self.cands = cands
-        self.masks = [_mask_of(r.points(), self.strides) for r in cands]
+    def load_candidates(self) -> None:
+        self.dim_subsets = _dim_subsets(self.cards, self.budget)
+        self.masks = _rectangle_masks(self.dim_subsets, _strides(self.cards))
+        self.span = _SpanTest(
+            self.masks,
+            self.ncells,
+            [_mask_row(m, self.ncells) for m in self.level_masks.values()],
+        )
 
     def tick(self) -> None:
         self.nodes += 1
@@ -364,13 +466,11 @@ class _Search:
         """Full feasibility test; returns witnesses by level mask or None.
         Sets .unknown when the closure budget leaves the answer open."""
         self.checked += 1
-        sub_masks = [self.masks[i] for i in subset]
-        basis = _echelon(_mask_row(m, self.ncells) for m in sub_masks)
-        if not _in_span(basis, self.level_rows):
+        if not self.span.spans(subset):
             return None
         try:
             found = _closure_search(
-                sub_masks,
+                [self.masks[i] for i in subset],
                 set(self.level_masks.values()),
                 self.budget.max_closure,
                 self.deadline,
@@ -397,49 +497,40 @@ class _Search:
 
     # --- the two low-size filters -------------------------------------------
 
-    def stripe_union_pool(self) -> list[int]:
-        pool = []
-        for i, m in enumerate(self.masks):
-            for lm in self.level_masks.values():
-                t = m & lm
-                if t != 0 and t != lm:
-                    break
-            else:
-                pool.append(i)
-        return pool
-
+    @cached_property
     def projective_classes(self) -> tuple[list[int], list[list[int]]]:
         """Split candidates into stripe unions (zero class) and groups
-        with proportional images modulo the level-set span."""
-        level_of = [0] * self.ncells
-        rep_of = {}
-        for state, lm in self.level_masks.items():
-            rep = (lm & -lm).bit_length() - 1
-            rep_of[state] = rep
-            for x in range(self.ncells):
-                if (lm >> x) & 1:
-                    level_of[x] = state
-        non_reps = [x for x in range(self.ncells) if x != rep_of[level_of[x]]]
+        with proportional images modulo the level-set span.
 
+        Each level set is represented by its first cell.  Modulo the
+        level-set span, a rectangle's image is its indicator less the
+        union U of the level sets whose representative it holds: +1 on
+        the cells it adds to U, -1 on those it misses, 0 on every
+        representative.  The image is zero exactly for a stripe union,
+        and two images are proportional exactly when they are equal up
+        to sign, normalized here by the sign of the first non-zero cell.
+        """
+        levels = [(lm & -lm, lm) for lm in self.level_masks.values()]
         zero: list[int] = []
-        classes: dict[tuple, list[int]] = {}
+        classes: dict[tuple[int, int], list[int]] = {}
         for i, m in enumerate(self.masks):
-            q = []
-            for x in non_reps:
-                q.append(((m >> x) & 1) - ((m >> rep_of[level_of[x]]) & 1))
-            first = next((v for v in q if v), None)
-            if first is None:
+            union = 0
+            for rep, lm in levels:
+                if m & rep:
+                    union |= lm
+            plus, minus = m & ~union, union & ~m
+            if not plus | minus:
                 zero.append(i)
                 continue
-            if first < 0:
-                q = [-v for v in q]
-            classes.setdefault(tuple(q), []).append(i)
+            first = (plus | minus) & -(plus | minus)
+            key = (minus, plus) if minus & first else (plus, minus)
+            classes.setdefault(key, []).append(i)
         return zero, list(classes.values())
 
     # --- per-size searches ---------------------------------------------------
 
     def search_at_lower_bound(self, k: int):
-        pool = self.stripe_union_pool()
+        pool, _ = self.projective_classes
         for subset in combinations(pool, k):
             self.tick()
             found = self.try_subset(subset)
@@ -448,7 +539,7 @@ class _Search:
         return None
 
     def search_at_lower_bound_plus_one(self, k: int):
-        zero, classes = self.projective_classes()
+        zero, classes = self.projective_classes
         best = None
         pools = [list(zero)]
         for cls in classes:
@@ -528,9 +619,10 @@ def solve_mbh(
 
     base = greedy_cover_base(d)
     search = _Search(d, budget, deadline)
-    lower = bound = len(search.levels)
+    lower = bound = len(search.level_masks)
+    cap = None
     try:
-        search.load_candidates(enumerate_rectangles(d.parent_cards, budget))
+        search.load_candidates()
         for k in range(lower, min(base.size, budget.max_base) + 1):
             if bound < k and k >= lower + 2:
                 # a proof is already off the table, and beyond the two
@@ -541,22 +633,25 @@ def solve_mbh(
             if hit:
                 subset, witnesses = hit
                 base = Base(
-                    tuple(search.cands[i] for i in subset),
+                    tuple(_rectangle_at(search.dim_subsets, i) for i in subset),
                     {s: witnesses[m] for s, m in search.level_masks.items()},
                 )
                 break
-            if bound == k and not search.unknown:
+            if search.unknown:
+                cap = "closure"
+            elif bound == k:
                 bound += 1
-    except BudgetExceededError:
-        pass  # every cap ends the search here; the base in hand stands
+    except BudgetExceededError as e:
+        cap = e.kind  # every cap ends the search here; the base in hand stands
 
     proved = base.size == bound
     stats = SearchStats(
         nodes_expanded=search.nodes,
         pruned=search.pruned,
         subsets_checked=search.checked,
-        rectangles_enumerated=len(search.cands),
+        rectangles_enumerated=len(search.masks),
         elapsed_seconds=time.monotonic() - t0,
         budget_exhausted=not proved,
+        cap="none" if proved else cap or "max_base",
     )
     return MbhSolution(base, proved, stats)

@@ -101,8 +101,9 @@ class Network:
     and inference keeps every one of its potentials.  Stars are left
     out of equality, so a transformed network equals its parsed copy.
 
-    Query-independent data (``cards``, ``parent_map``, ``tables``) is
-    built on first use and kept for the network's lifetime.
+    Query-independent data (``cards``, ``parent_map``, ``scopes``,
+    ``tables``) is built on first use and kept for the network's
+    lifetime.
     """
 
     variables: tuple[Variable, ...]
@@ -240,6 +241,16 @@ class Network:
         out.update((d.child, d.parents) for d in self.deterministic)
         out.update((s.child, s.parents) for s in self.stars)
         return out
+
+    @cached_property
+    def scopes(self) -> tuple[tuple[int, ...], ...]:
+        """The scope of each entry of ``tables``, in the same order,
+        without building a table: a CPT's family, a deterministic node's
+        family sorted by id, a potential's scope."""
+        out = [c.factor.scope for c in self.cpts]
+        out += [tuple(sorted(d.parents + (d.child,))) for d in self.deterministic]
+        out += [p.scope for p in self.potentials]
+        return tuple(out)
 
     @cached_property
     def tables(self) -> tuple[tuple[int | None, tuple[int, ...], np.ndarray], ...]:

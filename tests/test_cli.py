@@ -256,6 +256,7 @@ def test_mbh_rectangle_cap_exits_three(tmp_path, capsys):
     parse_base(out)
     stats, exhausted = err.splitlines()
     assert stats.startswith("rectangles=") and "enumerated=0" in stats
+    assert stats.endswith(" cap=rectangles")
     assert exhausted.startswith("budget exhausted")
 
 
@@ -267,7 +268,7 @@ def test_mbh_base_on_the_bound_exits_zero_under_a_cap(tmp_path, capsys):
     assert run_cli(["mbh", "--function", fn, "--max-base", "1"]) == 0
     out, err = capsys.readouterr()
     assert json.loads(out)["proved_minimal"] is True
-    assert "proved_minimal=True" in err
+    assert "proved_minimal=True" in err and " cap=none" in err
     assert "budget exhausted" not in err
 
 

@@ -14,6 +14,8 @@ Core claims:
       any clique sizes, and on the reduced graphs variable elimination
       plans on for CAT queries
     - a network without variables has no cliques and sizes 0
+    - triangulation reads the network's scopes and builds no table;
+      the scopes are those of the tables, in order
     - repeated runs return identical reports
 """
 
@@ -142,6 +144,14 @@ def test_interaction_graph_covers_potential_scopes():
     pot = Factor((0, 2), (2, 2), np.ones((2, 2)))
     net = Network(variables, cpts, (), (pot,))
     assert moral_graph(scope for _, scope, _ in net.tables) == {0: 0b100, 1: 0, 2: 0b1}
+
+
+def test_triangulation_reads_scopes_without_building_tables():
+    for net in (chain_network(), star_network(), transform_network(star_network(), "factorize")):
+        report = moralize_and_triangulate(net)
+        assert "tables" not in net.__dict__
+        assert net.scopes == tuple(scope for _, scope, _ in net.tables)
+        assert report == moralize_and_triangulate(net)
 
 
 def test_report_deterministic():

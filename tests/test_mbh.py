@@ -11,13 +11,17 @@ Core claims:
       ADD = 6; the 3-rectangle Boolean cover; AND = 2; MAX = scale)
     - every budget cap, the candidate-enumeration cap included, ends the
       search with a verified base, unproved unless its size meets the
-      proven lower bound
+      proven lower bound, and the stats name the cap
+    - the solver's bitmask internals match their set-based references:
+      candidate masks built per dimension, the span test that extends
+      the previous subset's basis, the greedy cover and the projective
+      classes
     - results are deterministic across repeated runs
 """
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -40,7 +44,18 @@ from factorbn import (
     verify_factorization,
 )
 from factorbn.errors import ValidationError
-from factorbn.mbh import _echelon, _in_span
+from factorbn.mbh import (
+    _dim_subsets,
+    _echelon,
+    _in_span,
+    _mask_of,
+    _mask_row,
+    _rectangle_at,
+    _rectangle_masks,
+    _Search,
+    _SpanTest,
+    _strides,
+)
 
 
 def mk(cards, fn, child_card):
@@ -83,6 +98,15 @@ def test_enumeration_budget_names_count():
         enumerate_rectangles((4, 4, 4, 4), SearchBudget(max_rectangles=10_000))
     assert exc.value.count == 50625
     assert "50625" in str(exc.value)
+
+
+@pytest.mark.parametrize("cards", [(2,), (3, 3), (2, 3, 2), (2, 2, 2, 2), (3, 3, 3)])
+def test_candidate_masks_match_the_rectangles(cards):
+    rects = enumerate_rectangles(cards)
+    dim_subsets = _dim_subsets(cards, SearchBudget())
+    strides = _strides(cards)
+    assert _rectangle_masks(dim_subsets, strides) == [_mask_of(r.points(), strides) for r in rects]
+    assert [_rectangle_at(dim_subsets, i) for i in range(len(rects))] == rects
 
 
 # -- the span test against a rational-rank oracle ----------------------------
@@ -131,6 +155,104 @@ def test_span_test_agrees_with_rational_rank():
         assert _in_span(_echelon(rows), targets) == expected
         outcomes[expected] += 1
     assert min(outcomes.values()) >= 100, outcomes
+
+
+def test_incremental_span_test_matches_a_fresh_elimination():
+    # sequences of subsets, mostly in lexicographic order as the solver
+    # meets them, sometimes jumping back; every test must agree with an
+    # elimination from scratch and leave the same basis behind
+    rng = random.Random(77)
+    outcomes = {True: 0, False: 0}
+    for _ in range(40):
+        ncells = rng.randint(2, 12)
+        masks = [rng.randrange(1, 1 << ncells) for _ in range(rng.randint(3, 14))]
+        rows = [_mask_row(m, ncells) for m in masks]
+        pick = rng.sample(range(len(masks)), rng.randint(1, min(3, len(masks))))
+        targets = [_mask_row(masks[i] | masks[j], ncells) if masks[i] & masks[j] == 0
+                   else rows[i] for i, j in zip(pick, pick[1:] + pick[:1])]
+        targets.append(_mask_row(rng.randrange(1 << ncells), ncells))
+        span = _SpanTest(masks, ncells, targets)
+        k = rng.randint(1, len(masks))
+        for _ in range(30):
+            if rng.random() < 0.8:
+                subset = sorted(rng.sample(range(len(masks)), k))
+            else:
+                subset = rng.sample(range(len(masks)), rng.randint(1, len(masks)))
+            expected = _in_span(_echelon(rows[i] for i in subset), targets)
+            assert span.spans(subset) == expected
+            assert span.basis == _echelon(rows[i] for i in subset)
+            outcomes[expected] += 1
+    assert min(outcomes.values()) >= 100, outcomes
+
+
+def reference_greedy_cover_dims(d):
+    """The greedy cover's rectangles, grown over sets of configurations."""
+    cards = d.parent_cards
+    out = []
+    for _, cells in level_sets(d).items():
+        remaining = set(cells)
+        while remaining:
+            seed = min(remaining)
+            dims = [[s] for s in seed]
+            for i in range(len(cards)):
+                for s in range(cards[i]):
+                    if s in dims[i]:
+                        continue
+                    trial = dims[:i] + [sorted(dims[i] + [s])] + dims[i + 1 :]
+                    if all(pt in remaining for pt in product(*trial)):
+                        dims = trial
+            remaining -= set(product(*dims))
+            out.append(tuple(tuple(g) for g in dims))
+    return out
+
+
+def reference_projective_classes(masks, level_masks, ncells):
+    """Candidates by their image modulo the level-set span, as integer
+    vectors over the cells that represent no level set."""
+    level_of, rep_of = [0] * ncells, {}
+    for state, lm in level_masks.items():
+        rep_of[state] = (lm & -lm).bit_length() - 1
+        for x in range(ncells):
+            if (lm >> x) & 1:
+                level_of[x] = state
+    non_reps = [x for x in range(ncells) if x != rep_of[level_of[x]]]
+    zero, classes = [], {}
+    for i, m in enumerate(masks):
+        q = [((m >> x) & 1) - ((m >> rep_of[level_of[x]]) & 1) for x in non_reps]
+        first = next((v for v in q if v), None)
+        if first is None:
+            zero.append(i)
+            continue
+        if first < 0:
+            q = [-v for v in q]
+        classes.setdefault(tuple(q), []).append(i)
+    return zero, list(classes.values())
+
+
+def random_functions(seed, count):
+    rng = random.Random(seed)
+    for _ in range(count):
+        cards = tuple(rng.randint(2, 4) for _ in range(rng.randint(1, 3)))
+        size = 1
+        for c in cards:
+            size *= c
+        cc = rng.randint(2, 4)
+        yield DeterministicFunction(
+            tuple(range(len(cards))), len(cards), cards, cc,
+            tuple(rng.randrange(cc) for _ in range(size)),
+        )
+
+
+def test_greedy_cover_and_classes_match_set_based_references():
+    for d in random_functions(31, 60):
+        dims = reference_greedy_cover_dims(d)
+        base = greedy_cover_base(d)
+        assert [r.dims for r in base.rectangles] == list(dict.fromkeys(dims))
+        search = _Search(d, SearchBudget(), None)
+        search.load_candidates()
+        assert search.projective_classes == reference_projective_classes(
+            search.masks, search.level_masks, search.ncells
+        )
 
 
 # -- an independent closure oracle -------------------------------------------
@@ -331,19 +453,22 @@ def test_rectangle_cap_propagates_with_best_effort_answer():
     assert sol.stats.budget_exhausted
     assert sol.stats.rectangles_enumerated == 0
     assert sol.stats.nodes_expanded == 0
+    assert sol.stats.cap == "rectangles"
 
 
 @pytest.mark.parametrize(
-    "cap, value",
-    [("max_rectangles", 10), ("max_closure", 2), ("wall_clock", 1e-9), ("max_base", 4)],
+    "cap, value, name",
+    [("max_rectangles", 10, "rectangles"), ("max_closure", 2, "closure"),
+     ("wall_clock", 1e-9, "wall"), ("max_base", 4, "max_base")],
     ids=["max_rectangles", "max_closure", "wall_clock", "max_base"],
 )
-def test_cap_returns_unproved_base(cap, value):
+def test_cap_returns_unproved_base(cap, value, name):
     d = mk((3, 3), lambda a, b: a + b, 5)
     sol = solve_mbh(d, SearchBudget(**{cap: value}))
     assert bool(verify_factorization(d, build_factorized_form(d, sol.base)))
     assert not sol.proved_minimal
     assert sol.stats.budget_exhausted
+    assert sol.stats.cap == name
 
 
 def test_base_on_the_bound_is_proved_under_a_cap():
@@ -354,6 +479,7 @@ def test_base_on_the_bound_is_proved_under_a_cap():
     assert sol.base.size == 2
     assert sol.proved_minimal
     assert not sol.stats.budget_exhausted
+    assert sol.stats.cap == "none"
 
 
 def test_stats_are_populated():
@@ -365,6 +491,7 @@ def test_stats_are_populated():
     assert s.nodes_expanded >= 1
     assert s.elapsed_seconds >= 0.0
     assert not s.budget_exhausted
+    assert s.cap == "none"
 
 
 def test_solver_deterministic_across_runs():
