@@ -175,9 +175,9 @@ def moralize_and_triangulate(net: Network) -> CliqueReport:
     which no later clique does.
     """
     order, raw = min_fill(moral_graph(net.scopes))
-    maximal: list[set[int]] = []
-    for c in map(set, map(_members, raw)):
-        if not any(c <= other for other in maximal):
+    maximal: list[int] = []
+    for c in raw:
+        if not any(c & other == c for other in maximal):
             maximal.append(c)
-    cliques = tuple(sorted(tuple(sorted(c)) for c in maximal))
+    cliques = tuple(sorted(tuple(_members(c)) for c in maximal))
     return CliqueReport(tuple(order), cliques, net.cards)

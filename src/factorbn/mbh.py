@@ -24,15 +24,23 @@ Feasibility of a subset is decided in three stages, each sound:
    the two-operator algebra, found by uniform-cost search over
    reachable configuration sets with minimal leaf count first.
 
-Two algebraic consequences of the span condition cut the first two
-sizes down sharply.  At k == L the rectangle span equals the level-set
-span, and a 0/1 vector in the span of disjoint level indicators is a
-union of level sets, so only "stripe union" rectangles qualify.  At
-k == L + 1 the span has one extra dimension, so modulo the level-set
-span all rectangle images live on a single line: after normalization,
-every non-stripe-union rectangle in the subset must fall in one
-projective class.  Both filters preserve completeness at their size,
-and larger sizes fall back to depth-first search with coverage pruning.
+Every size runs one depth-first search over a pool of candidates in
+ascending order, so subsets come in lexicographic order.  A branch is
+cut where its rectangles and every candidate left in the pool cannot
+cover the space.  Two algebraic consequences of the span condition
+shrink the pool at the first two sizes.  At k == L the rectangle span
+equals the level-set span, and a 0/1 vector in the span of disjoint
+level indicators is a union of level sets, so only "stripe union"
+rectangles qualify, and they are the pool.  At k == L + 1 the span has
+one extra dimension, so modulo the level-set span all rectangle images
+live on a single line: after normalization, every non-stripe-union
+rectangle in the subset must fall in one projective class.  The pool
+is every candidate until the first one outside the stripe unions is
+chosen; the rest of that branch draws from the stripe unions and that
+candidate's class.  Both filters preserve completeness at their size,
+and larger sizes search every candidate.  ``nodes_expanded`` counts
+every node the search visits, interior or leaf, including the one
+whose coverage cut ends a loop.
 
 The search keeps one proven lower bound: it starts at L and rises by
 one for each size ruled out with no budget cap in the way.  The answer
@@ -44,10 +52,11 @@ candidate-enumeration cap included, ends the search with that answer.
 from __future__ import annotations
 
 import time
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import heapify, heappop, heappush
-from itertools import combinations, product as iproduct
+from itertools import product as iproduct
 from math import gcd, inf
 from typing import Iterable, Sequence
 
@@ -422,10 +431,11 @@ def greedy_cover_base(d: DeterministicFunction) -> Base:
                 rect_index[rect.dims] = len(rects)
                 rects.append(rect)
             part_ids.append(rect_index[rect.dims])
-        expr = Expression.rect(part_ids[0])
-        for j in part_ids[1:]:
-            expr = Expression.union(expr, Expression.rect(j))
-        exprs[state] = expr
+        parts = [Expression.rect(j) for j in part_ids]
+        while len(parts) > 1:  # unions of neighbours: ceil(log2 parts) deep
+            pairs = [Expression.union(a, b) for a, b in zip(parts[::2], parts[1::2])]
+            parts = pairs + parts[2 * len(pairs):]
+        exprs[state] = parts[0]
     return Base(tuple(rects), exprs)
 
 
@@ -484,23 +494,13 @@ class _Search:
             return None
         return found
 
-    def try_subset(self, subset: Sequence[int]):
-        """check_subset on a subset that covers the space; a subset that
-        does not is counted as pruned and fails."""
-        acc = 0
-        for i in subset:
-            acc |= self.masks[i]
-        if acc != self.full:
-            self.pruned += 1
-            return None
-        return self.check_subset(subset)
-
-    # --- the two low-size filters -------------------------------------------
+    # --- the search ----------------------------------------------------------
 
     @cached_property
-    def projective_classes(self) -> tuple[list[int], list[list[int]]]:
-        """Split candidates into stripe unions (zero class) and groups
-        with proportional images modulo the level-set span.
+    def projective_classes(self) -> list[int]:
+        """One class label per candidate: 0 for a stripe union, and from 1
+        up, in order of first appearance, one label per group of
+        candidates with proportional images modulo the level-set span.
 
         Each level set is represented by its first cell.  Modulo the
         level-set span, a rectangle's image is its indicator less the
@@ -511,69 +511,63 @@ class _Search:
         to sign, normalized here by the sign of the first non-zero cell.
         """
         levels = [(lm & -lm, lm) for lm in self.level_masks.values()]
-        zero: list[int] = []
-        classes: dict[tuple[int, int], list[int]] = {}
-        for i, m in enumerate(self.masks):
+        keys: dict[tuple[int, int], int] = {}
+        labels = []
+        for m in self.masks:
             union = 0
             for rep, lm in levels:
                 if m & rep:
                     union |= lm
             plus, minus = m & ~union, union & ~m
             if not plus | minus:
-                zero.append(i)
+                labels.append(0)
                 continue
             first = (plus | minus) & -(plus | minus)
             key = (minus, plus) if minus & first else (plus, minus)
-            classes.setdefault(key, []).append(i)
-        return zero, list(classes.values())
+            labels.append(keys.setdefault(key, len(keys) + 1))
+        return labels
 
-    # --- per-size searches ---------------------------------------------------
+    def pool(self, members: list[int]) -> tuple[list[int], list[int]]:
+        """Ascending candidates and, from each position on, the union of
+        their masks."""
+        suffix = [0] * (len(members) + 1)
+        for j in range(len(members) - 1, -1, -1):
+            suffix[j] = suffix[j + 1] | self.masks[members[j]]
+        return members, suffix
 
-    def search_at_lower_bound(self, k: int):
-        pool, _ = self.projective_classes
-        for subset in combinations(pool, k):
-            self.tick()
-            found = self.try_subset(subset)
-            if found:
-                return subset, found
-        return None
+    def search_size(self, k: int, lower: int):
+        """The lexicographically first feasible subset of k candidates,
+        with its witnesses, or None; ``lower`` is the level-set count.
 
-    def search_at_lower_bound_plus_one(self, k: int):
-        zero, classes = self.projective_classes
-        best = None
-        pools = [list(zero)]
-        for cls in classes:
-            pools.append(sorted(zero + cls))
-        class_sets = [set()] + [set(cls) for cls in classes]
-        for pool, must_touch in zip(pools, class_sets):
-            if len(pool) < k:
-                continue
-            for subset in combinations(pool, k):
-                self.tick()
-                if must_touch and not any(i in must_touch for i in subset):
-                    continue  # pure-zero subsets are handled by the first pool
-                if best is not None and subset >= best[0]:
-                    continue
-                found = self.try_subset(subset)
-                if found and (best is None or subset < best[0]):
-                    best = (subset, found)
-                    break  # later combinations in this pool are lex-larger
-        return best
+        One depth-first search over a pool in ascending order, cut where
+        the masks left in the pool cannot complete the cover.  At k ==
+        lower the pool is the stripe unions.  At k == lower + 1 it is
+        every candidate until the first one outside the zero class; the
+        rest of that branch draws from the zero class and that one's
+        class, a pool built once per class.
+        """
+        labels = self.projective_classes
+        members: dict[int, list[int]] = {0: []}
+        for i, c in enumerate(labels):
+            members.setdefault(c, []).append(i)
+        root = members[0] if k == lower else list(range(len(labels)))
+        class_pools: dict[int, tuple[list[int], list[int]]] = {}
 
-    def search_general(self, k: int):
-        n = len(self.masks)
-        suffix = [0] * (n + 1)
-        for i in range(n - 1, -1, -1):
-            suffix[i] = suffix[i + 1] | self.masks[i]
+        def class_pool(c: int):
+            if c not in class_pools:
+                class_pools[c] = self.pool(sorted(members[0] + members[c]))
+            return class_pools[c]
+
         sel: list[int] = []
 
-        def dfs(start: int, acc: int):
+        def dfs(pool, suffix, start: int, acc: int, switch: bool):
             slots = k - len(sel)
-            for i in range(start, n - slots + 1):
+            for j in range(start, len(pool) - slots + 1):
                 self.tick()
-                if acc | suffix[i] != self.full:
+                if acc | suffix[j] != self.full:
                     self.pruned += 1
                     break  # suffixes only shrink from here on
+                i = pool[j]
                 sel.append(i)
                 nacc = acc | self.masks[i]
                 if slots == 1:
@@ -584,20 +578,17 @@ class _Search:
                     else:
                         self.pruned += 1
                 else:
-                    hit = dfs(i + 1, nacc)
+                    if switch and labels[i]:
+                        cpool, csuffix = class_pool(labels[i])
+                        hit = dfs(cpool, csuffix, bisect_right(cpool, i), nacc, False)
+                    else:
+                        hit = dfs(pool, suffix, j + 1, nacc, switch)
                     if hit:
                         return hit
                 sel.pop()
             return None
 
-        return dfs(0, 0)
-
-    def search_size(self, k: int, lower: int):
-        if k == lower:
-            return self.search_at_lower_bound(k)
-        if k == lower + 1:
-            return self.search_at_lower_bound_plus_one(k)
-        return self.search_general(k)
+        return dfs(*self.pool(root), 0, 0, k == lower + 1)
 
 
 def solve_mbh(

@@ -225,9 +225,10 @@ class Base:
 # Operators may nest at most this deep in a parsed expression, so that
 # every recursive walk of the tree stays well inside Python's default
 # recursion limit.  The solver's witnesses nest a few levels; the greedy
-# cover nests one union per part of a level set (511 for parity on ten
-# binary parents, the most binary parents the default rectangle cap of
-# the mbh command admits).
+# cover, which is also the answer whenever a cap stops the search, joins
+# the parts of a level set in a balanced union tree, ceil(log2 parts)
+# deep, so that even a level set of one part per configuration stays
+# far below the limit.
 MAX_EXPRESSION_DEPTH = 512
 
 

@@ -175,6 +175,24 @@ def test_factorize_deeply_nested_base_is_input_error(tmp_path, capsys):
     assert "nests deeper than" in captured.err and captured.err.count("\n") == 1
 
 
+def test_capped_mbh_base_factorizes(tmp_path, capsys):
+    # parity on 12 binary parents: 3^12 candidates exceed the rectangle
+    # cap, so mbh answers with the greedy cover, 2048 one-cell parts per
+    # level set, and factorize must accept what mbh wrote
+    n = 12
+    fn = put(tmp_path, "par12.json", {
+        "parents": [{"name": f"x{i}", "card": 2} for i in range(n)],
+        "child": {"name": "y", "card": 2},
+        "function": {"type": "table",
+                     "outputs": [bin(j).count("1") % 2 for j in range(1 << n)]},
+    })
+    base = str(tmp_path / "par12.base")
+    assert run_cli(["mbh", "--function", fn, "--out", base]) == 3
+    assert "cap=rectangles" in capsys.readouterr().err
+    assert run_cli(["factorize", "--function", fn, "--base", base]) == 0
+    assert parse_form(capsys.readouterr().out).n_hidden == 1 << n
+
+
 def test_unreadable_file_is_input_error(tmp_path, capsys):
     assert run_cli(["factorize", "--function",
                     str(tmp_path / "absent.json"), "--trivial"]) == 2

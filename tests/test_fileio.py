@@ -386,7 +386,7 @@ def test_base_round_trip():
 
 
 def test_deep_greedy_base_round_trips():
-    # parity on ten binary parents: the greedy cover nests 511 unions
+    # parity on ten binary parents: 512 one-cell parts in each level set
     parity = DeterministicFunction.from_callable(
         range(10), 10, (2,) * 10, 2, lambda *x: sum(x) % 2
     )

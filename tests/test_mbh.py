@@ -250,7 +250,10 @@ def test_greedy_cover_and_classes_match_set_based_references():
         assert [r.dims for r in base.rectangles] == list(dict.fromkeys(dims))
         search = _Search(d, SearchBudget(), None)
         search.load_candidates()
-        assert search.projective_classes == reference_projective_classes(
+        groups = {}
+        for i, label in enumerate(search.projective_classes):
+            groups.setdefault(label, []).append(i)
+        assert (groups.pop(0, []), list(groups.values())) == reference_projective_classes(
             search.masks, search.level_masks, search.ncells
         )
 
@@ -425,6 +428,55 @@ def test_constant_function_single_rectangle():
     assert sol.base.size == 1
     assert sol.proved_minimal
     assert sol.base.rectangles[0].dims == ((0, 1), (0, 1))
+
+
+# -- the search against an unfiltered reference ------------------------------
+
+
+def reference_first_base(d):
+    """The rectangles of the first subset, in the order of combinations
+    over all candidates at the smallest size that has one, that covers
+    the space and passes the full feasibility test."""
+    search = _Search(d, SearchBudget(), None)
+    search.load_candidates()
+    masks = search.masks
+    for k in range(1, len(masks) + 1):
+        for subset in combinations(range(len(masks)), k):
+            acc = 0
+            for i in subset:
+                acc |= masks[i]
+            if acc == search.full and search.check_subset(subset):
+                return tuple(_rectangle_at(search.dim_subsets, i) for i in subset)
+    raise AssertionError("no base found at all")
+
+
+def small_functions(seed, count):
+    """Seeded random functions on at most nine cells."""
+    rng = random.Random(seed)
+    while count:
+        cards = tuple(rng.randint(2, 4) for _ in range(rng.randint(1, 3)))
+        size = int(np.prod(cards))
+        if size <= 9:
+            cc = rng.randint(2, 4)
+            yield DeterministicFunction(
+                tuple(range(len(cards))), len(cards), cards, cc,
+                tuple(rng.randrange(cc) for _ in range(size)),
+            )
+            count -= 1
+
+
+def test_search_returns_the_first_base_of_an_unfiltered_search():
+    # the stripe-union pool at the level-set count, the class switch one
+    # above it and the plain search beyond must each keep every feasible
+    # subset and the lexicographic order
+    worked = [mk((2, 3), lambda a, b: a + b, 4), mk((2, 2, 2), lambda *x: int(sum(x) >= 2), 2)]
+    gaps = set()
+    for d in [*worked, *small_functions(1, 60)]:
+        sol = solve_mbh(d)
+        assert sol.proved_minimal
+        assert sol.base.rectangles == reference_first_base(d)
+        gaps.add(sol.base.size - len(level_sets(d)))
+    assert gaps == {0, 1, 2}
 
 
 # -- budgets and degradation -------------------------------------------------

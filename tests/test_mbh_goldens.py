@@ -6,10 +6,10 @@ Core claim:
       exact bytes of write_base) and expands, prunes and checks the same
       number of subsets as the recorded goldens in mbh_goldens.json
 
-The goldens were recorded from the solver before its span test became
-an integer elimination and its closure search began building witnesses
-lazily; any change to them is a change of search behaviour.  Regenerate
-only for a deliberate change of the search:
+The goldens were last recorded when every base size came to run one
+depth-first search, which changed the node, prune and check counters
+and no base; any change to them is a change of search behaviour.
+Regenerate only for a deliberate change of the search:
 
     PYTHONPATH=src python tests/test_mbh_goldens.py
 """
