@@ -51,15 +51,23 @@ class CliqueReport:
         return max(self.clique_sizes(), default=0)
 
 
-def moral_graph(scopes: Iterable[Iterable[int]], skip: int = 0) -> dict[int, int]:
+def moral_graph(
+    scopes: Iterable[Iterable[int]], skip: int = 0, masks: Iterable[int] | None = None
+) -> dict[int, int]:
     """The graph in which each scope becomes a clique, as the bitmask of
     each vertex's neighbours (bit u for vertex u).  Variables whose bit
     is set in ``skip`` are left out; a scope member with no other member
-    still becomes a vertex, with mask 0."""
+    still becomes a vertex, with mask 0.  ``masks``, when given, holds
+    the bitmask of each scope in the same order (as
+    :attr:`~factorbn.network.Network.scope_masks` does), so that none is
+    rebuilt."""
     free = ~skip
+    if masks is None:
+        scopes = list(scopes)
+        masks = [sum(1 << v for v in scope) for scope in scopes]
     nb: dict[int, int] = {}
-    for scope in scopes:
-        mask = sum(1 << v for v in scope) & free
+    for scope, mask in zip(scopes, masks):
+        mask &= free
         for v in scope:
             if mask >> v & 1:
                 nb[v] = nb.get(v, 0) | mask
@@ -103,6 +111,9 @@ def min_fill(nb: dict[int, int]) -> tuple[list[int], list[int]]:
     So a member is rescored from its own fill edges, never by
     rescanning its neighbourhood, and one without fill edges just drops
     |O| + f.  The cost stays small on cliques of hundreds of members.
+    When f is 0, as on a chordal graph at every step, K is a clique
+    already: each member only loses v and its outside ties |O|, in one
+    pass over K.
     """
     adj = [0] * (max(nb, default=-1) + 1)
     fill = [_GONE] * len(adj)
@@ -125,6 +136,15 @@ def min_fill(nb: dict[int, int]) -> tuple[list[int], list[int]]:
         gone = 1 << v
         order.append(v)
         cliques.append(clique | gone)
+        if not f:
+            rest = clique
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                a = low.bit_length() - 1
+                na = adj[a] = adj[a] ^ gone
+                fill[a] -= (na & ~clique).bit_count()
+            continue
         new: dict[int, int] = {}  # F_a of each member with a fill edge
         rest = clique
         while rest:
@@ -174,7 +194,7 @@ def moralize_and_triangulate(net: Network) -> CliqueReport:
     hold a later one: each clique contains its own eliminated vertex,
     which no later clique does.
     """
-    order, raw = min_fill(moral_graph(net.scopes))
+    order, raw = min_fill(moral_graph(net.scopes, masks=net.scope_masks))
     maximal: list[int] = []
     for c in raw:
         if not any(c & other == c for other in maximal):

@@ -37,10 +37,10 @@ Table = tuple[tuple[int, ...], np.ndarray]  # (scope, values with one axis per s
 METHODS = ("none", "divorce", "factorize")  # the rewrites of transform_network
 
 
-def _relevant_heads(net: Network, targets: Iterable[int]) -> set[int]:
-    """The targets, the child of every star whose hidden variable is a
-    target, every variable in a potential outside a star, and all their
-    ancestors.
+def _relevant_heads(net: Network, targets: Iterable[int]) -> int:
+    """The bitmask of the targets, the child of every star whose hidden
+    variable is a target, every variable in a potential outside a star,
+    and all their ancestors: an OR of the network's ancestor masks.
 
     Every other CPT, deterministic or factorized family is barren for a
     query on the targets (Zhang & Poole 1996): its child has no observed
@@ -48,50 +48,55 @@ def _relevant_heads(net: Network, targets: Iterable[int]) -> set[int]:
     by rows that sum to 1.  A star sums to 1 over its child and hidden
     variable because its form reconstructs the deterministic family.
     """
-    parents = net.parent_map
-    seen = set(targets)
-    seen.update([s.child for s in net.stars if s.hidden in seen])
-    seen.update(v for head, scope, _ in net.tables if head is None for v in scope)
-    stack = list(seen)
-    while stack:
-        for u in parents.get(stack.pop(), ()):
-            if u not in seen:
-                seen.add(u)
-                stack.append(u)
+    ancestors = net.ancestor_masks
+    seen = 0
+    for v in targets:
+        seen |= ancestors[v]
+    for star in net.stars:
+        if seen >> star.hidden & 1:  # a hidden variable is no one's ancestor
+            seen |= ancestors[star.child]
+    for head, scope, _ in net.tables:
+        if head is None:
+            for v in scope:
+                seen |= ancestors[v]
     return seen
 
 
-def _slice(table: Table, picks: dict[int, int | np.ndarray]) -> Table:
-    """Index the observed axes away: an int pick drops the axis, an
-    index array keeps only the allowed states."""
+def _slice(table: Table, picks: dict[int, int | list[int]]) -> Table:
+    """Index the observed axes away: an int pick drops the axis (a view),
+    a list of states keeps only those states."""
     scope, values = table
-    if picks.keys().isdisjoint(scope):
-        return table
     for axis in reversed(range(len(scope))):
         pick = picks.get(scope[axis])
         if pick is not None:
-            values = np.take(values, pick, axis=axis)
+            values = values[(slice(None),) * axis + (pick,)]
     return tuple(v for v in scope if not isinstance(picks.get(v), int)), values
 
 
-def _contract(tables: Sequence[Table], out: Sequence[int]) -> np.ndarray:
-    """Multiply the tables and sum every variable not in ``out``, as one
-    einsum with labels numbered locally; its axes follow ``out``.
+def _contract(tables: Sequence[Table], drop: int) -> Table:
+    """Multiply the tables and sum out variable ``drop`` (-1 sums
+    nothing) in one einsum.  One pass over the scopes labels each
+    variable by its first appearance; the result's scope lists the
+    other variables in that order.
 
     Beyond MAX_OPERANDS tables, the first ones are multiplied together
     first, summing nothing, so no einsum exceeds numpy's operand limit.
     """
     if len(tables) > MAX_OPERANDS:
-        head = tables[:MAX_OPERANDS]
-        scope = tuple(dict.fromkeys(u for s, _ in head for u in s))
-        return _contract([(scope, _contract(head, scope)), *tables[MAX_OPERANDS:]], out)
+        head = _contract(tables[:MAX_OPERANDS], -1)
+        return _contract([head, *tables[MAX_OPERANDS:]], drop)
     labels: dict[int, int] = {}
     args: list = []
     for scope, values in tables:
         args.append(values)
         args.append([labels.setdefault(v, len(labels)) for v in scope])
-    args.append([labels[v] for v in out])
-    return np.einsum(*args)
+    out = list(labels)
+    ids = list(range(len(out)))
+    gone = labels.get(drop)
+    if gone is not None:
+        del out[gone], ids[gone]
+    args.append(ids)
+    return tuple(out), np.einsum(*args)
 
 
 def variable_elimination(
@@ -113,7 +118,10 @@ def variable_elimination(
     :func:`~factorbn.cliques.moral_graph` of the sliced tables' scopes
     with the query variables left out, built as clique accounting
     builds the graph of the whole network.  Each step multiplies the
-    tables holding the variable and sums it out in one einsum.  Raises
+    tables holding the variable and sums it out in one einsum.  The
+    network's ancestor and scope masks make the pruning and slicing
+    tests bit tests; nothing that depends on the network alone is
+    rebuilt per query.  Raises
     ZeroNormalizerError when the evidence has zero mass and
     InternalConsistencyError if the unnormalized result dips below
     -1e-9 anywhere (values above that are clamped to 0) or does not have
@@ -129,8 +137,9 @@ def variable_elimination(
     queryset = set(query)
 
     cards = net.cards
-    picks: dict[int, int | np.ndarray] = {}
-    masks: list[Table] = []
+    picks: dict[int, int | list[int]] = {}
+    dropped = 0  # the variables whose axis a pick drops
+    likelihoods: list[Table] = []
     for var, vec in evidence.findings.items():
         if not 0 <= var < len(cards):
             raise ValidationError(f"evidence names unknown variable id {var}")
@@ -142,44 +151,56 @@ def variable_elimination(
         if not any(vec):
             raise ZeroNormalizerError("evidence has zero probability under the model")
         if var in queryset:
-            masks.append(((var,), np.asarray(vec, dtype=np.float64)))
+            likelihoods.append(((var,), np.asarray(vec, dtype=np.float64)))
         elif not all(vec):
-            allowed = np.flatnonzero(vec)
-            picks[var] = int(allowed[0]) if allowed.size == 1 else allowed
+            allowed = [i for i, x in enumerate(vec) if x]
+            if len(allowed) == 1:
+                picks[var] = allowed[0]
+                dropped |= 1 << var
+            else:
+                picks[var] = allowed
+    picked = sum(1 << v for v in picks)
 
-    heads = _relevant_heads(net, queryset | set(evidence.findings))
-    tables = [
-        _slice((scope, values), picks)
-        for head, scope, values in net.tables
-        if head is None or head in heads
-    ] + masks
-
-    scopes = [scope for scope, _ in tables]
-    order, _ = min_fill(moral_graph(scopes, sum(1 << q for q in query)))
+    relevant = _relevant_heads(net, [*query, *evidence.findings])
+    tables: list[Table] = []
+    scopes: list[tuple[int, ...]] = []
+    masks: list[int] = []
+    for (head, scope, values), mask in zip(net.tables, net.scope_masks):
+        if head is None or relevant >> head & 1:
+            if mask & picked:
+                scope, values = _slice((scope, values), picks)
+                mask &= ~dropped
+            tables.append((scope, values))
+            scopes.append(scope)
+            masks.append(mask)
+    order, _ = min_fill(moral_graph(scopes, sum(1 << q for q in query), masks))
+    tables += likelihoods  # over query variables alone, so outside the graph
 
     # Bucket elimination: each table waits in the bucket of its first
     # variable in the order, so a bucket holds every table that touches
-    # its variable by the time that variable is summed out.
-    rank = {v: i for i, v in enumerate(order)}
-    buckets: list[list[Table]] = [[] for _ in order]
-    final: list[Table] = []
-
-    def place(table: Table) -> None:
-        ranks = [rank[u] for u in table[0] if u in rank]
-        (buckets[min(ranks)] if ranks else final).append(table)
-
-    for t in tables:
-        place(t)
+    # its variable by the time that variable is summed out.  Tables over
+    # query variables alone wait in the last bucket.
+    last = len(order)
+    rank = [last] * len(cards)
+    for i, v in enumerate(order):
+        rank[v] = i
+    buckets: list[list[Table]] = [[] for _ in range(last + 1)]
+    for table in tables:
+        buckets[min(map(rank.__getitem__, table[0]), default=last)].append(table)
     for v, touching in zip(order, buckets):
-        out = list(dict.fromkeys(u for scope, _ in touching for u in scope if u != v))
-        place((tuple(out), _contract(touching, out)))
+        table = _contract(touching, v)
+        buckets[min(map(rank.__getitem__, table[0]), default=last)].append(table)
 
+    final = buckets[last]
     left = {v for scope, _ in final for v in scope}
     if left != queryset:
         raise InternalConsistencyError(
             f"elimination left scope {tuple(sorted(left))}, expected {tuple(query)}"
         )
-    values = _contract(final, query)
+    scope, values = final[0] if len(final) == 1 else _contract(final, -1)
+    if scope != tuple(query):  # the same entries, axes in query order
+        values = values.transpose([scope.index(q) for q in query])
+    values = np.ascontiguousarray(values)  # so the sum below runs in C order
     low = values.min() if values.size else 0.0
     if low < -NEGATIVE_TOLERANCE:
         raise InternalConsistencyError(

@@ -400,14 +400,14 @@ def can_generate(
 def greedy_cover_base(d: DeterministicFunction) -> Base:
     """Cover each level set by disjoint rectangles: from its first
     uncovered configuration, grow a rectangle one dimension after
-    another, adding each state whose slab of cells is still uncovered."""
+    another, adding each state whose slab of cells is still uncovered.
+    Level sets are disjoint too, so no rectangle is met twice."""
     cards = d.parent_cards
     strides = _strides(cards)
-    rect_index: dict[tuple, int] = {}
     rects: list[Hyperrectangle] = []
     exprs: dict[int, Expression] = {}
     for state, remaining in _level_masks(d).items():
-        part_ids: list[int] = []
+        parts: list[Expression] = []
         while remaining:
             mask = remaining & -remaining
             flat = mask.bit_length() - 1
@@ -426,12 +426,8 @@ def greedy_cover_base(d: DeterministicFunction) -> Base:
                     dim.append(x)
                 dims.append(tuple(dim))
             remaining &= ~mask
-            rect = Hyperrectangle(tuple(dims))
-            if rect.dims not in rect_index:
-                rect_index[rect.dims] = len(rects)
-                rects.append(rect)
-            part_ids.append(rect_index[rect.dims])
-        parts = [Expression.rect(j) for j in part_ids]
+            parts.append(Expression.rect(len(rects)))
+            rects.append(Hyperrectangle(tuple(dims)))
         while len(parts) > 1:  # unions of neighbours: ceil(log2 parts) deep
             pairs = [Expression.union(a, b) for a, b in zip(parts[::2], parts[1::2])]
             parts = pairs + parts[2 * len(pairs):]

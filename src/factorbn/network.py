@@ -6,7 +6,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable
 
 import numpy as np
 
@@ -101,9 +100,12 @@ class Network:
     and inference keeps every one of its potentials.  Stars are left
     out of equality, so a transformed network equals its parsed copy.
 
-    Query-independent data (``cards``, ``parent_map``, ``scopes``,
-    ``tables``) is built on first use and kept for the network's
-    lifetime.
+    Query-independent data is built on first use and kept for the
+    network's lifetime: ``cards``, ``parent_map``, ``ancestor_masks``
+    (each variable's ancestors as a bitmask), ``scopes`` and
+    ``scope_masks`` (each table's scope as a list and as a bitmask), and
+    ``tables``.  Inference reads only these, so a query rebuilds nothing
+    that depends on the network alone.
     """
 
     variables: tuple[Variable, ...]
@@ -140,14 +142,12 @@ class Network:
         families += [(d.child, d.parents, "a deterministic node") for d in self.deterministic]
         families += [(s.child, s.parents, f"the star of variable {s.child}") for s in self.stars]
         heads: set[int] = set()
-        arcs: list[tuple[int, int]] = []
         for child, parents, where in families:
             for v in (child, *parents):
                 check_var(v, where)
             if child in heads:
                 raise ValidationError(f"variable {child} is the head of two nodes")
             heads.add(child)
-            arcs += [(p, child) for p in parents]
         for cpt in self.cpts:
             family = sorted(cpt.parents + (cpt.child,))
             expected_cards = tuple(cards[v] for v in family)
@@ -210,25 +210,26 @@ class Network:
                     "deterministic node"
                 )
 
-        self._check_acyclic(arcs)
+        self._parents_first()
 
-    def _check_acyclic(self, arcs: Iterable[tuple[int, int]]) -> None:
-        out: dict[int, list[int]] = {}
-        indeg = {v.id: 0 for v in self.variables}
-        for a, b in arcs:
-            out.setdefault(a, []).append(b)
-            indeg[b] += 1
-        queue = [v for v, d in indeg.items() if d == 0]
-        seen = 0
-        while queue:
-            v = queue.pop()
-            seen += 1
-            for w in out.get(v, ()):
-                indeg[w] -= 1
-                if indeg[w] == 0:
-                    queue.append(w)
-        if seen != len(self.variables):
+    def _parents_first(self) -> list[int]:
+        """Every variable id, each after its parents (Kahn's algorithm).
+        Raises ValidationError when the directed part has a cycle."""
+        waiting = [0] * len(self.variables)
+        children: dict[int, list[int]] = {}
+        for child, parents in self.parent_map.items():
+            waiting[child] = len(parents)
+            for p in parents:
+                children.setdefault(p, []).append(child)
+        order = [v for v, w in enumerate(waiting) if not w]
+        for v in order:  # grows while it is walked
+            for c in children.get(v, ()):
+                waiting[c] -= 1
+                if not waiting[c]:
+                    order.append(c)
+        if len(order) != len(waiting):
             raise ValidationError("cycle detected in the directed structure")
+        return order
 
     @cached_property
     def cards(self) -> tuple[int, ...]:
@@ -243,6 +244,17 @@ class Network:
         return out
 
     @cached_property
+    def ancestor_masks(self) -> tuple[int, ...]:
+        """For each variable id v, the bitmask of v and its ancestors (bit
+        u for variable u), built parents first, without recursion."""
+        parents = self.parent_map
+        masks = [1 << v for v in range(len(self.variables))]
+        for v in self._parents_first():
+            for p in parents.get(v, ()):
+                masks[v] |= masks[p]
+        return tuple(masks)
+
+    @cached_property
     def scopes(self) -> tuple[tuple[int, ...], ...]:
         """The scope of each entry of ``tables``, in the same order,
         without building a table: a CPT's family, a deterministic node's
@@ -251,6 +263,11 @@ class Network:
         out += [tuple(sorted(d.parents + (d.child,))) for d in self.deterministic]
         out += [p.scope for p in self.potentials]
         return tuple(out)
+
+    @cached_property
+    def scope_masks(self) -> tuple[int, ...]:
+        """The bitmask of each entry of ``scopes`` (bit v for variable v)."""
+        return tuple(sum(1 << v for v in scope) for scope in self.scopes)
 
     @cached_property
     def tables(self) -> tuple[tuple[int | None, tuple[int, ...], np.ndarray], ...]:

@@ -12,7 +12,8 @@ Core claims:
       core (``min_fill``) picks exactly what a full rescan and the
       earlier set-based incremental scoring pick: on random graphs with
       any clique sizes, and on the reduced graphs variable elimination
-      plans on for CAT queries
+      plans on for CAT queries, and on chordal graphs (trees, interval
+      graphs), where no step adds a fill edge
     - a network without variables has no cliques and sizes 0
     - triangulation reads the network's scopes and builds no table;
       the scopes are those of the tables, in order
@@ -221,6 +222,42 @@ def test_incremental_min_fill_matches_full_rescan():
         adj = random_graph(random.Random(seed))
         expected = full_rescan_min_fill(adj)
         assert core_min_fill(adj) == expected, seed
+
+
+def random_tree(rng, n):
+    adj = {v: set() for v in range(n)}
+    for v in range(1, n):
+        u = rng.randrange(v)
+        adj[u].add(v)
+        adj[v].add(u)
+    return adj
+
+
+def random_interval_graph(rng, n):
+    """Vertices are random intervals, adjacent when they overlap."""
+    spans = [sorted(rng.sample(range(3 * n + 2), 2)) for _ in range(n)]
+    return {
+        v: {u for u in range(n) if u != v and spans[u][0] <= b and a <= spans[u][1]}
+        for v, (a, b) in enumerate(spans)
+    }
+
+
+def test_min_fill_on_chordal_graphs_adds_no_fill():
+    """Trees and interval graphs are chordal, so min-fill finds a vertex
+    without fill at every step and every step takes the zero-fill path:
+    each elimination clique is already a clique of the input graph."""
+    steps = 0
+    for seed in range(120):
+        rng = random.Random(seed)
+        n = rng.randint(1, 60)
+        adj = random_tree(rng, n) if seed % 2 else random_interval_graph(rng, n)
+        adj = small_ids(adj, rng)
+        expected = full_rescan_min_fill(adj)
+        for clique in expected[1]:
+            assert all(b in adj[a] for a, b in combinations(clique, 2)), seed
+        assert core_min_fill(adj) == expected, seed
+        steps += len(expected[0])
+    assert steps > 3000
 
 
 @functools.cache

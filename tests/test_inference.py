@@ -8,6 +8,10 @@ Core claims:
     - the rewrites have the advertised shapes: one hidden node per
       deterministic table, pairwise potentials; divorcing builds a
       balanced tree of intermediates with the right state counts
+    - more tables than one einsum takes, in one bucket or in one
+      contraction, still give the enumerated answer
+    - the network's ancestor masks equal a walk of its parent map, and
+      a 3000-node chain builds them without recursion
 """
 
 import random
@@ -29,6 +33,13 @@ from factorbn import (
     build_factorized_form,
     known_base_conjunction,
     variable_elimination,
+)
+from factorbn import inference
+from factorbn.benchcat import (
+    StudentModelSpec,
+    canonical_tasks,
+    connect_tasks,
+    generate_student_model,
 )
 from factorbn.inference import posterior_by_name, transform_network
 
@@ -419,6 +430,104 @@ def test_many_tables_on_one_variable():
     k = sum(1 for i in range(1, n) if i % 3)
     odds = (0.6 / 0.4) * (0.8 / 0.3) ** k * (0.2 / 0.7) ** (n - 1 - k)
     assert np.allclose(got.values, [1 / (1 + odds), odds / (1 + odds)], rtol=1e-9)
+
+
+def test_contract_splits_beyond_max_operands():
+    """40 tables over four variables, more than one einsum takes: the
+    first MAX_OPERANDS are multiplied apart, then the rest, against
+    enumeration of the product."""
+    rng = random.Random(5)
+    cards = (2, 3, 2, 4)
+    tables = []
+    for _ in range(40):
+        scope = tuple(sorted(rng.sample(range(4), rng.randint(1, 3))))
+        shape = [cards[v] for v in scope]
+        tables.append((scope, np.array([rng.uniform(0.5, 1.5) for _ in range(int(np.prod(shape)))]).reshape(shape)))
+    assert len(tables) > inference.MAX_OPERANDS
+    first = list(dict.fromkeys(v for scope, _ in tables for v in scope))
+    for drop in (-1, first[1]):
+        scope, values = inference._contract(tables, drop)
+        assert scope == tuple(v for v in first if v != drop)
+        want = np.zeros(values.shape)
+        for cfg in iproduct(*map(range, cards)):
+            w = 1.0
+            for s, t in tables:
+                w *= t[tuple(cfg[v] for v in s)]
+            want[tuple(cfg[v] for v in scope)] += w
+        assert np.allclose(values, want, rtol=1e-12, atol=0)
+
+
+def test_bucket_of_more_than_max_operands_tables(monkeypatch):
+    """A three-state root with 40 observed children and one queried one:
+    the root's bucket holds its prior and 41 child tables, so the
+    elimination step itself splits; against enumeration of the only
+    unobserved variables, the root and the queried child."""
+    n = 42
+    rng = random.Random(11)
+    cards = {0: 3, **{i: 2 for i in range(1, n)}}
+    variables = (Variable(0, "root", ("r0", "r1", "r2")),)
+    variables += tuple(binary(i, f"x{i}") for i in range(1, n))
+    prior = [0.2, 0.5, 0.3]
+    rows = {i: [[p, 1 - p] for p in (rng.uniform(0.1, 0.9) for _ in range(3))] for i in range(1, n)}
+    cpts = (cpt(0, (), cards, prior),) + tuple(cpt(i, (0,), cards, rows[i]) for i in range(1, n))
+    found = {i: i % 2 for i in range(2, n)}
+    ev = Evidence({i: (1 - s, s) for i, s in found.items()})
+    steps = []
+    contract = inference._contract
+
+    def recording(tables, drop):
+        steps.append((len(tables), drop))
+        return contract(tables, drop)
+
+    monkeypatch.setattr(inference, "_contract", recording)
+    got = variable_elimination(Network(variables, cpts), ev, [1])
+    assert (n, 0) in steps and n > inference.MAX_OPERANDS
+    want = np.zeros(2)
+    for r, x1 in iproduct(range(3), range(2)):
+        w = prior[r] * rows[1][r][x1]
+        for i, s in found.items():
+            w *= rows[i][r][s]
+        want[x1] += w
+    assert np.allclose(got.values, want / want.sum(), rtol=1e-12, atol=0)
+
+
+def ancestors_by_walk(net, v):
+    """The bitmask of v and its ancestors, by a walk of the parent map."""
+    seen, stack = {v}, [v]
+    while stack:
+        for u in net.parent_map.get(stack.pop(), ()):
+            if u not in seen:
+                seen.add(u)
+                stack.append(u)
+    return sum(1 << u for u in seen)
+
+
+def test_ancestor_masks_match_a_parent_walk():
+    nets = []
+    for seed in range(80):
+        nets.append(random_mixed_network(random.Random(seed)))
+    for seed in (1, 2, 3):
+        spec = StudentModelSpec(seed=seed, node_count=40)
+        nets.append(connect_tasks(generate_student_model(spec), canonical_tasks(spec, 8, seed)))
+    for net in nets:
+        for t in (net, transform_network(net, "factorize")):
+            assert t.ancestor_masks == tuple(ancestors_by_walk(t, v) for v in range(len(t.variables)))
+            assert t.scope_masks == tuple(sum(1 << v for v in s) for s in t.scopes)
+
+
+def test_ancestor_masks_and_elimination_on_a_3000_node_chain():
+    """Masks are built parents first, not by recursion, so a chain far
+    deeper than the recursion limit builds them and answers a query."""
+    n = 3000
+    cards = dict.fromkeys(range(n), 2)
+    step = [[0.9, 0.1], [0.3, 0.7]]
+    variables = tuple(binary(i, f"x{i}") for i in range(n))
+    cpts = (cpt(0, (), cards, [0.5, 0.5]),) + tuple(cpt(i, (i - 1,), cards, step) for i in range(1, n))
+    net = Network(variables, cpts)
+    assert net.ancestor_masks == tuple((1 << (i + 1)) - 1 for i in range(n))
+    got = variable_elimination(net, Evidence({0: (0, 1)}), [n - 1])
+    want = np.array([0.0, 1.0]) @ np.linalg.matrix_power(np.array(step), n - 1)
+    assert np.allclose(got.values, want, rtol=1e-12, atol=0)
 
 
 # -- stars: factorized nodes pruned like the families they replace -----------
