@@ -54,11 +54,7 @@ from .functions import (
     function_from_formula,
     parse_formula,
 )
-from .inference import (
-    posterior_by_name,
-    transform_network,
-    variable_elimination,
-)
+from .inference import transform_network, variable_elimination
 from .mbh import (
     MbhSolution,
     SearchBudget,

@@ -38,7 +38,7 @@ from .fileio import (
     write_base,
     write_form,
 )
-from .inference import METHODS, posterior_by_name, transform_network
+from .inference import METHODS, transform_network, variable_elimination
 from .mbh import SearchBudget, solve_mbh
 
 
@@ -105,7 +105,7 @@ def _cmd_mbh(args) -> int:
         f"enumerated={s.rectangles_enumerated} seconds={s.elapsed_seconds:.3f} cap={s.cap}",
         file=sys.stderr,
     )
-    if s.budget_exhausted:
+    if not solution.proved_minimal:
         print("budget exhausted: result may not be minimal", file=sys.stderr)
         return 3
     return 0
@@ -122,7 +122,8 @@ def _cmd_infer(args) -> int:
         # the rewrite keeps every original name and id, so evidence may
         # name what a query may name, the variables it adds included
         evidence = parse_evidence(_read(args.evidence), transformed)
-    marginal = posterior_by_name(transformed, evidence, args.query)
+    query = [transformed.variable_by_name(n).id for n in args.query]
+    marginal = variable_elimination(transformed, evidence, query)
     names = [transformed.variables[v].name for v in marginal.scope]
     states = [list(transformed.variables[v].states) for v in marginal.scope]
     doc = {
@@ -138,10 +139,9 @@ def _cmd_cliques(args) -> int:
     transformed = _load_transformed(args)
     report = moralize_and_triangulate(transformed)
     name = lambda v: transformed.variables[v].name  # noqa: E731
-    sizes = report.clique_sizes()
     lines = [
         "clique: " + ",".join(name(v) for v in clique) + f" states={states}"
-        for clique, states in zip(report.cliques, sizes)
+        for clique, states in zip(report.cliques, report.sizes)
     ]
     lines.append(f"max_clique_states: {report.max_clique_size}")
     lines.append(f"total_clique_size: {report.total}")

@@ -6,7 +6,7 @@ product of member cardinalities.  Factors contribute their whole scope
 as a clique (for CPTs and deterministic nodes this is the family, i.e.
 moralization; transformation potentials contribute their own scopes).
 Both this accounting and variable elimination plan on the same graph:
-:func:`moral_graph` turns scopes into one neighbour bitmask per
+:func:`moral_graph` turns scope bitmasks into one neighbour bitmask per
 variable id, and :func:`min_fill` orders the eliminations on it.  The
 accounting passes every factor scope of the network; elimination passes
 its reduced tables' scopes and leaves the query variables out.
@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
+from math import prod
 from typing import Iterable
 
 from .network import Network
@@ -25,52 +26,40 @@ _GONE = sys.maxsize  # the score of an eliminated or absent vertex
 
 @dataclass(frozen=True)
 class CliqueReport:
-    """Elimination order, the maximal cliques it induces, per-variable
-    cardinalities, and the total clique size."""
+    """Elimination order, the maximal cliques it induces, the size of
+    each clique (the product of its members' cardinalities), and the
+    total clique size."""
 
     elimination_order: tuple[int, ...]
     cliques: tuple[tuple[int, ...], ...]
-    cardinalities: tuple[int, ...]
-
-    def clique_sizes(self) -> tuple[int, ...]:
-        sizes = []
-        for clique in self.cliques:
-            n = 1
-            for v in clique:
-                n *= self.cardinalities[v]
-            sizes.append(n)
-        return tuple(sizes)
+    sizes: tuple[int, ...]
 
     @property
     def total(self) -> int:
-        return sum(self.clique_sizes())
+        return sum(self.sizes)
 
     @property
     def max_clique_size(self) -> int:
         """The largest clique size; 0 for a network without variables."""
-        return max(self.clique_sizes(), default=0)
+        return max(self.sizes, default=0)
 
 
-def moral_graph(
-    scopes: Iterable[Iterable[int]], skip: int = 0, masks: Iterable[int] | None = None
-) -> dict[int, int]:
-    """The graph in which each scope becomes a clique, as the bitmask of
-    each vertex's neighbours (bit u for vertex u).  Variables whose bit
-    is set in ``skip`` are left out; a scope member with no other member
-    still becomes a vertex, with mask 0.  ``masks``, when given, holds
-    the bitmask of each scope in the same order (as
-    :attr:`~factorbn.network.Network.scope_masks` does), so that none is
-    rebuilt."""
+def moral_graph(masks: Iterable[int], skip: int = 0) -> dict[int, int]:
+    """The graph in which each scope, given as a bitmask (bit v for
+    variable v), becomes a clique, as the bitmask of each vertex's
+    neighbours.  Variables whose bit is set in ``skip`` are left out; a
+    scope member with no other member still becomes a vertex, with
+    mask 0."""
     free = ~skip
-    if masks is None:
-        scopes = list(scopes)
-        masks = [sum(1 << v for v in scope) for scope in scopes]
     nb: dict[int, int] = {}
-    for scope, mask in zip(scopes, masks):
+    for mask in masks:
         mask &= free
-        for v in scope:
-            if mask >> v & 1:
-                nb[v] = nb.get(v, 0) | mask
+        rest = mask
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            v = low.bit_length() - 1
+            nb[v] = nb.get(v, 0) | mask
     return {v: mask ^ 1 << v for v, mask in nb.items()}
 
 
@@ -194,10 +183,12 @@ def moralize_and_triangulate(net: Network) -> CliqueReport:
     hold a later one: each clique contains its own eliminated vertex,
     which no later clique does.
     """
-    order, raw = min_fill(moral_graph(net.scopes, masks=net.scope_masks))
+    order, raw = min_fill(moral_graph(net.scope_masks))
     maximal: list[int] = []
     for c in raw:
         if not any(c & other == c for other in maximal):
             maximal.append(c)
     cliques = tuple(sorted(tuple(_members(c)) for c in maximal))
-    return CliqueReport(tuple(order), cliques, net.cards)
+    cards = net.cards
+    sizes = tuple(prod(cards[v] for v in clique) for clique in cliques)
+    return CliqueReport(tuple(order), cliques, sizes)

@@ -38,13 +38,11 @@ class BudgetExceededError(FactorbnError):
     """A search or enumeration hit a configured resource cap.
 
     Distinct from a negative answer: when this is raised the true
-    answer is unknown.  ``count`` holds the offending quantity when the
-    cap is a count.
+    answer is unknown.  ``kind`` names the cap.
     """
 
-    def __init__(self, message, count=None, kind=None):
+    def __init__(self, message, kind=None):
         super().__init__(message)
-        self.count = count
         self.kind = kind
 
 

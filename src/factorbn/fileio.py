@@ -108,6 +108,13 @@ def _parse_function_field(fn: Any, parents, child, cards, names, where: str):
     raise ParseError(f"unknown function type {ftype!r} in {where}")
 
 
+def _function_field(d: DeterministicFunction) -> dict[str, Any]:
+    """The ``function`` field that ``_parse_function_field`` reads."""
+    if d.formula is not None:
+        return {"type": "formula", "expr": d.formula}
+    return {"type": "table", "outputs": list(d.outputs)}
+
+
 def parse_network(text: str) -> Network:
     doc = _loads(text)
     raw_vars = _typed(_expect(doc, "variables", "network"), list, "network variables")
@@ -193,15 +200,7 @@ def write_network(net: Network) -> str:
             for c in net.cpts
         ],
         "deterministic": [
-            {
-                "child": d.child,
-                "parents": list(d.parents),
-                "function": (
-                    {"type": "formula", "expr": d.formula}
-                    if d.formula is not None
-                    else {"type": "table", "outputs": list(d.outputs)}
-                ),
-            }
+            {"child": d.child, "parents": list(d.parents), "function": _function_field(d)}
             for d in net.deterministic
         ],
     }
@@ -279,11 +278,7 @@ def write_function(d: DeterministicFunction, names: list[str] | None = None) -> 
             {"name": names[i], "card": c} for i, c in enumerate(d.parent_cards)
         ],
         "child": {"name": names[-1], "card": d.child_card},
-        "function": (
-            {"type": "formula", "expr": d.formula}
-            if d.formula is not None
-            else {"type": "table", "outputs": list(d.outputs)}
-        ),
+        "function": _function_field(d),
     }
     return _dumps(doc)
 

@@ -62,17 +62,6 @@ def _relevant_heads(net: Network, targets: Iterable[int]) -> int:
     return seen
 
 
-def _slice(table: Table, picks: dict[int, int | list[int]]) -> Table:
-    """Index the observed axes away: an int pick drops the axis (a view),
-    a list of states keeps only those states."""
-    scope, values = table
-    for axis in reversed(range(len(scope))):
-        pick = picks.get(scope[axis])
-        if pick is not None:
-            values = values[(slice(None),) * axis + (pick,)]
-    return tuple(v for v in scope if not isinstance(picks.get(v), int)), values
-
-
 def _contract(tables: Sequence[Table], drop: int) -> Table:
     """Multiply the tables and sum out variable ``drop`` (-1 sums
     nothing) in one einsum.  One pass over the scopes labels each
@@ -111,17 +100,18 @@ def variable_elimination(
     variable, an observed one or a variable of a potential outside a
     star cannot change the answer; a query or finding on a star's
     hidden variable keeps the star.
-    An observed non-query variable is indexed out of every table that
-    holds it; an observed query variable is masked instead, so that its
-    axis stays.  The remaining variables are summed out in min-fill
-    order (lowest id on ties) on the reduced graph: the
-    :func:`~factorbn.cliques.moral_graph` of the sliced tables' scopes
-    with the query variables left out, built as clique accounting
-    builds the graph of the whole network.  Each step multiplies the
-    tables holding the variable and sums it out in one einsum.  The
-    network's ancestor and scope masks make the pruning and slicing
-    tests bit tests; nothing that depends on the network alone is
-    rebuilt per query.  Raises
+    A finding of one state on a non-query variable is indexed out of
+    every table that holds it; any other finding that rules a state out
+    becomes a likelihood table over its variable, so an observed query
+    variable keeps its axis.  The remaining variables are summed out in
+    min-fill order (lowest id on ties) on the reduced graph: the
+    :func:`~factorbn.cliques.moral_graph` of the scope masks of the
+    sliced and likelihood tables with the query variables left out,
+    built as clique accounting builds the graph of the whole network.
+    Each step multiplies the tables holding the variable and sums it
+    out in one einsum.  The network's ancestor and scope masks make the
+    pruning and slicing tests bit tests; nothing that depends on the
+    network alone is rebuilt per query.  Raises
     ZeroNormalizerError when the evidence has zero mass and
     InternalConsistencyError if the unnormalized result dips below
     -1e-9 anywhere (values above that are clamped to 0) or does not have
@@ -137,9 +127,9 @@ def variable_elimination(
     queryset = set(query)
 
     cards = net.cards
-    picks: dict[int, int | list[int]] = {}
-    dropped = 0  # the variables whose axis a pick drops
-    likelihoods: list[Table] = []
+    picks: dict[int, int] = {}
+    tables: list[Table] = []
+    masks: list[int] = []
     for var, vec in evidence.findings.items():
         if not 0 <= var < len(cards):
             raise ValidationError(f"evidence names unknown variable id {var}")
@@ -150,31 +140,25 @@ def variable_elimination(
             )
         if not any(vec):
             raise ZeroNormalizerError("evidence has zero probability under the model")
-        if var in queryset:
-            likelihoods.append(((var,), np.asarray(vec, dtype=np.float64)))
-        elif not all(vec):
-            allowed = [i for i, x in enumerate(vec) if x]
-            if len(allowed) == 1:
-                picks[var] = allowed[0]
-                dropped |= 1 << var
-            else:
-                picks[var] = allowed
+        if all(vec):
+            continue
+        if sum(vec) == 1 and var not in queryset:
+            picks[var] = vec.index(1)
+        else:
+            tables.append(((var,), np.asarray(vec, dtype=np.float64)))
+            masks.append(1 << var)
     picked = sum(1 << v for v in picks)
 
     relevant = _relevant_heads(net, [*query, *evidence.findings])
-    tables: list[Table] = []
-    scopes: list[tuple[int, ...]] = []
-    masks: list[int] = []
     for (head, scope, values), mask in zip(net.tables, net.scope_masks):
         if head is None or relevant >> head & 1:
             if mask & picked:
-                scope, values = _slice((scope, values), picks)
-                mask &= ~dropped
+                values = values[tuple(picks.get(v, slice(None)) for v in scope)]
+                scope = tuple(v for v in scope if v not in picks)
+                mask &= ~picked
             tables.append((scope, values))
-            scopes.append(scope)
             masks.append(mask)
-    order, _ = min_fill(moral_graph(scopes, sum(1 << q for q in query), masks))
-    tables += likelihoods  # over query variables alone, so outside the graph
+    order, _ = min_fill(moral_graph(masks, sum(1 << q for q in query)))
 
     # Bucket elimination: each table waits in the bucket of its first
     # variable in the order, so a bucket holds every table that touches
@@ -214,14 +198,6 @@ def variable_elimination(
     if total == 0.0:
         raise ZeroNormalizerError("evidence has zero probability under the model")
     return Factor(tuple(query), tuple(cards[q] for q in query), values / total)
-
-
-def posterior_by_name(
-    net: Network, evidence: Evidence | None, names: Sequence[str]
-) -> Factor:
-    return variable_elimination(
-        net, evidence, [net.variable_by_name(n).id for n in names]
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -103,7 +103,6 @@ class SearchStats:
     subsets_checked: int
     rectangles_enumerated: int
     elapsed_seconds: float
-    budget_exhausted: bool
     cap: str
 
 
@@ -126,7 +125,7 @@ def _dim_subsets(cards: Sequence[int], budget: SearchBudget) -> list[list[tuple[
     if total > budget.max_rectangles:
         raise BudgetExceededError(
             f"{total} candidate rectangles exceed the cap of {budget.max_rectangles}",
-            count=total, kind="rectangles",
+            kind="rectangles",
         )
     return [
         sorted(
@@ -332,8 +331,7 @@ def _closure_search(
         order.append((mask, size))
         if len(settled) > max_values:
             raise BudgetExceededError(
-                f"closure cap of {max_values} distinct sets exceeded",
-                count=len(settled), kind="closure",
+                f"closure cap of {max_values} distinct sets exceeded", kind="closure"
             )
         if mask in wanted:
             found[mask] = witness(mask)
@@ -349,10 +347,7 @@ def _closure_search(
             if queued.get(cand, inf) <= leaves:
                 continue  # settled, or queued to pop before this entry
             if len(heap) >= heap_cap:
-                raise BudgetExceededError(
-                    "closure frontier exceeded its cap",
-                    count=len(heap), kind="closure",
-                )
+                raise BudgetExceededError("closure frontier exceeded its cap", kind="closure")
             if not both:
                 chow = ("union", mask, other)
             elif both == other:
@@ -597,8 +592,7 @@ def solve_mbh(
     raises the bound by one.  The answer is the first base the search
     finds, or else the greedy cover, and ``proved_minimal`` says whether
     its size equals the bound.  Every budget cap ends the search with
-    that answer, so no cap raises; ``stats.budget_exhausted`` is True
-    exactly when the size is not proved minimal.
+    that answer, so no cap raises.
     """
     budget = budget or SearchBudget()
     t0 = time.monotonic()
@@ -638,7 +632,6 @@ def solve_mbh(
         subsets_checked=search.checked,
         rectangles_enumerated=len(search.masks),
         elapsed_seconds=time.monotonic() - t0,
-        budget_exhausted=not proved,
         cap="none" if proved else cap or "max_base",
     )
     return MbhSolution(base, proved, stats)

@@ -102,10 +102,10 @@ class Network:
 
     Query-independent data is built on first use and kept for the
     network's lifetime: ``cards``, ``parent_map``, ``ancestor_masks``
-    (each variable's ancestors as a bitmask), ``scopes`` and
-    ``scope_masks`` (each table's scope as a list and as a bitmask), and
-    ``tables``.  Inference reads only these, so a query rebuilds nothing
-    that depends on the network alone.
+    (each variable's ancestors as a bitmask), ``scope_masks`` (each
+    table's scope as a bitmask), and ``tables``.  Inference reads only
+    these, so a query rebuilds nothing that depends on the network
+    alone.
     """
 
     variables: tuple[Variable, ...]
@@ -255,19 +255,14 @@ class Network:
         return tuple(masks)
 
     @cached_property
-    def scopes(self) -> tuple[tuple[int, ...], ...]:
-        """The scope of each entry of ``tables``, in the same order,
-        without building a table: a CPT's family, a deterministic node's
-        family sorted by id, a potential's scope."""
-        out = [c.factor.scope for c in self.cpts]
-        out += [tuple(sorted(d.parents + (d.child,))) for d in self.deterministic]
-        out += [p.scope for p in self.potentials]
-        return tuple(out)
-
-    @cached_property
     def scope_masks(self) -> tuple[int, ...]:
-        """The bitmask of each entry of ``scopes`` (bit v for variable v)."""
-        return tuple(sum(1 << v for v in scope) for scope in self.scopes)
+        """The scope of each entry of ``tables``, in the same order, as a
+        bitmask (bit v for variable v), built without a table: a CPT's
+        family, a deterministic node's family, a potential's scope."""
+        scopes = [(c.child, *c.parents) for c in self.cpts]
+        scopes += [(d.child, *d.parents) for d in self.deterministic]
+        scopes += [p.scope for p in self.potentials]
+        return tuple(sum(1 << v for v in scope) for scope in scopes)
 
     @cached_property
     def tables(self) -> tuple[tuple[int | None, tuple[int, ...], np.ndarray], ...]:

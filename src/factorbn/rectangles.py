@@ -76,8 +76,8 @@ class Expression:
     list), ``"diff"`` (proper difference: left must contain right), or
     ``"union"`` (disjunctive union: operands must be disjoint).
 
-    Equality, hashing and repr walk the tree in a loop, not by
-    recursion, so they work at any depth.
+    Equality, hashing, repr and every other walk of the tree run in a
+    loop, not by recursion, so they work at any depth.
     """
 
     kind: str
@@ -140,44 +140,50 @@ class Expression:
         """Net coefficient of each rectangle index: +1 at the root, both
         signs kept by a union, the right operand of a difference flipped."""
         counts: dict[int, int] = {}
-
-        def walk(node: Expression, sign: int) -> None:
+        stack = [(self, 1)]
+        while stack:
+            node, sign = stack.pop()
             if node.kind == "rect":
                 counts[node.index] = counts.get(node.index, 0) + sign
-            elif node.kind == "union":
-                walk(node.left, sign)
-                walk(node.right, sign)
             else:
-                walk(node.left, sign)
-                walk(node.right, -sign)
-
-        walk(self, 1)
+                flip = -1 if node.kind == "diff" else 1
+                stack += ((node.right, flip * sign), (node.left, sign))
         return counts
 
 
 def evaluate_expression(
     expr: Expression, rectangles: Sequence[Hyperrectangle]
 ) -> frozenset[Config]:
-    """The configuration set an expression denotes.
+    """The configuration set an expression denotes, built operands
+    first in a loop, so it works at any depth.
 
     Raises IllegalExpressionError when a difference's operands are not
     nested (left must contain right) or a union's operands overlap.
     """
-    if expr.kind == "rect":
-        if expr.index >= len(rectangles):
-            raise ValidationError(f"rectangle index {expr.index} out of range")
-        return frozenset(rectangles[expr.index].points())
-    left = evaluate_expression(expr.left, rectangles)
-    right = evaluate_expression(expr.right, rectangles)
-    if expr.kind == "diff":
-        if not right <= left:
-            raise IllegalExpressionError(
-                "ILLEGAL_DIFFERENCE", "right operand is not contained in the left"
-            )
-        return left - right
-    if left & right:
-        raise IllegalExpressionError("ILLEGAL_UNION", "operands of a union overlap")
-    return left | right
+    done: list[frozenset[Config]] = []  # the sets of finished operands
+    stack: list[tuple[Expression, bool]] = [(expr, False)]
+    while stack:
+        node, ready = stack.pop()
+        if node.kind == "rect":
+            if node.index >= len(rectangles):
+                raise ValidationError(f"rectangle index {node.index} out of range")
+            done.append(frozenset(rectangles[node.index].points()))
+        elif not ready:  # come back once both operands are done
+            stack += ((node, True), (node.right, False), (node.left, False))
+        else:
+            right = done.pop()
+            left = done.pop()
+            if node.kind == "diff":
+                if not right <= left:
+                    raise IllegalExpressionError(
+                        "ILLEGAL_DIFFERENCE", "right operand is not contained in the left"
+                    )
+                done.append(left - right)
+            elif left & right:
+                raise IllegalExpressionError("ILLEGAL_UNION", "operands of a union overlap")
+            else:
+                done.append(left | right)
+    return done[0]
 
 
 @dataclass(frozen=True)
@@ -223,7 +229,7 @@ class Base:
 # disjunctive union.
 
 # Operators may nest at most this deep in a parsed expression, so that
-# every recursive walk of the tree stays well inside Python's default
+# the recursive parser below stays well inside Python's default
 # recursion limit.  The solver's witnesses nest a few levels; the greedy
 # cover, which is also the answer whenever a cap stops the search, joins
 # the parts of a level set in a balanced union tree, ceil(log2 parts)

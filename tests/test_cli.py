@@ -615,7 +615,7 @@ def test_out_of_memory_exits_three(tmp_path, capsys, monkeypatch, error, line):
     def no_memory(*args):
         raise error
 
-    monkeypatch.setattr(cli, "posterior_by_name", no_memory)
+    monkeypatch.setattr(cli, "variable_elimination", no_memory)
     net_path = put(tmp_path, "net.json", NET)
     assert cli.run_cli(["infer", "--net", net_path, "--query", "a"]) == 3
     captured = capsys.readouterr()

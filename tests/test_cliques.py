@@ -6,7 +6,7 @@ Core claims:
       32-state clique; the pairwise rewrite caps cliques at 4 states
       and strictly shrinks the total
     - reported cliques form an antichain (no clique inside another)
-    - ``moral_graph`` makes each scope a clique, leaves out the
+    - ``moral_graph`` makes each scope mask a clique, leaves out the
       variables it is told to skip, and covers potential scopes
     - min-fill breaks ties toward the lowest variable id, and the mask
       core (``min_fill``) picks exactly what a full rescan and the
@@ -15,8 +15,8 @@ Core claims:
       plans on for CAT queries, and on chordal graphs (trees, interval
       graphs), where no step adds a fill edge
     - a network without variables has no cliques and sizes 0
-    - triangulation reads the network's scopes and builds no table;
-      the scopes are those of the tables, in order
+    - triangulation reads the network's scope masks and builds no
+      table; the masks are those of the tables' scopes, in order
     - repeated runs return identical reports
 """
 
@@ -74,7 +74,7 @@ def chain_network():
 def test_chain_total_is_eight():
     report = moralize_and_triangulate(chain_network())
     assert report.total == 8
-    assert sum(report.clique_sizes()) == 8
+    assert sum(report.sizes) == 8
     assert set(report.cliques) == {(0, 1), (1, 2)}
 
 
@@ -144,14 +144,14 @@ def test_interaction_graph_covers_potential_scopes():
     )
     pot = Factor((0, 2), (2, 2), np.ones((2, 2)))
     net = Network(variables, cpts, (), (pot,))
-    assert moral_graph(scope for _, scope, _ in net.tables) == {0: 0b100, 1: 0, 2: 0b1}
+    assert moral_graph(net.scope_masks) == {0: 0b100, 1: 0, 2: 0b1}
 
 
 def test_triangulation_reads_scopes_without_building_tables():
     for net in (chain_network(), star_network(), transform_network(star_network(), "factorize")):
         report = moralize_and_triangulate(net)
         assert "tables" not in net.__dict__
-        assert net.scopes == tuple(scope for _, scope, _ in net.tables)
+        assert net.scope_masks == tuple(sum(1 << v for v in s) for _, s, _ in net.tables)
         assert report == moralize_and_triangulate(net)
 
 
@@ -408,9 +408,9 @@ def test_empty_network_has_no_cliques():
 
 
 def test_moral_graph_skips_masked_variables():
-    scopes = [(0, 1, 2), (2, 3), (4,)]
-    assert graph_of(moral_graph(scopes)) == {
+    masks = [0b111, 0b1100, 0b10000]  # the scopes (0, 1, 2), (2, 3) and (4,)
+    assert graph_of(moral_graph(masks)) == {
         0: {1, 2}, 1: {0, 2}, 2: {0, 1, 3}, 3: {2}, 4: set()
     }
     # variable 1 is left out; the lone scope (4,) still gives a vertex
-    assert moral_graph(scopes, skip=1 << 1) == {0: 0b100, 2: 0b1001, 3: 0b100, 4: 0}
+    assert moral_graph(masks, skip=1 << 1) == {0: 0b100, 2: 0b1001, 3: 0b100, 4: 0}

@@ -8,7 +8,8 @@ Core claims:
     - rebuilding the function from h and g matches the table exactly,
       and summing the reconstruction over the child gives all-ones
     - the signed-count decomposition turns sums over expression
-      denotations into signed sums over rectangles
+      denotations into signed sums over rectangles, and both walks of
+      an expression work on a union chain deeper than the recursion limit
     - the trivial base and the closed conjunction / MAX bases verify
     - tampered h tables are caught with a concrete violating cell, and
       a form that fails is refused where it is built
@@ -333,6 +334,22 @@ def test_level_sets_partition_the_space():
         assert union.isdisjoint(cells)
         union |= cells
     assert union == {(a, b) for a in range(3) for b in range(2)}
+
+
+def test_build_walks_a_union_chain_deeper_than_the_recursion_limit():
+    # one 1200-state parent, a one-state child: its one level set is the
+    # union chain R1 + R2 + ... + R1200 of the singleton rectangles
+    n = 1200
+    d = DeterministicFunction((0,), 1, (n,), 1, (0,) * n)
+    expr = E.rect(0)
+    for i in range(1, n):
+        expr = E.union(expr, E.rect(i))
+    base = Base(tuple(Hyperrectangle(((i,),)) for i in range(n)), {0: expr})
+    assert expr.signed_counts() == {i: 1 for i in range(n)}
+    assert evaluate_expression(expr, base.rectangles) == level_sets(d)[0]
+    form = build_factorized_form(d, base)
+    assert form.h.tolist() == [[1] * n]
+    assert bool(verify_factorization(d, form))
 
 
 def full_rect_2x2():

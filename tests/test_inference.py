@@ -41,7 +41,7 @@ from factorbn.benchcat import (
     connect_tasks,
     generate_student_model,
 )
-from factorbn.inference import posterior_by_name, transform_network
+from factorbn.inference import transform_network
 
 
 def binary(i, name):
@@ -132,7 +132,7 @@ def test_empty_query_rejected():
 
 def test_posterior_by_name():
     net = sprinkler_like()
-    marg = posterior_by_name(net, Evidence({2: (0, 1)}), ["rain"])
+    marg = variable_elimination(net, Evidence({2: (0, 1)}), [net.variable_by_name("rain").id])
     want = brute_posterior(net, Evidence({2: (0, 1)}), [1])
     assert np.allclose(marg.values, want, atol=1e-12)
 
@@ -512,7 +512,7 @@ def test_ancestor_masks_match_a_parent_walk():
     for net in nets:
         for t in (net, transform_network(net, "factorize")):
             assert t.ancestor_masks == tuple(ancestors_by_walk(t, v) for v in range(len(t.variables)))
-            assert t.scope_masks == tuple(sum(1 << v for v in s) for s in t.scopes)
+            assert t.scope_masks == tuple(sum(1 << v for v in s) for _, s, _ in t.tables)
 
 
 def test_ancestor_masks_and_elimination_on_a_3000_node_chain():

@@ -96,7 +96,6 @@ def test_enumeration_order_is_lexicographic():
 def test_enumeration_budget_names_count():
     with pytest.raises(BudgetExceededError) as exc:
         enumerate_rectangles((4, 4, 4, 4), SearchBudget(max_rectangles=10_000))
-    assert exc.value.count == 50625
     assert "50625" in str(exc.value)
 
 
@@ -391,7 +390,6 @@ def test_ternary_add_minimum_is_six():
     sol = solve_mbh(d)
     assert sol.base.size == 6
     assert sol.proved_minimal
-    assert not sol.stats.budget_exhausted
     assert bool(verify_factorization(d, build_factorized_form(d, sol.base)))
     assert sol.stats.elapsed_seconds < 60
 
@@ -502,7 +500,6 @@ def test_rectangle_cap_propagates_with_best_effort_answer():
     assert sol.base == greedy_cover_base(d)
     assert bool(verify_factorization(d, build_factorized_form(d, sol.base)))
     assert not sol.proved_minimal
-    assert sol.stats.budget_exhausted
     assert sol.stats.rectangles_enumerated == 0
     assert sol.stats.nodes_expanded == 0
     assert sol.stats.cap == "rectangles"
@@ -519,7 +516,6 @@ def test_cap_returns_unproved_base(cap, value, name):
     sol = solve_mbh(d, SearchBudget(**{cap: value}))
     assert bool(verify_factorization(d, build_factorized_form(d, sol.base)))
     assert not sol.proved_minimal
-    assert sol.stats.budget_exhausted
     assert sol.stats.cap == name
 
 
@@ -530,7 +526,6 @@ def test_base_on_the_bound_is_proved_under_a_cap():
     sol = solve_mbh(d, SearchBudget(max_base=1))
     assert sol.base.size == 2
     assert sol.proved_minimal
-    assert not sol.stats.budget_exhausted
     assert sol.stats.cap == "none"
 
 
@@ -542,7 +537,7 @@ def test_stats_are_populated():
     assert s.subsets_checked >= 1
     assert s.nodes_expanded >= 1
     assert s.elapsed_seconds >= 0.0
-    assert not s.budget_exhausted
+    assert sol.proved_minimal
     assert s.cap == "none"
 
 
