@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InternalConsistencyError, ValidationError
-from .functions import DeterministicFunction
+from .functions import DeterministicFunction, indicator_table
 from .rectangles import Base, Config, Expression, Hyperrectangle, evaluate_expression, full_space
 
 
@@ -148,11 +148,7 @@ def verify_factorization(d: DeterministicFunction, form: FactorizedForm) -> Verd
         prod = prod * gi.reshape(shape)
     recon = np.tensordot(form.h, prod, axes=([1], [n]))  # (child, x1, ..., xn)
 
-    indicator = np.zeros((d.child_card,) + d.parent_cards, dtype=np.int64)
-    for cfg, y in zip(d.configurations(), d.outputs):
-        indicator[(y,) + cfg] = 1
-
-    mismatch = recon != indicator
+    mismatch = recon != np.moveaxis(indicator_table(d), -1, 0)
     if not mismatch.any():
         return Verdict(True)
     first = np.argwhere(mismatch)[0]

@@ -1,5 +1,9 @@
 """Deterministic nodes: total functions from parent configurations to a
-child state, Boolean formula parsing, and the 0/1 potential view."""
+child state, Boolean formulas, and the 0/1 indicator view.
+
+A formula is parsed in one shunting-yard pass into its postfix token
+tuple, and evaluated in one loop over it, so neither has a nesting
+limit."""
 
 from __future__ import annotations
 
@@ -83,11 +87,16 @@ class DeterministicFunction:
         return cls(tuple(parents), child, tuple(parent_cards), child_card, tuple(outputs))
 
 
-def deterministic_to_potential(d: DeterministicFunction) -> Factor:
-    """The indicator factor [y == f(x)] over the family, as exact integers."""
+def indicator_table(d: DeterministicFunction) -> np.ndarray:
+    """The indicator [y == f(x)] as exact integers, axes (x1, ..., xn, y)."""
     outputs = np.asarray(d.outputs, dtype=np.int64).reshape(d.parent_cards)
-    # axes (x1, ..., xn, y), then permuted into ascending id order
-    table = (outputs[..., None] == np.arange(d.child_card)).astype(np.int64)
+    return (outputs[..., None] == np.arange(d.child_card)).astype(np.int64)
+
+
+def deterministic_to_potential(d: DeterministicFunction) -> Factor:
+    """The indicator factor [y == f(x)] over the family, its axes
+    permuted into ascending id order."""
+    table = indicator_table(d)
     ids = d.parents + (d.child,)
     perm = sorted(range(len(ids)), key=ids.__getitem__)
     scope = tuple(ids[i] for i in perm)
@@ -131,122 +140,73 @@ def _tokenize(text: str):
     return tokens
 
 
-# Binary operators, loosest first.
-_BINARY = (("<=>", "iff"), ("=>", "implies"), ("|", "or"), ("&", "and"))
-
-# A formula may nest at most this deep, counting operators on any path
-# from the root to a variable and, separately, open parentheses, so that
-# parsing and evaluating stay well inside Python's default recursion
-# limit (each open parenthesis costs the parser seven frames).
-MAX_FORMULA_DEPTH = 64
-
-
-class _FormulaParser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.pos = 0
-        self.open_parens = 0
-
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def take(self, kind=None):
-        tok = self.tokens[self.pos]
-        if kind is not None and tok[0] != kind:
-            raise ParseError(
-                f"expected {kind!r}, found {tok[0]!r} in formula", column=tok[1] + 1
-            )
-        self.pos += 1
-        return tok
-
-    @staticmethod
-    def check_depth(depth: int, tok) -> int:
-        if depth > MAX_FORMULA_DEPTH:
-            raise ParseError(
-                f"formula nests deeper than {MAX_FORMULA_DEPTH} levels", column=tok[1] + 1
-            )
-        return depth
-
-    def parse(self):
-        node, _ = self.binary(0)
-        tok = self.peek()
-        if tok[0] != "end":
-            raise ParseError(f"trailing {tok[0]!r} in formula", column=tok[1] + 1)
-        return node
-
-    # Each method returns (node, depth), the depth counting operators.
-
-    def binary(self, level: int):
-        """Operators of _BINARY[level] and tighter, left-associative."""
-        if level == len(_BINARY):
-            return self.negation()
-        symbol, name = _BINARY[level]
-        node, depth = self.binary(level + 1)
-        while self.peek()[0] == symbol:
-            tok = self.take()
-            right, rdepth = self.binary(level + 1)
-            node, depth = (name, node, right), self.check_depth(1 + max(depth, rdepth), tok)
-        return node, depth
-
-    def negation(self):
-        nots = 0
-        while self.peek()[0] == "!":
-            self.check_depth(nots + 1, self.take())
-            nots += 1
-        tok = self.peek()
-        node, depth = self.atom()
-        for _ in range(nots):
-            node = ("not", node)
-        return node, self.check_depth(depth + nots, tok)
-
-    def atom(self):
-        tok = self.peek()
-        if tok[0] == "(":
-            self.take()
-            self.open_parens = self.check_depth(self.open_parens + 1, tok)
-            node = self.binary(0)
-            self.take(")")
-            self.open_parens -= 1
-            return node
-        if tok[0] == "name":
-            self.take()
-            return ("var", tok[2]), 0
-        raise ParseError(f"unexpected {tok[0]!r} in formula", column=tok[1] + 1)
+# Binary operators: precedence (tighter binds higher) and truth function.
+_BINARY = {
+    "<=>": (1, lambda a, b: int(a == b)),
+    "=>": (2, lambda a, b: (1 - a) | b),
+    "|": (3, lambda a, b: a | b),
+    "&": (4, lambda a, b: a & b),
+}
 
 
-def parse_formula(text: str):
-    """Parse a Boolean formula into a nested-tuple syntax tree."""
-    return _FormulaParser(text).parse()
+def parse_formula(text: str) -> tuple:
+    """Parse a Boolean formula into its postfix token tuple: a variable
+    is ``("var", name)``, an operator its symbol.  One shunting-yard
+    pass; ``!`` is pushed only where an operand starts, and it binds
+    tighter than every binary operator."""
+    out: list = []
+    pending: list[str] = []  # operators and open parentheses not yet emitted
+    operand = True  # whether the next token must start an operand
+    for tok in _tokenize(text):
+        kind = tok[0]
+        if operand:
+            if kind == "name":
+                out.append(("var", tok[2]))
+                operand = False
+            elif kind in ("!", "("):
+                pending.append(kind)
+            else:
+                raise ParseError(f"unexpected {kind!r} in formula", column=tok[1] + 1)
+            continue
+        # a binary operator, ')' or the end pops every tighter operator
+        prec = _BINARY[kind][0] if kind in _BINARY else 0
+        while pending and pending[-1] != "(" and (
+            pending[-1] == "!" or _BINARY[pending[-1]][0] >= prec
+        ):
+            out.append(pending.pop())
+        if kind in _BINARY:
+            pending.append(kind)
+            operand = True
+        elif kind == ")" and pending:
+            pending.pop()
+        elif kind == "end" and not pending:
+            return tuple(out)
+        elif pending:
+            raise ParseError(f"expected ')', found {kind!r} in formula", column=tok[1] + 1)
+        else:
+            raise ParseError(f"trailing {kind!r} in formula", column=tok[1] + 1)
 
 
-def formula_variables(node) -> set[str]:
-    if node[0] == "var":
-        return {node[1]}
-    return set().union(*(formula_variables(c) for c in node[1:]))
+def formula_variables(postfix: Sequence) -> set[str]:
+    return {tok[1] for tok in postfix if isinstance(tok, tuple)}
 
 
-def eval_formula(node, assignment: Mapping[str, int]) -> int:
+def eval_formula(postfix: Sequence, assignment: Mapping[str, int]) -> int:
     """Evaluate a parsed formula under a 0/1 assignment."""
-    op = node[0]
-    if op == "var":
-        name = node[1]
-        if name not in assignment:
-            raise ValidationError(f"formula variable {name!r} is not bound")
-        return int(assignment[name])
-    if op == "not":
-        return 1 - eval_formula(node[1], assignment)
-    a = eval_formula(node[1], assignment)
-    b = eval_formula(node[2], assignment)
-    if op == "and":
-        return a & b
-    if op == "or":
-        return a | b
-    if op == "implies":
-        return (1 - a) | b
-    if op == "iff":
-        return int(a == b)
-    raise ValidationError(f"unknown formula node {op!r}")
+    stack: list[int] = []
+    for tok in postfix:
+        if isinstance(tok, tuple):
+            if tok[1] not in assignment:
+                raise ValidationError(f"formula variable {tok[1]!r} is not bound")
+            stack.append(int(assignment[tok[1]]))
+        elif tok == "!":
+            stack.append(1 - stack.pop())
+        elif tok in _BINARY:
+            b = stack.pop()
+            stack.append(_BINARY[tok][1](stack.pop(), b))
+        else:
+            raise ValidationError(f"unknown formula token {tok!r}")
+    return stack[0]
 
 
 def function_from_formula(
@@ -259,12 +219,12 @@ def function_from_formula(
     """Tabulate a Boolean formula over binary parents."""
     if any(c != 2 for c in parent_cards):
         raise ValidationError("formula-defined functions require binary parents")
-    node = parse_formula(text)
-    unbound = formula_variables(node) - set(names)
+    postfix = parse_formula(text)
+    unbound = formula_variables(postfix) - set(names)
     if unbound:
         raise ValidationError(f"formula mentions unknown variables: {sorted(unbound)}")
     outputs = [
-        eval_formula(node, dict(zip(names, cfg)))
+        eval_formula(postfix, dict(zip(names, cfg)))
         for cfg in iproduct(*(range(2) for _ in parents))
     ]
     return DeterministicFunction(

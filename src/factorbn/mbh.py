@@ -292,31 +292,29 @@ def _closure_search(
     mask is provably not generable (the reachable space was exhausted).
     Raises when the settled-value cap or the deadline is hit.
 
-    Frontier entries carry how their set was made, ``("rect", i)`` or
-    ``("union" | "diff", a, b)`` over already-settled masks ``a`` and
-    ``b``; an expression tree is built only for the wanted masks.  Leaf
-    counts pop in ascending order and ties in push order, so a push for
-    a set already queued with no more leaves would pop after that entry
-    and be discarded; every settled set is such a set.  Those pushes are
-    skipped.
+    Frontier entries carry how their set was made, ``(i,)`` for
+    rectangle ``i`` or ``("+" | "-", a, b)`` over already-settled masks
+    ``a`` and ``b``; expression tokens are spelled out only for the
+    wanted masks.  Leaf counts pop in ascending order and ties in push
+    order, so a push for a set already queued with no more leaves would
+    pop after that entry and be discarded; every settled set is such a
+    set.  Those pushes are skipped.
     """
-    heap = [(1, i, m, ("rect", i)) for i, m in enumerate(masks)]
+    heap = [(1, i, m, (i,)) for i, m in enumerate(masks)]
     heapify(heap)
     seq = len(masks)
     queued = dict.fromkeys(masks, 1)  # the fewest leaves queued for each set
     settled: dict[int, tuple] = {}
     order: list[tuple[int, int]] = []  # (mask, leaf count) in settling order
     found: dict[int, Expression] = {}
-    built: dict[int, Expression] = {}
 
     def witness(mask: int) -> Expression:
-        if mask not in built:
-            how = settled[mask]
-            if how[0] == "rect":
-                built[mask] = Expression.rect(how[1])
-            else:
-                built[mask] = Expression(how[0], left=witness(how[1]), right=witness(how[2]))
-        return built[mask]
+        tokens, todo = [], [mask]
+        while todo:
+            how = settled[todo.pop()]
+            tokens.append(how[0])
+            todo += how[:0:-1]  # the left operand on top
+        return Expression(tuple(tokens))
 
     pops = 0
     heap_cap = 64 * max_values
@@ -349,11 +347,11 @@ def _closure_search(
             if len(heap) >= heap_cap:
                 raise BudgetExceededError("closure frontier exceeded its cap", kind="closure")
             if not both:
-                chow = ("union", mask, other)
+                chow = ("+", mask, other)
             elif both == other:
-                chow = ("diff", mask, other)
+                chow = ("-", mask, other)
             else:
-                chow = ("diff", other, mask)
+                chow = ("-", other, mask)
             queued[cand] = leaves
             heappush(heap, (leaves, seq, cand, chow))
             seq += 1
@@ -423,7 +421,9 @@ def greedy_cover_base(d: DeterministicFunction) -> Base:
             remaining &= ~mask
             parts.append(Expression.rect(len(rects)))
             rects.append(Hyperrectangle(tuple(dims)))
-        while len(parts) > 1:  # unions of neighbours: ceil(log2 parts) deep
+        # unions of neighbours: concatenating the token tuples copies
+        # n log n tokens over n parts, where a left fold would copy n^2
+        while len(parts) > 1:
             pairs = [Expression.union(a, b) for a, b in zip(parts[::2], parts[1::2])]
             parts = pairs + parts[2 * len(pairs):]
         exprs[state] = parts[0]

@@ -1,12 +1,16 @@
 """Hyperrectangles over a configuration space and the two-operator set
 algebra (proper difference, disjunctive union) used to express level
-sets in terms of a rectangle base."""
+sets in terms of a rectangle base.
+
+An expression is its flat prefix token sequence, the order of its text
+form, so parsing, printing, evaluating and counting are each one loop
+over the tokens, with no nesting limit."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product as iproduct
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import IllegalExpressionError, ParseError, ValidationError
 
@@ -68,112 +72,70 @@ def full_space(cards: Sequence[int]) -> Hyperrectangle:
     return Hyperrectangle(tuple(tuple(range(c)) for c in cards))
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(frozen=True, repr=False)
 class Expression:
-    """A binary tree over rectangle leaves.
-
-    ``kind`` is ``"rect"`` (leaf; ``index`` points into a rectangle
-    list), ``"diff"`` (proper difference: left must contain right), or
-    ``"union"`` (disjunctive union: operands must be disjoint).
-
-    Equality, hashing, repr and every other walk of the tree run in a
-    loop, not by recursion, so they work at any depth.
+    """A set expression over rectangle leaves, stored as its prefix
+    token sequence: an ``int`` is a leaf (an index into a rectangle
+    list), ``"-"`` a proper difference (its left operand must contain
+    its right) and ``"+"`` a disjunctive union (its operands must be
+    disjoint), each operator followed by its left and then its right
+    operand.  That is the order of the text form, so equality and
+    hashing are those of the tuple and every walk is one loop over it,
+    at any depth.  ``Base`` checks that the sequence is well formed.
     """
 
-    kind: str
-    index: int | None = None
-    left: "Expression | None" = None
-    right: "Expression | None" = None
-
-    def __post_init__(self):
-        if self.kind == "rect":
-            if self.index is None or self.index < 0 or self.left or self.right:
-                raise ValidationError("malformed rectangle leaf")
-        elif self.kind in ("diff", "union"):
-            if self.left is None or self.right is None or self.index is not None:
-                raise ValidationError(f"{self.kind} node needs two children")
-        else:
-            raise ValidationError(f"unknown expression kind {self.kind!r}")
+    tokens: tuple[int | str, ...]
 
     @staticmethod
     def rect(index: int) -> "Expression":
-        return Expression("rect", index=index)
+        return Expression((index,))
 
     @staticmethod
     def diff(left: "Expression", right: "Expression") -> "Expression":
-        return Expression("diff", left=left, right=right)
+        return Expression(("-",) + left.tokens + right.tokens)
 
     @staticmethod
     def union(left: "Expression", right: "Expression") -> "Expression":
-        return Expression("union", left=left, right=right)
-
-    def _preorder(self) -> Iterator["Expression"]:
-        """Every node, each before its operands, left operand first."""
-        stack = [self]
-        while stack:
-            node = stack.pop()
-            yield node
-            if node.kind != "rect":
-                stack += (node.right, node.left)
-
-    def _key(self) -> tuple[tuple[str, int | None], ...]:
-        # every operator has two operands, so the preorder of
-        # (kind, index) pairs determines the tree
-        return tuple((node.kind, node.index) for node in self._preorder())
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Expression):
-            return NotImplemented
-        return self is other or self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
+        return Expression(("+",) + left.tokens + right.tokens)
 
     def __repr__(self) -> str:
         return f"<Expression {format_expression(self)}>"
 
     def leaves(self) -> tuple[int, ...]:
         """Rectangle indices in leaf order, repeats kept."""
-        return tuple(node.index for node in self._preorder() if node.kind == "rect")
+        return tuple(tok for tok in self.tokens if isinstance(tok, int))
 
     def signed_counts(self) -> dict[int, int]:
         """Net coefficient of each rectangle index: +1 at the root, both
         signs kept by a union, the right operand of a difference flipped."""
         counts: dict[int, int] = {}
-        stack = [(self, 1)]
-        while stack:
-            node, sign = stack.pop()
-            if node.kind == "rect":
-                counts[node.index] = counts.get(node.index, 0) + sign
+        signs = [1]  # the sign of each operand still to come, the next on top
+        for tok in self.tokens:
+            sign = signs.pop()
+            if tok == "-":
+                signs += (-sign, sign)
+            elif tok == "+":
+                signs += (sign, sign)
             else:
-                flip = -1 if node.kind == "diff" else 1
-                stack += ((node.right, flip * sign), (node.left, sign))
+                counts[tok] = counts.get(tok, 0) + sign
         return counts
 
 
 def evaluate_expression(
     expr: Expression, rectangles: Sequence[Hyperrectangle]
 ) -> frozenset[Config]:
-    """The configuration set an expression denotes, built operands
-    first in a loop, so it works at any depth.
+    """The configuration set an expression denotes, built in one pass
+    over the tokens from the last to the first.
 
     Raises IllegalExpressionError when a difference's operands are not
     nested (left must contain right) or a union's operands overlap.
     """
-    done: list[frozenset[Config]] = []  # the sets of finished operands
-    stack: list[tuple[Expression, bool]] = [(expr, False)]
-    while stack:
-        node, ready = stack.pop()
-        if node.kind == "rect":
-            if node.index >= len(rectangles):
-                raise ValidationError(f"rectangle index {node.index} out of range")
-            done.append(frozenset(rectangles[node.index].points()))
-        elif not ready:  # come back once both operands are done
-            stack += ((node, True), (node.right, False), (node.left, False))
-        else:
-            right = done.pop()
+    done: list[frozenset[Config]] = []  # finished operands, the next left one on top
+    for tok in reversed(expr.tokens):
+        if tok == "-" or tok == "+":
             left = done.pop()
-            if node.kind == "diff":
+            right = done.pop()
+            if tok == "-":
                 if not right <= left:
                     raise IllegalExpressionError(
                         "ILLEGAL_DIFFERENCE", "right operand is not contained in the left"
@@ -183,6 +145,10 @@ def evaluate_expression(
                 raise IllegalExpressionError("ILLEGAL_UNION", "operands of a union overlap")
             else:
                 done.append(left | right)
+        elif tok >= len(rectangles):
+            raise ValidationError(f"rectangle index {tok} out of range")
+        else:
+            done.append(frozenset(rectangles[tok].points()))
     return done[0]
 
 
@@ -211,12 +177,25 @@ class Base:
         for state, expr in self.expressions.items():
             if state < 0:
                 raise ValidationError(f"negative child state {state}")
-            for leaf in expr.leaves():
-                if leaf >= len(self.rectangles):
+            missing = 1  # operands still owed: an operator adds one, a leaf pays one
+            for tok in expr.tokens:
+                if isinstance(tok, int) and tok >= len(self.rectangles):
                     raise ValidationError(
-                        f"expression for state {state} references rectangle {leaf + 1}, "
+                        f"expression for state {state} references rectangle {tok + 1}, "
                         f"but the base has only {len(self.rectangles)}"
                     )
+                if missing and (tok == "-" or tok == "+"):
+                    missing += 1
+                elif missing and isinstance(tok, int) and tok >= 0:
+                    missing -= 1
+                else:  # not a token, or one past the end of the expression
+                    missing = -1
+                    break
+            if missing:
+                raise ValidationError(
+                    f"expression for state {state} is not a prefix sequence of "
+                    f"rectangle indices and '-' / '+' operators"
+                )
 
     @property
     def size(self) -> int:
@@ -228,61 +207,58 @@ class Base:
 # e.g. "(- (- R2 R4) R5)".  "-" is the proper difference, "+" the
 # disjunctive union.
 
-# Operators may nest at most this deep in a parsed expression, so that
-# the recursive parser below stays well inside Python's default
-# recursion limit.  The solver's witnesses nest a few levels; the greedy
-# cover, which is also the answer whenever a cap stops the search, joins
-# the parts of a level set in a balanced union tree, ceil(log2 parts)
-# deep, so that even a level set of one part per configuration stays
-# far below the limit.
-MAX_EXPRESSION_DEPTH = 512
-
 
 def format_expression(expr: Expression) -> str:
     parts = []
-    stack: list[Expression | str] = [expr]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, str):
-            parts.append(node)
-        elif node.kind == "rect":
-            parts.append(f"R{node.index + 1}")
-        else:
-            parts.append("(- " if node.kind == "diff" else "(+ ")
-            stack += (")", node.right, " ", node.left)
+    owed = []  # for each open operator, the operands it still lacks
+    for tok in expr.tokens:
+        if tok == "-" or tok == "+":
+            parts.append(f"({tok} ")
+            owed.append(2)
+            continue
+        parts.append(f"R{tok + 1}")
+        while owed:  # a finished operand: close every operator it completes
+            owed[-1] -= 1
+            if owed[-1]:
+                parts.append(" ")
+                break
+            owed.pop()
+            parts.append(")")
     return "".join(parts)
 
 
 def parse_expression(text: str) -> Expression:
-    tokens = text.replace("(", " ( ").replace(")", " ) ").split()
-    pos = 0
-
-    def parse(depth: int) -> Expression:
-        nonlocal pos
-        if pos >= len(tokens):
-            raise ParseError("unexpected end of expression")
-        tok = tokens[pos]
-        pos += 1
-        if tok == "(":
-            if depth == MAX_EXPRESSION_DEPTH:
-                raise ParseError(
-                    f"expression nests deeper than {MAX_EXPRESSION_DEPTH} operators"
-                )
-            if pos >= len(tokens) or tokens[pos] not in ("-", "+"):
-                raise ParseError(f"expected an operator after '(' in {text!r}")
-            op = tokens[pos]
-            pos += 1
-            left = parse(depth + 1)
-            right = parse(depth + 1)
-            if pos >= len(tokens) or tokens[pos] != ")":
+    """One pass over the words that counts the operands still missing;
+    each ``(`` records the count at which its ``)`` must come."""
+    words = iter(text.replace("(", " ( ").replace(")", " ) ").split())
+    tokens: list[int | str] = []
+    missing = 1
+    closes: list[int] = []  # for each open '(', the count that closes it
+    for word in words:
+        if word == ")":
+            if not closes or closes[-1] != missing:
+                raise ParseError(f"unexpected ')' in {text!r}")
+            closes.pop()
+            continue
+        # the innermost open operator, or the whole expression, is complete
+        if missing == (closes[-1] if closes else 0):
+            if closes:
                 raise ParseError(f"missing ')' in {text!r}")
-            pos += 1
-            return Expression.diff(left, right) if op == "-" else Expression.union(left, right)
-        if tok.startswith("R") and tok[1:].isdigit() and int(tok[1:]) >= 1:
-            return Expression.rect(int(tok[1:]) - 1)
-        raise ParseError(f"unexpected token {tok!r} in expression {text!r}")
-
-    expr = parse(0)
-    if pos != len(tokens):
-        raise ParseError(f"trailing tokens in expression {text!r}")
-    return expr
+            raise ParseError(f"trailing tokens in expression {text!r}")
+        missing -= 1
+        if word == "(":
+            op = next(words, None)
+            if op not in ("-", "+"):
+                raise ParseError(f"expected an operator after '(' in {text!r}")
+            tokens.append(op)
+            closes.append(missing)
+            missing += 2
+        elif word.startswith("R") and word[1:].isdecimal() and int(word[1:]) >= 1:
+            tokens.append(int(word[1:]) - 1)
+        else:
+            raise ParseError(f"unexpected token {word!r} in expression {text!r}")
+    if missing:
+        raise ParseError(f"unexpected end of expression {text!r}")
+    if closes:
+        raise ParseError(f"missing ')' in {text!r}")
+    return Expression(tuple(tokens))

@@ -167,12 +167,28 @@ def test_factorize_deeply_nested_base_is_input_error(tmp_path, capsys):
     for _ in range(3000):
         expr = f"(+ {expr} R1)"
     base = put(tmp_path, "base.json", {
-        "rectangles": [[[1], [1]]], "expressions": {"1": expr},
+        "rectangles": [[[1], [1]], [[0, 1], [0, 1]]],
+        "expressions": {"0": "(- R2 R1)", "1": expr},
     })
     assert run_cli(["factorize", "--function", fn, "--base", base]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "nests deeper than" in captured.err and captured.err.count("\n") == 1
+    assert "ILLEGAL_UNION" in captured.err and captured.err.count("\n") == 1
+
+
+def test_factorize_accepts_a_deeply_nested_legal_base(tmp_path, capsys):
+    # X -> (- (+ X R3) R3) keeps the cell (1, 1) and nests two levels deeper
+    fn = put(tmp_path, "fn.json", AND2)
+    expr = "R1"
+    for _ in range(3000):
+        expr = f"(- (+ {expr} R3) R3)"
+    base = put(tmp_path, "base.json", {
+        "rectangles": [[[1], [1]], [[0, 1], [0, 1]], [[0], [0]]],
+        "expressions": {"0": "(- R2 R1)", "1": expr},
+    })
+    assert run_cli(["factorize", "--function", fn, "--base", base]) == 0
+    form = parse_form(capsys.readouterr().out)
+    assert form.h.tolist() == [[-1, 1, 0], [1, 0, 0]]
 
 
 def test_capped_mbh_base_factorizes(tmp_path, capsys):
@@ -311,13 +327,14 @@ def test_mbh_non_integer_card_is_input_error(tmp_path, capsys):
     assert "card must be an integer" in captured.err and captured.err.count("\n") == 1
 
 
-def test_mbh_deeply_negated_formula_is_input_error(tmp_path, capsys):
+def test_mbh_deeply_negated_formula_solves(tmp_path, capsys):
     doc = json.loads(json.dumps(AND2))
     doc["function"] = {"type": "formula", "expr": "!" * 5000 + "x1"}
     fn = put(tmp_path, "fn.json", doc)
-    assert run_cli(["mbh", "--function", fn]) == 2
-    err = capsys.readouterr().err
-    assert "nests deeper than" in err and err.count("\n") == 1
+    assert run_cli(["mbh", "--function", fn]) == 0
+    captured = capsys.readouterr()
+    assert "proved_minimal=True" in captured.err
+    assert parse_base(captured.out).size == 2
 
 
 @pytest.mark.parametrize("limit", ["nan", "inf", "0", "-1"])

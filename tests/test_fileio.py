@@ -397,6 +397,19 @@ def test_deep_greedy_base_round_trips():
     assert repr(back.expressions[1]) == repr(base.expressions[1])
 
 
+def test_a_library_built_union_chain_round_trips():
+    # one 600-state parent, a one-state child: its level set is the
+    # left-folded union chain R1 + R2 + ... + R600, 599 operators deep
+    n = 600
+    d = DeterministicFunction((0,), 1, (n,), 1, (0,) * n)
+    expr = Expression.rect(0)
+    for i in range(1, n):
+        expr = Expression.union(expr, Expression.rect(i))
+    base = Base(tuple(Hyperrectangle(((i,),)) for i in range(n)), {0: expr})
+    assert build_factorized_form(d, base).n_hidden == n
+    assert parse_base(write_base(base)) == base
+
+
 def test_base_writer_accepts_extra_fields():
     text = write_base(boolean_base(), extra={"proved_minimal": True, "size": 3})
     doc = json.loads(text)

@@ -24,7 +24,6 @@ from factorbn import (
     parse_formula,
 )
 from factorbn.functions import (
-    MAX_FORMULA_DEPTH,
     as_conjunction,
     formula_variables,
     is_add,
@@ -118,19 +117,37 @@ def test_formula_syntax_errors(bad):
         parse_formula(bad)
 
 
-def test_formula_nesting_is_capped():
-    cap = MAX_FORMULA_DEPTH
+def test_formula_nesting_is_unbounded():
+    # a left-associative chain is as deep as it is long
     deep = {
-        "negations": lambda n: "!" * n + "a",
-        "parentheses": lambda n: "(" * n + "a" + ")" * n,
-        "chain": lambda n: " & ".join(["a"] * (n + 1)),
+        "negations": (lambda n: "!" * n + "a", lambda n: 1 - n % 2),
+        "parentheses": (lambda n: "(" * n + "a" + ")" * n, lambda n: 1),
+        "chain": (lambda n: " & ".join(["a"] * (n + 1)), lambda n: 1),
     }
-    for make in deep.values():
-        assert eval_formula(parse_formula(make(cap)), {"a": 1}) in (0, 1)
-        with pytest.raises(ParseError, match="nests deeper than"):
-            parse_formula(make(cap + 1))
-    with pytest.raises(ParseError, match="nests deeper than"):
-        parse_formula("!" * 5000 + "a")
+    for make, value in deep.values():
+        for n in (64, 65, 5000):
+            assert eval_formula(parse_formula(make(n)), {"a": 1}) == value(n)
+
+
+def test_a_long_cnf_tabulates_like_python():
+    # 70 three-literal clauses over 10 parents, each satisfied by two
+    # planted assignments, so the table holds both values
+    rng = random.Random(11)
+    names = [f"x{i}" for i in range(10)]
+    planted = [[rng.randrange(2) for _ in names] for _ in range(2)]
+    clauses = []
+    while len(clauses) < 70:
+        clause = [(rng.randrange(10), rng.randrange(2)) for _ in range(3)]
+        if all(any(p[v] != neg for v, neg in clause) for p in planted):
+            clauses.append(clause)
+    text = " & ".join(
+        "(" + " | ".join("!" * neg + names[v] for v, neg in clause) + ")"
+        for clause in clauses
+    )
+    d = function_from_formula(tuple(range(10)), 10, (2,) * 10, names, text)
+    assert 0 < sum(d.outputs) < 1 << 10
+    for cfg, y in zip(d.configurations(), d.outputs):
+        assert y == all(any(cfg[v] != neg for v, neg in clause) for clause in clauses)
 
 
 def test_unbound_variable_rejected():

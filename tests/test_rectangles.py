@@ -6,8 +6,12 @@ Core claims:
     - the worked difference chain over {0,1,2}^2 lands on the two
       off-diagonal cells
     - signed leaf counts follow the +/- flip rule through nesting
-    - the prefix text form round-trips
+    - the prefix text form round-trips, at any nesting depth
+    - no walk of an expression or a formula recurses
 """
+
+import sys
+from contextlib import contextmanager
 
 import pytest
 
@@ -17,12 +21,14 @@ from factorbn import (
     IllegalExpressionError,
     ParseError,
     ValidationError,
+    eval_formula,
     evaluate_expression,
     format_expression,
     full_space,
     parse_expression,
+    parse_formula,
 )
-from factorbn.rectangles import MAX_EXPRESSION_DEPTH, Base
+from factorbn.rectangles import Base
 
 R1 = Hyperrectangle(((0, 1, 2), (0, 1, 2)))
 R2 = Hyperrectangle(((0, 1), (0, 1)))
@@ -168,6 +174,14 @@ def test_base_rejects_out_of_range_leaf():
         Base((R5,), {0: e})
 
 
+@pytest.mark.parametrize(
+    "tokens", [(), ("+",), ("-", 0), (0, 0), ("+", 0, 0, 0), ("*", 0, 0), (-1,), ("0",)]
+)
+def test_base_rejects_malformed_token_sequences(tokens):
+    with pytest.raises(ValidationError, match="not a prefix sequence"):
+        Base((R5,), {0: Expression(tokens)})
+
+
 # -- text form ---------------------------------------------------------------
 
 
@@ -204,13 +218,44 @@ def nested_union(depth):
     return text
 
 
-def test_parse_caps_nesting_depth():
-    assert len(parse_expression(nested_union(MAX_EXPRESSION_DEPTH)).leaves()) == (
-        MAX_EXPRESSION_DEPTH + 1
-    )
-    for depth in (MAX_EXPRESSION_DEPTH + 1, 3000):
-        with pytest.raises(ParseError, match="nests deeper than"):
-            parse_expression(nested_union(depth))
+def test_parse_accepts_any_nesting_depth():
+    for depth in (512, 513, 3000):
+        text = nested_union(depth)
+        expr = parse_expression(text)
+        assert expr.leaves() == (0,) * (depth + 1)
+        assert format_expression(expr) == text
+
+
+@contextmanager
+def frames_to_spare(spare):
+    """Lower the recursion limit to ``spare`` frames above the caller."""
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + spare)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(old)
+
+
+def test_no_walk_of_expressions_or_formulas_recurses():
+    # X -> (- (+ X R2) R2) keeps the set {(0,)} and adds four tokens
+    text = "R1"
+    for _ in range(5000):
+        text = f"(- (+ {text} R2) R2)"
+    rects = (Hyperrectangle(((0,),)), Hyperrectangle(((1,),)))
+    deep_not = "!" * 20000 + "a"
+    with frames_to_spare(40):
+        a, b = parse_expression(text), parse_expression(text)
+        assert len(a.tokens) == 20001
+        assert format_expression(a) == text
+        assert evaluate_expression(a, rects) == {(0,)}
+        assert a.signed_counts() == {0: 1, 1: 0}
+        assert a == b and hash(a) == hash(b)
+        assert a != parse_expression(text.replace("R1", "R2", 1))
+        assert eval_formula(parse_formula(deep_not), {"a": 0}) == 0
 
 
 def test_equality_hash_and_repr_follow_the_tree():
