@@ -40,8 +40,9 @@ class FactorizedForm:
 
     def __post_init__(self):
         object.__setattr__(self, "parent_cards", tuple(self.parent_cards))
-        h = np.asarray(self.h, dtype=np.int64)
-        g = tuple(np.asarray(gi, dtype=np.int64) for gi in self.g)
+        # copies, so the caller's arrays stay writeable
+        h = np.array(self.h, dtype=np.int64)
+        g = tuple(np.array(gi, dtype=np.int64) for gi in self.g)
         if h.ndim != 2 or h.shape[0] != self.child_card:
             raise ValidationError(f"h has shape {h.shape}, expected ({self.child_card}, k)")
         k = h.shape[1]
@@ -50,7 +51,7 @@ class FactorizedForm:
         for gi, c in zip(g, self.parent_cards):
             if gi.shape != (c, k):
                 raise ValidationError(f"g table has shape {gi.shape}, expected ({c}, {k})")
-            if not np.isin(gi, (0, 1)).all():
+            if (gi & ~1).any():  # a bit other than the lowest is set
                 raise ValidationError("g tables must be 0/1")
         h.flags.writeable = False
         for gi in g:

@@ -140,9 +140,10 @@ def _tokenize(text: str):
     return tokens
 
 
-# Binary operators: precedence (tighter binds higher) and truth function.
+# Binary operators: precedence (tighter binds higher) and truth function,
+# in bit operations so that they apply to 0/1 ints and arrays alike.
 _BINARY = {
-    "<=>": (1, lambda a, b: int(a == b)),
+    "<=>": (1, lambda a, b: 1 - (a ^ b)),
     "=>": (2, lambda a, b: (1 - a) | b),
     "|": (3, lambda a, b: a | b),
     "&": (4, lambda a, b: a & b),
@@ -191,14 +192,13 @@ def formula_variables(postfix: Sequence) -> set[str]:
     return {tok[1] for tok in postfix if isinstance(tok, tuple)}
 
 
-def eval_formula(postfix: Sequence, assignment: Mapping[str, int]) -> int:
-    """Evaluate a parsed formula under a 0/1 assignment."""
-    stack: list[int] = []
+def _evaluate(postfix: Sequence, operand: Callable[[str], object]):
+    """The postfix loop.  ``operand(name)`` is a variable's value, a 0/1
+    int or a 0/1 array, and each operator applies to whole values."""
+    stack: list = []
     for tok in postfix:
         if isinstance(tok, tuple):
-            if tok[1] not in assignment:
-                raise ValidationError(f"formula variable {tok[1]!r} is not bound")
-            stack.append(int(assignment[tok[1]]))
+            stack.append(operand(tok[1]))
         elif tok == "!":
             stack.append(1 - stack.pop())
         elif tok in _BINARY:
@@ -207,6 +207,17 @@ def eval_formula(postfix: Sequence, assignment: Mapping[str, int]) -> int:
         else:
             raise ValidationError(f"unknown formula token {tok!r}")
     return stack[0]
+
+
+def eval_formula(postfix: Sequence, assignment: Mapping[str, int]) -> int:
+    """Evaluate a parsed formula under a 0/1 assignment."""
+
+    def operand(name: str) -> int:
+        if name not in assignment:
+            raise ValidationError(f"formula variable {name!r} is not bound")
+        return int(assignment[name])
+
+    return _evaluate(postfix, operand)
 
 
 def function_from_formula(
@@ -220,15 +231,20 @@ def function_from_formula(
     if any(c != 2 for c in parent_cards):
         raise ValidationError("formula-defined functions require binary parents")
     postfix = parse_formula(text)
-    unbound = formula_variables(postfix) - set(names)
+    # one pass over every configuration: parent i is the 0/1 column along
+    # axis i, and the operators broadcast to the full table
+    n = len(parents)
+    columns = {
+        name: np.arange(2, dtype=np.uint8).reshape([2 if j == i else 1 for j in range(n)])
+        for i, name in zip(range(n), names)
+    }
+    unbound = formula_variables(postfix) - set(columns)
     if unbound:
         raise ValidationError(f"formula mentions unknown variables: {sorted(unbound)}")
-    outputs = [
-        eval_formula(postfix, dict(zip(names, cfg)))
-        for cfg in iproduct(*(range(2) for _ in parents))
-    ]
+    table = np.broadcast_to(_evaluate(postfix, columns.__getitem__), (2,) * n)
     return DeterministicFunction(
-        tuple(parents), child, tuple(parent_cards), 2, tuple(outputs), formula=text
+        tuple(parents), child, tuple(parent_cards), 2, tuple(table.ravel().tolist()),
+        formula=text,
     )
 
 

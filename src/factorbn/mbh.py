@@ -590,21 +590,24 @@ def solve_mbh(
     Searches sizes upward from the level-set count, which starts the
     proven lower bound; each size ruled out with no cap in the way
     raises the bound by one.  The answer is the first base the search
-    finds, or else the greedy cover, and ``proved_minimal`` says whether
-    its size equals the bound.  Every budget cap ends the search with
-    that answer, so no cap raises.
+    finds, or else the greedy cover, built only then, and
+    ``proved_minimal`` says whether its size equals the bound.  Every
+    budget cap ends the search with that answer, so no cap raises.
     """
     budget = budget or SearchBudget()
     t0 = time.monotonic()
     deadline = t0 + budget.wall_clock if budget.wall_clock is not None else None
 
-    base = greedy_cover_base(d)
+    base = None
     search = _Search(d, budget, deadline)
     lower = bound = len(search.level_masks)
     cap = None
     try:
         search.load_candidates()
-        for k in range(lower, min(base.size, budget.max_base) + 1):
+        # the greedy cover's rectangles are a feasible subset of its size
+        # and each size's search is complete, so with no cap in the way
+        # the loop ends by that size; the cover is built only as fallback
+        for k in range(lower, budget.max_base + 1):
             if bound < k and k >= lower + 2:
                 # a proof is already off the table, and beyond the two
                 # filtered sizes the subset space explodes
@@ -623,7 +626,9 @@ def solve_mbh(
             elif bound == k:
                 bound += 1
     except BudgetExceededError as e:
-        cap = e.kind  # every cap ends the search here; the base in hand stands
+        cap = e.kind  # every cap ends the search here
+    if base is None:
+        base = greedy_cover_base(d)
 
     proved = base.size == bound
     stats = SearchStats(

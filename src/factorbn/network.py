@@ -84,11 +84,13 @@ class Star:
 class Network:
     """A directed model over discrete variables.
 
-    Every variable is either the head of exactly one CPT or exactly one
-    deterministic node, except when ``potentials`` is non-empty: a
-    transformed network may carry headless variables (the hidden ones)
-    as long as each appears in some potential.  Potential entries must
-    be finite reals.  The directed part must be acyclic.
+    Every variable heads a CPT, a deterministic node or a star, or
+    appears in a potential, and none heads two.  So a transformed
+    network's hidden variables need no node, while a parent with no
+    table of its own and no potential is rejected.  Every table (a CPT,
+    a deterministic node's family, a potential) names known variables
+    with their cardinalities.  Potential entries must be finite reals.
+    The directed part must be acyclic.
 
     ``stars`` records which deterministic nodes the potentials replace
     (see :class:`Star`).  A star's child counts as a head, and its
@@ -100,10 +102,11 @@ class Network:
     and inference keeps every one of its potentials.  Stars are left
     out of equality, so a transformed network equals its parsed copy.
 
-    Query-independent data is built on first use and kept for the
-    network's lifetime: ``cards``, ``parent_map``, ``ancestor_masks``
-    (each variable's ancestors as a bitmask), ``scope_masks`` (each
-    table's scope as a bitmask), and ``tables``.  Inference reads only
+    Query-independent data is built once and kept for the network's
+    lifetime: ``cards``, ``parent_map`` and ``ancestor_masks`` (each
+    variable's ancestors as a bitmask, the walk that also checks for a
+    cycle) by validation, ``scope_masks`` (each table's scope as a
+    bitmask) and ``tables`` on first use.  Inference reads only
     these, so a query rebuilds nothing that depends on the network
     alone.
     """
@@ -134,55 +137,43 @@ class Network:
         n = len(self.variables)
         cards = self.cards
 
-        def check_var(i: int, where: str) -> None:
-            if not 0 <= i < n:
-                raise ValidationError(f"unknown variable id {i} in {where}")
-
-        families = [(c.child, c.parents, "a CPT") for c in self.cpts]
-        families += [(d.child, d.parents, "a deterministic node") for d in self.deterministic]
-        families += [(s.child, s.parents, f"the star of variable {s.child}") for s in self.stars]
-        heads: set[int] = set()
-        for child, parents, where in families:
-            for v in (child, *parents):
-                check_var(v, where)
-            if child in heads:
-                raise ValidationError(f"variable {child} is the head of two nodes")
-            heads.add(child)
-        for cpt in self.cpts:
-            family = sorted(cpt.parents + (cpt.child,))
-            expected_cards = tuple(cards[v] for v in family)
-            if cpt.factor.cards != expected_cards:
+        # one check for every table: its scope ids are known and its
+        # declared cards are the variables'
+        tables = [("a CPT", c.factor.scope, c.factor.cards) for c in self.cpts]
+        tables += [
+            ("a deterministic node", d.parents + (d.child,), d.parent_cards + (d.child_card,))
+            for d in self.deterministic
+        ]
+        tables += [("a potential", p.scope, p.cards) for p in self.potentials]
+        for where, scope, declared in tables:
+            for v in scope:
+                if not 0 <= v < n:
+                    raise ValidationError(f"unknown variable id {v} in {where}")
+            if declared != tuple(cards[v] for v in scope):
                 raise ValidationError(
-                    f"CPT table for variable {cpt.child} has cards {cpt.factor.cards}, "
-                    f"expected {expected_cards}"
+                    f"{where} over variables {scope} has cards {declared}, "
+                    f"expected {tuple(cards[v] for v in scope)}"
                 )
-        for det in self.deterministic:
-            if det.parent_cards != tuple(cards[p] for p in det.parents):
-                raise ValidationError(
-                    f"deterministic node for variable {det.child} disagrees with "
-                    "the declared parent cardinalities"
-                )
-            if det.child_card != cards[det.child]:
-                raise ValidationError(
-                    f"deterministic node for variable {det.child} disagrees with "
-                    "the declared child cardinality"
-                )
-        for pot in self.potentials:
-            for v in pot.scope:
-                check_var(v, "a potential")
-            if pot.cards != tuple(cards[v] for v in pot.scope):
-                raise ValidationError("potential cards disagree with the variables")
-            if pot.values.dtype.kind not in "iuf" or not np.isfinite(pot.values).all():
-                raise ValidationError(f"potential over {pot.scope} has a non-finite entry")
 
         over: dict[int, list[tuple[int, ...]]] = {}  # potential scopes per hidden variable
         for star in self.stars:
-            check_var(star.hidden, f"the star of variable {star.child}")
+            for v in (star.child, *star.parents, star.hidden):
+                if not 0 <= v < n:
+                    raise ValidationError(
+                        f"unknown variable id {v} in the star of variable {star.child}"
+                    )
             over[star.hidden] = []
-        members = {v for child, parents, _ in families for v in (child, *parents)}
+        heads = [c.child for c in self.cpts] + [d.child for d in self.deterministic]
+        heads += [s.child for s in self.stars]
+        if len(set(heads)) != len(heads):
+            twice = next(v for v in heads if heads.count(v) > 1)
+            raise ValidationError(f"variable {twice} is the head of two nodes")
+        members = {v for child, parents in self.parent_map.items() for v in (child, *parents)}
         if len(over) < len(self.stars) or not members.isdisjoint(over):
             raise ValidationError("a star's hidden variable appears outside its star")
         for pot in self.potentials:
+            if pot.values.dtype.kind not in "iuf" or not np.isfinite(pot.values).all():
+                raise ValidationError(f"potential over {pot.scope} has a non-finite entry")
             for v in pot.scope:
                 if v in over:
                     over[v].append(pot.scope)
@@ -195,41 +186,13 @@ class Network:
                     f"{b} must have the scopes {shape}"
                 )
 
-        if self.potentials:
-            covered = heads | {v for pot in self.potentials for v in pot.scope}
-            covered |= {p for c in self.cpts for p in c.parents}
-            covered |= {p for d in self.deterministic for p in d.parents}
-            missing = set(range(n)) - covered
-            if missing:
-                raise ValidationError(f"variables {sorted(missing)} appear in no node")
-        else:
-            missing = set(range(n)) - heads
-            if missing:
-                raise ValidationError(
-                    f"variables {sorted(missing)} have neither a CPT nor a "
-                    "deterministic node"
-                )
-
-        self._parents_first()
-
-    def _parents_first(self) -> list[int]:
-        """Every variable id, each after its parents (Kahn's algorithm).
-        Raises ValidationError when the directed part has a cycle."""
-        waiting = [0] * len(self.variables)
-        children: dict[int, list[int]] = {}
-        for child, parents in self.parent_map.items():
-            waiting[child] = len(parents)
-            for p in parents:
-                children.setdefault(p, []).append(child)
-        order = [v for v, w in enumerate(waiting) if not w]
-        for v in order:  # grows while it is walked
-            for c in children.get(v, ()):
-                waiting[c] -= 1
-                if not waiting[c]:
-                    order.append(c)
-        if len(order) != len(waiting):
-            raise ValidationError("cycle detected in the directed structure")
-        return order
+        # one coverage rule: a variable heads a node or sits in a potential
+        missing = set(range(n)).difference(self.parent_map, *(p.scope for p in self.potentials))
+        if missing:
+            raise ValidationError(
+                f"variables {sorted(missing)} head no node and appear in no potential"
+            )
+        self.ancestor_masks  # the one topological walk; raises on a cycle
 
     @cached_property
     def cards(self) -> tuple[int, ...]:
@@ -246,12 +209,26 @@ class Network:
     @cached_property
     def ancestor_masks(self) -> tuple[int, ...]:
         """For each variable id v, the bitmask of v and its ancestors (bit
-        u for variable u), built parents first, without recursion."""
-        parents = self.parent_map
-        masks = [1 << v for v in range(len(self.variables))]
-        for v in self._parents_first():
-            for p in parents.get(v, ()):
-                masks[v] |= masks[p]
+        u for variable u), built parents first by Kahn's algorithm, so
+        without recursion.  Raises ValidationError when the directed part
+        has a cycle; ``Network`` builds it to check exactly that."""
+        n = len(self.variables)
+        waiting = [0] * n
+        children: dict[int, list[int]] = {}
+        for child, parents in self.parent_map.items():
+            waiting[child] = len(parents)
+            for p in parents:
+                children.setdefault(p, []).append(child)
+        masks = [1 << v for v in range(n)]
+        order = [v for v, w in enumerate(waiting) if not w]
+        for v in order:  # grows while it is walked; masks[v] is complete here
+            for c in children.get(v, ()):
+                masks[c] |= masks[v]
+                waiting[c] -= 1
+                if not waiting[c]:
+                    order.append(c)
+        if len(order) != n:
+            raise ValidationError("cycle detected in the directed structure")
         return tuple(masks)
 
     @cached_property

@@ -28,7 +28,7 @@ from factorbn import (
     variable_elimination,
 )
 from factorbn.cli import run_cli
-from factorbn.errors import InternalConsistencyError
+from factorbn.errors import InternalConsistencyError, ValidationError
 
 
 NET = {
@@ -459,6 +459,38 @@ def test_infer_non_finite_numbers_never_reach_stdout(
     captured = capsys.readouterr()
     assert captured.out == ""
     assert excerpt in captured.err and captured.err.count("\n") == 1
+
+
+# a CPT parent with no table of its own: "a" heads no node and appears in
+# no potential, while the network does carry a potential (over "b")
+TABLELESS_PARENT_NET = {
+    "variables": [
+        {"id": 0, "name": "a", "states": ["no", "yes"]},
+        {"id": 1, "name": "b", "states": ["no", "yes"]},
+        {"id": 2, "name": "alarm", "states": ["no", "yes"]},
+    ],
+    "cpts": [
+        {"child": 1, "parents": [], "table": [0.7, 0.3]},
+        {"child": 2, "parents": [0], "table": [0.9, 0.1, 0.2, 0.8]},
+    ],
+    "potentials": [{"scope": [1], "table": [1.0, 2.0]}],
+}
+
+
+def test_table_less_cpt_parent_is_rejected_at_load(tmp_path, capsys):
+    """Every variable heads a node or appears in a potential, whether or
+    not the network carries potentials: a table-less CPT parent is an
+    input error on every query, never a uniform prior or exit 4."""
+    message = "variables [0] head no node and appear in no potential"
+    with pytest.raises(ValidationError) as raised:
+        parse_network(json.dumps(TABLELESS_PARENT_NET))
+    assert str(raised.value) == message
+    net_path = put(tmp_path, "net.json", TABLELESS_PARENT_NET)
+    for query in ("a", "b", "alarm"):
+        assert run_cli(["infer", "--net", net_path, "--query", query]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err and captured.err.count("\n") == 1
 
 
 def test_infer_non_integer_id_is_input_error(tmp_path, capsys):

@@ -26,6 +26,7 @@ from factorbn import (
     InternalConsistencyError,
     DeterministicFunction,
     Expression,
+    FactorizedForm,
     Hyperrectangle,
     ValidationError,
     build_factorized_form,
@@ -266,6 +267,22 @@ def test_max_base_rejects_mismatched_scales():
 
 
 # -- validation and falsification --------------------------------------------
+
+
+def test_form_copies_the_callers_arrays():
+    # the form's tables are read-only copies; the caller's stay writeable
+    h = np.eye(2, dtype=np.int64)
+    g = np.eye(2, dtype=np.int64)
+    form = FactorizedForm((2,), 2, h, (g,))
+    assert h.flags.writeable and g.flags.writeable
+    assert not form.h.flags.writeable and not form.g[0].flags.writeable
+    h[0, 0] = g[0, 0] = 7
+    assert form.h[0, 0] == form.g[0][0, 0] == 1
+    for entry in (2, 3, -1, -2):
+        bad = np.eye(2, dtype=np.int64)
+        bad[1, 0] = entry
+        with pytest.raises(ValidationError, match="0/1"):
+            FactorizedForm((2,), 2, h, (bad,))
 
 
 def test_build_rejects_expression_outside_image():

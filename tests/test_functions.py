@@ -179,11 +179,27 @@ def test_formula_tabulation_matches_eval():
         "(p => q) <=> (r | !s)",
         "!(p | q) & (r => s)",
     ]
+    # seeded random formulas: literals joined pairwise by the four binary
+    # operators, each join parenthesized (and maybe negated) or left bare
+    # for the precedence rules to parse
+    for _ in range(150):
+        parts = [rng.choice(("", "!")) + rng.choice(names) for _ in range(rng.randint(1, 9))]
+        while len(parts) > 1:
+            i = rng.randrange(len(parts) - 1)
+            text = f"{parts[i]} {rng.choice(('&', '|', '=>', '<=>'))} {parts[i + 1]}"
+            if rng.random() < 0.6:
+                text = rng.choice(("", "!")) + f"({text})"
+            parts[i:i + 2] = [text]
+        exprs.append(parts[0])
+    operators = {tok for text in exprs for tok in parse_formula(text) if isinstance(tok, str)}
+    assert operators == {"!", "&", "|", "=>", "<=>"}
     for text in exprs:
+        # the one-pass table against one scalar evaluation per configuration
         d = function_from_formula((0, 1, 2, 3), 4, (2,) * 4, names, text)
         node = parse_formula(text)
         for cfg in iproduct((0, 1), repeat=4):
-            assert d.value(cfg) == eval_formula(node, dict(zip(names, cfg)))
+            value = eval_formula(node, dict(zip(names, cfg)))
+            assert type(value) is int and d.value(cfg) == value
 
 
 # -- recognizers -------------------------------------------------------------

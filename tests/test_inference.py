@@ -617,6 +617,45 @@ def test_unanswered_tasks_star_is_not_contracted(monkeypatch):
     assert seen(parsed, answer1, [0]) == {b1, b2}
 
 
+def test_every_variable_heads_a_node_or_sits_in_a_potential():
+    """One coverage rule, with or without potentials: a CPT or
+    deterministic parent with no node of its own and in no potential is
+    rejected, and a variable that only a potential holds is accepted."""
+    variables = (binary(0, "a"), binary(1, "b"), binary(2, "alarm"))
+    cards = (2, 2, 2)
+    b = cpt(1, (), cards, [0.7, 0.3])
+    alarm = cpt(2, (0,), cards, [[0.9, 0.1], [0.2, 0.8]])
+    det = DeterministicFunction((0,), 2, (2,), 2, (0, 1))
+    over_a = Factor((0,), (2,), np.ones(2))
+    over_b = Factor((1,), (2,), np.array([1.0, 2.0]))
+    for nodes in (((b, alarm), ()), ((b,), (det,))):
+        for potentials in ((), (over_b,)):
+            with pytest.raises(ValidationError, match=r"^variables \[0\] head no node"):
+                Network(variables, *nodes, potentials)
+        assert Network(variables, *nodes, (over_a,)).ancestor_masks == (1, 2, 5)
+
+
+def test_every_table_has_the_declared_cards():
+    """One check for every table, whatever its kind: a CPT, a
+    deterministic family and a potential name their cards, and each
+    must match the variables'."""
+    variables = (binary(0, "a"), Variable(1, "b", ("x", "y", "z")))
+    a = cpt(0, (), (2, 3), [0.5, 0.5])
+    bad = [
+        ((a, Cpt(1, (0,), Factor((0, 1), (2, 2), np.full((2, 2), 0.5)))), (), ()),
+        ((a,), (DeterministicFunction((0,), 1, (2,), 2, (0, 1)),), ()),
+        ((a, cpt(1, (), (2, 3), [0.2, 0.3, 0.5])), (), (Factor((1,), (2,), np.ones(2)),)),
+    ]
+    messages = [
+        r"a CPT over variables \(0, 1\) has cards \(2, 2\), expected \(2, 3\)",
+        r"a deterministic node over variables \(0, 1\) has cards \(2, 2\), expected \(2, 3\)",
+        r"a potential over variables \(1,\) has cards \(2,\), expected \(3,\)",
+    ]
+    for args, message in zip(bad, messages):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            Network(variables, *args)
+
+
 def test_malformed_stars_are_rejected():
     """A star owns exactly the potentials over its hidden variable B: one
     over (child, B) and one over each (parent_i, B); B sits in no

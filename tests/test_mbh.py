@@ -505,6 +505,24 @@ def test_rectangle_cap_propagates_with_best_effort_answer():
     assert sol.stats.cap == "rectangles"
 
 
+def test_greedy_cover_is_built_only_as_fallback(monkeypatch):
+    # a search that finds a base never builds the greedy cover; a cap that
+    # ends the search with no base in hand falls back to it
+    calls = []
+
+    def counted(d):
+        calls.append(d)
+        return greedy_cover_base(d)
+
+    monkeypatch.setattr("factorbn.mbh.greedy_cover_base", counted)
+    d = mk((3, 3), lambda a, b: a + b, 5)
+    assert solve_mbh(d).proved_minimal
+    assert calls == []
+    sol = solve_mbh(d, SearchBudget(max_rectangles=10))
+    assert calls == [d]
+    assert sol.base == greedy_cover_base(d) and sol.stats.cap == "rectangles"
+
+
 @pytest.mark.parametrize(
     "cap, value, name",
     [("max_rectangles", 10, "rectangles"), ("max_closure", 2, "closure"),
