@@ -5,17 +5,19 @@ DAG) is extended with conjunction-shaped evidence tasks: each task has
 a latent correct-performance node (an AND of required skills and the
 absence of one misconception) and a noisy observed answer.  The
 benchmark connects the first r tasks of an ordering, triangulates, and
-records the total clique size per transformation method.  Results are
-averaged over task orderings; the triangulation is canonical in the
-connected task set, so totals are cached per (set, method).
+records the total clique size per transformation method.  The
+triangulation is canonical in the connected task set, so the average
+over orderings is one over prefix task sets, each connected once.
 """
 
 from __future__ import annotations
 
 import random
 import time
+from collections import Counter
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import combinations
+from math import factorial
 
 import numpy as np
 
@@ -188,6 +190,16 @@ class BenchmarkReport:
         )
 
 
+def _check_task_count(k: int, orderings: str | int) -> None:
+    """The benchmark's limits, checked before any task is drawn."""
+    if k < 1:
+        raise ValidationError("the benchmark needs at least one task")
+    if orderings == "all" and k > 8:
+        raise ValidationError("orderings='all' supports at most 8 tasks; sample instead")
+    if orderings != "all" and int(orderings) < 1:
+        raise ValidationError("ordering sample count must be positive")
+
+
 def run_clique_benchmark(
     student: Network,
     tasks: list[TaskSpec],
@@ -196,54 +208,39 @@ def run_clique_benchmark(
 ) -> BenchmarkReport:
     """Average total clique size over task-connection orderings.
 
-    For every ordering of the task list and every prefix length r from
-    0 (the bare student model) to the task count, the first r tasks are
-    connected (in canonical index order, so the result depends only on
-    the prefix set), transformed by each method, and triangulated.
-    ``orderings`` is ``"all"`` (requires at most 8 tasks) or an int:
-    that many orderings sampled with the given seed.  Runtime is
-    reported on the side and never serialized.
+    For each prefix length r from 0 (the bare student model) to the
+    task count, the first r tasks of an ordering are connected in index
+    order, so a total depends only on the prefix set.  The average is
+    taken over prefix sets weighted as the orderings weight them, and
+    each distinct set is connected once.  ``orderings`` is ``"all"`` (at
+    most 8 tasks; each r-subset prefixes r!(k-r)! of the k! orderings)
+    or an int: that many orderings sampled with the given seed.  Runtime
+    is reported on the side and never serialized.
     """
     t0 = time.monotonic()
     k = len(tasks)
-    if k == 0:
-        raise ValidationError("the benchmark needs at least one task")
+    _check_task_count(k, orderings)
     if orderings == "all":
-        if k > 8:
-            raise ValidationError(
-                "orderings='all' supports at most 8 tasks; sample instead"
-            )
-        perms = list(permutations(range(k)))
+        used = factorial(k)
+        weights = [
+            dict.fromkeys(combinations(range(k), r), factorial(r) * factorial(k - r))
+            for r in range(k + 1)
+        ]
     else:
-        count = int(orderings)
-        if count < 1:
-            raise ValidationError("ordering sample count must be positive")
+        used = int(orderings)
         rng = random.Random(seed)
-        perms = [tuple(rng.sample(range(k), k)) for _ in range(count)]
-
-    cache: dict[tuple[frozenset, str], int] = {}
-
-    def total_for(subset: frozenset, method: str) -> int:
-        key = (subset, method)
-        if key not in cache:
-            net = connect_tasks(student, [tasks[i] for i in sorted(subset)])
-            cache[key] = moralize_and_triangulate(transform_network(net, method)).total
-        return cache[key]
+        perms = [rng.sample(range(k), k) for _ in range(used)]
+        weights = [Counter(tuple(sorted(p[:r])) for p in perms) for r in range(k + 1)]
 
     rows = []
-    for method in METHODS:
-        for r in range(0, k + 1):
-            totals = [total_for(frozenset(p[:r]), method) for p in perms]
-            rows.append(
-                BenchRow(
-                    method,
-                    r,
-                    sum(totals) / len(totals),
-                    min(totals),
-                    max(totals),
-                )
-            )
-    return BenchmarkReport(len(perms), tuple(rows), time.monotonic() - t0)
+    for r, prefixes in enumerate(weights):
+        nets = [connect_tasks(student, [tasks[i] for i in subset]) for subset in prefixes]
+        for method in METHODS:
+            sizes = [moralize_and_triangulate(transform_network(n, method)).total for n in nets]
+            total = sum(size * count for size, count in zip(sizes, prefixes.values()))
+            rows.append(BenchRow(method, r, total / used, min(sizes), max(sizes)))
+    rows.sort(key=lambda row: METHODS.index(row.method))  # stable: r ascending per method
+    return BenchmarkReport(used, tuple(rows), time.monotonic() - t0)
 
 
 def report_to_csv(report: BenchmarkReport) -> str:

@@ -16,6 +16,7 @@ from pathlib import Path
 
 from .benchcat import (
     StudentModelSpec,
+    _check_task_count,
     canonical_tasks,
     generate_student_model,
     report_to_csv,
@@ -153,6 +154,7 @@ def _cmd_cliques(args) -> int:
 
 
 def _cmd_bench_cat(args) -> int:
+    _check_task_count(args.tasks, args.orderings)  # before any task is drawn
     spec = StudentModelSpec(seed=args.seed)
     student = generate_student_model(spec)
     tasks = canonical_tasks(spec, args.tasks, args.seed)

@@ -30,7 +30,8 @@ class FactorizedForm:
     """The pair (h, g) produced by a factorization.
 
     ``h`` has shape (child_card, n_hidden); each ``g[i]`` has shape
-    (parent_cards[i], n_hidden) with 0/1 entries.
+    (parent_cards[i], n_hidden) with 0/1 entries.  Entries must be
+    integers (an integral float is accepted); both are stored as int64.
     """
 
     parent_cards: tuple[int, ...]
@@ -40,9 +41,8 @@ class FactorizedForm:
 
     def __post_init__(self):
         object.__setattr__(self, "parent_cards", tuple(self.parent_cards))
-        # copies, so the caller's arrays stay writeable
-        h = np.array(self.h, dtype=np.int64)
-        g = tuple(np.array(gi, dtype=np.int64) for gi in self.g)
+        h = _int64_copy(self.h, "h")
+        g = tuple(_int64_copy(gi, "g") for gi in self.g)
         if h.ndim != 2 or h.shape[0] != self.child_card:
             raise ValidationError(f"h has shape {h.shape}, expected ({self.child_card}, k)")
         k = h.shape[1]
@@ -62,6 +62,19 @@ class FactorizedForm:
     @property
     def n_hidden(self) -> int:
         return self.h.shape[1]
+
+
+def _int64_copy(values, name: str) -> np.ndarray:
+    """An int64 copy of ``values``, so the caller's array stays
+    writeable.  A non-numeric table, or an entry the cast would change
+    (a fraction, a NaN, an infinity, a float beyond 64 bits), raises."""
+    values = np.asarray(values)
+    if values.dtype.kind in "biuf":
+        with np.errstate(invalid="ignore"):  # a NaN or inf casts to garbage, caught below
+            out = values.astype(np.int64)
+        if np.array_equal(out, values):
+            return out
+    raise ValidationError(f"{name} entries must be integers")
 
 
 @dataclass(frozen=True)

@@ -101,7 +101,9 @@ def variable_elimination(
     star cannot change the answer; a query or finding on a star's
     hidden variable keeps the star.
     A finding of one state on a non-query variable is indexed out of
-    every table that holds it; any other finding that rules a state out
+    every table that holds it, and so is a non-query variable with one
+    state, which therefore never reaches an einsum (numpy's einsum takes
+    at most 52 labels); any other finding that rules a state out
     becomes a likelihood table over its variable, so an observed query
     variable keeps its axis.  The remaining variables are summed out in
     min-fill order (lowest id on ties) on the reduced graph: the
@@ -127,7 +129,9 @@ def variable_elimination(
     queryset = set(query)
 
     cards = net.cards
-    picks: dict[int, int] = {}
+    # a one-state variable off the query is a pick of its one state; a
+    # finding on it allows that state, so the loop below never sets it
+    picks = {v: 0 for v in net._one_state if v not in queryset}
     tables: list[Table] = []
     masks: list[int] = []
     for var, vec in evidence.findings.items():

@@ -590,15 +590,17 @@ def solve_mbh(
     Searches sizes upward from the level-set count, which starts the
     proven lower bound; each size ruled out with no cap in the way
     raises the bound by one.  The answer is the first base the search
-    finds, or else the greedy cover, built only then, and
-    ``proved_minimal`` says whether its size equals the bound.  Every
-    budget cap ends the search with that answer, so no cap raises.
+    finds, or else the greedy cover, built only then or at the first
+    closure cap (from which on no size at or beyond the cover's is
+    searched), and ``proved_minimal`` says whether its size equals the
+    bound.  Every budget cap ends the search with that answer, so no
+    cap raises.
     """
     budget = budget or SearchBudget()
     t0 = time.monotonic()
     deadline = t0 + budget.wall_clock if budget.wall_clock is not None else None
 
-    base = None
+    base = greedy = None
     search = _Search(d, budget, deadline)
     lower = bound = len(search.level_masks)
     cap = None
@@ -606,11 +608,13 @@ def solve_mbh(
         search.load_candidates()
         # the greedy cover's rectangles are a feasible subset of its size
         # and each size's search is complete, so with no cap in the way
-        # the loop ends by that size; the cover is built only as fallback
+        # the loop ends by that size; the cover is built only once a
+        # closure cap leaves a size open, and then bounds the loop
         for k in range(lower, budget.max_base + 1):
-            if bound < k and k >= lower + 2:
+            if (bound < k and k >= lower + 2) or (greedy is not None and k >= greedy.size):
                 # a proof is already off the table, and beyond the two
-                # filtered sizes the subset space explodes
+                # filtered sizes the subset space explodes; or no base
+                # the search can still find beats the cover in hand
                 break
             search.unknown = False
             hit = search.search_size(k, lower)
@@ -623,12 +627,13 @@ def solve_mbh(
                 break
             if search.unknown:
                 cap = "closure"
+                greedy = greedy or greedy_cover_base(d)
             elif bound == k:
                 bound += 1
     except BudgetExceededError as e:
         cap = e.kind  # every cap ends the search here
     if base is None:
-        base = greedy_cover_base(d)
+        base = greedy or greedy_cover_base(d)
 
     proved = base.size == bound
     stats = SearchStats(

@@ -106,9 +106,9 @@ class Network:
     lifetime: ``cards``, ``parent_map`` and ``ancestor_masks`` (each
     variable's ancestors as a bitmask, the walk that also checks for a
     cycle) by validation, ``scope_masks`` (each table's scope as a
-    bitmask) and ``tables`` on first use.  Inference reads only
-    these, so a query rebuilds nothing that depends on the network
-    alone.
+    bitmask), ``tables`` and the one-state variables on first use.
+    Inference reads only these, so a query rebuilds nothing that
+    depends on the network alone.
     """
 
     variables: tuple[Variable, ...]
@@ -197,6 +197,12 @@ class Network:
     @cached_property
     def cards(self) -> tuple[int, ...]:
         return tuple(v.card for v in self.variables)
+
+    @cached_property
+    def _one_state(self) -> tuple[int, ...]:
+        """The ids of the variables with one state, which inference
+        indexes out of every table, as it does a one-state finding."""
+        return tuple(v for v, card in enumerate(self.cards) if card == 1)
 
     @cached_property
     def parent_map(self) -> dict[int, tuple[int, ...]]:

@@ -10,9 +10,12 @@ Core claims:
       average totals are frozen numbers, factorize < divorce < none for
       every r >= 1, and the none/factorize ratio grows with r
     - the CSV report is byte-stable across reruns
+    - each row is the average over orderings, taken as an average over
+      prefix task sets, with each distinct set connected once
 """
 
 import random
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -269,3 +272,65 @@ def test_star_family_max_clique_ratio_is_exact():
         assert report_fact.max_clique_size == 4
         assert total_none == 36 + 32 * (r - 1)
         assert total_fact == 24 + 20 * (r - 1)
+
+
+# -- the weighted average against the walk over orderings ----------------------
+
+
+def walked_rows(student, tasks, perms):
+    """Rows by brute force: connect the sorted r-prefix of every ordering
+    afresh, and average over the orderings."""
+    rows = []
+    for method in ("none", "divorce", "factorize"):
+        for r in range(len(tasks) + 1):
+            totals = [
+                moralize_and_triangulate(transform_network(
+                    connect_tasks(student, [tasks[i] for i in sorted(p[:r])]), method
+                )).total
+                for p in perms
+            ]
+            rows.append((method, r, sum(totals) / len(totals), min(totals), max(totals)))
+    return rows
+
+
+@pytest.mark.parametrize("k, orderings", [(4, "all"), (5, 30)], ids=["all", "sample"])
+def test_rows_equal_the_walk_over_explicit_orderings(k, orderings):
+    spec = StudentModelSpec(seed=3)
+    student = generate_student_model(spec)
+    tasks = canonical_tasks(spec, k, 3)
+    if orderings == "all":
+        perms = list(permutations(range(k)))
+    else:  # the orderings the benchmark samples from its seed
+        rng = random.Random(5)
+        perms = [rng.sample(range(k), k) for _ in range(orderings)]
+    report = run_clique_benchmark(student, tasks, orderings=orderings, seed=5)
+    assert report.orderings_used == len(perms)
+    got = [
+        (row.method, row.r, row.avg_total_clique_size, row.min_total_clique_size,
+         row.max_total_clique_size)
+        for row in report.rows
+    ]
+    assert got == walked_rows(student, tasks, perms)  # the same floats, bit for bit
+
+
+@pytest.mark.parametrize("orderings", ["all", 40])
+def test_each_prefix_set_is_connected_once(monkeypatch, orderings):
+    spec = StudentModelSpec(seed=1)
+    student = generate_student_model(spec)
+    tasks = canonical_tasks(spec, 5, 1)
+    connected = []
+
+    def counted(student, subset):
+        connected.append(tuple(subset))
+        return connect_tasks(student, subset)
+
+    monkeypatch.setattr("factorbn.benchcat.connect_tasks", counted)
+    report = run_clique_benchmark(student, tasks, orderings=orderings, seed=1)
+    assert len(connected) == len(set(connected))
+    if orderings == "all":
+        assert len(connected) == 2 ** 5 and report.orderings_used == 120
+    else:
+        rng = random.Random(1)
+        perms = [rng.sample(range(5), 5) for _ in range(40)]
+        prefixes = {frozenset(p[:r]) for p in perms for r in range(6)}
+        assert len(connected) == len(prefixes)

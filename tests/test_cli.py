@@ -387,6 +387,24 @@ def test_infer_transforms_agree(tmp_path, capsys, transform):
     assert np.abs(np.asarray(doc["values"]) - want.flat()).max() < 1e-9
 
 
+@pytest.mark.parametrize("transform", ["none", "divorce", "factorize"])
+def test_infer_on_sixty_one_state_variables(tmp_path, capsys, transform):
+    # more one-state variables in one potential than an einsum has labels
+    n = 60
+    net_path = put(tmp_path, "net.json", {
+        "variables": [{"id": i, "name": f"v{i}", "states": ["only"]} for i in range(n)],
+        "cpts": [{"child": i, "parents": [], "table": [1.0]} for i in range(n)],
+        "potentials": [{"scope": list(range(n)), "table": [1.0]}],
+    })
+    assert run_cli(["infer", "--net", net_path, "--query", "v0",
+                    "--transform", transform]) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out) == {
+        "variables": ["v0"], "states": [["only"]], "values": [1.0]
+    }
+    assert captured.err == ""
+
+
 def test_infer_evidence_may_name_a_hidden_variable(tmp_path, capsys):
     # under factorize the query may name B_both, and so may the evidence
     net_path = put(tmp_path, "net.json", NET)
@@ -644,6 +662,17 @@ def test_bench_cat_is_byte_identical_across_runs(tmp_path, capsys):
                         "--orderings", "sample:5", "--out", str(out)]) == 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
+
+
+def test_bench_cat_checks_the_task_count_before_drawing_tasks(monkeypatch, capsys):
+    drawn = []
+    monkeypatch.setattr(
+        "factorbn.cli.canonical_tasks", lambda *args: drawn.append(args) or []
+    )
+    assert run_cli(["bench", "cat", "--seed", "1", "--tasks", "3000000"]) == 2
+    captured = capsys.readouterr()
+    assert drawn == [] and captured.out == ""
+    assert captured.err == "error: orderings='all' supports at most 8 tasks; sample instead\n"
 
 
 # -- the internal-failure exit -------------------------------------------------

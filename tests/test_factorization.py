@@ -285,6 +285,22 @@ def test_form_copies_the_callers_arrays():
             FactorizedForm((2,), 2, h, (bad,))
 
 
+def test_form_rejects_non_integer_entries():
+    # an int64 cast would truncate 1.7 and 1.9 to 1 and accept the identity
+    with pytest.raises(ValidationError, match="h entries must be integers"):
+        FactorizedForm((2,), 2, [[1.7, 0], [0, 1]], ([[1.9, 0], [0, 1]],))
+    with pytest.raises(ValidationError, match="g entries must be integers"):
+        FactorizedForm((2,), 2, np.eye(2), ([[1.9, 0], [0, 1]],))
+    for bad in (np.nan, np.inf, 1e30):
+        with pytest.raises(ValidationError, match="h entries must be integers"):
+            FactorizedForm((2,), 2, [[bad, 0], [0, 1]], (np.eye(2),))
+    with pytest.raises(ValidationError, match="h entries must be integers"):
+        FactorizedForm((2,), 2, [["1", "0"], ["0", "1"]], (np.eye(2),))
+    form = FactorizedForm((2,), 2, [[1.0, 0.0], [0.0, -3.0]], (np.eye(2),))  # integral floats
+    assert form.h.dtype == form.g[0].dtype == np.int64
+    assert form.h.tolist() == [[1, 0], [0, -3]]
+
+
 def test_build_rejects_expression_outside_image():
     d = mk((2, 2), lambda a, b: a & b, 2)
     base = Base(

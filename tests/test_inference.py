@@ -308,11 +308,12 @@ def test_divorce_rejects_unstructured_functions():
 # -- pruning and evidence slicing against brute force ------------------------
 
 
-def random_mixed_network(rng):
-    """Up to 7 variables of 2 or 3 states; each non-root is a CPT or,
-    one time in three, a random deterministic node."""
+def random_mixed_network(rng, one_state=False):
+    """Up to 7 variables of 2 or 3 states, or with ``one_state`` of 1, 2
+    or 3 (one state one time in five); each non-root is a CPT or, one
+    time in three, a random deterministic node."""
     n = rng.randint(2, 7)
-    cards = [rng.choice([2, 3]) for _ in range(n)]
+    cards = [rng.choice([1, 2, 2, 3, 3] if one_state else [2, 3]) for _ in range(n)]
     variables = tuple(
         Variable(i, f"v{i}", tuple(f"s{j}" for j in range(cards[i]))) for i in range(n)
     )
@@ -346,12 +347,13 @@ def random_evidence(net, rng):
 
 @pytest.mark.parametrize("method", ["none", "factorize"])
 def test_random_networks_match_brute_force(method):
-    answered = zero_mass = 0
+    answered = zero_mass = one_state = 0
     for seed in range(150):
         rng = random.Random(seed)
-        net = random_mixed_network(rng)
+        net = random_mixed_network(rng, one_state=True)
         ev = random_evidence(net, rng)
         query = sorted(rng.sample(range(len(net.variables)), rng.randint(1, 2)))
+        one_state += 1 in net.cards
         t = transform_network(net, method)
         try:
             want = brute_posterior(net, ev, query)
@@ -364,7 +366,21 @@ def test_random_networks_match_brute_force(method):
         assert got.scope == tuple(query)
         assert np.abs(got.values - want).max() < 1e-9, seed
         answered += 1
-    assert answered > 100 and zero_mass > 0
+    assert answered > 100 and zero_mass > 0 and one_state > 50
+
+
+def test_sixty_one_state_variables_in_one_potential():
+    # one einsum takes at most 52 labels; a one-state variable off the
+    # query is indexed out of every table, so none reaches an einsum
+    n = 60
+    variables = tuple(Variable(i, f"v{i}", ("only",)) for i in range(n))
+    cpts = tuple(Cpt(i, (), Factor((i,), (1,), np.ones(1))) for i in range(n))
+    potential = Factor(tuple(range(n)), (1,) * n, np.ones((1,) * n))
+    net = Network(variables, cpts, (), (potential,))
+    for method in ("none", "divorce", "factorize"):
+        for query in ([0], [7, 59]):
+            got = variable_elimination(transform_network(net, method), None, query)
+            assert got.scope == tuple(query) and got.values.reshape(-1).tolist() == [1.0]
 
 
 def test_observed_query_variable_keeps_its_axis():

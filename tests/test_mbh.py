@@ -523,6 +523,18 @@ def test_greedy_cover_is_built_only_as_fallback(monkeypatch):
     assert sol.base == greedy_cover_base(d) and sol.stats.cap == "rectangles"
 
 
+def test_closure_cap_ends_the_search_at_the_greedy_cover_size():
+    # y = x1 on 3x2: the cap leaves size 3 open, and the greedy cover,
+    # built at that first closure cap, has size 3, so no larger size is
+    # searched; the cover meets the level-set bound and is proved
+    d = mk((3, 2), lambda a, b: a, 3)
+    sol = solve_mbh(d, SearchBudget(max_closure=1))
+    assert sol.base == greedy_cover_base(d)
+    assert sol.proved_minimal and sol.stats.cap == "none"
+    # the size-3 search alone; searching size 4 too takes 1031 and 635
+    assert (sol.stats.nodes_expanded, sol.stats.subsets_checked) == (53, 32)
+
+
 @pytest.mark.parametrize(
     "cap, value, name",
     [("max_rectangles", 10, "rectangles"), ("max_closure", 2, "closure"),
