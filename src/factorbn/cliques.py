@@ -8,8 +8,11 @@ moralization; transformation potentials contribute their own scopes).
 Both this accounting and variable elimination plan on the same graph:
 :func:`moral_graph` turns scope bitmasks into one neighbour bitmask per
 variable id, and :func:`min_fill` orders the eliminations on it.  The
-accounting passes every factor scope of the network; elimination passes
-its reduced tables' scopes and leaves the query variables out.
+plan of the whole network, :class:`Plan`, is built once per network
+(``Network.plan``); the accounting reads it, and so does elimination on
+a network whose plan is cheap, restricted to each query's variables.
+Elimination on any other network plans each query on its reduced
+tables' scopes with the query variables left out.
 """
 
 from __future__ import annotations
@@ -17,9 +20,10 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from math import prod
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
-from .network import Network
+if TYPE_CHECKING:
+    from .network import Network
 
 _GONE = sys.maxsize  # the score of an eliminated or absent vertex
 
@@ -175,15 +179,36 @@ def min_fill(nb: dict[int, int]) -> tuple[list[int], list[int]]:
     return order, cliques
 
 
+class Plan(NamedTuple):
+    """A min-fill elimination plan: the order, each step's elimination
+    clique as a bitmask (the eliminated vertex and its neighbours then),
+    and the entries of those cliques, each the product of its members'
+    cardinalities, summed over every step."""
+
+    order: tuple[int, ...]
+    cliques: tuple[int, ...]
+    entries: int
+
+
+def min_fill_plan(masks: Iterable[int], cards: tuple[int, ...]) -> Plan:
+    """The min-fill plan of the :func:`moral_graph` of ``masks``, with
+    ``cards`` giving each variable's cardinality."""
+    order, cliques = min_fill(moral_graph(masks))
+    entries = sum(prod(cards[v] for v in _members(c)) for c in cliques)
+    return Plan(tuple(order), tuple(cliques), entries)
+
+
 def moralize_and_triangulate(net: Network) -> CliqueReport:
     """Triangulate the interaction graph and report the maximal cliques.
 
     Elimination cliques that are subsets of another are dropped, so the
     total counts each maximal clique once.  Only an earlier clique can
     hold a later one: each clique contains its own eliminated vertex,
-    which no later clique does.
+    which no later clique does.  The order and the elimination cliques
+    are the network's own plan (``Network.plan``), so triangulating
+    twice, or after a query, runs min-fill once.
     """
-    order, raw = min_fill(moral_graph(net.scope_masks))
+    order, raw, _ = net.plan
     maximal: list[int] = []
     for c in raw:
         if not any(c & other == c for other in maximal):
@@ -191,4 +216,4 @@ def moralize_and_triangulate(net: Network) -> CliqueReport:
     cliques = tuple(sorted(tuple(_members(c)) for c in maximal))
     cards = net.cards
     sizes = tuple(prod(cards[v] for v in clique) for clique in cliques)
-    return CliqueReport(tuple(order), cliques, sizes)
+    return CliqueReport(order, cliques, sizes)

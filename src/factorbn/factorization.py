@@ -66,9 +66,13 @@ class FactorizedForm:
 
 def _int64_copy(values, name: str) -> np.ndarray:
     """An int64 copy of ``values``, so the caller's array stays
-    writeable.  A non-numeric table, or an entry the cast would change
-    (a fraction, a NaN, an infinity, a float beyond 64 bits), raises."""
-    values = np.asarray(values)
+    writeable.  A ragged table, a non-numeric one, or an entry the cast
+    would change (a fraction, a NaN, an infinity, a float beyond 64
+    bits), raises."""
+    try:
+        values = np.asarray(values)
+    except ValueError:  # nested rows of different lengths
+        raise ValidationError(f"{name} rows must all have the same length") from None
     if values.dtype.kind in "biuf":
         with np.errstate(invalid="ignore"):  # a NaN or inf casts to garbage, caught below
             out = values.astype(np.int64)

@@ -31,6 +31,16 @@ from .network import Network, Star, fresh_name
 
 NEGATIVE_TOLERANCE = 1e-9
 MAX_OPERANDS = 31  # einsum operands per call that every supported numpy accepts
+# Up to this many elimination-clique entries in a network's min-fill plan
+# (summed over every step), a query eliminates in that plan's order and
+# plans nothing itself.  Planning a 40-node, 8-task CAT query (moral graph
+# and min-fill) takes about 0.38 ms, and einsum costs 1.4-2.7 ns per loop
+# entry at 2^12-2^19 entries (CPython 3.11, numpy 2.4, 2-core VM): the
+# larger cliques of a restricted order cost less than planning again
+# while they stay near 0.38 ms / 2.7 ns, about 2^17 entries.  Models of
+# 60 nodes and 12 tasks plan 3.8e5 entries and more, so they keep
+# per-query min-fill.
+PLAN_ONCE_ENTRIES = 1 << 17
 
 Table = tuple[tuple[int, ...], np.ndarray]  # (scope, values with one axis per scope id)
 
@@ -88,46 +98,16 @@ def _contract(tables: Sequence[Table], drop: int) -> Table:
     return tuple(out), np.einsum(*args)
 
 
-def variable_elimination(
-    net: Network,
-    evidence: Evidence | None = None,
-    query: Iterable[int] = (),
-) -> Factor:
-    """The normalized posterior over the query variables given evidence.
-
-    Barren families are dropped first: a CPT, deterministic node or
-    star (a factorized node) whose child is not an ancestor of a query
-    variable, an observed one or a variable of a potential outside a
-    star cannot change the answer; a query or finding on a star's
-    hidden variable keeps the star.
-    A finding of one state on a non-query variable is indexed out of
-    every table that holds it, and so is a non-query variable with one
-    state, which therefore never reaches an einsum (numpy's einsum takes
-    at most 52 labels); any other finding that rules a state out
-    becomes a likelihood table over its variable, so an observed query
-    variable keeps its axis.  The remaining variables are summed out in
-    min-fill order (lowest id on ties) on the reduced graph: the
-    :func:`~factorbn.cliques.moral_graph` of the scope masks of the
-    sliced and likelihood tables with the query variables left out,
-    built as clique accounting builds the graph of the whole network.
-    Each step multiplies the tables holding the variable and sums it
-    out in one einsum.  The network's ancestor and scope masks make the
-    pruning and slicing tests bit tests; nothing that depends on the
-    network alone is rebuilt per query.  Raises
-    ZeroNormalizerError when the evidence has zero mass and
-    InternalConsistencyError if the unnormalized result dips below
-    -1e-9 anywhere (values above that are clamped to 0) or does not have
-    a finite sum, as when finite potentials overflow.
-    """
-    evidence = evidence or Evidence()
-    query = sorted(set(query))
-    for q in query:
-        if not 0 <= q < len(net.variables):
-            raise ValidationError(f"query names unknown variable id {q}")
-    if not query:
-        raise ValidationError("query must name at least one variable")
-    queryset = set(query)
-
+def _reduce(
+    net: Network, evidence: Evidence, queryset: set[int]
+) -> tuple[list[Table], list[int]]:
+    """The tables a query eliminates and their scope masks: a likelihood
+    table for each finding that rules a state out and is not a pick, then
+    every table that the barren rule keeps, with the picked variables
+    indexed out.  A pick is a one-state finding, or a one-state variable,
+    off the query.  Raises ValidationError for a finding on an unknown
+    variable or of the wrong length, ZeroNormalizerError for one that
+    rules out every state."""
     cards = net.cards
     # a one-state variable off the query is a pick of its one state; a
     # finding on it allows that state, so the loop below never sets it
@@ -153,7 +133,7 @@ def variable_elimination(
             masks.append(1 << var)
     picked = sum(1 << v for v in picks)
 
-    relevant = _relevant_heads(net, [*query, *evidence.findings])
+    relevant = _relevant_heads(net, [*queryset, *evidence.findings])
     for (head, scope, values), mask in zip(net.tables, net.scope_masks):
         if head is None or relevant >> head & 1:
             if mask & picked:
@@ -162,7 +142,67 @@ def variable_elimination(
                 mask &= ~picked
             tables.append((scope, values))
             masks.append(mask)
-    order, _ = min_fill(moral_graph(masks, sum(1 << q for q in query)))
+    return tables, masks
+
+
+def variable_elimination(
+    net: Network,
+    evidence: Evidence | None = None,
+    query: Iterable[int] = (),
+) -> Factor:
+    """The normalized posterior over the query variables given evidence.
+
+    Barren families are dropped first: a CPT, deterministic node or
+    star (a factorized node) whose child is not an ancestor of a query
+    variable, an observed one or a variable of a potential outside a
+    star cannot change the answer; a query or finding on a star's
+    hidden variable keeps the star.
+    A finding of one state on a non-query variable is indexed out of
+    every table that holds it, and so is a non-query variable with one
+    state, which therefore never reaches an einsum (numpy's einsum takes
+    at most 52 labels); any other finding that rules a state out
+    becomes a likelihood table over its variable, so an observed query
+    variable keeps its axis.
+
+    The remaining non-query variables are summed out in one of two
+    orders.  When the network's own min-fill plan (``Network.plan``,
+    built on first use) sums to at most PLAN_ONCE_ENTRIES clique
+    entries, they go in that plan's order, restricted to them: the
+    reduced graph is a subgraph of the network's, so each step's clique
+    lies inside the plan's clique for that variable, with the query
+    variables added.  Otherwise they go in min-fill order (lowest id on
+    ties) on the reduced graph: the
+    :func:`~factorbn.cliques.moral_graph` of the scope masks of the
+    sliced and likelihood tables with the query variables left out.
+    Each step multiplies the tables holding the variable and sums it
+    out in one einsum.  The network's ancestor and scope masks make the
+    pruning and slicing tests bit tests; nothing that depends on the
+    network alone is rebuilt per query.  Raises
+    ZeroNormalizerError when the evidence has zero mass and
+    InternalConsistencyError if the unnormalized result dips below
+    -1e-9 anywhere (values above that are clamped to 0) or does not have
+    a finite sum, as when finite potentials overflow.
+    """
+    evidence = evidence or Evidence()
+    query = sorted(set(query))
+    for q in query:
+        if not 0 <= q < len(net.variables):
+            raise ValidationError(f"query names unknown variable id {q}")
+    if not query:
+        raise ValidationError("query must name at least one variable")
+    queryset = set(query)
+    cards = net.cards
+    tables, masks = _reduce(net, evidence, queryset)
+    skip = sum(1 << q for q in query)
+    plan = net.plan
+    if plan.entries <= PLAN_ONCE_ENTRIES:
+        live = 0
+        for mask in masks:
+            live |= mask
+        live &= ~skip
+        order = [v for v in plan.order if live >> v & 1]
+    else:
+        order, _ = min_fill(moral_graph(masks, skip))
 
     # Bucket elimination: each table waits in the bucket of its first
     # variable in the order, so a bucket holds every table that touches

@@ -9,6 +9,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .cliques import Plan, min_fill_plan
 from .core import Factor, Variable
 from .errors import ValidationError
 from .functions import DeterministicFunction, deterministic_to_potential
@@ -106,7 +107,8 @@ class Network:
     lifetime: ``cards``, ``parent_map`` and ``ancestor_masks`` (each
     variable's ancestors as a bitmask, the walk that also checks for a
     cycle) by validation, ``scope_masks`` (each table's scope as a
-    bitmask), ``tables`` and the one-state variables on first use.
+    bitmask), ``tables``, the one-state variables and ``plan`` (the
+    min-fill elimination plan of the interaction graph) on first use.
     Inference reads only these, so a query rebuilds nothing that
     depends on the network alone.
     """
@@ -270,6 +272,14 @@ class Network:
             values.flags.writeable = False
             tables.append((head, scope, values))
         return tuple(tables)
+
+    @cached_property
+    def plan(self) -> Plan:
+        """The min-fill plan of the interaction graph, in which every
+        table's scope is a clique: the order, each step's elimination
+        clique and their summed entries.  Clique accounting reports it;
+        inference eliminates in its order when its entries are few."""
+        return min_fill_plan(self.scope_masks, self.cards)
 
     def variable_by_name(self, name: str) -> Variable:
         for v in self.variables:

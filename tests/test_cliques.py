@@ -17,6 +17,8 @@ Core claims:
     - a network without variables has no cliques and sizes 0
     - triangulation reads the network's scope masks and builds no
       table; the masks are those of the tables' scopes, in order
+    - a network runs min-fill once: triangulating it again and
+      querying it below the bound reuse its plan
     - repeated runs return identical reports
 """
 
@@ -26,7 +28,6 @@ import random
 from itertools import combinations
 
 import numpy as np
-import pytest
 
 from factorbn import (
     Cpt,
@@ -155,6 +156,25 @@ def test_triangulation_reads_scopes_without_building_tables():
         assert report == moralize_and_triangulate(net)
 
 
+def test_network_runs_min_fill_once(monkeypatch):
+    from factorbn import cliques
+
+    calls = []
+    real = cliques.min_fill
+    monkeypatch.setattr(cliques, "min_fill", lambda nb: calls.append(nb) or real(nb))
+    spec = StudentModelSpec(seed=1, node_count=40)
+    net = connect_tasks(generate_student_model(spec), canonical_tasks(spec, 8, 1))
+    for t in (net, transform_network(net, "factorize")):
+        calls.clear()
+        report = moralize_and_triangulate(t)
+        for skill in spec.skill_ids[:3]:
+            inference.variable_elimination(t, Evidence(), [skill])
+        assert moralize_and_triangulate(t) == report
+        assert len(calls) == 1
+        assert t.plan.entries <= inference.PLAN_ONCE_ENTRIES
+        assert report.elimination_order == t.plan.order
+
+
 def test_report_deterministic():
     a = moralize_and_triangulate(star_network())
     b = moralize_and_triangulate(star_network())
@@ -262,34 +282,28 @@ def test_min_fill_on_chordal_graphs_adds_no_fill():
 
 @functools.cache
 def query_graphs():
-    """The masks ``variable_elimination`` plans on in CAT sessions on
-    40-node, 8-task student models (seeds 1 to 3), under ``none`` and
-    ``factorize``: the answers arrive one at a time, and after each
-    (and before the first) two skills are asked for."""
+    """The reduced graphs of CAT queries on 40-node, 8-task student
+    models (seeds 1 to 3), under ``none`` and ``factorize``: the answers
+    arrive one at a time, and after each (and before the first) two
+    skills are asked for.  Each is the moral graph of the masks
+    ``variable_elimination`` reduces a query to, query left out, which
+    is what it plans on when it runs min-fill per query."""
     graphs = []
-
-    def recording(nb):
-        graphs.append(nb)
-        return min_fill(nb)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(inference, "min_fill", recording)
-        for seed in (1, 2, 3):
-            spec = StudentModelSpec(seed=seed, node_count=40)
-            net = connect_tasks(
-                generate_student_model(spec), canonical_tasks(spec, 8, seed)
-            )
-            rng = random.Random(seed)
-            answers = [v.id for v in net.variables if v.name.endswith("_answer")]
-            rng.shuffle(answers)
-            nets = [transform_network(net, m) for m in ("none", "factorize")]
-            found = {}
-            for step in range(len(answers) + 1):
-                if step:
-                    found[answers[step - 1]] = rng.choice([(0, 1), (1, 0)])
-                for skill in rng.sample(spec.skill_ids, 2):
-                    for t in nets:
-                        inference.variable_elimination(t, Evidence(dict(found)), [skill])
+    for seed in (1, 2, 3):
+        spec = StudentModelSpec(seed=seed, node_count=40)
+        net = connect_tasks(generate_student_model(spec), canonical_tasks(spec, 8, seed))
+        rng = random.Random(seed)
+        answers = [v.id for v in net.variables if v.name.endswith("_answer")]
+        rng.shuffle(answers)
+        nets = [transform_network(net, m) for m in ("none", "factorize")]
+        found = {}
+        for step in range(len(answers) + 1):
+            if step:
+                found[answers[step - 1]] = rng.choice([(0, 1), (1, 0)])
+            for skill in rng.sample(spec.skill_ids, 2):
+                for t in nets:
+                    _, masks = inference._reduce(t, Evidence(dict(found)), {skill})
+                    graphs.append(moral_graph(masks, 1 << skill))
     return graphs
 
 

@@ -301,6 +301,13 @@ def test_form_rejects_non_integer_entries():
     assert form.h.tolist() == [[1, 0], [0, -3]]
 
 
+def test_form_rejects_ragged_tables():
+    with pytest.raises(ValidationError, match="g rows must all have the same length"):
+        FactorizedForm((2,), 2, [[1, 0], [0, 1]], ([[1, 0], [0]],))
+    with pytest.raises(ValidationError, match="h rows must all have the same length"):
+        FactorizedForm((2,), 2, [[1, 0], [0, [1]]], (np.eye(2),))
+
+
 def test_build_rejects_expression_outside_image():
     d = mk((2, 2), lambda a, b: a & b, 2)
     base = Base(

@@ -14,6 +14,7 @@ Core claims:
       a 3000-node chain builds them without recursion
 """
 
+import math
 import random
 from dataclasses import replace
 from itertools import product as iproduct
@@ -41,6 +42,7 @@ from factorbn.benchcat import (
     connect_tasks,
     generate_student_model,
 )
+from factorbn.cliques import moral_graph
 from factorbn.inference import transform_network
 
 
@@ -345,8 +347,27 @@ def random_evidence(net, rng):
     return Evidence(findings)
 
 
+# PLAN_ONCE_ENTRIES forced to 0 and to infinity: every query plans its own
+# min-fill order, or every query eliminates in its network's plan
+BOUNDS = (0, math.inf)
+
+
+def answers_under_both_planners(monkeypatch, t, ev, query, want, seed):
+    """VE's answer on ``t`` under both bounds equals ``want``, or raises
+    ZeroNormalizerError when ``want`` is None."""
+    for bound in BOUNDS:
+        monkeypatch.setattr(inference, "PLAN_ONCE_ENTRIES", bound)
+        if want is None:
+            with pytest.raises(ZeroNormalizerError):
+                variable_elimination(t, ev, query)
+            continue
+        got = variable_elimination(t, ev, query)
+        assert got.scope == tuple(query)
+        assert np.abs(got.values - want).max() < 1e-9, (seed, bound)
+
+
 @pytest.mark.parametrize("method", ["none", "factorize"])
-def test_random_networks_match_brute_force(method):
+def test_random_networks_match_brute_force(method, monkeypatch):
     answered = zero_mass = one_state = 0
     for seed in range(150):
         rng = random.Random(seed)
@@ -357,15 +378,11 @@ def test_random_networks_match_brute_force(method):
         t = transform_network(net, method)
         try:
             want = brute_posterior(net, ev, query)
+            answered += 1
         except ZeroNormalizerError:
-            with pytest.raises(ZeroNormalizerError):
-                variable_elimination(t, ev, query)
+            want = None
             zero_mass += 1
-            continue
-        got = variable_elimination(t, ev, query)
-        assert got.scope == tuple(query)
-        assert np.abs(got.values - want).max() < 1e-9, seed
-        answered += 1
+        answers_under_both_planners(monkeypatch, t, ev, query, want, seed)
     assert answered > 100 and zero_mass > 0 and one_state > 50
 
 
@@ -546,11 +563,141 @@ def test_ancestor_masks_and_elimination_on_a_3000_node_chain():
     assert np.allclose(got.values, want, rtol=1e-12, atol=0)
 
 
+# -- one plan per network, and the bound above which each query plans -------
+
+
+def cat_queries():
+    """CAT queries on 40-node, 8-task student models (seeds 1 to 3),
+    under ``none`` and ``factorize``, as (network, evidence, query):
+    the answers arrive one at a time, and after each (and before the
+    first) two skills are asked for."""
+    for seed in (1, 2, 3):
+        spec = StudentModelSpec(seed=seed, node_count=40)
+        net = connect_tasks(generate_student_model(spec), canonical_tasks(spec, 8, seed))
+        rng = random.Random(seed)
+        answers = [v.id for v in net.variables if v.name.endswith("_answer")]
+        rng.shuffle(answers)
+        nets = [transform_network(net, m) for m in ("none", "factorize")]
+        found = {}
+        for step in range(len(answers) + 1):
+            if step:
+                found[answers[step - 1]] = rng.choice([(0, 1), (1, 0)])
+            for skill in rng.sample(spec.skill_ids, 2):
+                for t in nets:
+                    yield t, Evidence(dict(found)), [skill]
+
+
+def restricted_steps(t, evidence, query):
+    """(variable, clique mask) for each step of the elimination game on
+    the query's reduced graph, query left out, in the network plan's
+    order restricted to that graph's vertices."""
+    _, masks = inference._reduce(t, evidence, set(query))
+    adj = moral_graph(masks, sum(1 << q for q in query))
+    steps = []
+    for v in t.plan.order:
+        if v not in adj:
+            continue
+        nb = adj.pop(v)
+        steps.append((v, nb | 1 << v))
+        for u in adj:
+            if nb >> u & 1:
+                adj[u] = (adj[u] | nb) & ~(1 << u | 1 << v)
+    assert not adj
+    return steps
+
+
+def test_restricted_steps_lie_in_the_network_plan(monkeypatch):
+    """A query's reduced graph is a subgraph of its network's moral
+    graph, and the elimination game is monotone under subgraphs: each
+    step of a query eliminated in the network plan's order has its
+    clique, query variables aside, inside the plan's clique for that
+    variable.  On CAT queries below the bound, VE sums out exactly
+    those variables in that order."""
+    cases = []
+    for seed in range(150):
+        rng = random.Random(seed)
+        net = random_mixed_network(rng, one_state=True)
+        ev = random_evidence(net, rng)
+        query = sorted(rng.sample(range(len(net.variables)), rng.randint(1, 2)))
+        cases += [(transform_network(net, m), ev, query, False) for m in ("none", "factorize")]
+    cases += [(*case, True) for case in cat_queries()]
+    drops = []
+    contract = inference._contract
+
+    def recording(tables, drop):
+        if drop >= 0:
+            drops.append(drop)
+        return contract(tables, drop)
+
+    monkeypatch.setattr(inference, "_contract", recording)
+    checked = cat = 0
+    for t, ev, query, replay in cases:
+        clique_of = dict(zip(t.plan.order, t.plan.cliques))
+        steps = restricted_steps(t, ev, query)
+        for v, clique in steps:
+            assert clique & ~clique_of[v] == 0, (v, query)
+        checked += len(steps)
+        if replay and t.plan.entries <= inference.PLAN_ONCE_ENTRIES:
+            drops.clear()
+            variable_elimination(t, ev, query)
+            assert drops == [v for v, _ in steps]
+            cat += 1
+    assert checked > 3000 and cat == 108
+
+
+def star_of_parents(parents):
+    """A binary child of ``parents`` uniform binary roots, with a
+    seeded random CPT; the child is the last variable."""
+    n = parents + 1
+    cards = dict.fromkeys(range(n), 2)
+    table = np.random.default_rng(parents).uniform(0.1, 1.0, (2,) * n)
+    table /= table.sum(axis=-1, keepdims=True)
+    cpts = tuple(cpt(i, (), cards, [0.5, 0.5]) for i in range(parents))
+    cpts += (cpt(parents, tuple(range(parents)), cards, table),)
+    return Network(tuple(binary(i, f"x{i}") for i in range(n)), cpts), table
+
+
+def test_network_above_the_bound_plans_each_query(monkeypatch):
+    """One child of 18 binary parents: the family clique alone holds
+    2^19 entries, above the bound, so each query runs min-fill on its
+    own reduced graph; with 8 parents no query does."""
+    calls = []
+    real = inference.min_fill
+
+    def counting(nb):
+        calls.append(len(nb))
+        return real(nb)
+
+    monkeypatch.setattr(inference, "min_fill", counting)
+    for parents, above in ((18, True), (8, False)):
+        net, table = star_of_parents(parents)
+        assert (net.plan.entries > inference.PLAN_ONCE_ENTRIES) == above
+        calls.clear()
+        for q in (0, 5, parents - 1):
+            got = variable_elimination(net, Evidence({parents: (0, 1)}), [q])
+            want = table[..., 1].sum(axis=tuple(a for a in range(parents) if a != q))
+            assert np.allclose(got.values, want / want.sum(), rtol=1e-12, atol=0)
+        assert calls == ([parents - 1] * 3 if above else [])
+
+
+def test_student_models_from_60_nodes_plan_each_query():
+    """Every 60-node, 12-task and 70-node, 14-task student model at
+    seeds 3 to 5 plans above the bound under both methods, where a
+    restricted order's cliques could grow many times over."""
+    for nodes, tasks in ((60, 12), (70, 14)):
+        for seed in (3, 4, 5):
+            spec = StudentModelSpec(seed=seed, node_count=nodes)
+            net = connect_tasks(generate_student_model(spec), canonical_tasks(spec, tasks, seed))
+            for method in ("none", "factorize"):
+                plan = transform_network(net, method).plan
+                assert plan.entries > inference.PLAN_ONCE_ENTRIES, (nodes, seed, method)
+
+
 # -- stars: factorized nodes pruned like the families they replace -----------
 
 
 @pytest.mark.parametrize("offset", [0, 1000])
-def test_stars_match_brute_force_on_the_transformed_network(offset):
+def test_stars_match_brute_force_on_the_transformed_network(offset, monkeypatch):
     """Queries and multi-state findings on hidden variables and star
     children, against enumeration of the transformed network itself."""
     answered = hidden_seen = 0
@@ -565,14 +712,10 @@ def test_stars_match_brute_force_on_the_transformed_network(offset):
         hidden_seen += any(s.hidden in ev.findings or s.hidden in query for s in t.stars)
         try:
             want = brute_posterior(t, ev, query)
+            answered += 1
         except ZeroNormalizerError:
-            with pytest.raises(ZeroNormalizerError):
-                variable_elimination(t, ev, query)
-            continue
-        got = variable_elimination(t, ev, query)
-        assert got.scope == tuple(query)
-        assert np.abs(got.values - want).max() < 1e-9, seed
-        answered += 1
+            want = None
+        answers_under_both_planners(monkeypatch, t, ev, query, want, seed)
     assert answered > 40 and hidden_seen > 20
 
 
