@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 from pathlib import Path
 
@@ -32,6 +31,7 @@ from .errors import (
 )
 from .factorization import build_factorized_form, trivial_factorization
 from .fileio import (
+    _dumps,
     parse_base,
     parse_evidence,
     parse_function,
@@ -121,7 +121,8 @@ def _cmd_infer(args) -> int:
     evidence = None
     if args.evidence:
         # the rewrite keeps every original name and id, so evidence may
-        # name what a query may name, the variables it adds included
+        # name what a query may name: a divorce intermediate, but not a
+        # star's hidden variable, which inference rejects in either place
         evidence = parse_evidence(_read(args.evidence), transformed)
     query = [transformed.variable_by_name(n).id for n in args.query]
     marginal = variable_elimination(transformed, evidence, query)
@@ -132,7 +133,7 @@ def _cmd_infer(args) -> int:
         "states": states,
         "values": [float(x) for x in marginal.flat()],
     }
-    _emit(json.dumps(doc, sort_keys=True, indent=2) + "\n", args.out)
+    _emit(_dumps(doc), args.out)
     return 0
 
 
@@ -193,10 +194,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mbh", help="search for a minimal hyperrectangle base")
     p.add_argument("--function", required=True, help="function file (JSON)")
-    p.add_argument("--max-rects", type=int, default=100_000,
+    budget = SearchBudget()
+    p.add_argument("--max-rects", type=int, default=budget.max_rectangles,
                    help="cap on enumerated candidate rectangles")
-    p.add_argument("--max-base", type=int, default=32, help="largest base size tried")
-    p.add_argument("--max-closure", type=int, default=2000,
+    p.add_argument("--max-base", type=int, default=budget.max_base,
+                   help="largest base size tried")
+    p.add_argument("--max-closure", type=int, default=budget.max_closure,
                    help="cap on distinct sets per closure search")
     p.add_argument("--time-limit", type=float, default=None, help="wall-clock seconds")
     p.add_argument("--out", help="write the base here instead of stdout")

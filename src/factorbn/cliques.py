@@ -103,10 +103,9 @@ def min_fill(nb: dict[int, int]) -> tuple[list[int], list[int]]:
 
     So a member is rescored from its own fill edges, never by
     rescanning its neighbourhood, and one without fill edges just drops
-    |O| + f.  The cost stays small on cliques of hundreds of members.
-    When f is 0, as on a chordal graph at every step, K is a clique
-    already: each member only loses v and its outside ties |O|, in one
-    pass over K.
+    |O| + f; when f is 0, as on a chordal graph at every step, every
+    member is one of those.  The cost stays small on cliques of
+    hundreds of members.
     """
     adj = [0] * (max(nb, default=-1) + 1)
     fill = [_GONE] * len(adj)
@@ -129,15 +128,6 @@ def min_fill(nb: dict[int, int]) -> tuple[list[int], list[int]]:
         gone = 1 << v
         order.append(v)
         cliques.append(clique | gone)
-        if not f:
-            rest = clique
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                a = low.bit_length() - 1
-                na = adj[a] = adj[a] ^ gone
-                fill[a] -= (na & ~clique).bit_count()
-            continue
         new: dict[int, int] = {}  # F_a of each member with a fill edge
         rest = clique
         while rest:

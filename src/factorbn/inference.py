@@ -7,6 +7,7 @@ pass of :func:`transform_network`.
 
 from __future__ import annotations
 
+import operator
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -48,9 +49,10 @@ METHODS = ("none", "divorce", "factorize")  # the rewrites of transform_network
 
 
 def _relevant_heads(net: Network, targets: Iterable[int]) -> int:
-    """The bitmask of the targets, the child of every star whose hidden
-    variable is a target, every variable in a potential outside a star,
-    and all their ancestors: an OR of the network's ancestor masks.
+    """The bitmask of the targets, every variable in a potential outside
+    a star, and all their ancestors: an OR of the network's ancestor
+    masks.  No target is a star's hidden variable; ``variable_elimination``
+    rejects those.
 
     Every other CPT, deterministic or factorized family is barren for a
     query on the targets (Zhang & Poole 1996): its child has no observed
@@ -62,9 +64,6 @@ def _relevant_heads(net: Network, targets: Iterable[int]) -> int:
     seen = 0
     for v in targets:
         seen |= ancestors[v]
-    for star in net.stars:
-        if seen >> star.hidden & 1:  # a hidden variable is no one's ancestor
-            seen |= ancestors[star.child]
     for head, scope, _ in net.tables:
         if head is None:
             for v in scope:
@@ -152,11 +151,13 @@ def variable_elimination(
 ) -> Factor:
     """The normalized posterior over the query variables given evidence.
 
+    A query or finding on a star's hidden variable B raises
+    ValidationError naming B: B's states index the rectangles of a
+    base and h has signed entries, so B has no posterior.
     Barren families are dropped first: a CPT, deterministic node or
     star (a factorized node) whose child is not an ancestor of a query
     variable, an observed one or a variable of a potential outside a
-    star cannot change the answer; a query or finding on a star's
-    hidden variable keeps the star.
+    star cannot change the answer.
     A finding of one state on a non-query variable is indexed out of
     every table that holds it, and so is a non-query variable with one
     state, which therefore never reaches an einsum (numpy's einsum takes
@@ -191,6 +192,11 @@ def variable_elimination(
     if not query:
         raise ValidationError("query must name at least one variable")
     queryset = set(query)
+    if hidden := queryset.union(evidence.findings).intersection(s.hidden for s in net.stars):
+        raise ValidationError(
+            f"{net.variables[min(hidden)].name!r} is the hidden variable of a factorized "
+            "node and has no posterior: it cannot be queried or observed"
+        )
     cards = net.cards
     tables, masks = _reduce(net, evidence, queryset)
     skip = sum(1 << q for q in query)
@@ -270,23 +276,6 @@ def _hidden_variable(
     return potentials
 
 
-def _pair_function(kind: str, du, dv, cu: int, cv: int, child_card: int | None = None):
-    """The two-parent combiner of one divorcing step, over parents with
-    ``cu`` and ``cv`` states.
-
-    ``du`` and ``dv`` are the accepting states for a conjunction and
-    unused for ADD and MAX, where the state is the value.  Returns
-    (outputs, output cardinality); ``child_card``, given at the root,
-    replaces the cardinality of a partial sum or maximum.
-    """
-    pairs = [(a, b) for a in range(cu) for b in range(cv)]
-    if kind == "and":
-        return [int(a == du and b == dv) for a, b in pairs], 2
-    if kind == "add":
-        return [a + b for a, b in pairs], child_card or cu + cv - 1
-    return [max(a, b) for a, b in pairs], child_card or max(cu, cv)
-
-
 def _divorce(
     det: DeterministicFunction, variables: list[Variable], taken: set[str]
 ) -> list[DeterministicFunction]:
@@ -294,42 +283,41 @@ def _divorce(
     node (conjunction of literals, ADD or MAX) with more than two
     parents; empty for a node with at most two.
 
-    Intermediate variables carry partial results (partial sums for ADD,
-    running maxima for MAX, truth of a literal block for conjunctions).
-    The joint over the original variables is preserved exactly.
+    Inputs are paired in order, level by level, and each pair feeds a
+    node applying ``&``, ``+`` or ``max`` to their values: a state's
+    index, or for a conjunction's own parents whether the literal
+    holds.  A partial result gets ``max(outputs) + 1`` states; the last
+    pair feeds the original child.  The joint over the original
+    variables is preserved exactly.
     """
     conj = as_conjunction(det)
-    kind = "and" if conj is not None else "add" if is_add(det) else "max" if is_max(det) else None
-    if kind is None:
+    op = operator.and_ if conj is not None else operator.add if is_add(det) else max
+    if op is max and not is_max(det):
         raise ValidationError(
             f"deterministic node for variable {det.child} is not a recognized "
             "decomposable function (conjunction of literals, ADD, MAX)"
         )
-    slots = list(zip(det.parents, (None,) * len(det.parents) if conj is None else conj))
-    if len(slots) <= 2:
+    if len(det.parents) <= 2:
         return []
+    slots = [(p, range(card)) for p, card in zip(det.parents, det.parent_cards)]
+    if conj is not None:  # int(x == literal) over a binary parent
+        slots = [(p, (1 - lit, lit)) for p, lit in zip(det.parents, conj)]
     stem = variables[det.child].name
     nodes: list[DeterministicFunction] = []
-
-    def combine(u, v, root: bool = False) -> int:
-        """Append the node over slots u and v and return its child."""
-        (pu, du), (pv, dv) = u, v
-        cards = (variables[pu].card, variables[pv].card)
-        outputs, card = _pair_function(kind, du, dv, *cards, det.child_card if root else None)
-        if root:
-            child = det.child
-        else:
-            child = len(variables)
-            name = fresh_name(f"{stem}_pd{len(nodes)}", taken)
-            variables.append(Variable(child, name, tuple(f"s{t}" for t in range(card))))
-        nodes.append(DeterministicFunction((pu, pv), child, cards, card, tuple(outputs)))
-        return child
-
-    while len(slots) > 2:
-        pairs = list(zip(slots[0::2], slots[1::2]))
-        done = [(combine(u, v), 1 if kind == "and" else None) for u, v in pairs]
-        slots = done + slots[2 * len(pairs):]
-    combine(*slots, root=True)
+    while len(slots) > 1:
+        root = len(slots) == 2
+        done = []
+        for (pu, ru), (pv, rv) in zip(slots[0::2], slots[1::2]):
+            outputs = tuple(op(a, b) for a in ru for b in rv)
+            if root:
+                child, card = det.child, det.child_card
+            else:
+                child, card = len(variables), max(outputs) + 1
+                name = fresh_name(f"{stem}_pd{len(nodes)}", taken)
+                variables.append(Variable(child, name, tuple(f"s{t}" for t in range(card))))
+            nodes.append(DeterministicFunction((pu, pv), child, (len(ru), len(rv)), card, outputs))
+            done.append((child, range(card)))
+        slots = done + slots[len(slots) // 2 * 2:]
     return nodes
 
 

@@ -21,10 +21,10 @@ import pytest
 
 from factorbn import (
     Evidence,
+    SearchBudget,
     parse_base,
     parse_form,
     parse_network,
-    transform_network,
     variable_elimination,
 )
 from factorbn.cli import run_cli
@@ -281,6 +281,23 @@ def test_mbh_finds_and_proves_the_add_base(tmp_path, capsys):
     assert base.size == 6
 
 
+def test_mbh_defaults_are_the_search_budget(tmp_path, capsys, monkeypatch):
+    # the limits are stated once: with no flags, mbh searches under the
+    # default SearchBudget
+    import factorbn.cli as cli
+
+    budgets = []
+    real = cli.solve_mbh
+
+    def recording(fn, budget):
+        budgets.append(budget)
+        return real(fn, budget)
+
+    monkeypatch.setattr(cli, "solve_mbh", recording)
+    assert cli.run_cli(["mbh", "--function", put(tmp_path, "fn.json", AND2)]) == 0
+    assert budgets == [SearchBudget()]
+
+
 def test_mbh_rectangle_cap_exits_three(tmp_path, capsys):
     # the candidate pool is out of reach: the greedy cover is still emitted
     fn = put(tmp_path, "fn.json", BIG)
@@ -405,18 +422,22 @@ def test_infer_on_sixty_one_state_variables(tmp_path, capsys, transform):
     assert captured.err == ""
 
 
-def test_infer_evidence_may_name_a_hidden_variable(tmp_path, capsys):
-    # under factorize the query may name B_both, and so may the evidence
+def test_infer_rejects_a_hidden_variable(tmp_path, capsys):
+    # under factorize B_both indexes the rectangles of a base and has no
+    # posterior: a query on it, or a finding (one state or both), is an
+    # input error that names it
     net_path = put(tmp_path, "net.json", NET)
-    ev_path = put(tmp_path, "ev.json", {"B_both": [1, 0]})
-    assert run_cli(["infer", "--net", net_path, "--evidence", ev_path,
-                    "--query", "alarm", "--transform", "factorize"]) == 0
-    doc = json.loads(capsys.readouterr().out)
-    net = transform_network(parse_network(json.dumps(NET)), "factorize")
-    hidden = net.variable_by_name("B_both").id
-    want = variable_elimination(net, Evidence({hidden: (1, 0)}), [3])
-    assert np.array_equal(doc["values"], want.values)
+    for query, finding in (("B_both", None), ("alarm", [1, 0]), ("alarm", [1, 1])):
+        args = ["infer", "--net", net_path, "--query", query, "--transform", "factorize"]
+        if finding:
+            args += ["--evidence", put(tmp_path, "ev.json", {"B_both": finding})]
+        assert run_cli(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: 'B_both' is the hidden variable")
+        assert captured.err.count("\n") == 1
     # the untransformed network has no such variable
+    ev_path = put(tmp_path, "ev.json", {"B_both": [1, 0]})
     assert run_cli(["infer", "--net", net_path, "--evidence", ev_path,
                     "--query", "alarm"]) == 2
     captured = capsys.readouterr()

@@ -11,9 +11,10 @@ Core claims:
     - min-fill breaks ties toward the lowest variable id, and the mask
       core (``min_fill``) picks exactly what a full rescan and the
       earlier set-based incremental scoring pick: on random graphs with
-      any clique sizes, and on the reduced graphs variable elimination
-      plans on for CAT queries, and on chordal graphs (trees, interval
-      graphs), where no step adds a fill edge
+      any clique sizes, on the reduced graphs variable elimination
+      plans on for CAT queries and the whole-network graphs of the same
+      models, and on chordal graphs (trees, interval graphs), where no
+      step adds a fill edge
     - a network without variables has no cliques and sizes 0
     - triangulation reads the network's scope masks and builds no
       table; the masks are those of the tables' scopes, in order
@@ -264,8 +265,8 @@ def random_interval_graph(rng, n):
 
 def test_min_fill_on_chordal_graphs_adds_no_fill():
     """Trees and interval graphs are chordal, so min-fill finds a vertex
-    without fill at every step and every step takes the zero-fill path:
-    each elimination clique is already a clique of the input graph."""
+    without fill at every step: each elimination clique is already a
+    clique of the input graph."""
     steps = 0
     for seed in range(120):
         rng = random.Random(seed)
@@ -280,6 +281,12 @@ def test_min_fill_on_chordal_graphs_adds_no_fill():
     assert steps > 3000
 
 
+def session_model(seed):
+    """The 40-node, 8-task student model of a seed, every task connected."""
+    spec = StudentModelSpec(seed=seed, node_count=40)
+    return spec, connect_tasks(generate_student_model(spec), canonical_tasks(spec, 8, seed))
+
+
 @functools.cache
 def query_graphs():
     """The reduced graphs of CAT queries on 40-node, 8-task student
@@ -290,8 +297,7 @@ def query_graphs():
     is what it plans on when it runs min-fill per query."""
     graphs = []
     for seed in (1, 2, 3):
-        spec = StudentModelSpec(seed=seed, node_count=40)
-        net = connect_tasks(generate_student_model(spec), canonical_tasks(spec, 8, seed))
+        spec, net = session_model(seed)
         rng = random.Random(seed)
         answers = [v.id for v in net.variables if v.name.endswith("_answer")]
         rng.shuffle(answers)
@@ -307,10 +313,24 @@ def query_graphs():
     return graphs
 
 
+@functools.cache
+def network_graphs():
+    """The whole-network graphs of 40-node, 8-task student models (the
+    ``cat-session`` seeds 1 and 99, and 2 and 3) under ``none`` and
+    ``factorize``: what ``Network.plan`` runs min-fill on, once per
+    network."""
+    return [
+        moral_graph(transform_network(session_model(seed)[1], m).scope_masks)
+        for seed in (1, 2, 3, 99)
+        for m in ("none", "factorize")
+    ]
+
+
 def test_query_graphs_match_full_rescan():
     assert len(query_graphs()) == 3 * 9 * 2 * 2
     assert max(map(len, query_graphs())) >= 40
-    for i, masks in enumerate(query_graphs()):
+    assert len(network_graphs()) == 4 * 2 and min(map(len, network_graphs())) >= 48
+    for i, masks in enumerate(query_graphs() + network_graphs()):
         adj = graph_of(masks)
         expected = full_rescan_min_fill(adj)
         assert core_min_fill(adj) == expected, i

@@ -289,6 +289,21 @@ def test_divorce_add_of_three_ternary_parents():
     assert np.abs(got.values - want).max() < 1e-9
 
 
+def test_divorce_intermediates_stay_queryable():
+    """A divorce intermediate is an ordinary deterministic node: a query
+    or a multi-state finding on it gets the enumerated answer."""
+    cards = dict.fromkeys(range(5), 3)
+    variables = tuple(Variable(i, f"x{i}", ("0", "1", "2")) for i in range(4))
+    variables += (Variable(4, "top", ("0", "1", "2")),)
+    det = DeterministicFunction.from_callable((0, 1, 2, 3), 4, (3,) * 4, 3, max)
+    cpts = tuple(cpt(i, (), cards, [0.2 + 0.1 * i, 0.3, 0.5 - 0.1 * i]) for i in range(4))
+    t = transform_network(Network(variables, cpts, (det,)), "divorce")
+    pd0, pd1 = (v.id for v in t.variables if v.name.startswith("top_pd"))
+    for ev, query in ((Evidence(), [pd0]), (Evidence({pd1: (1, 0, 1)}), [4, pd0])):
+        got = variable_elimination(t, ev, query)
+        assert np.abs(got.values - brute_posterior(t, ev, query)).max() < 1e-12
+
+
 def test_divorce_leaves_two_parent_nodes_alone():
     net = det_network()
     t = transform_network(net, "divorce")
@@ -698,9 +713,12 @@ def test_student_models_from_60_nodes_plan_each_query():
 
 @pytest.mark.parametrize("offset", [0, 1000])
 def test_stars_match_brute_force_on_the_transformed_network(offset, monkeypatch):
-    """Queries and multi-state findings on hidden variables and star
-    children, against enumeration of the transformed network itself."""
-    answered = hidden_seen = 0
+    """Queries and multi-state findings on star children, against
+    enumeration of the transformed network itself.  A query or finding
+    on a hidden variable is rejected, naming it; the same query then
+    runs with the hidden findings dropped and each hidden target
+    replaced by its star's child."""
+    answered = rejected = 0
     for seed in range(offset, offset + 150):
         rng = random.Random(seed)
         t = transform_network(random_mixed_network(rng), "factorize")
@@ -709,14 +727,23 @@ def test_stars_match_brute_force_on_the_transformed_network(offset, monkeypatch)
         ev = random_evidence(t, rng)
         star_vars = [v for s in t.stars for v in (s.child, s.hidden)]
         query = sorted({rng.choice(star_vars), rng.randrange(len(t.variables))})
-        hidden_seen += any(s.hidden in ev.findings or s.hidden in query for s in t.stars)
+        child_of = {s.hidden: s.child for s in t.stars}
+        if named := child_of.keys() & {*ev.findings, *query}:
+            rejected += 1
+            name = t.variables[min(named)].name
+            for bound in BOUNDS:
+                monkeypatch.setattr(inference, "PLAN_ONCE_ENTRIES", bound)
+                with pytest.raises(ValidationError, match=f"^{name!r} is the hidden variable"):
+                    variable_elimination(t, ev, query)
+            ev = Evidence({v: vec for v, vec in ev.findings.items() if v not in child_of})
+            query = sorted({child_of.get(q, q) for q in query})
         try:
             want = brute_posterior(t, ev, query)
             answered += 1
         except ZeroNormalizerError:
             want = None
         answers_under_both_planners(monkeypatch, t, ev, query, want, seed)
-    assert answered > 40 and hidden_seen > 20
+    assert answered > 40 and rejected > 20
 
 
 def two_task_network():
@@ -767,8 +794,11 @@ def test_unanswered_tasks_star_is_not_contracted(monkeypatch):
     assert seen(t, {4: (0, 1), 6: (1, 0)}, [0]) == {b1, b2}
     assert seen(t, answer1, [5]) == {b1, b2}  # perf2 queried
     assert seen(t, {**answer1, 5: (0, 1)}, [0]) == {b1, b2}  # perf2 observed
-    assert seen(t, answer1, [b2]) == {b1, b2}  # its hidden variable queried
-    assert seen(t, {**answer1, b2: (1, 1)}, [0]) == {b1, b2}
+    # its hidden variable has no posterior: queried or observed, even
+    # with every state allowed, it is an input error naming it
+    for findings, query in ((answer1, [b2]), ({**answer1, b2: (1, 1)}, [0])):
+        with pytest.raises(ValidationError, match=f"^'{t.variables[b2].name}' is the hidden"):
+            seen(t, findings, query)
     assert seen(t, {}, [1]) == set()
     # a parsed copy has no stars, so every potential stays
     parsed = parse_network(write_network(t))
