@@ -2,9 +2,9 @@
 
 The cost proxy for exact inference is the total clique size of the
 triangulated interaction graph: the sum over maximal cliques of the
-product of member cardinalities.  Factors contribute their whole scope
-as a clique (for CPTs and deterministic nodes this is the family, i.e.
-moralization; transformation potentials contribute their own scopes).
+product of member cardinalities.  Every table contributes its scope as
+a clique (for CPTs and deterministic nodes this is the family, i.e.
+moralization; potentials and a star's h and g tables, their own scope).
 Both this accounting and variable elimination plan on the same graph:
 :func:`moral_graph` turns scope bitmasks into one neighbour bitmask per
 variable id, and :func:`min_fill` orders the eliminations on it.  The

@@ -63,6 +63,15 @@ class FactorizedForm:
     def n_hidden(self) -> int:
         return self.h.shape[1]
 
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, FactorizedForm):
+            return NotImplemented
+        # h's shape holds the child card, so the parent cards remain
+        pairs = zip((self.h, *self.g), (other.h, *other.g))
+        return self.parent_cards == other.parent_cards and all(
+            np.array_equal(a, b) for a, b in pairs
+        )
+
 
 def _int64_copy(values, name: str) -> np.ndarray:
     """An int64 copy of ``values``, so the caller's array stays

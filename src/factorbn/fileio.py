@@ -204,9 +204,11 @@ def write_network(net: Network) -> str:
             for d in net.deterministic
         ],
     }
-    if net.potentials:
+    potentials = [(p.scope, p.values) for p in net.potentials]
+    potentials += [table for s in net.stars for table in s.tables()]  # the format has no stars
+    if potentials:
         doc["potentials"] = [
-            {"scope": list(p.scope), "table": p.flat().tolist()} for p in net.potentials
+            {"scope": list(s), "table": t.ravel().tolist()} for s, t in potentials
         ]
     return _dumps(doc)
 
@@ -264,6 +266,9 @@ def parse_function(text: str) -> DeterministicFunction:
     cards[n] = _card_of(child_decl, "child")
     names = {i: str(_expect(rp, "name", "parent")) for i, rp in enumerate(raw_parents)}
     names[n] = str(child_decl.get("name", "Y"))
+    declared = list(names.values())[: n + ("name" in child_decl)]  # not a default "Y"
+    if twice := [v for i, v in enumerate(declared) if v in declared[:i]]:
+        raise ValidationError(f"function file names {twice[0]!r} twice")
     return _parse_function_field(
         _expect(doc, "function", "function file"),
         list(range(n)), n, cards, names, "function file",

@@ -16,7 +16,6 @@ from .core import Evidence, Factor, Variable
 from .cliques import min_fill, moral_graph
 from .errors import InternalConsistencyError, ValidationError, ZeroNormalizerError
 from .factorization import (
-    FactorizedForm,
     build_factorized_form,
     known_base_conjunction,
     known_base_max,
@@ -49,10 +48,10 @@ METHODS = ("none", "divorce", "factorize")  # the rewrites of transform_network
 
 
 def _relevant_heads(net: Network, targets: Iterable[int]) -> int:
-    """The bitmask of the targets, every variable in a potential outside
-    a star, and all their ancestors: an OR of the network's ancestor
-    masks.  No target is a star's hidden variable; ``variable_elimination``
-    rejects those.
+    """The bitmask of the targets, every variable in a free potential
+    (``net.potentials``, which holds no star's table), and all their
+    ancestors: an OR of the network's ancestor masks.  No target is a
+    star's hidden variable; ``variable_elimination`` rejects those.
 
     Every other CPT, deterministic or factorized family is barren for a
     query on the targets (Zhang & Poole 1996): its child has no observed
@@ -64,10 +63,9 @@ def _relevant_heads(net: Network, targets: Iterable[int]) -> int:
     seen = 0
     for v in targets:
         seen |= ancestors[v]
-    for head, scope, _ in net.tables:
-        if head is None:
-            for v in scope:
-                seen |= ancestors[v]
+    for p in net.potentials:
+        for v in p.scope:
+            seen |= ancestors[v]
     return seen
 
 
@@ -156,8 +154,8 @@ def variable_elimination(
     base and h has signed entries, so B has no posterior.
     Barren families are dropped first: a CPT, deterministic node or
     star (a factorized node) whose child is not an ancestor of a query
-    variable, an observed one or a variable of a potential outside a
-    star cannot change the answer.
+    variable, an observed one or a variable of a free potential cannot
+    change the answer.
     A finding of one state on a non-query variable is indexed out of
     every table that holds it, and so is a non-query variable with one
     state, which therefore never reaches an einsum (numpy's einsum takes
@@ -253,27 +251,7 @@ def variable_elimination(
 # ---------------------------------------------------------------------------
 # The rewrites.  Each step turns one deterministic node into variables
 # appended to ``variables`` (named by ``fresh_name`` against ``taken``)
-# and the potentials or nodes that replace it.
-
-
-def _hidden_variable(
-    det: DeterministicFunction, form: FactorizedForm, variables: list[Variable],
-    taken: set[str],
-) -> list[Factor]:
-    """Append the hidden variable B that replaces ``det`` and return its
-    potentials: h(child, B), then g_i(parent_i, B) for each parent in
-    order.  B is appended last, so every scope lists it last, in id order."""
-    child, b_id = det.child, len(variables)
-    name = fresh_name(f"B_{variables[child].name}", taken)
-    variables.append(Variable(b_id, name, tuple(f"b{i}" for i in range(form.n_hidden))))
-    potentials = [
-        Factor((child, b_id), (form.child_card, form.n_hidden), form.h.astype(np.float64))
-    ]
-    for pid, g in zip(det.parents, form.g):
-        potentials.append(
-            Factor((pid, b_id), (g.shape[0], form.n_hidden), g.astype(np.float64))
-        )
-    return potentials
+# and the star or nodes that replace it.
 
 
 def _divorce(
@@ -325,14 +303,16 @@ def transform_network(net: Network, method: str, base_picker=None) -> Network:
     """Apply one method to every deterministic node of the network.
 
     ``none`` returns the network unchanged.  ``factorize`` replaces each
-    deterministic node by a hidden variable and its potentials, recorded
-    as a :class:`~factorbn.network.Star`, using a base from
-    ``base_picker(det)`` (defaults to :func:`default_base` below).
-    ``divorce`` splits each decomposable node with more than two parents
-    into a tree of two-parent nodes, and rejects a node that is not
-    decomposable.  The nodes a method leaves alone keep their place;
-    the new variables, nodes and potentials are appended in node order,
-    and the network is built and validated once.
+    deterministic node by a :class:`~factorbn.network.Star` holding its
+    verified form, built from a base from ``base_picker(det)`` (defaults
+    to :func:`default_base` below), and by the hidden variable B
+    (``B_<child>``, one state per rectangle), appended last, so it is
+    the higher id in each of the star's tables.  No potential is
+    added.  ``divorce`` splits each decomposable node with more than two
+    parents into a tree of two-parent nodes, and rejects a node that is
+    not decomposable.  The nodes a method leaves alone keep their
+    place; the new variables, nodes and stars are appended in node
+    order, and the network is built and validated once.
     """
     if method not in METHODS:
         raise ValidationError(f"unknown transform {method!r}")
@@ -343,19 +323,20 @@ def transform_network(net: Network, method: str, base_picker=None) -> Network:
     taken = {v.name for v in variables}
     kept: list[DeterministicFunction] = []
     added: list[DeterministicFunction] = []
-    potentials = list(net.potentials)
     stars = list(net.stars)
     for det in net.deterministic:
         if method == "factorize":
             form = build_factorized_form(det, picker(det))
-            stars.append(Star(det.child, det.parents, len(variables)))
-            potentials += _hidden_variable(det, form, variables, taken)
+            stars.append(Star(det.child, det.parents, len(variables), form))
+            name = fresh_name(f"B_{variables[det.child].name}", taken)
+            states = tuple(f"b{i}" for i in range(form.n_hidden))
+            variables.append(Variable(len(variables), name, states))
         elif nodes := _divorce(det, variables, taken):
             added += nodes
         else:
             kept.append(det)
     return Network(
-        tuple(variables), net.cpts, tuple(kept + added), tuple(potentials), tuple(stars)
+        tuple(variables), net.cpts, tuple(kept + added), net.potentials, tuple(stars)
     )
 
 

@@ -1,17 +1,19 @@
-"""The network model: variables, CPTs, deterministic nodes, and the
-extra potentials a transformation may introduce, grouped into stars by
-their hidden variable where they replace a deterministic node."""
+"""The network model: variables, CPTs, deterministic nodes, free
+potentials, and the stars that hold a factorized deterministic node in
+its form."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
+from typing import Iterator
 
 import numpy as np
 
 from .cliques import Plan, min_fill_plan
 from .core import Factor, Variable
 from .errors import ValidationError
+from .factorization import FactorizedForm
 from .functions import DeterministicFunction, deterministic_to_potential
 
 ROW_SUM_TOLERANCE = 1e-9
@@ -61,47 +63,55 @@ class Cpt:
 @dataclass(frozen=True)
 class Star:
     """A factorized node: the deterministic family of ``child`` over
-    ``parents``, held as potentials through the hidden variable B
-    (``hidden``).
+    ``parents``, held only as its ``form`` through the hidden variable B
+    (``hidden``): h(child, B) and one g_i(parent_i, B) per parent.
 
-    The star owns exactly the potentials of the network whose scope
-    holds B: h(child, B) and one g_i(parent_i, B) per parent.  Summed
-    over B their product is the family's 0/1 indicator, so, like a CPT,
-    the star sums to 1 over the child and B for every parent
+    Summed over B their product is the family's 0/1 indicator, so, like
+    a CPT, the star sums to 1 over the child and B for every parent
     configuration, and inference drops it by the same barren rule.
     ``transform_network`` verifies every form before it records a star;
-    ``Network`` checks only the star's shape.
+    ``Network`` checks the cards of the star's tables.
     """
 
     child: int
     parents: tuple[int, ...]
     hidden: int
+    form: FactorizedForm
 
     def __post_init__(self):
         object.__setattr__(self, "parents", tuple(self.parents))
+        if len({self.child, *self.parents}) != len(self.parents) + 1:
+            raise ValidationError("a star's child and parents must be distinct")
+        if len(self.form.g) != len(self.parents):
+            raise ValidationError("a star needs one g table per parent")
+
+    def tables(self) -> Iterator[tuple[tuple[int, int], np.ndarray]]:
+        """(scope, float64 table) for h, then for each g_i, with the axes
+        in id order: a table is transposed only when B has the lower id."""
+        b = self.hidden
+        for v, table in zip((self.child, *self.parents), (self.form.h, *self.form.g)):
+            scope, table = ((v, b), table) if v < b else ((b, v), table.T)
+            yield scope, np.ascontiguousarray(table, dtype=np.float64)
 
 
 @dataclass(frozen=True)
 class Network:
     """A directed model over discrete variables.
 
-    Every variable heads a CPT, a deterministic node or a star, or
-    appears in a potential, and none heads two.  So a transformed
-    network's hidden variables need no node, while a parent with no
-    table of its own and no potential is rejected.  Every table (a CPT,
-    a deterministic node's family, a potential) names known variables
-    with their cardinalities.  Potential entries must be finite reals.
-    The directed part must be acyclic.
+    Every variable heads a CPT, a deterministic node or a star, is a
+    star's hidden variable, or appears in a potential, and none heads
+    two.  So a parent with no table of its own and no potential is
+    rejected.  Every table (a CPT, a deterministic node's family, a
+    potential, a star's h and g tables) names known variables with
+    their cardinalities.  Potential entries must be finite reals.  The
+    directed part must be acyclic.
 
-    ``stars`` records which deterministic nodes the potentials replace
-    (see :class:`Star`).  A star's child counts as a head, and its
-    hidden variable B appears in no family, only in the star's own
-    potentials: exactly one over (child, B) and one over each
-    (parent_i, B).
-    Only :func:`~factorbn.inference.transform_network` records stars:
-    the file format has no field for them, so a parsed network has none
-    and inference keeps every one of its potentials.  Stars are left
-    out of equality, so a transformed network equals its parsed copy.
+    ``stars`` holds the factorized nodes (see :class:`Star`) and
+    ``potentials`` the free potentials.  Each star's hidden variable is
+    its own and sits in no family and in no free potential.  Only
+    :func:`~factorbn.inference.transform_network` records stars; the
+    file format has none, so a parsed copy holds their tables as free
+    potentials: it writes the same bytes, but is not equal.
 
     Query-independent data is built once and kept for the network's
     lifetime: ``cards``, ``parent_map`` and ``ancestor_masks`` (each
@@ -117,7 +127,7 @@ class Network:
     cpts: tuple[Cpt, ...] = ()
     deterministic: tuple[DeterministicFunction, ...] = ()
     potentials: tuple[Factor, ...] = ()
-    stars: tuple[Star, ...] = field(default=(), compare=False)
+    stars: tuple[Star, ...] = ()
 
     def __post_init__(self):
         object.__setattr__(self, "variables", tuple(self.variables))
@@ -147,6 +157,8 @@ class Network:
             for d in self.deterministic
         ]
         tables += [("a potential", p.scope, p.cards) for p in self.potentials]
+        tables += [(f"the star of variable {s.child}", scope, table.shape)
+                   for s in self.stars for scope, table in s.tables()]
         for where, scope, declared in tables:
             for v in scope:
                 if not 0 <= v < n:
@@ -157,39 +169,24 @@ class Network:
                     f"expected {tuple(cards[v] for v in scope)}"
                 )
 
-        over: dict[int, list[tuple[int, ...]]] = {}  # potential scopes per hidden variable
-        for star in self.stars:
-            for v in (star.child, *star.parents, star.hidden):
-                if not 0 <= v < n:
-                    raise ValidationError(
-                        f"unknown variable id {v} in the star of variable {star.child}"
-                    )
-            over[star.hidden] = []
         heads = [c.child for c in self.cpts] + [d.child for d in self.deterministic]
         heads += [s.child for s in self.stars]
         if len(set(heads)) != len(heads):
             twice = next(v for v in heads if heads.count(v) > 1)
             raise ValidationError(f"variable {twice} is the head of two nodes")
-        members = {v for child, parents in self.parent_map.items() for v in (child, *parents)}
-        if len(over) < len(self.stars) or not members.isdisjoint(over):
+        hidden = {s.hidden for s in self.stars}
+        free = set().union(*(p.scope for p in self.potentials))
+        if len(hidden) < len(self.stars) or not hidden.isdisjoint(
+            free.union(self.parent_map, *self.parent_map.values())
+        ):
             raise ValidationError("a star's hidden variable appears outside its star")
         for pot in self.potentials:
             if pot.values.dtype.kind not in "iuf" or not np.isfinite(pot.values).all():
                 raise ValidationError(f"potential over {pot.scope} has a non-finite entry")
-            for v in pot.scope:
-                if v in over:
-                    over[v].append(pot.scope)
-        for star in self.stars:
-            b = star.hidden
-            shape = sorted(tuple(sorted((m, b))) for m in (star.child, *star.parents))
-            if sorted(over[b]) != shape:
-                raise ValidationError(
-                    f"the star of variable {star.child}: the potentials over variable "
-                    f"{b} must have the scopes {shape}"
-                )
 
-        # one coverage rule: a variable heads a node or sits in a potential
-        missing = set(range(n)).difference(self.parent_map, *(p.scope for p in self.potentials))
+        # one coverage rule: a variable heads a node, is a star's hidden
+        # variable or sits in a potential
+        missing = set(range(n)).difference(self.parent_map, hidden, free)
         if missing:
             raise ValidationError(
                 f"variables {sorted(missing)} head no node and appear in no potential"
@@ -242,30 +239,30 @@ class Network:
     @cached_property
     def scope_masks(self) -> tuple[int, ...]:
         """The scope of each entry of ``tables``, in the same order, as a
-        bitmask (bit v for variable v), built without a table: a CPT's
-        family, a deterministic node's family, a potential's scope."""
+        bitmask (bit v for variable v): a CPT's family, a deterministic
+        node's family, a potential's scope, a star table's scope."""
         scopes = [(c.child, *c.parents) for c in self.cpts]
         scopes += [(d.child, *d.parents) for d in self.deterministic]
         scopes += [p.scope for p in self.potentials]
+        scopes += [scope for s in self.stars for scope, _ in s.tables()]
         return tuple(sum(1 << v for v in scope) for scope in scopes)
 
     @cached_property
     def tables(self) -> tuple[tuple[int | None, tuple[int, ...], np.ndarray], ...]:
         """(head, scope, float64 table) for every CPT, every deterministic
-        node (its indicator) and every potential, in that order.
+        node (its indicator), every free potential and every star's h and
+        g tables (see :meth:`Star.tables`), in that order.
 
-        A potential over a star's hidden variable carries the star's
-        child as head; the other potentials carry None.  The tables are
-        read-only and shared by every query on the network.
+        A star's tables carry the star's child as head; the free
+        potentials carry None.  The tables are read-only and shared by
+        every query on the network.
         """
         out = [(c.child, c.factor.scope, c.factor.values) for c in self.cpts]
         for d in self.deterministic:
             ind = deterministic_to_potential(d)
             out.append((d.child, ind.scope, ind.values))
-        star_of = {s.hidden: s.child for s in self.stars}
-        for p in self.potentials:
-            head = next((star_of[v] for v in p.scope if v in star_of), None)
-            out.append((head, p.scope, p.values))
+        out += [(None, p.scope, p.values) for p in self.potentials]
+        out += [(s.child, scope, table) for s in self.stars for scope, table in s.tables()]
         tables = []
         for head, scope, values in out:
             values = np.asarray(values, dtype=np.float64)

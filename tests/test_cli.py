@@ -220,6 +220,14 @@ def test_broken_json_is_input_error(tmp_path, capsys):
     assert run_cli(["factorize", "--function", str(p), "--trivial"]) == 2
 
 
+def test_repeated_function_name_is_input_error(tmp_path, capsys):
+    fn = put(tmp_path, "fn.json", dict(AND2, parents=[{"name": "x1", "card": 2}] * 2))
+    assert run_cli(["factorize", "--function", fn, "--trivial"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: function file names 'x1' twice\n"
+
+
 @pytest.mark.parametrize("where", ["missing directory", "directory"])
 def test_unwritable_out_is_input_error(tmp_path, capsys, where):
     net_path = put(tmp_path, "net.json", NET)

@@ -19,6 +19,7 @@ from factorbn import (
     DeterministicFunction,
     Evidence,
     Factor,
+    FactorizedForm,
     Hyperrectangle,
     ParseError,
     ValidationError,
@@ -79,9 +80,14 @@ def test_network_with_potentials_round_trips():
     from factorbn.inference import transform_network
 
     t = transform_network(net, "factorize")
-    assert t.potentials
+    assert t.stars and not t.potentials
+    # the file format has no stars: a star's tables come back as free
+    # potentials, so the parsed copy writes the same bytes but differs
     text = write_network(t)
-    assert parse_network(text) == t
+    parsed = parse_network(text)
+    assert not parsed.stars
+    assert [p.scope for p in parsed.potentials] == [s for s, _ in t.stars[0].tables()]
+    assert parsed != t and write_network(parsed) == text
 
 
 def test_formula_function_round_trips():
@@ -239,6 +245,24 @@ def test_function_file_errors():
         parse_function('{"parents": [], "child": {"card": 2}, "function": {"type": "table", "outputs": []}}')
     with pytest.raises(ParseError, match="'states' or 'card'"):
         parse_function('{"parents": [{"name": "x"}], "child": {"card": 2}, "function": {"type": "table", "outputs": [0, 1]}}')
+
+
+def test_function_file_names_each_variable_once():
+    # a repeated parent name used to bind the formula to the second one
+    doc = {
+        "parents": [{"name": "x1", "card": 2}, {"name": "x1", "card": 2}],
+        "child": {"name": "y", "card": 2},
+        "function": {"type": "formula", "expr": "x1"},
+    }
+    with pytest.raises(ValidationError, match="^function file names 'x1' twice$"):
+        parse_function(json.dumps(doc))
+    doc["parents"][1]["name"] = "y"
+    with pytest.raises(ValidationError, match="^function file names 'y' twice$"):
+        parse_function(json.dumps(doc))
+    # the child's default name "Y" is not a declared one
+    doc["parents"][1]["name"] = "Y"
+    del doc["child"]["name"]
+    assert parse_function(json.dumps(doc)).outputs == (0, 0, 1, 1)
 
 
 # -- integer fields -------------------------------------------------------------
@@ -442,6 +466,16 @@ def test_form_round_trip():
     assert np.array_equal(back.h, form.h)
     assert all(np.array_equal(x, y) for x, y in zip(back.g, form.g))
     assert json.loads(text)["n_hidden"] == 2
+
+
+def test_forms_compare_by_value():
+    add = DeterministicFunction.from_callable((0, 1), 2, (3, 4), 6, lambda a, b: a + b)
+    form = build_factorized_form(add, greedy_cover_base(add))
+    assert parse_form(write_form(form)) == form
+    trivial = trivial_factorization(add)
+    assert parse_form(write_form(trivial)) == trivial != form
+    flipped = (1 - form.g[0], *form.g[1:])
+    assert FactorizedForm(form.parent_cards, form.child_card, form.h, flipped) != form
 
 
 FORM = {"parent_cards": [2], "child_card": 2, "h": [[1, 0], [0, 1]], "g": [[[1, 0], [0, 1]]]}

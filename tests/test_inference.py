@@ -27,12 +27,14 @@ from factorbn import (
     DeterministicFunction,
     Evidence,
     Factor,
+    FactorizedForm,
     Network,
     ValidationError,
     Variable,
     ZeroNormalizerError,
     build_factorized_form,
     known_base_conjunction,
+    trivial_factorization,
     variable_elimination,
 )
 from factorbn import inference
@@ -44,6 +46,7 @@ from factorbn.benchcat import (
 )
 from factorbn.cliques import moral_graph
 from factorbn.inference import transform_network
+from factorbn.network import Star
 
 
 def binary(i, name):
@@ -57,7 +60,8 @@ def cpt(child, parents, cards, table):
 
 
 def brute_posterior(net, evidence, query):
-    """Joint enumeration with plain dict lookups; no factor algebra."""
+    """Joint enumeration with plain dict lookups; no factor algebra.  A
+    star contributes h[y, b] * prod_i g_i[x_i, b], read from its form."""
     cards = [v.card for v in net.variables]
     axes = [range(c) for c in cards]
     weights = {}
@@ -70,6 +74,11 @@ def brute_posterior(net, evidence, query):
             w *= 1.0 if d.value(tuple(cfg[p] for p in d.parents)) == cfg[d.child] else 0.0
         for p in net.potentials:
             w *= float(p.values[tuple(cfg[v] for v in p.scope)])
+        for s in net.stars:
+            b = cfg[s.hidden]
+            w *= float(s.form.h[cfg[s.child], b])
+            for x, g in zip(s.parents, s.form.g):
+                w *= float(g[cfg[x], b])
         for v, vec in evidence.findings.items():
             w *= vec[cfg[v]]
         weights[cfg] = w
@@ -207,9 +216,11 @@ def test_factorize_adds_hidden_variable_and_pairwise_potentials():
     assert len(t.variables) == len(net.variables) + 1
     hidden = t.variables[-1]
     assert hidden.card == form.n_hidden == 6
-    assert not t.deterministic
-    # potentials: h over (child, B) plus one g per parent
-    scopes = sorted(p.scope for p in t.potentials)
+    assert not t.deterministic and not t.potentials
+    # one star holding the form: h over (child, B) plus one g per parent
+    (star,) = t.stars
+    assert star.form == form and star.hidden == hidden.id
+    scopes = sorted(scope for scope, _ in star.tables())
     assert scopes == [(0, hidden.id), (1, hidden.id), (2, hidden.id)]
 
 
@@ -231,8 +242,10 @@ def test_factorize_conjunction_hidden_is_binary():
     t = transform_network(net, "factorize")
     hidden = t.variables[-1]
     assert hidden.card == 2
-    assert len(t.potentials) == 7  # h plus six g tables
-    assert all(len(p.scope) == 2 for p in t.potentials)
+    assert not t.potentials
+    tables = list(t.stars[0].tables())
+    assert len(tables) == 7  # h plus six g tables
+    assert all(len(scope) == 2 for scope, _ in tables)
     # posterior sanity against brute force
     ev = Evidence({7: (0, 1)})
     got = variable_elimination(t, ev, [0])
@@ -765,6 +778,41 @@ def two_task_network():
     return Network(variables, cpts, dets)
 
 
+def test_a_star_below_its_family_transposes_its_tables():
+    """A star whose hidden variable has a lower id than its family lists
+    B first in every table, with the axes swapped to match, and answers
+    as the deterministic node it replaces."""
+    from factorbn import parse_network, write_network
+
+    net = two_task_network()
+    det = net.deterministic[0]  # perf1 = s0 AND s1
+    form = build_factorized_form(det, known_base_conjunction((1, 1)))
+    # B takes id 0 and every other variable moves up by one
+    variables = (Variable(0, "B", ("b0", "b1")),) + tuple(
+        replace(v, id=v.id + 1) for v in net.variables
+    )
+    cards = dict(enumerate(v.card for v in variables))
+    cpts = tuple(
+        cpt(c.child + 1, tuple(p + 1 for p in c.parents), cards, c.factor.values)
+        for c in net.cpts
+    )
+    perf2 = net.deterministic[1]
+    perf2 = replace(perf2, parents=tuple(p + 1 for p in perf2.parents), child=perf2.child + 1)
+    star = Star(det.child + 1, tuple(p + 1 for p in det.parents), 0, form)
+    t = Network(variables, cpts, (perf2,), (), (star,))
+    assert [scope for scope, _ in star.tables()] == [(0, 4), (0, 1), (0, 2)]
+    assert np.array_equal(next(star.tables())[1], form.h.T)
+    parsed = parse_network(write_network(t))
+    for findings, query in (({5: (0, 1)}, [1]), ({5: (0, 1), 7: (1, 0)}, [2, 4])):
+        want = variable_elimination(net, Evidence({k - 1: v for k, v in findings.items()}),
+                                    [q - 1 for q in query])
+        for network in (t, parsed):
+            got = variable_elimination(network, Evidence(findings), query)
+            assert np.abs(got.values - want.values).max() < 1e-12
+        brute = brute_posterior(t, Evidence(findings), query)
+        assert np.abs(brute - want.values).max() < 1e-12
+
+
 def test_unanswered_tasks_star_is_not_contracted(monkeypatch):
     from factorbn import inference, parse_network, write_network
 
@@ -802,7 +850,7 @@ def test_unanswered_tasks_star_is_not_contracted(monkeypatch):
     assert seen(t, {}, [1]) == set()
     # a parsed copy has no stars, so every potential stays
     parsed = parse_network(write_network(t))
-    assert parsed == t and not parsed.stars
+    assert write_network(parsed) == write_network(t) and not parsed.stars
     assert seen(parsed, answer1, [0]) == {b1, b2}
 
 
@@ -846,13 +894,16 @@ def test_every_table_has_the_declared_cards():
 
 
 def test_malformed_stars_are_rejected():
-    """A star owns exactly the potentials over its hidden variable B: one
-    over (child, B) and one over each (parent_i, B); B sits in no
-    family and in no other star."""
+    """A star holds its form: one g table per distinct parent, none of
+    them its child, with the cards of its variables.  Its hidden
+    variable B is no other star's, and sits in no family and in no free
+    potential.  A missing or an extra table over B can no longer be
+    built: the star's tables are its form's."""
     t = transform_network(two_task_network(), "factorize")
     first, second = t.stars
     b1, b2 = first.hidden, second.hidden
-    assert [p.scope for p in t.potentials[:3]] == [(3, b1), (0, b1), (1, b1)]
+    assert not t.potentials
+    assert [scope for scope, _ in first.tables()] == [(3, b1), (0, b1), (1, b1)]
     cards = dict(enumerate(t.cards))
     answer1 = t.cpts[3]
     assert answer1.child == 4
@@ -861,19 +912,34 @@ def test_malformed_stars_are_rejected():
         shape = tuple(cards[v] for v in scope)
         return Factor(scope, shape, np.ones(shape))
 
-    def build(stars=(first, second), cpts=t.cpts, deterministic=(), potentials=t.potentials):
+    def build(stars=(first, second), cpts=t.cpts, deterministic=(), potentials=()):
         return Network(t.variables, cpts, deterministic, potentials, stars)
 
     assert build() == t
+    assert build(stars=(second, first)) != t
+    form = first.form
+    one_g = FactorizedForm((2,), 2, form.h, form.g[:1])
+    ternary_g = FactorizedForm((3, 2), 2, form.h, (np.vstack([form.g[0], [0, 0]]), form.g[1]))
+    wide = trivial_factorization(two_task_network().deterministic[0])
+    for parents in ((0, 0), (3, 0)):
+        with pytest.raises(ValidationError, match="child and parents must be distinct"):
+            Star(3, parents, b1, form)
+    with pytest.raises(ValidationError, match="one g table per parent"):
+        Star(3, (0, 1), b1, one_g)
     b1_parent_cpt = cpt(4, (3, b1), cards, np.full((2, cards[b1], 2), 0.5))
     b1_parent_det = DeterministicFunction((b1,), 4, (cards[b1],), 2, (0,) * cards[b1])
     without_answer1 = tuple(c for c in t.cpts if c is not answer1)
+    star_of_3 = "^the star of variable 3 over variables"
     bad = [
         ({"cpts": t.cpts + (cpt(3, (), cards, [0.5, 0.5]),)}, "head of two nodes"),
-        ({"potentials": t.potentials + (pot((b2,)),)}, f"potentials over variable {b2}"),
+        ({"stars": (replace(first, form=wide), second)},
+         rf"{star_of_3} \(3, {b1}\) has cards \(2, 4\), expected \(2, 2\)$"),
+        ({"stars": (replace(first, form=ternary_g), second)},
+         rf"{star_of_3} \(0, {b1}\) has cards \(3, 2\), expected \(2, 2\)$"),
+        ({"stars": (replace(first, hidden=99), second)}, "^unknown variable id 99 in the star"),
         ({"stars": (first, replace(second, hidden=b1))}, "outside its star"),
-        ({"potentials": t.potentials[:2] + t.potentials[3:]}, f"potentials over variable {b1}"),
-        ({"potentials": t.potentials + (pot((4, b1)),)}, f"potentials over variable {b1}"),
+        ({"potentials": (pot((b2,)),)}, "outside its star"),
+        ({"potentials": (pot((4, b1)),)}, "outside its star"),
         ({"cpts": without_answer1 + (b1_parent_cpt,)}, "outside its star"),
         ({"cpts": without_answer1, "deterministic": (b1_parent_det,)}, "outside its star"),
     ]
