@@ -11,16 +11,19 @@ variable id, and :func:`min_fill` orders the eliminations on it.  The
 plan of the whole network, :class:`Plan`, is built once per network
 (``Network.plan``); the accounting reads it, and so does elimination on
 a network whose plan is cheap, restricted to each query's variables.
-Elimination on any other network plans each query on its reduced
-tables' scopes with the query variables left out.
+Whether a plan is cheap is found by :func:`min_fill_plan` with a bound,
+which stops once the bound is passed.  Elimination on any other network
+plans each query on its reduced tables' scopes with the query variables
+left out.  Either way :func:`colouring` turns the elimination cliques
+into one einsum label per variable.
 """
 
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from math import prod
-from typing import TYPE_CHECKING, Iterable, NamedTuple
+from math import inf, prod
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
 if TYPE_CHECKING:
     from .network import Network
@@ -78,14 +81,26 @@ def _members(mask: int) -> list[int]:
 
 
 def min_fill(nb: dict[int, int]) -> tuple[list[int], list[int]]:
+    """The order and the elimination clique of each step (as a bitmask)
+    of :func:`min_fill_steps` run to the end."""
+    order: list[int] = []
+    cliques: list[int] = []
+    for v, clique in min_fill_steps(nb):
+        order.append(v)
+        cliques.append(clique)
+    return order, cliques
+
+
+def min_fill_steps(nb: dict[int, int]) -> Iterator[tuple[int, int]]:
     """Eliminate the vertex adding the fewest fill edges, lowest id on
-    ties, until no vertex is left.
+    ties, until no vertex is left, yielding each step's vertex and
+    elimination clique (the vertex and its neighbours then) as a
+    bitmask; a caller may stop early.
 
     ``nb`` maps each vertex to the bitmask of its neighbours (bit u for
     vertex u; no vertex is its own neighbour).  Vertices index a list,
     so their ids should be small, as the variable ids of a
-    :class:`Network` are.  Returns the order and the elimination clique
-    of each step as a bitmask.
+    :class:`Network` are.
 
     Fill scores sit in a list indexed by vertex (absent and eliminated
     ids score ``_GONE``); each step takes the first minimum.  Eliminating
@@ -118,16 +133,13 @@ def min_fill(nb: dict[int, int]) -> tuple[list[int], list[int]]:
             mask ^= low
             missing += (mask & ~adj[low.bit_length() - 1]).bit_count()
         fill[v] = missing
-    order: list[int] = []
-    cliques: list[int] = []
     for _ in nb:
         f = min(fill)
         v = fill.index(f)
         fill[v] = _GONE
         clique = adj[v]
         gone = 1 << v
-        order.append(v)
-        cliques.append(clique | gone)
+        yield v, clique | gone
         new: dict[int, int] = {}  # F_a of each member with a fill edge
         rest = clique
         while rest:
@@ -166,7 +178,6 @@ def min_fill(nb: dict[int, int]) -> tuple[list[int], list[int]]:
                         fill[low_w.bit_length() - 1] -= 1
             fill[a] += delta - inside // 2
             adj[a] = na | missed
-    return order, cliques
 
 
 class Plan(NamedTuple):
@@ -180,12 +191,51 @@ class Plan(NamedTuple):
     entries: int
 
 
-def min_fill_plan(masks: Iterable[int], cards: tuple[int, ...]) -> Plan:
+def min_fill_plan(
+    masks: Iterable[int], cards: tuple[int, ...], bound: float = inf
+) -> Plan | None:
     """The min-fill plan of the :func:`moral_graph` of ``masks``, with
-    ``cards`` giving each variable's cardinality."""
-    order, cliques = min_fill(moral_graph(masks))
-    entries = sum(prod(cards[v] for v in _members(c)) for c in cliques)
+    ``cards`` giving each variable's cardinality; None, and min-fill
+    stopped, as soon as the entries summed so far pass ``bound``."""
+    order: list[int] = []
+    cliques: list[int] = []
+    entries = 0
+    for v, clique in min_fill_steps(moral_graph(masks)):
+        entries += prod(cards[u] for u in _members(clique))
+        if entries > bound:
+            return None
+        order.append(v)
+        cliques.append(clique)
     return Plan(tuple(order), tuple(cliques), entries)
+
+
+def colouring(order: Sequence[int], cliques: Sequence[int], skip: int = 0) -> list[int]:
+    """A colour (0, 1, ...) for each vertex of an elimination ``order``
+    outside the bitmask ``skip``, such that no two members of one
+    elimination clique share a colour, as a list indexed by vertex (-1
+    for a vertex in ``skip`` or not in the order).
+
+    The vertices are taken in reverse order, and each gets the lowest
+    colour that no other member of its clique holds: those members are
+    its neighbours later in the order, in the chordal graph that the
+    order triangulates.  This greedy colouring of a perfect elimination
+    order is optimal (Gavril 1972): it uses as many colours as the
+    largest clique has members outside ``skip``.
+    """
+    colour = [-1] * (max(order, default=-1) + 1)
+    classes: list[int] = []  # the vertices of each colour, as a bitmask
+    for v, clique in zip(reversed(order), reversed(cliques)):
+        if skip >> v & 1:
+            continue
+        for c, members in enumerate(classes):
+            if not members & clique:
+                classes[c] = members | 1 << v
+                break
+        else:
+            c = len(classes)
+            classes.append(1 << v)
+        colour[v] = c
+    return colour
 
 
 def moralize_and_triangulate(net: Network) -> CliqueReport:

@@ -13,7 +13,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .core import Evidence, Factor, Variable
-from .cliques import min_fill, moral_graph
+from .cliques import colouring, min_fill, moral_graph
 from .errors import InternalConsistencyError, ValidationError, ZeroNormalizerError
 from .factorization import (
     build_factorized_form,
@@ -27,22 +27,28 @@ from .functions import (
     is_max,
 )
 from .mbh import greedy_cover_base
-from .network import Network, Star, fresh_name
+from .network import Layout, Network, Star, fresh_name
 
 NEGATIVE_TOLERANCE = 1e-9
 MAX_OPERANDS = 31  # einsum operands per call that every supported numpy accepts
 # Up to this many elimination-clique entries in a network's min-fill plan
-# (summed over every step), a query eliminates in that plan's order and
-# plans nothing itself.  Planning a 40-node, 8-task CAT query (moral graph
-# and min-fill) takes about 0.38 ms, and einsum costs 1.4-2.7 ns per loop
-# entry at 2^12-2^19 entries (CPython 3.11, numpy 2.4, 2-core VM): the
-# larger cliques of a restricted order cost less than planning again
-# while they stay near 0.38 ms / 2.7 ns, about 2^17 entries.  Models of
-# 60 nodes and 12 tasks plan 3.8e5 entries and more, so they keep
-# per-query min-fill.
+# (summed over every step), a query eliminates in that plan's order, on the
+# network's layout, and plans nothing itself.  Planning a 40-node, 8-task
+# CAT query on its reduced graph (moral graph and min-fill) takes 0.25-0.35
+# ms, and its einsums cost 10-22 ns per loop entry in buckets of several
+# tables and 2^9-2^16 entries, 0.6-8 ns in one-table buckets (CPython 3.11,
+# numpy 2.4, 2-core VM).  A restricted order's steps lie inside the plan's
+# cliques, so the plan's entries, times the query's states, bound its
+# einsums' loop entries: 2^17 entries at 10 ns are 1.3 ms, a few plannings.
+# On 192 40/8 cat-session networks (48 sessions at seeds 1 and 99), the
+# plan's order answered faster, by median query, on all 188 below the bound
+# and on 3 of the 4 above it (1.3e5-2.5e5 entries).  Models of 60 nodes
+# and 12 tasks plan 3.8e5 entries and more, so they keep per-query min-fill.
 PLAN_ONCE_ENTRIES = 1 << 17
 
-Table = tuple[tuple[int, ...], np.ndarray]  # (scope, values with one axis per scope id)
+# A table in elimination: (bitmask of its ranks, the einsum label of each
+# axis, values)
+Table = tuple[int, Sequence[int], np.ndarray]
 
 METHODS = ("none", "divorce", "factorize")  # the rewrites of transform_network
 
@@ -69,48 +75,53 @@ def _relevant_heads(net: Network, targets: Iterable[int]) -> int:
     return seen
 
 
-def _contract(tables: Sequence[Table], drop: int) -> Table:
-    """Multiply the tables and sum out variable ``drop`` (-1 sums
-    nothing) in one einsum.  One pass over the scopes labels each
-    variable by its first appearance; the result's scope lists the
-    other variables in that order.
+def _contract(tables: Sequence[Table], out: Sequence[int]) -> np.ndarray:
+    """The product of the tables summed over every label not in
+    ``out``, with its axes labelled ``out``: one einsum.
 
     Beyond MAX_OPERANDS tables, the first ones are multiplied together
     first, summing nothing, so no einsum exceeds numpy's operand limit.
     """
     if len(tables) > MAX_OPERANDS:
-        head = _contract(tables[:MAX_OPERANDS], -1)
-        return _contract([head, *tables[MAX_OPERANDS:]], drop)
-    labels: dict[int, int] = {}
+        head = tables[:MAX_OPERANDS]
+        union = sorted({label for _, labels, _ in head for label in labels})
+        tables = [(0, union, _contract(head, union)), *tables[MAX_OPERANDS:]]
     args: list = []
-    for scope, values in tables:
+    for _, labels, values in tables:
         args.append(values)
-        args.append([labels.setdefault(v, len(labels)) for v in scope])
-    out = list(labels)
-    ids = list(range(len(out)))
-    gone = labels.get(drop)
-    if gone is not None:
-        del out[gone], ids[gone]
-    args.append(ids)
-    return tuple(out), np.einsum(*args)
+        args.append(labels)
+    args.append(out)
+    return np.einsum(*args)
 
 
 def _reduce(
-    net: Network, evidence: Evidence, queryset: set[int]
-) -> tuple[list[Table], list[int]]:
-    """The tables a query eliminates and their scope masks: a likelihood
-    table for each finding that rules a state out and is not a pick, then
-    every table that the barren rule keeps, with the picked variables
-    indexed out.  A pick is a one-state finding, or a one-state variable,
-    off the query.  Raises ValidationError for a finding on an unknown
-    variable or of the wrong length, ZeroNormalizerError for one that
-    rules out every state."""
+    net: Network, evidence: Evidence, queryset: set[int], layout: Layout | None = None
+) -> list[tuple[int, tuple[int, ...], Sequence[int] | None, np.ndarray]]:
+    """The tables a query eliminates, as (mask, indices, labels,
+    values): a likelihood table for each finding that rules a state out
+    and is not a pick, then every table that the barren rule keeps,
+    with the picked variables indexed out.  A pick is a one-state
+    finding, or a one-state variable, off the query.
+
+    Given ``layout``, the tables are its own, over ranks, with their
+    stored labels, and None where a table was sliced or is new;
+    without it, they are ``net.tables`` over variable ids, with no
+    labels.  Raises ValidationError for a finding on an unknown variable
+    or of the wrong length, ZeroNormalizerError for one that rules out
+    every state."""
     cards = net.cards
+    if layout is None:
+        index: Sequence[int] = range(len(cards))
+        source: Iterable = (
+            (head, mask, scope, None, values)
+            for (head, scope, values), mask in zip(net.tables, net.scope_masks)
+        )
+    else:
+        index, source = layout.rank, layout.tables
     # a one-state variable off the query is a pick of its one state; a
     # finding on it allows that state, so the loop below never sets it
-    picks = {v: 0 for v in net._one_state if v not in queryset}
-    tables: list[Table] = []
-    masks: list[int] = []
+    picks = {index[v]: 0 for v in net._one_state if v not in queryset}
+    tables: list = []
     for var, vec in evidence.findings.items():
         if not 0 <= var < len(cards):
             raise ValidationError(f"evidence names unknown variable id {var}")
@@ -123,23 +134,65 @@ def _reduce(
             raise ZeroNormalizerError("evidence has zero probability under the model")
         if all(vec):
             continue
+        i = index[var]
         if sum(vec) == 1 and var not in queryset:
-            picks[var] = vec.index(1)
+            picks[i] = vec.index(1)
         else:
-            tables.append(((var,), np.asarray(vec, dtype=np.float64)))
-            masks.append(1 << var)
-    picked = sum(1 << v for v in picks)
+            tables.append((1 << i, (i,), None, np.asarray(vec, dtype=np.float64)))
+    picked = sum(1 << i for i in picks)
 
     relevant = _relevant_heads(net, [*queryset, *evidence.findings])
-    for (head, scope, values), mask in zip(net.tables, net.scope_masks):
+    for head, mask, scope, labels, values in source:
         if head is None or relevant >> head & 1:
             if mask & picked:
-                values = values[tuple(picks.get(v, slice(None)) for v in scope)]
-                scope = tuple(v for v in scope if v not in picks)
+                values = values[tuple(picks.get(i, slice(None)) for i in scope)]
+                scope = tuple(i for i in scope if i not in picks)
                 mask &= ~picked
-            tables.append((scope, values))
-            masks.append(mask)
-    return tables, masks
+                labels = None
+            tables.append((mask, scope, labels, values))
+    return tables
+
+
+def _eliminate(tables: list[Table], skip: int, label: Sequence[int]) -> list[Table]:
+    """Bucket elimination over ranks: sum out every rank of the tables
+    outside the bitmask ``skip``, lowest first, and return the tables
+    left, which hold ranks in ``skip`` alone.  ``label`` gives each
+    rank's einsum label.
+
+    Each table waits in the bucket of its lowest rank outside ``skip``,
+    so a bucket holds every table that touches its rank by the time
+    that rank is summed out.  A step multiplies its bucket's tables and
+    sums the rank out in one einsum, whose result holds the union of
+    their other ranks, ascending, and waits in the bucket of the lowest
+    of them outside ``skip``.  Tables over ``skip`` alone wait in the
+    last bucket, which ``(0).bit_length() - 1`` indexes.
+    """
+    buckets: list[list[Table]] = [[] for _ in range(len(label) + 1)]
+    free = ~skip
+    live = 0
+    for table in tables:
+        rest = table[0] & free
+        live |= rest
+        buckets[(rest & -rest).bit_length() - 1].append(table)
+    while live:
+        low = live & -live
+        live ^= low
+        touching = buckets[low.bit_length() - 1]
+        mask = 0
+        for table in touching:
+            mask |= table[0]
+        mask ^= low
+        labels = []
+        rest = mask
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            labels.append(label[bit.bit_length() - 1])
+        rest = mask & free
+        buckets[(rest & -rest).bit_length() - 1].append(
+            (mask, labels, _contract(touching, labels))
+        )
+    return buckets[-1]
 
 
 def variable_elimination(
@@ -158,26 +211,34 @@ def variable_elimination(
     change the answer.
     A finding of one state on a non-query variable is indexed out of
     every table that holds it, and so is a non-query variable with one
-    state, which therefore never reaches an einsum (numpy's einsum takes
-    at most 52 labels); any other finding that rules a state out
-    becomes a likelihood table over its variable, so an observed query
-    variable keeps its axis.
+    state, which therefore never reaches an einsum; any other finding
+    that rules a state out becomes a likelihood table over its
+    variable, so an observed query variable keeps its axis.
 
     The remaining non-query variables are summed out in one of two
-    orders.  When the network's own min-fill plan (``Network.plan``,
-    built on first use) sums to at most PLAN_ONCE_ENTRIES clique
-    entries, they go in that plan's order, restricted to them: the
-    reduced graph is a subgraph of the network's, so each step's clique
-    lies inside the plan's clique for that variable, with the query
-    variables added.  Otherwise they go in min-fill order (lowest id on
-    ties) on the reduced graph: the
+    orders.  When the network's min-fill plan sums to at most
+    PLAN_ONCE_ENTRIES clique entries (``Network.plan_within``, which the
+    first query decides with a min-fill that stops at the bound), they
+    go in that plan's order, restricted to them, on ``Network.layout``:
+    every table stored once with its axes in plan order, and one einsum
+    label per variable, its colour in a colouring of the plan's cliques.
+    The reduced graph is a subgraph of the network's, so each step's
+    variables, query aside, lie inside the plan's clique for the
+    variable summed out, where no two share a colour.  Otherwise they go
+    in min-fill order (lowest id on ties) on the reduced graph, the
     :func:`~factorbn.cliques.moral_graph` of the scope masks of the
-    sliced and likelihood tables with the query variables left out.
-    Each step multiplies the tables holding the variable and sums it
-    out in one einsum.  The network's ancestor and scope masks make the
-    pruning and slicing tests bit tests; nothing that depends on the
-    network alone is rebuilt per query.  Raises
-    ZeroNormalizerError when the evidence has zero mass and
+    sliced and likelihood tables with the query variables left out,
+    whose cliques are coloured the same way; the tables keep their
+    axes.  Either way the query variables take the labels just above
+    the colours, so every label is below the widest clique's size plus
+    the query's, however many variables are live, and the same step
+    loop runs (:func:`_eliminate`): each step multiplies the tables that
+    hold the variable and sums it out in one einsum, labelled from the
+    labels each table carries, and its result lists its variables in
+    the order.  Nothing is relabelled per step.  The network's ancestor
+    and scope masks make the pruning and slicing tests bit tests;
+    nothing that depends on the network alone is rebuilt per query.
+    Raises ZeroNormalizerError when the evidence has zero mass and
     InternalConsistencyError if the unnormalized result dips below
     -1e-9 anywhere (values above that are clamped to 0) or does not have
     a finite sum, as when finite potentials overflow.
@@ -196,42 +257,46 @@ def variable_elimination(
             "node and has no posterior: it cannot be queried or observed"
         )
     cards = net.cards
-    tables, masks = _reduce(net, evidence, queryset)
-    skip = sum(1 << q for q in query)
-    plan = net.plan
-    if plan.entries <= PLAN_ONCE_ENTRIES:
-        live = 0
-        for mask in masks:
-            live |= mask
-        live &= ~skip
-        order = [v for v in plan.order if live >> v & 1]
+    order: Sequence[int]  # the variable at each rank
+    rank: Sequence[int] | dict[int, int]
+    if net.plan_within(PLAN_ONCE_ENTRIES) is not None:
+        layout = net.layout
+        kept = _reduce(net, evidence, queryset, layout)
+        order, rank, label, base = net.plan.order, layout.rank, list(layout.labels), layout.colours
     else:
-        order, _ = min_fill(moral_graph(masks, skip))
+        kept = _reduce(net, evidence, queryset)
+        steps, cliques = min_fill(moral_graph([t[0] for t in kept], sum(1 << q for q in query)))
+        colour = colouring(steps, cliques)
+        label = [colour[v] for v in steps] + [-1] * len(query)
+        base = max(label, default=-1) + 1
+        order = steps + query
+        rank = {v: i for i, v in enumerate(order)}
+        for i, (_, scope, _, values) in enumerate(kept):  # each table keeps its axes
+            ranks = [rank[v] for v in scope]
+            mask = 0
+            for r in ranks:
+                mask |= 1 << r
+            kept[i] = (mask, ranks, None, values)
+    for j, q in enumerate(query):
+        label[rank[q]] = base + j
+    skip = sum(1 << rank[q] for q in query)
+    tables = [
+        (mask, labels if labels is not None and not mask & skip else [label[r] for r in ranks],
+         values)
+        for mask, ranks, labels, values in kept
+    ]
 
-    # Bucket elimination: each table waits in the bucket of its first
-    # variable in the order, so a bucket holds every table that touches
-    # its variable by the time that variable is summed out.  Tables over
-    # query variables alone wait in the last bucket.
-    last = len(order)
-    rank = [last] * len(cards)
-    for i, v in enumerate(order):
-        rank[v] = i
-    buckets: list[list[Table]] = [[] for _ in range(last + 1)]
-    for table in tables:
-        buckets[min(map(rank.__getitem__, table[0]), default=last)].append(table)
-    for v, touching in zip(order, buckets):
-        table = _contract(touching, v)
-        buckets[min(map(rank.__getitem__, table[0]), default=last)].append(table)
-
-    final = buckets[last]
-    left = {v for scope, _ in final for v in scope}
-    if left != queryset:
-        raise InternalConsistencyError(
-            f"elimination left scope {tuple(sorted(left))}, expected {tuple(query)}"
-        )
-    scope, values = final[0] if len(final) == 1 else _contract(final, -1)
-    if scope != tuple(query):  # the same entries, axes in query order
-        values = values.transpose([scope.index(q) for q in query])
+    final = _eliminate(tables, skip, label)
+    left = 0
+    for mask, _, _ in final:
+        left |= mask
+    if left != skip:
+        scope = tuple(sorted(order[r] for r in range(left.bit_length()) if left >> r & 1))
+        raise InternalConsistencyError(f"elimination left scope {scope}, expected {tuple(query)}")
+    out = list(range(base, base + len(query)))  # the query's labels, in query order
+    _, labels, values = final[0]
+    if len(final) > 1 or list(labels) != out:
+        values = _contract(final, out)
     values = np.ascontiguousarray(values)  # so the sum below runs in C order
     low = values.min() if values.size else 0.0
     if low < -NEGATIVE_TOLERANCE:

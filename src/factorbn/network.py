@@ -6,11 +6,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .cliques import Plan, min_fill_plan
+from .cliques import Plan, colouring, min_fill_plan
 from .core import Factor, Variable
 from .errors import ValidationError
 from .factorization import FactorizedForm
@@ -94,6 +94,29 @@ class Star:
             yield scope, np.ascontiguousarray(table, dtype=np.float64)
 
 
+class Layout(NamedTuple):
+    """A network's tables arranged for elimination in its plan's order.
+
+    ``rank`` gives each variable's position in the plan's order, and
+    every bitmask here is over ranks (bit r for the variable at rank
+    r).  ``labels`` gives the einsum label of the variable at each
+    rank: its colour in :func:`~factorbn.cliques.colouring` of the
+    plan's cliques, so no two variables that meet in one elimination
+    step share a label.  One-state variables, which inference indexes
+    out of every table unless queried, are not coloured (-1).
+    ``colours`` counts the labels; query variables take the labels
+    from there up.  ``tables`` holds, for each entry of
+    ``Network.tables`` in order, its head, its scope as a rank mask,
+    its ranks ascending, their labels, and its values as a read-only
+    C-contiguous array with the axes in that order.
+    """
+
+    rank: tuple[int, ...]
+    labels: tuple[int, ...]
+    colours: int
+    tables: tuple[tuple[int | None, int, tuple[int, ...], tuple[int, ...], np.ndarray], ...]
+
+
 @dataclass(frozen=True)
 class Network:
     """A directed model over discrete variables.
@@ -117,10 +140,14 @@ class Network:
     lifetime: ``cards``, ``parent_map`` and ``ancestor_masks`` (each
     variable's ancestors as a bitmask, the walk that also checks for a
     cycle) by validation, ``scope_masks`` (each table's scope as a
-    bitmask), ``tables``, the one-state variables and ``plan`` (the
-    min-fill elimination plan of the interaction graph) on first use.
+    bitmask), ``tables``, the one-state variables, ``plan`` (the
+    min-fill elimination plan of the interaction graph; a bounded run
+    of it tells :meth:`plan_within` that a large network is above a
+    bound, and that is kept too) and ``layout`` (the tables stored in
+    plan order, with an einsum label per variable) on first use.
     Inference reads only these, so a query rebuilds nothing that
-    depends on the network alone.
+    depends on the network alone; ``layout`` is built on the first
+    query of a network whose plan is below inference's bound.
     """
 
     variables: tuple[Variable, ...]
@@ -275,8 +302,49 @@ class Network:
         """The min-fill plan of the interaction graph, in which every
         table's scope is a clique: the order, each step's elimination
         clique and their summed entries.  Clique accounting reports it;
-        inference eliminates in its order when its entries are few."""
+        inference eliminates in its order when its entries are few (see
+        :meth:`plan_within`)."""
         return min_fill_plan(self.scope_masks, self.cards)
+
+    def plan_within(self, bound: float) -> Plan | None:
+        """``plan`` if its entries are at most ``bound``, else None.
+
+        Until ``plan`` is built, this runs a min-fill that stops once its
+        summed entries pass the bound, so a large network is found to be
+        above it without planning it whole; a run that ends is kept as
+        ``plan``, and the largest bound found passed is kept too."""
+        known = self.__dict__
+        if "plan" not in known:
+            if bound <= known.get("_passed", -1):
+                return None
+            plan = min_fill_plan(self.scope_masks, self.cards, bound)
+            if plan is None:
+                known["_passed"] = bound
+                return None
+            known["plan"] = plan
+        plan = self.plan
+        return plan if plan.entries <= bound else None
+
+    @cached_property
+    def layout(self) -> Layout:
+        """The tables arranged for elimination in ``plan``'s order (see
+        :class:`Layout`), built from ``plan`` on first use."""
+        order, cliques, _ = self.plan
+        rank = [0] * len(order)
+        for i, v in enumerate(order):
+            rank[v] = i
+        colour = colouring(order, cliques, sum(1 << v for v in self._one_state))
+        labels = tuple(colour[v] for v in order)
+        tables = []
+        for head, scope, values in self.tables:
+            ranks = [rank[v] for v in scope]
+            axes = sorted(range(len(ranks)), key=ranks.__getitem__)
+            ranks.sort()
+            values = np.asarray(values.transpose(axes), order="C")  # keeps a 0-d table 0-d
+            values.flags.writeable = False
+            mask = sum(1 << r for r in ranks)
+            tables.append((head, mask, tuple(ranks), tuple(labels[r] for r in ranks), values))
+        return Layout(tuple(rank), labels, max(labels, default=-1) + 1, tuple(tables))
 
     def variable_by_name(self, name: str) -> Variable:
         for v in self.variables:

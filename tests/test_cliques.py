@@ -19,7 +19,8 @@ Core claims:
     - triangulation reads the network's scope masks and builds no
       table; the masks are those of the tables' scopes, in order
     - a network runs min-fill once: triangulating it again and
-      querying it below the bound reuse its plan
+      querying it below the bound reuse its plan, and a query's bounded
+      min-fill that ends below the bound is the plan triangulation reads
     - repeated runs return identical reports
 """
 
@@ -161,10 +162,11 @@ def test_network_runs_min_fill_once(monkeypatch):
     from factorbn import cliques
 
     calls = []
-    real = cliques.min_fill
-    monkeypatch.setattr(cliques, "min_fill", lambda nb: calls.append(nb) or real(nb))
+    real = cliques.min_fill_steps
+    monkeypatch.setattr(cliques, "min_fill_steps", lambda nb: calls.append(nb) or real(nb))
     spec = StudentModelSpec(seed=1, node_count=40)
     net = connect_tasks(generate_student_model(spec), canonical_tasks(spec, 8, 1))
+    reports = []
     for t in (net, transform_network(net, "factorize")):
         calls.clear()
         report = moralize_and_triangulate(t)
@@ -174,6 +176,17 @@ def test_network_runs_min_fill_once(monkeypatch):
         assert len(calls) == 1
         assert t.plan.entries <= inference.PLAN_ONCE_ENTRIES
         assert report.elimination_order == t.plan.order
+        reports.append(report)
+    # queried first: the first query's min-fill, bounded, ends below the
+    # bound and is the plan that triangulation then reports
+    for method, report in zip(("none", "factorize"), reports):
+        fresh = connect_tasks(generate_student_model(spec), canonical_tasks(spec, 8, 1))
+        t = transform_network(fresh, method)
+        calls.clear()
+        for skill in spec.skill_ids[:3]:
+            inference.variable_elimination(t, Evidence(), [skill])
+        assert moralize_and_triangulate(t) == report
+        assert len(calls) == 1
 
 
 def test_report_deterministic():
@@ -308,8 +321,8 @@ def query_graphs():
                 found[answers[step - 1]] = rng.choice([(0, 1), (1, 0)])
             for skill in rng.sample(spec.skill_ids, 2):
                 for t in nets:
-                    _, masks = inference._reduce(t, Evidence(dict(found)), {skill})
-                    graphs.append(moral_graph(masks, 1 << skill))
+                    kept = inference._reduce(t, Evidence(dict(found)), {skill})
+                    graphs.append(moral_graph([mask for mask, *_ in kept], 1 << skill))
     return graphs
 
 

@@ -12,6 +12,12 @@ Core claims:
       contraction, still give the enumerated answer
     - the network's ancestor masks equal a walk of its parent map, and
       a 3000-node chain builds them without recursion
+    - einsum labels colour every elimination step under both planners:
+      no two variables of one einsum share a label, and the labels stay
+      below the widest clique plus the query, so a chain with more live
+      variables than an einsum's 52 labels runs on its plan
+    - the network's layout holds every table, bit for bit, with its
+      axes in plan order
 """
 
 import math
@@ -57,6 +63,11 @@ def cpt(child, parents, cards, table):
     family = tuple(sorted(parents + (child,)))
     shape = tuple(cards[v] for v in family)
     return Cpt(child, parents, Factor(family, shape, np.asarray(table, dtype=np.float64)))
+
+
+def members(mask):
+    """The positions of the set bits of ``mask``, ascending."""
+    return [r for r in range(mask.bit_length()) if mask >> r & 1]
 
 
 def brute_posterior(net, evidence, query):
@@ -428,6 +439,19 @@ def test_sixty_one_state_variables_in_one_potential():
             assert got.scope == tuple(query) and got.values.reshape(-1).tolist() == [1.0]
 
 
+def test_a_potential_over_no_variables_changes_no_posterior(monkeypatch):
+    # a 0-d table stays 0-d in the network's layout and in every einsum
+    net = sprinkler_like()
+    scaled = Network(net.variables, net.cpts, (), (Factor((), (), np.array(2.5)),))
+    for bound in BOUNDS:
+        monkeypatch.setattr(inference, "PLAN_ONCE_ENTRIES", bound)
+        for q in ([0], [1, 2]):
+            got = variable_elimination(scaled, Evidence({2: (0, 1)}), q)
+            want = brute_posterior(net, Evidence({2: (0, 1)}), q)
+            assert np.abs(got.values - want).max() < 1e-12
+    assert scaled.layout.tables[-1][4].shape == ()
+
+
 def test_observed_query_variable_keeps_its_axis():
     net = sprinkler_like()
     ev = Evidence({1: (0, 1), 2: (0, 1)})
@@ -505,10 +529,12 @@ def test_contract_splits_beyond_max_operands():
         shape = [cards[v] for v in scope]
         tables.append((scope, np.array([rng.uniform(0.5, 1.5) for _ in range(int(np.prod(shape)))]).reshape(shape)))
     assert len(tables) > inference.MAX_OPERANDS
+    # each variable is its own einsum label
+    labelled = [(sum(1 << v for v in scope), scope, values) for scope, values in tables]
     first = list(dict.fromkeys(v for scope, _ in tables for v in scope))
-    for drop in (-1, first[1]):
-        scope, values = inference._contract(tables, drop)
-        assert scope == tuple(v for v in first if v != drop)
+    for scope in (first, [v for v in first if v != first[1]], first[::-1]):
+        values = inference._contract(labelled, scope)
+        assert values.shape == tuple(cards[v] for v in scope)
         want = np.zeros(values.shape)
         for cfg in iproduct(*map(range, cards)):
             w = 1.0
@@ -536,13 +562,16 @@ def test_bucket_of_more_than_max_operands_tables(monkeypatch):
     steps = []
     contract = inference._contract
 
-    def recording(tables, drop):
-        steps.append((len(tables), drop))
-        return contract(tables, drop)
+    def recording(tables, out):
+        steps.append((len(tables), out))
+        return contract(tables, out)
 
     monkeypatch.setattr(inference, "_contract", recording)
-    got = variable_elimination(Network(variables, cpts), ev, [1])
-    assert (n, 0) in steps and n > inference.MAX_OPERANDS
+    net = Network(variables, cpts)
+    got = variable_elimination(net, ev, [1])
+    root = net.layout.labels[net.layout.rank[0]]
+    assert [count for count, out in steps if root not in out] == [n]
+    assert n > inference.MAX_OPERANDS
     want = np.zeros(2)
     for r, x1 in iproduct(range(3), range(2)):
         w = prior[r] * rows[1][r][x1]
@@ -619,8 +648,8 @@ def restricted_steps(t, evidence, query):
     """(variable, clique mask) for each step of the elimination game on
     the query's reduced graph, query left out, in the network plan's
     order restricted to that graph's vertices."""
-    _, masks = inference._reduce(t, evidence, set(query))
-    adj = moral_graph(masks, sum(1 << q for q in query))
+    kept = inference._reduce(t, evidence, set(query))
+    adj = moral_graph([mask for mask, *_ in kept], sum(1 << q for q in query))
     steps = []
     for v in t.plan.order:
         if v not in adj:
@@ -652,10 +681,16 @@ def test_restricted_steps_lie_in_the_network_plan(monkeypatch):
     drops = []
     contract = inference._contract
 
-    def recording(tables, drop):
-        if drop >= 0:
-            drops.append(drop)
-        return contract(tables, drop)
+    def recording(tables, out):
+        # the variable a step sums out: the one whose label leaves, as no
+        # two variables of one step share a label; query variables stay
+        mask = 0
+        for m, _, _ in tables:
+            mask |= m
+        labels, order = t.layout.labels, t.plan.order
+        drops.extend(order[r] for r in members(mask)
+                     if order[r] not in query and labels[r] not in out)
+        return contract(tables, out)
 
     monkeypatch.setattr(inference, "_contract", recording)
     checked = cat = 0
@@ -778,16 +813,14 @@ def two_task_network():
     return Network(variables, cpts, dets)
 
 
-def test_a_star_below_its_family_transposes_its_tables():
-    """A star whose hidden variable has a lower id than its family lists
-    B first in every table, with the axes swapped to match, and answers
-    as the deterministic node it replaces."""
-    from factorbn import parse_network, write_network
-
+def star_below_its_family():
+    """``two_task_network`` with perf1 (s0 AND s1) factorized through a
+    hidden variable B of id 0, every other id moved up by one; perf2
+    stays a deterministic node.  ``transform_network`` never builds
+    this, since it appends B last."""
     net = two_task_network()
-    det = net.deterministic[0]  # perf1 = s0 AND s1
+    det = net.deterministic[0]
     form = build_factorized_form(det, known_base_conjunction((1, 1)))
-    # B takes id 0 and every other variable moves up by one
     variables = (Variable(0, "B", ("b0", "b1")),) + tuple(
         replace(v, id=v.id + 1) for v in net.variables
     )
@@ -799,7 +832,19 @@ def test_a_star_below_its_family_transposes_its_tables():
     perf2 = net.deterministic[1]
     perf2 = replace(perf2, parents=tuple(p + 1 for p in perf2.parents), child=perf2.child + 1)
     star = Star(det.child + 1, tuple(p + 1 for p in det.parents), 0, form)
-    t = Network(variables, cpts, (perf2,), (), (star,))
+    return Network(variables, cpts, (perf2,), (), (star,))
+
+
+def test_a_star_below_its_family_transposes_its_tables():
+    """A star whose hidden variable has a lower id than its family lists
+    B first in every table, with the axes swapped to match, and answers
+    as the deterministic node it replaces."""
+    from factorbn import parse_network, write_network
+
+    net = two_task_network()
+    t = star_below_its_family()
+    star = t.stars[0]
+    form = star.form
     assert [scope for scope, _ in star.tables()] == [(0, 4), (0, 1), (0, 2)]
     assert np.array_equal(next(star.tables())[1], form.h.T)
     parsed = parse_network(write_network(t))
@@ -822,14 +867,19 @@ def test_unanswered_tasks_star_is_not_contracted(monkeypatch):
     assert [s.child for s in t.stars] == [3, 5]
     contracted: set[int] = set()
     contract = inference._contract
+    order = ()
 
     def recording(tables, out):
-        contracted.update(v for scope, _ in tables for v in scope)
+        # a table's mask is over ranks in its network's plan order
+        contracted.update(order[r] for m, _, _ in tables for r in members(m))
         return contract(tables, out)
 
     monkeypatch.setattr(inference, "_contract", recording)
 
     def seen(network, findings, query):
+        nonlocal order
+        assert network.plan_within(inference.PLAN_ONCE_ENTRIES) is not None
+        order = network.plan.order
         contracted.clear()
         got = variable_elimination(network, Evidence(findings), query)
         if max([*findings, *query]) < len(net.variables):
@@ -852,6 +902,159 @@ def test_unanswered_tasks_star_is_not_contracted(monkeypatch):
     parsed = parse_network(write_network(t))
     assert write_network(parsed) == write_network(t) and not parsed.stars
     assert seen(parsed, answer1, [0]) == {b1, b2}
+
+
+# -- one labelling per network: colours of the plan, tables in plan order -----
+
+
+def widest_clique(t, ev, query):
+    """The most variables in one elimination clique of the order the
+    query runs in: the network plan's below the bound, else min-fill's
+    on the reduced graph, query left out."""
+    if t.plan_within(inference.PLAN_ONCE_ENTRIES) is not None:
+        cliques = t.plan.cliques
+    else:
+        kept = inference._reduce(t, ev, set(query))
+        adj = moral_graph([mask for mask, *_ in kept], sum(1 << q for q in query))
+        cliques = inference.min_fill(adj)[1]
+    return max((c.bit_count() for c in cliques), default=0)
+
+
+def test_einsum_labels_colour_every_step(monkeypatch):
+    """Over the brute-force random networks and the 40/8 CAT queries,
+    under both planners: each einsum operand is labelled by its
+    variables' labels; no two variables that meet in one einsum share a
+    label; every label lies in [0, 52); and the labels stop below the
+    widest elimination clique's variable count plus the query's."""
+    cases = []
+    for seed in range(150):
+        rng = random.Random(seed)
+        net = random_mixed_network(rng, one_state=True)
+        ev = random_evidence(net, rng)
+        query = sorted(rng.sample(range(len(net.variables)), rng.randint(1, 2)))
+        cases += [(transform_network(net, m), ev, query) for m in ("none", "factorize")]
+    cases += list(cat_queries())
+    eliminate, contract = inference._eliminate, inference._contract
+    seen: dict = {}
+
+    def eliminating(tables, skip, label):
+        seen.update(label=label, calls=[])
+        return eliminate(tables, skip, label)
+
+    def contracting(tables, out):
+        seen["calls"].append(([(mask, list(labels)) for mask, labels, _ in tables], list(out)))
+        return contract(tables, out)
+
+    monkeypatch.setattr(inference, "_eliminate", eliminating)
+    monkeypatch.setattr(inference, "_contract", contracting)
+    calls = 0
+    for bound in BOUNDS:
+        monkeypatch.setattr(inference, "PLAN_ONCE_ENTRIES", bound)
+        for t, ev, query in cases:
+            seen.clear()
+            try:
+                variable_elimination(t, ev, query)
+            except ZeroNormalizerError:
+                pass
+            if not seen:  # rejected before elimination
+                continue
+            label = seen["label"]
+            used = set()
+            for operands, out in seen["calls"]:
+                union = 0
+                for mask, labels in operands:  # a scalar has neither
+                    assert sorted(labels) == sorted(label[r] for r in members(mask))
+                    union |= mask
+                met = {label[r] for r in members(union)}
+                assert len(met) == union.bit_count(), (bound, query)
+                assert set(out) <= met
+                used |= met
+                calls += 1
+            assert all(0 <= x < 52 for x in used)
+            assert max(used, default=-1) < widest_clique(t, ev, query) + len(query)
+    assert calls > 5000
+
+
+def test_a_chain_longer_than_an_einsums_labels_runs_on_its_plan(monkeypatch):
+    """A binary chain of 90 variables, observed at its first and queried
+    at its last: 88 variables are live, more than the 52 labels an
+    einsum takes, while the plan (two-variable cliques) lies far below
+    the bound.  The query runs on the network's layout, two colours
+    label every step, and the answer is the exact sum over the chain,
+    a product of its transition matrices."""
+    n = 90
+    cards = dict.fromkeys(range(n), 2)
+    rng = np.random.default_rng(90)
+    steps = [np.array([[p, 1 - p], [q, 1 - q]]) for p, q in rng.uniform(0.05, 0.95, (n - 1, 2))]
+    variables = tuple(binary(i, f"x{i}") for i in range(n))
+    cpts = (cpt(0, (), cards, [0.3, 0.7]),)
+    cpts += tuple(cpt(i, (i - 1,), cards, steps[i - 1]) for i in range(1, n))
+    net = Network(variables, cpts)
+    ev = Evidence({0: (1, 0)})
+
+    def no_planning(nb):
+        raise AssertionError("a query below the bound plans nothing")
+
+    monkeypatch.setattr(inference, "min_fill", no_planning)
+    assert net.plan_within(inference.PLAN_ONCE_ENTRIES) is not None
+    live = 0
+    for mask, *_ in inference._reduce(net, ev, {n - 1}):
+        live |= mask
+    assert (live & ~(1 << n - 1)).bit_count() == n - 2 > 52
+    got = variable_elimination(net, ev, [n - 1])
+    assert net.layout.colours == 2
+    want = np.array([1.0, 0.0])
+    for step in steps:
+        want = want @ step
+    assert got.scope == (n - 1,)
+    assert np.allclose(got.values, want, rtol=1e-12, atol=0)
+
+
+def test_layout_stores_every_table_in_plan_order():
+    """Each table of ``Network.layout`` is its ``Network.tables`` entry
+    with the axes in plan order, bit for bit, read-only and C-ordered:
+    CPTs and deterministic indicators (``two_task_network``), star
+    tables (factorized, and with B at the lowest id), and free
+    potentials (a parsed copy holds the star tables as potentials).
+    Every kind has a table whose axes the plan reorders."""
+    from factorbn import parse_network, write_network
+
+    factorized = transform_network(two_task_network(), "factorize")
+    networks = [
+        two_task_network(),
+        factorized,
+        star_below_its_family(),
+        parse_network(write_network(factorized)),
+        parse_network(write_network(star_below_its_family())),
+    ]
+    reordered = set()
+    for net in networks:
+        layout = net.layout
+        rank = layout.rank
+        assert sorted(rank) == list(range(len(net.variables)))
+        assert all(rank[v] == i for i, v in enumerate(net.plan.order))
+        kinds = ["cpt"] * len(net.cpts) + ["deterministic"] * len(net.deterministic)
+        kinds += ["potential"] * len(net.potentials)
+        kinds += ["star"] * (len(net.tables) - len(kinds))
+        assert len(layout.tables) == len(net.tables)
+        for kind, (head, scope, values), stored in zip(kinds, net.tables, layout.tables):
+            axes = sorted(range(len(scope)), key=lambda a: rank[scope[a]])
+            want = np.ascontiguousarray(values.transpose(axes))
+            ranks = tuple(rank[scope[a]] for a in axes)
+            assert stored[:4] == (head, sum(1 << r for r in ranks), ranks,
+                                  tuple(layout.labels[r] for r in ranks))
+            table = stored[4]
+            assert table.dtype == np.float64 and table.shape == want.shape
+            assert table.flags.c_contiguous and not table.flags.writeable
+            assert table.tobytes() == want.tobytes(), (kind, scope)
+            if axes != sorted(axes):
+                reordered.add(kind)
+        # the labels colour the plan: no two members of a clique share one
+        for clique in net.plan.cliques:
+            labels = [layout.labels[rank[v]] for v in members(clique)]
+            assert len(set(labels)) == len(labels)
+        assert layout.colours == max(layout.labels) + 1
+    assert reordered == {"cpt", "deterministic", "potential", "star"}
 
 
 def test_every_variable_heads_a_node_or_sits_in_a_potential():
