@@ -7,15 +7,16 @@ a clique (for CPTs and deterministic nodes this is the family, i.e.
 moralization; potentials and a star's h and g tables, their own scope).
 Both this accounting and variable elimination plan on the same graph:
 :func:`moral_graph` turns scope bitmasks into one neighbour bitmask per
-variable id, and :func:`min_fill` orders the eliminations on it.  The
-plan of the whole network, :class:`Plan`, is built once per network
-(``Network.plan``); the accounting reads it, and so does elimination on
-a network whose plan is cheap, restricted to each query's variables.
-Whether a plan is cheap is found by :func:`min_fill_plan` with a bound,
-which stops once the bound is passed.  Elimination on any other network
-plans each query on its reduced tables' scopes with the query variables
-left out.  Either way :func:`colouring` turns the elimination cliques
-into one einsum label per variable.
+variable id, and :func:`min_fill_steps` eliminates on it, one step at a
+time, so a caller may stop early.  :func:`min_fill_plan` sums the
+entries of its cliques and stops once they pass a bound.  Each network
+decides once, where its layout is built (``Network.layout``), whether
+its plan is within inference's bound; a run that ends is the network's
+:class:`Plan` (``Network.plan``), which the accounting reads.  Below
+the bound every query eliminates in that plan's order; above it, each
+query runs min-fill on its own reduced graph.  Either way
+:func:`colouring` turns the elimination cliques into one einsum label
+per variable.
 """
 
 from __future__ import annotations
@@ -78,17 +79,6 @@ def _members(mask: int) -> list[int]:
         out.append(low.bit_length() - 1)
         mask ^= low
     return out
-
-
-def min_fill(nb: dict[int, int]) -> tuple[list[int], list[int]]:
-    """The order and the elimination clique of each step (as a bitmask)
-    of :func:`min_fill_steps` run to the end."""
-    order: list[int] = []
-    cliques: list[int] = []
-    for v, clique in min_fill_steps(nb):
-        order.append(v)
-        cliques.append(clique)
-    return order, cliques
 
 
 def min_fill_steps(nb: dict[int, int]) -> Iterator[tuple[int, int]]:
@@ -212,8 +202,8 @@ def min_fill_plan(
 def colouring(order: Sequence[int], cliques: Sequence[int], skip: int = 0) -> list[int]:
     """A colour (0, 1, ...) for each vertex of an elimination ``order``
     outside the bitmask ``skip``, such that no two members of one
-    elimination clique share a colour, as a list indexed by vertex (-1
-    for a vertex in ``skip`` or not in the order).
+    elimination clique share a colour, as a list parallel to ``order``
+    (-1 for a vertex in ``skip``).
 
     The vertices are taken in reverse order, and each gets the lowest
     colour that no other member of its clique holds: those members are
@@ -222,9 +212,10 @@ def colouring(order: Sequence[int], cliques: Sequence[int], skip: int = 0) -> li
     order is optimal (Gavril 1972): it uses as many colours as the
     largest clique has members outside ``skip``.
     """
-    colour = [-1] * (max(order, default=-1) + 1)
+    colour = [-1] * len(order)
     classes: list[int] = []  # the vertices of each colour, as a bitmask
-    for v, clique in zip(reversed(order), reversed(cliques)):
+    for i in reversed(range(len(order))):
+        v, clique = order[i], cliques[i]
         if skip >> v & 1:
             continue
         for c, members in enumerate(classes):
@@ -234,7 +225,7 @@ def colouring(order: Sequence[int], cliques: Sequence[int], skip: int = 0) -> li
         else:
             c = len(classes)
             classes.append(1 << v)
-        colour[v] = c
+        colour[i] = c
     return colour
 
 

@@ -13,7 +13,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .core import Evidence, Factor, Variable
-from .cliques import colouring, min_fill, moral_graph
+from .cliques import colouring, min_fill_steps, moral_graph
 from .errors import InternalConsistencyError, ValidationError, ZeroNormalizerError
 from .factorization import (
     build_factorized_form,
@@ -31,20 +31,8 @@ from .network import Layout, Network, Star, fresh_name
 
 NEGATIVE_TOLERANCE = 1e-9
 MAX_OPERANDS = 31  # einsum operands per call that every supported numpy accepts
-# Up to this many elimination-clique entries in a network's min-fill plan
-# (summed over every step), a query eliminates in that plan's order, on the
-# network's layout, and plans nothing itself.  Planning a 40-node, 8-task
-# CAT query on its reduced graph (moral graph and min-fill) takes 0.25-0.35
-# ms, and its einsums cost 10-22 ns per loop entry in buckets of several
-# tables and 2^9-2^16 entries, 0.6-8 ns in one-table buckets (CPython 3.11,
-# numpy 2.4, 2-core VM).  A restricted order's steps lie inside the plan's
-# cliques, so the plan's entries, times the query's states, bound its
-# einsums' loop entries: 2^17 entries at 10 ns are 1.3 ms, a few plannings.
-# On 192 40/8 cat-session networks (48 sessions at seeds 1 and 99), the
-# plan's order answered faster, by median query, on all 188 below the bound
-# and on 3 of the 4 above it (1.3e5-2.5e5 entries).  Models of 60 nodes
-# and 12 tasks plan 3.8e5 entries and more, so they keep per-query min-fill.
-PLAN_ONCE_ENTRIES = 1 << 17
+# most labels per einsum (each below 52): numpy's axes per array, 32 before numpy 2.0, 64 since
+MAX_AXES = 32 if int(np.__version__.split(".")[0]) < 2 else 64
 
 # A table in elimination: (bitmask of its ranks, the einsum label of each
 # axis, values)
@@ -95,32 +83,23 @@ def _contract(tables: Sequence[Table], out: Sequence[int]) -> np.ndarray:
 
 
 def _reduce(
-    net: Network, evidence: Evidence, queryset: set[int], layout: Layout | None = None
+    net: Network, evidence: Evidence, queryset: set[int], layout: Layout
 ) -> list[tuple[int, tuple[int, ...], Sequence[int] | None, np.ndarray]]:
-    """The tables a query eliminates, as (mask, indices, labels,
-    values): a likelihood table for each finding that rules a state out
-    and is not a pick, then every table that the barren rule keeps,
-    with the picked variables indexed out.  A pick is a one-state
-    finding, or a one-state variable, off the query.
+    """The tables a query eliminates, as (mask, ranks, labels, values):
+    a likelihood table for each finding that rules a state out and is
+    not a pick, then every table of ``layout`` that the barren rule
+    keeps, with the picked variables indexed out.  A pick is a one-state
+    finding, or a one-state variable, off the query.  A table keeps its
+    stored labels; a sliced or new one has None.
 
-    Given ``layout``, the tables are its own, over ranks, with their
-    stored labels, and None where a table was sliced or is new;
-    without it, they are ``net.tables`` over variable ids, with no
-    labels.  Raises ValidationError for a finding on an unknown variable
-    or of the wrong length, ZeroNormalizerError for one that rules out
-    every state."""
+    Raises ValidationError for a finding on an unknown variable or of
+    the wrong length, ZeroNormalizerError for one that rules out every
+    state."""
     cards = net.cards
-    if layout is None:
-        index: Sequence[int] = range(len(cards))
-        source: Iterable = (
-            (head, mask, scope, None, values)
-            for (head, scope, values), mask in zip(net.tables, net.scope_masks)
-        )
-    else:
-        index, source = layout.rank, layout.tables
+    rank = layout.rank
     # a one-state variable off the query is a pick of its one state; a
     # finding on it allows that state, so the loop below never sets it
-    picks = {index[v]: 0 for v in net._one_state if v not in queryset}
+    picks = {rank[v]: 0 for v in net._one_state if v not in queryset}
     tables: list = []
     for var, vec in evidence.findings.items():
         if not 0 <= var < len(cards):
@@ -134,7 +113,7 @@ def _reduce(
             raise ZeroNormalizerError("evidence has zero probability under the model")
         if all(vec):
             continue
-        i = index[var]
+        i = rank[var]
         if sum(vec) == 1 and var not in queryset:
             picks[i] = vec.index(1)
         else:
@@ -142,7 +121,7 @@ def _reduce(
     picked = sum(1 << i for i in picks)
 
     relevant = _relevant_heads(net, [*queryset, *evidence.findings])
-    for head, mask, scope, labels, values in source:
+    for head, mask, scope, labels, values in layout.tables:
         if head is None or relevant >> head & 1:
             if mask & picked:
                 values = values[tuple(picks.get(i, slice(None)) for i in scope)]
@@ -153,7 +132,17 @@ def _reduce(
     return tables
 
 
-def _eliminate(tables: list[Table], skip: int, label: Sequence[int]) -> list[Table]:
+def _check_width(call: int, label: Sequence[int]) -> None:
+    """Raise ValidationError if numpy cannot run an einsum over the ranks in ``call``."""
+    labels = [label[r] for r in range(call.bit_length()) if call >> r & 1]
+    if max(labels) >= 52 or len(labels) > MAX_AXES:
+        raise ValidationError(
+            f"the query needs an einsum over {len(labels)} labels, up to {max(labels)}; "
+            f"one einsum takes labels below 52, at most {min(52, MAX_AXES)} of them"
+        )
+
+
+def _eliminate(tables: list[Table], skip: int, label: Sequence[int], wide: bool) -> list[Table]:
     """Bucket elimination over ranks: sum out every rank of the tables
     outside the bitmask ``skip``, lowest first, and return the tables
     left, which hold ranks in ``skip`` alone.  ``label`` gives each
@@ -165,7 +154,8 @@ def _eliminate(tables: list[Table], skip: int, label: Sequence[int]) -> list[Tab
     sums the rank out in one einsum, whose result holds the union of
     their other ranks, ascending, and waits in the bucket of the lowest
     of them outside ``skip``.  Tables over ``skip`` alone wait in the
-    last bucket, which ``(0).bit_length() - 1`` indexes.
+    last bucket, which ``(0).bit_length() - 1`` indexes.  If ``wide``,
+    each step first checks that numpy can run its einsum.
     """
     buckets: list[list[Table]] = [[] for _ in range(len(label) + 1)]
     free = ~skip
@@ -181,6 +171,8 @@ def _eliminate(tables: list[Table], skip: int, label: Sequence[int]) -> list[Tab
         mask = 0
         for table in touching:
             mask |= table[0]
+        if wide:
+            _check_width(mask, label)
         mask ^= low
         labels = []
         rest = mask
@@ -215,29 +207,31 @@ def variable_elimination(
     that rules a state out becomes a likelihood table over its
     variable, so an observed query variable keeps its axis.
 
-    The remaining non-query variables are summed out in one of two
-    orders.  When the network's min-fill plan sums to at most
-    PLAN_ONCE_ENTRIES clique entries (``Network.plan_within``, which the
-    first query decides with a min-fill that stops at the bound), they
-    go in that plan's order, restricted to them, on ``Network.layout``:
-    every table stored once with its axes in plan order, and one einsum
-    label per variable, its colour in a colouring of the plan's cliques.
-    The reduced graph is a subgraph of the network's, so each step's
-    variables, query aside, lie inside the plan's clique for the
-    variable summed out, where no two share a colour.  Otherwise they go
-    in min-fill order (lowest id on ties) on the reduced graph, the
+    The remaining non-query variables are summed out on the network's
+    layout (``Network.layout``), which decides once per network whether
+    its min-fill plan sums to at most ``PLAN_ONCE_ENTRIES`` clique
+    entries.  If so, they go in that plan's order, restricted to them:
+    every table is stored once with its axes in plan order, and each
+    variable has one einsum label, its colour in a colouring of the
+    plan's cliques.  The reduced graph is a subgraph of the network's,
+    so each step's variables, query aside, lie inside the plan's clique
+    for the variable summed out, where no two share a colour.  If not,
+    the layout has no labels, and they go in min-fill order (lowest id
+    on ties) on the reduced graph, the
     :func:`~factorbn.cliques.moral_graph` of the scope masks of the
     sliced and likelihood tables with the query variables left out,
     whose cliques are coloured the same way; the tables keep their
     axes.  Either way the query variables take the labels just above
     the colours, so every label is below the widest clique's size plus
-    the query's, however many variables are live, and the same step
-    loop runs (:func:`_eliminate`): each step multiplies the tables that
-    hold the variable and sums it out in one einsum, labelled from the
-    labels each table carries, and its result lists its variables in
-    the order.  Nothing is relabelled per step.  The network's ancestor
-    and scope masks make the pruning and slicing tests bit tests;
-    nothing that depends on the network alone is rebuilt per query.
+    the query's, however many variables are live.  An einsum that numpy
+    cannot run (:func:`_check_width`) raises ValidationError instead.
+    The same step loop runs (:func:`_eliminate`): each step multiplies
+    the tables that hold the variable and sums it out in one einsum,
+    labelled from the labels each table carries, and its result lists
+    its variables in the order.  Nothing is relabelled per step.  The
+    network's ancestor and scope masks make the pruning and slicing
+    tests bit tests; nothing that depends on the network alone is
+    rebuilt per query.
     Raises ZeroNormalizerError when the evidence has zero mass and
     InternalConsistencyError if the unnormalized result dips below
     -1e-9 anywhere (values above that are clamped to 0) or does not have
@@ -257,17 +251,17 @@ def variable_elimination(
             "node and has no posterior: it cannot be queried or observed"
         )
     cards = net.cards
+    layout = net.layout
+    kept = _reduce(net, evidence, queryset, layout)
     order: Sequence[int]  # the variable at each rank
     rank: Sequence[int] | dict[int, int]
-    if net.plan_within(PLAN_ONCE_ENTRIES) is not None:
-        layout = net.layout
-        kept = _reduce(net, evidence, queryset, layout)
+    if layout.labels is not None:
         order, rank, label, base = net.plan.order, layout.rank, list(layout.labels), layout.colours
     else:
-        kept = _reduce(net, evidence, queryset)
-        steps, cliques = min_fill(moral_graph([t[0] for t in kept], sum(1 << q for q in query)))
-        colour = colouring(steps, cliques)
-        label = [colour[v] for v in steps] + [-1] * len(query)
+        nb = moral_graph([t[0] for t in kept], sum(1 << q for q in query))
+        run = list(min_fill_steps(nb))
+        steps = [v for v, _ in run]
+        label = colouring(steps, [clique for _, clique in run]) + [-1] * len(query)
         base = max(label, default=-1) + 1
         order = steps + query
         rank = {v: i for i, v in enumerate(order)}
@@ -280,13 +274,15 @@ def variable_elimination(
     for j, q in enumerate(query):
         label[rank[q]] = base + j
     skip = sum(1 << rank[q] for q in query)
+    # each einsum's labels are distinct and below base + len(query)
+    wide = base + len(query) > min(52, MAX_AXES)
     tables = [
         (mask, labels if labels is not None and not mask & skip else [label[r] for r in ranks],
          values)
         for mask, ranks, labels, values in kept
     ]
 
-    final = _eliminate(tables, skip, label)
+    final = _eliminate(tables, skip, label, wide)
     left = 0
     for mask, _, _ in final:
         left |= mask
@@ -296,6 +292,8 @@ def variable_elimination(
     out = list(range(base, base + len(query)))  # the query's labels, in query order
     _, labels, values = final[0]
     if len(final) > 1 or list(labels) != out:
+        if wide:
+            _check_width(skip, label)
         values = _contract(final, out)
     values = np.ascontiguousarray(values)  # so the sum below runs in C order
     low = values.min() if values.size else 0.0

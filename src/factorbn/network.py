@@ -17,6 +17,21 @@ from .factorization import FactorizedForm
 from .functions import DeterministicFunction, deterministic_to_potential
 
 ROW_SUM_TOLERANCE = 1e-9
+# Up to this many elimination-clique entries in a network's min-fill plan
+# (summed over every step), its layout is plan-ordered and coloured, so a
+# query eliminates in that plan's order and plans nothing itself.  Planning
+# a 40-node, 8-task CAT query on its reduced graph (moral graph and
+# min-fill) takes 0.25-0.35 ms, and its einsums cost 10-22 ns per loop
+# entry in buckets of several tables and 2^9-2^16 entries, 0.6-8 ns in
+# one-table buckets (CPython 3.11, numpy 2.4, 2-core VM).  A restricted
+# order's steps lie inside the plan's cliques, so the plan's entries, times
+# the query's states, bound its einsums' loop entries: 2^17 entries at 10 ns
+# are 1.3 ms, a few plannings.  On 192 40/8 cat-session networks (48
+# sessions at seeds 1 and 99), the plan's order answered faster, by median
+# query, on all 188 below the bound and on 3 of the 4 above it (1.3e5-2.5e5
+# entries).  Models of 60 nodes and 12 tasks plan 3.8e5 entries and more,
+# so they keep per-query min-fill.
+PLAN_ONCE_ENTRIES = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -95,24 +110,29 @@ class Star:
 
 
 class Layout(NamedTuple):
-    """A network's tables arranged for elimination in its plan's order.
+    """A network's tables arranged for elimination.
 
-    ``rank`` gives each variable's position in the plan's order, and
-    every bitmask here is over ranks (bit r for the variable at rank
-    r).  ``labels`` gives the einsum label of the variable at each
-    rank: its colour in :func:`~factorbn.cliques.colouring` of the
-    plan's cliques, so no two variables that meet in one elimination
-    step share a label.  One-state variables, which inference indexes
-    out of every table unless queried, are not coloured (-1).
-    ``colours`` counts the labels; query variables take the labels
-    from there up.  ``tables`` holds, for each entry of
-    ``Network.tables`` in order, its head, its scope as a rank mask,
-    its ranks ascending, their labels, and its values as a read-only
-    C-contiguous array with the axes in that order.
+    ``rank`` gives each variable's rank, and every bitmask here is over
+    ranks (bit r for the variable at rank r).  ``tables`` holds, for
+    each entry of ``Network.tables`` in order, its head, its scope as a
+    rank mask, the ranks of its axes, their labels, and its values.
+
+    A network whose plan is within ``PLAN_ONCE_ENTRIES`` ranks each
+    variable by its position in the plan's order.  ``labels`` gives the
+    einsum label at each rank: its colour in
+    :func:`~factorbn.cliques.colouring` of the plan's cliques, so no
+    two variables that meet in one elimination step share a label
+    (-1 for a one-state variable, which inference indexes out unless
+    queried).  ``colours`` counts the labels; query variables take the
+    labels from there up.  Each table's ranks are ascending, and its
+    values a read-only C-contiguous array with the axes in that order.
+    Above the bound, the ranks are the ids, ``labels`` is None and
+    ``colours`` 0, and the tables are ``Network.tables`` as stored:
+    each query plans and labels its own elimination.
     """
 
     rank: tuple[int, ...]
-    labels: tuple[int, ...]
+    labels: tuple[int, ...] | None
     colours: int
     tables: tuple[tuple[int | None, int, tuple[int, ...], tuple[int, ...], np.ndarray], ...]
 
@@ -140,14 +160,11 @@ class Network:
     lifetime: ``cards``, ``parent_map`` and ``ancestor_masks`` (each
     variable's ancestors as a bitmask, the walk that also checks for a
     cycle) by validation, ``scope_masks`` (each table's scope as a
-    bitmask), ``tables``, the one-state variables, ``plan`` (the
-    min-fill elimination plan of the interaction graph; a bounded run
-    of it tells :meth:`plan_within` that a large network is above a
-    bound, and that is kept too) and ``layout`` (the tables stored in
-    plan order, with an einsum label per variable) on first use.
-    Inference reads only these, so a query rebuilds nothing that
-    depends on the network alone; ``layout`` is built on the first
-    query of a network whose plan is below inference's bound.
+    bitmask), ``tables``, the one-state variables, ``layout`` (the
+    tables arranged for elimination, which decides once whether the
+    network is planned) and ``plan`` (the min-fill elimination plan of
+    the interaction graph) on first use.  Inference reads only these,
+    so a query rebuilds nothing that depends on the network alone.
     """
 
     variables: tuple[Variable, ...]
@@ -303,38 +320,30 @@ class Network:
         table's scope is a clique: the order, each step's elimination
         clique and their summed entries.  Clique accounting reports it;
         inference eliminates in its order when its entries are few (see
-        :meth:`plan_within`)."""
+        :attr:`layout`)."""
         return min_fill_plan(self.scope_masks, self.cards)
-
-    def plan_within(self, bound: float) -> Plan | None:
-        """``plan`` if its entries are at most ``bound``, else None.
-
-        Until ``plan`` is built, this runs a min-fill that stops once its
-        summed entries pass the bound, so a large network is found to be
-        above it without planning it whole; a run that ends is kept as
-        ``plan``, and the largest bound found passed is kept too."""
-        known = self.__dict__
-        if "plan" not in known:
-            if bound <= known.get("_passed", -1):
-                return None
-            plan = min_fill_plan(self.scope_masks, self.cards, bound)
-            if plan is None:
-                known["_passed"] = bound
-                return None
-            known["plan"] = plan
-        plan = self.plan
-        return plan if plan.entries <= bound else None
 
     @cached_property
     def layout(self) -> Layout:
-        """The tables arranged for elimination in ``plan``'s order (see
-        :class:`Layout`), built from ``plan`` on first use."""
-        order, cliques, _ = self.plan
-        rank = [0] * len(order)
-        for i, v in enumerate(order):
-            rank[v] = i
-        colour = colouring(order, cliques, sum(1 << v for v in self._one_state))
-        labels = tuple(colour[v] for v in order)
+        """The tables arranged for elimination (see :class:`Layout`).
+
+        Unless ``plan`` is built, this runs a min-fill that stops once
+        its summed entries pass ``PLAN_ONCE_ENTRIES``, so a large
+        network is found to be above the bound without planning it
+        whole; a run that ends is kept as ``plan``."""
+        plan = self.__dict__.get("plan") or min_fill_plan(
+            self.scope_masks, self.cards, PLAN_ONCE_ENTRIES
+        )
+        if plan is None or plan.entries > PLAN_ONCE_ENTRIES:
+            tables = tuple(
+                (head, mask, scope, None, values)
+                for (head, scope, values), mask in zip(self.tables, self.scope_masks)
+            )
+            return Layout(tuple(range(len(self.cards))), None, 0, tables)
+        self.__dict__["plan"] = plan  # a bounded run that ended is the whole plan
+        order, cliques, _ = plan
+        rank = sorted(range(len(order)), key=order.__getitem__)  # order's inverse
+        labels = tuple(colouring(order, cliques, sum(1 << v for v in self._one_state)))
         tables = []
         for head, scope, values in self.tables:
             ranks = [rank[v] for v in scope]

@@ -29,6 +29,7 @@ from factorbn import (
 )
 from factorbn.cli import run_cli
 from factorbn.errors import InternalConsistencyError, ValidationError
+from factorbn.inference import MAX_AXES
 
 
 NET = {
@@ -428,6 +429,29 @@ def test_infer_on_sixty_one_state_variables(tmp_path, capsys, transform):
         "variables": ["v0"], "states": [["only"]], "values": [1.0]
     }
     assert captured.err == ""
+
+
+def test_infer_query_wider_than_an_einsum_is_input_error(tmp_path, capsys):
+    # one-state roots queried together: each takes an einsum label, and
+    # one einsum takes 52 (32 before numpy 2.0); one more is an input
+    # error naming the limit
+    width = min(52, MAX_AXES)
+    for n, code in ((width, 0), (width + 1, 2)):
+        names = [f"v{i}" for i in range(n)]
+        net_path = put(tmp_path, "net.json", {
+            "variables": [{"id": i, "name": name, "states": ["only"]}
+                          for i, name in enumerate(names)],
+            "cpts": [{"child": i, "parents": [], "table": [1.0]} for i in range(n)],
+        })
+        assert run_cli(["infer", "--net", net_path, "--query", *names]) == code
+        captured = capsys.readouterr()
+        if code:
+            assert captured.out == ""
+            assert f"one einsum takes labels below 52, at most {width} of them" in captured.err
+            assert captured.err.count("\n") == 1
+        else:
+            assert json.loads(captured.out)["values"] == [1.0]
+            assert captured.err == ""
 
 
 def test_infer_rejects_a_hidden_variable(tmp_path, capsys):

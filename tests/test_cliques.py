@@ -9,7 +9,7 @@ Core claims:
     - ``moral_graph`` makes each scope mask a clique, leaves out the
       variables it is told to skip, and covers potential scopes
     - min-fill breaks ties toward the lowest variable id, and the mask
-      core (``min_fill``) picks exactly what a full rescan and the
+      core (``min_fill_steps``) picks exactly what a full rescan and the
       earlier set-based incremental scoring pick: on random graphs with
       any clique sizes, on the reduced graphs variable elimination
       plans on for CAT queries and the whole-network graphs of the same
@@ -19,8 +19,9 @@ Core claims:
     - triangulation reads the network's scope masks and builds no
       table; the masks are those of the tables' scopes, in order
     - a network runs min-fill once: triangulating it again and
-      querying it below the bound reuse its plan, and a query's bounded
-      min-fill that ends below the bound is the plan triangulation reads
+      querying it below the bound reuse its plan, and the bounded
+      min-fill of its layout, when it ends below the bound, is the plan
+      triangulation reads
     - repeated runs return identical reports
 """
 
@@ -46,7 +47,7 @@ from factorbn.benchcat import (
     connect_tasks,
     generate_student_model,
 )
-from factorbn.cliques import min_fill, moral_graph
+from factorbn.cliques import min_fill_steps, moral_graph
 from factorbn.core import Evidence
 from factorbn.inference import transform_network
 
@@ -174,10 +175,10 @@ def test_network_runs_min_fill_once(monkeypatch):
             inference.variable_elimination(t, Evidence(), [skill])
         assert moralize_and_triangulate(t) == report
         assert len(calls) == 1
-        assert t.plan.entries <= inference.PLAN_ONCE_ENTRIES
+        assert t.layout.labels is not None
         assert report.elimination_order == t.plan.order
         reports.append(report)
-    # queried first: the first query's min-fill, bounded, ends below the
+    # queried first: the layout's min-fill, bounded, ends below the
     # bound and is the plan that triangulation then reports
     for method, report in zip(("none", "factorize"), reports):
         fresh = connect_tasks(generate_student_model(spec), canonical_tasks(spec, 8, 1))
@@ -236,11 +237,11 @@ def graph_of(masks):
 
 
 def core_min_fill(adj):
-    """``min_fill`` run on the masks of ``adj`` itself, ids as bit
-    positions, with its result in the oracles' form."""
+    """``min_fill_steps`` run to the end on the masks of ``adj`` itself,
+    ids as bit positions, with its result in the oracles' form."""
     masks = {v: sum(1 << u for u in nbrs) for v, nbrs in adj.items()}
-    order, cliques = min_fill(masks)
-    return tuple(order), [{v for v in adj if c >> v & 1} for c in cliques]
+    steps = list(min_fill_steps(masks))
+    return tuple(v for v, _ in steps), [{v for v in adj if c >> v & 1} for _, c in steps]
 
 
 def small_ids(adj, rng):
@@ -321,8 +322,11 @@ def query_graphs():
                 found[answers[step - 1]] = rng.choice([(0, 1), (1, 0)])
             for skill in rng.sample(spec.skill_ids, 2):
                 for t in nets:
-                    kept = inference._reduce(t, Evidence(dict(found)), {skill})
-                    graphs.append(moral_graph([mask for mask, *_ in kept], 1 << skill))
+                    kept = inference._reduce(t, Evidence(dict(found)), {skill}, t.layout)
+                    # the masks are over plan ranks; the graph is over ids
+                    order = t.plan.order
+                    masks = [sum(1 << order[r] for r in ranks) for _, ranks, *_ in kept]
+                    graphs.append(moral_graph(masks, 1 << skill))
     return graphs
 
 
@@ -441,7 +445,7 @@ def test_bitset_min_fill_matches_set_based_min_fill():
 
 def test_min_fill_leaves_its_input_alone():
     masks = {0: 0b110, 1: 0b1, 2: 0b1}
-    assert min_fill(masks) == ([1, 0, 2], [0b11, 0b101, 0b100])
+    assert list(min_fill_steps(masks)) == [(1, 0b11), (0, 0b101), (2, 0b100)]
     assert masks == {0: 0b110, 1: 0b1, 2: 0b1}
 
 
@@ -451,7 +455,7 @@ def test_empty_network_has_no_cliques():
     assert report.elimination_order == ()
     assert report.total == 0
     assert report.max_clique_size == 0
-    assert min_fill({}) == ([], [])
+    assert list(min_fill_steps({})) == []
 
 
 def test_moral_graph_skips_masked_variables():

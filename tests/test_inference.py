@@ -17,7 +17,9 @@ Core claims:
       below the widest clique plus the query, so a chain with more live
       variables than an einsum's 52 labels runs on its plan
     - the network's layout holds every table, bit for bit, with its
-      axes in plan order
+      axes in plan order below the bound, and as stored above it
+    - a query that would pass one einsum a label past 51, or more
+      labels than numpy gives an array axes, is an input error
 """
 
 import math
@@ -43,14 +45,14 @@ from factorbn import (
     trivial_factorization,
     variable_elimination,
 )
-from factorbn import inference
+from factorbn import inference, network
 from factorbn.benchcat import (
     StudentModelSpec,
     canonical_tasks,
     connect_tasks,
     generate_student_model,
 )
-from factorbn.cliques import moral_graph
+from factorbn.cliques import min_fill_steps, moral_graph
 from factorbn.inference import transform_network
 from factorbn.network import Star
 
@@ -387,7 +389,9 @@ def random_evidence(net, rng):
 
 
 # PLAN_ONCE_ENTRIES forced to 0 and to infinity: every query plans its own
-# min-fill order, or every query eliminates in its network's plan
+# min-fill order, or every query eliminates in its network's plan.  A
+# network decides once, when its layout is built, so each bound runs on a
+# fresh copy of the network.
 BOUNDS = (0, math.inf)
 
 
@@ -395,12 +399,13 @@ def answers_under_both_planners(monkeypatch, t, ev, query, want, seed):
     """VE's answer on ``t`` under both bounds equals ``want``, or raises
     ZeroNormalizerError when ``want`` is None."""
     for bound in BOUNDS:
-        monkeypatch.setattr(inference, "PLAN_ONCE_ENTRIES", bound)
+        monkeypatch.setattr(network, "PLAN_ONCE_ENTRIES", bound)
+        fresh = replace(t)
         if want is None:
             with pytest.raises(ZeroNormalizerError):
-                variable_elimination(t, ev, query)
+                variable_elimination(fresh, ev, query)
             continue
-        got = variable_elimination(t, ev, query)
+        got = variable_elimination(fresh, ev, query)
         assert got.scope == tuple(query)
         assert np.abs(got.values - want).max() < 1e-9, (seed, bound)
 
@@ -444,12 +449,13 @@ def test_a_potential_over_no_variables_changes_no_posterior(monkeypatch):
     net = sprinkler_like()
     scaled = Network(net.variables, net.cpts, (), (Factor((), (), np.array(2.5)),))
     for bound in BOUNDS:
-        monkeypatch.setattr(inference, "PLAN_ONCE_ENTRIES", bound)
+        monkeypatch.setattr(network, "PLAN_ONCE_ENTRIES", bound)
+        fresh = replace(scaled)
         for q in ([0], [1, 2]):
-            got = variable_elimination(scaled, Evidence({2: (0, 1)}), q)
+            got = variable_elimination(fresh, Evidence({2: (0, 1)}), q)
             want = brute_posterior(net, Evidence({2: (0, 1)}), q)
             assert np.abs(got.values - want).max() < 1e-12
-    assert scaled.layout.tables[-1][4].shape == ()
+        assert fresh.layout.tables[-1][4].shape == ()
 
 
 def test_observed_query_variable_keeps_its_axis():
@@ -648,8 +654,12 @@ def restricted_steps(t, evidence, query):
     """(variable, clique mask) for each step of the elimination game on
     the query's reduced graph, query left out, in the network plan's
     order restricted to that graph's vertices."""
-    kept = inference._reduce(t, evidence, set(query))
-    adj = moral_graph([mask for mask, *_ in kept], sum(1 << q for q in query))
+    assert t.layout.labels is not None
+    kept = inference._reduce(t, evidence, set(query), t.layout)
+    # the masks are over plan ranks; the graph is over ids
+    order = t.plan.order
+    masks = [sum(1 << order[r] for r in ranks) for _, ranks, *_ in kept]
+    adj = moral_graph(masks, sum(1 << q for q in query))
     steps = []
     for v in t.plan.order:
         if v not in adj:
@@ -700,7 +710,7 @@ def test_restricted_steps_lie_in_the_network_plan(monkeypatch):
         for v, clique in steps:
             assert clique & ~clique_of[v] == 0, (v, query)
         checked += len(steps)
-        if replay and t.plan.entries <= inference.PLAN_ONCE_ENTRIES:
+        if replay:
             drops.clear()
             variable_elimination(t, ev, query)
             assert drops == [v for v, _ in steps]
@@ -722,25 +732,41 @@ def star_of_parents(parents):
 
 def test_network_above_the_bound_plans_each_query(monkeypatch):
     """One child of 18 binary parents: the family clique alone holds
-    2^19 entries, above the bound, so each query runs min-fill on its
-    own reduced graph; with 8 parents no query does."""
-    calls = []
-    real = inference.min_fill
+    2^19 entries, above the bound.  The network's layout runs min-fill
+    once, stopping at the bound, and each query then runs min-fill on
+    its own reduced graph; a later ``Network.plan`` runs one whole
+    min-fill for clique accounting.  With 8 parents the layout's run
+    ends below the bound, is the plan, and no query plans."""
+    from factorbn import cliques
 
-    def counting(nb):
-        calls.append(len(nb))
-        return real(nb)
+    runs = []  # [who, vertices, steps taken] for each min-fill run
 
-    monkeypatch.setattr(inference, "min_fill", counting)
+    def counting(who, real):
+        def steps(nb):
+            run = [who, len(nb), 0]
+            runs.append(run)
+            for step in real(nb):
+                run[2] += 1
+                yield step
+        return steps
+
+    monkeypatch.setattr(cliques, "min_fill_steps", counting("network", cliques.min_fill_steps))
+    monkeypatch.setattr(inference, "min_fill_steps", counting("query", inference.min_fill_steps))
     for parents, above in ((18, True), (8, False)):
         net, table = star_of_parents(parents)
-        assert (net.plan.entries > inference.PLAN_ONCE_ENTRIES) == above
-        calls.clear()
+        runs.clear()
         for q in (0, 5, parents - 1):
             got = variable_elimination(net, Evidence({parents: (0, 1)}), [q])
             want = table[..., 1].sum(axis=tuple(a for a in range(parents) if a != q))
             assert np.allclose(got.values, want / want.sum(), rtol=1e-12, atol=0)
-        assert calls == ([parents - 1] * 3 if above else [])
+        assert (net.layout.labels is None) == above
+        first, *queries = runs
+        assert first[:2] == ["network", parents + 1]
+        assert (first[2] < parents + 1) == above
+        assert queries == ([["query", parents - 1, parents - 1]] * 3 if above else [])
+        runs.clear()
+        assert (net.plan.entries > network.PLAN_ONCE_ENTRIES) == above
+        assert runs == ([["network", parents + 1, parents + 1]] if above else [])
 
 
 def test_student_models_from_60_nodes_plan_each_query():
@@ -752,8 +778,8 @@ def test_student_models_from_60_nodes_plan_each_query():
             spec = StudentModelSpec(seed=seed, node_count=nodes)
             net = connect_tasks(generate_student_model(spec), canonical_tasks(spec, tasks, seed))
             for method in ("none", "factorize"):
-                plan = transform_network(net, method).plan
-                assert plan.entries > inference.PLAN_ONCE_ENTRIES, (nodes, seed, method)
+                layout = transform_network(net, method).layout
+                assert layout.labels is None, (nodes, seed, method)
 
 
 # -- stars: factorized nodes pruned like the families they replace -----------
@@ -780,9 +806,9 @@ def test_stars_match_brute_force_on_the_transformed_network(offset, monkeypatch)
             rejected += 1
             name = t.variables[min(named)].name
             for bound in BOUNDS:
-                monkeypatch.setattr(inference, "PLAN_ONCE_ENTRIES", bound)
+                monkeypatch.setattr(network, "PLAN_ONCE_ENTRIES", bound)
                 with pytest.raises(ValidationError, match=f"^{name!r} is the hidden variable"):
-                    variable_elimination(t, ev, query)
+                    variable_elimination(replace(t), ev, query)
             ev = Evidence({v: vec for v, vec in ev.findings.items() if v not in child_of})
             query = sorted({child_of.get(q, q) for q in query})
         try:
@@ -878,7 +904,7 @@ def test_unanswered_tasks_star_is_not_contracted(monkeypatch):
 
     def seen(network, findings, query):
         nonlocal order
-        assert network.plan_within(inference.PLAN_ONCE_ENTRIES) is not None
+        assert network.layout.labels is not None
         order = network.plan.order
         contracted.clear()
         got = variable_elimination(network, Evidence(findings), query)
@@ -911,12 +937,12 @@ def widest_clique(t, ev, query):
     """The most variables in one elimination clique of the order the
     query runs in: the network plan's below the bound, else min-fill's
     on the reduced graph, query left out."""
-    if t.plan_within(inference.PLAN_ONCE_ENTRIES) is not None:
+    if t.layout.labels is not None:
         cliques = t.plan.cliques
     else:
-        kept = inference._reduce(t, ev, set(query))
+        kept = inference._reduce(t, ev, set(query), t.layout)
         adj = moral_graph([mask for mask, *_ in kept], sum(1 << q for q in query))
-        cliques = inference.min_fill(adj)[1]
+        cliques = [clique for _, clique in min_fill_steps(adj)]
     return max((c.bit_count() for c in cliques), default=0)
 
 
@@ -937,9 +963,9 @@ def test_einsum_labels_colour_every_step(monkeypatch):
     eliminate, contract = inference._eliminate, inference._contract
     seen: dict = {}
 
-    def eliminating(tables, skip, label):
+    def eliminating(tables, skip, label, wide):
         seen.update(label=label, calls=[])
-        return eliminate(tables, skip, label)
+        return eliminate(tables, skip, label, wide)
 
     def contracting(tables, out):
         seen["calls"].append(([(mask, list(labels)) for mask, labels, _ in tables], list(out)))
@@ -949,8 +975,10 @@ def test_einsum_labels_colour_every_step(monkeypatch):
     monkeypatch.setattr(inference, "_contract", contracting)
     calls = 0
     for bound in BOUNDS:
-        monkeypatch.setattr(inference, "PLAN_ONCE_ENTRIES", bound)
+        monkeypatch.setattr(network, "PLAN_ONCE_ENTRIES", bound)
+        fresh = {id(t): replace(t) for t, _, _ in cases}
         for t, ev, query in cases:
+            t = fresh[id(t)]
             seen.clear()
             try:
                 variable_elimination(t, ev, query)
@@ -995,12 +1023,12 @@ def test_a_chain_longer_than_an_einsums_labels_runs_on_its_plan(monkeypatch):
     def no_planning(nb):
         raise AssertionError("a query below the bound plans nothing")
 
-    monkeypatch.setattr(inference, "min_fill", no_planning)
-    assert net.plan_within(inference.PLAN_ONCE_ENTRIES) is not None
+    monkeypatch.setattr(inference, "min_fill_steps", no_planning)
+    assert net.layout.labels is not None
     live = 0
-    for mask, *_ in inference._reduce(net, ev, {n - 1}):
+    for mask, *_ in inference._reduce(net, ev, {n - 1}, net.layout):
         live |= mask
-    assert (live & ~(1 << n - 1)).bit_count() == n - 2 > 52
+    assert (live & ~(1 << net.layout.rank[n - 1])).bit_count() == n - 2 > 52
     got = variable_elimination(net, ev, [n - 1])
     assert net.layout.colours == 2
     want = np.array([1.0, 0.0])
@@ -1055,6 +1083,52 @@ def test_layout_stores_every_table_in_plan_order():
             assert len(set(labels)) == len(labels)
         assert layout.colours == max(layout.labels) + 1
     assert reordered == {"cpt", "deterministic", "potential", "star"}
+    # above the bound: the ranks are the ids, nothing is labelled, and
+    # each table is its ``Network.tables`` entry as stored, not a copy
+    wide = star_of_parents(18)[0]
+    layout = wide.layout
+    assert layout.rank == tuple(range(len(wide.variables)))
+    assert layout.labels is None and layout.colours == 0
+    assert len(layout.tables) == len(wide.tables)
+    for (head, scope, values), mask, stored in zip(wide.tables, wide.scope_masks, layout.tables):
+        assert stored[:4] == (head, mask, scope, None)
+        assert np.shares_memory(stored[4], values)
+
+
+def one_state_nodes(n, parent=False):
+    """``n`` one-state variables, each with its CPT: roots, or with
+    ``parent``, children of one binary root, variable ``n``."""
+    variables = tuple(Variable(i, f"v{i}", ("only",)) for i in range(n))
+    if not parent:
+        return Network(variables, tuple(cpt(i, (), (1,) * n, [1.0]) for i in range(n)))
+    cards = (1,) * n + (2,)
+    cpts = tuple(cpt(i, (n,), cards, np.ones((1, 2))) for i in range(n))
+    return Network((*variables, binary(n, "h")), (*cpts, cpt(n, (), cards, [0.3, 0.7])))
+
+
+def test_a_query_wider_than_an_einsums_labels_is_an_input_error(monkeypatch):
+    """Each query variable keeps its own einsum label, above the
+    layout's colours, and one einsum takes labels below 52, at most
+    MAX_AXES of them (32 before numpy 2.0).  Under both planners, that
+    many one-state roots queried together answer, and one more raise
+    ValidationError naming the limit, from the last einsum; one-state
+    children of a binary root do the same from the einsum that sums the
+    root out, one fewer answering.  A potential over one variable more
+    than the roots, all queried, is the answer's one table in query
+    order: no einsum runs, and it answers."""
+    width = min(52, inference.MAX_AXES)
+    for bound in BOUNDS:
+        monkeypatch.setattr(network, "PLAN_ONCE_ENTRIES", bound)
+        for parent, n in ((False, width), (True, width - 1)):
+            got = variable_elimination(one_state_nodes(n, parent), None, range(n))
+            assert got.scope == tuple(range(n)) and got.values.reshape(-1).tolist() == [1.0]
+            with pytest.raises(ValidationError, match=f"below 52, at most {width} of them"):
+                variable_elimination(one_state_nodes(n + 1, parent), None, range(n + 1))
+        n = min(53, inference.MAX_AXES)
+        variables = tuple(Variable(i, f"v{i}", ("only",)) for i in range(n))
+        net = Network(variables, potentials=(Factor(tuple(range(n)), (1,) * n, np.ones((1,) * n)),))
+        got = variable_elimination(net, None, range(n))
+        assert got.scope == tuple(range(n)) and got.values.reshape(-1).tolist() == [1.0]
 
 
 def test_every_variable_heads_a_node_or_sits_in_a_potential():
