@@ -33,64 +33,57 @@ NEGATIVE_TOLERANCE = 1e-9
 MAX_OPERANDS = 31  # einsum operands per call that every supported numpy accepts
 # most labels per einsum (each below 52): numpy's axes per array, 32 before numpy 2.0, 64 since
 MAX_AXES = 32 if int(np.__version__.split(".")[0]) < 2 else 64
+# A bucket of three tables or more over at least this many variables (so
+# 2^12 entries or more) is multiplied by a left fold of two-operand einsums:
+# numpy's loop over three operands or more costs 12-25 ns per entry.  On
+# 40-node, 8-task CAT buckets the fold was faster from 12 variables up
+# (2^12 entries 54 -> 39 us, 2^13 105 -> 71 us) and slower below 11
+# (CPython 3.11, numpy 2.4, 2-core VM).
+FOLD_VARS = 12
 
-# A table in elimination: (bitmask of its ranks, the einsum label of each
-# axis, values)
-Table = tuple[int, Sequence[int], np.ndarray]
+# A table a query eliminates: (rank mask, each axis's rank, labels or None, values)
+Table = tuple[int, Sequence[int], Sequence[int] | None, np.ndarray]
 
 METHODS = ("none", "divorce", "factorize")  # the rewrites of transform_network
 
 
-def _relevant_heads(net: Network, targets: Iterable[int]) -> int:
-    """The bitmask of the targets, every variable in a free potential
-    (``net.potentials``, which holds no star's table), and all their
-    ancestors: an OR of the network's ancestor masks.  No target is a
-    star's hidden variable; ``variable_elimination`` rejects those.
+def _contract(ops: list, mask: int, out: list[int]) -> np.ndarray:
+    """The product of the tables in the einsum operand list ``ops``
+    (``[values, labels, ...]``, over the ranks in ``mask``), summed over
+    every label not in ``out``, with its axes labelled ``out``.
 
-    Every other CPT, deterministic or factorized family is barren for a
-    query on the targets (Zhang & Poole 1996): its child has no observed
-    or queried descendant, so summing it out, leaves first, multiplies
-    by rows that sum to 1.  A star sums to 1 over its child and hidden
-    variable because its form reconstructs the deterministic family.
+    One einsum, unless there are three tables or more over at least
+    FOLD_VARS variables, or more than MAX_OPERANDS: then a left fold of
+    two-operand einsums in list order, each of whose results keeps only
+    the labels that a later table or ``out`` holds.
     """
-    ancestors = net.ancestor_masks
-    seen = 0
-    for v in targets:
-        seen |= ancestors[v]
-    for p in net.potentials:
-        for v in p.scope:
-            seen |= ancestors[v]
-    return seen
+    if len(ops) < 6 or len(ops) <= 2 * MAX_OPERANDS and mask.bit_count() < FOLD_VARS:
+        return np.einsum(*ops, out)
+    need = [set(out)]  # need[-1]: the labels a later table or out holds
+    for labels in ops[-1:4:-2]:
+        need.append(need[-1].union(labels))
+    values, labels = ops[0], ops[1]
+    for k in range(2, len(ops) - 2, 2):
+        keep = need.pop()
+        kept = [x for x in dict.fromkeys([*labels, *ops[k + 1]]) if x in keep]
+        values, labels = np.einsum(values, labels, ops[k], ops[k + 1], kept), kept
+    return np.einsum(values, labels, ops[-2], ops[-1], out)
 
 
-def _contract(tables: Sequence[Table], out: Sequence[int]) -> np.ndarray:
-    """The product of the tables summed over every label not in
-    ``out``, with its axes labelled ``out``: one einsum.
+def _reduce(net: Network, evidence: Evidence, queryset: set[int], layout: Layout) -> list[Table]:
+    """The tables a query eliminates: a likelihood table for each
+    finding that rules a state out and is not a pick, then every table
+    of ``layout`` that the barren rule keeps, with the picked variables
+    indexed out.  A pick is a one-state finding, or a one-state
+    variable, off the query.  A table keeps its stored labels; a sliced
+    or new one has None.
 
-    Beyond MAX_OPERANDS tables, the first ones are multiplied together
-    first, summing nothing, so no einsum exceeds numpy's operand limit.
-    """
-    if len(tables) > MAX_OPERANDS:
-        head = tables[:MAX_OPERANDS]
-        union = sorted({label for _, labels, _ in head for label in labels})
-        tables = [(0, union, _contract(head, union)), *tables[MAX_OPERANDS:]]
-    args: list = []
-    for _, labels, values in tables:
-        args.append(values)
-        args.append(labels)
-    args.append(out)
-    return np.einsum(*args)
-
-
-def _reduce(
-    net: Network, evidence: Evidence, queryset: set[int], layout: Layout
-) -> list[tuple[int, tuple[int, ...], Sequence[int] | None, np.ndarray]]:
-    """The tables a query eliminates, as (mask, ranks, labels, values):
-    a likelihood table for each finding that rules a state out and is
-    not a pick, then every table of ``layout`` that the barren rule
-    keeps, with the picked variables indexed out.  A pick is a one-state
-    finding, or a one-state variable, off the query.  A table keeps its
-    stored labels; a sliced or new one has None.
+    The barren rule (Zhang & Poole 1996) keeps the free potentials and
+    the families whose child is an ancestor of a query variable, an
+    observed one or a variable of a free potential (an OR of ancestor
+    masks).  Any other CPT, deterministic or factorized family sums
+    to 1 over its child once its descendants are summed out; a star
+    does because its form reconstructs the deterministic family.
 
     Raises ValidationError for a finding on an unknown variable or of
     the wrong length, ZeroNormalizerError for one that rules out every
@@ -120,7 +113,9 @@ def _reduce(
             tables.append((1 << i, (i,), None, np.asarray(vec, dtype=np.float64)))
     picked = sum(1 << i for i in picks)
 
-    relevant = _relevant_heads(net, [*queryset, *evidence.findings])
+    ancestors, relevant = net.ancestor_masks, net._potential_ancestors
+    for v in (*queryset, *evidence.findings):
+        relevant |= ancestors[v]
     for head, mask, scope, labels, values in layout.tables:
         if head is None or relevant >> head & 1:
             if mask & picked:
@@ -142,38 +137,52 @@ def _check_width(call: int, label: Sequence[int]) -> None:
         )
 
 
-def _eliminate(tables: list[Table], skip: int, label: Sequence[int], wide: bool) -> list[Table]:
+def _eliminate(tables: list[Table], skip: int, label: Sequence[int], wide: bool) -> tuple[list, int]:
     """Bucket elimination over ranks: sum out every rank of the tables
-    outside the bitmask ``skip``, lowest first, and return the tables
-    left, which hold ranks in ``skip`` alone.  ``label`` gives each
-    rank's einsum label.
+    outside the bitmask ``skip``, lowest first.  Returns the einsum
+    operand list of the tables left, over ranks in ``skip`` alone, and
+    their union mask.  ``label`` gives each rank's einsum label; a table
+    without labels, or holding a rank in ``skip``, is labelled here.
 
-    Each table waits in the bucket of its lowest rank outside ``skip``,
+    Each bucket is an einsum operand list ``[values, labels, ...]`` plus
+    the union mask of its tables.  A table waits in the bucket of its
+    lowest rank outside ``skip`` (the last bucket, index -1, if none),
     so a bucket holds every table that touches its rank by the time
-    that rank is summed out.  A step multiplies its bucket's tables and
-    sums the rank out in one einsum, whose result holds the union of
-    their other ranks, ascending, and waits in the bucket of the lowest
-    of them outside ``skip``.  Tables over ``skip`` alone wait in the
-    last bucket, which ``(0).bit_length() - 1`` indexes.  If ``wide``,
-    each step first checks that numpy can run its einsum.
+    that rank is summed out.  A step hands its bucket to
+    :func:`_contract`, and the result, over the rest of the union in
+    rank order, waits in the bucket of its lowest rank outside
+    ``skip``.  A bucket of one table also sums out each next live rank
+    that the table holds while that rank's bucket is empty, in the same
+    einsum, as no other table holds it.  If ``wide``, each step first
+    checks that numpy can run its einsum.
     """
-    buckets: list[list[Table]] = [[] for _ in range(len(label) + 1)]
+    ops: list[list] = [[] for _ in range(len(label) + 1)]
+    held = [0] * (len(label) + 1)
     free = ~skip
     live = 0
-    for table in tables:
-        rest = table[0] & free
+    for mask, ranks, labels, values in tables:
+        if labels is None or mask & skip:
+            labels = [label[r] for r in ranks]
+        rest = mask & free
         live |= rest
-        buckets[(rest & -rest).bit_length() - 1].append(table)
+        i = (rest & -rest).bit_length() - 1
+        ops[i] += values, labels
+        held[i] |= mask
     while live:
         low = live & -live
         live ^= low
-        touching = buckets[low.bit_length() - 1]
-        mask = 0
-        for table in touching:
-            mask |= table[0]
+        i = low.bit_length() - 1
+        bucket, union = ops[i], held[i]
         if wide:
-            _check_width(mask, label)
-        mask ^= low
+            _check_width(union, label)
+        mask = union ^ low
+        if len(bucket) == 2:
+            while live:
+                low = live & -live
+                if not mask & low or ops[low.bit_length() - 1]:
+                    break
+                mask ^= low
+                live ^= low
         labels = []
         rest = mask
         while rest:
@@ -181,10 +190,10 @@ def _eliminate(tables: list[Table], skip: int, label: Sequence[int], wide: bool)
             rest ^= bit
             labels.append(label[bit.bit_length() - 1])
         rest = mask & free
-        buckets[(rest & -rest).bit_length() - 1].append(
-            (mask, labels, _contract(touching, labels))
-        )
-    return buckets[-1]
+        i = (rest & -rest).bit_length() - 1
+        ops[i] += _contract(bucket, union, labels), labels
+        held[i] |= mask
+    return ops[-1], held[-1]
 
 
 def variable_elimination(
@@ -196,42 +205,27 @@ def variable_elimination(
 
     A query or finding on a star's hidden variable B raises
     ValidationError naming B: B's states index the rectangles of a
-    base and h has signed entries, so B has no posterior.
-    Barren families are dropped first: a CPT, deterministic node or
-    star (a factorized node) whose child is not an ancestor of a query
-    variable, an observed one or a variable of a free potential cannot
-    change the answer.
-    A finding of one state on a non-query variable is indexed out of
-    every table that holds it, and so is a non-query variable with one
-    state, which therefore never reaches an einsum; any other finding
-    that rules a state out becomes a likelihood table over its
-    variable, so an observed query variable keeps its axis.
+    base and h has signed entries, so B has no posterior.  Barren
+    families are dropped and findings applied by :func:`_reduce`: a
+    one-state finding off the query, and a one-state variable off it,
+    is indexed out of every table, so it never reaches an einsum; any
+    other finding that rules a state out becomes a likelihood table,
+    so an observed query variable keeps its axis.
 
     The remaining non-query variables are summed out on the network's
-    layout (``Network.layout``), which decides once per network whether
-    its min-fill plan sums to at most ``PLAN_ONCE_ENTRIES`` clique
-    entries.  If so, they go in that plan's order, restricted to them:
-    every table is stored once with its axes in plan order, and each
-    variable has one einsum label, its colour in a colouring of the
-    plan's cliques.  The reduced graph is a subgraph of the network's,
-    so each step's variables, query aside, lie inside the plan's clique
-    for the variable summed out, where no two share a colour.  If not,
-    the layout has no labels, and they go in min-fill order (lowest id
-    on ties) on the reduced graph, the
-    :func:`~factorbn.cliques.moral_graph` of the scope masks of the
-    sliced and likelihood tables with the query variables left out,
-    whose cliques are coloured the same way; the tables keep their
-    axes.  Either way the query variables take the labels just above
-    the colours, so every label is below the widest clique's size plus
-    the query's, however many variables are live.  An einsum that numpy
-    cannot run (:func:`_check_width`) raises ValidationError instead.
-    The same step loop runs (:func:`_eliminate`): each step multiplies
-    the tables that hold the variable and sums it out in one einsum,
-    labelled from the labels each table carries, and its result lists
-    its variables in the order.  Nothing is relabelled per step.  The
-    network's ancestor and scope masks make the pruning and slicing
-    tests bit tests; nothing that depends on the network alone is
-    rebuilt per query.
+    layout (``Network.layout``).  Below ``PLAN_ONCE_ENTRIES`` they go in
+    the network plan's order, restricted to them, with the layout's
+    labels: the reduced graph is a subgraph of the network's, so each
+    step's variables, query aside, lie inside the plan's clique for the
+    variable summed out, where no two share a colour.  Above it they go
+    in min-fill order (lowest id on ties) on the reduced graph (the
+    :func:`~factorbn.cliques.moral_graph` of the kept tables' scopes,
+    query left out), whose cliques are coloured the same way; the
+    tables keep their axes.  Either way the query variables take the
+    labels just above the colours, so every label is below the widest
+    clique's size plus the query's, and one step loop runs
+    (:func:`_eliminate`).  An einsum that numpy cannot run
+    (:func:`_check_width`) raises ValidationError instead.
     Raises ZeroNormalizerError when the evidence has zero mass and
     InternalConsistencyError if the unnormalized result dips below
     -1e-9 anywhere (values above that are clamped to 0) or does not have
@@ -245,12 +239,11 @@ def variable_elimination(
     if not query:
         raise ValidationError("query must name at least one variable")
     queryset = set(query)
-    if hidden := queryset.union(evidence.findings).intersection(s.hidden for s in net.stars):
+    if hidden := net._hidden.intersection([*query, *evidence.findings]):
         raise ValidationError(
             f"{net.variables[min(hidden)].name!r} is the hidden variable of a factorized "
             "node and has no posterior: it cannot be queried or observed"
         )
-    cards = net.cards
     layout = net.layout
     kept = _reduce(net, evidence, queryset, layout)
     order: Sequence[int]  # the variable at each rank
@@ -267,48 +260,38 @@ def variable_elimination(
         rank = {v: i for i, v in enumerate(order)}
         for i, (_, scope, _, values) in enumerate(kept):  # each table keeps its axes
             ranks = [rank[v] for v in scope]
-            mask = 0
-            for r in ranks:
-                mask |= 1 << r
-            kept[i] = (mask, ranks, None, values)
+            kept[i] = (sum(1 << r for r in ranks), ranks, None, values)
     for j, q in enumerate(query):
         label[rank[q]] = base + j
     skip = sum(1 << rank[q] for q in query)
     # each einsum's labels are distinct and below base + len(query)
     wide = base + len(query) > min(52, MAX_AXES)
-    tables = [
-        (mask, labels if labels is not None and not mask & skip else [label[r] for r in ranks],
-         values)
-        for mask, ranks, labels, values in kept
-    ]
 
-    final = _eliminate(tables, skip, label, wide)
-    left = 0
-    for mask, _, _ in final:
-        left |= mask
+    final, left = _eliminate(kept, skip, label, wide)
     if left != skip:
         scope = tuple(sorted(order[r] for r in range(left.bit_length()) if left >> r & 1))
         raise InternalConsistencyError(f"elimination left scope {scope}, expected {tuple(query)}")
     out = list(range(base, base + len(query)))  # the query's labels, in query order
-    _, labels, values = final[0]
-    if len(final) > 1 or list(labels) != out:
+    values = final[0]
+    if len(final) > 2 or final[1] != out:
         if wide:
             _check_width(skip, label)
-        values = _contract(final, out)
+        values = _contract(final, skip, out)
     values = np.ascontiguousarray(values)  # so the sum below runs in C order
-    low = values.min() if values.size else 0.0
-    if low < -NEGATIVE_TOLERANCE:
-        raise InternalConsistencyError(
-            f"marginal entry {low} below tolerance {-NEGATIVE_TOLERANCE}"
-        )
-    values = np.clip(values, 0.0, None)
+    low = values.min()
+    if low < 0.0:
+        if low < -NEGATIVE_TOLERANCE:
+            raise InternalConsistencyError(
+                f"marginal entry {low} below tolerance {-NEGATIVE_TOLERANCE}"
+            )
+        values = np.clip(values, 0.0, None)
     with np.errstate(over="ignore"):
         total = values.sum()
     if not np.isfinite(total):
         raise InternalConsistencyError(f"unnormalized marginal sums to {total}")
     if total == 0.0:
         raise ZeroNormalizerError("evidence has zero probability under the model")
-    return Factor(tuple(query), tuple(cards[q] for q in query), values / total)
+    return Factor(tuple(query), tuple(net.cards[q] for q in query), values / total)
 
 
 # ---------------------------------------------------------------------------

@@ -160,7 +160,8 @@ class Network:
     lifetime: ``cards``, ``parent_map`` and ``ancestor_masks`` (each
     variable's ancestors as a bitmask, the walk that also checks for a
     cycle) by validation, ``scope_masks`` (each table's scope as a
-    bitmask), ``tables``, the one-state variables, ``layout`` (the
+    bitmask), ``tables``, the one-state variables, the stars' hidden
+    variables, the free potentials' ancestors, ``layout`` (the
     tables arranged for elimination, which decides once whether the
     network is planned) and ``plan`` (the min-fill elimination plan of
     the interaction graph) on first use.  Inference reads only these,
@@ -246,6 +247,21 @@ class Network:
         """The ids of the variables with one state, which inference
         indexes out of every table, as it does a one-state finding."""
         return tuple(v for v, card in enumerate(self.cards) if card == 1)
+
+    @cached_property
+    def _hidden(self) -> frozenset[int]:
+        """The stars' hidden variable ids, which no query may name."""
+        return frozenset(s.hidden for s in self.stars)
+
+    @cached_property
+    def _potential_ancestors(self) -> int:
+        """Every variable of a free potential and its ancestors, as a bitmask."""
+        ancestors = self.ancestor_masks
+        seen = 0
+        for p in self.potentials:
+            for v in p.scope:
+                seen |= ancestors[v]
+        return seen
 
     @cached_property
     def parent_map(self) -> dict[int, tuple[int, ...]]:

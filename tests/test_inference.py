@@ -523,10 +523,9 @@ def test_many_tables_on_one_variable():
     assert np.allclose(got.values, [1 / (1 + odds), odds / (1 + odds)], rtol=1e-9)
 
 
-def test_contract_splits_beyond_max_operands():
-    """40 tables over four variables, more than one einsum takes: the
-    first MAX_OPERANDS are multiplied apart, then the rest, against
-    enumeration of the product."""
+def test_contract_folds_beyond_max_operands(monkeypatch):
+    """40 tables over four variables, more than one einsum takes: a left
+    fold of 39 two-operand einsums, against enumeration of the product."""
     rng = random.Random(5)
     cards = (2, 3, 2, 4)
     tables = []
@@ -536,10 +535,15 @@ def test_contract_splits_beyond_max_operands():
         tables.append((scope, np.array([rng.uniform(0.5, 1.5) for _ in range(int(np.prod(shape)))]).reshape(shape)))
     assert len(tables) > inference.MAX_OPERANDS
     # each variable is its own einsum label
-    labelled = [(sum(1 << v for v in scope), scope, values) for scope, values in tables]
+    ops = [x for scope, values in tables for x in (values, list(scope))]
+    operands = []
+    einsum = np.einsum
+    monkeypatch.setattr(np, "einsum", lambda *args: operands.append(len(args) // 2) or einsum(*args))
     first = list(dict.fromkeys(v for scope, _ in tables for v in scope))
     for scope in (first, [v for v in first if v != first[1]], first[::-1]):
-        values = inference._contract(labelled, scope)
+        operands.clear()
+        values = inference._contract(ops, 0b1111, scope)
+        assert operands == [2] * 39
         assert values.shape == tuple(cards[v] for v in scope)
         want = np.zeros(values.shape)
         for cfg in iproduct(*map(range, cards)):
@@ -553,8 +557,8 @@ def test_contract_splits_beyond_max_operands():
 def test_bucket_of_more_than_max_operands_tables(monkeypatch):
     """A three-state root with 40 observed children and one queried one:
     the root's bucket holds its prior and 41 child tables, so the
-    elimination step itself splits; against enumeration of the only
-    unobserved variables, the root and the queried child."""
+    elimination step itself goes through the fold; against enumeration
+    of the only unobserved variables, the root and the queried child."""
     n = 42
     rng = random.Random(11)
     cards = {0: 3, **{i: 2 for i in range(1, n)}}
@@ -568,9 +572,9 @@ def test_bucket_of_more_than_max_operands_tables(monkeypatch):
     steps = []
     contract = inference._contract
 
-    def recording(tables, out):
-        steps.append((len(tables), out))
-        return contract(tables, out)
+    def recording(ops, mask, out):
+        steps.append((len(ops) // 2, out))
+        return contract(ops, mask, out)
 
     monkeypatch.setattr(inference, "_contract", recording)
     net = Network(variables, cpts)
@@ -691,16 +695,13 @@ def test_restricted_steps_lie_in_the_network_plan(monkeypatch):
     drops = []
     contract = inference._contract
 
-    def recording(tables, out):
-        # the variable a step sums out: the one whose label leaves, as no
+    def recording(ops, mask, out):
+        # the variables a step sums out: those whose labels leave, as no
         # two variables of one step share a label; query variables stay
-        mask = 0
-        for m, _, _ in tables:
-            mask |= m
         labels, order = t.layout.labels, t.plan.order
         drops.extend(order[r] for r in members(mask)
                      if order[r] not in query and labels[r] not in out)
-        return contract(tables, out)
+        return contract(ops, mask, out)
 
     monkeypatch.setattr(inference, "_contract", recording)
     checked = cat = 0
@@ -895,10 +896,10 @@ def test_unanswered_tasks_star_is_not_contracted(monkeypatch):
     contract = inference._contract
     order = ()
 
-    def recording(tables, out):
-        # a table's mask is over ranks in its network's plan order
-        contracted.update(order[r] for m, _, _ in tables for r in members(m))
-        return contract(tables, out)
+    def recording(ops, mask, out):
+        # the mask is over ranks in its network's plan order
+        contracted.update(order[r] for r in members(mask))
+        return contract(ops, mask, out)
 
     monkeypatch.setattr(inference, "_contract", recording)
 
@@ -948,10 +949,12 @@ def widest_clique(t, ev, query):
 
 def test_einsum_labels_colour_every_step(monkeypatch):
     """Over the brute-force random networks and the 40/8 CAT queries,
-    under both planners: each einsum operand is labelled by its
-    variables' labels; no two variables that meet in one einsum share a
-    label; every label lies in [0, 52); and the labels stop below the
-    widest elimination clique's variable count plus the query's."""
+    under both planners, with and without the fold: each step's tables
+    carry the labels of its variables; no two variables that meet in
+    one step share a label, so neither do two axes of any einsum the
+    step runs, the fold's included; every label lies in [0, 52); and
+    the labels stop below the widest elimination clique's variable
+    count plus the query's."""
     cases = []
     for seed in range(150):
         rng = random.Random(seed)
@@ -960,22 +963,28 @@ def test_einsum_labels_colour_every_step(monkeypatch):
         query = sorted(rng.sample(range(len(net.variables)), rng.randint(1, 2)))
         cases += [(transform_network(net, m), ev, query) for m in ("none", "factorize")]
     cases += list(cat_queries())
-    eliminate, contract = inference._eliminate, inference._contract
+    eliminate, contract, einsum = inference._eliminate, inference._contract, np.einsum
     seen: dict = {}
 
     def eliminating(tables, skip, label, wide):
-        seen.update(label=label, calls=[])
+        seen.update(label=label, steps=[])
         return eliminate(tables, skip, label, wide)
 
-    def contracting(tables, out):
-        seen["calls"].append(([(mask, list(labels)) for mask, labels, _ in tables], list(out)))
-        return contract(tables, out)
+    def contracting(ops, mask, out):
+        seen["steps"].append((mask, [list(labels) for labels in ops[1::2]], list(out), []))
+        return contract(ops, mask, out)
+
+    def einsumming(*args):  # each operand's labels, then the output's
+        seen["steps"][-1][3].append([list(labels) for labels in args[1::2]] + [list(args[-1])])
+        return einsum(*args)
 
     monkeypatch.setattr(inference, "_eliminate", eliminating)
     monkeypatch.setattr(inference, "_contract", contracting)
-    calls = 0
-    for bound in BOUNDS:
+    monkeypatch.setattr(np, "einsum", einsumming)
+    calls = folded = 0
+    for bound, fold in iproduct(BOUNDS, (0, inference.FOLD_VARS)):
         monkeypatch.setattr(network, "PLAN_ONCE_ENTRIES", bound)
+        monkeypatch.setattr(inference, "FOLD_VARS", fold)
         fresh = {id(t): replace(t) for t, _, _ in cases}
         for t, ev, query in cases:
             t = fresh[id(t)]
@@ -988,19 +997,18 @@ def test_einsum_labels_colour_every_step(monkeypatch):
                 continue
             label = seen["label"]
             used = set()
-            for operands, out in seen["calls"]:
-                union = 0
-                for mask, labels in operands:  # a scalar has neither
-                    assert sorted(labels) == sorted(label[r] for r in members(mask))
-                    union |= mask
-                met = {label[r] for r in members(union)}
-                assert len(met) == union.bit_count(), (bound, query)
-                assert set(out) <= met
+            for mask, operands, out, einsums in seen["steps"]:
+                met = {label[r] for r in members(mask)}
+                assert len(met) == mask.bit_count(), (bound, query)
+                assert set().union(*operands) == met and set(out) <= met
+                for labels in (*operands, *(x for call in einsums for x in call)):
+                    assert len(set(labels)) == len(labels) and set(labels) <= met
                 used |= met
-                calls += 1
+                calls += len(einsums)
+                folded += len(einsums) > 1
             assert all(0 <= x < 52 for x in used)
             assert max(used, default=-1) < widest_clique(t, ev, query) + len(query)
-    assert calls > 5000
+    assert calls > 10000 and folded > 1000
 
 
 def test_a_chain_longer_than_an_einsums_labels_runs_on_its_plan(monkeypatch):
@@ -1035,6 +1043,73 @@ def test_a_chain_longer_than_an_einsums_labels_runs_on_its_plan(monkeypatch):
     for step in steps:
         want = want @ step
     assert got.scope == (n - 1,)
+    assert np.allclose(got.values, want, rtol=1e-12, atol=0)
+
+
+def test_the_fold_changes_no_posterior(monkeypatch):
+    """FOLD_VARS at 0 sends every bucket of three tables or more through
+    the left fold of two-operand einsums; at 10**6 only one of more than
+    MAX_OPERANDS.  On the brute-force random networks under both methods
+    and both planners, the two agree within 1e-12 and match enumeration
+    within 1e-9; on the 108 CAT queries they agree within 1e-12."""
+    cases = []
+    for seed in range(150):
+        rng = random.Random(seed)
+        net = random_mixed_network(rng, one_state=True)
+        ev = random_evidence(net, rng)
+        query = sorted(rng.sample(range(len(net.variables)), rng.randint(1, 2)))
+        try:
+            want = brute_posterior(net, ev, query)
+        except ZeroNormalizerError:
+            want = None
+        for method in ("none", "factorize"):
+            for bound in BOUNDS:
+                cases.append((transform_network(net, method), ev, query, want, bound))
+    cases += [(t, ev, query, None, network.PLAN_ONCE_ENTRIES) for t, ev, query in cat_queries()]
+    answered = 0
+    for t, ev, query, want, bound in cases:
+        monkeypatch.setattr(network, "PLAN_ONCE_ENTRIES", bound)
+        got = []
+        for fold in (0, 10**6):
+            monkeypatch.setattr(inference, "FOLD_VARS", fold)
+            try:
+                got.append(variable_elimination(replace(t), ev, query).values)
+            except ZeroNormalizerError:
+                got.append(None)
+        if got[0] is None:
+            assert got[1] is None and want is None
+            continue
+        assert np.abs(got[0] - got[1]).max() < 1e-12
+        if want is not None:
+            assert np.abs(got[0] - want).max() < 1e-9
+        answered += 1
+    assert answered > 600
+
+
+def test_a_lone_table_sums_out_its_run_in_one_step(monkeypatch):
+    """Nine binary variables held by one free potential, the last of
+    them the parent of a queried child.  The potential is the only
+    table in the buckets of the first eight, so one step sums them all
+    out; a second sums out the parent with the child's CPT.  Against
+    enumeration."""
+    n = 9
+    rng = np.random.default_rng(9)
+    variables = tuple(binary(i, f"x{i}") for i in range(n)) + (binary(n, "y"),)
+    joint = Factor(tuple(range(n)), (2,) * n, rng.uniform(0.1, 1.0, (2,) * n))
+    child = cpt(n, (n - 1,), (2,) * (n + 1), [[0.9, 0.1], [0.25, 0.75]])
+    net = Network(variables, (child,), (), (joint,))
+    steps = []
+    contract = inference._contract
+
+    def recording(ops, mask, out):
+        steps.append((len(ops) // 2, mask.bit_count(), len(out)))
+        return contract(ops, mask, out)
+
+    monkeypatch.setattr(inference, "_contract", recording)
+    assert net.layout.labels is not None
+    got = variable_elimination(net, None, [n])
+    assert steps == [(1, n, 1), (2, 2, 1)]
+    want = brute_posterior(net, Evidence(), [n])
     assert np.allclose(got.values, want, rtol=1e-12, atol=0)
 
 
