@@ -5,18 +5,15 @@ triangulated interaction graph: the sum over maximal cliques of the
 product of member cardinalities.  Every table contributes its scope as
 a clique (for CPTs and deterministic nodes this is the family, i.e.
 moralization; potentials and a star's h and g tables, their own scope).
-Both this accounting and variable elimination plan on the same graph:
-:func:`moral_graph` turns scope bitmasks into one neighbour bitmask per
-variable id, and :func:`min_fill_steps` eliminates on it, one step at a
-time, so a caller may stop early.  :func:`min_fill_plan` sums the
-entries of its cliques and stops once they pass a bound.  Each network
-decides once, where its layout is built (``Network.layout``), whether
-its plan is within inference's bound; a run that ends is the network's
-:class:`Plan` (``Network.plan``), which the accounting reads.  Below
-the bound every query eliminates in that plan's order; above it, each
-query runs min-fill on its own reduced graph.  Either way
-:func:`colouring` turns the elimination cliques into one einsum label
-per variable.
+
+:func:`min_fill_plan` is the one planner, for clique accounting and for
+variable elimination alike: it eliminates with :func:`min_fill_steps` on
+the :func:`moral_graph` of scope bitmasks (one neighbour bitmask per
+variable id), sums the entries of the elimination cliques, stopping
+once they pass a bound, and labels a run that ends by
+:func:`colouring` its cliques.  A network plans its interaction graph
+(``Network.plan``, which the accounting reads); a query plans its own
+reduced graph only above inference's bound (see ``Network.layout``).
 """
 
 from __future__ import annotations
@@ -52,16 +49,13 @@ class CliqueReport:
         return max(self.sizes, default=0)
 
 
-def moral_graph(masks: Iterable[int], skip: int = 0) -> dict[int, int]:
+def moral_graph(masks: Iterable[int]) -> dict[int, int]:
     """The graph in which each scope, given as a bitmask (bit v for
     variable v), becomes a clique, as the bitmask of each vertex's
-    neighbours.  Variables whose bit is set in ``skip`` are left out; a
-    scope member with no other member still becomes a vertex, with
-    mask 0."""
-    free = ~skip
+    neighbours.  A scope member with no other member still becomes a
+    vertex, with mask 0."""
     nb: dict[int, int] = {}
     for mask in masks:
-        mask &= free
         rest = mask
         while rest:
             low = rest & -rest
@@ -171,22 +165,27 @@ def min_fill_steps(nb: dict[int, int]) -> Iterator[tuple[int, int]]:
 
 
 class Plan(NamedTuple):
-    """A min-fill elimination plan: the order, each step's elimination
-    clique as a bitmask (the eliminated vertex and its neighbours then),
-    and the entries of those cliques, each the product of its members'
-    cardinalities, summed over every step."""
+    """A min-fill elimination plan: the order; each step's elimination
+    clique as a bitmask (the eliminated vertex and its neighbours then);
+    the entries of those cliques, each the product of its members'
+    cardinalities, summed over every step; each vertex's einsum label
+    (its :func:`colouring`, -1 for a one-state vertex), parallel to
+    ``order``; and the number of labels used."""
 
     order: tuple[int, ...]
     cliques: tuple[int, ...]
     entries: int
+    labels: tuple[int, ...]
+    colours: int
 
 
 def min_fill_plan(
-    masks: Iterable[int], cards: tuple[int, ...], bound: float = inf
+    masks: Iterable[int], cards: Sequence[int], bound: float = inf
 ) -> Plan | None:
     """The min-fill plan of the :func:`moral_graph` of ``masks``, with
     ``cards`` giving each variable's cardinality; None, and min-fill
-    stopped, as soon as the entries summed so far pass ``bound``."""
+    stopped, as soon as the entries summed so far pass ``bound``.  The
+    one-state vertices take no colour, as inference indexes them out."""
     order: list[int] = []
     cliques: list[int] = []
     entries = 0
@@ -196,10 +195,11 @@ def min_fill_plan(
             return None
         order.append(v)
         cliques.append(clique)
-    return Plan(tuple(order), tuple(cliques), entries)
+    labels = colouring(order, cliques, sum(1 << v for v in order if cards[v] == 1))
+    return Plan(tuple(order), tuple(cliques), entries, tuple(labels), max(labels, default=-1) + 1)
 
 
-def colouring(order: Sequence[int], cliques: Sequence[int], skip: int = 0) -> list[int]:
+def colouring(order: Sequence[int], cliques: Sequence[int], skip: int) -> list[int]:
     """A colour (0, 1, ...) for each vertex of an elimination ``order``
     outside the bitmask ``skip``, such that no two members of one
     elimination clique share a colour, as a list parallel to ``order``
@@ -239,7 +239,7 @@ def moralize_and_triangulate(net: Network) -> CliqueReport:
     are the network's own plan (``Network.plan``), so triangulating
     twice, or after a query, runs min-fill once.
     """
-    order, raw, _ = net.plan
+    order, raw = net.plan.order, net.plan.cliques
     maximal: list[int] = []
     for c in raw:
         if not any(c & other == c for other in maximal):

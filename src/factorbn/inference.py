@@ -13,7 +13,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .core import Evidence, Factor, Variable
-from .cliques import colouring, min_fill_steps, moral_graph
+from .cliques import min_fill_plan
 from .errors import InternalConsistencyError, ValidationError, ZeroNormalizerError
 from .factorization import (
     build_factorized_form,
@@ -153,8 +153,9 @@ def _eliminate(tables: list[Table], skip: int, label: Sequence[int], wide: bool)
     rank order, waits in the bucket of its lowest rank outside
     ``skip``.  A bucket of one table also sums out each next live rank
     that the table holds while that rank's bucket is empty, in the same
-    einsum, as no other table holds it.  If ``wide``, each step first
-    checks that numpy can run its einsum.
+    einsum, as no other table holds it.  A bucket is dropped as its
+    step takes it, so a step's tables die once it has run.  If ``wide``,
+    each step first checks that numpy can run its einsum.
     """
     ops: list[list] = [[] for _ in range(len(label) + 1)]
     held = [0] * (len(label) + 1)
@@ -173,6 +174,7 @@ def _eliminate(tables: list[Table], skip: int, label: Sequence[int], wide: bool)
         live ^= low
         i = low.bit_length() - 1
         bucket, union = ops[i], held[i]
+        ops[i] = []  # so its tables die with this step
         if wide:
             _check_width(union, label)
         mask = union ^ low
@@ -213,16 +215,16 @@ def variable_elimination(
     so an observed query variable keeps its axis.
 
     The remaining non-query variables are summed out on the network's
-    layout (``Network.layout``).  Below ``PLAN_ONCE_ENTRIES`` they go in
-    the network plan's order, restricted to them, with the layout's
-    labels: the reduced graph is a subgraph of the network's, so each
-    step's variables, query aside, lie inside the plan's clique for the
-    variable summed out, where no two share a colour.  Above it they go
-    in min-fill order (lowest id on ties) on the reduced graph (the
-    :func:`~factorbn.cliques.moral_graph` of the kept tables' scopes,
-    query left out), whose cliques are coloured the same way; the
-    tables keep their axes.  Either way the query variables take the
-    labels just above the colours, so every label is below the widest
+    layout (``Network.layout``), in the order of a
+    :class:`~factorbn.cliques.Plan`, with its labels.  Below
+    ``PLAN_ONCE_ENTRIES`` that is the layout's plan, restricted to the
+    live variables: the reduced graph is a subgraph of the network's,
+    so each step's variables, query aside, lie inside the plan's clique
+    for the variable summed out, where no two share a label.  Above it
+    the query plans its own, :func:`~factorbn.cliques.min_fill_plan` of
+    the kept tables' scopes with the query left out; the tables keep
+    their axes.  Either way the query variables take the labels just
+    above the plan's colours, so every label is below the widest
     clique's size plus the query's, and one step loop runs
     (:func:`_eliminate`).  An einsum that numpy cannot run
     (:func:`_check_width`) raises ValidationError instead.
@@ -246,21 +248,19 @@ def variable_elimination(
         )
     layout = net.layout
     kept = _reduce(net, evidence, queryset, layout)
-    order: Sequence[int]  # the variable at each rank
     rank: Sequence[int] | dict[int, int]
-    if layout.labels is not None:
-        order, rank, label, base = net.plan.order, layout.rank, list(layout.labels), layout.colours
-    else:
-        nb = moral_graph([t[0] for t in kept], sum(1 << q for q in query))
-        run = list(min_fill_steps(nb))
-        steps = [v for v, _ in run]
-        label = colouring(steps, [clique for _, clique in run]) + [-1] * len(query)
-        base = max(label, default=-1) + 1
-        order = steps + query
-        rank = {v: i for i, v in enumerate(order)}
+    plan = layout.plan
+    if plan is not None:
+        rank, label = layout.rank, list(plan.labels)
+    else:  # the kept masks are over ids, query left out of the plan
+        queried = sum(1 << q for q in query)
+        plan = min_fill_plan([t[0] & ~queried for t in kept], net.cards)
+        rank = {v: i for i, v in enumerate((*plan.order, *query))}
+        label = [*plan.labels, *[-1] * len(query)]
         for i, (_, scope, _, values) in enumerate(kept):  # each table keeps its axes
             ranks = [rank[v] for v in scope]
             kept[i] = (sum(1 << r for r in ranks), ranks, None, values)
+    base = plan.colours
     for j, q in enumerate(query):
         label[rank[q]] = base + j
     skip = sum(1 << rank[q] for q in query)
@@ -269,6 +269,7 @@ def variable_elimination(
 
     final, left = _eliminate(kept, skip, label, wide)
     if left != skip:
+        order = (*plan.order, *query)  # the variable at each rank
         scope = tuple(sorted(order[r] for r in range(left.bit_length()) if left >> r & 1))
         raise InternalConsistencyError(f"elimination left scope {scope}, expected {tuple(query)}")
     out = list(range(base, base + len(query)))  # the query's labels, in query order

@@ -6,11 +6,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
-from .cliques import Plan, colouring, min_fill_plan
+from .cliques import Plan, min_fill_plan
 from .core import Factor, Variable
 from .errors import ValidationError
 from .factorization import FactorizedForm
@@ -99,14 +99,20 @@ class Star:
             raise ValidationError("a star's child and parents must be distinct")
         if len(self.form.g) != len(self.parents):
             raise ValidationError("a star needs one g table per parent")
-
-    def tables(self) -> Iterator[tuple[tuple[int, int], np.ndarray]]:
-        """(scope, float64 table) for h, then for each g_i, with the axes
-        in id order: a table is transposed only when B has the lower id."""
         b = self.hidden
+        tables = []
         for v, table in zip((self.child, *self.parents), (self.form.h, *self.form.g)):
             scope, table = ((v, b), table) if v < b else ((b, v), table.T)
-            yield scope, np.ascontiguousarray(table, dtype=np.float64)
+            table = np.ascontiguousarray(table, dtype=np.float64)
+            table.flags.writeable = False  # shared by every call and network
+            tables.append((scope, table))
+        object.__setattr__(self, "_tables", tuple(tables))
+
+    def tables(self) -> tuple[tuple[tuple[int, int], np.ndarray], ...]:
+        """(scope, float64 table) for h, then for each g_i, with the axes
+        in id order: a table is transposed only when B has the lower id.
+        Built once with the star, so every call returns the same arrays."""
+        return self._tables
 
 
 class Layout(NamedTuple):
@@ -117,24 +123,20 @@ class Layout(NamedTuple):
     each entry of ``Network.tables`` in order, its head, its scope as a
     rank mask, the ranks of its axes, their labels, and its values.
 
-    A network whose plan is within ``PLAN_ONCE_ENTRIES`` ranks each
-    variable by its position in the plan's order.  ``labels`` gives the
-    einsum label at each rank: its colour in
-    :func:`~factorbn.cliques.colouring` of the plan's cliques, so no
-    two variables that meet in one elimination step share a label
-    (-1 for a one-state variable, which inference indexes out unless
-    queried).  ``colours`` counts the labels; query variables take the
-    labels from there up.  Each table's ranks are ascending, and its
-    values a read-only C-contiguous array with the axes in that order.
-    Above the bound, the ranks are the ids, ``labels`` is None and
-    ``colours`` 0, and the tables are ``Network.tables`` as stored:
+    A network whose plan is within ``PLAN_ONCE_ENTRIES`` keeps that
+    plan as ``plan`` and ranks each variable by its position in the
+    plan's order, so ``plan.labels`` gives the einsum label at each
+    rank: no two variables that meet in one elimination step share
+    one.  Each table's ranks are ascending, its labels are theirs, and
+    its values a read-only C-contiguous array with the axes in that
+    order.  Above the bound, ``plan`` is None, the ranks are the ids,
+    and the tables are ``Network.tables`` as stored, without labels:
     each query plans and labels its own elimination.
     """
 
     rank: tuple[int, ...]
-    labels: tuple[int, ...] | None
-    colours: int
-    tables: tuple[tuple[int | None, int, tuple[int, ...], tuple[int, ...], np.ndarray], ...]
+    plan: Plan | None
+    tables: tuple[tuple[int | None, int, tuple[int, ...], tuple[int, ...] | None, np.ndarray], ...]
 
 
 @dataclass(frozen=True)
@@ -333,10 +335,9 @@ class Network:
     @cached_property
     def plan(self) -> Plan:
         """The min-fill plan of the interaction graph, in which every
-        table's scope is a clique: the order, each step's elimination
-        clique and their summed entries.  Clique accounting reports it;
-        inference eliminates in its order when its entries are few (see
-        :attr:`layout`)."""
+        table's scope is a clique (see :class:`~factorbn.cliques.Plan`).
+        Clique accounting reports it; inference eliminates in its order,
+        with its labels, when its entries are few (see :attr:`layout`)."""
         return min_fill_plan(self.scope_masks, self.cards)
 
     @cached_property
@@ -346,7 +347,7 @@ class Network:
         Unless ``plan`` is built, this runs a min-fill that stops once
         its summed entries pass ``PLAN_ONCE_ENTRIES``, so a large
         network is found to be above the bound without planning it
-        whole; a run that ends is kept as ``plan``."""
+        whole; a run that ends is kept as ``plan``, and is the layout's."""
         plan = self.__dict__.get("plan") or min_fill_plan(
             self.scope_masks, self.cards, PLAN_ONCE_ENTRIES
         )
@@ -355,11 +356,9 @@ class Network:
                 (head, mask, scope, None, values)
                 for (head, scope, values), mask in zip(self.tables, self.scope_masks)
             )
-            return Layout(tuple(range(len(self.cards))), None, 0, tables)
+            return Layout(tuple(range(len(self.cards))), None, tables)
         self.__dict__["plan"] = plan  # a bounded run that ended is the whole plan
-        order, cliques, _ = plan
-        rank = sorted(range(len(order)), key=order.__getitem__)  # order's inverse
-        labels = tuple(colouring(order, cliques, sum(1 << v for v in self._one_state)))
+        rank = sorted(range(len(plan.order)), key=plan.order.__getitem__)  # order's inverse
         tables = []
         for head, scope, values in self.tables:
             ranks = [rank[v] for v in scope]
@@ -368,8 +367,8 @@ class Network:
             values = np.asarray(values.transpose(axes), order="C")  # keeps a 0-d table 0-d
             values.flags.writeable = False
             mask = sum(1 << r for r in ranks)
-            tables.append((head, mask, tuple(ranks), tuple(labels[r] for r in ranks), values))
-        return Layout(tuple(rank), labels, max(labels, default=-1) + 1, tuple(tables))
+            tables.append((head, mask, tuple(ranks), tuple(plan.labels[r] for r in ranks), values))
+        return Layout(tuple(rank), plan, tuple(tables))
 
     def variable_by_name(self, name: str) -> Variable:
         for v in self.variables:

@@ -6,8 +6,8 @@ Core claims:
       32-state clique; the pairwise rewrite caps cliques at 4 states
       and strictly shrinks the total
     - reported cliques form an antichain (no clique inside another)
-    - ``moral_graph`` makes each scope mask a clique, leaves out the
-      variables it is told to skip, and covers potential scopes
+    - ``moral_graph`` makes each scope mask a clique, so a variable
+      cleared from every mask is no vertex, and covers potential scopes
     - min-fill breaks ties toward the lowest variable id, and the mask
       core (``min_fill_steps``) picks exactly what a full rescan and the
       earlier set-based incremental scoring pick: on random graphs with
@@ -18,6 +18,10 @@ Core claims:
     - a network without variables has no cliques and sizes 0
     - triangulation reads the network's scope masks and builds no
       table; the masks are those of the tables' scopes, in order
+    - every plan's labels colour its elimination cliques: distinct
+      within a clique among the vertices of more than one state, -1 on
+      a one-state vertex, as many colours as the widest clique has
+      such members, and ``colours`` one past the largest label
     - a network runs min-fill once: triangulating it again and
       querying it below the bound reuse its plan, and the bounded
       min-fill of its layout, when it ends below the bound, is the plan
@@ -47,7 +51,7 @@ from factorbn.benchcat import (
     connect_tasks,
     generate_student_model,
 )
-from factorbn.cliques import min_fill_steps, moral_graph
+from factorbn.cliques import min_fill_plan, min_fill_steps, moral_graph
 from factorbn.core import Evidence
 from factorbn.inference import transform_network
 
@@ -175,7 +179,7 @@ def test_network_runs_min_fill_once(monkeypatch):
             inference.variable_elimination(t, Evidence(), [skill])
         assert moralize_and_triangulate(t) == report
         assert len(calls) == 1
-        assert t.layout.labels is not None
+        assert t.layout.plan is not None
         assert report.elimination_order == t.plan.order
         reports.append(report)
     # queried first: the layout's min-fill, bounded, ends below the
@@ -325,8 +329,9 @@ def query_graphs():
                     kept = inference._reduce(t, Evidence(dict(found)), {skill}, t.layout)
                     # the masks are over plan ranks; the graph is over ids
                     order = t.plan.order
-                    masks = [sum(1 << order[r] for r in ranks) for _, ranks, *_ in kept]
-                    graphs.append(moral_graph(masks, 1 << skill))
+                    masks = [sum(1 << order[r] for r in ranks if order[r] != skill)
+                             for _, ranks, *_ in kept]
+                    graphs.append(moral_graph(masks))
     return graphs
 
 
@@ -463,5 +468,41 @@ def test_moral_graph_skips_masked_variables():
     assert graph_of(moral_graph(masks)) == {
         0: {1, 2}, 1: {0, 2}, 2: {0, 1, 3}, 3: {2}, 4: set()
     }
-    # variable 1 is left out; the lone scope (4,) still gives a vertex
-    assert moral_graph(masks, skip=1 << 1) == {0: 0b100, 2: 0b1001, 3: 0b100, 4: 0}
+    # variable 1 cleared from every mask is left out; the lone scope (4,)
+    # still gives a vertex
+    cleared = [mask & ~(1 << 1) for mask in masks]
+    assert moral_graph(cleared) == {0: 0b100, 2: 0b1001, 3: 0b100, 4: 0}
+
+
+def test_plan_labels_colour_every_elimination_clique():
+    """On seeded random graphs with random cards, some of them 1, and on
+    the whole-network plans of 40-node, 8-task CAT models under both
+    methods: the members of each elimination clique with more than one
+    state have distinct labels, a one-state vertex has -1, and
+    ``colours`` is one past the largest label, which is as few as the
+    widest clique allows (Gavril 1972)."""
+    plans = []
+    for seed in range(200):
+        rng = random.Random(seed)
+        adj = random_graph(rng)
+        masks = [sum(1 << u for u in nbrs) | 1 << v for v, nbrs in adj.items()]
+        cards = [rng.choice((1, 2, 2, 3)) for _ in range(max(adj, default=-1) + 1)]
+        plans.append((min_fill_plan(masks, cards), cards))
+    for seed in (1, 99):
+        for method in ("none", "factorize"):
+            t = transform_network(session_model(seed)[1], method)
+            plans.append((t.plan, t.cards))
+    one_state = 0
+    for plan, cards in plans:
+        assert len(plan.labels) == len(plan.order)
+        label = dict(zip(plan.order, plan.labels))
+        widest = 0
+        for clique in plan.cliques:
+            colours = [x for v, x in label.items() if clique >> v & 1 and cards[v] > 1]
+            assert len(set(colours)) == len(colours)
+            widest = max(widest, len(colours))
+        for v, x in label.items():
+            assert (x == -1) == (cards[v] == 1)
+            one_state += cards[v] == 1
+        assert plan.colours == max(plan.labels, default=-1) + 1 == widest
+    assert one_state > 500

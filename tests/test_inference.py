@@ -16,6 +16,8 @@ Core claims:
       no two variables of one einsum share a label, and the labels stay
       below the widest clique plus the query, so a chain with more live
       variables than an einsum's 52 labels runs on its plan
+    - a step's input tables die once it has run, so no query keeps an
+      intermediate that a later step took
     - the network's layout holds every table, bit for bit, with its
       axes in plan order below the bound, and as stored above it
     - a query that would pass one einsum a label past 51, or more
@@ -52,7 +54,7 @@ from factorbn.benchcat import (
     connect_tasks,
     generate_student_model,
 )
-from factorbn.cliques import min_fill_steps, moral_graph
+from factorbn.cliques import min_fill_plan, moral_graph
 from factorbn.inference import transform_network
 from factorbn.network import Star
 
@@ -579,7 +581,7 @@ def test_bucket_of_more_than_max_operands_tables(monkeypatch):
     monkeypatch.setattr(inference, "_contract", recording)
     net = Network(variables, cpts)
     got = variable_elimination(net, ev, [1])
-    root = net.layout.labels[net.layout.rank[0]]
+    root = net.layout.plan.labels[net.layout.rank[0]]
     assert [count for count, out in steps if root not in out] == [n]
     assert n > inference.MAX_OPERANDS
     want = np.zeros(2)
@@ -658,12 +660,12 @@ def restricted_steps(t, evidence, query):
     """(variable, clique mask) for each step of the elimination game on
     the query's reduced graph, query left out, in the network plan's
     order restricted to that graph's vertices."""
-    assert t.layout.labels is not None
+    assert t.layout.plan is not None
     kept = inference._reduce(t, evidence, set(query), t.layout)
-    # the masks are over plan ranks; the graph is over ids
+    # the masks are over plan ranks; the graph is over ids, query left out
     order = t.plan.order
-    masks = [sum(1 << order[r] for r in ranks) for _, ranks, *_ in kept]
-    adj = moral_graph(masks, sum(1 << q for q in query))
+    masks = [sum(1 << order[r] for r in ranks if order[r] not in query) for _, ranks, *_ in kept]
+    adj = moral_graph(masks)
     steps = []
     for v in t.plan.order:
         if v not in adj:
@@ -698,7 +700,7 @@ def test_restricted_steps_lie_in_the_network_plan(monkeypatch):
     def recording(ops, mask, out):
         # the variables a step sums out: those whose labels leave, as no
         # two variables of one step share a label; query variables stay
-        labels, order = t.layout.labels, t.plan.order
+        labels, order = t.layout.plan.labels, t.plan.order
         drops.extend(order[r] for r in members(mask)
                      if order[r] not in query and labels[r] not in out)
         return contract(ops, mask, out)
@@ -741,18 +743,26 @@ def test_network_above_the_bound_plans_each_query(monkeypatch):
     from factorbn import cliques
 
     runs = []  # [who, vertices, steps taken] for each min-fill run
+    callers = []  # who called the planner, network or query
 
-    def counting(who, real):
+    def planning(who, real):
+        def plan(*args):
+            callers.append(who)
+            return real(*args)
+        return plan
+
+    def counting(real):
         def steps(nb):
-            run = [who, len(nb), 0]
+            run = [callers.pop(), len(nb), 0]
             runs.append(run)
             for step in real(nb):
                 run[2] += 1
                 yield step
         return steps
 
-    monkeypatch.setattr(cliques, "min_fill_steps", counting("network", cliques.min_fill_steps))
-    monkeypatch.setattr(inference, "min_fill_steps", counting("query", inference.min_fill_steps))
+    monkeypatch.setattr(network, "min_fill_plan", planning("network", network.min_fill_plan))
+    monkeypatch.setattr(inference, "min_fill_plan", planning("query", inference.min_fill_plan))
+    monkeypatch.setattr(cliques, "min_fill_steps", counting(cliques.min_fill_steps))
     for parents, above in ((18, True), (8, False)):
         net, table = star_of_parents(parents)
         runs.clear()
@@ -760,7 +770,7 @@ def test_network_above_the_bound_plans_each_query(monkeypatch):
             got = variable_elimination(net, Evidence({parents: (0, 1)}), [q])
             want = table[..., 1].sum(axis=tuple(a for a in range(parents) if a != q))
             assert np.allclose(got.values, want / want.sum(), rtol=1e-12, atol=0)
-        assert (net.layout.labels is None) == above
+        assert (net.layout.plan is None) == above
         first, *queries = runs
         assert first[:2] == ["network", parents + 1]
         assert (first[2] < parents + 1) == above
@@ -780,7 +790,7 @@ def test_student_models_from_60_nodes_plan_each_query():
             net = connect_tasks(generate_student_model(spec), canonical_tasks(spec, tasks, seed))
             for method in ("none", "factorize"):
                 layout = transform_network(net, method).layout
-                assert layout.labels is None, (nodes, seed, method)
+                assert layout.plan is None, (nodes, seed, method)
 
 
 # -- stars: factorized nodes pruned like the families they replace -----------
@@ -873,7 +883,7 @@ def test_a_star_below_its_family_transposes_its_tables():
     star = t.stars[0]
     form = star.form
     assert [scope for scope, _ in star.tables()] == [(0, 4), (0, 1), (0, 2)]
-    assert np.array_equal(next(star.tables())[1], form.h.T)
+    assert np.array_equal(star.tables()[0][1], form.h.T)
     parsed = parse_network(write_network(t))
     for findings, query in (({5: (0, 1)}, [1]), ({5: (0, 1), 7: (1, 0)}, [2, 4])):
         want = variable_elimination(net, Evidence({k - 1: v for k, v in findings.items()}),
@@ -905,7 +915,7 @@ def test_unanswered_tasks_star_is_not_contracted(monkeypatch):
 
     def seen(network, findings, query):
         nonlocal order
-        assert network.layout.labels is not None
+        assert network.layout.plan is not None
         order = network.plan.order
         contracted.clear()
         got = variable_elimination(network, Evidence(findings), query)
@@ -938,12 +948,12 @@ def widest_clique(t, ev, query):
     """The most variables in one elimination clique of the order the
     query runs in: the network plan's below the bound, else min-fill's
     on the reduced graph, query left out."""
-    if t.layout.labels is not None:
+    if t.layout.plan is not None:
         cliques = t.plan.cliques
     else:
         kept = inference._reduce(t, ev, set(query), t.layout)
-        adj = moral_graph([mask for mask, *_ in kept], sum(1 << q for q in query))
-        cliques = [clique for _, clique in min_fill_steps(adj)]
+        queried = sum(1 << q for q in query)
+        cliques = min_fill_plan([mask & ~queried for mask, *_ in kept], t.cards).cliques
     return max((c.bit_count() for c in cliques), default=0)
 
 
@@ -1028,17 +1038,17 @@ def test_a_chain_longer_than_an_einsums_labels_runs_on_its_plan(monkeypatch):
     net = Network(variables, cpts)
     ev = Evidence({0: (1, 0)})
 
-    def no_planning(nb):
+    def no_planning(*args):
         raise AssertionError("a query below the bound plans nothing")
 
-    monkeypatch.setattr(inference, "min_fill_steps", no_planning)
-    assert net.layout.labels is not None
+    monkeypatch.setattr(inference, "min_fill_plan", no_planning)
+    assert net.layout.plan is not None
     live = 0
     for mask, *_ in inference._reduce(net, ev, {n - 1}, net.layout):
         live |= mask
     assert (live & ~(1 << net.layout.rank[n - 1])).bit_count() == n - 2 > 52
     got = variable_elimination(net, ev, [n - 1])
-    assert net.layout.colours == 2
+    assert net.layout.plan.colours == 2
     want = np.array([1.0, 0.0])
     for step in steps:
         want = want @ step
@@ -1106,11 +1116,51 @@ def test_a_lone_table_sums_out_its_run_in_one_step(monkeypatch):
         return contract(ops, mask, out)
 
     monkeypatch.setattr(inference, "_contract", recording)
-    assert net.layout.labels is not None
+    assert net.layout.plan is not None
     got = variable_elimination(net, None, [n])
     assert steps == [(1, n, 1), (2, 2, 1)]
     want = brute_posterior(net, Evidence(), [n])
     assert np.allclose(got.values, want, rtol=1e-12, atol=0)
+
+
+def test_a_step_frees_the_tables_it_took(monkeypatch):
+    """By the time a step's ``_contract`` runs, every intermediate table
+    that an earlier step took is dead: a bucket is dropped as its step
+    takes it, so a query holds only its live intermediates.  On a
+    30-variable binary chain queried at its end, where each step takes
+    the last one's result, under both planners, and on the 40/8 CAT
+    queries."""
+    import weakref
+
+    n = 30
+    cards = dict.fromkeys(range(n), 2)
+    step = [[0.9, 0.1], [0.3, 0.7]]
+    variables = tuple(binary(i, f"x{i}") for i in range(n))
+    cpts = (cpt(0, (), cards, [0.5, 0.5]),) + tuple(cpt(i, (i - 1,), cards, step) for i in range(1, n))
+    chain = Network(variables, cpts)
+    results = []  # a weak reference to each step's result
+    taken = []  # those an earlier step took
+    contract = inference._contract
+
+    def recording(ops, mask, out):
+        assert all(ref() is None for ref in taken)
+        took = [ref for ref in results if any(ref() is values for values in ops[::2])]
+        values = contract(ops, mask, out)
+        taken.extend(took)
+        results.append(weakref.ref(values))
+        return values
+
+    monkeypatch.setattr(inference, "_contract", recording)
+    cases = [(chain, Evidence({0: (1, 0)}), [n - 1], bound) for bound in BOUNDS]
+    cases += [(t, ev, query, network.PLAN_ONCE_ENTRIES) for t, ev, query in cat_queries()]
+    freed = 0
+    for t, ev, query, bound in cases:
+        monkeypatch.setattr(network, "PLAN_ONCE_ENTRIES", bound)
+        results.clear()
+        taken.clear()
+        variable_elimination(replace(t), ev, query)
+        freed += len(taken)
+    assert freed > 1000
 
 
 def test_layout_stores_every_table_in_plan_order():
@@ -1145,7 +1195,7 @@ def test_layout_stores_every_table_in_plan_order():
             want = np.ascontiguousarray(values.transpose(axes))
             ranks = tuple(rank[scope[a]] for a in axes)
             assert stored[:4] == (head, sum(1 << r for r in ranks), ranks,
-                                  tuple(layout.labels[r] for r in ranks))
+                                  tuple(layout.plan.labels[r] for r in ranks))
             table = stored[4]
             assert table.dtype == np.float64 and table.shape == want.shape
             assert table.flags.c_contiguous and not table.flags.writeable
@@ -1154,16 +1204,16 @@ def test_layout_stores_every_table_in_plan_order():
                 reordered.add(kind)
         # the labels colour the plan: no two members of a clique share one
         for clique in net.plan.cliques:
-            labels = [layout.labels[rank[v]] for v in members(clique)]
+            labels = [layout.plan.labels[rank[v]] for v in members(clique)]
             assert len(set(labels)) == len(labels)
-        assert layout.colours == max(layout.labels) + 1
+        assert layout.plan.colours == max(layout.plan.labels) + 1
     assert reordered == {"cpt", "deterministic", "potential", "star"}
     # above the bound: the ranks are the ids, nothing is labelled, and
     # each table is its ``Network.tables`` entry as stored, not a copy
     wide = star_of_parents(18)[0]
     layout = wide.layout
     assert layout.rank == tuple(range(len(wide.variables)))
-    assert layout.labels is None and layout.colours == 0
+    assert layout.plan is None
     assert len(layout.tables) == len(wide.tables)
     for (head, scope, values), mask, stored in zip(wide.tables, wide.scope_masks, layout.tables):
         assert stored[:4] == (head, mask, scope, None)
