@@ -30,11 +30,11 @@ from .mbh import greedy_cover_base
 from .network import Layout, Network, Star, fresh_name
 
 NEGATIVE_TOLERANCE = 1e-9
-MAX_OPERANDS = 31  # einsum operands per call that every supported numpy accepts
+MAX_OPERANDS = 31  # einsum operands that every supported numpy takes; _compile folds more
 # most labels per einsum (each below 52): numpy's axes per array, 32 before numpy 2.0, 64 since
 MAX_AXES = 32 if int(np.__version__.split(".")[0]) < 2 else 64
-# A bucket of three tables or more over at least this many variables (so
-# 2^12 entries or more) is multiplied by a left fold of two-operand einsums:
+# _compile makes a bucket of three tables or more over at least this many
+# variables (so 2^12 entries or more) a left fold of two-operand einsums:
 # numpy's loop over three operands or more costs 12-25 ns per entry.  On
 # 40-node, 8-task CAT buckets the fold was faster from 12 variables up
 # (2^12 entries 54 -> 39 us, 2^13 105 -> 71 us) and slower below 11
@@ -43,40 +43,18 @@ FOLD_VARS = 12
 
 # A table a query eliminates: (rank mask, each axis's rank, labels or None, values)
 Table = tuple[int, Sequence[int], Sequence[int] | None, np.ndarray]
+Step = tuple[list, int]  # one einsum of a query's program: see _compile
 
 METHODS = ("none", "divorce", "factorize")  # the rewrites of transform_network
 
 
-def _contract(ops: list, mask: int, out: list[int]) -> np.ndarray:
-    """The product of the tables in the einsum operand list ``ops``
-    (``[values, labels, ...]``, over the ranks in ``mask``), summed over
-    every label not in ``out``, with its axes labelled ``out``.
-
-    One einsum, unless there are three tables or more over at least
-    FOLD_VARS variables, or more than MAX_OPERANDS: then a left fold of
-    two-operand einsums in list order, each of whose results keeps only
-    the labels that a later table or ``out`` holds.
-    """
-    if len(ops) < 6 or len(ops) <= 2 * MAX_OPERANDS and mask.bit_count() < FOLD_VARS:
-        return np.einsum(*ops, out)
-    need = [set(out)]  # need[-1]: the labels a later table or out holds
-    for labels in ops[-1:4:-2]:
-        need.append(need[-1].union(labels))
-    values, labels = ops[0], ops[1]
-    for k in range(2, len(ops) - 2, 2):
-        keep = need.pop()
-        kept = [x for x in dict.fromkeys([*labels, *ops[k + 1]]) if x in keep]
-        values, labels = np.einsum(values, labels, ops[k], ops[k + 1], kept), kept
-    return np.einsum(values, labels, ops[-2], ops[-1], out)
-
-
 def _reduce(net: Network, evidence: Evidence, queryset: set[int], layout: Layout) -> list[Table]:
-    """The tables a query eliminates: a likelihood table for each
-    finding that rules a state out and is not a pick, then every table
-    of ``layout`` that the barren rule keeps, with the picked variables
-    indexed out.  A pick is a one-state finding, or a one-state
-    variable, off the query.  A table keeps its stored labels; a sliced
-    or new one has None.
+    """The tables a query eliminates, in the slot order of its program
+    (:func:`_compile`): a likelihood table for each finding that rules a
+    state out and is not a pick, then every table of ``layout`` that the
+    barren rule keeps, with the picked variables indexed out.  A pick is
+    a one-state finding, or a one-state variable, off the query.  A
+    table keeps its stored labels; a sliced or new one has None.
 
     The barren rule (Zhang & Poole 1996) keeps the free potentials and
     the families whose child is an ancestor of a query variable, an
@@ -127,75 +105,114 @@ def _reduce(net: Network, evidence: Evidence, queryset: set[int], layout: Layout
     return tables
 
 
-def _check_width(call: int, label: Sequence[int]) -> None:
-    """Raise ValidationError if numpy cannot run an einsum over the ranks in ``call``."""
-    labels = [label[r] for r in range(call.bit_length()) if call >> r & 1]
-    if max(labels) >= 52 or len(labels) > MAX_AXES:
-        raise ValidationError(
-            f"the query needs an einsum over {len(labels)} labels, up to {max(labels)}; "
-            f"one einsum takes labels below 52, at most {min(52, MAX_AXES)} of them"
-        )
+def _check_width(program: list[Step], top: int) -> None:
+    """Raise ValidationError if numpy cannot run an einsum of ``program``,
+    whose labels lie below ``top`` and are distinct within each einsum."""
+    if top <= min(52, MAX_AXES):
+        return
+    for args, _ in program:
+        labels = set().union(*args[1::2])
+        if max(labels) >= 52 or len(labels) > MAX_AXES:
+            raise ValidationError(
+                f"the query needs an einsum over {len(labels)} labels, up to {max(labels)}; "
+                f"one einsum takes labels below 52, at most {min(52, MAX_AXES)} of them"
+            )
 
 
-def _eliminate(tables: list[Table], skip: int, label: Sequence[int], wide: bool) -> tuple[list, int]:
-    """Bucket elimination over ranks: sum out every rank of the tables
-    outside the bitmask ``skip``, lowest first.  Returns the einsum
-    operand list of the tables left, over ranks in ``skip`` alone, and
-    their union mask.  ``label`` gives each rank's einsum label; a table
-    without labels, or holding a rank in ``skip``, is labelled here.
+def _compile(kept: list[Table], skip: int, label: Sequence[int], out: list[int]) -> list[Step]:
+    """The program of a query, decided before any array is touched: bucket
+    elimination of each rank of the ``kept`` tables outside the bitmask
+    ``skip``, lowest first, then the product of the rest into ``out``, the
+    labels of ``skip`` in query order.  ``label`` gives each rank's label; a
+    table without labels, or holding a rank in ``skip``, is labelled here.
+    Each step is one einsum, ``(args, ranks)``: ``np.einsum``'s args with a
+    slot for each operand's values, and the result's rank mask.  Slots below
+    ``len(kept)`` hold the kept tables, the next ones each step's result; each
+    is read once, and the last holds the answer.
 
-    Each bucket is an einsum operand list ``[values, labels, ...]`` plus
-    the union mask of its tables.  A table waits in the bucket of its
-    lowest rank outside ``skip`` (the last bucket, index -1, if none),
-    so a bucket holds every table that touches its rank by the time
-    that rank is summed out.  A step hands its bucket to
-    :func:`_contract`, and the result, over the rest of the union in
-    rank order, waits in the bucket of its lowest rank outside
-    ``skip``.  A bucket of one table also sums out each next live rank
-    that the table holds while that rank's bucket is empty, in the same
-    einsum, as no other table holds it.  A bucket is dropped as its
-    step takes it, so a step's tables die once it has run.  If ``wide``,
-    each step first checks that numpy can run its einsum.
-    """
-    ops: list[list] = [[] for _ in range(len(label) + 1)]
+    A bucket is an operand list ``[slot, labels, ...]`` with the union of its
+    masks.  A table, or a step's result over the rest of its union in rank
+    order, waits in the bucket of its lowest rank outside ``skip`` (the last
+    bucket if none).  A bucket of one table also sums out each next live rank
+    it holds whose bucket is empty.  A bucket of three tables or more over
+    FOLD_VARS ranks or more, or of more than MAX_OPERANDS, is a left fold of
+    two-operand steps.  The last bucket is a step unless it is one table
+    labelled ``out``.  Raises ValidationError if numpy cannot run a step
+    (:func:`_check_width`)."""
+    ops: list[list] = [[] for _ in range(len(label) + 1)]  # the buckets, the last one over skip
     held = [0] * (len(label) + 1)
     free = ~skip
     live = 0
-    for mask, ranks, labels, values in tables:
+    for slot, (mask, ranks, labels, _) in enumerate(kept):
         if labels is None or mask & skip:
             labels = [label[r] for r in ranks]
         rest = mask & free
         live |= rest
         i = (rest & -rest).bit_length() - 1
-        ops[i] += values, labels
+        ops[i] += slot, labels
         held[i] |= mask
-    while live:
-        low = live & -live
-        live ^= low
-        i = low.bit_length() - 1
-        bucket, union = ops[i], held[i]
-        ops[i] = []  # so its tables die with this step
-        if wide:
-            _check_width(union, label)
-        mask = union ^ low
-        if len(bucket) == 2:
-            while live:
-                low = live & -live
-                if not mask & low or ops[low.bit_length() - 1]:
-                    break
-                mask ^= low
-                live ^= low
-        labels = []
-        rest = mask
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            labels.append(label[bit.bit_length() - 1])
+    program: list[Step] = []
+    first = len(kept)  # the slot of step 0's result
+    while True:
+        if live:
+            low = live & -live
+            live ^= low
+            i = low.bit_length() - 1
+            bucket, union = ops[i], held[i]
+            mask = union ^ low
+            if len(bucket) == 2:
+                while live:
+                    low = live & -live
+                    if not mask & low or ops[low.bit_length() - 1]:
+                        break
+                    mask ^= low
+                    live ^= low
+            labels = []
+            rest = mask
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                labels.append(label[bit.bit_length() - 1])
+        else:
+            bucket, union, mask, labels = ops[-1], held[-1], skip, out
+            if union != skip:
+                raise InternalConsistencyError(f"elimination left ranks {union:#b}, not {skip:#b}")
+            if len(bucket) == 2 and bucket[1] == out:
+                break
+        if len(bucket) < 6 or len(bucket) <= 2 * MAX_OPERANDS and union.bit_count() < FOLD_VARS:
+            bucket.append(labels)
+            program.append((bucket, mask))
+        else:  # a left fold, each result keeping every label it meets: each
+            # table holds the bucket's rank, and each other label is in labels
+            masks = [kept[s][0] if s < first else program[s - first][1] for s in bucket[::2]]
+            done, met, union = bucket[0], bucket[1], masks[0]
+            for k in range(2, len(bucket) - 2, 2):
+                joined = list(dict.fromkeys([*met, *bucket[k + 1]]))
+                union |= masks[k // 2]
+                program.append(([done, met, bucket[k], bucket[k + 1], joined], union))
+                done, met = first + len(program) - 1, joined
+            program.append(([done, met, bucket[-2], bucket[-1], labels], mask))
+        if labels is out:  # the last bucket's step
+            break
         rest = mask & free
         i = (rest & -rest).bit_length() - 1
-        ops[i] += _contract(bucket, union, labels), labels
+        ops[i] += first + len(program) - 1, labels
         held[i] |= mask
-    return ops[-1], held[-1]
+    _check_width(program, out[-1] + 1)
+    return program
+
+
+def _run(program: list[Step], values: list[np.ndarray]) -> np.ndarray:
+    """The answer of ``program`` (:func:`_compile`) on the kept tables' ``values``: each
+    step empties the slots it reads, so a table dies with its one reader."""
+    for args, _ in program:
+        args = args.copy()
+        for k in range(0, len(args) - 1, 2):
+            slot = args[k]
+            args[k] = values[slot]
+            values[slot] = None
+        values.append(np.einsum(*args))
+    return values[-1]
 
 
 def variable_elimination(
@@ -209,25 +226,20 @@ def variable_elimination(
     ValidationError naming B: B's states index the rectangles of a
     base and h has signed entries, so B has no posterior.  Barren
     families are dropped and findings applied by :func:`_reduce`: a
-    one-state finding off the query, and a one-state variable off it,
-    is indexed out of every table, so it never reaches an einsum; any
-    other finding that rules a state out becomes a likelihood table,
-    so an observed query variable keeps its axis.
+    one-state finding or variable off the query never reaches an
+    einsum, and an observed query variable keeps its axis.
 
-    The remaining non-query variables are summed out on the network's
-    layout (``Network.layout``), in the order of a
-    :class:`~factorbn.cliques.Plan`, with its labels.  Below
-    ``PLAN_ONCE_ENTRIES`` that is the layout's plan, restricted to the
-    live variables: the reduced graph is a subgraph of the network's,
-    so each step's variables, query aside, lie inside the plan's clique
-    for the variable summed out, where no two share a label.  Above it
-    the query plans its own, :func:`~factorbn.cliques.min_fill_plan` of
-    the kept tables' scopes with the query left out; the tables keep
-    their axes.  Either way the query variables take the labels just
-    above the plan's colours, so every label is below the widest
-    clique's size plus the query's, and one step loop runs
-    (:func:`_eliminate`).  An einsum that numpy cannot run
-    (:func:`_check_width`) raises ValidationError instead.
+    The rest is summed out on the network's layout
+    (``Network.layout``), in the order and with the labels of a
+    :class:`~factorbn.cliques.Plan`: below ``PLAN_ONCE_ENTRIES`` the
+    layout's plan restricted to the live variables, whose steps lie
+    inside the plan's cliques (the reduced graph is a subgraph of the
+    network's), so no two variables of a step share a label; above it
+    the query's own :func:`~factorbn.cliques.min_fill_plan`, query left
+    out, on tables that keep their axes.  The query variables take the
+    labels just above the plan's colours.  The query compiles to a
+    program of einsums (:func:`_compile`) that :func:`_run` executes;
+    one that numpy cannot run raises ValidationError before any runs.
     Raises ZeroNormalizerError when the evidence has zero mass and
     InternalConsistencyError if the unnormalized result dips below
     -1e-9 anywhere (values above that are clamped to 0) or does not have
@@ -264,20 +276,8 @@ def variable_elimination(
     for j, q in enumerate(query):
         label[rank[q]] = base + j
     skip = sum(1 << rank[q] for q in query)
-    # each einsum's labels are distinct and below base + len(query)
-    wide = base + len(query) > min(52, MAX_AXES)
-
-    final, left = _eliminate(kept, skip, label, wide)
-    if left != skip:
-        order = (*plan.order, *query)  # the variable at each rank
-        scope = tuple(sorted(order[r] for r in range(left.bit_length()) if left >> r & 1))
-        raise InternalConsistencyError(f"elimination left scope {scope}, expected {tuple(query)}")
     out = list(range(base, base + len(query)))  # the query's labels, in query order
-    values = final[0]
-    if len(final) > 2 or final[1] != out:
-        if wide:
-            _check_width(skip, label)
-        values = _contract(final, skip, out)
+    values = _run(_compile(kept, skip, label, out), [t[3] for t in kept])
     values = np.ascontiguousarray(values)  # so the sum below runs in C order
     low = values.min()
     if low < 0.0:

@@ -18,10 +18,13 @@ Core claims:
       variables than an einsum's 52 labels runs on its plan
     - a step's input tables die once it has run, so no query keeps an
       intermediate that a later step took
+    - each step of a query's compiled program is one einsum, whose
+      result has the shape the step's ranks predict
     - the network's layout holds every table, bit for bit, with its
       axes in plan order below the bound, and as stored above it
     - a query that would pass one einsum a label past 51, or more
-      labels than numpy gives an array axes, is an input error
+      labels than numpy gives an array axes, is an input error, raised
+      before any einsum runs
 """
 
 import math
@@ -72,6 +75,35 @@ def cpt(child, parents, cards, table):
 def members(mask):
     """The positions of the set bits of ``mask``, ascending."""
     return [r for r in range(mask.bit_length()) if mask >> r & 1]
+
+
+def programs(monkeypatch):
+    """A list that gains ``(kept tables, label of each rank, program)``
+    each time a query compiles its program."""
+    compiled = []
+    compile_ = inference._compile
+
+    def compiling(kept, skip, label, out):
+        program = compile_(kept, skip, label, out)
+        compiled.append((kept, label, program))
+        return program
+
+    monkeypatch.setattr(inference, "_compile", compiling)
+    return compiled
+
+
+def step_unions(kept, program):
+    """The ranks each step of ``program`` multiplies, as a bitmask: the
+    union of its operands', each a kept table's or an earlier step's
+    result's."""
+    masks = [mask for mask, *_ in kept] + [ranks for _, ranks in program]
+    unions = []
+    for args, _ in program:
+        union = 0
+        for slot in args[:-1:2]:
+            union |= masks[slot]
+        unions.append(union)
+    return unions
 
 
 def brute_posterior(net, evidence, query):
@@ -526,8 +558,10 @@ def test_many_tables_on_one_variable():
 
 
 def test_contract_folds_beyond_max_operands(monkeypatch):
-    """40 tables over four variables, more than one einsum takes: a left
-    fold of 39 two-operand einsums, against enumeration of the product."""
+    """40 tables over four variables, more than one einsum takes, kept
+    whole or with one variable summed out (FOLD_VARS at 0, so that both
+    of its buckets fold): 39 two-operand steps, one einsum each,
+    against enumeration of the product."""
     rng = random.Random(5)
     cards = (2, 3, 2, 4)
     tables = []
@@ -536,16 +570,18 @@ def test_contract_folds_beyond_max_operands(monkeypatch):
         shape = [cards[v] for v in scope]
         tables.append((scope, np.array([rng.uniform(0.5, 1.5) for _ in range(int(np.prod(shape)))]).reshape(shape)))
     assert len(tables) > inference.MAX_OPERANDS
-    # each variable is its own einsum label
-    ops = [x for scope, values in tables for x in (values, list(scope))]
+    # each variable is its own rank and einsum label
+    kept = [(sum(1 << v for v in scope), scope, list(scope), values) for scope, values in tables]
     operands = []
     einsum = np.einsum
     monkeypatch.setattr(np, "einsum", lambda *args: operands.append(len(args) // 2) or einsum(*args))
+    monkeypatch.setattr(inference, "FOLD_VARS", 0)
     first = list(dict.fromkeys(v for scope, _ in tables for v in scope))
     for scope in (first, [v for v in first if v != first[1]], first[::-1]):
+        program = inference._compile(kept, sum(1 << v for v in scope), range(4), scope)
         operands.clear()
-        values = inference._contract(ops, 0b1111, scope)
-        assert operands == [2] * 39
+        values = inference._run(program, [values for _, values in tables])
+        assert operands == [len(args) // 2 for args, _ in program] == [2] * 39
         assert values.shape == tuple(cards[v] for v in scope)
         want = np.zeros(values.shape)
         for cfg in iproduct(*map(range, cards)):
@@ -559,7 +595,7 @@ def test_contract_folds_beyond_max_operands(monkeypatch):
 def test_bucket_of_more_than_max_operands_tables(monkeypatch):
     """A three-state root with 40 observed children and one queried one:
     the root's bucket holds its prior and 41 child tables, so the
-    elimination step itself goes through the fold; against enumeration
+    elimination step itself compiles to the fold; against enumeration
     of the only unobserved variables, the root and the queried child."""
     n = 42
     rng = random.Random(11)
@@ -571,18 +607,17 @@ def test_bucket_of_more_than_max_operands_tables(monkeypatch):
     cpts = (cpt(0, (), cards, prior),) + tuple(cpt(i, (0,), cards, rows[i]) for i in range(1, n))
     found = {i: i % 2 for i in range(2, n)}
     ev = Evidence({i: (1 - s, s) for i, s in found.items()})
-    steps = []
-    contract = inference._contract
-
-    def recording(ops, mask, out):
-        steps.append((len(ops) // 2, out))
-        return contract(ops, mask, out)
-
-    monkeypatch.setattr(inference, "_contract", recording)
+    compiled = programs(monkeypatch)
     net = Network(variables, cpts)
     got = variable_elimination(net, ev, [1])
-    root = net.layout.plan.labels[net.layout.rank[0]]
-    assert [count for count, out in steps if root not in out] == [n]
+    (kept, label, program), = compiled
+    root = label[net.layout.rank[0]]
+    # the steps that take the root: a fold of the n tables in its bucket,
+    # of which only the last sums the root out
+    steps = [args for args, _ in program if any(root in labels for labels in args[1:-1:2])]
+    assert [len(args) // 2 for args in steps] == [2] * (n - 1)
+    assert [root in args[-1] for args in steps] == [True] * (n - 2) + [False]
+    assert sum(slot < len(kept) for args in steps for slot in args[:-1:2]) == n
     assert n > inference.MAX_OPERANDS
     want = np.zeros(2)
     for r, x1 in iproduct(range(3), range(2)):
@@ -694,18 +729,7 @@ def test_restricted_steps_lie_in_the_network_plan(monkeypatch):
         query = sorted(rng.sample(range(len(net.variables)), rng.randint(1, 2)))
         cases += [(transform_network(net, m), ev, query, False) for m in ("none", "factorize")]
     cases += [(*case, True) for case in cat_queries()]
-    drops = []
-    contract = inference._contract
-
-    def recording(ops, mask, out):
-        # the variables a step sums out: those whose labels leave, as no
-        # two variables of one step share a label; query variables stay
-        labels, order = t.layout.plan.labels, t.plan.order
-        drops.extend(order[r] for r in members(mask)
-                     if order[r] not in query and labels[r] not in out)
-        return contract(ops, mask, out)
-
-    monkeypatch.setattr(inference, "_contract", recording)
+    compiled = programs(monkeypatch)
     checked = cat = 0
     for t, ev, query, replay in cases:
         clique_of = dict(zip(t.plan.order, t.plan.cliques))
@@ -714,8 +738,13 @@ def test_restricted_steps_lie_in_the_network_plan(monkeypatch):
             assert clique & ~clique_of[v] == 0, (v, query)
         checked += len(steps)
         if replay:
-            drops.clear()
+            compiled.clear()
             variable_elimination(t, ev, query)
+            (kept, _, program), = compiled
+            # the variables each step sums out: the ranks it multiplies
+            # and leaves out of its result; query variables stay
+            drops = [t.plan.order[r] for union, (_, ranks) in zip(step_unions(kept, program), program)
+                     for r in members(union & ~ranks)]
             assert drops == [v for v, _ in steps]
             cat += 1
     assert checked > 3000 and cat == 108
@@ -902,27 +931,20 @@ def test_unanswered_tasks_star_is_not_contracted(monkeypatch):
     t = transform_network(net, "factorize")
     b1, b2 = (s.hidden for s in t.stars)
     assert [s.child for s in t.stars] == [3, 5]
-    contracted: set[int] = set()
-    contract = inference._contract
-    order = ()
-
-    def recording(ops, mask, out):
-        # the mask is over ranks in its network's plan order
-        contracted.update(order[r] for r in members(mask))
-        return contract(ops, mask, out)
-
-    monkeypatch.setattr(inference, "_contract", recording)
+    compiled = programs(monkeypatch)
 
     def seen(network, findings, query):
-        nonlocal order
         assert network.layout.plan is not None
-        order = network.plan.order
-        contracted.clear()
+        compiled.clear()
         got = variable_elimination(network, Evidence(findings), query)
         if max([*findings, *query]) < len(net.variables):
             want = variable_elimination(net, Evidence(findings), query)
             assert np.abs(got.values - want.values).max() < 1e-12
-        return contracted & {b1, b2}
+        # the variables some einsum of the query multiplies; the masks
+        # are over ranks in the network's plan order
+        kept, _, program = compiled[0]
+        return {network.plan.order[r] for union in step_unions(kept, program)
+                for r in members(union)} & {b1, b2}
 
     answer1 = {4: (0, 1)}
     assert seen(t, answer1, [0]) == {b1}  # task 2 unanswered
@@ -957,14 +979,9 @@ def widest_clique(t, ev, query):
     return max((c.bit_count() for c in cliques), default=0)
 
 
-def test_einsum_labels_colour_every_step(monkeypatch):
-    """Over the brute-force random networks and the 40/8 CAT queries,
-    under both planners, with and without the fold: each step's tables
-    carry the labels of its variables; no two variables that meet in
-    one step share a label, so neither do two axes of any einsum the
-    step runs, the fold's included; every label lies in [0, 52); and
-    the labels stop below the widest elimination clique's variable
-    count plus the query's."""
+def random_and_cat_queries():
+    """(network, evidence, query) on the brute-force random networks
+    under ``none`` and ``factorize``, then the 40/8 CAT queries."""
     cases = []
     for seed in range(150):
         rng = random.Random(seed)
@@ -972,53 +989,99 @@ def test_einsum_labels_colour_every_step(monkeypatch):
         ev = random_evidence(net, rng)
         query = sorted(rng.sample(range(len(net.variables)), rng.randint(1, 2)))
         cases += [(transform_network(net, m), ev, query) for m in ("none", "factorize")]
-    cases += list(cat_queries())
-    eliminate, contract, einsum = inference._eliminate, inference._contract, np.einsum
-    seen: dict = {}
+    return cases + list(cat_queries())
 
-    def eliminating(tables, skip, label, wide):
-        seen.update(label=label, steps=[])
-        return eliminate(tables, skip, label, wide)
 
-    def contracting(ops, mask, out):
-        seen["steps"].append((mask, [list(labels) for labels in ops[1::2]], list(out), []))
-        return contract(ops, mask, out)
-
-    def einsumming(*args):  # each operand's labels, then the output's
-        seen["steps"][-1][3].append([list(labels) for labels in args[1::2]] + [list(args[-1])])
-        return einsum(*args)
-
-    monkeypatch.setattr(inference, "_eliminate", eliminating)
-    monkeypatch.setattr(inference, "_contract", contracting)
-    monkeypatch.setattr(np, "einsum", einsumming)
+def test_einsum_labels_colour_every_step(monkeypatch):
+    """Over the brute-force random networks and the 40/8 CAT queries,
+    under both planners, with and without the fold: each step of the
+    compiled program, one einsum, fold steps included, carries the
+    labels of the variables it multiplies; no two of them share a
+    label; every label lies in [0, 52); and the labels stop below the
+    widest elimination clique's variable count plus the query's."""
+    cases = random_and_cat_queries()
+    compiled = programs(monkeypatch)
     calls = folded = 0
-    for bound, fold in iproduct(BOUNDS, (0, inference.FOLD_VARS)):
+    for bound, fold_vars in iproduct(BOUNDS, (0, inference.FOLD_VARS)):
         monkeypatch.setattr(network, "PLAN_ONCE_ENTRIES", bound)
-        monkeypatch.setattr(inference, "FOLD_VARS", fold)
+        monkeypatch.setattr(inference, "FOLD_VARS", fold_vars)
         fresh = {id(t): replace(t) for t, _, _ in cases}
         for t, ev, query in cases:
             t = fresh[id(t)]
-            seen.clear()
+            compiled.clear()
             try:
                 variable_elimination(t, ev, query)
             except ZeroNormalizerError:
                 pass
-            if not seen:  # rejected before elimination
+            if not compiled:  # rejected before elimination
                 continue
-            label = seen["label"]
+            (kept, label, program), = compiled
             used = set()
-            for mask, operands, out, einsums in seen["steps"]:
-                met = {label[r] for r in members(mask)}
-                assert len(met) == mask.bit_count(), (bound, query)
+            for union, (args, _) in zip(step_unions(kept, program), program):
+                met = {label[r] for r in members(union)}
+                assert len(met) == union.bit_count(), (bound, query)
+                operands, out = args[1:-1:2], args[-1]
                 assert set().union(*operands) == met and set(out) <= met
-                for labels in (*operands, *(x for call in einsums for x in call)):
+                for labels in (*operands, out):
                     assert len(set(labels)) == len(labels) and set(labels) <= met
                 used |= met
-                calls += len(einsums)
-                folded += len(einsums) > 1
+            calls += len(program)
+            # a fold's steps before its last keep every label they take;
+            # any other step but the last sums a rank out
+            first = len(kept)
+            kept_all = {first + j for j, (args, _) in enumerate(program[:-1])
+                        if set(args[-1]) == set().union(*args[1:-1:2])}
+            folded += sum(first + j in kept_all and args[0] not in kept_all
+                          for j, (args, _) in enumerate(program))
             assert all(0 <= x < 52 for x in used)
             assert max(used, default=-1) < widest_clique(t, ev, query) + len(query)
     assert calls > 10000 and folded > 1000
+
+
+def test_each_step_allocates_the_shape_its_program_predicts(monkeypatch):
+    """Over the brute-force random networks and the 40/8 CAT queries,
+    under both planners, with FOLD_VARS at 0 and at its default:
+    np.einsum runs once per step of the compiled program, in order, with
+    the step's labels, and each result has the shape the step's ranks
+    predict, each rank's card in the order of its output labels."""
+    cases = random_and_cat_queries()
+    compiled = programs(monkeypatch)
+    calls = []
+    einsum = np.einsum
+
+    def einsumming(*args):
+        values = einsum(*args)
+        calls.append(([list(labels) for labels in args[1::2]], values.shape))
+        return values
+
+    monkeypatch.setattr(np, "einsum", einsumming)
+    steps = 0
+    for bound, fold_vars in iproduct(BOUNDS, (0, inference.FOLD_VARS)):
+        monkeypatch.setattr(network, "PLAN_ONCE_ENTRIES", bound)
+        monkeypatch.setattr(inference, "FOLD_VARS", fold_vars)
+        fresh = {id(t): replace(t) for t, _, _ in cases}
+        for t, ev, query in cases:
+            compiled.clear()
+            calls.clear()
+            try:
+                variable_elimination(fresh[id(t)], ev, query)
+            except ZeroNormalizerError:
+                pass
+            if not compiled:  # rejected before elimination
+                assert not calls
+                continue
+            (kept, label, program), = compiled
+            card = {}
+            for _, ranks, _, values in kept:
+                card.update(zip(ranks, values.shape))
+            assert len(calls) == len(program)
+            for (args, ranks), (labels, shape) in zip(program, calls):
+                assert labels == [list(x) for x in args[1::2]]
+                rank_of = {label[r]: r for r in members(ranks)}
+                assert sorted(rank_of) == sorted(args[-1])
+                assert shape == tuple(card[rank_of[x]] for x in args[-1])
+            steps += len(program)
+    assert steps > 15000
 
 
 def test_a_chain_longer_than_an_einsums_labels_runs_on_its_plan(monkeypatch):
@@ -1108,28 +1171,23 @@ def test_a_lone_table_sums_out_its_run_in_one_step(monkeypatch):
     joint = Factor(tuple(range(n)), (2,) * n, rng.uniform(0.1, 1.0, (2,) * n))
     child = cpt(n, (n - 1,), (2,) * (n + 1), [[0.9, 0.1], [0.25, 0.75]])
     net = Network(variables, (child,), (), (joint,))
-    steps = []
-    contract = inference._contract
-
-    def recording(ops, mask, out):
-        steps.append((len(ops) // 2, mask.bit_count(), len(out)))
-        return contract(ops, mask, out)
-
-    monkeypatch.setattr(inference, "_contract", recording)
+    compiled = programs(monkeypatch)
     assert net.layout.plan is not None
     got = variable_elimination(net, None, [n])
+    (kept, _, program), = compiled
+    steps = [(len(args) // 2, union.bit_count(), len(args[-1]))
+             for union, (args, _) in zip(step_unions(kept, program), program)]
     assert steps == [(1, n, 1), (2, 2, 1)]
     want = brute_posterior(net, Evidence(), [n])
     assert np.allclose(got.values, want, rtol=1e-12, atol=0)
 
 
 def test_a_step_frees_the_tables_it_took(monkeypatch):
-    """By the time a step's ``_contract`` runs, every intermediate table
-    that an earlier step took is dead: a bucket is dropped as its step
-    takes it, so a query holds only its live intermediates.  On a
-    30-variable binary chain queried at its end, where each step takes
-    the last one's result, under both planners, and on the 40/8 CAT
-    queries."""
+    """By the time each einsum runs, every intermediate table that an
+    earlier einsum took is dead: a step empties the slots it reads, so
+    a query holds only its live intermediates.  On a 30-variable binary
+    chain queried at its end, where each step takes the last one's
+    result, under both planners, and on the 40/8 CAT queries."""
     import weakref
 
     n = 30
@@ -1138,19 +1196,19 @@ def test_a_step_frees_the_tables_it_took(monkeypatch):
     variables = tuple(binary(i, f"x{i}") for i in range(n))
     cpts = (cpt(0, (), cards, [0.5, 0.5]),) + tuple(cpt(i, (i - 1,), cards, step) for i in range(1, n))
     chain = Network(variables, cpts)
-    results = []  # a weak reference to each step's result
-    taken = []  # those an earlier step took
-    contract = inference._contract
+    results = []  # a weak reference to each einsum's result
+    taken = []  # those an earlier einsum took
+    einsum = np.einsum
 
-    def recording(ops, mask, out):
+    def recording(*args):
         assert all(ref() is None for ref in taken)
-        took = [ref for ref in results if any(ref() is values for values in ops[::2])]
-        values = contract(ops, mask, out)
+        took = [ref for ref in results if any(ref() is values for values in args[:-1:2])]
+        values = einsum(*args)
         taken.extend(took)
         results.append(weakref.ref(values))
         return values
 
-    monkeypatch.setattr(inference, "_contract", recording)
+    monkeypatch.setattr(np, "einsum", recording)
     cases = [(chain, Evidence({0: (1, 0)}), [n - 1], bound) for bound in BOUNDS]
     cases += [(t, ev, query, network.PLAN_ONCE_ENTRIES) for t, ev, query in cat_queries()]
     freed = 0
@@ -1254,6 +1312,40 @@ def test_a_query_wider_than_an_einsums_labels_is_an_input_error(monkeypatch):
         net = Network(variables, potentials=(Factor(tuple(range(n)), (1,) * n, np.ones((1,) * n)),))
         got = variable_elimination(net, None, range(n))
         assert got.scope == tuple(range(n)) and got.values.reshape(-1).tolist() == [1.0]
+
+
+def test_a_query_too_wide_for_numpy_runs_no_einsum(monkeypatch):
+    """One-state roots, each queried, next to a binary chain observed at
+    its end: the chain's steps are narrow and come first, and the
+    product into query order comes last.  With one root more than an
+    einsum takes labels, that product cannot run, and under both
+    planners the query raises ValidationError naming the limit before
+    any einsum runs; with enough roots fewer to fit, it answers, the
+    chain's einsums included."""
+    width = min(52, inference.MAX_AXES)
+    calls = []
+    einsum = np.einsum
+    monkeypatch.setattr(np, "einsum", lambda *args: calls.append(1) or einsum(*args))
+    for bound in BOUNDS:
+        monkeypatch.setattr(network, "PLAN_ONCE_ENTRIES", bound)
+        for n, fits in ((width + 1, False), (width - 2, True)):
+            variables = tuple(Variable(i, f"v{i}", ("only",)) for i in range(n))
+            variables += (binary(n, "c0"), binary(n + 1, "c1"), binary(n + 2, "c2"))
+            cards = (1,) * n + (2, 2, 2)
+            cpts = tuple(cpt(i, (), cards, [1.0]) for i in range(n))
+            cpts += (cpt(n, (), cards, [0.3, 0.7]),
+                     cpt(n + 1, (n,), cards, [[0.9, 0.1], [0.2, 0.8]]),
+                     cpt(n + 2, (n + 1,), cards, [[0.6, 0.4], [0.1, 0.9]]))
+            net = Network(variables, cpts)
+            ev = Evidence({n + 2: (0, 1)})
+            calls.clear()
+            if fits:
+                got = variable_elimination(net, ev, range(n))
+                assert got.values.reshape(-1).tolist() == [1.0] and calls
+                continue
+            with pytest.raises(ValidationError, match=f"below 52, at most {width} of them"):
+                variable_elimination(net, ev, range(n))
+            assert not calls
 
 
 def test_every_variable_heads_a_node_or_sits_in_a_potential():
