@@ -36,7 +36,59 @@ def _loads(text: str) -> Any:
 
 
 def _dumps(obj: Any) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """``json.dumps(obj, sort_keys=True, indent=2) + "\\n"``, byte for
+    byte, for documents whose keys are strings.  ``indent`` sends
+    ``json.dumps`` to its pure-Python encoder; this writer is a plain
+    recursion that leaves each string to the C escaper."""
+    out: list[str] = []
+    _write(obj, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+_escape = json.encoder.encode_basestring_ascii
+
+
+def _write(obj: Any, nl: str, out: list[str]) -> None:
+    """Append the JSON text of ``obj`` to ``out``; ``nl`` is a newline
+    followed by the indent of the line ``obj`` starts on."""
+    if isinstance(obj, str):
+        out.append(_escape(obj))
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, float):
+        # json.dumps spells NaN and the infinities
+        out.append(float.__repr__(obj) if math.isfinite(obj) else json.dumps(obj))
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        sep = "[" + inner
+        for x in obj:
+            out.append(sep)
+            _write(x, inner, out)
+            sep = "," + inner
+        out.append(nl + "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for k, v in sorted(obj.items()):
+            out.append(sep + _escape(k) + ": ")
+            _write(v, inner, out)
+            sep = "," + inner
+        out.append(nl + "}")
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _expect(obj: Any, key: str, where: str) -> Any:

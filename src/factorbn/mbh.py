@@ -21,8 +21,8 @@ Feasibility of a subset is decided in three stages, each sound:
    tested is kept, and a new subset reduces only the rows after the
    prefix it shares with that one;
 3. closure: an expression for every level set must actually exist in
-   the two-operator algebra, found by uniform-cost search over
-   reachable configuration sets with minimal leaf count first.
+   the two-operator algebra, found by a search over the reachable
+   configuration sets by leaf count, fewest leaves first.
 
 Every size runs one depth-first search over a pool of candidates in
 ascending order, so subsets come in lexicographic order.  A branch is
@@ -55,7 +55,6 @@ import time
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from heapq import heapify, heappop, heappush
 from itertools import product as iproduct
 from math import gcd, inf
 from typing import Iterable, Sequence
@@ -72,10 +71,12 @@ class SearchBudget:
     ``max_rectangles`` bounds the candidate enumeration,
     ``max_base`` the largest base cardinality tried, ``max_closure``
     the number of distinct configuration sets settled per closure
-    search, and ``wall_clock`` (seconds, None for unlimited) the whole
-    solve.  Hitting a cap never turns into a silent negative answer:
-    the solver returns the base in hand, and the sizes the cap left
-    open stay out of its lower bound.
+    search, the empty set A - A included, and ``wall_clock`` (seconds,
+    None for unlimited) the whole solve.  A closure search holds only
+    the sets it settled, so ``max_closure`` bounds its memory too.
+    Hitting a cap never turns into a silent negative answer: the solver
+    returns the base in hand, and the sizes the cap left open stay out
+    of its lower bound.
     """
 
     max_rectangles: int = 100_000
@@ -96,7 +97,8 @@ class SearchStats:
     """Search counters.  ``cap`` names the cap that ended the search
     short of a proof: ``rectangles``, ``closure``, ``wall`` or
     ``max_base``; it is ``none`` exactly when the base is proved
-    minimal."""
+    minimal.  ``gap`` is the base size less the proven lower bound,
+    0 exactly when the base is proved minimal."""
 
     nodes_expanded: int
     pruned: int
@@ -104,6 +106,7 @@ class SearchStats:
     rectangles_enumerated: int
     elapsed_seconds: float
     cap: str
+    gap: int
 
 
 @dataclass(frozen=True)
@@ -283,29 +286,31 @@ def _closure_search(
     max_values: int,
     deadline: float | None,
 ) -> dict[int, Expression]:
-    """Uniform-cost search over the sets reachable from the rectangles
+    """Search by leaf count over the sets reachable from the rectangles
     by proper difference and disjunctive union.
 
-    Expressions with fewer leaves are settled first, so the witness
-    recorded for each wanted mask has minimal leaf count.  Returns the
+    Class k holds the sets first formed with k leaves, in the order they
+    were formed.  Class 1 is the rectangles, a repeated mask keeping its
+    first index.  Class L is formed from the pairs (a, b) with b no later
+    than a and leaf counts adding up to L, met in order of (position of
+    a, position of b): classes sa >= sb in turn, a in class order, b in
+    class sb up to a itself when sb == sa.  A compatible pair (disjoint,
+    or one set inside the other) forms a ^ b, and a set is settled when
+    it is first formed, the empty set A - A included.  Every class past
+    twice the last non-empty one is empty, which ends the search.
+
+    So each wanted mask is settled with a minimal leaf count, and its
+    witness is the first such expression in that order.  Returns the
     witnesses found; when the returned dict misses a wanted mask, that
     mask is provably not generable (the reachable space was exhausted).
-    Raises when the settled-value cap or the deadline is hit.
+    Raises when the settled-set cap or the deadline is hit; the clock is
+    read every 64 settled sets and once per left operand.
 
-    Frontier entries carry how their set was made, ``(i,)`` for
-    rectangle ``i`` or ``("+" | "-", a, b)`` over already-settled masks
-    ``a`` and ``b``; expression tokens are spelled out only for the
-    wanted masks.  Leaf counts pop in ascending order and ties in push
-    order, so a push for a set already queued with no more leaves would
-    pop after that entry and be discarded; every settled set is such a
-    set.  Those pushes are skipped.
+    A set records how it was made, ``(i,)`` for rectangle ``i`` or
+    ``("+" | "-", a, b)`` over earlier sets ``a`` and ``b``; expression
+    tokens are spelled out only for the wanted masks.
     """
-    heap = [(1, i, m, (i,)) for i, m in enumerate(masks)]
-    heapify(heap)
-    seq = len(masks)
-    queued = dict.fromkeys(masks, 1)  # the fewest leaves queued for each set
     settled: dict[int, tuple] = {}
-    order: list[tuple[int, int]] = []  # (mask, leaf count) in settling order
     found: dict[int, Expression] = {}
 
     def witness(mask: int) -> Expression:
@@ -316,45 +321,59 @@ def _closure_search(
             todo += how[:0:-1]  # the left operand on top
         return Expression(tuple(tokens))
 
-    pops = 0
-    heap_cap = 64 * max_values
-    while heap:
-        size, _, mask, how = heappop(heap)
-        if mask in settled:
-            continue
-        pops += 1
-        if deadline is not None and pops % 64 == 0 and time.monotonic() > deadline:
+    def settle(mask: int, how: tuple) -> bool:
+        """Record a new set; True once every wanted mask is settled."""
+        if (deadline is not None and len(settled) % 64 == 63
+                and time.monotonic() > deadline):
             raise BudgetExceededError("wall-clock budget exhausted", kind="wall")
         settled[mask] = how
-        order.append((mask, size))
         if len(settled) > max_values:
             raise BudgetExceededError(
                 f"closure cap of {max_values} distinct sets exceeded", kind="closure"
             )
         if mask in wanted:
             found[mask] = witness(mask)
-            if len(found) == len(wanted):
+            return len(found) == len(wanted)
+        return False
+
+    classes: list[list[int]] = [[], []]  # classes[k]: the sets first formed with k leaves
+    for i, m in enumerate(masks):
+        if m not in settled:
+            classes[1].append(m)
+            if settle(m, (i,)):
                 return found
-        for other, osize in order:
-            # a union of disjoint sets and a proper difference are both
-            # the symmetric difference of the operands
-            both = mask & other
-            if both and both != other and both != mask:
+    level, last = 2, 1  # last: the last non-empty class
+    while level <= 2 * last:
+        new: list[int] = []
+        classes.append(new)
+        for sa in range((level + 1) // 2, level):
+            cb = classes[level - sa]
+            if not cb:
                 continue
-            cand, leaves = mask ^ other, size + osize
-            if queued.get(cand, inf) <= leaves:
-                continue  # settled, or queued to pop before this entry
-            if len(heap) >= heap_cap:
-                raise BudgetExceededError("closure frontier exceeded its cap", kind="closure")
-            if not both:
-                chow = ("+", mask, other)
-            elif both == other:
-                chow = ("-", mask, other)
-            else:
-                chow = ("-", other, mask)
-            queued[cand] = leaves
-            heappush(heap, (leaves, seq, cand, chow))
-            seq += 1
+            for ia, a in enumerate(classes[sa]):
+                if deadline is not None and time.monotonic() > deadline:
+                    raise BudgetExceededError("wall-clock budget exhausted", kind="wall")
+                for b in cb[: ia + 1] if 2 * sa == level else cb:
+                    # a union of disjoint sets and a proper difference
+                    # are both the symmetric difference of the operands
+                    both = a & b
+                    if both and both != b and both != a:
+                        continue
+                    c = a ^ b
+                    if c in settled:
+                        continue
+                    if not both:
+                        how = ("+", a, b)
+                    elif both == b:
+                        how = ("-", a, b)
+                    else:
+                        how = ("-", b, a)
+                    new.append(c)
+                    if settle(c, how):
+                        return found
+        if new:
+            last = level
+        level += 1
     return found
 
 
@@ -365,11 +384,13 @@ def can_generate(
     budget: SearchBudget | None = None,
 ) -> Expression | None:
     """Find a legal expression over the rectangles denoting exactly the
-    target set, minimizing the leaf count.
+    target set, minimizing the leaf count: the first one that the
+    closure search by leaf count forms (see ``_closure_search``).
 
-    Returns None only when no expression exists (the reachable closure
-    was exhausted).  Raises BudgetExceededError when a cap stopped the
-    search first, in which case the answer is unknown.
+    Returns None only when no expression exists (every set reachable
+    from the rectangles was formed).  Raises BudgetExceededError when
+    the budget's ``max_closure`` settled sets or its wall clock ran out
+    first, in which case the answer is unknown.
     """
     budget = budget or SearchBudget()
     strides = _strides(cards)
@@ -643,5 +664,6 @@ def solve_mbh(
         rectangles_enumerated=len(search.masks),
         elapsed_seconds=time.monotonic() - t0,
         cap="none" if proved else cap or "max_base",
+        gap=base.size - bound,
     )
     return MbhSolution(base, proved, stats)

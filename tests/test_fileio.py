@@ -4,12 +4,16 @@ Core claims:
     - write then parse is the identity for every format
     - writers are canonical: sorted keys, two-space indent, trailing
       newline, so equal objects give identical bytes
+    - the writer is byte-identical to ``json.dumps(doc, sort_keys=True,
+      indent=2)`` plus a newline, on every document the writers and
+      ``infer`` make from the golden inputs and on edge documents
     - malformed input raises ParseError (with line/column for broken
       JSON) and structurally wrong input raises ValidationError
 """
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,7 +42,8 @@ from factorbn import (
     write_function,
     write_network,
 )
-from factorbn.fileio import MAX_TABLE_ENTRIES
+from factorbn import cli, fileio
+from factorbn.fileio import MAX_TABLE_ENTRIES, _dumps
 from factorbn.mbh import greedy_cover_base
 from factorbn.rectangles import Expression
 
@@ -533,3 +538,73 @@ def test_writers_are_canonical():
     assert write_network(net) == write_network(parse_network(write_network(net)))
     assert write_network(net).endswith("\n")
     assert write_base(boolean_base()) == write_base(boolean_base())
+
+
+# -- the writer against json.dumps ---------------------------------------------
+
+HERE = Path(__file__).parent
+
+
+def _json_dumps(doc):
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def test_writer_matches_json_dumps_on_the_golden_documents(monkeypatch, tmp_path):
+    docs = []
+
+    def spy(doc):
+        docs.append(doc)
+        return _dumps(doc)
+
+    monkeypatch.setattr(fileio, "_dumps", spy)
+    monkeypatch.setattr(cli, "_dumps", spy)
+    for golden in json.loads((HERE / "mbh_goldens.json").read_text()).values():
+        text = golden["base"]
+        extra = {"proved_minimal": json.loads(text)["proved_minimal"]}
+        assert write_base(parse_base(text), extra=extra) == text
+    networks = json.loads((HERE / "transform_goldens.json").read_text())
+    for case, text in networks.items():
+        net = parse_network(text)
+        assert write_network(net) == text
+        if case.endswith("/none"):
+            write_evidence(
+                Evidence({v.id: (0,) * (v.card - 1) + (1,) for v in net.variables[:3]}), net
+            )
+            for d in net.deterministic:
+                write_function(d)
+                write_form(build_factorized_form(d, greedy_cover_base(d)))
+                write_form(trivial_factorization(d))
+    path = tmp_path / "mixed.json"
+    path.write_text(networks["mixed/factorize"])
+    out = tmp_path / "marginal.json"
+    assert cli.run_cli(["infer", "--net", str(path), "--query", "sum", "max",
+                        "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["variables"] == ["sum", "max"]
+    assert len(docs) > 100
+    for doc in docs:
+        assert _dumps(doc) == _json_dumps(doc)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        [],
+        {},
+        [[], {}, [[]], {"a": {}}],
+        {"z": [], "a": {"b": [{}]}},
+        {"na\u00efve \"name\"": ["\u00e9t\u00e9", "tab\there", "back\\slash", "\u2603"]},
+        [0.1, 1e-300, 5e-324, 1.7976931348623157e308, -0.0, 3.0],
+        [float("nan"), float("inf"), -float("inf")],
+        [True, False, None, 0, -7, 10**30],
+        {"t": (1, (2, 3)), "n": np.float64(0.1)},
+    ],
+    ids=["empty-list", "empty-dict", "nested-empties", "nested-sorted", "names",
+         "floats", "non-finite", "scalars", "tuples"],
+)
+def test_writer_matches_json_dumps_on_edge_documents(doc):
+    assert _dumps(doc) == _json_dumps(doc)
+
+
+def test_writer_rejects_what_json_rejects():
+    with pytest.raises(TypeError):
+        _dumps({"x": np.int64(1)})

@@ -6,6 +6,9 @@ Core claims:
     - can_generate returns a verifiable witness, None only for truly
       ungeneratable targets, and a budget error when capped; all three
       are cross-checked against an independent brute-force closure
+    - the closure search by leaf count returns the same witnesses, or
+      stops on the same cap, as the uniform-cost heap search it
+      replaced, and it reaches a leaf class that follows an empty one
     - solve_mbh proves minimality on small worked functions (binary
       ADD = 3, checked against an exhaustive subset oracle; ternary
       ADD = 6; the 3-rectangle Boolean cover; AND = 2; MAX = scale)
@@ -20,8 +23,11 @@ Core claims:
 """
 
 import random
+import time
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from itertools import combinations, product
+from math import inf, prod
 
 import numpy as np
 import pytest
@@ -45,6 +51,7 @@ from factorbn import (
 )
 from factorbn.errors import ValidationError
 from factorbn.mbh import (
+    _closure_search,
     _dim_subsets,
     _echelon,
     _in_span,
@@ -340,6 +347,130 @@ def test_can_generate_none_vs_budget_are_distinct():
     assert exc.value.kind == "closure"
 
 
+def heap_closure_search(masks, wanted, max_values, deadline):
+    """The uniform-cost heap search that ``_closure_search`` replaced,
+    kept as its oracle: pops by (leaf count, push order), skips a push
+    for a set already queued with no more leaves, and caps the frontier
+    at 64 entries per settled set allowed."""
+    heap = [(1, i, m, (i,)) for i, m in enumerate(masks)]
+    heapify(heap)
+    seq = len(masks)
+    queued = dict.fromkeys(masks, 1)
+    settled = {}
+    order = []
+    found = {}
+
+    def witness(mask):
+        tokens, todo = [], [mask]
+        while todo:
+            how = settled[todo.pop()]
+            tokens.append(how[0])
+            todo += how[:0:-1]
+        return tuple(tokens)
+
+    pops = 0
+    heap_cap = 64 * max_values
+    while heap:
+        size, _, mask, how = heappop(heap)
+        if mask in settled:
+            continue
+        pops += 1
+        if deadline is not None and pops % 64 == 0 and time.monotonic() > deadline:
+            raise BudgetExceededError("wall-clock budget exhausted", kind="wall")
+        settled[mask] = how
+        order.append((mask, size))
+        if len(settled) > max_values:
+            raise BudgetExceededError("closure cap exceeded", kind="closure")
+        if mask in wanted:
+            found[mask] = witness(mask)
+            if len(found) == len(wanted):
+                return found
+        for other, osize in order:
+            both = mask & other
+            if both and both != other and both != mask:
+                continue
+            cand, leaves = mask ^ other, size + osize
+            if queued.get(cand, inf) <= leaves:
+                continue
+            if len(heap) >= heap_cap:
+                raise BudgetExceededError("closure frontier exceeded its cap", kind="closure")
+            if not both:
+                chow = ("+", mask, other)
+            elif both == other:
+                chow = ("-", mask, other)
+            else:
+                chow = ("-", other, mask)
+            queued[cand] = leaves
+            heappush(heap, (leaves, seq, cand, chow))
+            seq += 1
+    return found
+
+
+def closure_outcome(search, masks, wanted, cap):
+    """The witness tokens by mask, or the kind of the cap that stopped
+    the search."""
+    try:
+        found = search(masks, wanted, cap, None)
+    except BudgetExceededError as e:
+        return e.kind
+    return {m: getattr(w, "tokens", w) for m, w in found.items()}
+
+
+def test_closure_search_matches_the_heap_search():
+    # random rectangle lists over 4 to 16 cells, each wanted set made of
+    # a random set, a rectangle's difference or union with another (when
+    # legal) and a random union of rectangles
+    rng = random.Random(27)
+    kinds = {"found": 0, "exhausted": 0, "closure": 0}
+    for _ in range(2000):
+        cards = rng.choice([(4,), (2, 2), (2, 3), (3, 3), (2, 4), (4, 4), (2, 2, 2), (2, 2, 3)])
+        strides = _strides(cards)
+        rects = [
+            Hyperrectangle(tuple(
+                tuple(sorted(rng.sample(range(c), rng.randint(1, c)))) for c in cards
+            ))
+            for _ in range(rng.randint(1, 7))
+        ]
+        masks = [_mask_of(r.points(), strides) for r in rects]
+        a, b = rng.choice(masks), rng.choice(masks)
+        union = 0
+        for m in rng.sample(masks, rng.randint(1, len(masks))):
+            union |= m
+        wanted = {rng.randrange(1 << prod(cards)), a ^ b, union}
+        for cap in (1, 2, 5, 50, 2000):
+            got = closure_outcome(_closure_search, masks, wanted, cap)
+            assert got == closure_outcome(heap_closure_search, masks, wanted, cap)
+            if isinstance(got, str):
+                kinds[got] += 1
+            else:
+                kinds["found" if len(got) == len(wanted) else "exhausted"] += 1
+    assert min(kinds.values()) >= 500, kinds
+
+
+def test_closure_search_passes_an_empty_leaf_class():
+    # rows 1-2 minus row 1 is row 2, and rows 1-2 minus the lower right
+    # square is C = {(1, 0), (2, 0)}: with A - A, class 2 holds three
+    # sets.  Class 3 holds D, row 2 joined to R4; class 4 is empty; class
+    # 5 holds D - C.  A search that stopped at the first empty class
+    # would call D - C not generable.
+    rects = (
+        Hyperrectangle(((1,), (0, 1, 2))),
+        Hyperrectangle(((1, 2), (0, 1, 2))),
+        Hyperrectangle(((1, 2), (1, 2))),
+        Hyperrectangle(((0, 1), (0, 2))),
+    )
+    target = frozenset({(0, 0), (0, 2), (1, 2), (2, 1), (2, 2)})
+    rect_sets = [frozenset(r.points()) for r in rects]
+    assert brute_force_closure(rect_sets, 4) == brute_force_closure(rect_sets, 3)
+    assert target not in brute_force_closure(rect_sets, 4)
+    w = can_generate(target, rects, (3, 3))
+    assert w is not None and len(w.leaves()) == 5
+    assert evaluate_expression(w, rects) == target
+    # and a target the closure never reaches: the search ends exhausted
+    assert can_generate(frozenset({(0, 1)}), rects, (3, 3)) is None
+    assert frozenset({(0, 1)}) not in brute_force_closure(rect_sets, 10)
+
+
 # -- the solver on worked functions ------------------------------------------
 
 
@@ -547,6 +678,9 @@ def test_cap_returns_unproved_base(cap, value, name):
     assert bool(verify_factorization(d, build_factorized_form(d, sol.base)))
     assert not sol.proved_minimal
     assert sol.stats.cap == name
+    assert sol.stats.gap >= 1
+    if name == "rectangles":  # no size was ruled out: the bound is the level count
+        assert sol.stats.gap == sol.base.size - 5
 
 
 def test_base_on_the_bound_is_proved_under_a_cap():
@@ -569,6 +703,7 @@ def test_stats_are_populated():
     assert s.elapsed_seconds >= 0.0
     assert sol.proved_minimal
     assert s.cap == "none"
+    assert s.gap == 0
 
 
 def test_solver_deterministic_across_runs():
