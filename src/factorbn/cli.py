@@ -103,7 +103,8 @@ def _cmd_mbh(args) -> int:
     print(
         f"rectangles={solution.base.size} proved_minimal={solution.proved_minimal} "
         f"nodes={s.nodes_expanded} pruned={s.pruned} checked={s.subsets_checked} "
-        f"enumerated={s.rectangles_enumerated} seconds={s.elapsed_seconds:.3f} cap={s.cap}",
+        f"enumerated={s.rectangles_enumerated} seconds={s.elapsed_seconds:.3f} "
+        f"impure={s.impure} gap={s.gap} cap={s.cap}",
         file=sys.stderr,
     )
     if not solution.proved_minimal:

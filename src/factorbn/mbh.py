@@ -7,20 +7,25 @@ solver searches sizes upward from L until the first feasible size and
 returns the lexicographically smallest feasible rectangle subset there
 (by position in the canonical rectangle enumeration).
 
-Feasibility of a subset is decided in three stages, each sound:
+Feasibility of a subset is decided in four stages, each sound:
 
 1. coverage: the rectangles must cover the whole space (every level
    set must be denoted, and expressions never leave the union of their
    leaves);
-2. span: every level indicator must lie in the rational span of the
+2. level-pure atoms: the rectangles split the cells into atoms, the
+   largest sets of cells that each rectangle holds wholly or not at
+   all, and no atom may meet two level sets.  If an atom holds cells c
+   and c' of different levels, e_c - e_c' is orthogonal to every
+   rectangle indicator but not to c's level indicator, so that level
+   lies outside the rectangles' span and stage 3 would reject the
+   subset anyway; this stage only rejects it sooner, with a few int
+   bit operations;
+3. span: every level indicator must lie in the rational span of the
    rectangle indicators (a necessary consequence of the signed-count
    reconstruction), tested exactly by fraction-free elimination over
    integers: the subset's rows are reduced to an echelon basis and every
-   level row must reduce to zero against it.  Subsets are tested in
-   lexicographic order, so the basis of each prefix of the last subset
-   tested is kept, and a new subset reduces only the rows after the
-   prefix it shares with that one;
-3. closure: an expression for every level set must actually exist in
+   level row must reduce to zero against it;
+4. closure: an expression for every level set must actually exist in
    the two-operator algebra, found by a search over the reachable
    configuration sets by leaf count, fewest leaves first.
 
@@ -98,11 +103,13 @@ class SearchStats:
     short of a proof: ``rectangles``, ``closure``, ``wall`` or
     ``max_base``; it is ``none`` exactly when the base is proved
     minimal.  ``gap`` is the base size less the proven lower bound,
-    0 exactly when the base is proved minimal."""
+    0 exactly when the base is proved minimal.  ``impure`` counts the
+    subsets checked that the atom stage rejected before the span test."""
 
     nodes_expanded: int
     pruned: int
     subsets_checked: int
+    impure: int
     rectangles_enumerated: int
     elapsed_seconds: float
     cap: str
@@ -216,64 +223,23 @@ def _reduce(row: list[int], basis: list[tuple[int, list[int]]]) -> list[int]:
     return row
 
 
-def _extend(basis: list[tuple[int, list[int]]], row: list[int]) -> None:
-    """Append the row's remainder to the basis, unless it is zero, with
-    its pivot column and divided by the gcd of its entries so that the
-    integers stay small."""
-    row = _reduce(row, basis)
-    if any(row):
-        g = gcd(*row)
-        basis.append((next(i for i, x in enumerate(row) if x), [x // g for x in row]))
-
-
 def _echelon(rows: Iterable[list[int]]) -> list[tuple[int, list[int]]]:
-    """(pivot column, row) pairs spanning the rows, in row order."""
+    """(pivot column, row) pairs spanning the rows, in row order: each
+    row's non-zero remainder against the pairs before it, with its pivot
+    column, divided by the gcd of its entries so that the integers stay
+    small."""
     basis: list[tuple[int, list[int]]] = []
     for row in rows:
-        _extend(basis, row)
+        row = _reduce(row, basis)
+        if any(row):
+            g = gcd(*row)
+            basis.append((next(i for i, x in enumerate(row) if x), [x // g for x in row]))
     return basis
 
 
 def _in_span(basis: list[tuple[int, list[int]]], targets: Iterable[list[int]]) -> bool:
     """Whether every target row lies in the rational span of the basis."""
     return not any(any(_reduce(t, basis)) for t in targets)
-
-
-class _SpanTest:
-    """Whether the target rows lie in the span of a subset's rows, for
-    subsets of candidates met in lexicographic order.
-
-    The echelon basis of each prefix of the last subset tested is kept.
-    A new subset truncates the basis to the prefix it shares with that
-    subset and extends it by its remaining rows, in order, so each test
-    gives the same basis as ``_echelon`` of the subset's rows.  Each
-    candidate's 0/1 row is converted once, on first use.
-    """
-
-    def __init__(self, masks: Sequence[int], ncells: int, targets: list[list[int]]):
-        self.masks = masks
-        self.ncells = ncells
-        self.targets = targets
-        self.rows: dict[int, list[int]] = {}
-        self.path: list[int] = []  # the last subset tested
-        self.depth: list[int] = []  # basis length after each row of the path
-        self.basis: list[tuple[int, list[int]]] = []
-
-    def spans(self, subset: Sequence[int]) -> bool:
-        p, path = 0, self.path
-        n = min(len(path), len(subset))
-        while p < n and path[p] == subset[p]:
-            p += 1
-        del path[p:], self.depth[p:]
-        del self.basis[self.depth[-1] if p else 0:]
-        for i in subset[p:]:
-            row = self.rows.get(i)
-            if row is None:
-                row = self.rows[i] = _mask_row(self.masks[i], self.ncells)
-            _extend(self.basis, row)
-            path.append(i)
-            self.depth.append(len(self.basis))
-        return _in_span(self.basis, self.targets)
 
 
 # ---------------------------------------------------------------------------
@@ -463,19 +429,17 @@ class _Search:
         self.ncells = len(d.outputs)
         self.full = (1 << self.ncells) - 1
         self.level_masks = _level_masks(d)
+        self.level_rows = [_mask_row(m, self.ncells) for m in self.level_masks.values()]
+        # level_of[c + 1]: the mask of the level set that holds cell c
+        self.level_of = [0] + [self.level_masks[y] for y in d.outputs]
         self.dim_subsets: list[list[tuple[int, ...]]] = []
         self.masks: list[int] = []
-        self.nodes = self.pruned = self.checked = 0
+        self.nodes = self.pruned = self.checked = self.impure = 0
         self.unknown = False  # a closure cap made some subset undecidable
 
     def load_candidates(self) -> None:
         self.dim_subsets = _dim_subsets(self.cards, self.budget)
         self.masks = _rectangle_masks(self.dim_subsets, _strides(self.cards))
-        self.span = _SpanTest(
-            self.masks,
-            self.ncells,
-            [_mask_row(m, self.ncells) for m in self.level_masks.values()],
-        )
 
     def tick(self) -> None:
         self.nodes += 1
@@ -484,11 +448,28 @@ class _Search:
 
     # --- subset feasibility ------------------------------------------------
 
+    def level_pure(self, subset: Sequence[int]) -> bool:
+        """Whether every atom of the subset lies in one level set.  The
+        cells are refined by each rectangle in turn; a part inside one
+        level set only splits into parts inside it, so it is dropped,
+        and the subset passes when no part is left.  A part is tested
+        through its highest cell's level set (an empty part passes)."""
+        parts = [self.full]
+        for i in subset:
+            m = self.masks[i]
+            parts = [p for a in parts for p in (a & m, a & ~m)
+                     if p & ~self.level_of[p.bit_length()]]
+        return not parts
+
     def check_subset(self, subset: Sequence[int]):
         """Full feasibility test; returns witnesses by level mask or None.
         Sets .unknown when the closure budget leaves the answer open."""
         self.checked += 1
-        if not self.span.spans(subset):
+        if not self.level_pure(subset):
+            self.impure += 1
+            return None
+        rows = (_mask_row(self.masks[i], self.ncells) for i in subset)
+        if not _in_span(_echelon(rows), self.level_rows):
             return None
         try:
             found = _closure_search(
@@ -661,6 +642,7 @@ def solve_mbh(
         nodes_expanded=search.nodes,
         pruned=search.pruned,
         subsets_checked=search.checked,
+        impure=search.impure,
         rectangles_enumerated=len(search.masks),
         elapsed_seconds=time.monotonic() - t0,
         cap="none" if proved else cap or "max_base",

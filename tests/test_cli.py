@@ -284,6 +284,9 @@ def test_mbh_finds_and_proves_the_add_base(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "rectangles=6" in err
     assert "proved_minimal=True" in err
+    # the atom stage rejected 7 of the 8 subsets checked; the gap and the
+    # cap come last
+    assert " checked=8 " in err and err.rstrip().endswith(" impure=7 gap=0 cap=none")
     doc = json.loads((tmp_path / "base.json").read_text())
     assert doc["proved_minimal"] is True
     base = parse_base((tmp_path / "base.json").read_text())

@@ -16,9 +16,9 @@ Core claims:
       search with a verified base, unproved unless its size meets the
       proven lower bound, and the stats name the cap
     - the solver's bitmask internals match their set-based references:
-      candidate masks built per dimension, the span test that extends
-      the previous subset's basis, the greedy cover and the projective
-      classes
+      candidate masks built per dimension, the level-pure atom test, the
+      greedy cover and the projective classes; the atom test never
+      rejects a subset that the span test accepts
     - results are deterministic across repeated runs
 """
 
@@ -60,7 +60,6 @@ from factorbn.mbh import (
     _rectangle_at,
     _rectangle_masks,
     _Search,
-    _SpanTest,
     _strides,
 )
 
@@ -163,32 +162,41 @@ def test_span_test_agrees_with_rational_rank():
     assert min(outcomes.values()) >= 100, outcomes
 
 
-def test_incremental_span_test_matches_a_fresh_elimination():
-    # sequences of subsets, mostly in lexicographic order as the solver
-    # meets them, sometimes jumping back; every test must agree with an
-    # elimination from scratch and leave the same basis behind
-    rng = random.Random(77)
-    outcomes = {True: 0, False: 0}
-    for _ in range(40):
-        ncells = rng.randint(2, 12)
-        masks = [rng.randrange(1, 1 << ncells) for _ in range(rng.randint(3, 14))]
-        rows = [_mask_row(m, ncells) for m in masks]
-        pick = rng.sample(range(len(masks)), rng.randint(1, min(3, len(masks))))
-        targets = [_mask_row(masks[i] | masks[j], ncells) if masks[i] & masks[j] == 0
-                   else rows[i] for i, j in zip(pick, pick[1:] + pick[:1])]
-        targets.append(_mask_row(rng.randrange(1 << ncells), ncells))
-        span = _SpanTest(masks, ncells, targets)
-        k = rng.randint(1, len(masks))
-        for _ in range(30):
-            if rng.random() < 0.8:
-                subset = sorted(rng.sample(range(len(masks)), k))
-            else:
-                subset = rng.sample(range(len(masks)), rng.randint(1, len(masks)))
-            expected = _in_span(_echelon(rows[i] for i in subset), targets)
-            assert span.spans(subset) == expected
-            assert span.basis == _echelon(rows[i] for i in subset)
-            outcomes[expected] += 1
-    assert min(outcomes.values()) >= 100, outcomes
+def test_atom_test_is_sound_and_matches_a_cell_grouping():
+    # random covering subsets of random functions: the atom test agrees
+    # with grouping the cells by which rectangles hold them, and it never
+    # rejects a subset whose rectangles span every level indicator
+    rng = random.Random(28)
+    outcomes = {"impure": 0, "pure, outside the span": 0, "in the span": 0}
+    tried = 0
+    while tried < 150:
+        cards = tuple(rng.randint(2, 4) for _ in range(rng.randint(1, 3)))
+        if prod(cards) > 12:
+            continue
+        tried += 1
+        cc = rng.randint(2, 4)
+        d = DeterministicFunction(tuple(range(len(cards))), len(cards), cards, cc,
+                                  tuple(rng.randrange(cc) for _ in range(prod(cards))))
+        search = _Search(d, SearchBudget(), None)
+        search.load_candidates()
+        masks, ncells, targets = search.masks, search.ncells, search.level_rows
+        for _ in range(20):
+            k = rng.randint(1, min(len(masks), len(targets) + 3))
+            subset = sorted(rng.sample(range(len(masks)), k))
+            acc = 0
+            for i in subset:
+                acc |= masks[i]
+            if acc != search.full:
+                continue
+            atoms: dict[tuple[int, ...], set[int]] = {}
+            for c in range(ncells):
+                atoms.setdefault(tuple(masks[i] >> c & 1 for i in subset), set()).add(d.outputs[c])
+            pure = all(len(levels) == 1 for levels in atoms.values())
+            assert search.level_pure(subset) == pure
+            spans = _in_span(_echelon(_mask_row(masks[i], ncells) for i in subset), targets)
+            assert pure or not spans
+            outcomes["in the span" if spans else "pure, outside the span" if pure else "impure"] += 1
+    assert min(outcomes.values()) >= 50, outcomes
 
 
 def reference_greedy_cover_dims(d):
@@ -565,16 +573,22 @@ def test_constant_function_single_rectangle():
 def reference_first_base(d):
     """The rectangles of the first subset, in the order of combinations
     over all candidates at the smallest size that has one, that covers
-    the space and passes the full feasibility test."""
+    the space, spans every level indicator and generates every level set
+    with no cap on the closure search; no atom test comes first."""
     search = _Search(d, SearchBudget(), None)
     search.load_candidates()
-    masks = search.masks
+    masks, ncells = search.masks, search.ncells
+    levels = list(search.level_masks.values())
     for k in range(1, len(masks) + 1):
         for subset in combinations(range(len(masks)), k):
             acc = 0
             for i in subset:
                 acc |= masks[i]
-            if acc == search.full and search.check_subset(subset):
+            if (acc == search.full
+                    and _in_span(_echelon(_mask_row(masks[i], ncells) for i in subset),
+                                 search.level_rows)
+                    and len(_closure_search([masks[i] for i in subset], set(levels), inf, None))
+                    == len(levels)):
                 return tuple(_rectangle_at(search.dim_subsets, i) for i in subset)
     raise AssertionError("no base found at all")
 
@@ -699,6 +713,7 @@ def test_stats_are_populated():
     s = sol.stats
     assert s.rectangles_enumerated == 49
     assert s.subsets_checked >= 1
+    assert 0 < s.impure < s.subsets_checked
     assert s.nodes_expanded >= 1
     assert s.elapsed_seconds >= 0.0
     assert sol.proved_minimal
