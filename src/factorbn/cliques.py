@@ -11,9 +11,10 @@ variable elimination alike: it eliminates with :func:`min_fill_steps` on
 the :func:`moral_graph` of scope bitmasks (one neighbour bitmask per
 variable id), sums the entries of the elimination cliques, stopping
 once they pass a bound, and labels a run that ends by
-:func:`colouring` its cliques.  A network plans its interaction graph
-(``Network.plan``, which the accounting reads); a query plans its own
-reduced graph only above inference's bound (see ``Network.layout``).
+:func:`colouring` its cliques.  The accounting plans the network's
+interaction graph in full; a network's layout plans it up to
+inference's bound, and a query plans its own reduced graph only above
+that bound (see ``Network.layout``).
 """
 
 from __future__ import annotations
@@ -167,14 +168,14 @@ def min_fill_steps(nb: dict[int, int]) -> Iterator[tuple[int, int]]:
 class Plan(NamedTuple):
     """A min-fill elimination plan: the order; each step's elimination
     clique as a bitmask (the eliminated vertex and its neighbours then);
-    the entries of those cliques, each the product of its members'
-    cardinalities, summed over every step; each vertex's einsum label
-    (its :func:`colouring`, -1 for a one-state vertex), parallel to
-    ``order``; and the number of labels used."""
+    the entries of each of those cliques, the product of its members'
+    cardinalities; each vertex's einsum label (its :func:`colouring`, -1
+    for a one-state vertex); and the number of labels used.  ``cliques``,
+    ``sizes`` and ``labels`` are parallel to ``order``."""
 
     order: tuple[int, ...]
     cliques: tuple[int, ...]
-    entries: int
+    sizes: tuple[int, ...]
     labels: tuple[int, ...]
     colours: int
 
@@ -188,15 +189,19 @@ def min_fill_plan(
     one-state vertices take no colour, as inference indexes them out."""
     order: list[int] = []
     cliques: list[int] = []
+    sizes: list[int] = []
     entries = 0
     for v, clique in min_fill_steps(moral_graph(masks)):
-        entries += prod(cards[u] for u in _members(clique))
+        size = prod(cards[u] for u in _members(clique))
+        entries += size
         if entries > bound:
             return None
         order.append(v)
         cliques.append(clique)
+        sizes.append(size)
     labels = colouring(order, cliques, sum(1 << v for v in order if cards[v] == 1))
-    return Plan(tuple(order), tuple(cliques), entries, tuple(labels), max(labels, default=-1) + 1)
+    return Plan(tuple(order), tuple(cliques), tuple(sizes), tuple(labels),
+                max(labels, default=-1) + 1)
 
 
 def colouring(order: Sequence[int], cliques: Sequence[int], skip: int) -> list[int]:
@@ -232,19 +237,18 @@ def colouring(order: Sequence[int], cliques: Sequence[int], skip: int) -> list[i
 def moralize_and_triangulate(net: Network) -> CliqueReport:
     """Triangulate the interaction graph and report the maximal cliques.
 
-    Elimination cliques that are subsets of another are dropped, so the
-    total counts each maximal clique once.  Only an earlier clique can
-    hold a later one: each clique contains its own eliminated vertex,
-    which no later clique does.  The order and the elimination cliques
-    are the network's own plan (``Network.plan``), so triangulating
-    twice, or after a query, runs min-fill once.
+    The order, the elimination cliques and their sizes are the
+    :func:`min_fill_plan` of the network's scope masks, run in full on
+    each call; it builds no table.  Elimination cliques that are
+    subsets of another are dropped, so the total counts each maximal
+    clique once.  Only an earlier clique can hold a later one: each
+    clique contains its own eliminated vertex, which no later clique
+    does.
     """
-    order, raw = net.plan.order, net.plan.cliques
-    maximal: list[int] = []
-    for c in raw:
-        if not any(c & other == c for other in maximal):
-            maximal.append(c)
-    cliques = tuple(sorted(tuple(_members(c)) for c in maximal))
-    cards = net.cards
-    sizes = tuple(prod(cards[v] for v in clique) for clique in cliques)
-    return CliqueReport(order, cliques, sizes)
+    plan = min_fill_plan(net.scope_masks, net.cards)
+    maximal: list[tuple[int, int]] = []
+    for c, size in zip(plan.cliques, plan.sizes):
+        if not any(c & other == c for other, _ in maximal):
+            maximal.append((c, size))
+    found = sorted((tuple(_members(c)), size) for c, size in maximal)
+    return CliqueReport(plan.order, tuple(c for c, _ in found), tuple(s for _, s in found))

@@ -306,7 +306,7 @@ def _divorce(
 ) -> list[DeterministicFunction]:
     """The balanced tree of two-parent nodes that replaces a decomposable
     node (conjunction of literals, ADD or MAX) with more than two
-    parents; empty for a node with at most two.
+    parents; empty for a node with at most two, whatever its function.
 
     Inputs are paired in order, level by level, and each pair feeds a
     node applying ``&``, ``+`` or ``max`` to their values: a state's
@@ -315,6 +315,8 @@ def _divorce(
     pair feeds the original child.  The joint over the original
     variables is preserved exactly.
     """
+    if len(det.parents) <= 2:
+        return []
     conj = as_conjunction(det)
     op = operator.and_ if conj is not None else operator.add if is_add(det) else max
     if op is max and not is_max(det):
@@ -322,8 +324,6 @@ def _divorce(
             f"deterministic node for variable {det.child} is not a recognized "
             "decomposable function (conjunction of literals, ADD, MAX)"
         )
-    if len(det.parents) <= 2:
-        return []
     slots = [(p, range(card)) for p, card in zip(det.parents, det.parent_cards)]
     if conj is not None:  # int(x == literal) over a binary parent
         slots = [(p, (1 - lit, lit)) for p, lit in zip(det.parents, conj)]
@@ -355,9 +355,10 @@ def transform_network(net: Network, method: str, base_picker=None) -> Network:
     to :func:`default_base` below), and by the hidden variable B
     (``B_<child>``, one state per rectangle), appended last, so it is
     the higher id in each of the star's tables.  No potential is
-    added.  ``divorce`` splits each decomposable node with more than two
-    parents into a tree of two-parent nodes, and rejects a node that is
-    not decomposable.  The nodes a method leaves alone keep their
+    added.  ``divorce`` splits each node with more than two parents into
+    a tree of two-parent nodes, and rejects such a node that is not
+    decomposable; a node with at most two parents stays as it is,
+    whatever its function.  The nodes a method leaves alone keep their
     place; the new variables, nodes and stars are appended in node
     order, and the network is built and validated once.
     """

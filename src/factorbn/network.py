@@ -123,13 +123,14 @@ class Layout(NamedTuple):
     each entry of ``Network.tables`` in order, its head, its scope as a
     rank mask, the ranks of its axes, their labels, and its values.
 
-    A network whose plan is within ``PLAN_ONCE_ENTRIES`` keeps that
-    plan as ``plan`` and ranks each variable by its position in the
-    plan's order, so ``plan.labels`` gives the einsum label at each
-    rank: no two variables that meet in one elimination step share
-    one.  Each table's ranks are ascending, its labels are theirs, and
-    its values a read-only C-contiguous array with the axes in that
-    order.  Above the bound, ``plan`` is None, the ranks are the ids,
+    A network whose min-fill plan, a ``Plan(order, cliques, sizes,
+    labels, colours)``, sums to at most ``PLAN_ONCE_ENTRIES`` entries
+    keeps it as ``plan``, the only plan a network keeps, and ranks each
+    variable by its position in the plan's order, so ``plan.labels``
+    gives the einsum label at each rank: no two variables that meet in
+    one elimination step share one.  Each table's ranks are ascending,
+    its labels are theirs, and its values a read-only C-contiguous
+    array with the axes in that order.  Above the bound, ``plan`` is None, the ranks are the ids,
     and the tables are ``Network.tables`` as stored, without labels:
     each query plans and labels its own elimination.
     """
@@ -163,11 +164,11 @@ class Network:
     variable's ancestors as a bitmask, the walk that also checks for a
     cycle) by validation, ``scope_masks`` (each table's scope as a
     bitmask), ``tables``, the one-state variables, the stars' hidden
-    variables, the free potentials' ancestors, ``layout`` (the
+    variables, the free potentials' ancestors and ``layout`` (the
     tables arranged for elimination, which decides once whether the
-    network is planned) and ``plan`` (the min-fill elimination plan of
-    the interaction graph) on first use.  Inference reads only these,
-    so a query rebuilds nothing that depends on the network alone.
+    network is planned, and keeps the plan if it is) on first use.
+    Inference reads only these, so a query rebuilds nothing that
+    depends on the network alone.
     """
 
     variables: tuple[Variable, ...]
@@ -333,31 +334,21 @@ class Network:
         return tuple(tables)
 
     @cached_property
-    def plan(self) -> Plan:
-        """The min-fill plan of the interaction graph, in which every
-        table's scope is a clique (see :class:`~factorbn.cliques.Plan`).
-        Clique accounting reports it; inference eliminates in its order,
-        with its labels, when its entries are few (see :attr:`layout`)."""
-        return min_fill_plan(self.scope_masks, self.cards)
-
-    @cached_property
     def layout(self) -> Layout:
         """The tables arranged for elimination (see :class:`Layout`).
 
-        Unless ``plan`` is built, this runs a min-fill that stops once
-        its summed entries pass ``PLAN_ONCE_ENTRIES``, so a large
-        network is found to be above the bound without planning it
-        whole; a run that ends is kept as ``plan``, and is the layout's."""
-        plan = self.__dict__.get("plan") or min_fill_plan(
-            self.scope_masks, self.cards, PLAN_ONCE_ENTRIES
-        )
-        if plan is None or plan.entries > PLAN_ONCE_ENTRIES:
+        This runs a min-fill on the interaction graph, in which every
+        table's scope is a clique, that stops once its summed entries
+        pass ``PLAN_ONCE_ENTRIES``, so a large network is found to be
+        above the bound without planning it whole; a run that ends is
+        the layout's plan."""
+        plan = min_fill_plan(self.scope_masks, self.cards, PLAN_ONCE_ENTRIES)
+        if plan is None:
             tables = tuple(
                 (head, mask, scope, None, values)
                 for (head, scope, values), mask in zip(self.tables, self.scope_masks)
             )
             return Layout(tuple(range(len(self.cards))), None, tables)
-        self.__dict__["plan"] = plan  # a bounded run that ended is the whole plan
         rank = sorted(range(len(plan.order)), key=plan.order.__getitem__)  # order's inverse
         tables = []
         for head, scope, values in self.tables:

@@ -22,10 +22,10 @@ Core claims:
       within a clique among the vertices of more than one state, -1 on
       a one-state vertex, as many colours as the widest clique has
       such members, and ``colours`` one past the largest label
-    - a network runs min-fill once: triangulating it again and
-      querying it below the bound reuse its plan, and the bounded
-      min-fill of its layout, when it ends below the bound, is the plan
-      triangulation reads
+    - a network's queries run one min-fill, its layout's, bounded;
+      each triangulation runs one unbounded min-fill of its own and
+      builds no table, and below the bound its plan is the layout's
+      step for step, so querying first changes no report
     - repeated runs return identical reports
 """
 
@@ -163,35 +163,70 @@ def test_triangulation_reads_scopes_without_building_tables():
         assert report == moralize_and_triangulate(net)
 
 
-def test_network_runs_min_fill_once(monkeypatch):
+def test_network_plans_once_and_accounting_plans_per_call(monkeypatch):
+    """Many queries run one min-fill, the layout's, bounded by
+    ``PLAN_ONCE_ENTRIES``; each triangulation runs one unbounded
+    min-fill of its own and builds no float table; and the report is
+    the same whether or not the network was queried first."""
+    from factorbn import cliques, network
+
+    runs = []  # (who, bound) for each min_fill_plan call
+    steps = []  # one entry per min_fill_steps run
+    real_plan, real_steps = cliques.min_fill_plan, cliques.min_fill_steps
+
+    def planning(who):
+        def plan(masks, cards, bound=float("inf")):
+            runs.append((who, bound))
+            return real_plan(masks, cards, bound)
+        return plan
+
+    monkeypatch.setattr(cliques, "min_fill_plan", planning("accounting"))
+    monkeypatch.setattr(network, "min_fill_plan", planning("layout"))
+    monkeypatch.setattr(inference, "min_fill_plan", planning("query"))
+    monkeypatch.setattr(cliques, "min_fill_steps", lambda nb: steps.append(nb) or real_steps(nb))
+    spec, _ = session_model(1)
+    for method in ("none", "factorize"):
+        fresh = transform_network(session_model(1)[1], method)
+        runs.clear()
+        steps.clear()
+        report = moralize_and_triangulate(fresh)
+        assert runs == [("accounting", float("inf"))] and len(steps) == 1
+        assert "tables" not in fresh.__dict__ and "layout" not in fresh.__dict__
+        assert moralize_and_triangulate(fresh) == report
+        assert len(runs) == len(steps) == 2
+
+        queried = transform_network(session_model(1)[1], method)
+        runs.clear()
+        steps.clear()
+        for skill in spec.skill_ids:
+            inference.variable_elimination(queried, Evidence(), [skill])
+        assert runs == [("layout", network.PLAN_ONCE_ENTRIES)] and len(steps) == 1
+        assert queried.layout.plan is not None
+        assert moralize_and_triangulate(queried) == report
+        assert runs[1:] == [("accounting", float("inf"))] and len(steps) == 2
+
+
+def test_accounting_plan_is_the_layout_plan_below_the_bound(monkeypatch):
+    """On the 40-node, 8-task models of the ``cat-session`` seeds 1 and
+    99, under ``none`` and ``factorize``, the plan triangulation reports
+    is the layout's, step for step, and the report's sizes are its
+    sizes at the maximal cliques."""
     from factorbn import cliques
 
-    calls = []
-    real = cliques.min_fill_steps
-    monkeypatch.setattr(cliques, "min_fill_steps", lambda nb: calls.append(nb) or real(nb))
-    spec = StudentModelSpec(seed=1, node_count=40)
-    net = connect_tasks(generate_student_model(spec), canonical_tasks(spec, 8, 1))
-    reports = []
-    for t in (net, transform_network(net, "factorize")):
-        calls.clear()
-        report = moralize_and_triangulate(t)
-        for skill in spec.skill_ids[:3]:
-            inference.variable_elimination(t, Evidence(), [skill])
-        assert moralize_and_triangulate(t) == report
-        assert len(calls) == 1
-        assert t.layout.plan is not None
-        assert report.elimination_order == t.plan.order
-        reports.append(report)
-    # queried first: the layout's min-fill, bounded, ends below the
-    # bound and is the plan that triangulation then reports
-    for method, report in zip(("none", "factorize"), reports):
-        fresh = connect_tasks(generate_student_model(spec), canonical_tasks(spec, 8, 1))
-        t = transform_network(fresh, method)
-        calls.clear()
-        for skill in spec.skill_ids[:3]:
-            inference.variable_elimination(t, Evidence(), [skill])
-        assert moralize_and_triangulate(t) == report
-        assert len(calls) == 1
+    plans = []
+    real = cliques.min_fill_plan
+    monkeypatch.setattr(cliques, "min_fill_plan", lambda *args: plans.append(real(*args)) or plans[-1])
+    for seed in (1, 99):
+        for method in ("none", "factorize"):
+            t = transform_network(session_model(seed)[1], method)
+            plans.clear()
+            report = moralize_and_triangulate(t)
+            (plan,) = plans
+            assert plan == t.layout.plan  # order, cliques, sizes, labels, colours
+            assert report.elimination_order == plan.order
+            size_of = dict(zip(plan.cliques, plan.sizes))
+            assert report.sizes == tuple(size_of[sum(1 << v for v in c)] for c in report.cliques)
+            assert report.sizes == tuple(np.prod([t.cards[v] for v in c]) for c in report.cliques)
 
 
 def test_report_deterministic():
@@ -328,7 +363,7 @@ def query_graphs():
                 for t in nets:
                     kept = inference._reduce(t, Evidence(dict(found)), {skill}, t.layout)
                     # the masks are over plan ranks; the graph is over ids
-                    order = t.plan.order
+                    order = t.layout.plan.order
                     masks = [sum(1 << order[r] for r in ranks if order[r] != skill)
                              for _, ranks, *_ in kept]
                     graphs.append(moral_graph(masks))
@@ -339,8 +374,8 @@ def query_graphs():
 def network_graphs():
     """The whole-network graphs of 40-node, 8-task student models (the
     ``cat-session`` seeds 1 and 99, and 2 and 3) under ``none`` and
-    ``factorize``: what ``Network.plan`` runs min-fill on, once per
-    network."""
+    ``factorize``: what a network's layout and its clique accounting
+    run min-fill on."""
     return [
         moral_graph(transform_network(session_model(seed)[1], m).scope_masks)
         for seed in (1, 2, 3, 99)
@@ -491,7 +526,7 @@ def test_plan_labels_colour_every_elimination_clique():
     for seed in (1, 99):
         for method in ("none", "factorize"):
             t = transform_network(session_model(seed)[1], method)
-            plans.append((t.plan, t.cards))
+            plans.append((min_fill_plan(t.scope_masks, t.cards), t.cards))
     one_state = 0
     for plan, cards in plans:
         assert len(plan.labels) == len(plan.order)

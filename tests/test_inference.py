@@ -7,7 +7,9 @@ Core claims:
       every posterior within 1e-9 (factorization is exact in practice)
     - the rewrites have the advertised shapes: one hidden node per
       deterministic table, pairwise potentials; divorcing builds a
-      balanced tree of intermediates with the right state counts
+      balanced tree of intermediates with the right state counts, and
+      leaves a node of two parents or fewer as it is, whatever its
+      function
     - more tables than one einsum takes, in one bucket or in one
       contraction, still give the enumerated answer
     - the network's ancestor masks equal a walk of its parent map, and
@@ -57,7 +59,7 @@ from factorbn.benchcat import (
     connect_tasks,
     generate_student_model,
 )
-from factorbn.cliques import min_fill_plan, moral_graph
+from factorbn.cliques import min_fill_plan, moral_graph, moralize_and_triangulate
 from factorbn.inference import transform_network
 from factorbn.network import Star
 
@@ -368,6 +370,31 @@ def test_divorce_leaves_two_parent_nodes_alone():
     net = det_network()
     t = transform_network(net, "divorce")
     assert t == net
+
+
+def test_divorce_leaves_any_function_of_two_parents_or_fewer():
+    """A node divorce would never split is not checked for structure: a
+    two-parent XOR and a one-parent constant node leave the network
+    unchanged, with the posteriors of ``none``."""
+    cards = dict.fromkeys(range(5), 2)
+    variables = tuple(binary(i, name) for i, name in enumerate(("a", "b", "x", "k", "seen")))
+    dets = (
+        DeterministicFunction.from_callable((0, 1), 2, (2, 2), 2, lambda a, b: a ^ b),
+        DeterministicFunction.from_callable((0,), 3, (2,), 2, lambda a: 1),
+    )
+    cpts = (
+        cpt(0, (), cards, [0.3, 0.7]),
+        cpt(1, (), cards, [0.6, 0.4]),
+        cpt(4, (2,), cards, [[0.9, 0.1], [0.2, 0.8]]),
+    )
+    net = Network(variables, cpts, dets)
+    t = transform_network(net, "divorce")
+    assert t == net
+    for ev, query in ((Evidence({4: (0, 1)}), [0, 1]), (Evidence({3: (0, 1)}), [2])):
+        got = variable_elimination(t, ev, query)
+        want = variable_elimination(transform_network(net, "none"), ev, query)
+        assert got.values.tobytes() == want.values.tobytes()
+        assert np.abs(got.values - brute_posterior(net, ev, query)).max() < 1e-12
 
 
 def test_divorce_rejects_unstructured_functions():
@@ -698,11 +725,11 @@ def restricted_steps(t, evidence, query):
     assert t.layout.plan is not None
     kept = inference._reduce(t, evidence, set(query), t.layout)
     # the masks are over plan ranks; the graph is over ids, query left out
-    order = t.plan.order
+    order = t.layout.plan.order
     masks = [sum(1 << order[r] for r in ranks if order[r] not in query) for _, ranks, *_ in kept]
     adj = moral_graph(masks)
     steps = []
-    for v in t.plan.order:
+    for v in order:
         if v not in adj:
             continue
         nb = adj.pop(v)
@@ -732,7 +759,7 @@ def test_restricted_steps_lie_in_the_network_plan(monkeypatch):
     compiled = programs(monkeypatch)
     checked = cat = 0
     for t, ev, query, replay in cases:
-        clique_of = dict(zip(t.plan.order, t.plan.cliques))
+        clique_of = dict(zip(t.layout.plan.order, t.layout.plan.cliques))
         steps = restricted_steps(t, ev, query)
         for v, clique in steps:
             assert clique & ~clique_of[v] == 0, (v, query)
@@ -743,7 +770,7 @@ def test_restricted_steps_lie_in_the_network_plan(monkeypatch):
             (kept, _, program), = compiled
             # the variables each step sums out: the ranks it multiplies
             # and leaves out of its result; query variables stay
-            drops = [t.plan.order[r] for union, (_, ranks) in zip(step_unions(kept, program), program)
+            drops = [t.layout.plan.order[r] for union, (_, ranks) in zip(step_unions(kept, program), program)
                      for r in members(union & ~ranks)]
             assert drops == [v for v, _ in steps]
             cat += 1
@@ -766,9 +793,9 @@ def test_network_above_the_bound_plans_each_query(monkeypatch):
     """One child of 18 binary parents: the family clique alone holds
     2^19 entries, above the bound.  The network's layout runs min-fill
     once, stopping at the bound, and each query then runs min-fill on
-    its own reduced graph; a later ``Network.plan`` runs one whole
-    min-fill for clique accounting.  With 8 parents the layout's run
-    ends below the bound, is the plan, and no query plans."""
+    its own reduced graph.  With 8 parents the layout's run ends below
+    the bound, is the plan, and no query plans.  Either way clique
+    accounting runs one whole min-fill of its own."""
     from factorbn import cliques
 
     runs = []  # [who, vertices, steps taken] for each min-fill run
@@ -791,6 +818,7 @@ def test_network_above_the_bound_plans_each_query(monkeypatch):
 
     monkeypatch.setattr(network, "min_fill_plan", planning("network", network.min_fill_plan))
     monkeypatch.setattr(inference, "min_fill_plan", planning("query", inference.min_fill_plan))
+    monkeypatch.setattr(cliques, "min_fill_plan", planning("accounting", cliques.min_fill_plan))
     monkeypatch.setattr(cliques, "min_fill_steps", counting(cliques.min_fill_steps))
     for parents, above in ((18, True), (8, False)):
         net, table = star_of_parents(parents)
@@ -805,8 +833,9 @@ def test_network_above_the_bound_plans_each_query(monkeypatch):
         assert (first[2] < parents + 1) == above
         assert queries == ([["query", parents - 1, parents - 1]] * 3 if above else [])
         runs.clear()
-        assert (net.plan.entries > network.PLAN_ONCE_ENTRIES) == above
-        assert runs == ([["network", parents + 1, parents + 1]] if above else [])
+        report = moralize_and_triangulate(net)
+        assert (report.total > network.PLAN_ONCE_ENTRIES) == above
+        assert runs == [["accounting", parents + 1, parents + 1]]
 
 
 def test_student_models_from_60_nodes_plan_each_query():
@@ -943,7 +972,7 @@ def test_unanswered_tasks_star_is_not_contracted(monkeypatch):
         # the variables some einsum of the query multiplies; the masks
         # are over ranks in the network's plan order
         kept, _, program = compiled[0]
-        return {network.plan.order[r] for union in step_unions(kept, program)
+        return {network.layout.plan.order[r] for union in step_unions(kept, program)
                 for r in members(union)} & {b1, b2}
 
     answer1 = {4: (0, 1)}
@@ -971,7 +1000,7 @@ def widest_clique(t, ev, query):
     query runs in: the network plan's below the bound, else min-fill's
     on the reduced graph, query left out."""
     if t.layout.plan is not None:
-        cliques = t.plan.cliques
+        cliques = t.layout.plan.cliques
     else:
         kept = inference._reduce(t, ev, set(query), t.layout)
         queried = sum(1 << q for q in query)
@@ -1243,7 +1272,7 @@ def test_layout_stores_every_table_in_plan_order():
         layout = net.layout
         rank = layout.rank
         assert sorted(rank) == list(range(len(net.variables)))
-        assert all(rank[v] == i for i, v in enumerate(net.plan.order))
+        assert all(rank[v] == i for i, v in enumerate(layout.plan.order))
         kinds = ["cpt"] * len(net.cpts) + ["deterministic"] * len(net.deterministic)
         kinds += ["potential"] * len(net.potentials)
         kinds += ["star"] * (len(net.tables) - len(kinds))
@@ -1261,7 +1290,7 @@ def test_layout_stores_every_table_in_plan_order():
             if axes != sorted(axes):
                 reordered.add(kind)
         # the labels colour the plan: no two members of a clique share one
-        for clique in net.plan.cliques:
+        for clique in layout.plan.cliques:
             labels = [layout.plan.labels[rank[v]] for v in members(clique)]
             assert len(set(labels)) == len(labels)
         assert layout.plan.colours == max(layout.plan.labels) + 1
