@@ -206,6 +206,17 @@ def _rectangle_at(dim_subsets: Sequence[Sequence[tuple[int, ...]]], index: int) 
     return Hyperrectangle(tuple(reversed(dims)))
 
 
+def _refine(parts: list[int], mask: int, level_of: Sequence[int]) -> list[int]:
+    """Split each part of the cells by a rectangle's ``mask`` and keep the
+    pieces that meet two level sets or more: a piece inside one level set
+    only splits into pieces inside it.  A piece is tested through its
+    highest cell's level set, ``level_of[p.bit_length()]`` (an empty piece
+    is dropped).  Folded over a subset from ``[full]``, it leaves no part
+    exactly when every atom of the subset lies in one level set."""
+    return [p for a in parts for p in (a & mask, a & ~mask)
+            if p & ~level_of[p.bit_length()]]
+
+
 def _mask_row(mask: int, ncells: int) -> list[int]:
     return [(mask >> i) & 1 for i in range(ncells)]
 
@@ -448,24 +459,13 @@ class _Search:
 
     # --- subset feasibility ------------------------------------------------
 
-    def level_pure(self, subset: Sequence[int]) -> bool:
-        """Whether every atom of the subset lies in one level set.  The
-        cells are refined by each rectangle in turn; a part inside one
-        level set only splits into parts inside it, so it is dropped,
-        and the subset passes when no part is left.  A part is tested
-        through its highest cell's level set (an empty part passes)."""
-        parts = [self.full]
-        for i in subset:
-            m = self.masks[i]
-            parts = [p for a in parts for p in (a & m, a & ~m)
-                     if p & ~self.level_of[p.bit_length()]]
-        return not parts
-
-    def check_subset(self, subset: Sequence[int]):
-        """Full feasibility test; returns witnesses by level mask or None.
-        Sets .unknown when the closure budget leaves the answer open."""
+    def check_subset(self, subset: Sequence[int], parts: list[int]):
+        """Full feasibility test of a covering subset whose atoms that
+        straddle level sets are ``parts`` (see ``_refine``); returns
+        witnesses by level mask or None.  Sets .unknown when the closure
+        budget leaves the answer open."""
         self.checked += 1
-        if not self.level_pure(subset):
+        if parts:
             self.impure += 1
             return None
         rows = (_mask_row(self.masks[i], self.ncells) for i in subset)
@@ -553,7 +553,8 @@ class _Search:
 
         sel: list[int] = []
 
-        def dfs(pool, suffix, start: int, acc: int, switch: bool):
+        # parts: the atoms of sel that straddle level sets (see _refine)
+        def dfs(pool, suffix, start: int, acc: int, parts: list[int], switch: bool):
             slots = k - len(sel)
             for j in range(start, len(pool) - slots + 1):
                 self.tick()
@@ -562,26 +563,28 @@ class _Search:
                     break  # suffixes only shrink from here on
                 i = pool[j]
                 sel.append(i)
-                nacc = acc | self.masks[i]
+                m = self.masks[i]
+                nacc = acc | m
                 if slots == 1:
                     if nacc == self.full:
-                        found = self.check_subset(sel)
+                        found = self.check_subset(sel, _refine(parts, m, self.level_of))
                         if found:
                             return tuple(sel), found
                     else:
                         self.pruned += 1
                 else:
+                    nparts = _refine(parts, m, self.level_of)
                     if switch and labels[i]:
                         cpool, csuffix = class_pool(labels[i])
-                        hit = dfs(cpool, csuffix, bisect_right(cpool, i), nacc, False)
+                        hit = dfs(cpool, csuffix, bisect_right(cpool, i), nacc, nparts, False)
                     else:
-                        hit = dfs(pool, suffix, j + 1, nacc, switch)
+                        hit = dfs(pool, suffix, j + 1, nacc, nparts, switch)
                     if hit:
                         return hit
                 sel.pop()
             return None
 
-        return dfs(*self.pool(root), 0, 0, k == lower + 1)
+        return dfs(*self.pool(root), 0, 0, [self.full], k == lower + 1)
 
 
 def solve_mbh(

@@ -14,7 +14,7 @@ from .cliques import Plan, min_fill_plan
 from .core import Factor, Variable
 from .errors import ValidationError
 from .factorization import FactorizedForm
-from .functions import DeterministicFunction, deterministic_to_potential
+from .functions import DeterministicFunction, indicator_table
 
 ROW_SUM_TOLERANCE = 1e-9
 # Up to this many elimination-clique entries in a network's min-fill plan
@@ -119,20 +119,23 @@ class Layout(NamedTuple):
     """A network's tables arranged for elimination.
 
     ``rank`` gives each variable's rank, and every bitmask here is over
-    ranks (bit r for the variable at rank r).  ``tables`` holds, for
-    each entry of ``Network.tables`` in order, its head, its scope as a
-    rank mask, the ranks of its axes, their labels, and its values.
+    ranks (bit r for the variable at rank r).  ``tables`` holds, in
+    ``Network.scope_masks`` order, one entry for every CPT, deterministic
+    node (its 0/1 indicator), free potential and star h or g table (see
+    :meth:`Star.tables`): its head (a star's child for its tables, None
+    for a free potential), its scope as a rank mask, the ranks of its
+    axes, ascending, their labels, and its values, a read-only
+    C-contiguous float64 array with the axes in that order: a view of
+    its source when that is float64 with its axes already in rank order.
 
     A network whose min-fill plan, a ``Plan(order, cliques, sizes,
     labels, colours)``, sums to at most ``PLAN_ONCE_ENTRIES`` entries
     keeps it as ``plan``, the only plan a network keeps, and ranks each
     variable by its position in the plan's order, so ``plan.labels``
     gives the einsum label at each rank: no two variables that meet in
-    one elimination step share one.  Each table's ranks are ascending,
-    its labels are theirs, and its values a read-only C-contiguous
-    array with the axes in that order.  Above the bound, ``plan`` is None, the ranks are the ids,
-    and the tables are ``Network.tables`` as stored, without labels:
-    each query plans and labels its own elimination.
+    one elimination step share one.  Above the bound, ``plan`` is None,
+    the ranks are the ids and the tables have no labels: each query
+    plans and labels its own elimination.
     """
 
     rank: tuple[int, ...]
@@ -163,10 +166,10 @@ class Network:
     lifetime: ``cards``, ``parent_map`` and ``ancestor_masks`` (each
     variable's ancestors as a bitmask, the walk that also checks for a
     cycle) by validation, ``scope_masks`` (each table's scope as a
-    bitmask), ``tables``, the one-state variables, the stars' hidden
-    variables, the free potentials' ancestors and ``layout`` (the
-    tables arranged for elimination, which decides once whether the
-    network is planned, and keeps the plan if it is) on first use.
+    bitmask), the one-state variables, the stars' hidden variables, the
+    free potentials' ancestors and ``layout`` (every table as float64,
+    arranged for elimination, which decides once whether the network
+    is planned, and keeps the plan if it is) on first use.
     Inference reads only these, so a query rebuilds nothing that
     depends on the network alone.
     """
@@ -301,7 +304,7 @@ class Network:
 
     @cached_property
     def scope_masks(self) -> tuple[int, ...]:
-        """The scope of each entry of ``tables``, in the same order, as a
+        """The scope of each table of ``layout``, in the same order, as a
         bitmask (bit v for variable v): a CPT's family, a deterministic
         node's family, a potential's scope, a star table's scope."""
         scopes = [(c.child, *c.parents) for c in self.cpts]
@@ -309,29 +312,6 @@ class Network:
         scopes += [p.scope for p in self.potentials]
         scopes += [scope for s in self.stars for scope, _ in s.tables()]
         return tuple(sum(1 << v for v in scope) for scope in scopes)
-
-    @cached_property
-    def tables(self) -> tuple[tuple[int | None, tuple[int, ...], np.ndarray], ...]:
-        """(head, scope, float64 table) for every CPT, every deterministic
-        node (its indicator), every free potential and every star's h and
-        g tables (see :meth:`Star.tables`), in that order.
-
-        A star's tables carry the star's child as head; the free
-        potentials carry None.  The tables are read-only and shared by
-        every query on the network.
-        """
-        out = [(c.child, c.factor.scope, c.factor.values) for c in self.cpts]
-        for d in self.deterministic:
-            ind = deterministic_to_potential(d)
-            out.append((d.child, ind.scope, ind.values))
-        out += [(None, p.scope, p.values) for p in self.potentials]
-        out += [(s.child, scope, table) for s in self.stars for scope, table in s.tables()]
-        tables = []
-        for head, scope, values in out:
-            values = np.asarray(values, dtype=np.float64)
-            values.flags.writeable = False
-            tables.append((head, scope, values))
-        return tuple(tables)
 
     @cached_property
     def layout(self) -> Layout:
@@ -344,21 +324,23 @@ class Network:
         the layout's plan."""
         plan = min_fill_plan(self.scope_masks, self.cards, PLAN_ONCE_ENTRIES)
         if plan is None:
-            tables = tuple(
-                (head, mask, scope, None, values)
-                for (head, scope, values), mask in zip(self.tables, self.scope_masks)
-            )
-            return Layout(tuple(range(len(self.cards))), None, tables)
-        rank = sorted(range(len(plan.order)), key=plan.order.__getitem__)  # order's inverse
+            rank = range(len(self.cards))
+        else:
+            rank = sorted(range(len(plan.order)), key=plan.order.__getitem__)  # order's inverse
+        sources = [(c.child, c.factor.scope, c.factor.values) for c in self.cpts]
+        sources += [(d.child, d.parents + (d.child,), indicator_table(d)) for d in self.deterministic]
+        sources += [(None, p.scope, p.values) for p in self.potentials]
+        sources += [(s.child, scope, table) for s in self.stars for scope, table in s.tables()]
         tables = []
-        for head, scope, values in self.tables:
+        for head, scope, values in sources:
             ranks = [rank[v] for v in scope]
             axes = sorted(range(len(ranks)), key=ranks.__getitem__)
             ranks.sort()
-            values = np.asarray(values.transpose(axes), order="C")  # keeps a 0-d table 0-d
+            # keeps a 0-d table 0-d, and copies only to convert or reorder
+            values = np.asarray(values.transpose(axes), dtype=np.float64, order="C")
             values.flags.writeable = False
-            mask = sum(1 << r for r in ranks)
-            tables.append((head, mask, tuple(ranks), tuple(plan.labels[r] for r in ranks), values))
+            labels = None if plan is None else tuple(plan.labels[r] for r in ranks)
+            tables.append((head, sum(1 << r for r in ranks), tuple(ranks), labels, values))
         return Layout(tuple(rank), plan, tuple(tables))
 
     def variable_by_name(self, name: str) -> Variable:

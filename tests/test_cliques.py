@@ -158,8 +158,10 @@ def test_interaction_graph_covers_potential_scopes():
 def test_triangulation_reads_scopes_without_building_tables():
     for net in (chain_network(), star_network(), transform_network(star_network(), "factorize")):
         report = moralize_and_triangulate(net)
-        assert "tables" not in net.__dict__
-        assert net.scope_masks == tuple(sum(1 << v for v in s) for _, s, _ in net.tables)
+        assert "layout" not in net.__dict__
+        # the scopes it read are the layout's, table for table
+        order = net.layout.plan.order
+        assert net.scope_masks == tuple(sum(1 << order[r] for r in t[2]) for t in net.layout.tables)
         assert report == moralize_and_triangulate(net)
 
 

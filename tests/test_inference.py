@@ -48,6 +48,7 @@ from factorbn import (
     Variable,
     ZeroNormalizerError,
     build_factorized_form,
+    deterministic_to_potential,
     known_base_conjunction,
     trivial_factorization,
     variable_elimination,
@@ -666,6 +667,19 @@ def ancestors_by_walk(net, v):
     return sum(1 << u for u in seen)
 
 
+def reference_tables(net):
+    """(head, scope, table) for every CPT, every deterministic node (its
+    indicator, axes in id order), every free potential and every star's
+    h and g tables, in that order, each table as its source holds it."""
+    out = [(c.child, c.factor.scope, c.factor.values) for c in net.cpts]
+    for d in net.deterministic:
+        ind = deterministic_to_potential(d)
+        out.append((d.child, ind.scope, ind.values))
+    out += [(None, p.scope, p.values) for p in net.potentials]
+    out += [(s.child, scope, table) for s in net.stars for scope, table in s.tables()]
+    return out
+
+
 def test_ancestor_masks_match_a_parent_walk():
     nets = []
     for seed in range(80):
@@ -676,7 +690,7 @@ def test_ancestor_masks_match_a_parent_walk():
     for net in nets:
         for t in (net, transform_network(net, "factorize")):
             assert t.ancestor_masks == tuple(ancestors_by_walk(t, v) for v in range(len(t.variables)))
-            assert t.scope_masks == tuple(sum(1 << v for v in s) for _, s, _ in t.tables)
+            assert t.scope_masks == tuple(sum(1 << v for v in s) for _, s, _ in reference_tables(t))
 
 
 def test_ancestor_masks_and_elimination_on_a_3000_node_chain():
@@ -1250,36 +1264,46 @@ def test_a_step_frees_the_tables_it_took(monkeypatch):
     assert freed > 1000
 
 
-def test_layout_stores_every_table_in_plan_order():
-    """Each table of ``Network.layout`` is its ``Network.tables`` entry
-    with the axes in plan order, bit for bit, read-only and C-ordered:
-    CPTs and deterministic indicators (``two_task_network``), star
+def layout_networks():
+    """CPTs and deterministic indicators (``two_task_network``), star
     tables (factorized, and with B at the lowest id), and free
-    potentials (a parsed copy holds the star tables as potentials).
-    Every kind has a table whose axes the plan reorders."""
+    potentials (a parsed copy holds the star tables as potentials)."""
     from factorbn import parse_network, write_network
 
     factorized = transform_network(two_task_network(), "factorize")
-    networks = [
+    return [
         two_task_network(),
         factorized,
         star_below_its_family(),
         parse_network(write_network(factorized)),
         parse_network(write_network(star_below_its_family())),
     ]
-    reordered = set()
-    for net in networks:
+
+
+def table_kinds(net):
+    kinds = ["cpt"] * len(net.cpts) + ["deterministic"] * len(net.deterministic)
+    kinds += ["potential"] * len(net.potentials)
+    return kinds + ["star"] * sum(1 + len(s.parents) for s in net.stars)
+
+
+def test_layout_stores_every_table_in_plan_order():
+    """Each table of ``Network.layout`` is its source (a CPT, a
+    deterministic indicator, a free potential or a star table) with the
+    axes in plan order, as float64 bit for bit, read-only and C-ordered,
+    and a float64 source already in that order is not copied.  Every
+    kind has a table whose axes the plan reorders."""
+    assert not hasattr(two_task_network(), "tables")
+    reordered, kept = set(), set()
+    for net in layout_networks():
         layout = net.layout
         rank = layout.rank
         assert sorted(rank) == list(range(len(net.variables)))
         assert all(rank[v] == i for i, v in enumerate(layout.plan.order))
-        kinds = ["cpt"] * len(net.cpts) + ["deterministic"] * len(net.deterministic)
-        kinds += ["potential"] * len(net.potentials)
-        kinds += ["star"] * (len(net.tables) - len(kinds))
-        assert len(layout.tables) == len(net.tables)
-        for kind, (head, scope, values), stored in zip(kinds, net.tables, layout.tables):
+        sources = reference_tables(net)
+        assert len(layout.tables) == len(sources)
+        for kind, (head, scope, values), stored in zip(table_kinds(net), sources, layout.tables):
             axes = sorted(range(len(scope)), key=lambda a: rank[scope[a]])
-            want = np.ascontiguousarray(values.transpose(axes))
+            want = np.ascontiguousarray(values.transpose(axes), dtype=np.float64)
             ranks = tuple(rank[scope[a]] for a in axes)
             assert stored[:4] == (head, sum(1 << r for r in ranks), ranks,
                                   tuple(layout.plan.labels[r] for r in ranks))
@@ -1289,22 +1313,44 @@ def test_layout_stores_every_table_in_plan_order():
             assert table.tobytes() == want.tobytes(), (kind, scope)
             if axes != sorted(axes):
                 reordered.add(kind)
+            elif values.dtype == np.float64:
+                assert np.shares_memory(table, values), (kind, scope)
+                kept.add(kind)
         # the labels colour the plan: no two members of a clique share one
         for clique in layout.plan.cliques:
             labels = [layout.plan.labels[rank[v]] for v in members(clique)]
             assert len(set(labels)) == len(labels)
         assert layout.plan.colours == max(layout.plan.labels) + 1
     assert reordered == {"cpt", "deterministic", "potential", "star"}
-    # above the bound: the ranks are the ids, nothing is labelled, and
-    # each table is its ``Network.tables`` entry as stored, not a copy
+    assert kept == {"cpt", "potential", "star"}
+
+
+def test_layout_above_the_bound_keeps_every_table_in_id_order(monkeypatch):
+    """Above the bound the ranks are the ids and nothing is labelled;
+    each table has its axes in id order, and every CPT, free potential
+    and star table is its source, not a copy."""
     wide = star_of_parents(18)[0]
-    layout = wide.layout
-    assert layout.rank == tuple(range(len(wide.variables)))
-    assert layout.plan is None
-    assert len(layout.tables) == len(wide.tables)
-    for (head, scope, values), mask, stored in zip(wide.tables, wide.scope_masks, layout.tables):
-        assert stored[:4] == (head, mask, scope, None)
-        assert np.shares_memory(stored[4], values)
+    assert wide.layout.plan is None
+    monkeypatch.setattr(network, "PLAN_ONCE_ENTRIES", 0)  # every network is above it
+    kinds = set()
+    for net in [wide, *layout_networks()]:
+        layout = net.layout
+        assert layout.rank == tuple(range(len(net.variables)))
+        assert layout.plan is None
+        sources = reference_tables(net)
+        assert len(layout.tables) == len(sources)
+        for kind, (head, scope, values), mask, stored in zip(
+            table_kinds(net), sources, net.scope_masks, layout.tables
+        ):
+            assert stored[:4] == (head, mask, scope, None)
+            table = stored[4]
+            assert table.dtype == np.float64 and table.flags.c_contiguous
+            assert not table.flags.writeable
+            assert table.tobytes() == np.ascontiguousarray(values, dtype=np.float64).tobytes()
+            if kind != "deterministic":
+                assert np.shares_memory(table, values), (kind, scope)
+                kinds.add(kind)
+    assert kinds == {"cpt", "potential", "star"}
 
 
 def one_state_nodes(n, parent=False):

@@ -59,6 +59,7 @@ from factorbn.mbh import (
     _mask_row,
     _rectangle_at,
     _rectangle_masks,
+    _refine,
     _Search,
     _strides,
 )
@@ -192,7 +193,10 @@ def test_atom_test_is_sound_and_matches_a_cell_grouping():
             for c in range(ncells):
                 atoms.setdefault(tuple(masks[i] >> c & 1 for i in subset), set()).add(d.outputs[c])
             pure = all(len(levels) == 1 for levels in atoms.values())
-            assert search.level_pure(subset) == pure
+            parts = [search.full]
+            for i in subset:
+                parts = _refine(parts, masks[i], search.level_of)
+            assert (not parts) == pure
             spans = _in_span(_echelon(_mask_row(masks[i], ncells) for i in subset), targets)
             assert pure or not spans
             outcomes["in the span" if spans else "pure, outside the span" if pure else "impure"] += 1

@@ -108,15 +108,18 @@ def test_transform_output_matches_golden(case):
 @pytest.mark.parametrize("case", ["40/8/seed1", "40/8/seed99", "mixed"])
 def test_parsed_copy_keeps_the_elimination_inputs(case):
     """The file format has no stars, so a star's tables come back as
-    free potentials: only their heads turn to None."""
+    free potentials: the layout is the same, and only the heads of its
+    tables turn to None."""
     t = transform_network(network(f"{case}/factorize"), "factorize")
     parsed = parse_network(write_network(t))
-    assert len(parsed.tables) == len(t.tables)
-    for (head, scope, values), (head2, scope2, values2) in zip(t.tables, parsed.tables):
-        assert (scope2, values2.dtype, values2.shape) == (scope, values.dtype, values.shape)
+    assert parsed.layout.rank == t.layout.rank and parsed.layout.plan == t.layout.plan
+    tables, tables2 = t.layout.tables, parsed.layout.tables
+    assert len(tables2) == len(tables)
+    for (head, *rest, values), (head2, *rest2, values2) in zip(tables, tables2):
+        assert (rest2, values2.dtype, values2.shape) == (rest, values.dtype, values.shape)
         assert values2.tobytes() == values.tobytes()
         assert head2 in (head, None)
-    assert sum(h is None for h, _, _ in parsed.tables) > sum(h is None for h, _, _ in t.tables)
+    assert sum(x[0] is None for x in tables2) > sum(x[0] is None for x in tables)
 
 
 if __name__ == "__main__":
