@@ -49,8 +49,6 @@ from .factorization import (
 )
 from .functions import (
     DeterministicFunction,
-    deterministic_to_potential,
-    eval_formula,
     function_from_formula,
     parse_formula,
 )
@@ -59,8 +57,6 @@ from .mbh import (
     MbhSolution,
     SearchBudget,
     SearchStats,
-    can_generate,
-    enumerate_rectangles,
     greedy_cover_base,
     solve_mbh,
 )

@@ -22,7 +22,9 @@ import numpy as np
 
 from .errors import InternalConsistencyError, ValidationError
 from .functions import DeterministicFunction, indicator_table
-from .rectangles import Base, Config, Expression, Hyperrectangle, evaluate_expression, full_space
+from .rectangles import (
+    Base, Config, Expression, Hyperrectangle, balanced_union, evaluate_expression, full_space,
+)
 
 
 @dataclass(frozen=True)
@@ -158,9 +160,16 @@ def build_factorized_form(d: DeterministicFunction, base: Base) -> FactorizedFor
         for idx, coeff in expr.signed_counts().items():
             h[state, idx] += coeff
 
-    return _verified(d, FactorizedForm(
+    form = FactorizedForm(
         d.parent_cards, d.child_card, h, membership_tables(base.rectangles, d.parent_cards)
-    ))
+    )
+    # a form that does not reconstruct ``d`` is a defect of this builder
+    verdict = verify_factorization(d, form)
+    if not verdict:
+        raise InternalConsistencyError(
+            f"factorized form fails reconstruction at {verdict.violation}"
+        )
+    return form
 
 
 def verify_factorization(d: DeterministicFunction, form: FactorizedForm) -> Verdict:
@@ -182,30 +191,16 @@ def verify_factorization(d: DeterministicFunction, form: FactorizedForm) -> Verd
     return Verdict(False, (int(first[0]), tuple(int(x) for x in first[1:])))
 
 
-def _verified(d: DeterministicFunction, form: FactorizedForm) -> FactorizedForm:
-    """The form, once it reconstructs ``d`` exactly; a form that does not
-    is a defect of its producer."""
-    verdict = verify_factorization(d, form)
-    if not verdict:
-        raise InternalConsistencyError(
-            f"factorized form fails reconstruction at {verdict.violation}"
-        )
-    return form
-
-
 def trivial_factorization(d: DeterministicFunction) -> FactorizedForm:
-    """One hidden state per parent configuration: always exact, never
-    smaller than the table itself.  Useful as a correctness baseline;
-    verified against ``d`` like every form built here."""
-    cfgs = list(d.configurations())
-    k = len(cfgs)
-    h = np.zeros((d.child_card, k), dtype=np.int64)
-    g = [np.zeros((c, k), dtype=np.int64) for c in d.parent_cards]
-    for b, (cfg, y) in enumerate(zip(cfgs, d.outputs)):
-        h[y, b] = 1
-        for i, x in enumerate(cfg):
-            g[i][x, b] = 1
-    return _verified(d, FactorizedForm(d.parent_cards, d.child_card, h, tuple(g)))
+    """One hidden state per parent configuration: the base of point
+    rectangles in table order, each level set the disjunctive union of
+    its points.  Always exact, never smaller than the table itself;
+    useful as a correctness baseline."""
+    rects = tuple(Hyperrectangle(tuple((x,) for x in cfg)) for cfg in d.configurations())
+    points: dict[int, list[Expression]] = {}
+    for b, y in enumerate(d.outputs):
+        points.setdefault(y, []).append(Expression.rect(b))
+    return build_factorized_form(d, Base(rects, {y: balanced_union(p) for y, p in points.items()}))
 
 
 # ---------------------------------------------------------------------------

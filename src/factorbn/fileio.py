@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import replace
 from typing import Any
 
 import numpy as np
@@ -330,6 +331,8 @@ def parse_function(text: str) -> DeterministicFunction:
 def write_function(d: DeterministicFunction, names: list[str] | None = None) -> str:
     if names is None:
         names = [f"X{i + 1}" for i in range(d.n_parents)] + ["Y"]
+        # a formula's variables are not X1, X2, ...: write its table
+        d = replace(d, formula=None)
     doc = {
         "parents": [
             {"name": names[i], "card": c} for i, c in enumerate(d.parent_cards)
@@ -360,9 +363,10 @@ def parse_base(text: str) -> Base:
     exprs: dict[int, Expression] = {}
     raw_exprs = _typed(_expect(doc, "expressions", "base file"), dict, "base expressions")
     for state, s in raw_exprs.items():
-        exprs[_int(state, "expression key")] = parse_expression(
-            _typed(s, str, f"expression for state {state}")
-        )
+        key = _int(state, "expression key")
+        if key in exprs:
+            raise ValidationError(f"base expressions name child state {key} twice")
+        exprs[key] = parse_expression(_typed(s, str, f"expression for state {state}"))
     return Base(rects, exprs)
 
 

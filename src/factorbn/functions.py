@@ -9,11 +9,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product as iproduct
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .core import Factor
 from .errors import ParseError, ValidationError
 
 
@@ -91,16 +90,6 @@ def indicator_table(d: DeterministicFunction) -> np.ndarray:
     """The indicator [y == f(x)] as exact integers, axes (x1, ..., xn, y)."""
     outputs = np.asarray(d.outputs, dtype=np.int64).reshape(d.parent_cards)
     return (outputs[..., None] == np.arange(d.child_card)).astype(np.int64)
-
-
-def deterministic_to_potential(d: DeterministicFunction) -> Factor:
-    """The indicator factor [y == f(x)] over the family, its axes
-    permuted into ascending id order."""
-    table = indicator_table(d)
-    ids = d.parents + (d.child,)
-    perm = sorted(range(len(ids)), key=ids.__getitem__)
-    scope = tuple(ids[i] for i in perm)
-    return Factor(scope, tuple(table.shape[i] for i in perm), table.transpose(perm))
 
 
 # ---------------------------------------------------------------------------
@@ -207,17 +196,6 @@ def _evaluate(postfix: Sequence, operand: Callable[[str], object]):
         else:
             raise ValidationError(f"unknown formula token {tok!r}")
     return stack[0]
-
-
-def eval_formula(postfix: Sequence, assignment: Mapping[str, int]) -> int:
-    """Evaluate a parsed formula under a 0/1 assignment."""
-
-    def operand(name: str) -> int:
-        if name not in assignment:
-            raise ValidationError(f"formula variable {name!r} is not bound")
-        return int(assignment[name])
-
-    return _evaluate(postfix, operand)
 
 
 def function_from_formula(

@@ -346,27 +346,25 @@ def _divorce(
     return nodes
 
 
-def transform_network(net: Network, method: str, base_picker=None) -> Network:
+def transform_network(net: Network, method: str) -> Network:
     """Apply one method to every deterministic node of the network.
 
     ``none`` returns the network unchanged.  ``factorize`` replaces each
     deterministic node by a :class:`~factorbn.network.Star` holding its
-    verified form, built from a base from ``base_picker(det)`` (defaults
-    to :func:`default_base` below), and by the hidden variable B
-    (``B_<child>``, one state per rectangle), appended last, so it is
-    the higher id in each of the star's tables.  No potential is
-    added.  ``divorce`` splits each node with more than two parents into
-    a tree of two-parent nodes, and rejects such a node that is not
-    decomposable; a node with at most two parents stays as it is,
-    whatever its function.  The nodes a method leaves alone keep their
-    place; the new variables, nodes and stars are appended in node
+    verified form, built from :func:`default_base` below, and by the
+    hidden variable B (``B_<child>``, one state per rectangle),
+    appended last, so it is the higher id in each of the star's tables.
+    No potential is added.  ``divorce`` splits each node with more than
+    two parents into a tree of two-parent nodes, and rejects such a node
+    that is not decomposable; a node with at most two parents stays as
+    it is, whatever its function.  The nodes a method leaves alone keep
+    their place; the new variables, nodes and stars are appended in node
     order, and the network is built and validated once.
     """
     if method not in METHODS:
         raise ValidationError(f"unknown transform {method!r}")
     if method == "none":
         return net
-    picker = base_picker or default_base
     variables = list(net.variables)
     taken = {v.name for v in variables}
     kept: list[DeterministicFunction] = []
@@ -374,7 +372,7 @@ def transform_network(net: Network, method: str, base_picker=None) -> Network:
     stars = list(net.stars)
     for det in net.deterministic:
         if method == "factorize":
-            form = build_factorized_form(det, picker(det))
+            form = build_factorized_form(det, default_base(det))
             stars.append(Star(det.child, det.parents, len(variables), form))
             name = fresh_name(f"B_{variables[det.child].name}", taken)
             states = tuple(f"b{i}" for i in range(form.n_hidden))
@@ -393,9 +391,8 @@ def default_base(det: DeterministicFunction):
     and MAX, otherwise a greedy per-level cover.
 
     The greedy cover is always verified and fast; it is not minimal in
-    general.  Callers who want a proved-minimal base should run
-    ``solve_mbh`` themselves and pass the result through the
-    ``base_picker`` hook of :func:`transform_network`.
+    general.  A proved-minimal base comes from ``solve_mbh``, and
+    :func:`build_factorized_form` turns any base into a form.
     """
     conj = as_conjunction(det)
     if conj is not None:

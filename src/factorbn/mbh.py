@@ -60,13 +60,12 @@ import time
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product as iproduct
 from math import gcd, inf
 from typing import Iterable, Sequence
 
 from .errors import BudgetExceededError, ValidationError
 from .functions import DeterministicFunction
-from .rectangles import Base, Config, Expression, Hyperrectangle
+from .rectangles import Base, Expression, Hyperrectangle, balanced_union
 
 
 @dataclass(frozen=True)
@@ -145,17 +144,6 @@ def _dim_subsets(cards: Sequence[int], budget: SearchBudget) -> list[list[tuple[
     ]
 
 
-def enumerate_rectangles(
-    cards: Sequence[int], budget: SearchBudget | None = None
-) -> list[Hyperrectangle]:
-    """Every axis-aligned rectangle of the space, in canonical order:
-    lexicographic on the tuple of per-dimension subsets, first dimension
-    varying slowest.  Raises when the count exceeds the budget.
-    """
-    dim_subsets = _dim_subsets(cards, budget or SearchBudget())
-    return [Hyperrectangle(dims) for dims in iproduct(*dim_subsets)]
-
-
 # ---------------------------------------------------------------------------
 # Bitmask plumbing.  Configurations are flattened row-major (first
 # parent slowest) and sets of configurations become int bitmasks.
@@ -166,13 +154,6 @@ def _strides(cards: Sequence[int]) -> tuple[int, ...]:
     for i in range(len(cards) - 2, -1, -1):
         strides[i] = strides[i + 1] * cards[i + 1]
     return tuple(strides)
-
-
-def _mask_of(cfgs: Iterable[Config], strides: Sequence[int]) -> int:
-    mask = 0
-    for cfg in cfgs:
-        mask |= 1 << sum(x * s for x, s in zip(cfg, strides))
-    return mask
 
 
 def _level_masks(d: DeterministicFunction) -> dict[int, int]:
@@ -354,34 +335,6 @@ def _closure_search(
     return found
 
 
-def can_generate(
-    target: Iterable[Config],
-    rectangles: Sequence[Hyperrectangle],
-    cards: Sequence[int],
-    budget: SearchBudget | None = None,
-) -> Expression | None:
-    """Find a legal expression over the rectangles denoting exactly the
-    target set, minimizing the leaf count: the first one that the
-    closure search by leaf count forms (see ``_closure_search``).
-
-    Returns None only when no expression exists (every set reachable
-    from the rectangles was formed).  Raises BudgetExceededError when
-    the budget's ``max_closure`` settled sets or its wall clock ran out
-    first, in which case the answer is unknown.
-    """
-    budget = budget or SearchBudget()
-    strides = _strides(cards)
-    for r in rectangles:
-        r.check_within(cards)
-    tmask = _mask_of(target, strides)
-    masks = [_mask_of(r.points(), strides) for r in rectangles]
-    deadline = (
-        time.monotonic() + budget.wall_clock if budget.wall_clock is not None else None
-    )
-    found = _closure_search(masks, {tmask}, budget.max_closure, deadline)
-    return found.get(tmask)
-
-
 # ---------------------------------------------------------------------------
 # Greedy cover: a feasible base of disjoint rectangles, one disjunctive
 # union per level set.  Fast, used as the upper bound and as the answer
@@ -419,12 +372,7 @@ def greedy_cover_base(d: DeterministicFunction) -> Base:
             remaining &= ~mask
             parts.append(Expression.rect(len(rects)))
             rects.append(Hyperrectangle(tuple(dims)))
-        # unions of neighbours: concatenating the token tuples copies
-        # n log n tokens over n parts, where a left fold would copy n^2
-        while len(parts) > 1:
-            pairs = [Expression.union(a, b) for a, b in zip(parts[::2], parts[1::2])]
-            parts = pairs + parts[2 * len(pairs):]
-        exprs[state] = parts[0]
+        exprs[state] = balanced_union(parts)
     return Base(tuple(rects), exprs)
 
 

@@ -51,9 +51,6 @@ class Hyperrectangle:
             n *= len(d)
         return n
 
-    def contains(self, config: Sequence[int]) -> bool:
-        return all(x in d for x, d in zip(config, self.dims))
-
     def points(self) -> Iterable[Config]:
         return iproduct(*self.dims)
 
@@ -119,6 +116,16 @@ class Expression:
             else:
                 counts[tok] = counts.get(tok, 0) + sign
         return counts
+
+
+def balanced_union(parts: list[Expression]) -> Expression:
+    """The disjunctive union of ``parts``, which must be disjoint, built
+    as unions of neighbours: concatenating the token tuples copies
+    n log n tokens over n parts, where a left fold would copy n^2."""
+    while len(parts) > 1:
+        pairs = [Expression.union(a, b) for a, b in zip(parts[::2], parts[1::2])]
+        parts = pairs + parts[2 * len(pairs):]
+    return parts[0]
 
 
 def evaluate_expression(

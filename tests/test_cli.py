@@ -155,6 +155,20 @@ def test_factorize_with_base(tmp_path, capsys):
     assert form.h.tolist() == [[-1, 1], [1, 0]]
 
 
+@pytest.mark.parametrize("key", [" 0", "-0", "00"])
+def test_factorize_base_naming_a_state_twice_is_input_error(tmp_path, capsys, key):
+    # "0" and the other key are distinct JSON keys that name one child state
+    fn = put(tmp_path, "fn.json", AND2)
+    base = put(tmp_path, "base.json", {
+        "rectangles": [[[1], [1]], [[0, 1], [0, 1]]],
+        "expressions": {"0": "(- R2 R1)", "1": "R1", key: "(- R2 R1)"},
+    })
+    assert run_cli(["factorize", "--function", fn, "--base", base]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: base expressions name child state 0 twice\n"
+
+
 def test_factorize_with_wrong_base_is_input_error(tmp_path, capsys):
     fn = put(tmp_path, "fn.json", ADD33)  # base below is for a 2x2 grid
     base = put(tmp_path, "base.json", BOOL_BASE)

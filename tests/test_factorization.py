@@ -10,7 +10,8 @@ Core claims:
     - the signed-count decomposition turns sums over expression
       denotations into signed sums over rectangles, and both walks of
       an expression work on a union chain deeper than the recursion limit
-    - the trivial base and the closed conjunction / MAX bases verify
+    - the trivial form holds one hidden state per configuration, cell
+      for cell, and it and the closed conjunction / MAX bases verify
     - tampered h tables are caught with a concrete violating cell, and
       a form that fails is refused where it is built
 """
@@ -205,12 +206,10 @@ def test_signed_count_sum_decomposition():
 def test_trivial_factorization_small_spaces():
     rng = random.Random(8)
     # every Boolean function on {0,1}^2, then random larger tables
-    for bits in range(16):
-        outputs = tuple((bits >> i) & 1 for i in range(4))
-        d = DeterministicFunction((0, 1), 2, (2, 2), 2, outputs)
-        form = trivial_factorization(d)
-        assert form.n_hidden == 4
-        assert bool(verify_factorization(d, form))
+    fns = [
+        DeterministicFunction((0, 1), 2, (2, 2), 2, tuple((bits >> i) & 1 for i in range(4)))
+        for bits in range(16)
+    ]
     for _ in range(40):
         n = rng.randint(1, 3)
         cards = tuple(rng.randint(2, 4) for _ in range(n))
@@ -221,8 +220,17 @@ def test_trivial_factorization_small_spaces():
             continue
         cc = rng.randint(2, 5)
         outputs = tuple(rng.randrange(cc) for _ in range(size))
-        d = DeterministicFunction(tuple(range(n)), n, cards, cc, outputs)
-        assert bool(verify_factorization(d, trivial_factorization(d)))
+        fns.append(DeterministicFunction(tuple(range(n)), n, cards, cc, outputs))
+    # hidden state b is configuration b in table order:
+    # h[y, b] = [f(cfg_b) = y] and g_i[x, b] = [cfg_b[i] = x]
+    for d in fns:
+        form = trivial_factorization(d)
+        cfgs = list(d.configurations())
+        h = [[int(d.outputs[b] == y) for b in range(len(cfgs))] for y in range(d.child_card)]
+        assert form.h.tolist() == h
+        for i, c in enumerate(d.parent_cards):
+            assert form.g[i].tolist() == [[int(cfg[i] == x) for cfg in cfgs] for x in range(c)]
+        assert bool(verify_factorization(d, form))
 
 
 # -- closed bases ------------------------------------------------------------

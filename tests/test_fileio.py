@@ -243,6 +243,10 @@ def test_function_round_trip_formula_and_states():
     assert d.formula == "rain | sprinkler"
     again = parse_function(write_function(d, ["rain", "sprinkler", "wet"]))
     assert again.outputs == d.outputs
+    # written without names, the formula's variables are undeclared, so
+    # the file holds the outputs table
+    nameless = parse_function(write_function(d))
+    assert nameless.outputs == d.outputs and nameless.formula is None
 
 
 def test_function_file_errors():

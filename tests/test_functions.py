@@ -2,7 +2,7 @@
 
 Core claims:
     - tables are total, validated, and evaluate positionally
-    - the indicator potential puts exactly one 1 per parent config
+    - the indicator table puts exactly one 1 per parent config
     - the formula parser honours precedence !, &, |, =>, <=> and
       left-associativity, and tabulation matches direct evaluation
     - conjunction / ADD / MAX recognizers fire only on the real thing
@@ -18,14 +18,14 @@ from factorbn import (
     DeterministicFunction,
     ParseError,
     ValidationError,
-    deterministic_to_potential,
-    eval_formula,
     function_from_formula,
     parse_formula,
 )
 from factorbn.functions import (
+    _evaluate,
     as_conjunction,
     formula_variables,
+    indicator_table,
     is_add,
     is_max,
 )
@@ -64,22 +64,23 @@ def test_child_among_parents_rejected():
 
 def test_indicator_potential_one_hot_rows():
     d = mk((2, 2), lambda a, b: a ^ b, 2)
-    pot = deterministic_to_potential(d)
-    assert pot.scope == (0, 1, 2)
-    assert pot.values.dtype == np.int64
+    table = indicator_table(d)
+    assert table.shape == (2, 2, 2)
+    assert table.dtype == np.int64
     # summing out the child leaves all-ones
-    assert np.array_equal(pot.values.sum(axis=2), np.ones((2, 2), dtype=np.int64))
-    assert pot[(1, 0, 1)] == 1
-    assert pot[(1, 0, 0)] == 0
+    assert np.array_equal(table.sum(axis=2), np.ones((2, 2), dtype=np.int64))
+    assert table[1, 0, 1] == 1
+    assert table[1, 0, 0] == 0
 
 
 def test_indicator_potential_child_id_between_parents():
     d = DeterministicFunction((0, 3), 1, (2, 2), 2, (0, 0, 0, 1))
-    pot = deterministic_to_potential(d)
-    assert pot.scope == (0, 1, 3)
-    # axis order is by id: (x0, y, x3)
-    assert pot[(1, 1, 1)] == 1
-    assert pot[(1, 0, 1)] == 0
+    table = indicator_table(d)
+    # axis order is the parents', then the child's, whatever the ids:
+    # (x0, x3, y)
+    assert table[1, 1, 1] == 1
+    assert table[1, 1, 0] == 0
+    assert table[1, 0, 1] == 0
 
 
 # -- formula parsing ---------------------------------------------------------
@@ -100,7 +101,7 @@ def test_indicator_potential_child_id_between_parents():
     ],
 )
 def test_formula_precedence(text, assignment, expected):
-    assert eval_formula(parse_formula(text), assignment) == expected
+    assert _evaluate(parse_formula(text), assignment.__getitem__) == expected
 
 
 def test_formula_variables_collected():
@@ -126,7 +127,7 @@ def test_formula_nesting_is_unbounded():
     }
     for make, value in deep.values():
         for n in (64, 65, 5000):
-            assert eval_formula(parse_formula(make(n)), {"a": 1}) == value(n)
+            assert _evaluate(parse_formula(make(n)), {"a": 1}.__getitem__) == value(n)
 
 
 def test_a_long_cnf_tabulates_like_python():
@@ -151,8 +152,8 @@ def test_a_long_cnf_tabulates_like_python():
 
 
 def test_unbound_variable_rejected():
-    with pytest.raises(ValidationError):
-        eval_formula(parse_formula("a & b"), {"a": 1})
+    with pytest.raises(ValidationError, match=r"unknown variables: \['b'\]"):
+        function_from_formula((0,), 1, (2,), ["a"], "a & b")
 
 
 def test_implication_tabulation_matches_paper_example():
@@ -198,7 +199,7 @@ def test_formula_tabulation_matches_eval():
         d = function_from_formula((0, 1, 2, 3), 4, (2,) * 4, names, text)
         node = parse_formula(text)
         for cfg in iproduct((0, 1), repeat=4):
-            value = eval_formula(node, dict(zip(names, cfg)))
+            value = _evaluate(node, dict(zip(names, cfg)).__getitem__)
             assert type(value) is int and d.value(cfg) == value
 
 

@@ -48,7 +48,6 @@ from factorbn import (
     Variable,
     ZeroNormalizerError,
     build_factorized_form,
-    deterministic_to_potential,
     known_base_conjunction,
     trivial_factorization,
     variable_elimination,
@@ -61,7 +60,8 @@ from factorbn.benchcat import (
     generate_student_model,
 )
 from factorbn.cliques import min_fill_plan, moral_graph, moralize_and_triangulate
-from factorbn.inference import transform_network
+from factorbn.functions import indicator_table
+from factorbn.inference import default_base, transform_network
 from factorbn.network import Star
 
 
@@ -256,16 +256,14 @@ def test_unknown_method_rejected():
 
 
 def test_factorize_adds_hidden_variable_and_pairwise_potentials():
-    from factorbn import solve_mbh
-
     net = det_network()
     det = net.deterministic[0]
-    base = solve_mbh(det).base
-    form = build_factorized_form(det, base)
-    t = transform_network(net, "factorize", base_picker=lambda d: base)
+    form = build_factorized_form(det, default_base(det))
+    t = transform_network(net, "factorize")
     assert len(t.variables) == len(net.variables) + 1
     hidden = t.variables[-1]
-    assert hidden.card == form.n_hidden == 6
+    # ADD 3x3's greedy cover: one rectangle per cell
+    assert hidden.card == form.n_hidden == 9
     assert not t.deterministic and not t.potentials
     # one star holding the form: h over (child, B) plus one g per parent
     (star,) = t.stars
@@ -673,8 +671,9 @@ def reference_tables(net):
     h and g tables, in that order, each table as its source holds it."""
     out = [(c.child, c.factor.scope, c.factor.values) for c in net.cpts]
     for d in net.deterministic:
-        ind = deterministic_to_potential(d)
-        out.append((d.child, ind.scope, ind.values))
+        ids = d.parents + (d.child,)
+        axes = sorted(range(len(ids)), key=ids.__getitem__)
+        out.append((d.child, tuple(sorted(ids)), indicator_table(d).transpose(axes)))
     out += [(None, p.scope, p.values) for p in net.potentials]
     out += [(s.child, scope, table) for s in net.stars for scope, table in s.tables()]
     return out

@@ -3,9 +3,9 @@
 Core claims:
     - rectangle enumeration counts (2^c - 1) per dimension, in a fixed
       canonical order, and refuses oversized spaces by naming the count
-    - can_generate returns a verifiable witness, None only for truly
-      ungeneratable targets, and a budget error when capped; all three
-      are cross-checked against an independent brute-force closure
+    - the closure search returns a verifiable witness, None only for
+      truly ungeneratable targets, and a budget error when capped; all
+      three are cross-checked against an independent brute-force closure
     - the closure search by leaf count returns the same witnesses, or
       stops on the same cap, as the uniform-cost heap search it
       replaced, and it reaches a leaf class that follows an empty one
@@ -38,8 +38,6 @@ from factorbn import (
     Hyperrectangle,
     SearchBudget,
     build_factorized_form,
-    can_generate,
-    enumerate_rectangles,
     evaluate_expression,
     format_expression,
     function_from_formula,
@@ -55,7 +53,6 @@ from factorbn.mbh import (
     _dim_subsets,
     _echelon,
     _in_span,
-    _mask_of,
     _mask_row,
     _rectangle_at,
     _rectangle_masks,
@@ -72,18 +69,38 @@ def mk(cards, fn, child_card):
     )
 
 
+def mask_of(cfgs, cards):
+    """The bitmask of a configuration set, cells flattened row-major."""
+    strides = _strides(cards)
+    return sum(1 << sum(x * s for x, s in zip(cfg, strides)) for cfg in set(cfgs))
+
+
+def rectangles(cards, budget=SearchBudget()):
+    """Every candidate rectangle, in the solver's canonical order."""
+    dim_subsets = _dim_subsets(cards, budget)
+    return [_rectangle_at(dim_subsets, i) for i in range(prod(map(len, dim_subsets)))]
+
+
+def generate(target, rects, cards, max_closure=2000):
+    """The closure search's witness for ``target``, or None when the
+    reachable sets run out first."""
+    wanted = mask_of(target, cards)
+    masks = [mask_of(r.points(), cards) for r in rects]
+    return _closure_search(masks, {wanted}, max_closure, None).get(wanted)
+
+
 # -- enumeration -------------------------------------------------------------
 
 
 def test_enumeration_counts():
-    assert len(enumerate_rectangles((2,))) == 3
-    assert len(enumerate_rectangles((2, 2))) == 9
-    assert len(enumerate_rectangles((3, 3))) == 49
-    assert len(enumerate_rectangles((2, 3, 2))) == 3 * 7 * 3
+    assert len(rectangles((2,))) == 3
+    assert len(rectangles((2, 2))) == 9
+    assert len(rectangles((3, 3))) == 49
+    assert len(rectangles((2, 3, 2))) == 3 * 7 * 3
 
 
 def test_enumeration_order_is_lexicographic():
-    rects = enumerate_rectangles((3,))
+    rects = rectangles((3,))
     assert [r.dims[0] for r in rects] == [
         (0,),
         (0, 1),
@@ -93,7 +110,7 @@ def test_enumeration_order_is_lexicographic():
         (1, 2),
         (2,),
     ]
-    pairs = enumerate_rectangles((2, 2))
+    pairs = rectangles((2, 2))
     assert pairs[0].dims == ((0,), (0,))
     assert pairs[1].dims == ((0,), (0, 1))
     assert pairs[-1].dims == ((1,), (1,))
@@ -102,17 +119,17 @@ def test_enumeration_order_is_lexicographic():
 
 def test_enumeration_budget_names_count():
     with pytest.raises(BudgetExceededError) as exc:
-        enumerate_rectangles((4, 4, 4, 4), SearchBudget(max_rectangles=10_000))
+        rectangles((4, 4, 4, 4), SearchBudget(max_rectangles=10_000))
     assert "50625" in str(exc.value)
 
 
 @pytest.mark.parametrize("cards", [(2,), (3, 3), (2, 3, 2), (2, 2, 2, 2), (3, 3, 3)])
 def test_candidate_masks_match_the_rectangles(cards):
-    rects = enumerate_rectangles(cards)
     dim_subsets = _dim_subsets(cards, SearchBudget())
-    strides = _strides(cards)
-    assert _rectangle_masks(dim_subsets, strides) == [_mask_of(r.points(), strides) for r in rects]
-    assert [_rectangle_at(dim_subsets, i) for i in range(len(rects))] == rects
+    rects = [Hyperrectangle(dims) for dims in product(*dim_subsets)]
+    masks = _rectangle_masks(dim_subsets, _strides(cards))
+    assert masks == [mask_of(r.points(), cards) for r in rects]
+    assert rectangles(cards) == rects
 
 
 # -- the span test against a rational-rank oracle ----------------------------
@@ -302,7 +319,7 @@ def brute_force_closure(rect_sets, max_leaves):
     return reachable
 
 
-def test_can_generate_agrees_with_brute_force():
+def test_closure_search_agrees_with_brute_force():
     # 2x3 grid, four rectangles, every subset of the space as a target
     rects = (
         Hyperrectangle(((0,), (0, 1))),
@@ -316,7 +333,7 @@ def test_can_generate_agrees_with_brute_force():
     checked_none = checked_hit = 0
     for bits in range(1, 1 << len(cells)):
         target = frozenset(c for i, c in enumerate(cells) if (bits >> i) & 1)
-        witness = can_generate(target, rects, (2, 3))
+        witness = generate(target, rects, (2, 3))
         if witness is None:
             assert target not in reachable7
             checked_none += 1
@@ -330,32 +347,27 @@ def test_can_generate_agrees_with_brute_force():
     assert checked_hit >= 10 and checked_none >= 10
 
 
-def test_can_generate_worked_difference_chain():
+def test_closure_search_worked_difference_chain():
     rects = (
         Hyperrectangle(((1, 2), (1, 2))),
         Hyperrectangle(((1,), (1,))),
         Hyperrectangle(((2,), (2,))),
     )
-    w = can_generate(frozenset({(1, 2), (2, 1)}), rects, (3, 3))
+    w = generate(frozenset({(1, 2), (2, 1)}), rects, (3, 3))
     assert w is not None
     assert evaluate_expression(w, rects) == {(1, 2), (2, 1)}
     assert len(w.leaves()) == 3
 
 
-def test_can_generate_none_vs_budget_are_distinct():
+def test_closure_search_none_vs_budget_are_distinct():
     rects = (
         Hyperrectangle(((1, 2), (1, 2))),
         Hyperrectangle(((1,), (1,))),
         Hyperrectangle(((2,), (2,))),
     )
-    assert can_generate(frozenset({(0, 1)}), rects, (3, 3)) is None
+    assert generate(frozenset({(0, 1)}), rects, (3, 3)) is None
     with pytest.raises(BudgetExceededError) as exc:
-        can_generate(
-            frozenset({(1, 2), (2, 1)}),
-            rects,
-            (3, 3),
-            SearchBudget(max_closure=2),
-        )
+        generate(frozenset({(1, 2), (2, 1)}), rects, (3, 3), max_closure=2)
     assert exc.value.kind == "closure"
 
 
@@ -436,14 +448,13 @@ def test_closure_search_matches_the_heap_search():
     kinds = {"found": 0, "exhausted": 0, "closure": 0}
     for _ in range(2000):
         cards = rng.choice([(4,), (2, 2), (2, 3), (3, 3), (2, 4), (4, 4), (2, 2, 2), (2, 2, 3)])
-        strides = _strides(cards)
         rects = [
             Hyperrectangle(tuple(
                 tuple(sorted(rng.sample(range(c), rng.randint(1, c)))) for c in cards
             ))
             for _ in range(rng.randint(1, 7))
         ]
-        masks = [_mask_of(r.points(), strides) for r in rects]
+        masks = [mask_of(r.points(), cards) for r in rects]
         a, b = rng.choice(masks), rng.choice(masks)
         union = 0
         for m in rng.sample(masks, rng.randint(1, len(masks))):
@@ -475,11 +486,11 @@ def test_closure_search_passes_an_empty_leaf_class():
     rect_sets = [frozenset(r.points()) for r in rects]
     assert brute_force_closure(rect_sets, 4) == brute_force_closure(rect_sets, 3)
     assert target not in brute_force_closure(rect_sets, 4)
-    w = can_generate(target, rects, (3, 3))
+    w = generate(target, rects, (3, 3))
     assert w is not None and len(w.leaves()) == 5
     assert evaluate_expression(w, rects) == target
     # and a target the closure never reaches: the search ends exhausted
-    assert can_generate(frozenset({(0, 1)}), rects, (3, 3)) is None
+    assert generate(frozenset({(0, 1)}), rects, (3, 3)) is None
     assert frozenset({(0, 1)}) not in brute_force_closure(rect_sets, 10)
 
 
@@ -489,7 +500,7 @@ def test_closure_search_passes_an_empty_leaf_class():
 def exhaustive_min_base_size(d):
     """Smallest feasible subset size by brute force: every subset of
     every size, feasibility by fixpoint closure over set values."""
-    rects = enumerate_rectangles(d.parent_cards)
+    rects = rectangles(d.parent_cards)
     rect_sets = [frozenset(r.points()) for r in rects]
     levels = [frozenset(v) for v in level_sets(d).values()]
 
