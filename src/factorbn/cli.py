@@ -1,9 +1,9 @@
 """Command-line entry points.
 
-Exit codes: 0 success, 1 usage error, 2 invalid input (parse or
-validation failure, including evidence with zero probability), 3
-resource budget exhausted or out of memory, 4 internal failure (a
-failed self-check, or any other unexpected error).
+Exit codes: 0 success, 1 usage error, 2 invalid input (a
+``ValidationError``: a parse or validation failure, including evidence
+with zero probability), 3 a resource budget ran out or out of memory,
+4 internal failure (a failed self-check, or any other unexpected error).
 """
 
 from __future__ import annotations
@@ -22,13 +22,7 @@ from .benchcat import (
     run_clique_benchmark,
 )
 from .cliques import moralize_and_triangulate
-from .errors import (
-    BudgetExceededError,
-    IllegalExpressionError,
-    InternalConsistencyError,
-    ValidationError,
-    ZeroNormalizerError,
-)
+from .errors import BudgetExceededError, InternalConsistencyError, ValidationError
 from .factorization import build_factorized_form, trivial_factorization
 from .fileio import (
     _dumps,
@@ -46,7 +40,7 @@ from .mbh import SearchBudget, solve_mbh
 def _read(path: str) -> str:
     try:
         return Path(path).read_text()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise ValidationError(f"cannot read {path}: {e}") from e
 
 
@@ -90,7 +84,6 @@ def _cmd_mbh(args) -> int:
     fn = parse_function(_read(args.function))
     budget = SearchBudget(
         max_rectangles=args.max_rects,
-        max_base=args.max_base,
         max_closure=args.max_closure,
         wall_clock=args.time_limit,
     )
@@ -107,10 +100,7 @@ def _cmd_mbh(args) -> int:
         f"impure={s.impure} gap={s.gap} cap={s.cap}",
         file=sys.stderr,
     )
-    if not solution.proved_minimal:
-        print("budget exhausted: result may not be minimal", file=sys.stderr)
-        return 3
-    return 0
+    return 0 if solution.proved_minimal else 3
 
 
 def _load_transformed(args):
@@ -198,8 +188,6 @@ def _build_parser() -> argparse.ArgumentParser:
     budget = SearchBudget()
     p.add_argument("--max-rects", type=int, default=budget.max_rectangles,
                    help="cap on enumerated candidate rectangles")
-    p.add_argument("--max-base", type=int, default=budget.max_base,
-                   help="largest base size tried")
     p.add_argument("--max-closure", type=int, default=budget.max_closure,
                    help="cap on distinct sets per closure search")
     p.add_argument("--time-limit", type=float, default=None, help="wall-clock seconds")
@@ -241,7 +229,7 @@ def run_cli(argv=None) -> int:
         return 0 if e.code == 0 else 1
     try:
         return globals()[args.func](args)
-    except (ValidationError, IllegalExpressionError, ZeroNormalizerError) as e:
+    except ValidationError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except (BudgetExceededError, MemoryError) as e:

@@ -7,7 +7,8 @@ class FactorbnError(Exception):
 
 class ValidationError(FactorbnError):
     """An input failed a structural precondition (bad table length,
-    duplicate id, cycle, scope conflict, unknown variable, ...)."""
+    duplicate id, cycle, scope conflict, unknown variable, ...).  The
+    root of every input error: the CLI exits 2 on exactly these."""
 
 
 class ParseError(ValidationError):
@@ -22,7 +23,7 @@ class ParseError(ValidationError):
         self.column = column
 
 
-class IllegalExpressionError(FactorbnError):
+class IllegalExpressionError(ValidationError):
     """A set expression applied an operator outside its definition.
 
     ``kind`` is ``"ILLEGAL_DIFFERENCE"`` (operands of a difference are
@@ -46,7 +47,7 @@ class BudgetExceededError(FactorbnError):
         self.kind = kind
 
 
-class ZeroNormalizerError(FactorbnError):
+class ZeroNormalizerError(ValidationError):
     """Evidence is inconsistent with the model: the normalizer is zero."""
 
 

@@ -173,17 +173,26 @@ def build_factorized_form(d: DeterministicFunction, base: Base) -> FactorizedFor
 
 
 def verify_factorization(d: DeterministicFunction, form: FactorizedForm) -> Verdict:
-    """Exactly compare sum_b h(y,b) prod_i g_i(x_i,b) with [y == f(x)]."""
+    """Exactly compare sum_b h(y,b) prod_i g_i(x_i,b) with [y == f(x)].
+
+    The products over the parents are built a block of hidden states at
+    a time, as the row-wise Kronecker product of the g columns, so the
+    memory stays bounded whatever the table size.  A row of |h| that
+    sums to 2**63 or more raises, since int64 sums could then wrap."""
     if form.parent_cards != d.parent_cards or form.child_card != d.child_card:
         raise ValidationError("factorized form does not match the function's shape")
-    n = len(d.parent_cards)
-    prod = np.ones((1,) * n + (form.n_hidden,), dtype=np.int64)
-    for i, gi in enumerate(form.g):
-        shape = [1] * n + [form.n_hidden]
-        shape[i] = d.parent_cards[i]
-        prod = prod * gi.reshape(shape)
-    recon = np.tensordot(form.h, prod, axes=([1], [n]))  # (child, x1, ..., xn)
-
+    if any(sum(map(abs, row)) >= 1 << 63 for row in form.h.tolist()):
+        raise ValidationError("a row of |h| sums to 2**63 or more, beyond exact int64 sums")
+    ncells = len(d.outputs)
+    width = max(1, (1 << 20) // ncells)  # a block holds about 2**20 products at most
+    recon = np.zeros((d.child_card, ncells), dtype=np.int64)
+    for lo in range(0, form.n_hidden, width):
+        h = form.h[:, lo:lo + width]
+        block = np.ones((1, h.shape[1]), dtype=np.int64)
+        for gi in form.g:  # rows in table order, the first parent slowest
+            block = (block[:, None] * gi[:, lo:lo + width]).reshape(-1, h.shape[1])
+        recon += h @ block.T
+    recon = recon.reshape(d.child_card, *d.parent_cards)  # (child, x1, ..., xn)
     mismatch = recon != np.moveaxis(indicator_table(d), -1, 0)
     if not mismatch.any():
         return Verdict(True)

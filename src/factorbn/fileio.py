@@ -34,6 +34,8 @@ def _loads(text: str) -> Any:
         return json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"invalid JSON: {e.msg}", line=e.lineno, column=e.colno) from e
+    except RecursionError:
+        raise ParseError("invalid JSON: nested too deeply") from None
 
 
 def _dumps(obj: Any) -> str:

@@ -56,6 +56,7 @@ candidate-enumeration cap included, ends the search with that answer.
 
 from __future__ import annotations
 
+import itertools
 import time
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -72,8 +73,7 @@ from .rectangles import Base, Expression, Hyperrectangle, balanced_union
 class SearchBudget:
     """Resource caps for the solver.
 
-    ``max_rectangles`` bounds the candidate enumeration,
-    ``max_base`` the largest base cardinality tried, ``max_closure``
+    ``max_rectangles`` bounds the candidate enumeration, ``max_closure``
     the number of distinct configuration sets settled per closure
     search, the empty set A - A included, and ``wall_clock`` (seconds,
     None for unlimited) the whole solve.  A closure search holds only
@@ -84,12 +84,11 @@ class SearchBudget:
     """
 
     max_rectangles: int = 100_000
-    max_base: int = 32
     max_closure: int = 2000
     wall_clock: float | None = None
 
     def __post_init__(self):
-        for name in ("max_rectangles", "max_base", "max_closure"):
+        for name in ("max_rectangles", "max_closure"):
             if getattr(self, name) < 1:
                 raise ValidationError(f"{name} must be positive")
         if self.wall_clock is not None and not 0 < self.wall_clock < inf:
@@ -99,11 +98,11 @@ class SearchBudget:
 @dataclass(frozen=True)
 class SearchStats:
     """Search counters.  ``cap`` names the cap that ended the search
-    short of a proof: ``rectangles``, ``closure``, ``wall`` or
-    ``max_base``; it is ``none`` exactly when the base is proved
-    minimal.  ``gap`` is the base size less the proven lower bound,
-    0 exactly when the base is proved minimal.  ``impure`` counts the
-    subsets checked that the atom stage rejected before the span test."""
+    short of a proof: ``rectangles``, ``closure`` or ``wall``; it is
+    ``none`` exactly when the base is proved minimal.  ``gap`` is the
+    base size less the proven lower bound, 0 exactly when the base is
+    proved minimal.  ``impure`` counts the subsets checked that the
+    atom stage rejected before the span test."""
 
     nodes_expanded: int
     pruned: int
@@ -563,7 +562,7 @@ def solve_mbh(
         # and each size's search is complete, so with no cap in the way
         # the loop ends by that size; the cover is built only once a
         # closure cap leaves a size open, and then bounds the loop
-        for k in range(lower, budget.max_base + 1):
+        for k in itertools.count(lower):
             if (bound < k and k >= lower + 2) or (greedy is not None and k >= greedy.size):
                 # a proof is already off the table, and beyond the two
                 # filtered sizes the subset space explodes; or no base
@@ -596,7 +595,7 @@ def solve_mbh(
         impure=search.impure,
         rectangles_enumerated=len(search.masks),
         elapsed_seconds=time.monotonic() - t0,
-        cap="none" if proved else cap or "max_base",
+        cap="none" if proved else cap,
         gap=base.size - bound,
     )
     return MbhSolution(base, proved, stats)

@@ -2,7 +2,9 @@
 
 Core claims:
     - exit codes follow the documented map: 0 ok, 1 usage, 2 bad input
-      (parse, validation, impossible evidence), 3 budget, 4 internal
+      (parse, validation, impossible evidence, a file that is not UTF-8
+      or nests too deeply), 3 budget, 4 internal, each with one line on
+      stderr
     - every emitted file re-parses with the library
     - mbh, cliques, and bench runs with the same flags are
       byte-identical
@@ -235,6 +237,31 @@ def test_broken_json_is_input_error(tmp_path, capsys):
     assert run_cli(["factorize", "--function", str(p), "--trivial"]) == 2
 
 
+UNREADABLE = {"not-utf8": b"\xff\xfe", "nested-lists": b"[" * 200_000,
+              "nested-objects": b'{"a":' * 100_000}
+
+
+@pytest.mark.parametrize("content", UNREADABLE.values(), ids=UNREADABLE.keys())
+@pytest.mark.parametrize("argv", [
+    ["factorize", "--function", "BAD", "--trivial"],
+    ["factorize", "--function", "FN", "--base", "BAD"],
+    ["mbh", "--function", "BAD"],
+    ["infer", "--net", "BAD", "--query", "a"],
+    ["infer", "--net", "NET", "--evidence", "BAD", "--query", "a"],
+    ["cliques", "--net", "BAD"],
+], ids=["function", "base", "mbh", "net", "evidence", "cliques"])
+def test_undecodable_or_too_deep_file_is_input_error(tmp_path, capsys, content, argv):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    files = {"BAD": str(bad), "FN": put(tmp_path, "fn.json", AND2),
+             "NET": put(tmp_path, "net.json", NET)}
+    assert run_cli([files.get(a, a) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "unexpected" not in captured.err
+
+
 def test_repeated_function_name_is_input_error(tmp_path, capsys):
     fn = put(tmp_path, "fn.json", dict(AND2, parents=[{"name": "x1", "card": 2}] * 2))
     assert run_cli(["factorize", "--function", fn, "--trivial"]) == 2
@@ -331,22 +358,30 @@ def test_mbh_rectangle_cap_exits_three(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert json.loads(out)["proved_minimal"] is False
     parse_base(out)
-    stats, exhausted = err.splitlines()
+    # one stderr line, the stats line, which says why: not proved, and the cap
+    (stats,) = err.splitlines()
     assert stats.startswith("rectangles=") and "enumerated=0" in stats
-    assert stats.endswith(" cap=rectangles")
-    assert exhausted.startswith("budget exhausted")
+    assert " proved_minimal=False " in stats and stats.endswith(" cap=rectangles")
 
 
 def test_mbh_base_on_the_bound_exits_zero_under_a_cap(tmp_path, capsys):
-    # y = x1: the greedy cover meets the two-level-set bound, so a cap
-    # below it leaves nothing unproved
+    # y = x1: one settled set caps every closure search, but the greedy
+    # cover meets the two-level-set bound, so the cap leaves nothing unproved
     fn = put(tmp_path, "fn.json", dict(AND2, function={"type": "table",
                                                        "outputs": [0, 0, 1, 1]}))
-    assert run_cli(["mbh", "--function", fn, "--max-base", "1"]) == 0
+    assert run_cli(["mbh", "--function", fn, "--max-closure", "1"]) == 0
     out, err = capsys.readouterr()
     assert json.loads(out)["proved_minimal"] is True
-    assert "proved_minimal=True" in err and " cap=none" in err
-    assert "budget exhausted" not in err
+    (stats,) = err.splitlines()
+    assert "proved_minimal=True" in stats and stats.endswith(" cap=none")
+
+
+def test_mbh_has_no_base_size_cap(tmp_path, capsys):
+    # a cap on the base size bounds no resource, so there is no flag for it
+    fn = put(tmp_path, "fn.json", AND2)
+    assert run_cli(["mbh", "--function", fn, "--max-base", "4"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "--max-base" in err
 
 
 def test_mbh_closure_cap_still_emits_a_base(tmp_path, capsys):
@@ -354,7 +389,8 @@ def test_mbh_closure_cap_still_emits_a_base(tmp_path, capsys):
     out = str(tmp_path / "base.json")
     assert run_cli(["mbh", "--function", fn, "--max-closure", "2",
                     "--out", out]) == 3
-    assert "may not be minimal" in capsys.readouterr().err
+    (stats,) = capsys.readouterr().err.splitlines()
+    assert " proved_minimal=False " in stats and stats.endswith(" cap=closure")
     doc = json.loads((tmp_path / "base.json").read_text())
     assert doc["proved_minimal"] is False
     parse_base((tmp_path / "base.json").read_text())  # still a valid base
@@ -563,6 +599,16 @@ TABLELESS_PARENT_NET = {
     ],
     "potentials": [{"scope": [1], "table": [1.0, 2.0]}],
 }
+
+
+def test_infer_negative_posterior_exits_four(tmp_path, capsys):
+    # a free potential's negative entry drives a posterior entry below
+    # -1e-9: an internal consistency failure, never a value on stdout
+    net = dict(NET, potentials=[{"scope": [0], "table": [-1.0, 1.0]}])
+    assert run_cli(["infer", "--net", put(tmp_path, "net.json", net), "--query", "a"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "below tolerance" in captured.err and captured.err.count("\n") == 1
 
 
 def test_table_less_cpt_parent_is_rejected_at_load(tmp_path, capsys):

@@ -14,9 +14,12 @@ Core claims:
       for cell, and it and the closed conjunction / MAX bases verify
     - tampered h tables are caught with a concrete violating cell, and
       a form that fails is refused where it is built
+    - verification is exact, refusing an h whose int64 sums could
+      wrap, and runs in bounded memory
 """
 
 import random
+import tracemalloc
 from itertools import product as iproduct
 
 import numpy as np
@@ -356,6 +359,31 @@ def test_verify_catches_tampered_h():
     verdict = verify_factorization(d, bad)
     assert not verdict
     assert verdict.violation == (0, (1, 1))
+
+
+def test_verify_refuses_an_h_whose_sums_could_wrap():
+    # on the three cells other than (1, 1), h's first row sums to
+    # 2**64 + 1, which int64 wraps to the indicator's 1
+    d = mk((2, 2), lambda a, b: a & b, 2)
+    big = 2**63 - 1
+    g = [[1, 1, 1, 0], [1, 1, 1, 1]]
+    form = FactorizedForm((2, 2), 2, [[big, big, 3, -1], [0, 0, 0, 1]], (g, g))
+    with pytest.raises(ValidationError, match=r"2\*\*63"):
+        verify_factorization(d, form)
+
+
+def test_verify_runs_in_bounded_memory():
+    # 12-parent parity's trivial form: 4096 hidden states over 4096 cells,
+    # whose dense product of g tables alone would take 128 MiB
+    d = mk((2,) * 12, lambda *x: sum(x) % 2, 2)
+    form = trivial_factorization(d)
+    tracemalloc.start()
+    try:
+        assert verify_factorization(d, form)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
 
 
 def test_build_verifies_the_form_it_makes(monkeypatch):

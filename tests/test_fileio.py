@@ -125,6 +125,17 @@ def test_broken_json_reports_position():
     assert e.value.column is not None
 
 
+@pytest.mark.parametrize("text", ["[" * 200_000, '{"a":' * 100_000],
+                         ids=["lists", "objects"])
+def test_deeply_nested_json_raises_parse_error(text):
+    # the decoder runs out of stack before it sees the missing brackets
+    net = parse_network(NETWORK_DOC)
+    for parse in (parse_network, parse_function, parse_base, parse_form,
+                  lambda t: parse_evidence(t, net)):
+        with pytest.raises(ParseError, match="nested too deeply"):
+            parse(text)
+
+
 @pytest.mark.parametrize(
     "mutate, excerpt",
     [

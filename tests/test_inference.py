@@ -43,6 +43,7 @@ from factorbn import (
     Evidence,
     Factor,
     FactorizedForm,
+    InternalConsistencyError,
     Network,
     ValidationError,
     Variable,
@@ -184,6 +185,20 @@ def test_zero_mass_evidence_raises():
     net = sprinkler_like()
     with pytest.raises(ZeroNormalizerError):
         variable_elimination(net, Evidence({2: (0, 0)}), [0])
+
+
+@pytest.mark.parametrize("low", [-1e-12, -1e-3])
+def test_negative_posterior_entry_is_clipped_within_tolerance(low):
+    # a free potential may hold negative entries: a result just below 0
+    # is rounding noise, clipped to 0; one beyond -1e-9 is a failure
+    net = sprinkler_like()
+    net = Network(net.variables, net.cpts, potentials=(Factor((0,), (2,), np.array([low, 1.0])),))
+    if low > -inference.NEGATIVE_TOLERANCE:
+        p = variable_elimination(net, query=[0])
+        assert p.values.tolist() == [0.0, 1.0]
+    else:
+        with pytest.raises(InternalConsistencyError, match="below tolerance"):
+            variable_elimination(net, query=[0])
 
 
 def test_empty_query_rejected():

@@ -9,6 +9,8 @@ Core claims:
     - the closure search by leaf count returns the same witnesses, or
       stops on the same cap, as the uniform-cost heap search it
       replaced, and it reaches a leaf class that follows an empty one
+    - a subset can pass the atom and span tests and still fail the
+      closure, which rejects it
     - solve_mbh proves minimality on small worked functions (binary
       ADD = 3, checked against an exhaustive subset oracle; ternary
       ADD = 6; the 3-rectangle Boolean cover; AND = 2; MAX = scale)
@@ -528,6 +530,32 @@ def exhaustive_min_base_size(d):
     raise AssertionError("no base found at all")
 
 
+def test_span_feasible_subset_can_be_closure_infeasible():
+    # span-feasible does not imply closure-feasible, on 12 cells: the
+    # rectangles {0}x{0,1,3}, {0,1}x{0,3}, the full space and {0,2}x{0,1,2}
+    # pass the atom and span tests, yet no expression over them forms
+    # either level set, so check_subset rejects them at the closure stage
+    d = DeterministicFunction((0, 1), 2, (3, 4), 2, (0, 1, 0, 1, 0, 1, 1, 0, 0, 0, 0, 1))
+    search = _Search(d, SearchBudget(), None)
+    search.load_candidates()
+    assert list(search.level_masks.values()) == [1941, 2154]
+    subset = sorted(search.masks.index(m) for m in (11, 153, 4095, 1799))
+    parts = [search.full]
+    for i in subset:
+        parts = _refine(parts, search.masks[i], search.level_of)
+    assert parts == []
+    rows = (_mask_row(search.masks[i], search.ncells) for i in subset)
+    assert _in_span(_echelon(rows), search.level_rows)
+    assert _closure_search([search.masks[i] for i in subset], {1941, 2154}, inf, None) == {}
+    assert search.check_subset(subset, parts) is None
+    assert not search.unknown and (search.checked, search.impure) == (1, 0)
+    # the search passes that subset on its way to a base of the same size
+    sol = solve_mbh(d)
+    assert sol.proved_minimal and sol.base.size == 4
+    assert {r.dims for r in sol.base.rectangles} != {
+        _rectangle_at(search.dim_subsets, i).dims for i in subset}
+
+
 def test_binary_add_minimum_is_three_with_oracle():
     d = mk((2, 2), lambda a, b: a + b, 3)
     sol = solve_mbh(d)
@@ -642,7 +670,7 @@ def test_search_returns_the_first_base_of_an_unfiltered_search():
 
 @pytest.mark.parametrize(
     "cap, value",
-    [("max_rectangles", 0), ("max_base", -1), ("max_closure", 0),
+    [("max_rectangles", 0), ("max_closure", 0),
      ("wall_clock", 0.0), ("wall_clock", -1.0), ("wall_clock", float("nan")),
      ("wall_clock", float("inf")), ("wall_clock", float("-inf"))],
 )
@@ -698,8 +726,8 @@ def test_closure_cap_ends_the_search_at_the_greedy_cover_size():
 @pytest.mark.parametrize(
     "cap, value, name",
     [("max_rectangles", 10, "rectangles"), ("max_closure", 2, "closure"),
-     ("wall_clock", 1e-9, "wall"), ("max_base", 4, "max_base")],
-    ids=["max_rectangles", "max_closure", "wall_clock", "max_base"],
+     ("wall_clock", 1e-9, "wall")],
+    ids=["max_rectangles", "max_closure", "wall_clock"],
 )
 def test_cap_returns_unproved_base(cap, value, name):
     d = mk((3, 3), lambda a, b: a + b, 5)
@@ -714,9 +742,10 @@ def test_cap_returns_unproved_base(cap, value, name):
 
 def test_base_on_the_bound_is_proved_under_a_cap():
     # y = x1: the two level sets bound the base from below, and the greedy
-    # cover meets the bound, so a cap below it leaves nothing unproved
+    # cover built at the first closure cap meets the bound, so the cap
+    # leaves nothing unproved
     d = mk((2, 2), lambda a, b: a, 2)
-    sol = solve_mbh(d, SearchBudget(max_base=1))
+    sol = solve_mbh(d, SearchBudget(max_closure=1))
     assert sol.base.size == 2
     assert sol.proved_minimal
     assert sol.stats.cap == "none"
