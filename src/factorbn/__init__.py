@@ -22,7 +22,6 @@ from .fileio import (
     parse_function,
     parse_network,
     write_base,
-    write_evidence,
     write_form,
     write_function,
     write_network,

@@ -229,8 +229,13 @@ def run_clique_benchmark(
     else:
         used = int(orderings)
         rng = random.Random(seed)
-        perms = [rng.sample(range(k), k) for _ in range(used)]
-        weights = [Counter(tuple(sorted(p[:r])) for p in perms) for r in range(k + 1)]
+        # each distinct ordering is kept once, with its count: memory
+        # grows with the distinct orderings drawn, at most k!, not with M
+        perms = Counter(tuple(rng.sample(range(k), k)) for _ in range(used))
+        weights = [Counter() for _ in range(k + 1)]
+        for p, count in perms.items():
+            for r, prefixes in enumerate(weights):
+                prefixes[tuple(sorted(p[:r]))] += count
 
     rows = []
     for r, prefixes in enumerate(weights):

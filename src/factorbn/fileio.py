@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import replace
 from typing import Any
 
 import numpy as np
@@ -123,13 +122,6 @@ def _typed(value: Any, kind: type, field: str) -> Any:
     return value
 
 
-def _table(value: Any, field: str) -> list:
-    """A flat list of numbers."""
-    if not all(type(x) in (int, float) for x in _typed(value, list, field)):
-        raise ParseError(f"{field} must be a flat list of numbers")
-    return value
-
-
 def _table_size(cards, where: str) -> int:
     """Entries of a table over ``cards``, at most MAX_TABLE_ENTRIES."""
     size = math.prod(cards)
@@ -170,6 +162,30 @@ def _function_field(d: DeterministicFunction) -> dict[str, Any]:
     return {"type": "table", "outputs": list(d.outputs)}
 
 
+def _declared(ids, field: str, cards: dict[int, int], where: str) -> tuple[int, ...]:
+    """Integer ids (``field`` names each one), each declared in ``cards``,
+    of a ``where`` ("CPT", "deterministic node" or "potential")."""
+    ids = tuple(_int(v, field) for v in ids)
+    for v in ids:
+        if v not in cards:
+            raise ValidationError(f"unknown variable id {v} in a {where}")
+    return ids
+
+
+def _factor(scope, cards: dict[int, int], rec: Any, kind: str, of: str = "") -> Factor:
+    """The flat ``table`` of ``rec`` over ``scope``, as a Factor; errors
+    name it ``f"{kind} table{of}"``, as in "CPT table for variable 3"."""
+    scope_cards = tuple(cards[v] for v in scope)
+    expected = _table_size(scope_cards, kind + of)
+    field = f"{kind.lower()} table"
+    table = _typed(_expect(rec, "table", kind.lower()), list, field)
+    if not all(type(x) in (int, float) for x in table):
+        raise ParseError(f"{field} must be a flat list of numbers")
+    if len(table) != expected:
+        raise ValidationError(f"{kind} table{of} has {len(table)} entries, expected {expected}")
+    return Factor(scope, scope_cards, table)
+
+
 def parse_network(text: str) -> Network:
     doc = _loads(text)
     raw_vars = _typed(_expect(doc, "variables", "network"), list, "network variables")
@@ -183,64 +199,38 @@ def parse_network(text: str) -> Network:
                 tuple(str(s) for s in states),
             )
         )
-    by_position = {v.id: v for v in variables}
     cards = {v.id: v.card for v in variables}
-    names = {v.id: v.name for v in variables}
-    if len(by_position) != len(variables):
+    if len(cards) != len(variables):
         raise ValidationError("duplicate variable ids")
+    names = {v.id: v.name for v in variables}
 
     cpts = []
     for rc in _typed(doc.get("cpts", []), list, "network cpts"):
-        child = _int(_expect(rc, "child", "cpt"), "cpt child")
-        parents = tuple(
-            _int(p, "cpt parent") for p in _typed(rc.get("parents", []), list, "cpt parents")
-        )
-        table = _table(_expect(rc, "table", "cpt"), "cpt table")
+        (child,) = _declared([_expect(rc, "child", "cpt")], "cpt child", cards, "CPT")
+        raw_parents = _typed(rc.get("parents", []), list, "cpt parents")
+        parents = _declared(raw_parents, "cpt parent", cards, "CPT")
         family = tuple(sorted(parents + (child,)))
-        unknown = [v for v in family if v not in cards]
-        if unknown:
-            raise ValidationError(f"unknown variable id {unknown[0]} in a CPT")
-        fam_cards = tuple(cards[v] for v in family)
-        expected = _table_size(fam_cards, f"CPT for variable {child}")
-        if len(table) != expected:
-            raise ValidationError(
-                f"CPT table for variable {child} has {len(table)} entries, expected {expected}"
-            )
-        cpts.append(Cpt(child, parents, Factor(family, fam_cards, table)))
+        factor = _factor(family, cards, rc, "CPT", f" for variable {child}")
+        cpts.append(Cpt(child, parents, factor))
 
     dets = []
     for rd in _typed(doc.get("deterministic", []), list, "network deterministic"):
-        child = _int(_expect(rd, "child", "deterministic node"), "deterministic child")
-        raw_parents = _expect(rd, "parents", "deterministic node")
-        parents = tuple(
-            _int(p, "deterministic parent")
-            for p in _typed(raw_parents, list, "deterministic parents")
-        )
-        unknown = [v for v in parents + (child,) if v not in cards]
-        if unknown:
-            raise ValidationError(f"unknown variable id {unknown[0]} in a deterministic node")
+        where = "deterministic node"
+        (child,) = _declared([_expect(rd, "child", where)], "deterministic child", cards, where)
+        raw_parents = _typed(_expect(rd, "parents", where), list, "deterministic parents")
+        parents = _declared(raw_parents, "deterministic parent", cards, where)
         dets.append(
             _parse_function_field(
-                _expect(rd, "function", "deterministic node"),
-                parents, child, cards, names, f"deterministic node for variable {child}",
+                _expect(rd, "function", where),
+                parents, child, cards, names, f"{where} for variable {child}",
             )
         )
 
     potentials = []
     for rp in _typed(doc.get("potentials", []), list, "network potentials"):
         raw_scope = _typed(_expect(rp, "scope", "potential"), list, "potential scope")
-        scope = tuple(_int(v, "potential scope") for v in raw_scope)
-        unknown = [v for v in scope if v not in cards]
-        if unknown:
-            raise ValidationError(f"unknown variable id {unknown[0]} in a potential")
-        pot_cards = tuple(cards[v] for v in scope)
-        expected = _table_size(pot_cards, "potential")
-        table = _table(_expect(rp, "table", "potential"), "potential table")
-        if len(table) != expected:
-            raise ValidationError(
-                f"potential table has {len(table)} entries, expected {expected}"
-            )
-        potentials.append(Factor(scope, pot_cards, table))
+        scope = _declared(raw_scope, "potential scope", cards, "potential")
+        potentials.append(_factor(scope, cards, rp, "potential"))
 
     return Network(tuple(variables), tuple(cpts), tuple(dets), tuple(potentials))
 
@@ -279,21 +269,12 @@ def parse_evidence(text: str, net: Network) -> Evidence:
     findings = {}
     for name, vec in doc.items():
         var = net.variable_by_name(name)
-        if not isinstance(vec, list):
-            raise ValidationError(f"evidence for {name!r} must be a list of 0/1")
-        if len(vec) != var.card:
+        if len(_typed(vec, list, f"evidence for {name!r}")) != var.card:
             raise ValidationError(
-                f"evidence vector for {name!r} has length {len(vec)}, "
-                f"expected {var.card}"
+                f"evidence vector for {name!r} has length {len(vec)}, expected {var.card}"
             )
         findings[var.id] = tuple(_int(x, f"evidence for {name!r}") for x in vec)
     return Evidence(findings)
-
-
-def write_evidence(evidence: Evidence, net: Network) -> str:
-    return _dumps(
-        {net.variables[v].name: list(vec) for v, vec in sorted(evidence.findings.items())}
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -330,17 +311,14 @@ def parse_function(text: str) -> DeterministicFunction:
     )
 
 
-def write_function(d: DeterministicFunction, names: list[str] | None = None) -> str:
-    if names is None:
-        names = [f"X{i + 1}" for i in range(d.n_parents)] + ["Y"]
-        # a formula's variables are not X1, X2, ...: write its table
-        d = replace(d, formula=None)
+def write_function(d: DeterministicFunction) -> str:
+    """The function file of ``d``, its parents named X1, X2, ... and its
+    child Y, holding the outputs table (a formula's variables are not
+    X1, X2, ...)."""
     doc = {
-        "parents": [
-            {"name": names[i], "card": c} for i, c in enumerate(d.parent_cards)
-        ],
-        "child": {"name": names[-1], "card": d.child_card},
-        "function": _function_field(d),
+        "parents": [{"name": f"X{i + 1}", "card": c} for i, c in enumerate(d.parent_cards)],
+        "child": {"name": "Y", "card": d.child_card},
+        "function": {"type": "table", "outputs": list(d.outputs)},
     }
     return _dumps(doc)
 

@@ -190,11 +190,9 @@ def _evaluate(postfix: Sequence, operand: Callable[[str], object]):
             stack.append(operand(tok[1]))
         elif tok == "!":
             stack.append(1 - stack.pop())
-        elif tok in _BINARY:
+        else:  # a binary operator
             b = stack.pop()
             stack.append(_BINARY[tok][1](stack.pop(), b))
-        else:
-            raise ValidationError(f"unknown formula token {tok!r}")
     return stack[0]
 
 

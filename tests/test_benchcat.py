@@ -15,6 +15,7 @@ Core claims:
 """
 
 import random
+import tracemalloc
 from itertools import permutations
 
 import numpy as np
@@ -334,3 +335,25 @@ def test_each_prefix_set_is_connected_once(monkeypatch, orderings):
         perms = [rng.sample(range(5), 5) for _ in range(40)]
         prefixes = {frozenset(p[:r]) for p in perms for r in range(6)}
         assert len(connected) == len(prefixes)
+        # r ascending, each r's prefix sets in the order the draws first meet them
+        assert connected == [
+            tuple(tasks[i] for i in subset)
+            for r in range(6)
+            for subset in dict.fromkeys(tuple(sorted(p[:r])) for p in perms)
+        ]
+
+
+def test_sampled_orderings_are_counted_not_stored():
+    # three tasks have six orderings: 30 000 draws keep six counts, where
+    # a list of every draw peaked at 2.8 MB
+    spec = StudentModelSpec(seed=1)
+    student = generate_student_model(spec)
+    tasks = canonical_tasks(spec, 3, 1)
+    tracemalloc.start()
+    try:
+        report = run_clique_benchmark(student, tasks, orderings=30_000, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.orderings_used == 30_000
+    assert peak < 1 << 20

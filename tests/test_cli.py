@@ -791,6 +791,26 @@ def test_bench_cat_checks_the_task_count_before_drawing_tasks(monkeypatch, capsy
     assert captured.err == "error: orderings='all' supports at most 8 tasks; sample instead\n"
 
 
+@pytest.mark.parametrize(
+    "value, code, message",
+    [("sample:0", 2, "error: ordering sample count must be positive\n"),
+     ("sample:-2", 2, "error: ordering sample count must be positive\n"),
+     ("sample:x", 1, "bad sample count in 'sample:x'")],
+    ids=["zero", "negative", "not-a-number"],
+)
+def test_sample_count_syntax_is_usage_and_its_range_input(capsys, value, code, message):
+    # the parser reads the syntax, the benchmark checks the range, as for
+    # --max-rects
+    assert run_cli(["bench", "cat", "--seed", "1", "--tasks", "3",
+                    "--orderings", value]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    if code == 2:
+        assert captured.err == message
+    else:  # argparse's usage lines, then the error
+        assert message in captured.err
+
+
 # -- the internal-failure exit -------------------------------------------------
 
 

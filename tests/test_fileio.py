@@ -1,7 +1,8 @@
 """On-disk JSON formats for networks, evidence, functions, bases, forms.
 
 Core claims:
-    - write then parse is the identity for every format
+    - write then parse is the identity for every format with a writer
+      (evidence has none)
     - writers are canonical: sorted keys, two-space indent, trailing
       newline, so equal objects give identical bytes
     - the writer is byte-identical to ``json.dumps(doc, sort_keys=True,
@@ -37,7 +38,6 @@ from factorbn import (
     parse_network,
     trivial_factorization,
     write_base,
-    write_evidence,
     write_form,
     write_function,
     write_network,
@@ -154,6 +154,11 @@ def test_missing_pieces_raise_parse_error(mutate, excerpt):
         parse_network(json.dumps(doc))
 
 
+def _formula_over_a_ternary_child(doc):
+    doc["variables"][2]["states"] = ["lo", "mid", "hi"]
+    doc["deterministic"][0]["function"] = {"type": "formula", "expr": "a & b"}
+
+
 @pytest.mark.parametrize(
     "mutate, excerpt",
     [
@@ -178,6 +183,18 @@ def test_missing_pieces_raise_parse_error(mutate, excerpt):
         (
             lambda d: d.update(potentials=[{"scope": [1], "table": [1.0, -math.inf, 1.0]}]),
             "potential over .1,. has a non-finite entry",
+        ),
+        (
+            lambda d: d["deterministic"][0].update(parents=[0, 7]),
+            "^unknown variable id 7 in a deterministic node$",
+        ),
+        (
+            lambda d: d.update(potentials=[{"scope": [8], "table": [1.0]}]),
+            "^unknown variable id 8 in a potential$",
+        ),
+        (
+            _formula_over_a_ternary_child,
+            "^deterministic node for variable 2: a formula-defined child must be binary$",
         ),
     ],
 )
@@ -206,12 +223,10 @@ def test_cycle_is_rejected():
 # -- evidence -----------------------------------------------------------------
 
 
-def test_evidence_round_trip():
+def test_evidence_is_read_by_variable_name():
     net = parse_network(NETWORK_DOC)
-    ev = Evidence({0: (0, 1), 1: (1, 0, 1)})
-    text = write_evidence(ev, net)
-    assert parse_evidence(text, net) == ev
-    assert json.loads(text) == {"a": [0, 1], "b": [1, 0, 1]}
+    ev = parse_evidence('{"b": [1, 0, 1], "a": [0, 1]}', net)
+    assert ev == Evidence({0: (0, 1), 1: (1, 0, 1)})
 
 
 def test_evidence_errors():
@@ -222,6 +237,8 @@ def test_evidence_errors():
         parse_evidence('{"a": [0, 1, 0]}', net)
     with pytest.raises(ParseError):
         parse_evidence("[1, 2]", net)
+    with pytest.raises(ParseError, match="^evidence for 'a' must be a list, got int$"):
+        parse_evidence('{"a": 1}', net)
 
 
 # -- standalone functions -----------------------------------------------------
@@ -252,12 +269,12 @@ def test_function_round_trip_formula_and_states():
     d = parse_function(text)
     assert d.outputs == (0, 1, 1, 1)
     assert d.formula == "rain | sprinkler"
-    again = parse_function(write_function(d, ["rain", "sprinkler", "wet"]))
-    assert again.outputs == d.outputs
-    # written without names, the formula's variables are undeclared, so
-    # the file holds the outputs table
-    nameless = parse_function(write_function(d))
-    assert nameless.outputs == d.outputs and nameless.formula is None
+    # a written function names its variables X1, X2 and Y, so the file
+    # holds the outputs table, not the formula over rain and sprinkler
+    text = write_function(d)
+    assert [p["name"] for p in json.loads(text)["parents"]] == ["X1", "X2"]
+    again = parse_function(text)
+    assert again.outputs == d.outputs and again.formula is None
 
 
 def test_function_file_errors():
@@ -582,9 +599,6 @@ def test_writer_matches_json_dumps_on_the_golden_documents(monkeypatch, tmp_path
         net = parse_network(text)
         assert write_network(net) == text
         if case.endswith("/none"):
-            write_evidence(
-                Evidence({v.id: (0,) * (v.card - 1) + (1,) for v in net.variables[:3]}), net
-            )
             for d in net.deterministic:
                 write_function(d)
                 write_form(build_factorized_form(d, greedy_cover_base(d)))

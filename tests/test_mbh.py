@@ -740,6 +740,64 @@ def test_cap_returns_unproved_base(cap, value, name):
         assert sol.stats.gap == sol.base.size - 5
 
 
+def fake_clock(monkeypatch, now):
+    """Make the solver's clock read ``now[0]``, and return the list of
+    the values it read."""
+    reads = []
+
+    def monotonic():
+        reads.append(now[0])
+        return now[0]
+
+    monkeypatch.setattr("factorbn.mbh.time.monotonic", monotonic)
+    return reads
+
+
+def test_closure_search_reads_the_clock_every_64_settled_sets(monkeypatch):
+    # 70 single cells form class 1; settling the 64th reads the clock,
+    # past the deadline, before any left operand is taken
+    reads = fake_clock(monkeypatch, [11.0])
+    with pytest.raises(BudgetExceededError) as e:
+        _closure_search([1 << i for i in range(70)], {(1 << 70) - 1}, inf, 10.0)
+    assert e.value.kind == "wall"
+    assert reads == [11.0]
+
+
+def test_closure_search_reads_the_clock_per_left_operand(monkeypatch):
+    # {0} and {1} settle with no clock read; class 2 reads it once per
+    # left operand, and finds {0, 1} at the second
+    now = [9.0]
+    reads = fake_clock(monkeypatch, now)
+    assert format_expression(_closure_search([1, 2], {3}, inf, 10.0)[3]) == "(+ R2 R1)"
+    assert reads == [9.0, 9.0]
+    now[0] = 11.0
+    with pytest.raises(BudgetExceededError) as e:
+        _closure_search([1, 2], {3}, inf, 10.0)
+    assert e.value.kind == "wall"
+    assert reads[2:] == [11.0]
+
+
+def test_deadline_in_the_closure_search_returns_the_greedy_cover(monkeypatch):
+    # AND: the first subset that passes the span test, the full space and
+    # the accepting point, needs a difference of two leaves; the clock
+    # passes the deadline as its closure search starts
+    now = [0.0]
+    fake_clock(monkeypatch, now)
+    searches = []
+
+    def late(*args):
+        searches.append(args)
+        now[0] = 100.0
+        return _closure_search(*args)
+
+    monkeypatch.setattr("factorbn.mbh._closure_search", late)
+    d = mk((2, 2), lambda a, b: a & b, 2)
+    sol = solve_mbh(d, SearchBudget(wall_clock=10.0))
+    assert len(searches) == 1
+    assert sol.base == greedy_cover_base(d) and sol.base.size == 3
+    assert not sol.proved_minimal and sol.stats.cap == "wall" and sol.stats.gap == 1
+
+
 def test_base_on_the_bound_is_proved_under_a_cap():
     # y = x1: the two level sets bound the base from below, and the greedy
     # cover built at the first closure cap meets the bound, so the cap
