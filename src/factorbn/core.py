@@ -87,9 +87,6 @@ class Factor:
         """The table flattened in the on-disk row-major order."""
         return self.values.reshape(-1)
 
-    def __getitem__(self, config) -> float:
-        return self.values[tuple(config)]
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Factor):
             return NotImplemented

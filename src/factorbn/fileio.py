@@ -250,7 +250,8 @@ def write_network(net: Network) -> str:
         ],
     }
     potentials = [(p.scope, p.values) for p in net.potentials]
-    potentials += [table for s in net.stars for table in s.tables()]  # the format has no stars
+    # the format has no stars, so a star's exact tables are written as float potentials
+    potentials += [(s, t.astype(np.float64)) for st in net.stars for s, t in st.tables()]
     if potentials:
         doc["potentials"] = [
             {"scope": list(s), "table": t.ravel().tolist()} for s, t in potentials
@@ -268,12 +269,8 @@ def parse_evidence(text: str, net: Network) -> Evidence:
         raise ParseError("evidence file must be a JSON object")
     findings = {}
     for name, vec in doc.items():
-        var = net.variable_by_name(name)
-        if len(_typed(vec, list, f"evidence for {name!r}")) != var.card:
-            raise ValidationError(
-                f"evidence vector for {name!r} has length {len(vec)}, expected {var.card}"
-            )
-        findings[var.id] = tuple(_int(x, f"evidence for {name!r}") for x in vec)
+        var, where = net.variable_by_name(name), f"evidence for {name!r}"
+        findings[var.id] = tuple(_int(x, where) for x in _typed(vec, list, where))
     return Evidence(findings)
 
 

@@ -59,10 +59,6 @@ class DeterministicFunction:
             if not 0 <= o < self.child_card:
                 raise ValidationError(f"output state {o} outside child range")
 
-    @property
-    def n_parents(self) -> int:
-        return len(self.parents)
-
     def configurations(self) -> Iterable[tuple[int, ...]]:
         """All parent configurations in table order."""
         return iproduct(*(range(c) for c in self.parent_cards))

@@ -77,7 +77,7 @@ def _reduce(net: Network, evidence: Evidence, queryset: set[int], layout: Layout
             raise ValidationError(f"evidence names unknown variable id {var}")
         if len(vec) != cards[var]:
             raise ValidationError(
-                f"evidence vector for variable {var} has length {len(vec)}, "
+                f"evidence vector for {net.variables[var].name!r} has length {len(vec)}, "
                 f"expected {cards[var]}"
             )
         if not any(vec):

@@ -79,7 +79,8 @@ class Cpt:
 class Star:
     """A factorized node: the deterministic family of ``child`` over
     ``parents``, held only as its ``form`` through the hidden variable B
-    (``hidden``): h(child, B) and one g_i(parent_i, B) per parent.
+    (``hidden``): h(child, B) and one g_i(parent_i, B) per parent, the
+    form's exact int64 tables; the star keeps no other copy of them.
 
     Summed over B their product is the family's 0/1 indicator, so, like
     a CPT, the star sums to 1 over the child and B for every parent
@@ -99,20 +100,15 @@ class Star:
             raise ValidationError("a star's child and parents must be distinct")
         if len(self.form.g) != len(self.parents):
             raise ValidationError("a star needs one g table per parent")
-        b = self.hidden
-        tables = []
-        for v, table in zip((self.child, *self.parents), (self.form.h, *self.form.g)):
-            scope, table = ((v, b), table) if v < b else ((b, v), table.T)
-            table = np.ascontiguousarray(table, dtype=np.float64)
-            table.flags.writeable = False  # shared by every call and network
-            tables.append((scope, table))
-        object.__setattr__(self, "_tables", tuple(tables))
 
     def tables(self) -> tuple[tuple[tuple[int, int], np.ndarray], ...]:
-        """(scope, float64 table) for h, then for each g_i, with the axes
-        in id order: a table is transposed only when B has the lower id.
-        Built once with the star, so every call returns the same arrays."""
-        return self._tables
+        """(scope, table) for h, then for each g_i: views of the form's
+        exact int64 tables with the axes in id order, transposed only
+        when B has the lower id.  Only ``Network.layout`` holds them as
+        float64."""
+        b = self.hidden
+        return tuple(((v, b), t) if v < b else ((b, v), t.T)
+                     for v, t in zip((self.child, *self.parents), (self.form.h, *self.form.g)))
 
 
 class Layout(NamedTuple):
@@ -126,7 +122,8 @@ class Layout(NamedTuple):
     for a free potential), its scope as a rank mask, the ranks of its
     axes, ascending, their labels, and its values, a read-only
     C-contiguous float64 array with the axes in that order: a view of
-    its source when that is float64 with its axes already in rank order.
+    its source when that is float64 with its axes already in rank order,
+    so a star's int64 tables are converted here, once per network.
 
     A network whose min-fill plan, a ``Plan(order, cliques, sizes,
     labels, colours)``, sums to at most ``PLAN_ONCE_ENTRIES`` entries

@@ -40,17 +40,6 @@ class Hyperrectangle:
                     f"dimension subset must be strictly ascending non-negative, got {d}"
                 )
 
-    @property
-    def n_dims(self) -> int:
-        return len(self.dims)
-
-    @property
-    def size(self) -> int:
-        n = 1
-        for d in self.dims:
-            n *= len(d)
-        return n
-
     def points(self) -> Iterable[Config]:
         return iproduct(*self.dims)
 
@@ -175,9 +164,9 @@ class Base:
         )
         if not self.rectangles:
             raise ValidationError("a base needs at least one rectangle")
-        n = self.rectangles[0].n_dims
+        n = len(self.rectangles[0].dims)
         for r in self.rectangles:
-            if r.n_dims != n:
+            if len(r.dims) != n:
                 raise ValidationError("all base rectangles must share the dimension count")
         if len({r.dims for r in self.rectangles}) != len(self.rectangles):
             raise ValidationError("duplicate rectangle in base")

@@ -192,6 +192,12 @@ def test_canonical_averages_are_frozen():
     assert [avg[("factorize", r)] for r in range(5)] == [172, 256, 378, 540, 744]
 
 
+def test_row_of_an_unmeasured_pair_raises_key_error():
+    with pytest.raises(KeyError) as raised:
+        canonical_run().row("none", 99)
+    assert raised.value.args == (("none", 99),)
+
+
 def test_zero_tasks_row_is_method_independent():
     report = canonical_run()
     totals = {m: report.row(m, 0) for m in ("none", "divorce", "factorize")}

@@ -539,6 +539,17 @@ def test_infer_impossible_evidence_is_input_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("transform", ["none", "factorize"])
+def test_infer_wrong_length_evidence_is_input_error(tmp_path, capsys, transform):
+    net_path = put(tmp_path, "net.json", NET)
+    ev_path = put(tmp_path, "ev.json", {"alarm": [0, 1, 1]})
+    assert run_cli(["infer", "--net", net_path, "--evidence", ev_path,
+                    "--query", "a", "--transform", transform]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: evidence vector for 'alarm' has length 3, expected 2\n"
+
+
 @pytest.mark.parametrize(
     "table, excerpt",
     [

@@ -37,10 +37,11 @@ def test_variable_rejects_empty_states_and_duplicates():
 def test_factor_reshapes_a_flat_table_and_rejects_other_shapes():
     f = Factor((0, 2), (2, 3), [1, 2, 3, 4, 5, 6])
     assert f.values.shape == (2, 3)
-    assert f[(1, 0)] == 4
+    assert f.values[1, 0] == 4
     assert f.flat().tolist() == [1, 2, 3, 4, 5, 6]
     assert f == Factor((0, 2), (2, 3), np.arange(1, 7).reshape(2, 3))
-    assert Factor((), (), [0.5])[()] == 0.5
+    assert f != (0, 2) and f != "f"  # not a Factor: never equal
+    assert Factor((), (), [0.5]).values[()] == 0.5
     with pytest.raises(ValidationError):
         Factor((0, 2), (2, 3), [1, 2, 3, 4, 5])
     with pytest.raises(ValidationError):

@@ -289,6 +289,7 @@ def test_form_copies_the_callers_arrays():
     assert not form.h.flags.writeable and not form.g[0].flags.writeable
     h[0, 0] = g[0, 0] = 7
     assert form.h[0, 0] == form.g[0][0, 0] == 1
+    assert form != (h, (g,)) and form != "form"  # not a form: never equal
     for entry in (2, 3, -1, -2):
         bad = np.eye(2, dtype=np.int64)
         bad[1, 0] = entry

@@ -570,9 +570,16 @@ def test_all_zero_evidence_vector_raises(method):
 
 
 def test_wrong_length_evidence_vector_raises():
-    # a length-3 vector on the binary alarm
-    with pytest.raises(ValidationError):
-        variable_elimination(det_network(), Evidence({3: (0, 1, 1)}), [0])
+    """The one length check of a finding, named by the variable's name;
+    ``parse_evidence`` leaves it to inference."""
+    from factorbn import parse_evidence
+
+    message = "^evidence vector for 'alarm' has length 3, expected 2$"
+    for method in ("none", "factorize"):
+        t = transform_network(det_network(), method)
+        for evidence in (Evidence({3: (0, 1, 1)}), parse_evidence('{"alarm": [0, 1, 1]}', t)):
+            with pytest.raises(ValidationError, match=message):
+                variable_elimination(t, evidence, [0])
 
 
 def test_barren_nodes_do_not_change_the_answer():
@@ -1300,15 +1307,26 @@ def table_kinds(net):
     return kinds + ["star"] * sum(1 + len(s.parents) for s in net.stars)
 
 
+def assert_stars_hold_only_their_forms(net):
+    """Each entry of ``Star.tables()`` is a view of its form's h or g_i,
+    and no attribute of a star holds a float64 array."""
+    for s in net.stars:
+        for (_, table), source in zip(s.tables(), (s.form.h, *s.form.g), strict=True):
+            assert np.shares_memory(table, source)
+        assert not any(getattr(v, "dtype", None) == np.float64 for v in vars(s).values())
+
+
 def test_layout_stores_every_table_in_plan_order():
     """Each table of ``Network.layout`` is its source (a CPT, a
     deterministic indicator, a free potential or a star table) with the
     axes in plan order, as float64 bit for bit, read-only and C-ordered,
     and a float64 source already in that order is not copied.  Every
-    kind has a table whose axes the plan reorders."""
+    kind has a table whose axes the plan reorders.  A star's source is
+    its form's exact int64 table, so only the layout holds it as float64."""
     assert not hasattr(two_task_network(), "tables")
     reordered, kept = set(), set()
     for net in layout_networks():
+        assert_stars_hold_only_their_forms(net)
         layout = net.layout
         rank = layout.rank
         assert sorted(rank) == list(range(len(net.variables)))
@@ -1336,18 +1354,20 @@ def test_layout_stores_every_table_in_plan_order():
             assert len(set(labels)) == len(labels)
         assert layout.plan.colours == max(layout.plan.labels) + 1
     assert reordered == {"cpt", "deterministic", "potential", "star"}
-    assert kept == {"cpt", "potential", "star"}
+    assert kept == {"cpt", "potential"}
 
 
 def test_layout_above_the_bound_keeps_every_table_in_id_order(monkeypatch):
     """Above the bound the ranks are the ids and nothing is labelled;
-    each table has its axes in id order, and every CPT, free potential
-    and star table is its source, not a copy."""
+    each table has its axes in id order, and every CPT and free
+    potential is its source, not a copy; a star table is its form's, as
+    float64."""
     wide = star_of_parents(18)[0]
     assert wide.layout.plan is None
     monkeypatch.setattr(network, "PLAN_ONCE_ENTRIES", 0)  # every network is above it
     kinds = set()
     for net in [wide, *layout_networks()]:
+        assert_stars_hold_only_their_forms(net)
         layout = net.layout
         assert layout.rank == tuple(range(len(net.variables)))
         assert layout.plan is None
@@ -1361,10 +1381,10 @@ def test_layout_above_the_bound_keeps_every_table_in_id_order(monkeypatch):
             assert table.dtype == np.float64 and table.flags.c_contiguous
             assert not table.flags.writeable
             assert table.tobytes() == np.ascontiguousarray(values, dtype=np.float64).tobytes()
-            if kind != "deterministic":
+            if kind not in ("deterministic", "star"):
                 assert np.shares_memory(table, values), (kind, scope)
                 kinds.add(kind)
-    assert kinds == {"cpt", "potential", "star"}
+    assert kinds == {"cpt", "potential"}
 
 
 def one_state_nodes(n, parent=False):
