@@ -99,7 +99,8 @@ class Factor:
 
 @dataclass(frozen=True)
 class Evidence:
-    """Hard findings: per observed variable, a 0/1 vector over its states.
+    """Hard findings: per observed variable id, a 0/1 vector over its
+    states, kept as a tuple as given; inference checks it.
 
     A configuration is consistent with the evidence when every observed
     variable in it sits on a state flagged 1.  The empty mapping means
@@ -109,10 +110,5 @@ class Evidence:
     findings: Mapping[int, tuple[int, ...]] = field(default_factory=dict)
 
     def __post_init__(self):
-        clean = {}
-        for var, vec in dict(self.findings).items():
-            vec = tuple(int(x) for x in vec)
-            if any(x not in (0, 1) for x in vec):
-                raise ValidationError(f"evidence vector for variable {var} must be 0/1")
-            clean[int(var)] = vec
-        object.__setattr__(self, "findings", clean)
+        findings = {int(v): tuple(vec) for v, vec in self.findings.items()}
+        object.__setattr__(self, "findings", findings)

@@ -32,8 +32,9 @@ class FactorizedForm:
     """The pair (h, g) produced by a factorization.
 
     ``h`` has shape (child_card, n_hidden); each ``g[i]`` has shape
-    (parent_cards[i], n_hidden) with 0/1 entries.  Entries must be
-    integers (an integral float is accepted); both are stored as int64.
+    (parent_cards[i], n_hidden) with 0/1 entries.  Rows must have one
+    length, and entries be integers that fit in 64 bits (an integral
+    float is accepted); both are stored as int64.
     """
 
     parent_cards: tuple[int, ...]
@@ -44,15 +45,15 @@ class FactorizedForm:
     def __post_init__(self):
         object.__setattr__(self, "parent_cards", tuple(self.parent_cards))
         h = _int64_copy(self.h, "h")
-        g = tuple(_int64_copy(gi, "g") for gi in self.g)
+        g = tuple(_int64_copy(gi, f"g[{i}]") for i, gi in enumerate(self.g))
         if h.ndim != 2 or h.shape[0] != self.child_card:
             raise ValidationError(f"h has shape {h.shape}, expected ({self.child_card}, k)")
         k = h.shape[1]
         if len(g) != len(self.parent_cards):
             raise ValidationError("need one g table per parent")
-        for gi, c in zip(g, self.parent_cards):
+        for i, (gi, c) in enumerate(zip(g, self.parent_cards)):
             if gi.shape != (c, k):
-                raise ValidationError(f"g table has shape {gi.shape}, expected ({c}, {k})")
+                raise ValidationError(f"g[{i}] table has shape {gi.shape}, expected ({c}, {k})")
             if (gi & ~1).any():  # a bit other than the lowest is set
                 raise ValidationError("g tables must be 0/1")
         h.flags.writeable = False
@@ -89,7 +90,7 @@ def _int64_copy(values, name: str) -> np.ndarray:
             out = values.astype(np.int64)
         if np.array_equal(out, values):
             return out
-    raise ValidationError(f"{name} entries must be integers")
+    raise ValidationError(f"{name} entries must be integers that fit in 64 bits")
 
 
 @dataclass(frozen=True)

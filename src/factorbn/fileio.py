@@ -293,8 +293,6 @@ def parse_function(text: str) -> DeterministicFunction:
     raw_parents = _typed(_expect(doc, "parents", "function file"), list, "function parents")
     child_decl = _expect(doc, "child", "function file")
     n = len(raw_parents)
-    if n == 0:
-        raise ValidationError("function file declares no parents")
     cards = {i: _card_of(rp, f"parent {i}") for i, rp in enumerate(raw_parents)}
     cards[n] = _card_of(child_decl, "child")
     names = {i: str(_expect(rp, "name", "parent")) for i, rp in enumerate(raw_parents)}
@@ -363,38 +361,27 @@ def write_base(base: Base, extra: dict[str, Any] | None = None) -> str:
 # Factorized forms: the explicit integer h and g tables.
 
 
-def _int_matrix(value: Any, field: str) -> np.ndarray:
-    """A list of equal-length rows of integer fields (see ``_int``), as
-    an int64 matrix; anything else is a ParseError naming the field."""
-    rows = [
-        [_int(x, f"{field} entry") for x in _typed(row, list, f"{field} row")]
-        for row in _typed(value, list, field)
-    ]
-    if len({len(row) for row in rows}) > 1:
-        raise ParseError(f"{field} has rows of different lengths")
-    try:
-        return np.array(rows, dtype=np.int64)
-    except OverflowError:
-        raise ParseError(f"{field} has an entry beyond 64 bits") from None
+def _int_rows(value: Any, field: str) -> list[list[int]]:
+    """A JSON list of lists of integer fields (see ``_int``)."""
+    rows = _typed(value, list, field)
+    return [[_int(x, f"{field} entry") for x in _typed(r, list, f"{field} row")] for r in rows]
 
 
 def parse_form(text: str) -> FactorizedForm:
+    """The reader checks JSON types only, ``FactorizedForm`` the tables'
+    rows, shapes and entries; a given ``n_hidden`` must equal the form's."""
     doc = _loads(text)
     raw_cards = _typed(_expect(doc, "parent_cards", "form file"), list, "form parent_cards")
     parent_cards = tuple(_int(c, "parent card") for c in raw_cards)
     child_card = _int(_expect(doc, "child_card", "form file"), "child card")
     _table_size(parent_cards + (child_card,), "form file")
     raw_g = _typed(_expect(doc, "g", "form file"), list, "form g")
-    h = _int_matrix(_expect(doc, "h", "form file"), "form h")
-    g = tuple(_int_matrix(g, f"form g[{i}]") for i, g in enumerate(raw_g))
-    if "n_hidden" in doc:
-        n_hidden = _int(doc["n_hidden"], "form n_hidden")
-        widths = {t.shape[1] for t in (h, *g) if t.ndim == 2}
-        if widths - {n_hidden}:
-            raise ParseError(
-                f"form n_hidden is {n_hidden}, but h and g have {sorted(widths)} columns"
-            )
-    return FactorizedForm(parent_cards, child_card, h, g)
+    h = _int_rows(_expect(doc, "h", "form file"), "form h")
+    g = tuple(_int_rows(g, f"form g[{i}]") for i, g in enumerate(raw_g))
+    form = FactorizedForm(parent_cards, child_card, h, g)
+    if "n_hidden" in doc and (n := _int(doc["n_hidden"], "form n_hidden")) != form.n_hidden:
+        raise ParseError(f"form n_hidden is {n}, but h and g have {form.n_hidden} columns")
+    return form
 
 
 def write_form(form: FactorizedForm) -> str:

@@ -63,9 +63,9 @@ def _reduce(net: Network, evidence: Evidence, queryset: set[int], layout: Layout
     to 1 over its child once its descendants are summed out; a star
     does because its form reconstructs the deterministic family.
 
-    Raises ValidationError for a finding on an unknown variable or of
-    the wrong length, ZeroNormalizerError for one that rules out every
-    state."""
+    Raises ValidationError for a finding on an unknown variable, of the
+    wrong length or with an entry other than 0 and 1, and
+    ZeroNormalizerError for one that rules out every state."""
     cards = net.cards
     rank = layout.rank
     # a one-state variable off the query is a pick of its one state; a
@@ -80,12 +80,15 @@ def _reduce(net: Network, evidence: Evidence, queryset: set[int], layout: Layout
                 f"evidence vector for {net.variables[var].name!r} has length {len(vec)}, "
                 f"expected {cards[var]}"
             )
-        if not any(vec):
+        ones = vec.count(1)
+        if ones + vec.count(0) != len(vec):
+            raise ValidationError(f"evidence vector for {net.variables[var].name!r} must be 0/1")
+        if not ones:
             raise ZeroNormalizerError("evidence has zero probability under the model")
-        if all(vec):
+        if ones == len(vec):
             continue
         i = rank[var]
-        if sum(vec) == 1 and var not in queryset:
+        if ones == 1 and var not in queryset:
             picks[i] = vec.index(1)
         else:
             tables.append((1 << i, (i,), None, np.asarray(vec, dtype=np.float64)))

@@ -87,10 +87,6 @@ class Expression:
     def __repr__(self) -> str:
         return f"<Expression {format_expression(self)}>"
 
-    def leaves(self) -> tuple[int, ...]:
-        """Rectangle indices in leaf order, repeats kept."""
-        return tuple(tok for tok in self.tokens if isinstance(tok, int))
-
     def signed_counts(self) -> dict[int, int]:
         """Net coefficient of each rectangle index: +1 at the root, both
         signs kept by a union, the right operand of a difference flipped."""

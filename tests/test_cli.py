@@ -550,6 +550,18 @@ def test_infer_wrong_length_evidence_is_input_error(tmp_path, capsys, transform)
     assert captured.err == "error: evidence vector for 'alarm' has length 3, expected 2\n"
 
 
+@pytest.mark.parametrize("transform", ["none", "factorize"])
+def test_infer_non_binary_evidence_is_input_error(tmp_path, capsys, transform):
+    # the 0/1 rule is checked by inference, which names the variable
+    net_path = put(tmp_path, "net.json", NET)
+    ev_path = put(tmp_path, "ev.json", {"alarm": [0, 2]})
+    assert run_cli(["infer", "--net", net_path, "--evidence", ev_path,
+                    "--query", "a", "--transform", transform]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: evidence vector for 'alarm' must be 0/1\n"
+
+
 @pytest.mark.parametrize(
     "table, excerpt",
     [

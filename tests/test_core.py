@@ -4,8 +4,9 @@ Core claims:
     - a variable needs a non-negative id and distinct state labels
     - a factor reshapes a flat row-major table to its cards, rejects any
       other shape, and keeps its table read-only
-    - evidence vectors must be 0/1; an all-zero vector is representable
-      (inference reports zero mass later)
+    - evidence keeps each vector as a tuple; an all-zero or non-0/1
+      vector is representable (inference rejects it, see
+      test_input_checks and test_inference)
 """
 
 import numpy as np
@@ -65,6 +66,8 @@ def test_evidence_all_zero_vector_is_allowed():
     assert ev.findings == {0: (0, 0)}
 
 
-def test_evidence_rejects_non_binary_entries():
-    with pytest.raises(ValidationError):
-        Evidence({0: (0, 2)})
+def test_evidence_keeps_each_vector_as_a_tuple():
+    # inference checks the entries against the network, so any are kept
+    ev = Evidence({0: [0, 2], 1: np.array([1, 0])})
+    assert ev.findings == {0: (0, 2), 1: (1, 0)}
+    assert all(type(vec) is tuple for vec in ev.findings.values())

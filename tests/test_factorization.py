@@ -301,8 +301,10 @@ def test_form_rejects_non_integer_entries():
     # an int64 cast would truncate 1.7 and 1.9 to 1 and accept the identity
     with pytest.raises(ValidationError, match="h entries must be integers"):
         FactorizedForm((2,), 2, [[1.7, 0], [0, 1]], ([[1.9, 0], [0, 1]],))
-    with pytest.raises(ValidationError, match="g entries must be integers"):
+    with pytest.raises(ValidationError, match=r"g\[0\] entries must be integers"):
         FactorizedForm((2,), 2, np.eye(2), ([[1.9, 0], [0, 1]],))
+    with pytest.raises(ValidationError, match=r"g\[1\] entries must be integers that fit in 64"):
+        FactorizedForm((2, 2), 2, np.eye(2), (np.eye(2), [[2**70, 0], [0, 1]]))
     for bad in (np.nan, np.inf, 1e30):
         with pytest.raises(ValidationError, match="h entries must be integers"):
             FactorizedForm((2,), 2, [[bad, 0], [0, 1]], (np.eye(2),))
@@ -314,8 +316,10 @@ def test_form_rejects_non_integer_entries():
 
 
 def test_form_rejects_ragged_tables():
-    with pytest.raises(ValidationError, match="g rows must all have the same length"):
+    with pytest.raises(ValidationError, match=r"g\[0\] rows must all have the same length"):
         FactorizedForm((2,), 2, [[1, 0], [0, 1]], ([[1, 0], [0]],))
+    with pytest.raises(ValidationError, match=r"g\[1\] rows must all have the same length"):
+        FactorizedForm((2, 2), 2, [[1, 0], [0, 1]], (np.eye(2), [[1, 0], [0]]))
     with pytest.raises(ValidationError, match="h rows must all have the same length"):
         FactorizedForm((2,), 2, [[1, 0], [0, [1]]], (np.eye(2),))
 

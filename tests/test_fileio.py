@@ -276,8 +276,10 @@ def test_function_round_trip_formula_and_states():
 
 
 def test_function_file_errors():
-    with pytest.raises(ValidationError, match="no parents"):
+    with pytest.raises(ValidationError, match="^a deterministic node needs at least one parent$"):
         parse_function('{"parents": [], "child": {"card": 2}, "function": {"type": "table", "outputs": []}}')
+    with pytest.raises(ValidationError, match=r"^formula mentions unknown variables: \['a'\]$"):
+        parse_function('{"parents": [], "child": {"card": 2}, "function": {"type": "formula", "expr": "a"}}')
     with pytest.raises(ParseError, match="'states' or 'card'"):
         parse_function('{"parents": [{"name": "x"}], "child": {"card": 2}, "function": {"type": "table", "outputs": [0, 1]}}')
 
@@ -517,23 +519,26 @@ FORM = {"parent_cards": [2], "child_card": 2, "h": [[1, 0], [0, 1]], "g": [[[1, 
 
 
 @pytest.mark.parametrize(
-    "key, value, excerpt",
+    "key, value, cls, excerpt",
     [
-        ("h", [[1.5, 0], [0, 1]], "form h entry must be an integer, got 1.5"),
-        ("g", [[[0.5, 0], [0, 1]]], r"form g\[0\] entry must be an integer, got 0.5"),
-        ("h", [[float("nan"), 0], [0, 1]], "form h entry must be an integer, got nan"),
-        ("h", [["ab", 0], [0, 1]], "form h entry must be an integer, got 'ab'"),
-        ("h", [[1, 0], [0]], "form h has rows of different lengths"),
-        ("h", [1, 0], "form h row must be a list"),
-        ("g", [[[1, 0], [0, 1, 1]]], r"form g\[0\] has rows of different lengths"),
-        ("h", [[2**70, 0], [0, 1]], "form h has an entry beyond 64 bits"),
+        ("h", [[1.5, 0], [0, 1]], ParseError, "form h entry must be an integer, got 1.5"),
+        ("g", [[[0.5, 0], [0, 1]]], ParseError, r"form g\[0\] entry must be an integer, got 0.5"),
+        ("h", [[float("nan"), 0], [0, 1]], ParseError, "form h entry must be an integer, got nan"),
+        ("h", [["ab", 0], [0, 1]], ParseError, "form h entry must be an integer, got 'ab'"),
+        # the reader checks JSON types; FactorizedForm checks rows and range
+        ("h", [[1, 0], [0]], ValidationError, "^h rows must all have the same length$"),
+        ("h", [1, 0], ParseError, "form h row must be a list"),
+        ("g", [[[1, 0], [0, 1, 1]]], ValidationError, r"^g\[0\] rows must all have the same length$"),
+        ("h", [[2**70, 0], [0, 1]], ValidationError,
+         "^h entries must be integers that fit in 64 bits$"),
     ],
     ids=["fraction-h", "fraction-g", "nan", "string", "ragged-h", "flat-h", "ragged-g", "huge"],
 )
-def test_form_tables_must_hold_integers(key, value, excerpt):
+def test_form_tables_must_hold_integers(key, value, cls, excerpt):
     doc = dict(FORM, **{key: value})
-    with pytest.raises(ParseError, match=excerpt):
+    with pytest.raises(cls, match=excerpt) as e:
         parse_form(json.dumps(doc))
+    assert type(e.value) is cls
 
 
 @pytest.mark.parametrize("n_hidden", [7, 1, "two"])
@@ -541,8 +546,9 @@ def test_form_n_hidden_must_match_the_tables(n_hidden):
     # FORM's h and g have 2 columns; a wrong count used to be ignored
     with pytest.raises(ParseError, match="n_hidden"):
         parse_form(json.dumps(dict(FORM, n_hidden=n_hidden)))
+    # a g wider than h: FactorizedForm rejects it before n_hidden is read
     g_wide = dict(FORM, n_hidden=2, g=[[[1, 0, 0], [0, 1, 0]]])
-    with pytest.raises(ParseError, match=r"\[2, 3\] columns"):
+    with pytest.raises(ValidationError, match=r"^g\[0\] table has shape \(2, 3\), expected \(2, 2\)$"):
         parse_form(json.dumps(g_wide))
     assert parse_form(json.dumps(dict(FORM, n_hidden=2))).n_hidden == 2
 

@@ -582,6 +582,21 @@ def test_wrong_length_evidence_vector_raises():
                 variable_elimination(t, evidence, [0])
 
 
+def test_numpy_array_findings_answer_like_tuples():
+    """Evidence keeps each vector as given, so a finding may be a numpy
+    array; under any dtype it answers bit-equal to the tuple finding,
+    picks (a one-state finding off the query) included."""
+    tuples = {3: (0, 1), 0: (0, 1, 0), 1: (1, 1, 0)}
+    for method in ("none", "factorize"):
+        t = transform_network(det_network(), method)
+        for query in ([2], [0, 2]):
+            want = variable_elimination(t, Evidence(tuples), query).values
+            for dtype in (np.int64, np.uint8, np.float64, bool):
+                arrays = {v: np.array(vec, dtype=dtype) for v, vec in tuples.items()}
+                got = variable_elimination(t, Evidence(arrays), query).values
+                assert got.tobytes() == want.tobytes()
+
+
 def test_barren_nodes_do_not_change_the_answer():
     # alarm is barren for a query on a, b or total without evidence
     net = det_network()

@@ -85,7 +85,7 @@ CASES = [
     ("form-g-count", lambda: FactorizedForm((2,), 2, np.zeros((2, 1)), ()), ValidationError,
      "need one g table per parent"),
     ("form-g-shape", lambda: FactorizedForm((2,), 2, np.zeros((2, 1)), (np.zeros((3, 1)),)),
-     ValidationError, "g table has shape (3, 1), expected (2, 1)"),
+     ValidationError, "g[0] table has shape (3, 1), expected (2, 1)"),
     ("verify-shape",
      lambda: verify_factorization(AND2, FactorizedForm((2,), 2, np.zeros((2, 1)),
                                                        (np.zeros((2, 1)),))),
@@ -95,6 +95,8 @@ CASES = [
     ("max-empty", lambda: known_base_max([]), ValidationError, "MAX needs at least one parent"),
     ("evidence-unknown", lambda: variable_elimination(NET, Evidence({9: (1,)}), [0]),
      ValidationError, "evidence names unknown variable id 9"),
+    ("evidence-binary", lambda: variable_elimination(NET, Evidence({0: (0, 2)}), [1]),
+     ValidationError, "evidence vector for 'a' must be 0/1"),
     ("query-unknown", lambda: variable_elimination(NET, None, [9]), ValidationError,
      "query names unknown variable id 9"),
     ("star-blocks", lambda: star_family(0), ValidationError, "need at least one block"),
