@@ -22,8 +22,9 @@ import numpy as np
 
 from .errors import InternalConsistencyError, ValidationError
 from .functions import DeterministicFunction, indicator_table
+from .mbh import _cells, _level_masks, _rectangle_masks, _strides
 from .rectangles import (
-    Base, Config, Expression, Hyperrectangle, balanced_union, evaluate_expression, full_space,
+    Base, Config, Expression, Hyperrectangle, _denoted, balanced_union, full_space,
 )
 
 
@@ -55,7 +56,7 @@ class FactorizedForm:
             if gi.shape != (c, k):
                 raise ValidationError(f"g[{i}] table has shape {gi.shape}, expected ({c}, {k})")
             if (gi & ~1).any():  # a bit other than the lowest is set
-                raise ValidationError("g tables must be 0/1")
+                raise ValidationError(f"g[{i}] entries must be 0/1")
         h.flags.writeable = False
         for gi in g:
             gi.flags.writeable = False
@@ -107,11 +108,8 @@ class Verdict:
 
 def level_sets(d: DeterministicFunction) -> dict[int, frozenset[Config]]:
     """Partition the parent configurations by child state; only states
-    in the image of f appear."""
-    sets: dict[int, set[Config]] = {}
-    for cfg, y in zip(d.configurations(), d.outputs):
-        sets.setdefault(y, set()).add(cfg)
-    return {y: frozenset(s) for y, s in sorted(sets.items())}
+    in the image of f appear: the function's level masks, decoded."""
+    return {y: frozenset(_cells(m, d.parent_cards)) for y, m in _level_masks(d).items()}
 
 
 def membership_tables(
@@ -133,12 +131,14 @@ def build_factorized_form(d: DeterministicFunction, base: Base) -> FactorizedFor
     """Turn a base into explicit (h, g) tables, verified against ``d``.
 
     Every rectangle is checked against the parent cardinalities, every
-    expression is evaluated (raising on an illegal difference or
-    union), and each one must reproduce its level set exactly.
+    expression is evaluated on cell bitmasks (raising on an illegal
+    difference or union), and each one must denote its level mask
+    exactly.  :func:`verify_factorization` then checks the form as a
+    self-check of this builder.
     """
     for r in base.rectangles:
         r.check_within(d.parent_cards)
-    targets = level_sets(d)
+    targets = _level_masks(d)
     extra = set(base.expressions) - set(targets)
     if extra:
         raise ValidationError(
@@ -148,15 +148,17 @@ def build_factorized_form(d: DeterministicFunction, base: Base) -> FactorizedFor
     if missing:
         raise ValidationError(f"no expression for child states {sorted(missing)}")
 
+    strides = _strides(d.parent_cards)
+    masks = [_rectangle_masks([[dim] for dim in r.dims], strides)[0] for r in base.rectangles]
     h = np.zeros((d.child_card, base.size), dtype=np.int64)
     for state, expr in base.expressions.items():
-        denoted = evaluate_expression(expr, base.rectangles)
-        if denoted != targets[state]:
-            extra = sorted(denoted - targets[state])
-            lacks = sorted(targets[state] - denoted)
+        denoted, target = _denoted(expr, len(masks), masks.__getitem__), targets[state]
+        if denoted != target:
+            extra = _cells(denoted & ~target, d.parent_cards, 3)
+            lacks = _cells(target & ~denoted, d.parent_cards, 3)
             raise ValidationError(
                 f"expression for child state {state} does not denote its level "
-                f"set (spurious: {extra[:3]}, missing: {lacks[:3]})"
+                f"set (spurious: {extra}, missing: {lacks})"
             )
         for idx, coeff in expr.signed_counts().items():
             h[state, idx] += coeff
@@ -184,7 +186,7 @@ def verify_factorization(d: DeterministicFunction, form: FactorizedForm) -> Verd
         raise ValidationError("factorized form does not match the function's shape")
     if any(sum(map(abs, row)) >= 1 << 63 for row in form.h.tolist()):
         raise ValidationError("a row of |h| sums to 2**63 or more, beyond exact int64 sums")
-    ncells = len(d.outputs)
+    ncells = d.table.size
     width = max(1, (1 << 20) // ncells)  # a block holds about 2**20 products at most
     recon = np.zeros((d.child_card, ncells), dtype=np.int64)
     for lo in range(0, form.n_hidden, width):

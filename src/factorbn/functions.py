@@ -7,7 +7,9 @@ limit."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property, reduce
 from itertools import product as iproduct
 from typing import Callable, Iterable, Sequence
 
@@ -37,7 +39,7 @@ class DeterministicFunction:
     def __post_init__(self):
         object.__setattr__(self, "parents", tuple(self.parents))
         object.__setattr__(self, "parent_cards", tuple(self.parent_cards))
-        object.__setattr__(self, "outputs", tuple(int(o) for o in self.outputs))
+        object.__setattr__(self, "outputs", tuple(map(int, self.outputs)))
         if len(self.parents) != len(set(self.parents)):
             raise ValidationError("duplicate parent ids")
         if self.child in self.parents:
@@ -48,26 +50,29 @@ class DeterministicFunction:
             raise ValidationError("a deterministic node needs at least one parent")
         if any(c < 1 for c in self.parent_cards) or self.child_card < 1:
             raise ValidationError("cardinalities must be positive")
-        size = 1
-        for c in self.parent_cards:
-            size *= c
+        size = math.prod(self.parent_cards)
         if len(self.outputs) != size:
             raise ValidationError(
                 f"output table has {len(self.outputs)} entries, expected {size}"
             )
-        for o in self.outputs:
-            if not 0 <= o < self.child_card:
-                raise ValidationError(f"output state {o} outside child range")
+        if not 0 <= min(self.outputs) <= max(self.outputs) < self.child_card:
+            bad = next(o for o in self.outputs if not 0 <= o < self.child_card)
+            raise ValidationError(f"output state {bad} outside child range")
+
+    @cached_property
+    def table(self) -> np.ndarray:
+        """The outputs as a read-only array of shape ``parent_cards``, in the
+        smallest signed type that holds a child state, for every reader."""
+        table = np.array(self.outputs, dtype=np.min_scalar_type(-self.child_card))
+        table.flags.writeable = False
+        return table.reshape(self.parent_cards)
 
     def configurations(self) -> Iterable[tuple[int, ...]]:
         """All parent configurations in table order."""
         return iproduct(*(range(c) for c in self.parent_cards))
 
     def value(self, config: Sequence[int]) -> int:
-        idx = 0
-        for x, c in zip(config, self.parent_cards):
-            idx = idx * c + x
-        return self.outputs[idx]
+        return int(self.table[tuple(config)])
 
     @classmethod
     def from_callable(
@@ -84,8 +89,7 @@ class DeterministicFunction:
 
 def indicator_table(d: DeterministicFunction) -> np.ndarray:
     """The indicator [y == f(x)] as exact integers, axes (x1, ..., xn, y)."""
-    outputs = np.asarray(d.outputs, dtype=np.int64).reshape(d.parent_cards)
-    return (outputs[..., None] == np.arange(d.child_card)).astype(np.int64)
+    return (d.table[..., None] == np.arange(d.child_card)).astype(np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -221,30 +225,20 @@ def function_from_formula(
 
 
 # ---------------------------------------------------------------------------
-# Structure recognizers, used to pick canonical bases and to divorce parents.
+# The structure recognizer, used to pick canonical bases and to divorce parents.
 
 
-def as_conjunction(d: DeterministicFunction) -> tuple[int, ...] | None:
-    """If f is 1 on exactly one configuration of binary parents (a
-    conjunction of literals), return that configuration, else None."""
-    if d.child_card != 2 or any(c != 2 for c in d.parent_cards):
-        return None
-    ones = [cfg for cfg, y in zip(d.configurations(), d.outputs) if y == 1]
-    if len(ones) != 1:
-        return None
-    return ones[0]
-
-
-def is_add(d: DeterministicFunction) -> bool:
-    """True when f(x) = x1 + ... + xn on state indices."""
-    top = sum(c - 1 for c in d.parent_cards)
-    if d.child_card < top + 1:
-        return False
-    return all(y == sum(cfg) for cfg, y in zip(d.configurations(), d.outputs))
-
-
-def is_max(d: DeterministicFunction) -> bool:
-    """True when f(x) = max(x1, ..., xn) on state indices."""
-    if d.child_card < max(d.parent_cards):
-        return False
-    return all(y == max(cfg) for cfg, y in zip(d.configurations(), d.outputs))
+def kind_of(d: DeterministicFunction) -> tuple[tuple[int, ...] | None, bool, bool]:
+    """The closed forms f has, ``(conjunction, add, max)``, by whole-array tests on
+    ``d.table``: the cell where f is 1 if f is a conjunction of literals over binary
+    parents, else None; whether f(x) is x1 + ... + xn; whether it is max(x1, ..., xn).
+    f can be several (a one-parent identity is ADD and MAX), so callers pick in order."""
+    table, cards = d.table, d.parent_cards
+    single = d.child_card == 2 and set(cards) == {2} and np.count_nonzero(table) == 1
+    conj = tuple(int(x) for x in np.unravel_index(table.argmax(), cards)) if single else None
+    if conj and len(cards) > 1:  # 1 on one cell of several: neither a sum nor a max
+        return conj, False, False
+    axes = np.ix_(*(range(c) for c in cards))  # parent i's states along axis i
+    add = d.child_card > sum(c - 1 for c in cards) and np.array_equal(table, sum(axes))
+    maximum = d.child_card >= max(cards) and np.array_equal(table, reduce(np.maximum, axes))
+    return conj, bool(add), bool(maximum)

@@ -20,12 +20,7 @@ from .factorization import (
     known_base_conjunction,
     known_base_max,
 )
-from .functions import (
-    DeterministicFunction,
-    as_conjunction,
-    is_add,
-    is_max,
-)
+from .functions import DeterministicFunction, kind_of
 from .mbh import greedy_cover_base
 from .network import Layout, Network, Star, fresh_name
 
@@ -307,9 +302,9 @@ def variable_elimination(
 def _divorce(
     det: DeterministicFunction, variables: list[Variable], taken: set[str]
 ) -> list[DeterministicFunction]:
-    """The balanced tree of two-parent nodes that replaces a decomposable
-    node (conjunction of literals, ADD or MAX) with more than two
-    parents; empty for a node with at most two, whatever its function.
+    """The balanced tree of two-parent nodes that replaces a node of more
+    than two parents, recognized once by :func:`kind_of` as a conjunction
+    of literals, else ADD, else MAX; empty, unrecognized, for two or fewer.
 
     Inputs are paired in order, level by level, and each pair feeds a
     node applying ``&``, ``+`` or ``max`` to their values: a state's
@@ -320,9 +315,9 @@ def _divorce(
     """
     if len(det.parents) <= 2:
         return []
-    conj = as_conjunction(det)
-    op = operator.and_ if conj is not None else operator.add if is_add(det) else max
-    if op is max and not is_max(det):
+    conj, is_add, is_max = kind_of(det)
+    op = operator.and_ if conj is not None else operator.add if is_add else max
+    if op is max and not is_max:
         raise ValidationError(
             f"deterministic node for variable {det.child} is not a recognized "
             "decomposable function (conjunction of literals, ADD, MAX)"
@@ -390,16 +385,17 @@ def transform_network(net: Network, method: str) -> Network:
 
 
 def default_base(det: DeterministicFunction):
-    """A base for a deterministic node: closed forms for conjunctions
-    and MAX, otherwise a greedy per-level cover.
+    """A base for a deterministic node, recognized once by :func:`kind_of`:
+    a conjunction's closed form, else MAX's downsets over one shared
+    scale (also for a one-parent identity), else a greedy per-level cover.
 
     The greedy cover is always verified and fast; it is not minimal in
     general.  A proved-minimal base comes from ``solve_mbh``, and
     :func:`build_factorized_form` turns any base into a form.
     """
-    conj = as_conjunction(det)
+    conj, _, is_max = kind_of(det)
     if conj is not None:
         return known_base_conjunction(conj)
-    if is_max(det) and len(set(det.parent_cards)) == 1:
+    if is_max and len(set(det.parent_cards)) == 1:
         return known_base_max(det.parent_cards)
     return greedy_cover_base(det)

@@ -61,8 +61,10 @@ import time
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from math import gcd, inf
+from math import gcd, inf, prod
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .errors import BudgetExceededError, ValidationError
 from .functions import DeterministicFunction
@@ -156,12 +158,20 @@ def _strides(cards: Sequence[int]) -> tuple[int, ...]:
 
 
 def _level_masks(d: DeterministicFunction) -> dict[int, int]:
-    """The mask of each level set, by child state, ascending; only states
-    in the image of f appear.  Table order is the flattening order."""
-    masks: dict[int, int] = {}
-    for j, y in enumerate(d.outputs):
-        masks[y] = masks.get(y, 0) | 1 << j
-    return dict(sorted(masks.items()))
+    """The mask of each level set, by child state, ascending, for the states in
+    the image of f: one comparison and one bit-packing pass over ``d.table``."""
+    cells = d.table.ravel()
+    states = np.flatnonzero(np.bincount(cells))
+    rows = np.packbits(cells == states[:, None], axis=1, bitorder="little")
+    return {int(y): int.from_bytes(row.tobytes(), "little") for y, row in zip(states, rows)}
+
+
+def _cells(mask: int, cards: Sequence[int], limit: int | None = None) -> list[tuple[int, ...]]:
+    """The configurations of a mask in table order, or its first ``limit``."""
+    n = prod(cards)
+    bits = np.frombuffer(mask.to_bytes(-(-n // 8), "little"), np.uint8)
+    flat = np.flatnonzero(np.unpackbits(bits, count=n, bitorder="little"))[:limit]
+    return list(zip(*(a.tolist() for a in np.unravel_index(flat, tuple(cards)))))
 
 
 def _rectangle_masks(dim_subsets: Sequence[Sequence[tuple[int, ...]]],

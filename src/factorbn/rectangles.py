@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product as iproduct
-from typing import Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from .errors import IllegalExpressionError, ParseError, ValidationError
 
@@ -113,35 +113,33 @@ def balanced_union(parts: list[Expression]) -> Expression:
     return parts[0]
 
 
+def _denoted(expr: Expression, n_leaves: int, leaf: Callable[[int], Any]):
+    """What an expression over ``n_leaves`` rectangles denotes, from ``leaf(i)``
+    (a cell mask or a configuration set) for each leaf it names.  Raises
+    IllegalExpressionError on a difference not nested or an overlapping union."""
+    done: list = []  # finished operands, the next left one on top
+    for tok in reversed(expr.tokens):
+        if tok == "-" or tok == "+":
+            left, right = done.pop(), done.pop()
+            if tok == "-" and left | right != left:
+                raise IllegalExpressionError(
+                    "ILLEGAL_DIFFERENCE", "right operand is not contained in the left"
+                )
+            if tok == "+" and left & right:
+                raise IllegalExpressionError("ILLEGAL_UNION", "operands of a union overlap")
+            done.append(left ^ right)  # the difference or the disjoint union
+        elif tok >= n_leaves:
+            raise ValidationError(f"rectangle index {tok} out of range")
+        else:
+            done.append(leaf(tok))
+    return done[0]
+
+
 def evaluate_expression(
     expr: Expression, rectangles: Sequence[Hyperrectangle]
 ) -> frozenset[Config]:
-    """The configuration set an expression denotes, built in one pass
-    over the tokens from the last to the first.
-
-    Raises IllegalExpressionError when a difference's operands are not
-    nested (left must contain right) or a union's operands overlap.
-    """
-    done: list[frozenset[Config]] = []  # finished operands, the next left one on top
-    for tok in reversed(expr.tokens):
-        if tok == "-" or tok == "+":
-            left = done.pop()
-            right = done.pop()
-            if tok == "-":
-                if not right <= left:
-                    raise IllegalExpressionError(
-                        "ILLEGAL_DIFFERENCE", "right operand is not contained in the left"
-                    )
-                done.append(left - right)
-            elif left & right:
-                raise IllegalExpressionError("ILLEGAL_UNION", "operands of a union overlap")
-            else:
-                done.append(left | right)
-        elif tok >= len(rectangles):
-            raise ValidationError(f"rectangle index {tok} out of range")
-        else:
-            done.append(frozenset(rectangles[tok].points()))
-    return done[0]
+    """The configuration set an expression denotes (see :func:`_denoted`)."""
+    return _denoted(expr, len(rectangles), lambda i: frozenset(rectangles[i].points()))
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,10 @@ Core claims:
     - the indicator table puts exactly one 1 per parent config
     - the formula parser honours precedence !, &, |, =>, <=> and
       left-associativity, and tabulation matches direct evaluation
-    - conjunction / ADD / MAX recognizers fire only on the real thing
+    - the one recognizer, ``kind_of``, reports a conjunction, ADD and MAX
+      only on the real thing, and every kind a function has, so that a
+      one-parent identity keeps the MAX closed form and an unequal-scale
+      MAX the greedy cover
 """
 
 import random
@@ -23,12 +26,13 @@ from factorbn import (
 )
 from factorbn.functions import (
     _evaluate,
-    as_conjunction,
     formula_variables,
     indicator_table,
-    is_add,
-    is_max,
+    kind_of,
 )
+from factorbn.factorization import known_base_max
+from factorbn.inference import default_base
+from factorbn.mbh import greedy_cover_base
 
 
 def mk(cards, fn, child_card):
@@ -206,23 +210,46 @@ def test_formula_tabulation_matches_eval():
 # -- recognizers -------------------------------------------------------------
 
 
-def test_as_conjunction_finds_accepting_config():
+def test_kind_of_finds_accepting_config():
     d = mk((2, 2, 2), lambda a, b, c: int(a == 1 and b == 0 and c == 1), 2)
-    assert as_conjunction(d) == (1, 0, 1)
+    assert kind_of(d) == ((1, 0, 1), False, False)
 
 
-def test_as_conjunction_rejects_non_conjunction():
+def test_kind_of_rejects_non_conjunction():
     d = mk((2, 2), lambda a, b: a | b, 2)
-    assert as_conjunction(d) is None
+    assert kind_of(d)[0] is None
     d = mk((2, 2), lambda a, b: a + b, 3)  # not binary-valued
-    assert as_conjunction(d) is None
+    assert kind_of(d)[0] is None
 
 
-def test_is_add_and_is_max():
-    assert is_add(mk((3, 3), lambda a, b: a + b, 5))
-    assert not is_add(mk((3, 3), lambda a, b: max(a, b), 5))
-    assert is_max(mk((3, 3, 3), lambda *x: max(x), 3))
-    assert not is_max(mk((2, 2), lambda a, b: a & b, 2))
+def test_kind_of_add_and_max():
+    assert kind_of(mk((3, 3), lambda a, b: a + b, 5)) == (None, True, False)
+    assert kind_of(mk((3, 3), lambda a, b: max(a, b), 5)) == (None, False, True)
+    assert kind_of(mk((3, 3, 3), lambda *x: max(x), 3)) == (None, False, True)
+    assert kind_of(mk((2, 2), lambda a, b: a & b, 2)) == ((1, 1), False, False)
+
+
+def test_kind_of_one_parent_identity_keeps_the_max_form():
+    """A one-parent identity is ADD and MAX at once, and over a binary
+    parent a conjunction too; over a ternary one it takes MAX's
+    downsets."""
+    assert kind_of(mk((2,), lambda a: a, 2)) == ((1,), True, True)
+    d = mk((3,), lambda a: a, 3)
+    assert kind_of(d) == (None, True, True)
+    assert default_base(d) == known_base_max((3,))
+
+
+def test_kind_of_unequal_scale_max_is_still_greedy():
+    d = mk((2, 3), lambda a, b: max(a, b), 3)
+    assert kind_of(d) == (None, False, True)
+    assert default_base(d) == greedy_cover_base(d)
+
+
+def test_kind_of_multi_state_conjunction_is_none():
+    """1 on exactly one configuration is a conjunction only over binary
+    parents and a binary child."""
+    assert kind_of(mk((3, 3), lambda a, b: int(a == 2 and b == 1), 2)) == (None, False, False)
+    assert kind_of(mk((2, 2), lambda a, b: int(a == 1 and b == 0), 3))[0] is None
 
 
 def test_single_state_cardinalities_allowed():

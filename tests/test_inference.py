@@ -5,6 +5,10 @@ Core claims:
     - zero-mass evidence raises the dedicated error
     - the hidden-variable rewrite and parent divorcing both preserve
       every posterior within 1e-9 (factorization is exact in practice)
+    - each rewrite recognizes every deterministic node it splits once,
+      and a 16-parent OR or AND is rewritten, to a 2-state star or a
+      tree, without a walk over its configurations, with closed-form
+      posteriors within 1e-12
     - the rewrites have the advertised shapes: one hidden node per
       deterministic table, pairwise potentials; divorcing builds a
       balanced tree of intermediates with the right state counts, and
@@ -49,6 +53,7 @@ from factorbn import (
     Variable,
     ZeroNormalizerError,
     build_factorized_form,
+    function_from_formula,
     known_base_conjunction,
     trivial_factorization,
     variable_elimination,
@@ -61,7 +66,7 @@ from factorbn.benchcat import (
     generate_student_model,
 )
 from factorbn.cliques import min_fill_plan, moral_graph, moralize_and_triangulate
-from factorbn.functions import indicator_table
+from factorbn.functions import indicator_table, kind_of
 from factorbn.inference import default_base, transform_network
 from factorbn.network import Star
 
@@ -421,6 +426,82 @@ def test_divorce_rejects_unstructured_functions():
     net = Network(variables, cpts, (det,))
     with pytest.raises(ValidationError):
         transform_network(net, "divorce")
+
+
+# -- one recognition per node; wide nodes ------------------------------------
+
+
+@pytest.mark.parametrize("method", ["factorize", "divorce"])
+def test_each_node_is_recognized_once(method, monkeypatch):
+    """An AND of four literals, and an ADD and a MAX of three ternary
+    parents: ``kind_of`` is asked about each node once, in node order."""
+    ternary = ("0", "1", "2")
+    variables = (
+        *(binary(i, f"x{i}") for i in range(4)),
+        *(Variable(4 + i, name, ternary) for i, name in enumerate("abc")),
+        binary(7, "and4"),
+        Variable(8, "sum", tuple("0123456")),
+        Variable(9, "max", ternary),
+    )
+    cards = {v.id: v.card for v in variables}
+    cpts = tuple(cpt(i, (), cards, np.full(cards[i], 1.0 / cards[i])) for i in range(7))
+    dets = (
+        DeterministicFunction.from_callable((0, 1, 2, 3), 7, (2,) * 4, 2,
+                                            lambda *x: int(x == (1, 0, 1, 1))),
+        DeterministicFunction.from_callable((4, 5, 6), 8, (3,) * 3, 7, lambda *x: sum(x)),
+        DeterministicFunction.from_callable((4, 5, 6), 9, (3,) * 3, 3, max),
+    )
+    net = Network(variables, cpts, dets)
+    seen = []
+
+    def counting(det):
+        seen.append(det)
+        return kind_of(det)
+
+    monkeypatch.setattr(inference, "kind_of", counting)
+    transform_network(net, method)
+    assert len(seen) == len(dets) and all(a is b for a, b in zip(seen, dets))
+
+
+def wide_network(op, n=16):
+    """n independent binary roots, x_i = 1 with probability p_i, and y
+    their OR (``op`` "|") or AND ("&"), from a formula."""
+    p = [0.05 + 0.05 * i for i in range(n)]
+    variables = tuple(binary(i, f"x{i}") for i in range(n)) + (binary(n, "y"),)
+    cards = dict.fromkeys(range(n + 1), 2)
+    cpts = tuple(cpt(i, (), cards, [1 - p[i], p[i]]) for i in range(n))
+    names = [f"x{i}" for i in range(n)]
+    det = function_from_formula(range(n), n, (2,) * n, names, f" {op} ".join(names))
+    return Network(variables, cpts, (det,)), p
+
+
+@pytest.mark.parametrize("method", ["factorize", "divorce"])
+@pytest.mark.parametrize("op", ["|", "&"])
+def test_wide_or_and_match_their_closed_forms(op, method, monkeypatch):
+    net, p = wide_network(op)
+    n = len(p)
+    with monkeypatch.context() as m:  # no walk over the 2^16 configurations
+        m.setattr(DeterministicFunction, "configurations", lambda self: pytest.fail("walked"))
+        t = transform_network(net, method)
+    if method == "factorize":
+        assert not t.deterministic and [s.form.n_hidden for s in t.stars] == [2]
+    else:
+        assert not t.stars and len(t.deterministic) == n - 1
+        assert max(len(d.parents) for d in t.deterministic) == 2
+    # the closed forms: y's marginal, and x0's posterior given each y
+    if op == "|":
+        none = math.prod(1 - x for x in p)  # P(y = 0)
+        want = {(): [none, 1 - none], 0: [1.0, 0.0],
+                1: [1 - p[0] / (1 - none), p[0] / (1 - none)]}
+    else:
+        every = math.prod(p)  # P(y = 1)
+        want = {(): [1 - every, every], 1: [0.0, 1.0],
+                0: [1 - (p[0] - every) / (1 - every), (p[0] - every) / (1 - every)]}
+    got = {(): variable_elimination(t, Evidence(), [n]).values}
+    for y in (0, 1):
+        got[y] = variable_elimination(t, Evidence({n: (1 - y, y)}), [0]).values
+    for key, values in want.items():
+        assert np.abs(got[key] - values).max() < 1e-12, key
 
 
 # -- pruning and evidence slicing against brute force ------------------------

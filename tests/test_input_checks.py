@@ -86,6 +86,9 @@ CASES = [
      "need one g table per parent"),
     ("form-g-shape", lambda: FactorizedForm((2,), 2, np.zeros((2, 1)), (np.zeros((3, 1)),)),
      ValidationError, "g[0] table has shape (3, 1), expected (2, 1)"),
+    ("form-g-binary",
+     lambda: FactorizedForm((2, 2), 2, np.eye(2), (np.eye(2), [[2, 0], [0, 1]])),
+     ValidationError, "g[1] entries must be 0/1"),
     ("verify-shape",
      lambda: verify_factorization(AND2, FactorizedForm((2,), 2, np.zeros((2, 1)),
                                                        (np.zeros((2, 1)),))),
