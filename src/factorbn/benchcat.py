@@ -299,6 +299,6 @@ def star_family(blocks: int, block_parents: int = 4) -> Network:
             for cfg in np.ndindex(*(2,) * len(parents))
         ]
         dets.append(
-            DeterministicFunction(parents, y_id, (2,) * len(parents), 2, tuple(outputs))
+            DeterministicFunction(parents, y_id, (2,) * len(parents), 2, outputs)
         )
     return Network(tuple(variables), tuple(cpts), tuple(dets))

@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InternalConsistencyError, ValidationError
-from .functions import DeterministicFunction, indicator_table
+from .functions import DeterministicFunction, _int64_copy, indicator_table
 from .mbh import _cells, _level_masks, _rectangle_masks, _strides
 from .rectangles import (
     Base, Config, Expression, Hyperrectangle, _denoted, balanced_union, full_space,
@@ -75,23 +75,6 @@ class FactorizedForm:
         return self.parent_cards == other.parent_cards and all(
             np.array_equal(a, b) for a, b in pairs
         )
-
-
-def _int64_copy(values, name: str) -> np.ndarray:
-    """An int64 copy of ``values``, so the caller's array stays
-    writeable.  A ragged table, a non-numeric one, or an entry the cast
-    would change (a fraction, a NaN, an infinity, a float beyond 64
-    bits), raises."""
-    try:
-        values = np.asarray(values)
-    except ValueError:  # nested rows of different lengths
-        raise ValidationError(f"{name} rows must all have the same length") from None
-    if values.dtype.kind in "biuf":
-        with np.errstate(invalid="ignore"):  # a NaN or inf casts to garbage, caught below
-            out = values.astype(np.int64)
-        if np.array_equal(out, values):
-            return out
-    raise ValidationError(f"{name} entries must be integers that fit in 64 bits")
 
 
 @dataclass(frozen=True)
@@ -186,7 +169,7 @@ def verify_factorization(d: DeterministicFunction, form: FactorizedForm) -> Verd
         raise ValidationError("factorized form does not match the function's shape")
     if any(sum(map(abs, row)) >= 1 << 63 for row in form.h.tolist()):
         raise ValidationError("a row of |h| sums to 2**63 or more, beyond exact int64 sums")
-    ncells = d.table.size
+    ncells = d.outputs.size
     width = max(1, (1 << 20) // ncells)  # a block holds about 2**20 products at most
     recon = np.zeros((d.child_card, ncells), dtype=np.int64)
     for lo in range(0, form.n_hidden, width):
@@ -210,7 +193,7 @@ def trivial_factorization(d: DeterministicFunction) -> FactorizedForm:
     useful as a correctness baseline."""
     rects = tuple(Hyperrectangle(tuple((x,) for x in cfg)) for cfg in d.configurations())
     points: dict[int, list[Expression]] = {}
-    for b, y in enumerate(d.outputs):
+    for b, y in enumerate(d.outputs.ravel().tolist()):
         points.setdefault(y, []).append(Expression.rect(b))
     return build_factorized_form(d, Base(rects, {y: balanced_union(p) for y, p in points.items()}))
 

@@ -143,7 +143,7 @@ def _parse_function_field(fn: Any, parents, child, cards, names, where: str):
         outputs = _typed(_expect(fn, "outputs", where), list, f"{where} outputs")
         return DeterministicFunction(
             tuple(parents), child, tuple(cards[p] for p in parents), cards[child],
-            tuple(_int(o, f"{where} output") for o in outputs),
+            [_int(o, f"{where} output") for o in outputs],
         )
     if ftype == "formula":
         expr = _typed(_expect(fn, "expr", where), str, f"{where} formula")
@@ -155,11 +155,12 @@ def _parse_function_field(fn: Any, parents, child, cards, names, where: str):
     raise ParseError(f"unknown function type {ftype!r} in {where}")
 
 
-def _function_field(d: DeterministicFunction) -> dict[str, Any]:
-    """The ``function`` field that ``_parse_function_field`` reads."""
-    if d.formula is not None:
-        return {"type": "formula", "expr": d.formula}
-    return {"type": "table", "outputs": list(d.outputs)}
+def _function_field(d: DeterministicFunction, formula: str | None) -> dict[str, Any]:
+    """The ``function`` field that ``_parse_function_field`` reads: the
+    ``formula`` if given, else ``d``'s outputs table in Python ints."""
+    if formula is not None:
+        return {"type": "formula", "expr": formula}
+    return {"type": "table", "outputs": d.outputs.ravel().tolist()}
 
 
 def _declared(ids, field: str, cards: dict[int, int], where: str) -> tuple[int, ...]:
@@ -245,7 +246,8 @@ def write_network(net: Network) -> str:
             for c in net.cpts
         ],
         "deterministic": [
-            {"child": d.child, "parents": list(d.parents), "function": _function_field(d)}
+            {"child": d.child, "parents": list(d.parents),
+             "function": _function_field(d, d.formula)}
             for d in net.deterministic
         ],
     }
@@ -313,7 +315,7 @@ def write_function(d: DeterministicFunction) -> str:
     doc = {
         "parents": [{"name": f"X{i + 1}", "card": c} for i, c in enumerate(d.parent_cards)],
         "child": {"name": "Y", "card": d.child_card},
-        "function": {"type": "table", "outputs": list(d.outputs)},
+        "function": _function_field(d, None),
     }
     return _dumps(doc)
 

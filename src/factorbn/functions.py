@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import reduce
 from itertools import product as iproduct
 from typing import Callable, Iterable, Sequence
 
@@ -18,28 +18,45 @@ import numpy as np
 from .errors import ParseError, ValidationError
 
 
+def _int64_copy(values, name: str) -> np.ndarray:
+    """An int64 copy of ``values``, so the caller's array stays
+    writeable.  A ragged table, a non-numeric one, or an entry the cast
+    would change (a fraction, a NaN, an infinity, a float beyond 64
+    bits), raises."""
+    try:
+        values = np.array(values)
+    except ValueError:  # nested rows of different lengths
+        raise ValidationError(f"{name} rows must all have the same length") from None
+    if values.dtype.kind in "biuf":
+        with np.errstate(invalid="ignore"):  # a NaN or inf casts to garbage, caught below
+            out = values.astype(np.int64, copy=False)
+        if values.dtype.kind in "bi" or np.array_equal(out, values):  # "bi" casts exactly
+            return out
+    raise ValidationError(f"{name} entries must be integers that fit in 64 bits")
+
+
 @dataclass(frozen=True)
 class DeterministicFunction:
     """A child state determined by the parents: y = f(x1, ..., xn).
 
-    ``outputs`` lists the child state for every parent configuration in
-    row-major order with the first parent varying slowest.  The table
-    must be total and every entry must be a valid child state.
-    ``formula`` keeps the source text when the function came from a
-    Boolean expression.
+    ``outputs`` is given as the child state of every parent configuration,
+    in row-major order with the first parent varying slowest, and is kept
+    as one read-only array of shape ``parent_cards`` in the smallest
+    signed type that holds a child state.  The table must be total and
+    every entry an integer that is a valid child state.  ``formula`` keeps
+    the source text when the function came from a Boolean expression.
     """
 
     parents: tuple[int, ...]
     child: int
     parent_cards: tuple[int, ...]
     child_card: int
-    outputs: tuple[int, ...]
+    outputs: np.ndarray
     formula: str | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "parents", tuple(self.parents))
         object.__setattr__(self, "parent_cards", tuple(self.parent_cards))
-        object.__setattr__(self, "outputs", tuple(map(int, self.outputs)))
         if len(self.parents) != len(set(self.parents)):
             raise ValidationError("duplicate parent ids")
         if self.child in self.parents:
@@ -50,29 +67,28 @@ class DeterministicFunction:
             raise ValidationError("a deterministic node needs at least one parent")
         if any(c < 1 for c in self.parent_cards) or self.child_card < 1:
             raise ValidationError("cardinalities must be positive")
+        outputs = _int64_copy(self.outputs, "output table")
         size = math.prod(self.parent_cards)
-        if len(self.outputs) != size:
-            raise ValidationError(
-                f"output table has {len(self.outputs)} entries, expected {size}"
-            )
-        if not 0 <= min(self.outputs) <= max(self.outputs) < self.child_card:
-            bad = next(o for o in self.outputs if not 0 <= o < self.child_card)
+        if outputs.size != size:
+            raise ValidationError(f"output table has {outputs.size} entries, expected {size}")
+        if not 0 <= outputs.min() <= outputs.max() < self.child_card:
+            bad = outputs[(outputs < 0) | (outputs >= self.child_card)][0]
             raise ValidationError(f"output state {bad} outside child range")
+        outputs = outputs.astype(np.min_scalar_type(-self.child_card)).reshape(self.parent_cards)
+        outputs.flags.writeable = False
+        object.__setattr__(self, "outputs", outputs)
 
-    @cached_property
-    def table(self) -> np.ndarray:
-        """The outputs as a read-only array of shape ``parent_cards``, in the
-        smallest signed type that holds a child state, for every reader."""
-        table = np.array(self.outputs, dtype=np.min_scalar_type(-self.child_card))
-        table.flags.writeable = False
-        return table.reshape(self.parent_cards)
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, DeterministicFunction):
+            return NotImplemented
+        # the outputs' shape holds the parent cards
+        return (self.parents, self.child, self.child_card, self.formula) == (
+            other.parents, other.child, other.child_card, other.formula
+        ) and np.array_equal(self.outputs, other.outputs)
 
     def configurations(self) -> Iterable[tuple[int, ...]]:
         """All parent configurations in table order."""
         return iproduct(*(range(c) for c in self.parent_cards))
-
-    def value(self, config: Sequence[int]) -> int:
-        return int(self.table[tuple(config)])
 
     @classmethod
     def from_callable(
@@ -84,12 +100,12 @@ class DeterministicFunction:
         fn: Callable[..., int],
     ) -> "DeterministicFunction":
         outputs = [fn(*cfg) for cfg in iproduct(*(range(c) for c in parent_cards))]
-        return cls(tuple(parents), child, tuple(parent_cards), child_card, tuple(outputs))
+        return cls(tuple(parents), child, tuple(parent_cards), child_card, outputs)
 
 
 def indicator_table(d: DeterministicFunction) -> np.ndarray:
     """The indicator [y == f(x)] as exact integers, axes (x1, ..., xn, y)."""
-    return (d.table[..., None] == np.arange(d.child_card)).astype(np.int64)
+    return (d.outputs[..., None] == np.arange(d.child_card)).astype(np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -218,10 +234,7 @@ def function_from_formula(
     if unbound:
         raise ValidationError(f"formula mentions unknown variables: {sorted(unbound)}")
     table = np.broadcast_to(_evaluate(postfix, columns.__getitem__), (2,) * n)
-    return DeterministicFunction(
-        tuple(parents), child, tuple(parent_cards), 2, tuple(table.ravel().tolist()),
-        formula=text,
-    )
+    return DeterministicFunction(tuple(parents), child, tuple(parent_cards), 2, table, formula=text)
 
 
 # ---------------------------------------------------------------------------
@@ -230,10 +243,10 @@ def function_from_formula(
 
 def kind_of(d: DeterministicFunction) -> tuple[tuple[int, ...] | None, bool, bool]:
     """The closed forms f has, ``(conjunction, add, max)``, by whole-array tests on
-    ``d.table``: the cell where f is 1 if f is a conjunction of literals over binary
+    ``d.outputs``: the cell where f is 1 if f is a conjunction of literals over binary
     parents, else None; whether f(x) is x1 + ... + xn; whether it is max(x1, ..., xn).
     f can be several (a one-parent identity is ADD and MAX), so callers pick in order."""
-    table, cards = d.table, d.parent_cards
+    table, cards = d.outputs, d.parent_cards
     single = d.child_card == 2 and set(cards) == {2} and np.count_nonzero(table) == 1
     conj = tuple(int(x) for x in np.unravel_index(table.argmax(), cards)) if single else None
     if conj and len(cards) > 1:  # 1 on one cell of several: neither a sum nor a max

@@ -159,8 +159,8 @@ def _strides(cards: Sequence[int]) -> tuple[int, ...]:
 
 def _level_masks(d: DeterministicFunction) -> dict[int, int]:
     """The mask of each level set, by child state, ascending, for the states in
-    the image of f: one comparison and one bit-packing pass over ``d.table``."""
-    cells = d.table.ravel()
+    the image of f: one comparison and one bit-packing pass over ``d.outputs``."""
+    cells = d.outputs.ravel()
     states = np.flatnonzero(np.bincount(cells))
     rows = np.packbits(cells == states[:, None], axis=1, bitorder="little")
     return {int(y): int.from_bytes(row.tobytes(), "little") for y, row in zip(states, rows)}
@@ -394,12 +394,12 @@ class _Search:
         self.budget = budget
         self.deadline = deadline
         self.cards = d.parent_cards
-        self.ncells = len(d.outputs)
+        self.ncells = d.outputs.size
         self.full = (1 << self.ncells) - 1
         self.level_masks = _level_masks(d)
         self.level_rows = [_mask_row(m, self.ncells) for m in self.level_masks.values()]
         # level_of[c + 1]: the mask of the level set that holds cell c
-        self.level_of = [0] + [self.level_masks[y] for y in d.outputs]
+        self.level_of = [0] + [self.level_masks[y] for y in d.outputs.ravel().tolist()]
         self.dim_subsets: list[list[tuple[int, ...]]] = []
         self.masks: list[int] = []
         self.nodes = self.pruned = self.checked = self.impure = 0

@@ -239,7 +239,7 @@ def consistent_evidence(net, rng):
     for v in net.variables:
         cfg[v.id] = rng.randrange(v.card)
     for det in net.deterministic:
-        cfg[det.child] = det.value(tuple(cfg[p] for p in det.parents))
+        cfg[det.child] = int(det.outputs[tuple(cfg[p] for p in det.parents)])
     findings = {}
     for v in net.variables:
         if rng.random() < 0.4:

@@ -111,10 +111,8 @@ def test_fragment_outputs_are_a_conjunction_with_negated_misconception():
     (perf,) = net.deterministic
     assert (perf.parents, perf.child) == ((3, 5, 17), n)
     # fires only on skills yes, yes and misconception no
-    want = tuple(
-        int(cfg == (1, 1, 0)) for cfg in np.ndindex(2, 2, 2)
-    )
-    assert perf.outputs == want
+    want = [int(cfg == (1, 1, 0)) for cfg in np.ndindex(2, 2, 2)]
+    assert perf.outputs.ravel().tolist() == want
     answer = net.cpts[-1]
     assert (answer.child, answer.parents) == (n + 1, (n,))
     assert np.array_equal(answer.factor.values, [[0.8, 0.2], [0.1, 0.9]])

@@ -228,8 +228,8 @@ def test_trivial_factorization_small_spaces():
     # h[y, b] = [f(cfg_b) = y] and g_i[x, b] = [cfg_b[i] = x]
     for d in fns:
         form = trivial_factorization(d)
-        cfgs = list(d.configurations())
-        h = [[int(d.outputs[b] == y) for b in range(len(cfgs))] for y in range(d.child_card)]
+        cfgs, flat = list(d.configurations()), d.outputs.ravel().tolist()
+        h = [[int(flat[b] == y) for b in range(len(cfgs))] for y in range(d.child_card)]
         assert form.h.tolist() == h
         for i, c in enumerate(d.parent_cards):
             assert form.g[i].tolist() == [[int(cfg[i] == x) for cfg in cfgs] for x in range(c)]

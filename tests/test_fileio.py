@@ -114,7 +114,7 @@ def test_formula_function_round_trips():
     net = parse_network(json.dumps(doc))
     d = net.deterministic[0]
     assert d.formula == "x1 & !x2"
-    assert d.outputs == (0, 0, 1, 0)
+    assert d.outputs.ravel().tolist() == [0, 0, 1, 0]
     assert parse_network(write_network(net)) == net
 
 
@@ -250,7 +250,7 @@ def test_function_round_trip_table():
     back = parse_function(text)
     assert back.parent_cards == (3, 3)
     assert back.child_card == 5
-    assert back.outputs == d.outputs
+    assert np.array_equal(back.outputs, d.outputs)
 
 
 def test_function_round_trip_formula_and_states():
@@ -265,14 +265,14 @@ def test_function_round_trip_formula_and_states():
     }
     """
     d = parse_function(text)
-    assert d.outputs == (0, 1, 1, 1)
+    assert d.outputs.ravel().tolist() == [0, 1, 1, 1]
     assert d.formula == "rain | sprinkler"
     # a written function names its variables X1, X2 and Y, so the file
     # holds the outputs table, not the formula over rain and sprinkler
     text = write_function(d)
     assert [p["name"] for p in json.loads(text)["parents"]] == ["X1", "X2"]
     again = parse_function(text)
-    assert again.outputs == d.outputs and again.formula is None
+    assert np.array_equal(again.outputs, d.outputs) and again.formula is None
 
 
 def test_function_file_errors():
@@ -299,7 +299,7 @@ def test_function_file_names_each_variable_once():
     # the child's default name "Y" is not a declared one
     doc["parents"][1]["name"] = "Y"
     del doc["child"]["name"]
-    assert parse_function(json.dumps(doc)).outputs == (0, 0, 1, 1)
+    assert parse_function(json.dumps(doc)).outputs.ravel().tolist() == [0, 0, 1, 1]
 
 
 # -- integer fields -------------------------------------------------------------
@@ -362,11 +362,14 @@ BOOLEAN_CASES = [
      "parent 1 card"),
     (parse_form, lambda: dict(FORM), lambda d: d.update(h=[[True, False], [False, True]]),
      "form h entry"),
+    (parse_function, lambda: json.loads(json.dumps(FUNCTION_DOC)),
+     lambda d: d["function"].update(outputs=[0, 0, 0, True]), "function file output"),
 ]
 
 
 @pytest.mark.parametrize(
-    "parse, doc, build, field", BOOLEAN_CASES, ids=["id-false", "card-true", "form-h"]
+    "parse, doc, build, field", BOOLEAN_CASES,
+    ids=["id-false", "card-true", "form-h", "output-true"],
 )
 def test_json_booleans_are_not_integers(parse, doc, build, field):
     doc = doc()
@@ -420,6 +423,10 @@ def test_integral_numbers_and_decimal_strings_still_parse():
     assert parse_network(json.dumps(doc)) == parse_network(json.dumps(_network_doc()))
     form = parse_form(json.dumps(dict(FORM, h=[[1.0, "0"], [0, 1]])))
     assert form.h.tolist() == [[1, 0], [0, 1]]
+    table = {"type": "table", "outputs": [0, "0", 0.0, 1]}
+    assert parse_function(json.dumps(dict(FUNCTION_DOC, function=table))) == parse_function(
+        json.dumps(FUNCTION_DOC)
+    )
 
 
 # -- bases --------------------------------------------------------------------

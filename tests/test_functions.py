@@ -1,7 +1,8 @@
 """Deterministic tables and the Boolean formula front end.
 
 Core claims:
-    - tables are total, validated, and evaluate positionally
+    - tables are total, validated, and evaluate positionally; a node holds
+      them as one read-only array of its own and compares by value
     - the indicator table puts exactly one 1 per parent config
     - the formula parser honours precedence !, &, |, =>, <=> and
       left-associativity, and tabulation matches direct evaluation
@@ -47,8 +48,18 @@ def mk(cards, fn, child_card):
 
 def test_outputs_row_major_first_parent_slowest():
     d = mk((2, 3), lambda a, b: (a * 3 + b) % 4, 4)
-    assert d.outputs == (0, 1, 2, 3, 0, 1)
-    assert d.value((1, 2)) == 1
+    assert d.outputs.ravel().tolist() == [0, 1, 2, 3, 0, 1]
+    assert d.outputs[1, 2] == 1
+    # one read-only array, equal to a node built from any integer sequence
+    assert d.outputs.shape == (2, 3) and not d.outputs.flags.writeable
+    given = np.array([0, 1, 2, 3, 0, 1], dtype=np.int8)
+    assert d == DeterministicFunction((0, 1), 2, (2, 3), 4, given)
+    given[0] = 3  # the node keeps its own copy
+    assert d.outputs[0, 0] == 0
+    assert d != DeterministicFunction((0, 1), 2, (2, 3), 4, given)
+    assert d != DeterministicFunction((0, 1), 2, (3, 2), 4, [0, 1, 2, 3, 0, 1])
+    with pytest.raises(TypeError):  # an array does not hash
+        hash(d)
 
 
 def test_output_out_of_range_rejected():
@@ -150,8 +161,8 @@ def test_a_long_cnf_tabulates_like_python():
         for clause in clauses
     )
     d = function_from_formula(tuple(range(10)), 10, (2,) * 10, names, text)
-    assert 0 < sum(d.outputs) < 1 << 10
-    for cfg, y in zip(d.configurations(), d.outputs):
+    assert 0 < np.count_nonzero(d.outputs) < 1 << 10
+    for cfg, y in zip(d.configurations(), d.outputs.ravel().tolist()):
         assert y == all(any(cfg[v] != neg for v, neg in clause) for clause in clauses)
 
 
@@ -164,11 +175,11 @@ def test_implication_tabulation_matches_paper_example():
     d = function_from_formula(
         (0, 1, 2), 3, (2, 2, 2), ["X1", "X2", "X3"], "(X1 | X2) => (X2 & X3)"
     )
-    assert d.outputs == (1, 1, 0, 1, 0, 0, 0, 1)
+    assert d.outputs.ravel().tolist() == [1, 1, 0, 1, 0, 0, 0, 1]
     alt = function_from_formula(
         (0, 1, 2), 3, (2, 2, 2), ["X1", "X2", "X3"], "(!X1 & !X2) | (X2 & X3)"
     )
-    assert alt.outputs == d.outputs
+    assert np.array_equal(alt.outputs, d.outputs)
 
 
 def test_formula_requires_binary_parents():
@@ -204,7 +215,7 @@ def test_formula_tabulation_matches_eval():
         node = parse_formula(text)
         for cfg in iproduct((0, 1), repeat=4):
             value = _evaluate(node, dict(zip(names, cfg)).__getitem__)
-            assert type(value) is int and d.value(cfg) == value
+            assert type(value) is int and d.outputs[cfg] == value
 
 
 # -- recognizers -------------------------------------------------------------
@@ -254,4 +265,4 @@ def test_kind_of_multi_state_conjunction_is_none():
 
 def test_single_state_cardinalities_allowed():
     d = DeterministicFunction((0,), 1, (1,), 2, (1,))
-    assert d.value((0,)) == 1
+    assert d.outputs[0] == 1

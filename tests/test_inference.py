@@ -127,7 +127,7 @@ def brute_posterior(net, evidence, query):
             fam = tuple(sorted(c.parents + (c.child,)))
             w *= float(c.factor.values[tuple(cfg[v] for v in fam)])
         for d in net.deterministic:
-            w *= 1.0 if d.value(tuple(cfg[p] for p in d.parents)) == cfg[d.child] else 0.0
+            w *= 1.0 if d.outputs[tuple(cfg[p] for p in d.parents)] == cfg[d.child] else 0.0
         for p in net.potentials:
             w *= float(p.values[tuple(cfg[v] for v in p.scope)])
         for s in net.stars:

@@ -59,6 +59,14 @@ CASES = [
      ValidationError, "a deterministic node needs at least one parent"),
     ("function-card-zero", lambda: DeterministicFunction((0,), 1, (0,), 2, ()),
      ValidationError, "cardinalities must be positive"),
+    ("function-fraction", lambda: DeterministicFunction((0,), 1, (2,), 2, (0.7, 1.2)),
+     ValidationError, "output table entries must be integers that fit in 64 bits"),
+    ("function-strings", lambda: DeterministicFunction((0,), 1, (2,), 2, ("0", "1")),
+     ValidationError, "output table entries must be integers that fit in 64 bits"),
+    ("function-size", lambda: DeterministicFunction((0,), 1, (2,), 2, (0, 1, 1)),
+     ValidationError, "output table has 3 entries, expected 2"),
+    ("function-range", lambda: DeterministicFunction((0,), 1, (2,), 2, (0, 2)),
+     ValidationError, "output state 2 outside child range"),
     ("cpt-own-parent", lambda: Cpt(0, (0,), Factor((0,), (2,), HALF)), ValidationError,
      "a CPT child cannot be its own parent"),
     ("cpt-parents", lambda: Cpt(0, (1, 1), Factor((0, 1), (2, 2), np.full((2, 2), 0.5))),

@@ -210,7 +210,7 @@ def test_atom_test_is_sound_and_matches_a_cell_grouping():
                 continue
             atoms: dict[tuple[int, ...], set[int]] = {}
             for c in range(ncells):
-                atoms.setdefault(tuple(masks[i] >> c & 1 for i in subset), set()).add(d.outputs[c])
+                atoms.setdefault(tuple(masks[i] >> c & 1 for i in subset), set()).add(int(d.outputs.flat[c]))
             pure = all(len(levels) == 1 for levels in atoms.values())
             parts = [search.full]
             for i in subset:
