@@ -141,10 +141,10 @@ def _parse_function_field(fn: Any, parents, child, cards, names, where: str):
     _table_size([cards[p] for p in parents] + [cards[child]], where)
     if ftype == "table":
         outputs = _typed(_expect(fn, "outputs", where), list, f"{where} outputs")
-        return DeterministicFunction(
-            tuple(parents), child, tuple(cards[p] for p in parents), cards[child],
-            [_int(o, f"{where} output") for o in outputs],
-        )
+        if set(map(type, outputs)) != {int}:  # a table of JSON integers is read in one pass
+            outputs = [_int(o, f"{where} output") for o in outputs]
+        return DeterministicFunction(tuple(parents), child, tuple(cards[p] for p in parents),
+                                     cards[child], outputs)
     if ftype == "formula":
         expr = _typed(_expect(fn, "expr", where), str, f"{where} formula")
         if cards[child] != 2:

@@ -42,8 +42,8 @@ class DeterministicFunction:
     ``outputs`` is given as the child state of every parent configuration,
     in row-major order with the first parent varying slowest, and is kept
     as one read-only array of shape ``parent_cards`` in the smallest
-    signed type that holds a child state.  The table must be total and
-    every entry an integer that is a valid child state.  ``formula`` keeps
+    signed type, up to int64, that holds a child state.  The table must be total
+    and every entry an integer that is a valid child state.  ``formula`` keeps
     the source text when the function came from a Boolean expression.
     """
 
@@ -74,9 +74,9 @@ class DeterministicFunction:
         if not 0 <= outputs.min() <= outputs.max() < self.child_card:
             bad = outputs[(outputs < 0) | (outputs >= self.child_card)][0]
             raise ValidationError(f"output state {bad} outside child range")
-        outputs = outputs.astype(np.min_scalar_type(-self.child_card)).reshape(self.parent_cards)
+        outputs = outputs.astype(np.min_scalar_type(-min(self.child_card, 1 << 63)))
         outputs.flags.writeable = False
-        object.__setattr__(self, "outputs", outputs)
+        object.__setattr__(self, "outputs", outputs.reshape(self.parent_cards))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DeterministicFunction):

@@ -36,8 +36,8 @@ MAX_AXES = 32 if int(np.__version__.split(".")[0]) < 2 else 64
 # (CPython 3.11, numpy 2.4, 2-core VM).
 FOLD_VARS = 12
 
-# A table a query eliminates: (rank mask, each axis's rank, labels or None, values)
-Table = tuple[int, Sequence[int], Sequence[int] | None, np.ndarray]
+# A table a query eliminates: (rank mask, axis ranks, labels or None, values, lowest rank or -1)
+Table = tuple[int, Sequence[int], Sequence[int] | None, np.ndarray, int]
 Step = tuple[list, int]  # one einsum of a query's program: see _compile
 
 METHODS = ("none", "divorce", "factorize")  # the rewrites of transform_network
@@ -49,7 +49,7 @@ def _reduce(net: Network, evidence: Evidence, queryset: set[int], layout: Layout
     state out and is not a pick, then every table of ``layout`` that the
     barren rule keeps, with the picked variables indexed out.  A pick is
     a one-state finding, or a one-state variable, off the query.  A
-    table keeps its stored labels; a sliced or new one has None.
+    table keeps its stored entry; a sliced or new one has no labels.
 
     The barren rule (Zhang & Poole 1996) keeps the free potentials and
     the families whose child is an ancestor of a query variable, an
@@ -61,8 +61,7 @@ def _reduce(net: Network, evidence: Evidence, queryset: set[int], layout: Layout
     Raises ValidationError for a finding on an unknown variable, of the
     wrong length or with an entry other than 0 and 1, and
     ZeroNormalizerError for one that rules out every state."""
-    cards = net.cards
-    rank = layout.rank
+    cards, rank = net.cards, layout.rank
     # a one-state variable off the query is a pick of its one state; a
     # finding on it allows that state, so the loop below never sets it
     picks = {rank[v]: 0 for v in net._one_state if v not in queryset}
@@ -86,35 +85,21 @@ def _reduce(net: Network, evidence: Evidence, queryset: set[int], layout: Layout
         if ones == 1 and var not in queryset:
             picks[i] = vec.index(1)
         else:
-            tables.append((1 << i, (i,), None, np.asarray(vec, dtype=np.float64)))
+            tables.append((1 << i, (i,), None, np.asarray(vec, dtype=np.float64), i))
     picked = sum(1 << i for i in picks)
 
     ancestors, relevant = net.ancestor_masks, net._potential_ancestors
     for v in (*queryset, *evidence.findings):
         relevant |= ancestors[v]
-    for head, mask, scope, labels, values in layout.tables:
+    for head, table in zip(layout.heads, layout.tables):
         if head is None or relevant >> head & 1:
-            if mask & picked:
-                values = values[tuple(picks.get(i, slice(None)) for i in scope)]
-                scope = tuple(i for i in scope if i not in picks)
-                mask &= ~picked
-                labels = None
-            tables.append((mask, scope, labels, values))
+            if table[0] & picked:
+                mask, ranks, _, values, _ = table
+                values = values[tuple([picks.get(i, slice(None)) for i in ranks])]
+                ranks = [i for i in ranks if i not in picks]
+                table = (mask & ~picked, ranks, None, values, ranks[0] if ranks else -1)
+            tables.append(table)
     return tables
-
-
-def _check_width(program: list[Step], top: int) -> None:
-    """Raise ValidationError if numpy cannot run an einsum of ``program``,
-    whose labels lie below ``top`` and are distinct within each einsum."""
-    if top <= min(52, MAX_AXES):
-        return
-    for args, _ in program:
-        labels = set().union(*args[1::2])
-        if max(labels) >= 52 or len(labels) > MAX_AXES:
-            raise ValidationError(
-                f"the query needs an einsum over {len(labels)} labels, up to {max(labels)}; "
-                f"one einsum takes labels below 52, at most {min(52, MAX_AXES)} of them"
-            )
 
 
 def _compile(kept: list[Table], skip: int, label: Sequence[int], out: list[int]) -> list[Step]:
@@ -131,85 +116,98 @@ def _compile(kept: list[Table], skip: int, label: Sequence[int], out: list[int])
     A bucket is an operand list ``[slot, labels, ...]`` with the union of its
     masks.  A table, or a step's result over the rest of its union in rank
     order, waits in the bucket of its lowest rank outside ``skip`` (the last
-    bucket if none).  A bucket of one table also sums out each next live rank
-    it holds whose bucket is empty.  A bucket of three tables or more over
-    FOLD_VARS ranks or more, or of more than MAX_OPERANDS, is a left fold of
-    two-operand steps.  The last bucket is a step unless it is one table
-    labelled ``out``.  Raises ValidationError if numpy cannot run a step
-    (:func:`_check_width`)."""
-    ops: list[list] = [[] for _ in range(len(label) + 1)]  # the buckets, the last one over skip
-    held = [0] * (len(label) + 1)
-    free = ~skip
-    live = 0
-    for slot, (mask, ranks, labels, _) in enumerate(kept):
-        if labels is None or mask & skip:
+    bucket if none), so a rank whose bucket is empty when it is reached is
+    held by no table.  A bucket of one table also sums out each next rank
+    it holds while no bucket up to that rank holds a table.  A bucket of
+    three tables or more over FOLD_VARS ranks or more, or of more than
+    MAX_OPERANDS, is a left fold of two-operand steps.  The last bucket is
+    a step unless it is one table labelled ``out``.  Raises ValidationError
+    if numpy cannot run a step: a label past 51, or more labels than
+    MAX_AXES, in one einsum."""
+    n = len(label)
+    ops: list = [None] * n + [[]]  # the buckets, None while empty, and the last one over skip
+    held = [0] * (n + 1)
+    free = ((1 << n) - 1) ^ skip
+    for slot, (mask, ranks, labels, _, i) in enumerate(kept):
+        if mask & skip:  # else its stored lowest rank is its bucket
+            i = ((rest := mask & free) & -rest).bit_length() - 1
+        if labels is None or mask & skip:  # a query variable's label is not stored
             labels = [label[r] for r in ranks]
-        rest = mask & free
-        live |= rest
-        i = (rest & -rest).bit_length() - 1
-        ops[i] += slot, labels
+        if bucket := ops[i]:
+            bucket += slot, labels
+        else:
+            ops[i] = [slot, labels]
         held[i] |= mask
     program: list[Step] = []
-    first = len(kept)  # the slot of step 0's result
-    while True:
-        if live:
-            low = live & -live
-            live ^= low
-            i = low.bit_length() - 1
-            bucket, union = ops[i], held[i]
-            mask = union ^ low
-            if len(bucket) == 2:
-                while live:
-                    low = live & -live
-                    if not mask & low or ops[low.bit_length() - 1]:
-                        break
-                    mask ^= low
-                    live ^= low
-            labels = []
-            rest = mask
+    slot = len(kept)  # the slot of the next step's result
+    for i in range(n + 1):
+        bucket = ops[i]
+        if not bucket and i < n:
+            continue
+        union, size = held[i], len(bucket)
+        if i < n:
+            mask = union ^ 1 << i
+            if size == 2:
+                rest, r = mask & free, i + 1  # the buckets from i + 1 below r hold no table
+                while rest and not any(ops[r:(r := (rest & -rest).bit_length())]):
+                    mask ^= rest & -rest
+                    rest &= rest - 1
+            labels, rest, r = [], mask, -1  # r ends as the lowest rank of mask, -1 if none
             while rest:
-                bit = rest & -rest
-                rest ^= bit
-                labels.append(label[bit.bit_length() - 1])
+                r = rest.bit_length() - 1
+                rest ^= 1 << r
+                labels.append(label[r])
+            labels.reverse()
         else:
-            bucket, union, mask, labels = ops[-1], held[-1], skip, out
             if union != skip:
                 raise InternalConsistencyError(f"elimination left ranks {union:#b}, not {skip:#b}")
-            if len(bucket) == 2 and bucket[1] == out:
+            if size == 2 and bucket[1] == out:
                 break
-        if len(bucket) < 6 or len(bucket) <= 2 * MAX_OPERANDS and union.bit_count() < FOLD_VARS:
+            mask, labels = skip, out
+        if size < 6 or size <= 2 * MAX_OPERANDS and union.bit_count() < FOLD_VARS:
             bucket.append(labels)
             program.append((bucket, mask))
         else:  # a left fold, each result keeping every label it meets: each
             # table holds the bucket's rank, and each other label is in labels
-            masks = [kept[s][0] if s < first else program[s - first][1] for s in bucket[::2]]
+            masks = [kept[s][0] if s < len(kept) else program[s - len(kept)][1] for s in bucket[::2]]
             done, met, union = bucket[0], bucket[1], masks[0]
-            for k in range(2, len(bucket) - 2, 2):
+            for k in range(2, size - 2, 2):
                 joined = list(dict.fromkeys([*met, *bucket[k + 1]]))
                 union |= masks[k // 2]
                 program.append(([done, met, bucket[k], bucket[k + 1], joined], union))
-                done, met = first + len(program) - 1, joined
+                done, met, slot = slot, joined, slot + 1
             program.append(([done, met, bucket[-2], bucket[-1], labels], mask))
-        if labels is out:  # the last bucket's step
-            break
-        rest = mask & free
-        i = (rest & -rest).bit_length() - 1
-        ops[i] += first + len(program) - 1, labels
-        held[i] |= mask
-    _check_width(program, out[-1] + 1)
+        if i < n:  # the result waits in the bucket of its lowest rank outside skip
+            if mask & skip:
+                r = ((rest := mask & free) & -rest).bit_length() - 1
+            if bucket := ops[r]:
+                bucket += slot, labels
+            else:
+                ops[r] = [slot, labels]
+            held[r] |= mask
+            slot += 1
+    if out[-1] >= min(52, MAX_AXES):  # labels lie below out[-1] + 1: numpy may not take them
+        for args, _ in program:
+            labels = set().union(*args[1::2])
+            if max(labels) >= 52 or len(labels) > MAX_AXES:
+                raise ValidationError(
+                    f"the query needs an einsum over {len(labels)} labels, up to {max(labels)}; "
+                    f"one einsum takes labels below 52, at most {min(52, MAX_AXES)} of them"
+                )
     return program
 
 
 def _run(program: list[Step], values: list[np.ndarray]) -> np.ndarray:
     """The answer of ``program`` (:func:`_compile`) on the kept tables' ``values``: each
     step empties the slots it reads, so a table dies with its one reader."""
+    einsum = np.einsum
     for args, _ in program:
         args = args.copy()
         for k in range(0, len(args) - 1, 2):
             slot = args[k]
             args[k] = values[slot]
             values[slot] = None
-        values.append(np.einsum(*args))
+        values.append(einsum(*args))
     return values[-1]
 
 
@@ -244,13 +242,13 @@ def variable_elimination(
     a finite sum, as when finite potentials overflow.
     """
     evidence = evidence or Evidence()
-    query = sorted(set(query))
+    queryset = set(query)
+    query = sorted(queryset)
     for q in query:
         if not 0 <= q < len(net.variables):
             raise ValidationError(f"query names unknown variable id {q}")
     if not query:
         raise ValidationError("query must name at least one variable")
-    queryset = set(query)
     if hidden := net._hidden.intersection([*query, *evidence.findings]):
         raise ValidationError(
             f"{net.variables[min(hidden)].name!r} is the hidden variable of a factorized "
@@ -267,9 +265,9 @@ def variable_elimination(
         plan = min_fill_plan([t[0] & ~queried for t in kept], net.cards)
         rank = {v: i for i, v in enumerate((*plan.order, *query))}
         label = [*plan.labels, *[-1] * len(query)]
-        for i, (_, scope, _, values) in enumerate(kept):  # each table keeps its axes
+        for i, (_, scope, _, values, _) in enumerate(kept):  # each table keeps its axes
             ranks = [rank[v] for v in scope]
-            kept[i] = (sum(1 << r for r in ranks), ranks, None, values)
+            kept[i] = (sum(1 << r for r in ranks), ranks, None, values, min(ranks, default=-1))
     base = plan.colours
     for j, q in enumerate(query):
         label[rank[q]] = base + j
@@ -277,7 +275,7 @@ def variable_elimination(
     out = list(range(base, base + len(query)))  # the query's labels, in query order
     values = _run(_compile(kept, skip, label, out), [t[3] for t in kept])
     values = np.ascontiguousarray(values)  # so the sum below runs in C order
-    low = values.min()
+    low = float(values.min())
     if low < 0.0:
         if low < -NEGATIVE_TOLERANCE:
             raise InternalConsistencyError(
@@ -285,12 +283,12 @@ def variable_elimination(
             )
         values = np.clip(values, 0.0, None)
     with np.errstate(over="ignore"):
-        total = values.sum()
-    if not np.isfinite(total):
+        total = float(values.sum())
+    if not -np.inf < total < np.inf:  # an infinity or a NaN
         raise InternalConsistencyError(f"unnormalized marginal sums to {total}")
     if total == 0.0:
         raise ZeroNormalizerError("evidence has zero probability under the model")
-    return Factor(tuple(query), tuple(net.cards[q] for q in query), values / total)
+    return Factor(tuple(query), tuple([net.cards[q] for q in query]), values / total)
 
 
 # ---------------------------------------------------------------------------

@@ -114,16 +114,16 @@ class Star:
 class Layout(NamedTuple):
     """A network's tables arranged for elimination.
 
-    ``rank`` gives each variable's rank, and every bitmask here is over
-    ranks (bit r for the variable at rank r).  ``tables`` holds, in
-    ``Network.scope_masks`` order, one entry for every CPT, deterministic
-    node (its 0/1 indicator), free potential and star h or g table (see
-    :meth:`Star.tables`): its head (a star's child for its tables, None
-    for a free potential), its scope as a rank mask, the ranks of its
-    axes, ascending, their labels, and its values, a read-only
-    C-contiguous float64 array with the axes in that order: a view of
-    its source when that is float64 with its axes already in rank order,
-    so a star's int64 tables are converted here, once per network.
+    ``rank`` gives each variable's rank, and every other bitmask here is
+    over ranks (bit r for the variable at rank r).  ``tables`` holds, in
+    ``Network.scope_masks`` order, every CPT, deterministic node (its 0/1
+    indicator), free potential and star h or g table (:meth:`Star.tables`)
+    as an ``inference.Table``: its scope as a rank mask, its axes' ranks,
+    ascending, their labels, its values (read-only C-contiguous float64 in
+    that axis order, converted here once per network unless its source is
+    float64 in that order already, then a view of it) and its lowest rank.
+    ``heads`` holds each one's head: a star's child for its tables, None
+    for a free potential, which every query keeps.
 
     A network whose min-fill plan, a ``Plan(order, cliques, sizes,
     labels, colours)``, sums to at most ``PLAN_ONCE_ENTRIES`` entries
@@ -137,7 +137,8 @@ class Layout(NamedTuple):
 
     rank: tuple[int, ...]
     plan: Plan | None
-    tables: tuple[tuple[int | None, int, tuple[int, ...], tuple[int, ...] | None, np.ndarray], ...]
+    heads: tuple[int | None, ...]
+    tables: tuple[tuple, ...]  # each an inference.Table
 
 
 @dataclass(frozen=True)
@@ -329,16 +330,16 @@ class Network:
         sources += [(None, p.scope, p.values) for p in self.potentials]
         sources += [(s.child, scope, table) for s in self.stars for scope, table in s.tables()]
         tables = []
-        for head, scope, values in sources:
+        for _, scope, values in sources:
             ranks = [rank[v] for v in scope]
             axes = sorted(range(len(ranks)), key=ranks.__getitem__)
-            ranks.sort()
+            ranks = tuple(sorted(ranks))
             # keeps a 0-d table 0-d, and copies only to convert or reorder
             values = np.asarray(values.transpose(axes), dtype=np.float64, order="C")
             values.flags.writeable = False
             labels = None if plan is None else tuple(plan.labels[r] for r in ranks)
-            tables.append((head, sum(1 << r for r in ranks), tuple(ranks), labels, values))
-        return Layout(tuple(rank), plan, tuple(tables))
+            tables.append((sum(1 << r for r in ranks), ranks, labels, values, min(ranks, default=-1)))
+        return Layout(tuple(rank), plan, tuple(head for head, _, _ in sources), tuple(tables))
 
     def variable_by_name(self, name: str) -> Variable:
         for v in self.variables:

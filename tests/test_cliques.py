@@ -161,7 +161,7 @@ def test_triangulation_reads_scopes_without_building_tables():
         assert "layout" not in net.__dict__
         # the scopes it read are the layout's, table for table
         order = net.layout.plan.order
-        assert net.scope_masks == tuple(sum(1 << order[r] for r in t[2]) for t in net.layout.tables)
+        assert net.scope_masks == tuple(sum(1 << order[r] for r in t[1]) for t in net.layout.tables)
         assert report == moralize_and_triangulate(net)
 
 

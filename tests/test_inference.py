@@ -611,7 +611,7 @@ def test_a_potential_over_no_variables_changes_no_posterior(monkeypatch):
             got = variable_elimination(fresh, Evidence({2: (0, 1)}), q)
             want = brute_posterior(net, Evidence({2: (0, 1)}), q)
             assert np.abs(got.values - want).max() < 1e-12
-        assert fresh.layout.tables[-1][4].shape == ()
+        assert fresh.layout.tables[-1][3].shape == ()
 
 
 def test_observed_query_variable_keeps_its_axis():
@@ -715,7 +715,7 @@ def test_contract_folds_beyond_max_operands(monkeypatch):
         tables.append((scope, np.array([rng.uniform(0.5, 1.5) for _ in range(int(np.prod(shape)))]).reshape(shape)))
     assert len(tables) > inference.MAX_OPERANDS
     # each variable is its own rank and einsum label
-    kept = [(sum(1 << v for v in scope), scope, list(scope), values) for scope, values in tables]
+    kept = [(sum(1 << v for v in scope), scope, list(scope), values, scope[0]) for scope, values in tables]
     operands = []
     einsum = np.einsum
     monkeypatch.setattr(np, "einsum", lambda *args: operands.append(len(args) // 2) or einsum(*args))
@@ -1232,7 +1232,7 @@ def test_each_step_allocates_the_shape_its_program_predicts(monkeypatch):
                 continue
             (kept, label, program), = compiled
             card = {}
-            for _, ranks, _, values in kept:
+            for _, ranks, _, values, _ in kept:
                 card.update(zip(ranks, values.shape))
             assert len(calls) == len(program)
             for (args, ranks), (labels, shape) in zip(program, calls):
@@ -1428,14 +1428,16 @@ def test_layout_stores_every_table_in_plan_order():
         assert sorted(rank) == list(range(len(net.variables)))
         assert all(rank[v] == i for i, v in enumerate(layout.plan.order))
         sources = reference_tables(net)
-        assert len(layout.tables) == len(sources)
-        for kind, (head, scope, values), stored in zip(table_kinds(net), sources, layout.tables):
+        assert len(layout.tables) == len(layout.heads) == len(sources)
+        for kind, (head, scope, values), stored_head, (*stored, table, bucket) in zip(
+            table_kinds(net), sources, layout.heads, layout.tables
+        ):
             axes = sorted(range(len(scope)), key=lambda a: rank[scope[a]])
             want = np.ascontiguousarray(values.transpose(axes), dtype=np.float64)
             ranks = tuple(rank[scope[a]] for a in axes)
-            assert stored[:4] == (head, sum(1 << r for r in ranks), ranks,
-                                  tuple(layout.plan.labels[r] for r in ranks))
-            table = stored[4]
+            assert stored_head == head and bucket == min(ranks, default=-1)
+            labels = tuple(layout.plan.labels[r] for r in ranks)
+            assert stored == [sum(1 << r for r in ranks), ranks, labels]
             assert table.dtype == np.float64 and table.shape == want.shape
             assert table.flags.c_contiguous and not table.flags.writeable
             assert table.tobytes() == want.tobytes(), (kind, scope)
@@ -1468,12 +1470,12 @@ def test_layout_above_the_bound_keeps_every_table_in_id_order(monkeypatch):
         assert layout.rank == tuple(range(len(net.variables)))
         assert layout.plan is None
         sources = reference_tables(net)
-        assert len(layout.tables) == len(sources)
-        for kind, (head, scope, values), mask, stored in zip(
-            table_kinds(net), sources, net.scope_masks, layout.tables
+        assert len(layout.tables) == len(layout.heads) == len(sources)
+        for kind, (head, scope, values), mask, stored_head, (*stored, table, bucket) in zip(
+            table_kinds(net), sources, net.scope_masks, layout.heads, layout.tables
         ):
-            assert stored[:4] == (head, mask, scope, None)
-            table = stored[4]
+            assert stored_head == head and bucket == min(scope, default=-1)
+            assert stored == [mask, scope, None]
             assert table.dtype == np.float64 and table.flags.c_contiguous
             assert not table.flags.writeable
             assert table.tobytes() == np.ascontiguousarray(values, dtype=np.float64).tobytes()

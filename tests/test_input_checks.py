@@ -29,6 +29,7 @@ from factorbn import (
     known_base_conjunction,
     known_base_max,
     parse_expression,
+    solve_mbh,
     variable_elimination,
     verify_factorization,
 )
@@ -122,3 +123,14 @@ def test_each_input_check_raises_its_class_and_message(call, cls, message):
         call()
     assert type(e.value) is cls
     assert str(e.value) == message
+
+
+def test_a_child_of_more_states_than_int64_holds_keeps_an_int64_table():
+    """A child card of 2^63 or more (library input only) would take an
+    object array as its smallest type; every entry fits in 64 bits, so
+    the table is int64, and the base search reads it like any other."""
+    for card in (1 << 63, 10**30):
+        d = DeterministicFunction((0,), 1, (2,), card, (0, 1))
+        assert d.outputs.dtype == np.int64 and d.outputs.tolist() == [0, 1]
+        solution = solve_mbh(d)
+        assert solution.proved_minimal and solution.base.size == 2
