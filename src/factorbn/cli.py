@@ -38,8 +38,10 @@ from .mbh import SearchBudget, solve_mbh
 
 
 def _read(path: str) -> str:
+    """The UTF-8 text of a file; read as bytes and decoded in one call,
+    which skips the text layer's set-up."""
     try:
-        return Path(path).read_text()
+        return Path(path).read_bytes().decode()
     except (OSError, UnicodeDecodeError) as e:
         raise ValidationError(f"cannot read {path}: {e}") from e
 

@@ -53,8 +53,38 @@ _escape = json.encoder.encode_basestring_ascii
 
 def _write(obj: Any, nl: str, out: list[str]) -> None:
     """Append the JSON text of ``obj`` to ``out``; ``nl`` is a newline
-    followed by the indent of the line ``obj`` starts on."""
-    if isinstance(obj, str):
+    followed by the indent of the line ``obj`` starts on.  Containers come
+    first, and a plain int in a list or a plain str in a dict is written
+    in place, with no call of its own (a bool or a subclass takes the call)."""
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        sep = "[" + inner
+        for x in obj:
+            out.append(sep)
+            if type(x) is int:
+                out.append(int.__repr__(x))
+            else:
+                _write(x, inner, out)
+            sep = "," + inner
+        out.append(nl + "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for k, v in sorted(obj.items()):
+            out.append(sep + _escape(k) + ": ")
+            if type(v) is str:
+                out.append(_escape(v))
+            else:
+                _write(v, inner, out)
+            sep = "," + inner
+        out.append(nl + "}")
+    elif isinstance(obj, str):
         out.append(_escape(obj))
     elif obj is None:
         out.append("null")
@@ -67,28 +97,6 @@ def _write(obj: Any, nl: str, out: list[str]) -> None:
     elif isinstance(obj, float):
         # json.dumps spells NaN and the infinities
         out.append(float.__repr__(obj) if math.isfinite(obj) else json.dumps(obj))
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            out.append("[]")
-            return
-        inner = nl + "  "
-        sep = "[" + inner
-        for x in obj:
-            out.append(sep)
-            _write(x, inner, out)
-            sep = "," + inner
-        out.append(nl + "]")
-    elif isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        inner = nl + "  "
-        sep = "{" + inner
-        for k, v in sorted(obj.items()):
-            out.append(sep + _escape(k) + ": ")
-            _write(v, inner, out)
-            sep = "," + inner
-        out.append(nl + "}")
     else:
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
@@ -349,7 +357,7 @@ def parse_base(text: str) -> Base:
 
 def write_base(base: Base, extra: dict[str, Any] | None = None) -> str:
     doc: dict[str, Any] = {
-        "rectangles": [[list(dim) for dim in r.dims] for r in base.rectangles],
+        "rectangles": [r.dims for r in base.rectangles],
         "expressions": {
             str(state): format_expression(e) for state, e in base.expressions.items()
         },

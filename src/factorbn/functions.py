@@ -27,10 +27,12 @@ def _int64_copy(values, name: str) -> np.ndarray:
         values = np.array(values)
     except ValueError:  # nested rows of different lengths
         raise ValidationError(f"{name} rows must all have the same length") from None
-    if values.dtype.kind in "biuf":
+    if values.dtype.kind in "bi":  # casts exactly
+        return values.astype(np.int64, copy=False)
+    if values.dtype.kind in "uf":
         with np.errstate(invalid="ignore"):  # a NaN or inf casts to garbage, caught below
-            out = values.astype(np.int64, copy=False)
-        if values.dtype.kind in "bi" or np.array_equal(out, values):  # "bi" casts exactly
+            out = values.astype(np.int64)
+        if np.array_equal(out, values):
             return out
     raise ValidationError(f"{name} entries must be integers that fit in 64 bits")
 
@@ -71,7 +73,8 @@ class DeterministicFunction:
         size = math.prod(self.parent_cards)
         if outputs.size != size:
             raise ValidationError(f"output table has {outputs.size} entries, expected {size}")
-        if not 0 <= outputs.min() <= outputs.max() < self.child_card:
+        # one reduction: a negative entry reads as 2^63 or more unsigned
+        if not outputs.view(np.uint64).max() < min(self.child_card, 1 << 63):
             bad = outputs[(outputs < 0) | (outputs >= self.child_card)][0]
             raise ValidationError(f"output state {bad} outside child range")
         outputs = outputs.astype(np.min_scalar_type(-min(self.child_card, 1 << 63)))

@@ -288,7 +288,11 @@ def variable_elimination(
         raise InternalConsistencyError(f"unnormalized marginal sums to {total}")
     if total == 0.0:
         raise ZeroNormalizerError("evidence has zero probability under the model")
-    return Factor(tuple(query), tuple([net.cards[q] for q in query]), values / total)
+    if values.flags.owndata and values.flags.writeable:  # no table of the network
+        values /= total
+    else:  # a stored table, or a view of one
+        values = values / total
+    return Factor(tuple(query), tuple([net.cards[q] for q in query]), values)
 
 
 # ---------------------------------------------------------------------------

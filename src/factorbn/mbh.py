@@ -60,8 +60,10 @@ import itertools
 import time
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
+from itertools import accumulate
 from math import gcd, inf, prod
+from operator import or_
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -125,24 +127,14 @@ class MbhSolution:
     stats: SearchStats
 
 
-def _dim_subsets(cards: Sequence[int], budget: SearchBudget) -> list[list[tuple[int, ...]]]:
-    """The non-empty state subsets of each dimension, each list sorted
+def _dim_subsets(cards: Sequence[int]) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """The non-empty state subsets of each dimension, each sorted
     lexicographically; the canonical rectangles are their product, first
-    dimension varying slowest.  Raises when the count exceeds the cap."""
-    total = 1
-    for c in cards:
-        total *= (1 << c) - 1
-    if total > budget.max_rectangles:
-        raise BudgetExceededError(
-            f"{total} candidate rectangles exceed the cap of {budget.max_rectangles}",
-            kind="rectangles",
-        )
-    return [
-        sorted(
-            tuple(i for i in range(c) if (m >> i) & 1) for m in range(1, 1 << c)
-        )
+    dimension varying slowest."""
+    return tuple(
+        tuple(sorted(tuple(i for i in range(c) if (m >> i) & 1) for m in range(1, 1 << c)))
         for c in cards
-    ]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -159,11 +151,16 @@ def _strides(cards: Sequence[int]) -> tuple[int, ...]:
 
 def _level_masks(d: DeterministicFunction) -> dict[int, int]:
     """The mask of each level set, by child state, ascending, for the states in
-    the image of f: one comparison and one bit-packing pass over ``d.outputs``."""
+    the image of f: one comparison and one bit-packing pass over ``d.outputs``,
+    read out of one byte string, so the numpy calls do not grow with the states."""
     cells = d.outputs.ravel()
     states = np.flatnonzero(np.bincount(cells))
     rows = np.packbits(cells == states[:, None], axis=1, bitorder="little")
-    return {int(y): int.from_bytes(row.tobytes(), "little") for y, row in zip(states, rows)}
+    packed, width = rows.tobytes(), rows.shape[1]
+    return {
+        y: int.from_bytes(packed[i * width:(i + 1) * width], "little")
+        for i, y in enumerate(states.tolist())
+    }
 
 
 def _cells(mask: int, cards: Sequence[int], limit: int | None = None) -> list[tuple[int, ...]]:
@@ -389,30 +386,78 @@ def greedy_cover_base(d: DeterministicFunction) -> Base:
 # The solver.
 
 
+def _suffix(masks: Sequence[int]) -> list[int]:
+    """The union of ``masks`` from each position on, then 0 past the end."""
+    return [*accumulate(reversed(masks), or_)][::-1] + [0]
+
+
+class _Candidates:
+    """The candidate rectangles of one parent-card shape: the state
+    subsets of each dimension, the masks in canonical order, the union of
+    the masks from each position on (the pool of every candidate), and
+    each rectangle, made the first time a base holds it.  They depend on
+    the cards alone, so every function of a shape shares them."""
+
+    def __init__(self, cards: tuple[int, ...]):
+        self.dim_subsets = _dim_subsets(cards)
+        self.masks = tuple(_rectangle_masks(self.dim_subsets, _strides(cards)))
+        self.suffix = tuple(_suffix(self.masks))
+        self._rectangles: dict[int, Hyperrectangle] = {}
+
+    def rectangle(self, i: int) -> Hyperrectangle:
+        r = self._rectangles.get(i)
+        if r is None:
+            r = self._rectangles[i] = _rectangle_at(self.dim_subsets, i)
+        return r
+
+
+# The candidates of the last eight shapes solved, made once per process.
+# An entry holds a mask per candidate, so the cache holds at most eight
+# times the largest candidate list the cap lets through.
+_shape_candidates = lru_cache(maxsize=8)(_Candidates)
+
+
+def _candidates(cards: tuple[int, ...], budget: SearchBudget) -> _Candidates:
+    """The candidates of a shape.  Raises, before any is made or looked
+    up, when their count exceeds the cap."""
+    total = prod((1 << c) - 1 for c in cards)
+    if total > budget.max_rectangles:
+        raise BudgetExceededError(
+            f"{total} candidate rectangles exceed the cap of {budget.max_rectangles}",
+            kind="rectangles",
+        )
+    return _shape_candidates(cards)
+
+
 class _Search:
     def __init__(self, d: DeterministicFunction, budget: SearchBudget, deadline):
+        self.d = d
         self.budget = budget
         self.deadline = deadline
-        self.cards = d.parent_cards
         self.ncells = d.outputs.size
         self.full = (1 << self.ncells) - 1
         self.level_masks = _level_masks(d)
-        self.level_rows = [_mask_row(m, self.ncells) for m in self.level_masks.values()]
-        # level_of[c + 1]: the mask of the level set that holds cell c
-        self.level_of = [0] + [self.level_masks[y] for y in d.outputs.ravel().tolist()]
-        self.dim_subsets: list[list[tuple[int, ...]]] = []
-        self.masks: list[int] = []
+        self.candidates: _Candidates | None = None
+        self.masks: Sequence[int] = ()
+        self.class_pools: dict[int, tuple[list[int], list[int]]] = {}
         self.nodes = self.pruned = self.checked = self.impure = 0
         self.unknown = False  # a closure cap made some subset undecidable
 
     def load_candidates(self) -> None:
-        self.dim_subsets = _dim_subsets(self.cards, self.budget)
-        self.masks = _rectangle_masks(self.dim_subsets, _strides(self.cards))
+        self.candidates = _candidates(self.d.parent_cards, self.budget)
+        self.masks = self.candidates.masks
 
-    def tick(self) -> None:
-        self.nodes += 1
-        if self.deadline is not None and time.monotonic() > self.deadline:
-            raise BudgetExceededError("wall-clock budget exhausted", kind="wall")
+    @cached_property
+    def level_rows(self) -> list[list[int]]:
+        """The level indicators as integer rows, made at the first span
+        test: a row costs a shift per cell, so a wide function whose
+        candidates exceed the cap never pays for them."""
+        return [_mask_row(m, self.ncells) for m in self.level_masks.values()]
+
+    @cached_property
+    def level_of(self) -> list[int]:
+        """``level_of[c + 1]``: the mask of the level set that holds cell c."""
+        return [0, *map(self.level_masks.__getitem__, self.d.outputs.ravel().tolist())]
 
     # --- subset feasibility ------------------------------------------------
 
@@ -425,12 +470,13 @@ class _Search:
         if parts:
             self.impure += 1
             return None
-        rows = (_mask_row(self.masks[i], self.ncells) for i in subset)
+        masks = self.masks
+        rows = (_mask_row(masks[i], self.ncells) for i in subset)
         if not _in_span(_echelon(rows), self.level_rows):
             return None
         try:
             found = _closure_search(
-                [self.masks[i] for i in subset],
+                [masks[i] for i in subset],
                 set(self.level_masks.values()),
                 self.budget.max_closure,
                 self.deadline,
@@ -447,8 +493,9 @@ class _Search:
     # --- the search ----------------------------------------------------------
 
     @cached_property
-    def projective_classes(self) -> list[int]:
-        """One class label per candidate: 0 for a stripe union, and from 1
+    def projective_classes(self) -> tuple[list[int], list[list[int]]]:
+        """One class label per candidate, and the candidates of each
+        class, ascending, by label.  Label 0 is the stripe unions; from 1
         up, in order of first appearance, one label per group of
         candidates with proportional images modulo the level-set span.
 
@@ -459,31 +506,49 @@ class _Search:
         representative.  The image is zero exactly for a stripe union,
         and two images are proportional exactly when they are equal up
         to sign, normalized here by the sign of the first non-zero cell.
+        U is looked up by the representatives the rectangle holds, each
+        set of them worked out once.
         """
         levels = [(lm & -lm, lm) for lm in self.level_masks.values()]
+        reps = sum(rep for rep, _ in levels)
+        unions: dict[int, int] = {}
         keys: dict[tuple[int, int], int] = {}
-        labels = []
-        for m in self.masks:
-            union = 0
-            for rep, lm in levels:
-                if m & rep:
-                    union |= lm
-            plus, minus = m & ~union, union & ~m
-            if not plus | minus:
-                labels.append(0)
-                continue
-            first = (plus | minus) & -(plus | minus)
-            key = (minus, plus) if minus & first else (plus, minus)
-            labels.append(keys.setdefault(key, len(keys) + 1))
-        return labels
+        labels: list[int] = []
+        members: list[list[int]] = [[]]
+        for i, m in enumerate(self.masks):
+            held = m & reps
+            union = unions.get(held)
+            if union is None:
+                union = 0
+                for rep, lm in levels:
+                    if held & rep:
+                        union |= lm
+                unions[held] = union
+            diff = m ^ union
+            if diff:
+                plus, minus = m & diff, union & diff
+                key = (minus, plus) if minus & diff & -diff else (plus, minus)
+                c = keys.get(key)
+                if c is None:
+                    c = keys[key] = len(members)
+                    members.append([])
+            else:
+                c = 0
+            labels.append(c)
+            members[c].append(i)
+        return labels, members
 
     def pool(self, members: list[int]) -> tuple[list[int], list[int]]:
         """Ascending candidates and, from each position on, the union of
         their masks."""
-        suffix = [0] * (len(members) + 1)
-        for j in range(len(members) - 1, -1, -1):
-            suffix[j] = suffix[j + 1] | self.masks[members[j]]
-        return members, suffix
+        return members, _suffix([self.masks[i] for i in members])
+
+    def class_pool(self, c: int) -> tuple[list[int], list[int]]:
+        """The pool of the stripe unions and class ``c``, made once."""
+        if c not in self.class_pools:
+            members = self.projective_classes[1]
+            self.class_pools[c] = self.pool(sorted(members[0] + members[c]))
+        return self.class_pools[c]
 
     def search_size(self, k: int, lower: int):
         """The lexicographically first feasible subset of k candidates,
@@ -496,52 +561,57 @@ class _Search:
         rest of that branch draws from the zero class and that one's
         class, a pool built once per class.
         """
-        labels = self.projective_classes
-        members: dict[int, list[int]] = {0: []}
-        for i, c in enumerate(labels):
-            members.setdefault(c, []).append(i)
-        root = members[0] if k == lower else list(range(len(labels)))
-        class_pools: dict[int, tuple[list[int], list[int]]] = {}
-
-        def class_pool(c: int):
-            if c not in class_pools:
-                class_pools[c] = self.pool(sorted(members[0] + members[c]))
-            return class_pools[c]
-
+        if k == lower:
+            root = self.pool(self.projective_classes[1][0])
+        else:
+            root = range(len(self.masks)), self.candidates.suffix
+        switch = k == lower + 1
+        labels = self.projective_classes[0] if switch else ()
+        masks, full, level_of, deadline = self.masks, self.full, self.level_of, self.deadline
+        class_pool, check, monotonic = self.class_pool, self.check_subset, time.monotonic
         sel: list[int] = []
+        nodes = pruned = 0
 
         # parts: the atoms of sel that straddle level sets (see _refine)
-        def dfs(pool, suffix, start: int, acc: int, parts: list[int], switch: bool):
-            slots = k - len(sel)
+        def dfs(pool, suffix, start: int, acc: int, parts: list[int], slots: int, switch: bool):
+            nonlocal nodes, pruned
             for j in range(start, len(pool) - slots + 1):
-                self.tick()
-                if acc | suffix[j] != self.full:
-                    self.pruned += 1
+                nodes += 1
+                if deadline is not None and monotonic() > deadline:
+                    raise BudgetExceededError("wall-clock budget exhausted", kind="wall")
+                if acc | suffix[j] != full:
+                    pruned += 1
                     break  # suffixes only shrink from here on
                 i = pool[j]
-                sel.append(i)
-                m = self.masks[i]
-                nacc = acc | m
+                m = masks[i]
                 if slots == 1:
-                    if nacc == self.full:
-                        found = self.check_subset(sel, _refine(parts, m, self.level_of))
-                        if found:
-                            return tuple(sel), found
-                    else:
-                        self.pruned += 1
+                    if acc | m != full:
+                        pruned += 1
+                        continue
+                    sel.append(i)
+                    found = check(sel, _refine(parts, m, level_of))
+                    if found:
+                        return tuple(sel), found
+                    sel.pop()
+                    continue
+                sel.append(i)
+                nparts = _refine(parts, m, level_of)
+                if switch and labels[i]:
+                    cpool, csuffix = class_pool(labels[i])
+                    hit = dfs(cpool, csuffix, bisect_right(cpool, i), acc | m, nparts,
+                              slots - 1, False)
                 else:
-                    nparts = _refine(parts, m, self.level_of)
-                    if switch and labels[i]:
-                        cpool, csuffix = class_pool(labels[i])
-                        hit = dfs(cpool, csuffix, bisect_right(cpool, i), nacc, nparts, False)
-                    else:
-                        hit = dfs(pool, suffix, j + 1, nacc, nparts, switch)
-                    if hit:
-                        return hit
+                    hit = dfs(pool, suffix, j + 1, acc | m, nparts, slots - 1, switch)
+                if hit:
+                    return hit
                 sel.pop()
             return None
 
-        return dfs(*self.pool(root), 0, 0, [self.full], k == lower + 1)
+        try:
+            return dfs(*root, 0, 0, [full], k, switch)
+        finally:
+            self.nodes += nodes
+            self.pruned += pruned
 
 
 def solve_mbh(
@@ -583,7 +653,7 @@ def solve_mbh(
             if hit:
                 subset, witnesses = hit
                 base = Base(
-                    tuple(_rectangle_at(search.dim_subsets, i) for i in subset),
+                    tuple(search.candidates.rectangle(i) for i in subset),
                     {s: witnesses[m] for s, m in search.level_masks.items()},
                 )
                 break

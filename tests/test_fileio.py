@@ -637,9 +637,15 @@ def test_writer_matches_json_dumps_on_the_golden_documents(monkeypatch, tmp_path
         [float("nan"), float("inf"), -float("inf")],
         [True, False, None, 0, -7, 10**30],
         {"t": (1, (2, 3)), "n": np.float64(0.1)},
+        [True, 1],
+        [1, True],
+        [0, -1, 2**70],
+        [[], [1]],
+        [1, 1.0],
     ],
     ids=["empty-list", "empty-dict", "nested-empties", "nested-sorted", "names",
-         "floats", "non-finite", "scalars", "tuples"],
+         "floats", "non-finite", "scalars", "tuples", "bool-then-int", "int-then-bool",
+         "big-int", "empty-then-ints", "int-then-float"],
 )
 def test_writer_matches_json_dumps_on_edge_documents(doc):
     assert _dumps(doc) == _json_dumps(doc)

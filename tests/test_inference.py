@@ -614,6 +614,25 @@ def test_a_potential_over_no_variables_changes_no_posterior(monkeypatch):
         assert fresh.layout.tables[-1][3].shape == ()
 
 
+def test_normalizing_writes_into_no_table_of_the_network(monkeypatch):
+    # VE divides in place only an array it allocated: with no step the
+    # answer is the stored table itself, and a one-operand step may return
+    # a view of one; either keeps its entries for the next query
+    a, b = Variable(0, "a", ("0", "1")), Variable(1, "b", ("0", "1"))
+    lone = Network((a,), (), (), (Factor((0,), (2,), np.array([1.0, 3.0])),))
+    pair = Network((a, b), (), (), (Factor((0,), (2,), np.array([1.0, 3.0])),
+                                    Factor((0, 1), (2, 2), np.ones((2, 2)))))
+    for bound in BOUNDS:
+        monkeypatch.setattr(network, "PLAN_ONCE_ENTRIES", bound)
+        for net, q, want in ((lone, [0], [0.25, 0.75]), (pair, [0], [0.25, 0.75]),
+                             (pair, [0, 1], [[0.125, 0.125], [0.375, 0.375]])):
+            fresh = replace(net)
+            for _ in range(2):
+                assert variable_elimination(fresh, None, q).values.tolist() == want
+            stored = sorted(repr(t[3].tolist()) for t in fresh.layout.tables)
+            assert stored == sorted(repr(p.values.tolist()) for p in net.potentials)
+
+
 def test_observed_query_variable_keeps_its_axis():
     net = sprinkler_like()
     ev = Evidence({1: (0, 1), 2: (0, 1)})

@@ -21,9 +21,14 @@ Core claims:
       candidate masks built per dimension, the level-pure atom test, the
       greedy cover and the projective classes; the atom test never
       rejects a subset that the span test accepts
-    - results are deterministic across repeated runs
+    - results are deterministic across repeated runs, and the per-shape
+      candidate cache changes no golden base or counter in any solving
+      order; the rectangle cap is checked before the cache
+    - a wide function that the candidate cap stops builds none of the
+      span test's integer rows
 """
 
+import json
 import random
 import time
 from fractions import Fraction
@@ -51,6 +56,7 @@ from factorbn import (
 )
 from factorbn.errors import ValidationError
 from factorbn.mbh import (
+    _candidates,
     _closure_search,
     _dim_subsets,
     _echelon,
@@ -60,8 +66,10 @@ from factorbn.mbh import (
     _rectangle_masks,
     _refine,
     _Search,
+    _shape_candidates,
     _strides,
 )
+from test_mbh_goldens import CASES, GOLDENS, record, relabeled
 
 
 def mk(cards, fn, child_card):
@@ -79,8 +87,8 @@ def mask_of(cfgs, cards):
 
 def rectangles(cards, budget=SearchBudget()):
     """Every candidate rectangle, in the solver's canonical order."""
-    dim_subsets = _dim_subsets(cards, budget)
-    return [_rectangle_at(dim_subsets, i) for i in range(prod(map(len, dim_subsets)))]
+    candidates = _candidates(tuple(cards), budget)
+    return [candidates.rectangle(i) for i in range(len(candidates.masks))]
 
 
 def generate(target, rects, cards, max_closure=2000):
@@ -127,11 +135,12 @@ def test_enumeration_budget_names_count():
 
 @pytest.mark.parametrize("cards", [(2,), (3, 3), (2, 3, 2), (2, 2, 2, 2), (3, 3, 3)])
 def test_candidate_masks_match_the_rectangles(cards):
-    dim_subsets = _dim_subsets(cards, SearchBudget())
+    dim_subsets = _dim_subsets(cards)
     rects = [Hyperrectangle(dims) for dims in product(*dim_subsets)]
     masks = _rectangle_masks(dim_subsets, _strides(cards))
     assert masks == [mask_of(r.points(), cards) for r in rects]
     assert rectangles(cards) == rects
+    assert [_rectangle_at(dim_subsets, i) for i in range(len(rects))] == rects
 
 
 # -- the span test against a rational-rank oracle ----------------------------
@@ -287,12 +296,11 @@ def test_greedy_cover_and_classes_match_set_based_references():
         assert [r.dims for r in base.rectangles] == list(dict.fromkeys(dims))
         search = _Search(d, SearchBudget(), None)
         search.load_candidates()
-        groups = {}
-        for i, label in enumerate(search.projective_classes):
-            groups.setdefault(label, []).append(i)
-        assert (groups.pop(0, []), list(groups.values())) == reference_projective_classes(
+        labels, members = search.projective_classes
+        assert (members[0], members[1:]) == reference_projective_classes(
             search.masks, search.level_masks, search.ncells
         )
+        assert all(i in members[c] for i, c in enumerate(labels))
 
 
 # -- an independent closure oracle -------------------------------------------
@@ -553,7 +561,7 @@ def test_span_feasible_subset_can_be_closure_infeasible():
     sol = solve_mbh(d)
     assert sol.proved_minimal and sol.base.size == 4
     assert {r.dims for r in sol.base.rectangles} != {
-        _rectangle_at(search.dim_subsets, i).dims for i in subset}
+        search.candidates.rectangle(i).dims for i in subset}
 
 
 def test_binary_add_minimum_is_three_with_oracle():
@@ -632,7 +640,7 @@ def reference_first_base(d):
                                  search.level_rows)
                     and len(_closure_search([masks[i] for i in subset], set(levels), inf, None))
                     == len(levels)):
-                return tuple(_rectangle_at(search.dim_subsets, i) for i in subset)
+                return tuple(search.candidates.rectangle(i) for i in subset)
     raise AssertionError("no base found at all")
 
 
@@ -691,6 +699,28 @@ def test_rectangle_cap_propagates_with_best_effort_answer():
     assert sol.stats.rectangles_enumerated == 0
     assert sol.stats.nodes_expanded == 0
     assert sol.stats.cap == "rectangles"
+
+
+@pytest.mark.parametrize(
+    "name, fn", [("parity12", lambda *x: sum(x) % 2), ("or16", lambda *x: int(any(x)))]
+)
+def test_a_capped_wide_function_builds_no_integer_rows(name, fn, monkeypatch):
+    # the integer rows of the span test cost a shift per cell each, so
+    # they wait for the first span test: when the candidate cap ends the
+    # search, as on these 4096- and 65536-cell functions, none is built
+    n = int(name[-2:])
+    rows = []
+
+    def counted(mask, ncells):
+        rows.append(mask)
+        return _mask_row(mask, ncells)
+
+    monkeypatch.setattr("factorbn.mbh._mask_row", counted)
+    d = mk((2,) * n, fn, 2)
+    sol = solve_mbh(d)
+    assert rows == []
+    assert sol.stats.cap == "rectangles" and not sol.proved_minimal
+    assert sol.base == greedy_cover_base(d)
 
 
 def test_greedy_cover_is_built_only_as_fallback(monkeypatch):
@@ -832,6 +862,31 @@ def test_solver_deterministic_across_runs():
     assert [format_expression(e) for e in a.base.expressions.values()] == [
         format_expression(e) for e in b.base.expressions.values()
     ]
+
+
+def test_the_shape_cache_changes_no_golden():
+    # a shape's candidates are made once per process and shared by every
+    # function of that shape: the goldens, solved twice from a cold cache
+    # in two shuffled orders, keep their bytes and counters each time
+    goldens = json.loads(GOLDENS.read_text())
+    _shape_candidates.cache_clear()
+    for seed in (1, 2):
+        order = list(CASES)
+        random.Random(seed).shuffle(order)
+        for case in order:
+            name, k = case.split("/")
+            assert record(relabeled(name, int(k))) == goldens[case], case
+    assert _shape_candidates.cache_info().hits >= len(CASES)
+    # the cap is checked before the cache, so a shape already solved
+    # still raises, with the same message
+    d = mk((3, 3), lambda a, b: a + b, 5)
+    assert solve_mbh(d).proved_minimal
+    with pytest.raises(BudgetExceededError) as e:
+        _candidates((3, 3), SearchBudget(max_rectangles=48))
+    assert str(e.value) == "49 candidate rectangles exceed the cap of 48"
+    assert e.value.kind == "rectangles"
+    sol = solve_mbh(d, SearchBudget(max_rectangles=48))
+    assert (sol.stats.cap, sol.stats.rectangles_enumerated) == ("rectangles", 0)
 
 
 # -- greedy cover ------------------------------------------------------------
