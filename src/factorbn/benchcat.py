@@ -127,6 +127,8 @@ def canonical_tasks(spec: StudentModelSpec, count: int, seed: int) -> list[TaskS
     tasks = []
     for _ in range(count):
         k = rng.randint(3, 5)
+        if k > len(spec.skill_ids):
+            raise ValidationError(f"a task needs {k} skills; the model has {len(spec.skill_ids)}")
         skills = tuple(sorted(rng.sample(spec.skill_ids, k)))
         mis = rng.choice(spec.misconception_ids)
         tasks.append(TaskSpec(skills, mis))
@@ -196,7 +198,9 @@ def _check_task_count(k: int, orderings: str | int) -> None:
         raise ValidationError("the benchmark needs at least one task")
     if orderings == "all" and k > 8:
         raise ValidationError("orderings='all' supports at most 8 tasks; sample instead")
-    if orderings != "all" and int(orderings) < 1:
+    if orderings != "all" and not isinstance(orderings, int):
+        raise ValidationError(f"orderings must be 'all' or an int, got {orderings!r}")
+    if orderings != "all" and orderings < 1:
         raise ValidationError("ordering sample count must be positive")
 
 
@@ -227,7 +231,7 @@ def run_clique_benchmark(
             for r in range(k + 1)
         ]
     else:
-        used = int(orderings)
+        used = orderings
         rng = random.Random(seed)
         # each distinct ordering is kept once, with its count: memory
         # grows with the distinct orderings drawn, at most k!, not with M

@@ -296,28 +296,49 @@ def variable_elimination(
 
 
 # ---------------------------------------------------------------------------
-# The rewrites.  Each step turns one deterministic node into variables
-# appended to ``variables`` (named by ``fresh_name`` against ``taken``)
-# and the star or nodes that replace it.
+# The rewrites.
 
 
-def _divorce(
-    det: DeterministicFunction, variables: list[Variable], taken: set[str]
-) -> list[DeterministicFunction]:
-    """The balanced tree of two-parent nodes that replaces a node of more
-    than two parents, recognized once by :func:`kind_of` as a conjunction
-    of literals, else ADD, else MAX; empty, unrecognized, for two or fewer.
+def _rewrite(
+    det: DeterministicFunction, method: str, variables: list[Variable], taken: set[str]
+) -> DeterministicFunction | list[DeterministicFunction] | Star:
+    """The rewrite of one deterministic node under ``divorce`` or
+    ``factorize``; each new variable is appended to ``variables``, named
+    by ``fresh_name`` against ``taken``.  ``divorce`` keeps a node of two
+    parents or fewer, whatever its function, and returns it unrecognized.
+    Any other node is recognized once by :func:`kind_of`.
 
-    Inputs are paired in order, level by level, and each pair feeds a
-    node applying ``&``, ``+`` or ``max`` to their values: a state's
-    index, or for a conjunction's own parents whether the literal
-    holds.  A partial result gets ``max(outputs) + 1`` states; the last
-    pair feeds the original child.  The joint over the original
-    variables is preserved exactly.
+    ``factorize`` returns the node's :class:`~factorbn.network.Star`, its
+    form verified, over a conjunction's closed form, else MAX's downsets
+    over one shared scale (also for a one-parent identity), else the
+    greedy per-level cover, which is fast but not minimal in general.
+    The hidden variable B (``B_<child>``, one state per rectangle) is
+    appended last, so it is the higher id in each of the star's tables.
+
+    ``divorce`` returns the balanced tree of two-parent nodes that
+    replaces a conjunction of literals, else ADD, else MAX, and raises
+    ValidationError for any other function.  Inputs are paired in order,
+    level by level, into nodes applying ``&``, ``+`` or ``max`` to their
+    values: a state's index, or for a conjunction's parents whether the
+    literal holds.  A partial result gets ``max(outputs) + 1`` states;
+    the last pair feeds the original child, so the joint over the
+    original variables is preserved exactly.
     """
-    if len(det.parents) <= 2:
-        return []
+    if method == "divorce" and len(det.parents) <= 2:
+        return det
     conj, is_add, is_max = kind_of(det)
+    stem = variables[det.child].name
+    if method == "factorize":
+        if conj is not None:
+            base = known_base_conjunction(conj)
+        elif is_max and len(set(det.parent_cards)) == 1:
+            base = known_base_max(det.parent_cards)
+        else:
+            base = greedy_cover_base(det)
+        form = build_factorized_form(det, base)
+        states = tuple(f"b{i}" for i in range(form.n_hidden))
+        variables.append(Variable(len(variables), fresh_name(f"B_{stem}", taken), states))
+        return Star(det.child, det.parents, len(variables) - 1, form)
     op = operator.and_ if conj is not None else operator.add if is_add else max
     if op is max and not is_max:
         raise ValidationError(
@@ -327,7 +348,6 @@ def _divorce(
     slots = [(p, range(card)) for p, card in zip(det.parents, det.parent_cards)]
     if conj is not None:  # int(x == literal) over a binary parent
         slots = [(p, (1 - lit, lit)) for p, lit in zip(det.parents, conj)]
-    stem = variables[det.child].name
     nodes: list[DeterministicFunction] = []
     while len(slots) > 1:
         root = len(slots) == 2
@@ -349,17 +369,13 @@ def _divorce(
 def transform_network(net: Network, method: str) -> Network:
     """Apply one method to every deterministic node of the network.
 
-    ``none`` returns the network unchanged.  ``factorize`` replaces each
-    deterministic node by a :class:`~factorbn.network.Star` holding its
-    verified form, built from :func:`default_base` below, and by the
-    hidden variable B (``B_<child>``, one state per rectangle),
-    appended last, so it is the higher id in each of the star's tables.
-    No potential is added.  ``divorce`` splits each node with more than
-    two parents into a tree of two-parent nodes, and rejects such a node
-    that is not decomposable; a node with at most two parents stays as
-    it is, whatever its function.  The nodes a method leaves alone keep
-    their place; the new variables, nodes and stars are appended in node
-    order, and the network is built and validated once.
+    ``none`` returns the network itself.  ``factorize`` replaces each
+    deterministic node by a :class:`~factorbn.network.Star` and its
+    hidden variable; ``divorce`` splits a node of more than two parents
+    into a tree of two-parent nodes.  :func:`_rewrite` is the step for
+    one node.  The nodes a method keeps stay in place, the new variables,
+    nodes and stars are appended in node order, and the network is built
+    and validated once.
     """
     if method not in METHODS:
         raise ValidationError(f"unknown transform {method!r}")
@@ -371,33 +387,13 @@ def transform_network(net: Network, method: str) -> Network:
     added: list[DeterministicFunction] = []
     stars = list(net.stars)
     for det in net.deterministic:
-        if method == "factorize":
-            form = build_factorized_form(det, default_base(det))
-            stars.append(Star(det.child, det.parents, len(variables), form))
-            name = fresh_name(f"B_{variables[det.child].name}", taken)
-            states = tuple(f"b{i}" for i in range(form.n_hidden))
-            variables.append(Variable(len(variables), name, states))
-        elif nodes := _divorce(det, variables, taken):
-            added += nodes
-        else:
+        done = _rewrite(det, method, variables, taken)
+        if done is det:
             kept.append(det)
+        elif isinstance(done, Star):
+            stars.append(done)
+        else:
+            added += done
     return Network(
         tuple(variables), net.cpts, tuple(kept + added), net.potentials, tuple(stars)
     )
-
-
-def default_base(det: DeterministicFunction):
-    """A base for a deterministic node, recognized once by :func:`kind_of`:
-    a conjunction's closed form, else MAX's downsets over one shared
-    scale (also for a one-parent identity), else a greedy per-level cover.
-
-    The greedy cover is always verified and fast; it is not minimal in
-    general.  A proved-minimal base comes from ``solve_mbh``, and
-    :func:`build_factorized_form` turns any base into a form.
-    """
-    conj, _, is_max = kind_of(det)
-    if conj is not None:
-        return known_base_conjunction(conj)
-    if is_max and len(set(det.parent_cards)) == 1:
-        return known_base_max(det.parent_cards)
-    return greedy_cover_base(det)

@@ -19,9 +19,14 @@ import numpy as np
 import pytest
 
 from factorbn import (
+    Cpt,
     DeterministicFunction,
+    Factor,
+    Network,
     ParseError,
     ValidationError,
+    Variable,
+    build_factorized_form,
     function_from_formula,
     parse_formula,
 )
@@ -32,7 +37,7 @@ from factorbn.functions import (
     kind_of,
 )
 from factorbn.factorization import known_base_max
-from factorbn.inference import default_base
+from factorbn.inference import transform_network
 from factorbn.mbh import greedy_cover_base
 
 
@@ -41,6 +46,16 @@ def mk(cards, fn, child_card):
     return DeterministicFunction.from_callable(
         tuple(range(n)), n, tuple(cards), child_card, fn
     )
+
+
+def factorized_form(d):
+    """The form of the star that ``factorize`` makes of ``d`` (from
+    ``mk``), under uniform roots."""
+    cards = (*d.parent_cards, d.child_card)
+    variables = tuple(Variable(i, f"v{i}", tuple(map(str, range(c)))) for i, c in enumerate(cards))
+    cpts = tuple(Cpt(i, (), Factor((i,), (c,), np.full(c, 1.0 / c))) for i, c in enumerate(cards[:-1]))
+    (star,) = transform_network(Network(variables, cpts, (d,)), "factorize").stars
+    return star.form
 
 
 # -- tables ------------------------------------------------------------------
@@ -247,13 +262,13 @@ def test_kind_of_one_parent_identity_keeps_the_max_form():
     assert kind_of(mk((2,), lambda a: a, 2)) == ((1,), True, True)
     d = mk((3,), lambda a: a, 3)
     assert kind_of(d) == (None, True, True)
-    assert default_base(d) == known_base_max((3,))
+    assert factorized_form(d) == build_factorized_form(d, known_base_max((3,)))
 
 
 def test_kind_of_unequal_scale_max_is_still_greedy():
     d = mk((2, 3), lambda a, b: max(a, b), 3)
     assert kind_of(d) == (None, False, True)
-    assert default_base(d) == greedy_cover_base(d)
+    assert factorized_form(d) == build_factorized_form(d, greedy_cover_base(d))
 
 
 def test_kind_of_multi_state_conjunction_is_none():

@@ -67,7 +67,8 @@ from factorbn.benchcat import (
 )
 from factorbn.cliques import min_fill_plan, moral_graph, moralize_and_triangulate
 from factorbn.functions import indicator_table, kind_of
-from factorbn.inference import default_base, transform_network
+from factorbn.inference import transform_network
+from factorbn.mbh import greedy_cover_base
 from factorbn.network import Star
 
 
@@ -278,7 +279,7 @@ def test_unknown_method_rejected():
 def test_factorize_adds_hidden_variable_and_pairwise_potentials():
     net = det_network()
     det = net.deterministic[0]
-    form = build_factorized_form(det, default_base(det))
+    form = build_factorized_form(det, greedy_cover_base(det))
     t = transform_network(net, "factorize")
     assert len(t.variables) == len(net.variables) + 1
     hidden = t.variables[-1]
@@ -428,13 +429,69 @@ def test_divorce_rejects_unstructured_functions():
         transform_network(net, "divorce")
 
 
+def sweep_network(rng):
+    """One deterministic node y of 1-5 parents, each of 1-3 states, under
+    seeded root CPTs, and a noisy binary child of y.  y is a conjunction
+    of literals over binary parents, ADD, MAX or a seeded random table."""
+    n = rng.randint(1, 5)
+    kind = rng.choice(("conj", "add", "max", "table"))
+    pcards = (2,) * n if kind == "conj" else tuple(rng.choice((1, 2, 3)) for _ in range(n))
+    cells = list(iproduct(*map(range, pcards)))
+    if kind == "table":
+        card = rng.choice((1, 2, 3))
+        outputs = [rng.randrange(card) for _ in cells]
+    else:
+        lits = tuple(rng.randint(0, 1) for _ in range(n))
+        f = {"conj": lambda x: int(x == lits), "add": sum, "max": max}[kind]
+        outputs = [f(x) for x in cells]
+        card = max(outputs) + 1
+    cards = dict(enumerate((*pcards, card, 2)))
+    variables = tuple(Variable(i, f"v{i}", tuple(map(str, range(c)))) for i, c in cards.items())
+    weights = [[rng.uniform(0.1, 1.0) for _ in range(c)] for c in pcards]
+    cpts = [cpt(i, (), cards, np.divide(w, sum(w))) for i, w in enumerate(weights)]
+    noisy = [[1 - p, p] for p in (rng.uniform(0.1, 0.9) for _ in range(card))]
+    cpts.append(cpt(n + 1, (n,), cards, noisy))
+    det = DeterministicFunction(tuple(range(n)), n, pcards, card, outputs)
+    return Network(variables, tuple(cpts), (det,))
+
+
+def test_rewrites_keep_posteriors_at_every_parent_count():
+    """On 60 seeded one-node networks, every parent's and the node's
+    posterior, with and without its noisy child observed, is that of
+    ``none`` within 1e-9 under ``factorize``, and under ``divorce`` unless
+    divorce rejects the node: exactly where it has more than two parents
+    and ``kind_of`` finds no conjunction, ADD or MAX."""
+    rng = random.Random(40)
+    compared = rejected = 0
+    for _ in range(60):
+        net = sweep_network(rng)
+        (det,) = net.deterministic
+        n = len(det.parents)
+        evidences = (Evidence(), Evidence({n + 1: (0, 1)}))
+        want = [[variable_elimination(net, ev, [v]).values for v in range(n + 1)] for ev in evidences]
+        for method in ("factorize", "divorce"):
+            if method == "divorce" and n > 2 and kind_of(det) == (None, False, False):
+                with pytest.raises(ValidationError):
+                    transform_network(net, method)
+                rejected += 1
+                continue
+            t = transform_network(net, method)
+            for ev, wanted in zip(evidences, want):
+                for v in range(n + 1):
+                    assert np.abs(variable_elimination(t, ev, [v]).values - wanted[v]).max() < 1e-9
+                    compared += 1
+    assert compared > 500 and rejected > 0
+
+
 # -- one recognition per node; wide nodes ------------------------------------
 
 
 @pytest.mark.parametrize("method", ["factorize", "divorce"])
 def test_each_node_is_recognized_once(method, monkeypatch):
-    """An AND of four literals, and an ADD and a MAX of three ternary
-    parents: ``kind_of`` is asked about each node once, in node order."""
+    """An AND of four literals, an ADD and a MAX of three ternary parents,
+    a one-parent identity and a two-parent XOR: ``factorize`` asks
+    ``kind_of`` about each node once, in node order, and ``divorce`` about
+    the first three only, and keeps the last two as they are."""
     ternary = ("0", "1", "2")
     variables = (
         *(binary(i, f"x{i}") for i in range(4)),
@@ -442,6 +499,8 @@ def test_each_node_is_recognized_once(method, monkeypatch):
         binary(7, "and4"),
         Variable(8, "sum", tuple("0123456")),
         Variable(9, "max", ternary),
+        Variable(10, "copy", ternary),
+        binary(11, "xor"),
     )
     cards = {v.id: v.card for v in variables}
     cpts = tuple(cpt(i, (), cards, np.full(cards[i], 1.0 / cards[i])) for i in range(7))
@@ -450,6 +509,8 @@ def test_each_node_is_recognized_once(method, monkeypatch):
                                             lambda *x: int(x == (1, 0, 1, 1))),
         DeterministicFunction.from_callable((4, 5, 6), 8, (3,) * 3, 7, lambda *x: sum(x)),
         DeterministicFunction.from_callable((4, 5, 6), 9, (3,) * 3, 3, max),
+        DeterministicFunction.from_callable((4,), 10, (3,), 3, lambda a: a),
+        DeterministicFunction.from_callable((0, 1), 11, (2, 2), 2, lambda a, b: a ^ b),
     )
     net = Network(variables, cpts, dets)
     seen = []
@@ -459,8 +520,11 @@ def test_each_node_is_recognized_once(method, monkeypatch):
         return kind_of(det)
 
     monkeypatch.setattr(inference, "kind_of", counting)
-    transform_network(net, method)
-    assert len(seen) == len(dets) and all(a is b for a, b in zip(seen, dets))
+    t = transform_network(net, method)
+    recognized = dets if method == "factorize" else dets[:3]
+    assert len(seen) == len(recognized) and all(a is b for a, b in zip(seen, recognized))
+    if method == "divorce":  # the kept nodes come first
+        assert all(a is b for a, b in zip(t.deterministic[:2], dets[3:]))
 
 
 def wide_network(op, n=16):

@@ -3,8 +3,9 @@
 Core claims:
     - each library precondition on variables, factors, functions, CPTs,
       networks, rectangles, bases, expressions, factorized forms,
-      closed-form bases, inference calls and the star family raises
-      exactly its class with exactly its message
+      closed-form bases, inference calls, the star family and the CAT
+      benchmark's task draws and ordering counts raises exactly its
+      class with exactly its message
     - the file readers' checks are pinned with their inputs in
       test_fileio
 """
@@ -33,7 +34,13 @@ from factorbn import (
     variable_elimination,
     verify_factorization,
 )
-from factorbn.benchcat import star_family
+from factorbn.benchcat import (
+    StudentModelSpec,
+    TaskSpec,
+    canonical_tasks,
+    run_clique_benchmark,
+    star_family,
+)
 
 BIT = ("no", "yes")
 HALF = np.array([0.5, 0.5])
@@ -114,6 +121,10 @@ CASES = [
     ("star-blocks", lambda: star_family(0), ValidationError, "need at least one block"),
     ("star-parents", lambda: star_family(1, 1), ValidationError,
      "need at least two parents per block"),
+    ("tasks-skills", lambda: canonical_tasks(StudentModelSpec(1, node_count=4), 3, 1),
+     ValidationError, "a task needs 4 skills; the model has 3"),
+    ("orderings-type", lambda: run_clique_benchmark(NET, [TaskSpec((0,))], "sample:3"),
+     ValidationError, "orderings must be 'all' or an int, got 'sample:3'"),
 ]
 
 
