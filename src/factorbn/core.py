@@ -18,6 +18,25 @@ import numpy as np
 from .errors import ValidationError
 
 
+def _int64_copy(values, name: str) -> np.ndarray:
+    """An int64 copy of ``values``, so the caller's array stays
+    writeable.  A ragged table, a non-numeric one, or an entry the cast
+    would change (a fraction, a NaN, an infinity, a float beyond 64
+    bits), raises."""
+    try:
+        values = np.array(values)
+    except ValueError:  # nested rows of different lengths
+        raise ValidationError(f"{name} rows must all have the same length") from None
+    if values.dtype.kind in "bi":  # casts exactly
+        return values.astype(np.int64, copy=False)
+    if values.dtype.kind in "uf":
+        with np.errstate(invalid="ignore"):  # a NaN or inf casts to garbage, caught below
+            out = values.astype(np.int64)
+        if np.array_equal(out, values):
+            return out
+    raise ValidationError(f"{name} entries must be integers that fit in 64 bits")
+
+
 @dataclass(frozen=True)
 class Variable:
     """A finite-domain variable: an integer id, a name, and state labels."""
@@ -110,5 +129,6 @@ class Evidence:
     findings: Mapping[int, tuple[int, ...]] = field(default_factory=dict)
 
     def __post_init__(self):
-        findings = {int(v): tuple(vec) for v, vec in self.findings.items()}
+        ids = _int64_copy(list(self.findings), "evidence variable id").tolist()
+        findings = dict(zip(ids, map(tuple, self.findings.values())))
         object.__setattr__(self, "findings", findings)

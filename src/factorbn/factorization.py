@@ -20,8 +20,9 @@ from typing import Sequence
 
 import numpy as np
 
+from .core import _int64_copy
 from .errors import InternalConsistencyError, ValidationError
-from .functions import DeterministicFunction, _int64_copy, indicator_table
+from .functions import DeterministicFunction, indicator_table
 from .mbh import _cells, _level_masks, _rectangle_masks, _strides
 from .rectangles import (
     Base, Config, Expression, Hyperrectangle, _denoted, balanced_union, full_space,
@@ -209,7 +210,7 @@ def known_base_conjunction(required: Sequence[int]) -> Base:
     the full space plus the one accepting point; the false level set is
     their proper difference.
     """
-    required = tuple(int(r) for r in required)
+    required = tuple(_int64_copy(required, "conjunction literal").tolist())
     if not required:
         raise ValidationError("a conjunction needs at least one literal")
     if any(r not in (0, 1) for r in required):
@@ -228,7 +229,7 @@ def known_base_max(parent_cards: Sequence[int]) -> Base:
     Rectangle k is the downset {0..k} in every dimension; level set k
     is the difference of consecutive downsets.
     """
-    cards = tuple(int(c) for c in parent_cards)
+    cards = tuple(_int64_copy(parent_cards, "parent card").tolist())
     if not cards:
         raise ValidationError("MAX needs at least one parent")
     if len(set(cards)) != 1:

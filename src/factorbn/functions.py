@@ -15,26 +15,8 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from .core import _int64_copy
 from .errors import ParseError, ValidationError
-
-
-def _int64_copy(values, name: str) -> np.ndarray:
-    """An int64 copy of ``values``, so the caller's array stays
-    writeable.  A ragged table, a non-numeric one, or an entry the cast
-    would change (a fraction, a NaN, an infinity, a float beyond 64
-    bits), raises."""
-    try:
-        values = np.array(values)
-    except ValueError:  # nested rows of different lengths
-        raise ValidationError(f"{name} rows must all have the same length") from None
-    if values.dtype.kind in "bi":  # casts exactly
-        return values.astype(np.int64, copy=False)
-    if values.dtype.kind in "uf":
-        with np.errstate(invalid="ignore"):  # a NaN or inf casts to garbage, caught below
-            out = values.astype(np.int64)
-        if np.array_equal(out, values):
-            return out
-    raise ValidationError(f"{name} entries must be integers that fit in 64 bits")
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import Evidence, Factor, Variable
+from .core import Evidence, Factor, Variable, _int64_copy
 from .cliques import min_fill_plan
 from .errors import InternalConsistencyError, ValidationError, ZeroNormalizerError
 from .factorization import (
@@ -211,19 +211,19 @@ def _run(program: list[Step], values: list[np.ndarray]) -> np.ndarray:
     return values[-1]
 
 
-def variable_elimination(
-    net: Network,
-    evidence: Evidence | None = None,
-    query: Iterable[int] = (),
-) -> Factor:
-    """The normalized posterior over the query variables given evidence.
+def _program(
+    net: Network, evidence: Evidence | None, query: Iterable[int]
+) -> tuple[list[Table], list[int], list[Step], list[int]]:
+    """A query's program, decided before any array is touched: the kept
+    tables, each rank's label, the einsums (:func:`_compile`) and the sorted query.
 
     A query or finding on a star's hidden variable B raises
     ValidationError naming B: B's states index the rectangles of a
-    base and h has signed entries, so B has no posterior.  Barren
-    families are dropped and findings applied by :func:`_reduce`: a
-    one-state finding or variable off the query never reaches an
-    einsum, and an observed query variable keeps its axis.
+    base and h has signed entries, so B has no posterior.  So does a
+    query id that the int cast would change.  Barren families are
+    dropped and findings applied by :func:`_reduce`: a one-state
+    finding or variable off the query never reaches an einsum, and an
+    observed query variable keeps its axis.
 
     The rest is summed out on the network's layout
     (``Network.layout``), in the order and with the labels of a
@@ -233,17 +233,11 @@ def variable_elimination(
     network's), so no two variables of a step share a label; above it
     the query's own :func:`~factorbn.cliques.min_fill_plan`, query left
     out, on tables that keep their axes.  The query variables take the
-    labels just above the plan's colours.  The query compiles to a
-    program of einsums (:func:`_compile`) that :func:`_run` executes;
-    one that numpy cannot run raises ValidationError before any runs.
-    Raises ZeroNormalizerError when the evidence has zero mass and
-    InternalConsistencyError if the unnormalized result dips below
-    -1e-9 anywhere (values above that are clamped to 0) or does not have
-    a finite sum, as when finite potentials overflow.
+    labels just above the plan's colours.  A program that numpy cannot
+    run raises ValidationError here, before any einsum runs.
     """
     evidence = evidence or Evidence()
-    queryset = set(query)
-    query = sorted(queryset)
+    query = sorted(set(_int64_copy(list(query), "query").tolist()))
     for q in query:
         if not 0 <= q < len(net.variables):
             raise ValidationError(f"query names unknown variable id {q}")
@@ -255,7 +249,7 @@ def variable_elimination(
             "node and has no posterior: it cannot be queried or observed"
         )
     layout = net.layout
-    kept = _reduce(net, evidence, queryset, layout)
+    kept = _reduce(net, evidence, set(query), layout)
     rank: Sequence[int] | dict[int, int]
     plan = layout.plan
     if plan is not None:
@@ -273,8 +267,22 @@ def variable_elimination(
         label[rank[q]] = base + j
     skip = sum(1 << rank[q] for q in query)
     out = list(range(base, base + len(query)))  # the query's labels, in query order
-    values = _run(_compile(kept, skip, label, out), [t[3] for t in kept])
-    values = np.ascontiguousarray(values)  # so the sum below runs in C order
+    return kept, label, _compile(kept, skip, label, out), query
+
+
+def variable_elimination(
+    net: Network,
+    evidence: Evidence | None = None,
+    query: Iterable[int] = (),
+) -> Factor:
+    """The normalized posterior over the query variables given evidence:
+    :func:`_program`, run by :func:`_run`.  Raises ZeroNormalizerError
+    when the evidence has zero mass and InternalConsistencyError if the
+    unnormalized result dips below -1e-9 anywhere (values above that are
+    clamped to 0) or does not have a finite sum, as when finite
+    potentials overflow."""
+    kept, _, program, query = _program(net, evidence, query)
+    values = np.ascontiguousarray(_run(program, [t[3] for t in kept]))  # C order for the sum
     low = float(values.min())
     if low < 0.0:
         if low < -NEGATIVE_TOLERANCE:

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from itertools import product as iproduct
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
+from .core import _int64_copy
 from .errors import IllegalExpressionError, ParseError, ValidationError
 
 Config = tuple[int, ...]
@@ -28,7 +29,7 @@ class Hyperrectangle:
     dims: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        dims = tuple(tuple(int(x) for x in d) for d in self.dims)
+        dims = tuple(tuple(_int64_copy(d, "rectangle dimension").tolist()) for d in self.dims)
         object.__setattr__(self, "dims", dims)
         if not dims:
             raise ValidationError("a hyperrectangle needs at least one dimension")

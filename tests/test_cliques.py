@@ -347,9 +347,9 @@ def query_graphs():
     """The reduced graphs of CAT queries on 40-node, 8-task student
     models (seeds 1 to 3), under ``none`` and ``factorize``: the answers
     arrive one at a time, and after each (and before the first) two
-    skills are asked for.  Each is the moral graph of the masks
-    ``variable_elimination`` reduces a query to, query left out, which
-    is what it plans on when it runs min-fill per query."""
+    skills are asked for.  Each is the moral graph of the masks of the
+    tables ``inference._program`` keeps for a query, query left out,
+    which is what it plans on when it runs min-fill per query."""
     graphs = []
     for seed in (1, 2, 3):
         spec, net = session_model(seed)
@@ -363,7 +363,7 @@ def query_graphs():
                 found[answers[step - 1]] = rng.choice([(0, 1), (1, 0)])
             for skill in rng.sample(spec.skill_ids, 2):
                 for t in nets:
-                    kept = inference._reduce(t, Evidence(dict(found)), {skill}, t.layout)
+                    kept, *_ = inference._program(t, Evidence(dict(found)), [skill])
                     # the masks are over plan ranks; the graph is over ids
                     order = t.layout.plan.order
                     masks = [sum(1 << order[r] for r in ranks if order[r] != skill)

@@ -65,7 +65,7 @@ from factorbn.benchcat import (
     connect_tasks,
     generate_student_model,
 )
-from factorbn.cliques import min_fill_plan, moral_graph, moralize_and_triangulate
+from factorbn.cliques import moral_graph, moralize_and_triangulate
 from factorbn.functions import indicator_table, kind_of
 from factorbn.inference import transform_network
 from factorbn.mbh import greedy_cover_base
@@ -85,21 +85,6 @@ def cpt(child, parents, cards, table):
 def members(mask):
     """The positions of the set bits of ``mask``, ascending."""
     return [r for r in range(mask.bit_length()) if mask >> r & 1]
-
-
-def programs(monkeypatch):
-    """A list that gains ``(kept tables, label of each rank, program)``
-    each time a query compiles its program."""
-    compiled = []
-    compile_ = inference._compile
-
-    def compiling(kept, skip, label, out):
-        program = compile_(kept, skip, label, out)
-        compiled.append((kept, label, program))
-        return program
-
-    monkeypatch.setattr(inference, "_compile", compiling)
-    return compiled
 
 
 def step_unions(kept, program):
@@ -819,7 +804,7 @@ def test_contract_folds_beyond_max_operands(monkeypatch):
         assert np.allclose(values, want, rtol=1e-12, atol=0)
 
 
-def test_bucket_of_more_than_max_operands_tables(monkeypatch):
+def test_bucket_of_more_than_max_operands_tables():
     """A three-state root with 40 observed children and one queried one:
     the root's bucket holds its prior and 41 child tables, so the
     elimination step itself compiles to the fold; against enumeration
@@ -834,10 +819,9 @@ def test_bucket_of_more_than_max_operands_tables(monkeypatch):
     cpts = (cpt(0, (), cards, prior),) + tuple(cpt(i, (0,), cards, rows[i]) for i in range(1, n))
     found = {i: i % 2 for i in range(2, n)}
     ev = Evidence({i: (1 - s, s) for i, s in found.items()})
-    compiled = programs(monkeypatch)
     net = Network(variables, cpts)
     got = variable_elimination(net, ev, [1])
-    (kept, label, program), = compiled
+    kept, label, program, _ = inference._program(net, ev, [1])
     root = label[net.layout.rank[0]]
     # the steps that take the root: a fold of the n tables in its bucket,
     # of which only the last sums the root out
@@ -932,12 +916,12 @@ def cat_queries():
                     yield t, Evidence(dict(found)), [skill]
 
 
-def restricted_steps(t, evidence, query):
+def restricted_steps(t, kept, query):
     """(variable, clique mask) for each step of the elimination game on
-    the query's reduced graph, query left out, in the network plan's
+    the query's reduced graph, the moral graph of the tables it ``kept``
+    (``inference._program``), query left out, in the network plan's
     order restricted to that graph's vertices."""
     assert t.layout.plan is not None
-    kept = inference._reduce(t, evidence, set(query), t.layout)
     # the masks are over plan ranks; the graph is over ids, query left out
     order = t.layout.plan.order
     masks = [sum(1 << order[r] for r in ranks if order[r] not in query) for _, ranks, *_ in kept]
@@ -955,7 +939,7 @@ def restricted_steps(t, evidence, query):
     return steps
 
 
-def test_restricted_steps_lie_in_the_network_plan(monkeypatch):
+def test_restricted_steps_lie_in_the_network_plan():
     """A query's reduced graph is a subgraph of its network's moral
     graph, and the elimination game is monotone under subgraphs: each
     step of a query eliminated in the network plan's order has its
@@ -970,18 +954,15 @@ def test_restricted_steps_lie_in_the_network_plan(monkeypatch):
         query = sorted(rng.sample(range(len(net.variables)), rng.randint(1, 2)))
         cases += [(transform_network(net, m), ev, query, False) for m in ("none", "factorize")]
     cases += [(*case, True) for case in cat_queries()]
-    compiled = programs(monkeypatch)
     checked = cat = 0
     for t, ev, query, replay in cases:
         clique_of = dict(zip(t.layout.plan.order, t.layout.plan.cliques))
-        steps = restricted_steps(t, ev, query)
+        kept, _, program, _ = inference._program(t, ev, query)
+        steps = restricted_steps(t, kept, query)
         for v, clique in steps:
             assert clique & ~clique_of[v] == 0, (v, query)
         checked += len(steps)
         if replay:
-            compiled.clear()
-            variable_elimination(t, ev, query)
-            (kept, _, program), = compiled
             # the variables each step sums out: the ranks it multiplies
             # and leaves out of its result; query variables stay
             drops = [t.layout.plan.order[r] for union, (_, ranks) in zip(step_unions(kept, program), program)
@@ -1167,25 +1148,23 @@ def test_a_star_below_its_family_transposes_its_tables():
         assert np.abs(brute - want.values).max() < 1e-12
 
 
-def test_unanswered_tasks_star_is_not_contracted(monkeypatch):
+def test_unanswered_tasks_star_is_not_contracted():
     from factorbn import inference, parse_network, write_network
 
     net = two_task_network()
     t = transform_network(net, "factorize")
     b1, b2 = (s.hidden for s in t.stars)
     assert [s.child for s in t.stars] == [3, 5]
-    compiled = programs(monkeypatch)
 
     def seen(network, findings, query):
         assert network.layout.plan is not None
-        compiled.clear()
         got = variable_elimination(network, Evidence(findings), query)
         if max([*findings, *query]) < len(net.variables):
             want = variable_elimination(net, Evidence(findings), query)
             assert np.abs(got.values - want.values).max() < 1e-12
         # the variables some einsum of the query multiplies; the masks
         # are over ranks in the network's plan order
-        kept, _, program = compiled[0]
+        kept, _, program, _ = inference._program(network, Evidence(findings), query)
         return {network.layout.plan.order[r] for union in step_unions(kept, program)
                 for r in members(union)} & {b1, b2}
 
@@ -1209,17 +1188,16 @@ def test_unanswered_tasks_star_is_not_contracted(monkeypatch):
 # -- one labelling per network: colours of the plan, tables in plan order -----
 
 
-def widest_clique(t, ev, query):
+def widest_clique(t, query, kept, label, program):
     """The most variables in one elimination clique of the order the
-    query runs in: the network plan's below the bound, else min-fill's
-    on the reduced graph, query left out."""
+    query runs in, query left out: the network plan's below the bound,
+    else min-fill's on the reduced graph, whose cliques are the unions
+    that the steps of the query's ``program`` multiply.  The query's
+    ranks are those with its labels, the highest."""
     if t.layout.plan is not None:
-        cliques = t.layout.plan.cliques
-    else:
-        kept = inference._reduce(t, ev, set(query), t.layout)
-        queried = sum(1 << q for q in query)
-        cliques = min_fill_plan([mask & ~queried for mask, *_ in kept], t.cards).cliques
-    return max((c.bit_count() for c in cliques), default=0)
+        return max((c.bit_count() for c in t.layout.plan.cliques), default=0)
+    queried = sum(1 << r for r, x in enumerate(label) if x > max(label) - len(query))
+    return max(((u & ~queried).bit_count() for u in step_unions(kept, program)), default=0)
 
 
 def random_and_cat_queries():
@@ -1243,7 +1221,6 @@ def test_einsum_labels_colour_every_step(monkeypatch):
     label; every label lies in [0, 52); and the labels stop below the
     widest elimination clique's variable count plus the query's."""
     cases = random_and_cat_queries()
-    compiled = programs(monkeypatch)
     calls = folded = 0
     for bound, fold_vars in iproduct(BOUNDS, (0, inference.FOLD_VARS)):
         monkeypatch.setattr(network, "PLAN_ONCE_ENTRIES", bound)
@@ -1251,14 +1228,10 @@ def test_einsum_labels_colour_every_step(monkeypatch):
         fresh = {id(t): replace(t) for t, _, _ in cases}
         for t, ev, query in cases:
             t = fresh[id(t)]
-            compiled.clear()
             try:
-                variable_elimination(t, ev, query)
-            except ZeroNormalizerError:
-                pass
-            if not compiled:  # rejected before elimination
+                kept, label, program, _ = inference._program(t, ev, query)
+            except ZeroNormalizerError:  # rejected before elimination
                 continue
-            (kept, label, program), = compiled
             used = set()
             for union, (args, _) in zip(step_unions(kept, program), program):
                 met = {label[r] for r in members(union)}
@@ -1277,7 +1250,7 @@ def test_einsum_labels_colour_every_step(monkeypatch):
             folded += sum(first + j in kept_all and args[0] not in kept_all
                           for j, (args, _) in enumerate(program))
             assert all(0 <= x < 52 for x in used)
-            assert max(used, default=-1) < widest_clique(t, ev, query) + len(query)
+            assert max(used, default=-1) < widest_clique(t, query, kept, label, program) + len(query)
     assert calls > 10000 and folded > 1000
 
 
@@ -1288,7 +1261,6 @@ def test_each_step_allocates_the_shape_its_program_predicts(monkeypatch):
     the step's labels, and each result has the shape the step's ranks
     predict, each rank's card in the order of its output labels."""
     cases = random_and_cat_queries()
-    compiled = programs(monkeypatch)
     calls = []
     einsum = np.einsum
 
@@ -1304,16 +1276,17 @@ def test_each_step_allocates_the_shape_its_program_predicts(monkeypatch):
         monkeypatch.setattr(inference, "FOLD_VARS", fold_vars)
         fresh = {id(t): replace(t) for t, _, _ in cases}
         for t, ev, query in cases:
-            compiled.clear()
+            t = fresh[id(t)]
             calls.clear()
             try:
-                variable_elimination(fresh[id(t)], ev, query)
+                variable_elimination(t, ev, query)
             except ZeroNormalizerError:
                 pass
-            if not compiled:  # rejected before elimination
+            try:
+                kept, label, program, _ = inference._program(t, ev, query)
+            except ZeroNormalizerError:  # rejected before elimination
                 assert not calls
                 continue
-            (kept, label, program), = compiled
             card = {}
             for _, ranks, _, values, _ in kept:
                 card.update(zip(ranks, values.shape))
@@ -1350,7 +1323,7 @@ def test_a_chain_longer_than_an_einsums_labels_runs_on_its_plan(monkeypatch):
     monkeypatch.setattr(inference, "min_fill_plan", no_planning)
     assert net.layout.plan is not None
     live = 0
-    for mask, *_ in inference._reduce(net, ev, {n - 1}, net.layout):
+    for mask, *_ in inference._program(net, ev, [n - 1])[0]:
         live |= mask
     assert (live & ~(1 << net.layout.rank[n - 1])).bit_count() == n - 2 > 52
     got = variable_elimination(net, ev, [n - 1])
@@ -1402,7 +1375,7 @@ def test_the_fold_changes_no_posterior(monkeypatch):
     assert answered > 600
 
 
-def test_a_lone_table_sums_out_its_run_in_one_step(monkeypatch):
+def test_a_lone_table_sums_out_its_run_in_one_step():
     """Nine binary variables held by one free potential, the last of
     them the parent of a queried child.  The potential is the only
     table in the buckets of the first eight, so one step sums them all
@@ -1414,10 +1387,9 @@ def test_a_lone_table_sums_out_its_run_in_one_step(monkeypatch):
     joint = Factor(tuple(range(n)), (2,) * n, rng.uniform(0.1, 1.0, (2,) * n))
     child = cpt(n, (n - 1,), (2,) * (n + 1), [[0.9, 0.1], [0.25, 0.75]])
     net = Network(variables, (child,), (), (joint,))
-    compiled = programs(monkeypatch)
     assert net.layout.plan is not None
     got = variable_elimination(net, None, [n])
-    (kept, _, program), = compiled
+    kept, _, program, _ = inference._program(net, None, [n])
     steps = [(len(args) // 2, union.bit_count(), len(args[-1]))
              for union, (args, _) in zip(step_unions(kept, program), program)]
     assert steps == [(1, n, 1), (2, 2, 1)]

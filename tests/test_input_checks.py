@@ -6,6 +6,9 @@ Core claims:
       closed-form bases, inference calls, the star family and the CAT
       benchmark's task draws and ordering counts raises exactly its
       class with exactly its message
+    - an id or state that the int cast would change is one of those
+      errors, at each entry point that casts; an integral float or a
+      numpy int is taken as its int
     - the file readers' checks are pinned with their inputs in
       test_fileio
 """
@@ -118,6 +121,16 @@ CASES = [
      ValidationError, "evidence vector for 'a' must be 0/1"),
     ("query-unknown", lambda: variable_elimination(NET, None, [9]), ValidationError,
      "query names unknown variable id 9"),
+    ("query-fraction", lambda: variable_elimination(NET, None, [0.5]), ValidationError,
+     "query entries must be integers that fit in 64 bits"),
+    ("evidence-fraction", lambda: Evidence({1.7: (0, 1)}), ValidationError,
+     "evidence variable id entries must be integers that fit in 64 bits"),
+    ("rectangle-fraction", lambda: Hyperrectangle(((0, 1.7),)), ValidationError,
+     "rectangle dimension entries must be integers that fit in 64 bits"),
+    ("conjunction-fraction", lambda: known_base_conjunction([1.9, 0.2]), ValidationError,
+     "conjunction literal entries must be integers that fit in 64 bits"),
+    ("max-fraction", lambda: known_base_max([2.5, 2.2]), ValidationError,
+     "parent card entries must be integers that fit in 64 bits"),
     ("star-blocks", lambda: star_family(0), ValidationError, "need at least one block"),
     ("star-parents", lambda: star_family(1, 1), ValidationError,
      "need at least two parents per block"),
@@ -134,6 +147,19 @@ def test_each_input_check_raises_its_class_and_message(call, cls, message):
         call()
     assert type(e.value) is cls
     assert str(e.value) == message
+
+
+@pytest.mark.parametrize("one", [1.0, np.int64(1), np.float64(1.0)])
+def test_integral_floats_and_numpy_ints_are_taken_as_ints(one):
+    ints = [
+        *Evidence({one: (0, 1)}).findings,
+        *variable_elimination(NET, Evidence({one: (0, 1)}), [one]).scope,
+        *Hyperrectangle(((0, one),)).dims[0],
+        *(r for rect in known_base_conjunction([one, 0]).rectangles for d in rect.dims for r in d),
+        *(r for rect in known_base_max([one + 1] * 2).rectangles for d in rect.dims for r in d),
+    ]
+    assert ints == [1, 1, 0, 1, 0, 1, 0, 1, 1, 0, 0, 0, 0, 1, 0, 1]
+    assert {type(x) for x in ints} == {int}
 
 
 def test_a_child_of_more_states_than_int64_holds_keeps_an_int64_table():

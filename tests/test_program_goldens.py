@@ -12,9 +12,9 @@ Core claim:
 After each answer the model is asked for a seeded skill, and for that
 skill with the answer just observed, so an observed query variable keeps
 its axis.  Each program is stored as the SHA-256 of its JSON text, read
-where ``variable_elimination`` hands it to ``inference._run``.  A
-program fixes every einsum and its operand order, so the posteriors stay
-bitwise equal while it does.  Regenerate only for a deliberate change of
+from ``inference._program``, where every query becomes the program that
+``variable_elimination`` runs.  A program fixes every einsum and its
+operand order, so the posteriors stay bitwise equal while it does.  Regenerate only for a deliberate change of
 the elimination:
 
     PYTHONPATH=src python tests/test_program_goldens.py
@@ -63,20 +63,13 @@ def record(case: str) -> list[str]:
     answers = [v.id for v in net.variables if v.name.endswith("_answer")]
     rng.shuffle(answers)
     digests = []
-    run = inference._run
-
-    def spy(program, values):
-        digests.append(digest(program))
-        return run(program, values)
-
     found: dict[int, tuple[int, int]] = {}
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(inference, "_run", spy)
-        for a in answers:
-            found[a] = (0, 1) if rng.random() < 0.5 else (1, 0)
-            skill = rng.choice(spec.skill_ids)
-            for query in ([skill], [skill, a]):
-                inference.variable_elimination(net, Evidence(dict(found)), query)
+    for a in answers:
+        found[a] = (0, 1) if rng.random() < 0.5 else (1, 0)
+        skill = rng.choice(spec.skill_ids)
+        for query in ([skill], [skill, a]):
+            _, _, program, _ = inference._program(net, Evidence(dict(found)), query)
+            digests.append(digest(program))
     assert len(digests) == 2 * len(answers)
     return digests
 
