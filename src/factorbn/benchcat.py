@@ -22,7 +22,7 @@ from math import factorial
 import numpy as np
 
 from .cliques import moralize_and_triangulate
-from .core import Factor, Variable
+from .core import Factor, Variable, _int_tuple
 from .errors import ValidationError
 from .functions import DeterministicFunction
 from .inference import METHODS, transform_network
@@ -42,6 +42,7 @@ class StudentModelSpec:
     node_count: int = 21
 
     def __post_init__(self):
+        object.__setattr__(self, "node_count", *_int_tuple([self.node_count], "node_count"))
         if self.node_count < 2:
             raise ValidationError("node_count must be at least 2")
 
@@ -68,7 +69,9 @@ class TaskSpec:
     misconception: int | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "required_skills", tuple(self.required_skills))
+        object.__setattr__(self, "required_skills", _int_tuple(self.required_skills, "skill"))
+        if (m := self.misconception) is not None:
+            object.__setattr__(self, "misconception", *_int_tuple([m], "misconception"))
         if not self.required_skills:
             raise ValidationError("a task needs at least one required skill")
         if len(set(self.required_skills)) != len(self.required_skills):

@@ -37,6 +37,15 @@ def _int64_copy(values, name: str) -> np.ndarray:
     raise ValidationError(f"{name} entries must be integers that fit in 64 bits")
 
 
+def _int_tuple(values, name: str) -> tuple[int, ...]:
+    """The flat sequence ``values`` as Python ints: an integral float or a
+    numpy int is taken as its int, anything else raises (``_int64_copy``)."""
+    out = _int64_copy(values, name)
+    if out.ndim != 1:
+        raise ValidationError(f"{name} entries must be integers that fit in 64 bits")
+    return tuple(out.tolist())
+
+
 @dataclass(frozen=True)
 class Variable:
     """A finite-domain variable: an integer id, a name, and state labels."""
@@ -46,6 +55,10 @@ class Variable:
     states: tuple[str, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "id", *_int_tuple([self.id], "variable id"))
+        if isinstance(self.states, str):
+            raise ValidationError(f"variable {self.name!r} states must be a sequence, not a string")
+        object.__setattr__(self, "states", tuple(self.states))
         if self.id < 0:
             raise ValidationError(f"variable id must be non-negative, got {self.id}")
         if not self.name:
@@ -79,8 +92,8 @@ class Factor:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        scope = tuple(self.scope)
-        cards = tuple(self.cards)
+        ints = _int_tuple([*self.scope, *self.cards], "scope and card")
+        scope, cards = ints[:len(self.scope)], ints[len(self.scope):]
         object.__setattr__(self, "scope", scope)
         object.__setattr__(self, "cards", cards)
         if list(scope) != sorted(set(scope)):
@@ -129,6 +142,6 @@ class Evidence:
     findings: Mapping[int, tuple[int, ...]] = field(default_factory=dict)
 
     def __post_init__(self):
-        ids = _int64_copy(list(self.findings), "evidence variable id").tolist()
+        ids = _int_tuple(list(self.findings), "evidence variable id")
         findings = dict(zip(ids, map(tuple, self.findings.values())))
         object.__setattr__(self, "findings", findings)

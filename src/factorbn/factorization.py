@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import _int64_copy
+from .core import _int64_copy, _int_tuple
 from .errors import InternalConsistencyError, ValidationError
 from .functions import DeterministicFunction, indicator_table
 from .mbh import _cells, _level_masks, _rectangle_masks, _strides
@@ -45,7 +45,8 @@ class FactorizedForm:
     g: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "parent_cards", tuple(self.parent_cards))
+        object.__setattr__(self, "child_card", *_int_tuple([self.child_card], "child card"))
+        object.__setattr__(self, "parent_cards", _int_tuple(self.parent_cards, "parent card"))
         h = _int64_copy(self.h, "h")
         g = tuple(_int64_copy(gi, f"g[{i}]") for i, gi in enumerate(self.g))
         if h.ndim != 2 or h.shape[0] != self.child_card:
@@ -210,7 +211,7 @@ def known_base_conjunction(required: Sequence[int]) -> Base:
     the full space plus the one accepting point; the false level set is
     their proper difference.
     """
-    required = tuple(_int64_copy(required, "conjunction literal").tolist())
+    required = _int_tuple(required, "conjunction literal")
     if not required:
         raise ValidationError("a conjunction needs at least one literal")
     if any(r not in (0, 1) for r in required):
@@ -229,7 +230,7 @@ def known_base_max(parent_cards: Sequence[int]) -> Base:
     Rectangle k is the downset {0..k} in every dimension; level set k
     is the difference of consecutive downsets.
     """
-    cards = tuple(_int64_copy(parent_cards, "parent card").tolist())
+    cards = _int_tuple(parent_cards, "parent card")
     if not cards:
         raise ValidationError("MAX needs at least one parent")
     if len(set(cards)) != 1:

@@ -119,6 +119,11 @@ def _int(value: Any, field: str) -> int:
     raise ParseError(f"{field} must be an integer, got {value!r}")
 
 
+def _ints(values: list, field: str) -> list:
+    """A list of integer fields: as given if all are JSON integers, else each through ``_int``."""
+    return values if set(map(type, values)) <= {int} else [_int(x, field) for x in values]
+
+
 _JSON_TYPES = {list: "a list", str: "a string", dict: "an object"}
 
 
@@ -149,9 +154,8 @@ def _parse_function_field(fn: Any, parents, child, cards, names, where: str):
     _table_size([cards[p] for p in parents] + [cards[child]], where)
     if ftype == "table":
         outputs = _typed(_expect(fn, "outputs", where), list, f"{where} outputs")
-        if set(map(type, outputs)) != {int}:  # a table of JSON integers is read in one pass
-            outputs = [_int(o, f"{where} output") for o in outputs]
-        return DeterministicFunction(tuple(parents), child, tuple(cards[p] for p in parents),
+        outputs = _ints(outputs, f"{where} output")
+        return DeterministicFunction(parents, child, [cards[p] for p in parents],
                                      cards[child], outputs)
     if ftype == "formula":
         expr = _typed(_expect(fn, "expr", where), str, f"{where} formula")
@@ -174,7 +178,7 @@ def _function_field(d: DeterministicFunction, formula: str | None) -> dict[str, 
 def _declared(ids, field: str, cards: dict[int, int], where: str) -> tuple[int, ...]:
     """Integer ids (``field`` names each one), each declared in ``cards``,
     of a ``where`` ("CPT", "deterministic node" or "potential")."""
-    ids = tuple(_int(v, field) for v in ids)
+    ids = tuple(_ints(ids, field))
     for v in ids:
         if v not in cards:
             raise ValidationError(f"unknown variable id {v} in a {where}")
@@ -188,7 +192,7 @@ def _factor(scope, cards: dict[int, int], rec: Any, kind: str, of: str = "") -> 
     expected = _table_size(scope_cards, kind + of)
     field = f"{kind.lower()} table"
     table = _typed(_expect(rec, "table", kind.lower()), list, field)
-    if not all(type(x) in (int, float) for x in table):
+    if not set(map(type, table)) <= {int, float}:
         raise ParseError(f"{field} must be a flat list of numbers")
     if len(table) != expected:
         raise ValidationError(f"{kind} table{of} has {len(table)} entries, expected {expected}")
@@ -280,7 +284,7 @@ def parse_evidence(text: str, net: Network) -> Evidence:
     findings = {}
     for name, vec in doc.items():
         var, where = net.variable_by_name(name), f"evidence for {name!r}"
-        findings[var.id] = tuple(_int(x, where) for x in _typed(vec, list, where))
+        findings[var.id] = _ints(_typed(vec, list, where), where)
     return Evidence(findings)
 
 
@@ -339,7 +343,7 @@ def parse_base(text: str) -> Base:
     rects = tuple(
         Hyperrectangle(
             tuple(
-                tuple(_int(x, "rectangle state") for x in _typed(dim, list, "rectangle dimension"))
+                _ints(_typed(dim, list, "rectangle dimension"), "rectangle state")
                 for dim in _typed(r, list, "base rectangle")
             )
         )
@@ -371,23 +375,18 @@ def write_base(base: Base, extra: dict[str, Any] | None = None) -> str:
 # Factorized forms: the explicit integer h and g tables.
 
 
-def _int_rows(value: Any, field: str) -> list[list[int]]:
-    """A JSON list of lists of integer fields (see ``_int``)."""
-    rows = _typed(value, list, field)
-    return [[_int(x, f"{field} entry") for x in _typed(r, list, f"{field} row")] for r in rows]
-
-
 def parse_form(text: str) -> FactorizedForm:
     """The reader checks JSON types only, ``FactorizedForm`` the tables'
     rows, shapes and entries; a given ``n_hidden`` must equal the form's."""
     doc = _loads(text)
     raw_cards = _typed(_expect(doc, "parent_cards", "form file"), list, "form parent_cards")
-    parent_cards = tuple(_int(c, "parent card") for c in raw_cards)
+    parent_cards = _ints(raw_cards, "parent card")
     child_card = _int(_expect(doc, "child_card", "form file"), "child card")
-    _table_size(parent_cards + (child_card,), "form file")
+    _table_size([*parent_cards, child_card], "form file")
     raw_g = _typed(_expect(doc, "g", "form file"), list, "form g")
-    h = _int_rows(_expect(doc, "h", "form file"), "form h")
-    g = tuple(_int_rows(g, f"form g[{i}]") for i, g in enumerate(raw_g))
+    names = ["form h", *(f"form g[{i}]" for i in range(len(raw_g)))]
+    h, *g = ([_ints(_typed(r, list, f"{k} row"), f"{k} entry") for r in _typed(t, list, k)]
+             for k, t in zip(names, [_expect(doc, "h", "form file"), *raw_g]))
     form = FactorizedForm(parent_cards, child_card, h, g)
     if "n_hidden" in doc and (n := _int(doc["n_hidden"], "form n_hidden")) != form.n_hidden:
         raise ParseError(f"form n_hidden is {n}, but h and g have {form.n_hidden} columns")

@@ -15,7 +15,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .core import _int64_copy
+from .core import _int64_copy, _int_tuple
 from .errors import ParseError, ValidationError
 
 
@@ -39,8 +39,9 @@ class DeterministicFunction:
     formula: str | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "parents", tuple(self.parents))
-        object.__setattr__(self, "parent_cards", tuple(self.parent_cards))
+        object.__setattr__(self, "parents", _int_tuple(self.parents, "parent"))
+        object.__setattr__(self, "child", *_int_tuple([self.child], "child"))
+        object.__setattr__(self, "parent_cards", _int_tuple(self.parent_cards, "parent card"))
         if len(self.parents) != len(set(self.parents)):
             raise ValidationError("duplicate parent ids")
         if self.child in self.parents:
@@ -85,7 +86,7 @@ class DeterministicFunction:
         fn: Callable[..., int],
     ) -> "DeterministicFunction":
         outputs = [fn(*cfg) for cfg in iproduct(*(range(c) for c in parent_cards))]
-        return cls(tuple(parents), child, tuple(parent_cards), child_card, outputs)
+        return cls(parents, child, parent_cards, child_card, outputs)
 
 
 def indicator_table(d: DeterministicFunction) -> np.ndarray:
@@ -219,7 +220,7 @@ def function_from_formula(
     if unbound:
         raise ValidationError(f"formula mentions unknown variables: {sorted(unbound)}")
     table = np.broadcast_to(_evaluate(postfix, columns.__getitem__), (2,) * n)
-    return DeterministicFunction(tuple(parents), child, tuple(parent_cards), 2, table, formula=text)
+    return DeterministicFunction(parents, child, parent_cards, 2, table, formula=text)
 
 
 # ---------------------------------------------------------------------------

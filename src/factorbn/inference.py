@@ -12,7 +12,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import Evidence, Factor, Variable, _int64_copy
+from .core import Evidence, Factor, Variable, _int_tuple
 from .cliques import min_fill_plan
 from .errors import InternalConsistencyError, ValidationError, ZeroNormalizerError
 from .factorization import (
@@ -237,7 +237,7 @@ def _program(
     run raises ValidationError here, before any einsum runs.
     """
     evidence = evidence or Evidence()
-    query = sorted(set(_int64_copy(list(query), "query").tolist()))
+    query = sorted(set(_int_tuple(list(query), "query")))
     for q in query:
         if not 0 <= q < len(net.variables):
             raise ValidationError(f"query names unknown variable id {q}")
@@ -300,7 +300,7 @@ def variable_elimination(
         values /= total
     else:  # a stored table, or a view of one
         values = values / total
-    return Factor(tuple(query), tuple([net.cards[q] for q in query]), values)
+    return Factor(query, [net.cards[q] for q in query], values)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .cliques import Plan, min_fill_plan
-from .core import Factor, Variable
+from .core import Factor, Variable, _int_tuple
 from .errors import ValidationError
 from .factorization import FactorizedForm
 from .functions import DeterministicFunction, indicator_table
@@ -49,7 +49,8 @@ class Cpt:
     factor: Factor
 
     def __post_init__(self):
-        object.__setattr__(self, "parents", tuple(self.parents))
+        object.__setattr__(self, "child", *_int_tuple([self.child], "CPT child"))
+        object.__setattr__(self, "parents", _int_tuple(self.parents, "CPT parent"))
         if self.child in self.parents:
             raise ValidationError("a CPT child cannot be its own parent")
         if len(set(self.parents)) != len(self.parents):
@@ -95,7 +96,9 @@ class Star:
     form: FactorizedForm
 
     def __post_init__(self):
-        object.__setattr__(self, "parents", tuple(self.parents))
+        object.__setattr__(self, "child", *_int_tuple([self.child], "star child"))
+        object.__setattr__(self, "hidden", *_int_tuple([self.hidden], "star hidden"))
+        object.__setattr__(self, "parents", _int_tuple(self.parents, "star parent"))
         if len({self.child, *self.parents}) != len(self.parents) + 1:
             raise ValidationError("a star's child and parents must be distinct")
         if len(self.form.g) != len(self.parents):

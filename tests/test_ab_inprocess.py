@@ -2,11 +2,13 @@
 
 Core claim:
     - an A/A run of this checkout against itself exits 0 and prints
-      each side and the per-pass ratio line, on both workloads, and
-      writes nothing outside its own temporary directory
+      each side, the per-pass ratio line and the passes each side won,
+      which with the ties add up to the passes run, on both workloads,
+      and writes nothing outside its own temporary directory
 """
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -35,4 +37,6 @@ def test_an_a_a_run_prints_its_ratio(args, tmp_path):
     assert lines[0].startswith(f"workload {args[1]} seed 1 ")
     assert lines[1].startswith("parent ") and lines[2].startswith("change ")
     assert lines[3].startswith("ratio change/parent per pass: median ")
+    won = re.fullmatch(r"passes won: change (\d+), parent (\d+), ties (\d+) of 1", lines[4])
+    assert won and sum(map(int, won.groups())) == 1
     assert list(cwd.iterdir()) == [] and list(tmp.iterdir()) == []

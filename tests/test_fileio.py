@@ -429,6 +429,29 @@ def test_integral_numbers_and_decimal_strings_still_parse():
     )
 
 
+def test_lists_of_json_integers_are_left_to_the_library(monkeypatch):
+    """A list whose entries are all JSON integers is read in one pass over
+    their types, and the library reads the integers: ``_int`` sees only the
+    scalar fields of all-integer documents of every kind."""
+    fields = []
+
+    def spy(value, field):
+        fields.append(field)
+        return real(value, field)
+
+    real = fileio._int
+    monkeypatch.setattr(fileio, "_int", spy)
+    net = parse_network(json.dumps(_network_doc()))
+    parse_evidence('{"b": [1, 0, 1], "a": [0, 1]}', net)
+    parse_function(json.dumps(FUNCTION_DOC))
+    parse_base(write_base(boolean_base()))
+    parse_form(json.dumps(dict(FORM, n_hidden=2)))
+    assert sorted(set(fields)) == [
+        "child card", "expression key", "form n_hidden", "parent 0 card", "parent 1 card",
+        "variable id",
+    ]
+
+
 # -- bases --------------------------------------------------------------------
 
 

@@ -9,9 +9,17 @@ Core claims:
     - an id or state that the int cast would change is one of those
       errors, at each entry point that casts; an integral float or a
       numpy int is taken as its int
+    - every integer field of the library's constructors, given a numpy
+      int, an integral float, a fraction, a string, None, an int beyond
+      64 bits, True or a seeded draw of these, either builds an object
+      whose fields are plain Python ints or raises a ValidationError
+      that names the field
     - the file readers' checks are pinned with their inputs in
       test_fileio
 """
+
+import random
+import re
 
 import numpy as np
 import pytest
@@ -44,6 +52,7 @@ from factorbn.benchcat import (
     run_clique_benchmark,
     star_family,
 )
+from factorbn.network import Star
 
 BIT = ("no", "yes")
 HALF = np.array([0.5, 0.5])
@@ -58,10 +67,22 @@ NET = Network(
 CASES = [
     ("variable-name", lambda: Variable(0, "", BIT), ValidationError,
      "variable name must be non-empty"),
+    ("variable-id-fraction", lambda: Variable(0.5, "a", BIT), ValidationError,
+     "variable id entries must be integers that fit in 64 bits"),
+    ("variable-id-string", lambda: Variable("a", "a", BIT), ValidationError,
+     "variable id entries must be integers that fit in 64 bits"),
+    ("variable-states-string", lambda: Variable(0, "a", "xy"), ValidationError,
+     "variable 'a' states must be a sequence, not a string"),
+    ("factor-scope-fraction", lambda: Factor((0.5,), (2,), HALF), ValidationError,
+     "scope and card entries must be integers that fit in 64 bits"),
+    ("factor-card-fraction", lambda: Factor((0,), (2.5,), HALF), ValidationError,
+     "scope and card entries must be integers that fit in 64 bits"),
     ("factor-cards", lambda: Factor((0,), (2, 2), HALF), ValidationError,
      "cards must be parallel to scope"),
     ("factor-card-zero", lambda: Factor((0,), (0,), np.zeros(0)), ValidationError,
      "cardinalities must be positive, got (0,)"),
+    ("function-ids-fraction", lambda: DeterministicFunction((0.5,), 1.5, (2,), 2, (0, 1)),
+     ValidationError, "parent entries must be integers that fit in 64 bits"),
     ("function-parents", lambda: DeterministicFunction((0, 0), 1, (2, 2), 2, (0,) * 4),
      ValidationError, "duplicate parent ids"),
     ("function-cards", lambda: DeterministicFunction((0,), 1, (2, 2), 2, (0,) * 4),
@@ -160,6 +181,9 @@ def test_integral_floats_and_numpy_ints_are_taken_as_ints(one):
     ]
     assert ints == [1, 1, 0, 1, 0, 1, 0, 1, 1, 0, 0, 0, 0, 1, 0, 1]
     assert {type(x) for x in ints} == {int}
+    # inference indexes by a CPT's child, so its integral float id must be an int
+    root = Network((Variable(0, "a", BIT),), (Cpt(one - 1, (), Factor((0,), (2,), HALF)),))
+    assert variable_elimination(root, None, [0]).values.tolist() == [0.5, 0.5]
 
 
 def test_a_child_of_more_states_than_int64_holds_keeps_an_int64_table():
@@ -171,3 +195,101 @@ def test_a_child_of_more_states_than_int64_holds_keeps_an_int64_table():
         assert d.outputs.dtype == np.int64 and d.outputs.tolist() == [0, 1]
         solution = solve_mbh(d)
         assert solution.proved_minimal and solution.base.size == 2
+
+
+# The sweep over every integer field.  FORM is a valid form for one binary
+# parent; PAIR a CPT table over the family (0, 1).
+FORM = FactorizedForm((2,), 2, np.eye(2), (np.eye(2),))
+PAIR = Factor((0, 1), (2, 2), np.full((2, 2), 0.5))
+
+
+def _dims(base):
+    return [r.dims for r in base.rectangles]
+
+
+# (id, the field as its error names it, its valid value v, a build taking the
+# field's value x, the read-back of the built object, that read-back at x = v)
+SWEEP = [
+    ("Variable.id", "variable id", 1, lambda x: Variable(x, "a", list(BIT)),
+     lambda o: (o.id, o.states), (1, BIT)),
+    ("Factor.scope", "scope and card", 1, lambda x: Factor((0, x), (2, 2), np.eye(2)),
+     lambda o: (o.scope, o.cards), ((0, 1), (2, 2))),
+    ("Factor.cards", "scope and card", 1, lambda x: Factor((0,), (x,), [1.0]),
+     lambda o: (o.scope, o.cards), ((0,), (1,))),
+    ("Cpt.child", "CPT child", 1, lambda x: Cpt(x, (0,), PAIR),
+     lambda o: (o.child, o.parents), (1, (0,))),
+    ("Cpt.parents", "CPT parent", 1, lambda x: Cpt(0, (x,), PAIR),
+     lambda o: (o.child, o.parents), (0, (1,))),
+    ("DeterministicFunction.parents", "parent", 1,
+     lambda x: DeterministicFunction((x,), 0, (2,), 2, (0, 1)),
+     lambda o: (o.parents, o.child, o.parent_cards), ((1,), 0, (2,))),
+    ("DeterministicFunction.child", "child", 1,
+     lambda x: DeterministicFunction((0,), x, (2,), 2, (0, 1)),
+     lambda o: (o.parents, o.child, o.parent_cards), ((0,), 1, (2,))),
+    ("DeterministicFunction.parent_cards", "parent card", 1,
+     lambda x: DeterministicFunction((0,), 1, (x,), 2, (0,)),
+     lambda o: (o.parents, o.child, o.parent_cards), ((0,), 1, (1,))),
+    ("Star.child", "star child", 1, lambda x: Star(x, (0,), 2, FORM),
+     lambda o: (o.child, o.parents, o.hidden), (1, (0,), 2)),
+    ("Star.parents", "star parent", 1, lambda x: Star(0, (x,), 2, FORM),
+     lambda o: (o.child, o.parents, o.hidden), (0, (1,), 2)),
+    ("Star.hidden", "star hidden", 1, lambda x: Star(0, (2,), x, FORM),
+     lambda o: (o.child, o.parents, o.hidden), (0, (2,), 1)),
+    ("FactorizedForm.parent_cards", "parent card", 1,
+     lambda x: FactorizedForm((x,), 2, [[1], [0]], ([[1]],)),
+     lambda o: (o.parent_cards, o.child_card), ((1,), 2)),
+    ("FactorizedForm.child_card", "child card", 1,
+     lambda x: FactorizedForm((2,), x, [[1, 1]], (np.eye(2),)),
+     lambda o: (o.parent_cards, o.child_card), ((2,), 1)),
+    ("TaskSpec.required_skills", "skill", 1, lambda x: TaskSpec((x,), 0),
+     lambda o: (o.required_skills, o.misconception), ((1,), 0)),
+    ("TaskSpec.misconception", "misconception", 1, lambda x: TaskSpec((0,), x),
+     lambda o: (o.required_skills, o.misconception), ((0,), 1)),
+    ("StudentModelSpec.node_count", "node_count", 2, lambda x: StudentModelSpec(1, x),
+     lambda o: o.node_count, 2),
+    ("Evidence", "evidence variable id", 1, lambda x: Evidence({x: (0, 1)}),
+     lambda o: tuple(o.findings), (1,)),
+    ("query", "query", 1, lambda x: variable_elimination(NET, None, [x]),
+     lambda o: o.scope, (1,)),
+    ("Hyperrectangle", "rectangle dimension", 1, lambda x: Hyperrectangle(((0, x),)),
+     lambda o: o.dims, ((0, 1),)),
+    ("known_base_conjunction", "conjunction literal", 1,
+     lambda x: known_base_conjunction([x, 0]), _dims, _dims(known_base_conjunction([1, 0]))),
+    ("known_base_max", "parent card", 1, lambda x: known_base_max([x, 1]), _dims,
+     _dims(known_base_max([1, 1]))),
+]
+
+
+def spellings(v: int, rng: random.Random) -> list[tuple[object, bool]]:
+    """(value, whether it is v): a numpy int, an integral float, a fraction,
+    a string, None, an int beyond 64 bits and True, then a seeded draw of a
+    numpy scalar of v, a fraction and an int beyond 64 bits of either sign."""
+    kind = rng.choice([np.int8, np.uint16, np.int32, np.uint64, np.float32, np.float64])
+    big = rng.randrange(2**63 + 1, 2**80) * rng.choice([1, -1])
+    return [(np.int64(v), True), (float(v), True), (v - 0.5, False), (str(v), False),
+            (None, False), (2**70, False), (True, v == 1),
+            (kind(v), True), (v + rng.uniform(0.01, 0.99), False), (big, False)]
+
+
+def leaves(x):
+    return [y for item in x for y in leaves(item)] if isinstance(x, (tuple, list)) else [x]
+
+
+@pytest.mark.parametrize("case", SWEEP, ids=[c[0] for c in SWEEP])
+def test_every_integer_field_takes_its_int_or_names_itself(case):
+    """A spelling of the field's valid value builds the object that value
+    builds, its fields plain Python ints; anything else raises a
+    ValidationError whose message begins with the field's name."""
+    label, name, v, build, read, want = case
+    for value, exact in spellings(v, random.Random(label)):
+        if value is None and label == "TaskSpec.misconception":  # a task without one
+            continue
+        try:
+            got = read(build(value))
+        except ValidationError as e:
+            assert not exact, (value, str(e))
+            assert re.fullmatch(f"{re.escape(name)} (entries must be integers that fit in 64 "
+                                "bits|must be at least 2)", str(e)), (value, str(e))
+            continue
+        assert exact, (value, got)
+        assert got == want and all(type(x) in (int, str) for x in leaves(got)), (value, got)

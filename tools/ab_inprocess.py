@@ -17,7 +17,9 @@ as in perfbench's passes, which leaves colder caches than a tight loop.
 Printed per side: the median pass time and the p50 over operations of
 each operation's median time, as perfbench's ``latency_ms_p50`` takes
 it.  Then the per-pass ratio CHANGE / PARENT of the pass times, as a
-median with its quartiles.
+median with its quartiles, and how many passes each side won, ties
+counting for neither: a gain is claimed only when the change wins at
+least nine tenths of the passes.
 """
 
 from __future__ import annotations
@@ -147,6 +149,9 @@ def main(argv=None) -> int:
     q1, q2, q3 = quartiles(ratios)
     print(f"ratio change/parent per pass: median {q2:.3f} (q1 {q1:.3f}, q3 {q3:.3f}; "
           f"min {min(ratios):.3f}, max {max(ratios):.3f})")
+    won, lost = sum(r < 1 for r in ratios), sum(r > 1 for r in ratios)
+    print(f"passes won: change {won}, parent {lost}, ties {len(ratios) - won - lost} "
+          f"of {len(ratios)}")
     return 0
 
 
