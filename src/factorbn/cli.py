@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
-from pathlib import Path
 
 from .benchcat import (
     StudentModelSpec,
@@ -36,20 +36,45 @@ from .fileio import (
 from .inference import METHODS, transform_network, variable_elimination
 from .mbh import SearchBudget, solve_mbh
 
+# the bytes the first read of a file asks for; each later read asks for
+# twice as many as the one before, so a large file takes few reads
+_FIRST_READ = 1 << 16
+
 
 def _read(path: str) -> str:
-    """The UTF-8 text of a file; read as bytes and decoded in one call,
-    which skips the text layer's set-up."""
+    """The UTF-8 text of a file, through the os calls alone: one open,
+    reads until one returns nothing (a pipe or a terminal may return
+    less than it holds), one close, and one decode of the bytes.  A
+    file that cannot be opened or read, a directory included, or that
+    is not UTF-8, is an input error."""
     try:
-        return Path(path).read_bytes().decode()
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            chunks, size = [], _FIRST_READ
+            while chunk := os.read(fd, size):
+                chunks.append(chunk)
+                size *= 2
+        finally:
+            os.close(fd)
+        return b"".join(chunks).decode()
     except (OSError, UnicodeDecodeError) as e:
         raise ValidationError(f"cannot read {path}: {e}") from e
 
 
 def _emit(text: str, out: str | None) -> None:
+    """Print ``text``, or write it as UTF-8 to the file ``out``: opened
+    for writing, created or truncated, written until every byte is out
+    and closed, the os calls alone.  A crash can leave the file short,
+    but never with bytes of the file it replaced."""
     if out:
         try:
-            Path(out).write_text(text)
+            fd = os.open(out, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+            try:
+                data = memoryview(text.encode())
+                while data:
+                    data = data[os.write(fd, data):]
+            finally:
+                os.close(fd)
         except OSError as e:
             raise ValidationError(f"cannot write {out}: {e}") from e
     else:

@@ -22,13 +22,22 @@ def _int64_copy(values, name: str) -> np.ndarray:
     """An int64 copy of ``values``, so the caller's array stays
     writeable.  A ragged table, a non-numeric one, or an entry the cast
     would change (a fraction, a NaN, an infinity, a float beyond 64
-    bits), raises."""
+    bits), raises.  A list that mixes Python ints with floats comes out
+    of ``np.array`` as floats, which round an int of 2^53 or more, so a
+    list that comes out with such a float is read again entry by entry
+    (``_as_int``)."""
+    source = values
     try:
         values = np.array(values)
     except ValueError:  # nested rows of different lengths
         raise ValidationError(f"{name} rows must all have the same length") from None
     if values.dtype.kind in "bi":  # casts exactly
         return values.astype(np.int64, copy=False)
+    if values.dtype.kind == "f" and not isinstance(source, np.ndarray) and not (
+        np.abs(values) < 2.0**53
+    ).all():
+        read = np.frompyfunc(lambda x: _as_int(x, name), 1, 1)
+        return np.asarray(read(np.array(source, dtype=object)), dtype=np.int64)
     if values.dtype.kind in "uf":
         with np.errstate(invalid="ignore"):  # a NaN or inf casts to garbage, caught below
             out = values.astype(np.int64)
@@ -37,13 +46,33 @@ def _int64_copy(values, name: str) -> np.ndarray:
     raise ValidationError(f"{name} entries must be integers that fit in 64 bits")
 
 
+_INT64 = 1 << 63
+
+
+def _as_int(value, name: str, bound: int | None = _INT64) -> int:
+    """``value`` as a Python int, read on its own and never through a float:
+    an int, a bool or a numpy integer is its int, an integral float its
+    int.  Anything else, or an int outside [-bound, bound) (int64's range
+    by default; ``bound=None`` for none), raises a ValidationError
+    naming the field."""
+    if isinstance(value, (int, np.integer, np.bool_)) or (
+        isinstance(value, (float, np.floating)) and value.is_integer()
+    ):
+        value = int(value)
+        if bound is None or -bound <= value < bound:
+            return value
+    if bound is None:
+        raise ValidationError(f"{name} must be an integer")
+    raise ValidationError(f"{name} entries must be integers that fit in 64 bits")
+
+
 def _int_tuple(values, name: str) -> tuple[int, ...]:
-    """The flat sequence ``values`` as Python ints: an integral float or a
-    numpy int is taken as its int, anything else raises (``_int64_copy``)."""
-    out = _int64_copy(values, name)
-    if out.ndim != 1:
-        raise ValidationError(f"{name} entries must be integers that fit in 64 bits")
-    return tuple(out.tolist())
+    """The flat sequence ``values`` as Python ints, each read by ``_as_int``;
+    anything that is not a flat sequence raises."""
+    try:
+        return tuple(_as_int(x, name) for x in values)
+    except TypeError:  # not a sequence at all
+        raise ValidationError(f"{name} entries must be integers that fit in 64 bits") from None
 
 
 @dataclass(frozen=True)

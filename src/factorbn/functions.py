@@ -15,7 +15,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .core import _int64_copy, _int_tuple
+from .core import _as_int, _int64_copy, _int_tuple
 from .errors import ParseError, ValidationError
 
 
@@ -42,6 +42,8 @@ class DeterministicFunction:
         object.__setattr__(self, "parents", _int_tuple(self.parents, "parent"))
         object.__setattr__(self, "child", *_int_tuple([self.child], "child"))
         object.__setattr__(self, "parent_cards", _int_tuple(self.parent_cards, "parent card"))
+        # no 64-bit cap: a child may have more states than int64 holds
+        object.__setattr__(self, "child_card", _as_int(self.child_card, "child card", bound=None))
         if len(self.parents) != len(set(self.parents)):
             raise ValidationError("duplicate parent ids")
         if self.child in self.parents:

@@ -151,9 +151,37 @@ def _strides(cards: Sequence[int]) -> tuple[int, ...]:
 
 def _level_masks(d: DeterministicFunction) -> dict[int, int]:
     """The mask of each level set, by child state, ascending, for the states in
-    the image of f: one comparison and one bit-packing pass over ``d.outputs``,
-    read out of one byte string, so the numpy calls do not grow with the states."""
-    cells = d.outputs.ravel()
+    the image of f.  An int8 ``d.outputs``, which every child of at most 128
+    states has, takes the bytes pass; a wider one the bit-packing pass."""
+    if d.outputs.dtype == np.int8:
+        return _byte_level_masks(d.outputs, d.child_card)
+    return _packed_level_masks(d.outputs)
+
+
+# _MARKS[y]: the byte table that turns byte y into b"1" and every other into b"0"
+_MARKS = [b"0" * y + b"1" + b"0" * (255 - y) for y in range(128)]
+
+
+def _byte_level_masks(outputs: np.ndarray, child_card: int) -> dict[int, int]:
+    """``_level_masks`` of an int8 table in C-level bytes passes: the cells
+    as bytes, last cell first, then for each state in the image but the
+    last one ``translate`` to a string of binary digits, read by ``int``.
+    Base 2 has no digit cap, so a table of any size reads in linear time.
+    The level sets partition the cells, so the last state's mask is every
+    cell less the others'."""
+    raw = outputs.ravel()[::-1].tobytes()
+    states = [y for y in range(child_card) if y in raw]
+    last = states.pop()
+    masks = {y: int(raw.translate(_MARKS[y]), 2) for y in states}
+    masks[last] = (1 << len(raw)) - 1 - sum(masks.values())
+    return masks
+
+
+def _packed_level_masks(outputs: np.ndarray) -> dict[int, int]:
+    """``_level_masks`` of a table of any type: one comparison and one
+    bit-packing pass over ``outputs``, read out of one byte string, so the
+    numpy calls do not grow with the states."""
+    cells = outputs.ravel()
     states = np.flatnonzero(np.bincount(cells))
     rows = np.packbits(cells == states[:, None], axis=1, bitorder="little")
     packed, width = rows.tobytes(), rows.shape[1]
@@ -493,38 +521,50 @@ class _Search:
     # --- the search ----------------------------------------------------------
 
     @cached_property
+    def unions(self) -> list[int]:
+        """For each candidate, the union of the level sets whose
+        representative, their first cell, it holds; each set of
+        representatives is worked out once."""
+        levels = [(lm & -lm, lm) for lm in self.level_masks.values()]
+        reps = sum(rep for rep, _ in levels)
+        memo: dict[int, int] = {}
+        out: list[int] = []
+        for m in self.masks:
+            held = m & reps
+            union = memo.get(held)
+            if union is None:
+                union = memo[held] = sum(lm for rep, lm in levels if held & rep)
+            out.append(union)
+        return out
+
+    @cached_property
+    def stripe_unions(self) -> list[int]:
+        """The candidates that are unions of level sets, ascending: the
+        pool at the level-set count, made without classifying the rest."""
+        return [i for i, (m, union) in enumerate(zip(self.masks, self.unions)) if m == union]
+
+    @cached_property
     def projective_classes(self) -> tuple[list[int], list[list[int]]]:
         """One class label per candidate, and the candidates of each
-        class, ascending, by label.  Label 0 is the stripe unions; from 1
+        class, ascending, by label, made only once the size above the
+        level-set count is searched.  Label 0 is the stripe unions; from 1
         up, in order of first appearance, one label per group of
         candidates with proportional images modulo the level-set span.
 
         Each level set is represented by its first cell.  Modulo the
         level-set span, a rectangle's image is its indicator less the
-        union U of the level sets whose representative it holds: +1 on
-        the cells it adds to U, -1 on those it misses, 0 on every
-        representative.  The image is zero exactly for a stripe union,
-        and two images are proportional exactly when they are equal up
-        to sign, normalized here by the sign of the first non-zero cell.
-        U is looked up by the representatives the rectangle holds, each
-        set of them worked out once.
+        union U of the level sets whose representative it holds
+        (``unions``): +1 on the cells it adds to U, -1 on those it misses,
+        0 on every representative.  The image is zero exactly for a stripe
+        union, and two images are proportional exactly when they are equal
+        up to sign, normalized here by the sign of the first non-zero cell.
         """
-        levels = [(lm & -lm, lm) for lm in self.level_masks.values()]
-        reps = sum(rep for rep, _ in levels)
-        unions: dict[int, int] = {}
         keys: dict[tuple[int, int], int] = {}
         labels: list[int] = []
-        members: list[list[int]] = [[]]
-        for i, m in enumerate(self.masks):
-            held = m & reps
-            union = unions.get(held)
-            if union is None:
-                union = 0
-                for rep, lm in levels:
-                    if held & rep:
-                        union |= lm
-                unions[held] = union
+        members: list[list[int]] = [self.stripe_unions]
+        for i, (m, union) in enumerate(zip(self.masks, self.unions)):
             diff = m ^ union
+            c = 0
             if diff:
                 plus, minus = m & diff, union & diff
                 key = (minus, plus) if minus & diff & -diff else (plus, minus)
@@ -532,10 +572,8 @@ class _Search:
                 if c is None:
                     c = keys[key] = len(members)
                     members.append([])
-            else:
-                c = 0
+                members[c].append(i)
             labels.append(c)
-            members[c].append(i)
         return labels, members
 
     def pool(self, members: list[int]) -> tuple[list[int], list[int]]:
@@ -562,7 +600,7 @@ class _Search:
         class, a pool built once per class.
         """
         if k == lower:
-            root = self.pool(self.projective_classes[1][0])
+            root = self.pool(self.stripe_unions)
         else:
             root = range(len(self.masks)), self.candidates.suffix
         switch = k == lower + 1

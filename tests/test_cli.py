@@ -2,9 +2,11 @@
 
 Core claims:
     - exit codes follow the documented map: 0 ok, 1 usage, 2 bad input
-      (parse, validation, impossible evidence, a file that is not UTF-8
-      or nests too deeply), 3 budget, 4 internal, each with one line on
-      stderr
+      (parse, validation, impossible evidence, a file that is not UTF-8,
+      nests too deeply or is a directory), 3 budget, 4 internal, each
+      with one line on stderr
+    - an input file is read to its end, from a pipe too, and --out holds
+      exactly the new text as UTF-8, whatever the file held before
     - every emitted file re-parses with the library
     - mbh, cliques, and bench runs with the same flags are
       byte-identical
@@ -16,6 +18,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +32,7 @@ from factorbn import (
     parse_network,
     variable_elimination,
 )
-from factorbn.cli import run_cli
+from factorbn.cli import _emit, run_cli
 from factorbn.errors import InternalConsistencyError, ValidationError
 from factorbn.inference import MAX_AXES
 
@@ -289,6 +292,52 @@ def test_mbh_unwritable_out_prints_only_the_error(tmp_path, capsys):
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith(f"error: cannot write {out}:")
+
+
+def test_a_function_read_from_a_pipe_solves(tmp_path, capsys):
+    # a pipe returns what its writer has sent so far, so _read reads on
+    # until end of file; padded past the first read's 64 KiB, sent in
+    # small pieces by a thread, with a non-ASCII name
+    doc = dict(ADD33, child={"name": "ÿ" + " " * 200_000, "card": 5})
+    data = json.dumps(doc, ensure_ascii=False).encode()
+    r, w = os.pipe()
+
+    def send():
+        with os.fdopen(w, "wb", buffering=0) as f:
+            for i in range(0, len(data), 4096):
+                f.write(data[i:i + 4096])
+
+    sender = threading.Thread(target=send)
+    sender.start()
+    try:
+        code = run_cli(["mbh", "--function", f"/dev/fd/{r}"])
+    finally:
+        os.close(r)  # a sender still blocked on a full pipe gets EPIPE
+        sender.join(timeout=30)
+    assert not sender.is_alive()
+    assert code == 0
+    assert parse_base(capsys.readouterr().out).size == 6
+
+
+def test_a_directory_to_read_is_input_error(tmp_path, capsys):
+    assert run_cli(["mbh", "--function", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith(f"error: cannot read {tmp_path}:")
+
+
+def test_out_over_a_longer_file_holds_exactly_the_new_bytes(tmp_path, capsys):
+    fn = put(tmp_path, "fn.json", ADD33)
+    out = tmp_path / "base.json"
+    out.write_bytes(b"\xff" * 100_000)
+    assert run_cli(["mbh", "--function", fn]) == 0
+    printed = capsys.readouterr().out
+    assert run_cli(["mbh", "--function", fn, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_bytes() == printed.encode()
+    _emit("ÿ\n", str(out))  # the text as UTF-8
+    assert out.read_bytes() == b"\xc3\xbf\n"
 
 
 def run_module(*argv):

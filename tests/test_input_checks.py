@@ -8,7 +8,9 @@ Core claims:
       class with exactly its message
     - an id or state that the int cast would change is one of those
       errors, at each entry point that casts; an integral float or a
-      numpy int is taken as its int
+      numpy int is taken as its int, and an int past 2^53 beside a float
+      keeps its value
+    - a child card is read as an int with no 64-bit cap
     - every integer field of the library's constructors, given a numpy
       int, an integral float, a fraction, a string, None, an int beyond
       64 bits, True or a seeded draw of these, either builds an object
@@ -91,6 +93,10 @@ CASES = [
      ValidationError, "a deterministic node needs at least one parent"),
     ("function-card-zero", lambda: DeterministicFunction((0,), 1, (0,), 2, ()),
      ValidationError, "cardinalities must be positive"),
+    ("function-child-card-fraction", lambda: DeterministicFunction((0,), 1, (2,), 2.5, (0, 1)),
+     ValidationError, "child card must be an integer"),
+    ("function-child-card-string", lambda: DeterministicFunction((0,), 1, (2,), "2", (0, 1)),
+     ValidationError, "child card must be an integer"),
     ("function-fraction", lambda: DeterministicFunction((0,), 1, (2,), 2, (0.7, 1.2)),
      ValidationError, "output table entries must be integers that fit in 64 bits"),
     ("function-strings", lambda: DeterministicFunction((0,), 1, (2,), 2, ("0", "1")),
@@ -195,6 +201,31 @@ def test_a_child_of_more_states_than_int64_holds_keeps_an_int64_table():
         assert d.outputs.dtype == np.int64 and d.outputs.tolist() == [0, 1]
         solution = solve_mbh(d)
         assert solution.proved_minimal and solution.base.size == 2
+
+
+@pytest.mark.parametrize("two", [2, 2.0, np.int64(2), np.float32(2.0)])
+def test_a_child_card_is_read_as_its_int(two):
+    d = DeterministicFunction((0,), 1, (2,), two, (0, 1))
+    assert type(d.child_card) is int and d.child_card == 2
+    assert d.outputs.dtype == np.int8
+
+
+BEYOND = 2**53 + 1  # the first int that a float64 rounds
+
+
+@pytest.mark.parametrize("build, read, want", [
+    (lambda: Factor((0, BEYOND), (2, 2.0), np.ones((2, 2))), lambda o: o.scope, (0, BEYOND)),
+    (lambda: Hyperrectangle(((1.0, BEYOND),)), lambda o: o.dims, ((1, BEYOND),)),
+    (lambda: DeterministicFunction((0,), 1, (2,), BEYOND + 1, (1.0, BEYOND)),
+     lambda o: o.outputs.tolist(), [1, BEYOND]),
+    (lambda: FactorizedForm((2,), 2, [[0.0, BEYOND], [1, 2]], (np.eye(2),)),
+     lambda o: o.h.tolist(), [[0, BEYOND], [1, 2]]),
+], ids=["Factor.scope", "Hyperrectangle", "DeterministicFunction.outputs", "FactorizedForm.h"])
+def test_an_int_past_2_53_beside_a_float_keeps_its_value(build, read, want):
+    """An int that a float64 would round, in a list beside a float, is read
+    as given: no entry goes through a float array on its way in."""
+    got = read(build())
+    assert got == want and all(type(x) is int for x in leaves(got))
 
 
 # The sweep over every integer field.  FORM is a valid form for one binary

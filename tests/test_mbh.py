@@ -21,6 +21,11 @@ Core claims:
       candidate masks built per dimension, the level-pure atom test, the
       greedy cover and the projective classes; the atom test never
       rejects a subset that the span test accepts
+    - a search that ends at the level-set count builds the stripe-union
+      pool alone, and classifies no candidate
+    - the level masks of an int8 table, built in bytes passes, are the
+      bit-packing pass's, up to 2^20 cells; a child of 129 states or more
+      takes the bit-packing pass
     - results are deterministic across repeated runs, and the per-shape
       candidate cache changes no golden base or counter in any solving
       order; the rectangle cap is checked before the cache
@@ -60,8 +65,11 @@ from factorbn.mbh import (
     _closure_search,
     _dim_subsets,
     _echelon,
+    _byte_level_masks,
     _in_span,
+    _level_masks,
     _mask_row,
+    _packed_level_masks,
     _rectangle_at,
     _rectangle_masks,
     _refine,
@@ -301,6 +309,62 @@ def test_greedy_cover_and_classes_match_set_based_references():
             search.masks, search.level_masks, search.ncells
         )
         assert all(i in members[c] for i, c in enumerate(labels))
+
+
+def test_a_search_ending_at_the_level_set_count_classifies_no_candidate(monkeypatch):
+    # MAX 3x3x3 and AND of four binaries have bases of L rectangles, so the
+    # stripe unions are all they read
+    def refuse(self):
+        raise AssertionError("projective classes built")
+
+    monkeypatch.setattr(_Search, "projective_classes", property(refuse))
+    for d in (mk((3, 3, 3), lambda *x: max(x), 3), mk((2,) * 4, lambda *x: int(all(x)), 2)):
+        sol = solve_mbh(d)
+        assert sol.proved_minimal and sol.base.size == len(level_sets(d))
+
+
+def test_the_bytes_pass_builds_the_bit_packing_masks():
+    """A seeded sweep of int8 tables of 1 to 2^16 cells, with states
+    missing from the image, and children of 128 states (int8, the bytes
+    pass) and 129 (int16, the bit-packing pass): both passes build the
+    same masks, by state, ascending, and on up to 2^10 cells they are
+    the cells of each state."""
+    rng = random.Random(43)
+    seen = set()
+    for n in range(17):
+        size = rng.randint((1 << n) // 2 + 1, 1 << n)
+        cards = (2,) * n if n and size == 1 << n and rng.random() < 0.5 else (size,)
+        for cc in (1, 2, 3, rng.randint(4, 127), 128, 129):
+            image = rng.sample(range(cc), rng.randint(1, min(cc, 6)))
+            outputs = [rng.choice(image) for _ in range(size)]
+            d = DeterministicFunction(tuple(range(len(cards))), len(cards), cards, cc, outputs)
+            masks = _level_masks(d)
+            assert list(masks) == sorted(set(outputs))
+            if size <= 1 << 10:
+                assert masks == {y: sum(1 << j for j, x in enumerate(outputs) if x == y)
+                                 for y in masks}
+            packed = _packed_level_masks(d.outputs)
+            assert list(masks.items()) == list(packed.items())
+            if cc <= 128:
+                assert d.outputs.dtype == np.int8
+                assert list(_byte_level_masks(d.outputs, cc).items()) == list(masks.items())
+            else:
+                assert d.outputs.dtype == np.int16
+            seen.add((d.outputs.dtype.name, len(masks) < cc))
+    # (type, a state missing from the image); a 129-state image has too
+    # few cells here to fill
+    assert seen == {("int8", False), ("int8", True), ("int16", True)}
+
+
+def test_the_bytes_pass_reads_a_table_of_2_20_cells():
+    # an int() parse of more than 4300 digits raises on Python 3.11+, in
+    # every base but the powers of two; the bytes pass parses 2^20 binary
+    # digits per state
+    rng = np.random.default_rng(20)
+    d = DeterministicFunction(tuple(range(20)), 20, (2,) * 20, 3, rng.integers(0, 3, 1 << 20))
+    masks = _level_masks(d)
+    assert list(masks.items()) == list(_packed_level_masks(d.outputs).items())
+    assert list(masks) == [0, 1, 2] and sum(masks.values()) == (1 << (1 << 20)) - 1
 
 
 # -- an independent closure oracle -------------------------------------------
