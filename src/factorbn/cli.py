@@ -36,27 +36,17 @@ from .fileio import (
 from .inference import METHODS, transform_network, variable_elimination
 from .mbh import SearchBudget, solve_mbh
 
-# the bytes the first read of a file asks for; each later read asks for
-# twice as many as the one before, so a large file takes few reads
-_FIRST_READ = 1 << 16
-
 
 def _read(path: str) -> str:
-    """The UTF-8 text of a file, through the os calls alone: one open,
-    reads until one returns nothing (a pipe or a terminal may return
-    less than it holds), one close, and one decode of the bytes.  A
-    file that cannot be opened or read, a directory included, or that
-    is not UTF-8, is an input error."""
+    """The UTF-8 text of a file, read to its end by the raw file object
+    alone, no buffered or text layer: ``readall`` sizes its buffer from
+    the file's size and grows it only when full, so a pipe or a terminal
+    that returns a little at a time reads to its end too.  A file that
+    cannot be opened or read, a directory included, or that is not
+    UTF-8, is an input error."""
     try:
-        fd = os.open(path, os.O_RDONLY)
-        try:
-            chunks, size = [], _FIRST_READ
-            while chunk := os.read(fd, size):
-                chunks.append(chunk)
-                size *= 2
-        finally:
-            os.close(fd)
-        return b"".join(chunks).decode()
+        with open(path, "rb", buffering=0) as f:
+            return f.readall().decode()
     except (OSError, UnicodeDecodeError) as e:
         raise ValidationError(f"cannot read {path}: {e}") from e
 

@@ -51,10 +51,12 @@ _INT64 = 1 << 63
 
 def _as_int(value, name: str, bound: int | None = _INT64) -> int:
     """``value`` as a Python int, read on its own and never through a float:
-    an int, a bool or a numpy integer is its int, an integral float its
-    int.  Anything else, or an int outside [-bound, bound) (int64's range
-    by default; ``bound=None`` for none), raises a ValidationError
-    naming the field."""
+    an int, a bool, a numpy integer or a 0-d array of one is its int, an
+    integral float its int.  Anything else, or an int outside [-bound,
+    bound) (int64's range by default; ``bound=None`` for none), raises a
+    ValidationError naming the field."""
+    if isinstance(value, np.ndarray) and value.ndim == 0:
+        value = value.item()
     if isinstance(value, (int, np.integer, np.bool_)) or (
         isinstance(value, (float, np.floating)) and value.is_integer()
     ):
@@ -67,12 +69,15 @@ def _as_int(value, name: str, bound: int | None = _INT64) -> int:
 
 
 def _int_tuple(values, name: str) -> tuple[int, ...]:
-    """The flat sequence ``values`` as Python ints, each read by ``_as_int``;
-    anything that is not a flat sequence raises."""
-    try:
+    """A list, a tuple, a range or a 1-d array, as Python ints, each entry
+    read by ``_as_int``.  Anything else raises: a set or a mapping has no
+    order to keep, a generator would be used up, and a string or bytes is
+    not a list of integers."""
+    if isinstance(values, (list, tuple, range)) or (
+        isinstance(values, np.ndarray) and values.ndim == 1
+    ):
         return tuple(_as_int(x, name) for x in values)
-    except TypeError:  # not a sequence at all
-        raise ValidationError(f"{name} entries must be integers that fit in 64 bits") from None
+    raise ValidationError(f"{name} entries must be integers that fit in 64 bits")
 
 
 @dataclass(frozen=True)
@@ -121,8 +126,8 @@ class Factor:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        ints = _int_tuple([*self.scope, *self.cards], "scope and card")
-        scope, cards = ints[:len(self.scope)], ints[len(self.scope):]
+        scope = _int_tuple(self.scope, "scope and card")
+        cards = _int_tuple(self.cards, "scope and card")
         object.__setattr__(self, "scope", scope)
         object.__setattr__(self, "cards", cards)
         if list(scope) != sorted(set(scope)):

@@ -149,11 +149,17 @@ def _strides(cards: Sequence[int]) -> tuple[int, ...]:
     return tuple(strides)
 
 
+# the most binary digits, cells times (child states - 1), that the bytes pass
+# parses; past about 2^12 the bit-packing pass is the faster one
+_BYTE_PASS_DIGITS = 1 << 11
+
+
 def _level_masks(d: DeterministicFunction) -> dict[int, int]:
     """The mask of each level set, by child state, ascending, for the states in
-    the image of f.  An int8 ``d.outputs``, which every child of at most 128
-    states has, takes the bytes pass; a wider one the bit-packing pass."""
-    if d.outputs.dtype == np.int8:
+    the image of f.  A small int8 ``d.outputs`` (a child of at most 128 states,
+    cells times (states - 1) at most ``_BYTE_PASS_DIGITS``) takes the bytes
+    pass, any other the bit-packing pass."""
+    if d.outputs.dtype == np.int8 and d.outputs.size * (d.child_card - 1) <= _BYTE_PASS_DIGITS:
         return _byte_level_masks(d.outputs, d.child_card)
     return _packed_level_masks(d.outputs)
 

@@ -14,11 +14,15 @@ Core claims:
       library directly
 """
 
+import fcntl
 import json
 import os
+import struct
 import subprocess
 import sys
+import termios
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -294,28 +298,36 @@ def test_mbh_unwritable_out_prints_only_the_error(tmp_path, capsys):
     assert captured.err.startswith(f"error: cannot write {out}:")
 
 
-def test_a_function_read_from_a_pipe_solves(tmp_path, capsys):
-    # a pipe returns what its writer has sent so far, so _read reads on
-    # until end of file; padded past the first read's 64 KiB, sent in
-    # small pieces by a thread, with a non-ASCII name
+def test_a_function_read_from_a_pipe_in_small_pieces_solves(capsys):
+    # a pipe returns what its writer has sent so far; here the writer
+    # sends each of some 300 pieces only once the reader has taken the one
+    # before, so the file arrives in as many reads; padded to 200 kB and
+    # with a non-ASCII name
     doc = dict(ADD33, child={"name": "ÿ" + " " * 200_000, "card": 5})
     data = json.dumps(doc, ensure_ascii=False).encode()
     r, w = os.pipe()
 
+    def unread():
+        return struct.unpack("i", fcntl.ioctl(w, termios.FIONREAD, b"\0" * 4))[0]
+
     def send():
-        with os.fdopen(w, "wb", buffering=0) as f:
-            for i in range(0, len(data), 4096):
-                f.write(data[i:i + 4096])
+        try:
+            for i in range(0, len(data), 700):
+                os.write(w, data[i:i + 700])
+                while unread():
+                    time.sleep(0.0002)
+        finally:
+            os.close(w)
 
     sender = threading.Thread(target=send)
     sender.start()
     try:
         code = run_cli(["mbh", "--function", f"/dev/fd/{r}"])
     finally:
-        os.close(r)  # a sender still blocked on a full pipe gets EPIPE
+        os.close(r)  # a sender still waiting on the reader gets EPIPE
         sender.join(timeout=30)
     assert not sender.is_alive()
-    assert code == 0
+    assert code == 0, capsys.readouterr().err
     assert parse_base(capsys.readouterr().out).size == 6
 
 

@@ -8,8 +8,10 @@ Core claims:
       class with exactly its message
     - an id or state that the int cast would change is one of those
       errors, at each entry point that casts; an integral float or a
-      numpy int is taken as its int, and an int past 2^53 beside a float
-      keeps its value
+      numpy int, alone or in a 0-d array, is taken as its int, and an int
+      past 2^53 beside a float keeps its value
+    - a list of integers is a sequence or a 1-d array: a set, bytes or a
+      generator is refused
     - a child card is read as an int with no 64-bit cap
     - every integer field of the library's constructors, given a numpy
       int, an integral float, a fraction, a string, None, an int beyond
@@ -78,6 +80,10 @@ CASES = [
     ("factor-scope-fraction", lambda: Factor((0.5,), (2,), HALF), ValidationError,
      "scope and card entries must be integers that fit in 64 bits"),
     ("factor-card-fraction", lambda: Factor((0,), (2.5,), HALF), ValidationError,
+     "scope and card entries must be integers that fit in 64 bits"),
+    ("factor-scope-set", lambda: Factor({1, 0}, (2, 2), np.full((2, 2), 0.25)), ValidationError,
+     "scope and card entries must be integers that fit in 64 bits"),
+    ("factor-scope-bytes", lambda: Factor(b"\x00", (2,), HALF), ValidationError,
      "scope and card entries must be integers that fit in 64 bits"),
     ("factor-cards", lambda: Factor((0,), (2, 2), HALF), ValidationError,
      "cards must be parallel to scope"),
@@ -154,6 +160,8 @@ CASES = [
      "evidence variable id entries must be integers that fit in 64 bits"),
     ("rectangle-fraction", lambda: Hyperrectangle(((0, 1.7),)), ValidationError,
      "rectangle dimension entries must be integers that fit in 64 bits"),
+    ("rectangle-generator", lambda: Hyperrectangle(((x for x in (0, 1)),)), ValidationError,
+     "rectangle dimension entries must be integers that fit in 64 bits"),
     ("conjunction-fraction", lambda: known_base_conjunction([1.9, 0.2]), ValidationError,
      "conjunction literal entries must be integers that fit in 64 bits"),
     ("max-fraction", lambda: known_base_max([2.5, 2.2]), ValidationError,
@@ -208,6 +216,14 @@ def test_a_child_card_is_read_as_its_int(two):
     d = DeterministicFunction((0,), 1, (2,), two, (0, 1))
     assert type(d.child_card) is int and d.child_card == 2
     assert d.outputs.dtype == np.int8
+
+
+def test_a_0_d_array_entry_is_read_as_its_int():
+    one, two = np.array(1), np.array(2.0)
+    built = (Factor((0, one), (2, two), np.ones((2, 2))).scope,
+             Hyperrectangle(((0, one),)).dims,
+             DeterministicFunction((one,), 0, (2,), two, (0, 1)).parents)
+    assert built == ((0, 1), ((0, 1),), (1,)) and all(type(x) is int for x in leaves(built))
 
 
 BEYOND = 2**53 + 1  # the first int that a float64 rounds

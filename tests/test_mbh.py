@@ -24,8 +24,9 @@ Core claims:
     - a search that ends at the level-set count builds the stripe-union
       pool alone, and classifies no candidate
     - the level masks of an int8 table, built in bytes passes, are the
-      bit-packing pass's, up to 2^20 cells; a child of 129 states or more
-      takes the bit-packing pass
+      bit-packing pass's, up to 2^20 cells; only an int8 table of at most
+      2^11 cells times (child states - 1) takes the bytes pass, so a child
+      of 129 states or more, or a wide table, takes the bit-packing pass
     - results are deterministic across repeated runs, and the per-shape
       candidate cache changes no golden base or counter in any solving
       order; the rectangle cap is checked before the cache
@@ -60,6 +61,7 @@ from factorbn import (
     verify_factorization,
 )
 from factorbn.errors import ValidationError
+import factorbn.mbh as mbh_module
 from factorbn.mbh import (
     _candidates,
     _closure_search,
@@ -362,9 +364,29 @@ def test_the_bytes_pass_reads_a_table_of_2_20_cells():
     # digits per state
     rng = np.random.default_rng(20)
     d = DeterministicFunction(tuple(range(20)), 20, (2,) * 20, 3, rng.integers(0, 3, 1 << 20))
-    masks = _level_masks(d)
+    masks = _byte_level_masks(d.outputs, 3)
     assert list(masks.items()) == list(_packed_level_masks(d.outputs).items())
     assert list(masks) == [0, 1, 2] and sum(masks.values()) == (1 << (1 << 20)) - 1
+
+
+@pytest.mark.parametrize("cells, child_card, bytes_pass", [
+    (2048, 2, True), (2049, 2, False), (1024, 3, True), (1025, 3, False),
+    (16, 128, True), (17, 128, False), (2, 129, False), (9, 5, True),
+])
+def test_the_bytes_pass_takes_only_small_int8_tables(monkeypatch, cells, child_card, bytes_pass):
+    """The bytes pass parses cells x (child states - 1) binary digits, and
+    past about 2^12 of them the bit-packing pass is faster, so 2^11 is the
+    line; a child of 129 states has an int16 table."""
+    taken = []
+    for name in ("_byte_level_masks", "_packed_level_masks"):
+        real = getattr(mbh_module, name)
+        monkeypatch.setattr(mbh_module, name,
+                            lambda *a, name=name, real=real: taken.append(name) or real(*a))
+    outputs = [x % child_card for x in range(cells)]
+    d = DeterministicFunction((0,), 1, (cells,), child_card, outputs)
+    masks = _level_masks(d)
+    assert taken == ["_byte_level_masks" if bytes_pass else "_packed_level_masks"]
+    assert masks == {y: sum(1 << j for j, x in enumerate(outputs) if x == y) for y in masks}
 
 
 # -- an independent closure oracle -------------------------------------------
